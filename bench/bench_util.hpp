@@ -50,7 +50,7 @@ namespace pipad::bench {
 
 struct Flags {
   /// The shared job description (--scale-large, --epochs, --threads,
-  /// --tuner, --replicas, ... — everything api::apply_flag understands).
+  /// --replicas, ... — everything api::apply_flag understands).
   api::JobSpec job;
 
   std::vector<std::string> datasets;
@@ -320,7 +320,7 @@ inline models::TrainResult run_method(const graph::DTDG& data, Method m,
   return run_method(gpu, data, m, cfg, popts);
 }
 
-/// "PiPAD[batch]" -> "PiPAD_batch_": trace filenames stay portable.
+/// "PiPAD[stream]" -> "PiPAD_stream_": trace filenames stay portable.
 inline std::string trace_file_component(const std::string& s) {
   std::string out = s;
   for (char& c : out) {

@@ -216,8 +216,9 @@ class TransferBoundPass final : public Pass {
 // where some worker lane runs a `prep:*` op while no training compute
 // (device kernels or worker `compute:*` math) runs anywhere. A streamed
 // extractor hides preparation under the steady epochs, so this exposure is
-// the signature of the batch extractor (or of a pipeline that failed to
-// overlap); it is exactly the time a streaming schedule could win back.
+// the signature of a pipeline that failed to overlap (a one-off ingest, or
+// extraction that blocks training); it is exactly the time an overlapped
+// schedule could win back.
 class PrepBoundPass final : public Pass {
  public:
   const char* name() const override { return "prep_bound"; }

@@ -59,7 +59,7 @@ struct Finding {
   std::vector<std::pair<std::string, double>> blamed;
   std::string detail;  ///< One human-readable sentence.
   /// compute_imbalance only: blocks the work-stealing executor moved off
-  /// their home slot inside the window (0 elsewhere, and for v1 traces).
+  /// their home slot inside the window (0 elsewhere).
   /// Residual skew *despite* steals points at block granularity, not at
   /// the scheduler.
   std::uint64_t steals = 0;
@@ -67,8 +67,8 @@ struct Finding {
 
 /// Tunable detection thresholds, all as fractions of the makespan (or of
 /// per-window spans for serialization). Defaults are calibrated against
-/// the ablation_tuner traces: the batch-prep run trips prep_bound, the
-/// streamed run does not.
+/// the ablation_tuner traces: the streamed run does not trip prep_bound,
+/// while a schedule that blocks training on a whole extraction batch does.
 struct PassOptions {
   double transfer_bound_frac = 0.25;   ///< Crit-path transfer share.
   double prep_bound_frac = 0.04;       ///< Exclusive-prep share of makespan

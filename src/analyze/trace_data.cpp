@@ -182,12 +182,10 @@ TraceData read_trace_csv(std::istream& is, const std::string& path) {
       continue;
     }
     const auto f = csv_fields(line, path, lineno);
-    // v1 traces carry 7 fields; v2 appends steals,blocks. Both parse — a
-    // v1 trace simply reads back with zero counters.
-    if (f.size() != 7 && f.size() != 9) {
-      throw Error(path + ":" + std::to_string(lineno) + ": expected 7 or 9 " +
-                  "fields (name,resource,stream,start_us,end_us,bytes,lane"
-                  "[,steals,blocks]), got " + std::to_string(f.size()));
+    if (f.size() != 9) {
+      throw Error(path + ":" + std::to_string(lineno) + ": expected 9 " +
+                  "fields (name,resource,stream,start_us,end_us,bytes,lane,"
+                  "steals,blocks), got " + std::to_string(f.size()));
     }
     OpRecord rec;
     rec.name = f[0];
@@ -200,10 +198,8 @@ TraceData read_trace_csv(std::istream& is, const std::string& path) {
     rec.end_us = parse_double(f[4], path, lineno, "end_us");
     rec.bytes = parse_size(f[5], path, lineno, "bytes");
     rec.lane = parse_size(f[6], path, lineno, "lane");
-    if (f.size() == 9) {
-      rec.steals = parse_size(f[7], path, lineno, "steals");
-      rec.blocks = parse_size(f[8], path, lineno, "blocks");
-    }
+    rec.steals = parse_size(f[7], path, lineno, "steals");
+    rec.blocks = parse_size(f[8], path, lineno, "blocks");
     if (rec.end_us < rec.start_us || rec.start_us < 0.0) {
       throw Error(path + ":" + std::to_string(lineno) +
                   ": op '" + rec.name + "' has an invalid time range");

@@ -8,8 +8,8 @@
 // (read_trace_csv / read_trace_file). The CSV reader understands the
 // optional `# pipad-trace v2` metadata header that labels a trace with the
 // (dataset, model, method) key the bench_diff-compatible JSON report uses,
-// and accepts both the 7-field v1 row layout and the 9-field v2 one
-// (v2 appends the region executor's steals,blocks counters).
+// and accepts only the 9-field v2 row layout (the 7 op fields followed by
+// the region executor's steals,blocks counters).
 #pragma once
 
 #include <istream>
@@ -33,8 +33,7 @@ struct TraceData {
   std::string method;
 
   /// Per-lane busy time of CpuWorker ops whose name starts with `prefix`
-  /// ("" = all), clipped to [t0, t1) — Timeline::worker_busy_in over the
-  /// captured records.
+  /// ("" = all), clipped to [t0, t1).
   std::vector<double> worker_busy_in(double t0, double t1,
                                      const std::string& prefix = {}) const;
 

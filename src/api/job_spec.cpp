@@ -6,7 +6,6 @@
 #include <cstdlib>
 
 #include "graph/io/loader.hpp"
-#include "pipad/tuner.hpp"
 #include "replica/allreduce.hpp"
 
 namespace pipad::api {
@@ -75,19 +74,6 @@ FlagStatus apply_flag(const std::string& flag, const std::string& value,
     o.features = value;
   } else if (flag == "--cache-dir") {
     o.cache_dir = value;
-  } else if (flag == "--prep") {
-    if (value != "stream" && value != "batch") {
-      error = "unknown prep mode '" + value + "' (expected stream | batch)";
-      return FlagStatus::Error;
-    }
-    o.prep = value;
-  } else if (flag == "--tuner") {
-    runtime::TunerMode mode;
-    if (!runtime::parse_tuner_mode(value, mode)) {
-      error = "unknown tuner '" + value + "' (expected analytic | measured)";
-      return FlagStatus::Error;
-    }
-    o.tuner = value;
   } else if (flag == "--replicas") {
     if (!parse_ll(value, n) || n < 0 || n > 64) {
       error = "--replicas expects an integer in [0, 64], got '" + value + "'";
@@ -168,16 +154,9 @@ std::string JobSpec::validate() const {
     return "unknown runtime '" + runtime +
            "' (expected pipad | pygt | pygt-a | pygt-r | pygt-g)";
   }
-  runtime::TunerMode tuner_mode;
-  if (!runtime::parse_tuner_mode(tuner, tuner_mode)) {
-    return "unknown tuner '" + tuner + "' (expected analytic | measured)";
-  }
   replica::AllReduceAlgo algo;
   if (!replica::parse_allreduce(allreduce, algo)) {
     return "unknown allreduce '" + allreduce + "' (expected ring | tree)";
-  }
-  if (prep != "stream" && prep != "batch") {
-    return "unknown prep mode '" + prep + "' (expected stream | batch)";
   }
   if (nodes <= 0 || epochs <= 0 || frame_size <= 0 || feat_dim <= 0 ||
       events <= 0) {
@@ -219,10 +198,6 @@ std::string JobSpec::validate() const {
   }
   if (replicas > 0 && runtime != "pipad") {
     return "--replicas requires --runtime pipad";
-  }
-  if (replicas > 0 && tuner == "measured") {
-    return "--tuner=measured samples per-replica occupancy and is not "
-           "replica-invariant; use the analytic tuner with --replicas";
   }
   if (tenant.empty()) return "--tenant expects a non-empty name";
   if (priority < 1 || priority > 10) {
@@ -285,8 +260,6 @@ Json JobSpec::to_json() const {
   j.set("frame_size", frame_size);
   j.set("frames", frames);
   j.set("threads", threads);
-  j.set("tuner", tuner);
-  j.set("prep", prep);
   j.set("replicas", replicas);
   j.set("allreduce", allreduce);
   j.set("seed", seed);
@@ -345,8 +318,6 @@ bool JobSpec::from_json(const Json& j, JobSpec& spec, std::string& error) {
         out.frame_size = int_field(v, "frame_size");
       } else if (key == "frames") out.frames = int_field(v, "frames");
       else if (key == "threads") out.threads = int_field(v, "threads");
-      else if (key == "tuner") out.tuner = v.as_string();
-      else if (key == "prep") out.prep = v.as_string();
       else if (key == "replicas") out.replicas = int_field(v, "replicas");
       else if (key == "allreduce") out.allreduce = v.as_string();
       else if (key == "seed") {
@@ -409,11 +380,6 @@ std::string flags_help() {
       "  --frames N         max frames per epoch, 0 = all  [4]\n"
       "  --threads N        ComputePool worker lanes (host prep + numeric\n"
       "                     kernels), 0 = default  [0]\n"
-      "  --tuner MODE       S_per tuner cost source: analytic (device\n"
-      "                     model only) | measured (folds the preparing\n"
-      "                     epoch's charged prep/compute lane occupancy\n"
-      "                     into the pipeline-stall rejection)  [analytic]\n"
-      "  --prep MODE        host prep mode, stream | batch  [stream]\n"
       "  --replicas K       replicated data-parallel training across K\n"
       "                     simulated devices (pipad runtime only; losses\n"
       "                     and params are bit-identical for every K and\n"

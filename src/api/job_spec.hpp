@@ -54,8 +54,6 @@ struct JobSpec {
                             ///< default; the serve daemon pins one width
                             ///< for every job — numerics are unaffected by
                             ///< the thread-invariance contract).
-  std::string tuner = "analytic";  ///< S_per tuner: analytic | measured.
-  std::string prep = "stream";     ///< Host prep mode: stream | batch.
   int replicas = 0;         ///< >=1: replicated data-parallel training
                             ///< across K simulated devices (pipad only).
   std::string allreduce = "ring";  ///< --replicas interconnect: ring | tree.
@@ -71,8 +69,8 @@ struct JobSpec {
   bool run_analyzer = false;   ///< JobResult carries an analyzer summary.
 
   /// Strict post-parse validation: every rule that used to live in the CLI
-  /// (including the pipad-only --replicas/--allreduce/--tuner=measured
-  /// constraints) plus range/vocabulary checks for specs built from JSON.
+  /// (including the pipad-only --replicas/--allreduce constraints) plus
+  /// range/vocabulary checks for specs built from JSON.
   /// Returns the error message, or "" when valid.
   std::string validate() const;
 

@@ -114,9 +114,6 @@ models::TrainConfig train_config(const JobSpec& o) {
 runtime::PipadOptions pipad_options(const JobSpec& o) {
   runtime::PipadOptions popts;
   popts.host_threads = o.threads;  // 0 = HostLane default.
-  popts.stream_prep = o.prep != "batch";
-  // Parse cannot fail here: validate() accepted the same vocabulary.
-  runtime::parse_tuner_mode(o.tuner, popts.tuner);
   popts.replicas = o.replicas;
   popts.allreduce = o.allreduce;
   return popts;

@@ -190,7 +190,7 @@ int cmd_analyze(const Options& o) {
     analyze::TraceData td = analyze::from_timeline(gpu.timeline());
     td.dataset = data.data.name;
     td.model = o.job.model;
-    td.method = o.job.prep == "batch" ? "pipad-batch" : "pipad";
+    td.method = "pipad";
     analyses.push_back(analyze::analyze_trace(
         std::move(td), popts, &ComputePool::instance().pool()));
   } else {
@@ -642,14 +642,9 @@ ParseResult parse_args(const std::vector<std::string>& args) {
     return res;
   }
   if (o.command != Command::Analyze &&
-      (!o.traces.empty() || o.fail_above != "none" || o.top != 5 ||
-       o.job.prep != "stream")) {
-    res.error = "--trace, --prep, --top and --fail-above require the "
-                "analyze subcommand";
-    return res;
-  }
-  if (!o.traces.empty() && o.job.prep != "stream") {
-    res.error = "--prep only applies to live analyze runs (no --trace)";
+      (!o.traces.empty() || o.fail_above != "none" || o.top != 5)) {
+    res.error = "--trace, --top and --fail-above require the analyze "
+                "subcommand";
     return res;
   }
   if (o.command != Command::Submit &&

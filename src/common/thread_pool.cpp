@@ -6,7 +6,6 @@
 #include <memory>
 #include <stdexcept>
 
-#include "common/qsbr.hpp"
 #include "common/work_deque.hpp"
 
 namespace pipad {
@@ -66,29 +65,17 @@ void ThreadPool::shutdown() {
 void ThreadPool::worker_loop(std::size_t index) {
   tl_worker_index = index;
   tl_pool = this;
-  Qsbr& qsbr = Qsbr::instance();
-  const Qsbr::Handle qh = qsbr.register_thread();
   for (;;) {
     std::function<void()> task;
     {
       std::unique_lock<std::mutex> lock(mutex_);
-      if (!stopping_ && queue_.empty()) {
-        // Idle workers go offline so they never stall a grace period.
-        qsbr.offline(qh);
-        cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-        qsbr.online(qh);
-      }
+      cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
       if (stopping_ && queue_.empty()) break;
       task = std::move(queue_.front());
       queue_.pop();
     }
     task();
-    // Drop the task's captured state *before* quiescing: a quiescent
-    // announcement promises this thread holds no retirable references.
-    task = nullptr;
-    qsbr.quiescent(qh);
   }
-  qsbr.unregister_thread(qh);
 }
 
 void ThreadPool::parallel_for(std::size_t n,

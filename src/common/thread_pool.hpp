@@ -18,10 +18,6 @@
 //     is dynamic — skewed blocks no longer idle the other workers — but
 //     the *set* of blocks never depends on the pool width, which is what
 //     keeps region outputs bit-identical across thread counts.
-//
-// Workers register with the process Qsbr domain and announce a quiescent
-// state between tasks (offline while idle), so buffers retired by trainer
-// threads are freed on worker idle time (see common/qsbr.hpp).
 #pragma once
 
 #include <condition_variable>

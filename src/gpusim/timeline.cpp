@@ -105,20 +105,6 @@ double Timeline::worker_lane_ready(std::size_t lane) const {
   return worker_ready_[lane];
 }
 
-std::vector<double> Timeline::worker_busy_in(double t0, double t1,
-                                             const std::string& prefix) const {
-  std::vector<double> out(worker_ready_.size(), 0.0);
-  if (t1 <= t0) return out;
-  for (const auto& rec : records_) {
-    if (rec.resource != Resource::CpuWorker) continue;
-    if (!prefix.empty() && rec.name.rfind(prefix, 0) != 0) continue;
-    const double lo = std::max(rec.start_us, t0);
-    const double hi = std::min(rec.end_us, t1);
-    if (hi > lo) out[rec.lane] += hi - lo;
-  }
-  return out;
-}
-
 EventId Timeline::record_event(StreamId stream) {
   PIPAD_CHECK_MSG(stream < streams_.size(), "unknown stream " << stream);
   events_.push_back(streams_[stream].ready_us);

@@ -92,13 +92,6 @@ class Timeline {
   /// Current front of a worker lane.
   double worker_lane_ready(std::size_t lane) const;
 
-  /// Per-lane busy time of CpuWorker ops whose name starts with `prefix`
-  /// ("" = all worker ops), clipped to the window [t0, t1). One slot per
-  /// lane; the dynamic tuner reads charged prep/compute occupancy of the
-  /// preparing epoch through this.
-  std::vector<double> worker_busy_in(double t0, double t1,
-                                     const std::string& prefix = {}) const;
-
   /// Record the current position of a stream as an event.
   EventId record_event(StreamId stream);
 

@@ -33,8 +33,7 @@ std::string csv_time(double us) {
 
 void write_rows(const Timeline& tl, std::ostream& os) {
   // v2 layout: the steals/blocks pair carries the work-stealing region
-  // executor's counters on compute:* worker ops (0 everywhere else). The
-  // reader accepts both this and the 7-column v1 layout.
+  // executor's counters on compute:* worker ops (0 everywhere else).
   os << "name,resource,stream,start_us,end_us,bytes,lane,steals,blocks\n";
   for (const auto& rec : tl.records()) {
     os << csv_quote(rec.name) << ',' << resource_name(rec.resource) << ','

@@ -84,11 +84,6 @@ std::unique_ptr<HostStream> HostLane::stream(
       gpu_, pool(), std::move(name), n, std::move(job), window, adaptive));
 }
 
-std::vector<double> HostLane::occupancy(double t0, double t1,
-                                        const std::string& prefix) const {
-  return gpu_.timeline().worker_busy_in(t0, t1, prefix);
-}
-
 // ---------------------------------------------------------------- HostStream
 
 HostStream::HostStream(gpusim::Gpu& gpu, ThreadPool& pool, std::string name,

@@ -90,13 +90,6 @@ class HostLane {
                                      std::size_t window = 0,
                                      bool adaptive = false);
 
-  /// Per-lane charged busy time within the sim-time window [t0, t1) of
-  /// worker ops whose name starts with `prefix` ("" = all): the measured
-  /// occupancy the charge-aware tuner folds into decide_sper. Thin wrapper
-  /// over Timeline::worker_busy_in.
-  std::vector<double> occupancy(double t0, double t1,
-                                const std::string& prefix = {}) const;
-
  private:
   gpusim::Gpu& gpu_;
 };

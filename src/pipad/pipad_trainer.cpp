@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/error.hpp"
-#include "common/qsbr.hpp"
 #include "common/timer.hpp"
 #include "host/host_lane.hpp"
 #include "kernels/aggregate.hpp"
@@ -407,10 +406,10 @@ struct PipadTrainer::Impl {
   bool step_first_steady = false;
   double step_first_steady_us = 0.0;
 
-  // Streaming steady-state extraction (stream_prep): jobs write disjoint
-  // stream_parts slots; partition() retires them in first-use order. The
-  // stream is declared last so it is destroyed (and drained) before the
-  // slots its in-flight jobs write into.
+  // Streaming steady-state extraction: jobs write disjoint stream_parts
+  // slots; partition() retires them in first-use order. The stream is
+  // declared last so it is destroyed (and drained) before the slots its
+  // in-flight jobs write into.
   std::vector<std::pair<int, int>> stream_keys;
   std::map<std::pair<int, int>, std::size_t> stream_index;
   std::vector<sliced::FramePartition> stream_parts;
@@ -421,8 +420,6 @@ struct PipadTrainer::Impl {
   std::uint64_t mean_nnz = 0;
   std::size_t per_snapshot_mem = 0;
   int hid = 0;
-  int prep_snapshots = 0;        ///< Snapshot-trainings in preparing epochs.
-  MeasuredOccupancy measured;    ///< Sampled at steady transition (§4.4).
 
   Impl(gpusim::Gpu& g, const graph::DTDG& d, TrainConfig c, PipadOptions o)
       : gpu(g),
@@ -444,13 +441,6 @@ struct PipadTrainer::Impl {
         gpu_buffer(g.device()) {
     hid = c.hidden_dim > 0 ? c.hidden_dim
                            : models::default_hidden_dim(d.feat_dim);
-  }
-
-  ~Impl() {
-    // Run any partition deleters still queued in the QSBR domain before the
-    // trainer's storage goes away, so teardown leaks nothing (ASan) even if
-    // the pool workers never got idle time to reclaim them.
-    Qsbr::instance().drain();
   }
 
   bool needs_topology_steady() const {
@@ -558,20 +548,15 @@ struct PipadTrainer::Impl {
     return it->second;
   }
 
-  /// One-off steady-state preparation (§4.3): sample the preparing epoch's
-  /// charged occupancy for the measured tuner, decide S_per for every
+  /// One-off steady-state preparation (§4.3): decide S_per for every
   /// frame, then extract every needed partition on the worker lanes (❷).
-  /// With stream_prep the extraction jobs are *streamed* in first-use order
-  /// with a bounded in-flight window: the first steady frame's transfers
-  /// (and the main thread) wait only on the jobs that built its own
-  /// partitions, not the whole batch. The legacy path extracts everything
-  /// as one batch and blocks the main thread until it drains — which the
-  /// simulation now charges too (cpu_wait_until), as the real code always
-  /// paid it.
+  /// The extraction jobs are *streamed* in first-use order with an
+  /// adaptive in-flight window: the first steady frame's transfers (and the
+  /// main thread) wait only on the jobs that built its own partitions, not
+  /// the whole batch.
   void prepare_steady(const std::vector<graph::Frame>& frames) {
     if (steady_prepared) return;
     steady_prepared = true;
-    if (opts.tuner == TunerMode::Measured) sample_occupancy();
     std::vector<std::pair<int, int>> keys;
     for (const auto& frame : frames) {
       const int s = decide_sper(frame);
@@ -591,59 +576,19 @@ struct PipadTrainer::Impl {
     }
     if (keys.empty()) return;
 
-    if (opts.stream_prep) {
-      stream_keys = keys;
-      stream_parts.assign(keys.size(), {});
-      for (std::size_t j = 0; j < keys.size(); ++j) stream_index[keys[j]] = j;
-      prep_stream = lane.stream(
-          "overlap-extract", keys.size(),
-          [this](std::size_t j) {
-            stream_parts[j] = sliced::build_partition(
-                data, stream_keys[j].first, stream_keys[j].second,
-                opts.slice_bound);
-          },
-          opts.prep_stream_window > 0
-              ? static_cast<std::size_t>(opts.prep_stream_window)
-              : 0,
-          // An explicit window is a pin (the tuner sweeps depend on it);
-          // otherwise let the stream balance extraction cost against the
-          // measured consumption rate itself.
-          /*adaptive=*/opts.prep_stream_window == 0);
-      return;
-    }
-
-    std::vector<sliced::FramePartition> parts(keys.size());
-    const auto batch = lane.run(
-        "overlap-extract", keys.size(), [&](std::size_t j) {
-          parts[j] = sliced::build_partition(data, keys[j].first,
-                                             keys[j].second,
-                                             opts.slice_bound);
-        });
-    for (std::size_t j = 0; j < keys.size(); ++j) {
-      partition_ready[keys[j]] =
-          gpu.timeline().record_event_at(batch.job_end_us[j]);
-      partition_cache.emplace(keys[j], std::move(parts[j]));
-    }
-    // The real main thread blocked on the whole batch before the first
-    // steady frame could start; charge the same wait to the simulation.
-    gpu.cpu_wait_until("prepare-steady", batch.end_us);
-  }
-
-  /// Measured occupancy sample for the charge-aware tuner: everything the
-  /// preparing epochs charged to the worker lanes (prep jobs + measured
-  /// numeric kernels), minus the one-off dataset ingest, per trained
-  /// snapshot. Derived from charged sim-time — never a wall clock read
-  /// here — so a decision is reproducible given the same charges.
-  void sample_occupancy() {
-    const auto& tl = gpu.timeline();
-    const double t1 = tl.makespan();
-    double host_us = 0.0;
-    for (double v : tl.worker_busy_in(0.0, t1, "prep:")) host_us += v;
-    for (double v : tl.worker_busy_in(0.0, t1, "compute:")) host_us += v;
-    for (double v : tl.worker_busy_in(0.0, t1, "prep:load:")) host_us -= v;
-    measured.snapshots = prep_snapshots;
-    measured.host_us_per_snapshot =
-        prep_snapshots > 0 ? host_us / prep_snapshots : 0.0;
+    stream_keys = keys;
+    stream_parts.assign(keys.size(), {});
+    for (std::size_t j = 0; j < keys.size(); ++j) stream_index[keys[j]] = j;
+    // The stream balances extraction cost against the measured consumption
+    // rate itself, starting from 2x the pool width.
+    prep_stream = lane.stream(
+        "overlap-extract", keys.size(),
+        [this](std::size_t j) {
+          stream_parts[j] = sliced::build_partition(
+              data, stream_keys[j].first, stream_keys[j].second,
+              opts.slice_bound);
+        },
+        /*window=*/0, /*adaptive=*/true);
   }
 
   /// Dynamic tuner (§4.4): pick S_per for a frame (pipad/tuner.hpp has the
@@ -671,10 +616,7 @@ struct PipadTrainer::Impl {
     in.mean_pair_or = mean_pair_or;
     in.per_snapshot_mem = per_snapshot_mem;
     in.device_available = gpu.device().available();
-    in.stall_tolerance = opts.stall_tolerance;
-    in.mode = opts.tuner;
-    in.measured = measured;
-    const int best_s = runtime::decide_sper(gpu.cost(), in).s_per;
+    const int best_s = runtime::decide_sper(gpu.cost(), in);
     decisions[frame.start] = best_s;
     return best_s;
   }
@@ -727,7 +669,6 @@ struct PipadTrainer::Impl {
           throw Cancelled();
         }
         if (prep) {
-          prep_snapshots += frame.size;
           result.frame_loss.push_back(
               train_prep_frame(frame, params, /*step=*/true));
         } else {
@@ -737,8 +678,8 @@ struct PipadTrainer::Impl {
             first_steady_recorded = true;
             // Sim time at which the first steady frame fully finished: its
             // host issue work, transfers and kernels. Streaming prep pulls
-            // this in on long timelines (the batch extractor made it wait
-            // for every partition).
+            // this in on long timelines: it waits only on the partitions
+            // the frame itself uses.
             const auto& tl = gpu.timeline();
             result.first_steady_us = std::max(
                 {tl.stream_ready(exec.compute_stream()),
@@ -847,23 +788,18 @@ struct PipadTrainer::Impl {
     // will never be used again.
     gpu_buffer.evict_before(frame.start + 1);
     // Same for host-side partitions, but only in the final epoch (earlier
-    // epochs revisit every frame). Retire rather than free inline: the
-    // deleters run on pool-worker idle time after a QSBR grace period, so
-    // the training thread never stalls on a multi-megabyte deallocation
-    // and any worker still draining a region that touched the buffers is
-    // provably done first.
+    // epochs revisit every frame).
     if (final_epoch) retire_partitions_before(frame.start + 1);
     return loss;
   }
 
-  /// Move every cached partition that ends at or before `bound` out of the
-  /// cache and hand it to the QSBR domain.
+  /// Free every cached partition that ends at or before `bound`. Inline is
+  /// safe: run_model joined every fork-join region that read a partition,
+  /// and partition() waited on each streamed job before caching its
+  /// result, so no other thread can still hold a reference.
   void retire_partitions_before(int bound) {
-    auto& qsbr = Qsbr::instance();
     for (auto it = partition_cache.begin(); it != partition_cache.end();) {
       if (it->first.first + it->first.second <= bound) {
-        auto* stale = new sliced::FramePartition(std::move(it->second));
-        qsbr.retire([stale] { delete stale; });
         partition_ready.erase(it->first);
         it = partition_cache.erase(it);
       } else {
@@ -928,7 +864,6 @@ struct PipadTrainer::Impl {
 
   float grad_frame(const graph::Frame& frame) {
     if (step_prep) {
-      prep_snapshots += frame.size;
       return train_prep_frame(frame, step_params, /*step=*/false);
     }
     const float loss = train_steady_frame(frame, step_params, /*step=*/false);

@@ -9,10 +9,10 @@
 //     while profiling per-snapshot sizes/overlap and filling the CPU-side
 //     layer-0 aggregation cache;
 //   - steady epochs: per frame, the dynamic tuner picks S_per (memory bound,
-//     offline speedup estimate, pipeline-stall rejection — analytic or
-//     measured-occupancy driven, §4.4 / pipad/tuner.hpp), partition
-//     extraction streams in first-use order on the worker lanes with a
-//     bounded in-flight window, partition data moves over a dedicated copy
+//     offline speedup estimate, pipeline-stall rejection — §4.4 /
+//     pipad/tuner.hpp), partition extraction streams in first-use order on
+//     the worker lanes with an adaptive in-flight window (HostStream),
+//     partition data moves over a dedicated copy
 //     stream, the dimension-aware parallel GNN processes each partition
 //     (§4.2), GPU-resident reuse results skip transfers entirely, and
 //     kernels are batched through a CUDA graph.
@@ -21,6 +21,7 @@
 #include <atomic>
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "gpusim/gpu.hpp"
@@ -48,25 +49,7 @@ struct PipadOptions {
   /// charged to the worker lane(s) it ran on. 0 = library default
   /// (min(hardware_concurrency, 8)).
   int host_threads = 0;
-  double stall_tolerance = 1.25;   ///< Transfer/compute ratio the pipeline
-                                   ///< absorbs before an option is rejected.
   std::size_t gpu_reuse_budget = 0;  ///< 0 = auto (remaining device memory).
-  /// Cost source for the tuner's pipeline-stall rejection: Analytic uses
-  /// the device model alone (the paper's tuner, and the fallback when no
-  /// occupancy sample exists); Measured folds in the prep:*/compute:* lane
-  /// occupancy charged during the preparing epoch (tuner.hpp).
-  TunerMode tuner = TunerMode::Analytic;
-  /// Steady-state prep extraction: true streams partitions in first-use
-  /// order with a bounded in-flight window, so the first steady frame waits
-  /// only on its own partition; false restores the one-batch extractor
-  /// (kept for the ablation_tuner comparison).
-  bool stream_prep = true;
-  /// Max in-flight streamed extractions (backpressure). 0 = adaptive: the
-  /// stream starts at 2x the pool width and self-tunes between 1x and 4x
-  /// from the measured extraction-cost vs consumption-rate balance; a
-  /// positive value pins the window (the ablation/tuner sweeps rely on
-  /// that).
-  int prep_stream_window = 0;
   /// Cooperative cancellation: when non-null and set, training throws
   /// pipad::Cancelled at the next frame (or replica-round) boundary. The
   /// pointee must outlive the trainer; the serve scheduler points it at the

@@ -4,18 +4,6 @@
 
 namespace pipad::runtime {
 
-bool parse_tuner_mode(const std::string& value, TunerMode& out) {
-  if (value == "analytic") {
-    out = TunerMode::Analytic;
-    return true;
-  }
-  if (value == "measured") {
-    out = TunerMode::Measured;
-    return true;
-  }
-  return false;
-}
-
 double partition_transfer_us(const gpusim::CostModel& cm,
                              const TunerInputs& in, int s_per,
                              double group_or) {
@@ -32,20 +20,14 @@ double partition_transfer_us(const gpusim::CostModel& cm,
   return cm.transfer_us(topo_bytes + feat_bytes, true);
 }
 
-SperDecision decide_sper(const gpusim::CostModel& cm, const TunerInputs& in) {
-  SperDecision d;
-  if (in.forced_sper > 0) {
-    d.s_per = std::min(in.forced_sper, in.frame_size);
-    return d;
-  }
+int decide_sper(const gpusim::CostModel& cm, const TunerInputs& in) {
+  if (in.forced_sper > 0) return std::min(in.forced_sper, in.frame_size);
 
   // The S=1 baseline every option must beat: one snapshot at a time with
   // its own transfer.
-  d.s_per = 1;
+  int best_s = 1;
   double best_cost = std::max(one_snapshot_gnn_us(cm, in.shape),
                               partition_transfer_us(cm, in, 1, 1.0));
-  const bool use_measured =
-      in.mode == TunerMode::Measured && in.measured.valid();
 
   for (int s : in.sper_options) {
     if (s > in.frame_size) continue;
@@ -63,36 +45,17 @@ SperDecision decide_sper(const gpusim::CostModel& cm, const TunerInputs& in) {
     const double xfer =
         in.enable_pipeline ? partition_transfer_us(cm, in, s, group_or) : 0.0;
 
-    // Factor 3, measured mode: the pipeline hides a partition's transfer
-    // behind the previous partition's device compute plus the host work
-    // still streaming on the worker lanes. When the transfer exceeds that
-    // *measured* budget by more than the stall tolerance, the pipeline
-    // stalls no matter how good the option's per-snapshot bottleneck looks,
-    // so the option is rejected outright. (Analytic mode has no host-cost
-    // estimate; its stall handling stays inside the bottleneck metric
-    // below, where a transfer-dominated option loses automatically.)
-    if (use_measured && xfer > 0.0) {
-      const double hidden_budget =
-          comp + in.measured.host_us_per_snapshot * s;
-      if (xfer > in.stall_tolerance * hidden_budget) {
-        // Would the analytic metric have kept it? Then the modes diverged.
-        if (std::max(comp, xfer) / s < best_cost * 0.999) {
-          d.measured_rejected = true;
-        }
-        continue;
-      }
-    }
-
-    // Bottleneck metric: lowest per-snapshot cost of the slower pipeline
-    // stage wins (compute-bound -> best parallel speedup; transfer-bound ->
-    // larger S_per still wins because the overlap topology ships once).
+    // Factor 3, the bottleneck metric: lowest per-snapshot cost of the
+    // slower pipeline stage wins (compute-bound -> best parallel speedup;
+    // transfer-bound -> larger S_per still wins because the overlap
+    // topology ships once).
     const double cost = std::max(comp, xfer) / s;
     if (cost < best_cost * 0.999) {
       best_cost = cost;
-      d.s_per = s;
+      best_s = s;
     }
   }
-  return d;
+  return best_s;
 }
 
 }  // namespace pipad::runtime

@@ -7,21 +7,12 @@
 //   3. a pipeline-stall rejection: an option whose partition transfer takes
 //      longer than the work that could hide it stalls the pipeline.
 //
-// Factor 3 is where the two modes differ. The *analytic* mode (the paper's
-// model, and the fallback) folds it into the bottleneck metric
-// max(compute, transfer)/S_per using the analytic device model alone. The
-// *measured* mode additionally rejects options whose estimated transfer
-// exceeds `stall_tolerance` times the measured host+device cost — the host
-// side being the `prep:*`/`compute:*` worker-lane occupancy the runtime
-// charged during the preparing epoch (HostLane::occupancy), i.e. real
-// measured cost, not a model. Ranking among surviving options stays
-// analytic, so for a fixed occupancy sample the decision is deterministic;
-// occupancy is derived from charged sim-time, never raw wall-clock read at
-// decision time.
+// Factor 3 is folded into the bottleneck metric max(compute, transfer)/S_per
+// using the analytic device model alone, so a decision depends only on the
+// profiled workload shape — never on measured host time or --threads.
 #pragma once
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 #include "gpusim/kernel_stats.hpp"
@@ -29,51 +20,19 @@
 
 namespace pipad::runtime {
 
-/// Which cost source drives the pipeline-stall rejection (§4.4 factor 3).
-enum class TunerMode {
-  Analytic,  ///< Device cost model only (the paper's tuner; the fallback).
-  Measured,  ///< Measured prep/compute lane occupancy + device model.
-};
-
-/// Parse a --tuner flag value ("analytic" | "measured") — the one mapping
-/// shared by the CLI and every bench binary. Returns false (out untouched)
-/// for anything else.
-bool parse_tuner_mode(const std::string& value, TunerMode& out);
-
-/// Per-snapshot host cost observed during the preparing epoch: charged
-/// `prep:*` + `compute:*` worker-lane busy time over the preparing window,
-/// divided by the snapshots trained in it. Invalid (no samples) falls back
-/// to the analytic path even in Measured mode.
-struct MeasuredOccupancy {
-  double host_us_per_snapshot = 0.0;
-  int snapshots = 0;  ///< Snapshot-trainings the sample covers.
-
-  bool valid() const { return snapshots > 0 && host_us_per_snapshot > 0.0; }
-};
-
 /// Everything decide_sper needs, decoupled from the trainer's state.
 struct TunerInputs {
   WorkloadShape shape;  ///< num_nodes/nnz already sim_scale-adjusted.
   std::vector<int> sper_options = {2, 4, 8};
   int frame_size = 0;
   int forced_sper = 0;          ///< >0 bypasses the tuner.
-  bool enable_pipeline = true;  ///< Off: transfers are synchronous; the
-                                ///< stall rejection does not apply.
+  bool enable_pipeline = true;  ///< Off: transfers are synchronous and
+                                ///< cannot stall the pipeline.
   bool weight_reuse = true;
   bool needs_topology = true;   ///< Steady transfers ship topology too.
   double mean_pair_or = 1.0;    ///< Mean adjacent-snapshot overlap rate.
   std::size_t per_snapshot_mem = 0;
   std::size_t device_available = 0;  ///< Free device memory (bytes).
-  double stall_tolerance = 1.25;
-  TunerMode mode = TunerMode::Analytic;
-  MeasuredOccupancy measured;   ///< Only consulted in Measured mode.
-};
-
-struct SperDecision {
-  int s_per = 1;
-  /// True when the measured stall rejection discarded at least one option
-  /// the analytic bottleneck metric would have kept (the modes diverged).
-  bool measured_rejected = false;
 };
 
 /// Estimated one-partition transfer time for an S_per option: the overlap
@@ -83,8 +42,7 @@ double partition_transfer_us(const gpusim::CostModel& cm,
                              const TunerInputs& in, int s_per,
                              double group_or);
 
-/// Pick S_per for one frame. Deterministic given its inputs; Measured mode
-/// folds in.measured into the stall rejection as described above.
-SperDecision decide_sper(const gpusim::CostModel& cm, const TunerInputs& in);
+/// Pick S_per for one frame. Deterministic given its inputs.
+int decide_sper(const gpusim::CostModel& cm, const TunerInputs& in);
 
 }  // namespace pipad::runtime

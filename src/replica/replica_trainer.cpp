@@ -68,10 +68,6 @@ struct ReplicaTrainer::Impl {
     PIPAD_CHECK_MSG(parse_allreduce(opts.allreduce, algo),
                     "unknown allreduce algorithm '" << opts.allreduce
                                                     << "' (ring|tree)");
-    PIPAD_CHECK_MSG(opts.tuner != runtime::TunerMode::Measured,
-                    "--tuner=measured samples per-replica occupancy and is "
-                    "not replica-invariant; use the analytic tuner (or "
-                    "forced_sper) with --replicas");
     link.latency_us = opts.link_latency_us;
     link.gb_per_s = opts.link_gb_per_s;
 

@@ -42,8 +42,7 @@ class ReplicaTrainer {
  public:
   /// opts.replicas >= 1 selects K; the other replica knobs (allreduce,
   /// link_latency_us, link_gb_per_s, replica_round, infeed_window) shape
-  /// the schedule. Throws Error on opts.tuner == Measured (not
-  /// replica-invariant) or an unknown allreduce name.
+  /// the schedule. Throws Error on an unknown allreduce name.
   ReplicaTrainer(gpusim::Gpu& gpu, const graph::DTDG& data,
                  models::TrainConfig cfg, runtime::PipadOptions opts = {});
   ~ReplicaTrainer();

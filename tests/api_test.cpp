@@ -148,8 +148,6 @@ JobSpec full_spec() {
   s.frame_size = 4;
   s.frames = 2;
   s.threads = 2;
-  s.tuner = "measured";
-  s.prep = "batch";
   s.replicas = 0;
   s.allreduce = "tree";
   s.seed = 4294967300ull;
@@ -187,8 +185,6 @@ TEST(JobSpec, JsonRoundTripIsLossless) {
   EXPECT_EQ(back.frame_size, s.frame_size);
   EXPECT_EQ(back.frames, s.frames);
   EXPECT_EQ(back.threads, s.threads);
-  EXPECT_EQ(back.tuner, s.tuner);
-  EXPECT_EQ(back.prep, s.prep);
   EXPECT_EQ(back.replicas, s.replicas);
   EXPECT_EQ(back.allreduce, s.allreduce);
   EXPECT_EQ(back.seed, s.seed);
@@ -222,6 +218,14 @@ TEST(JobSpec, FromJsonIsStrict) {
   EXPECT_FALSE(JobSpec::from_json(Json::parse(R"({"seed":-1})"), out, error));
   EXPECT_FALSE(JobSpec::from_json(Json::parse(R"([1,2])"), out, error));
   EXPECT_EQ(error, "job spec must be a JSON object");
+  // "tuner" and "prep" are not spec fields: a client still sending them
+  // gets an error instead of a silently different job.
+  EXPECT_FALSE(JobSpec::from_json(Json::parse(R"({"tuner":"analytic"})"),
+                                  out, error));
+  EXPECT_EQ(error, "unknown job spec field \"tuner\"");
+  EXPECT_FALSE(JobSpec::from_json(Json::parse(R"({"prep":"stream"})"), out,
+                                  error));
+  EXPECT_EQ(error, "unknown job spec field \"prep\"");
 }
 
 TEST(JobSpec, FromJsonRejectsIntOverflowLikeTheFlagPath) {
@@ -257,18 +261,13 @@ TEST(JobSpec, ParseJobSpecAcceptsBothFlagForms) {
 }
 
 TEST(JobSpec, ValidateOwnsTheReplicaRules) {
-  // The --replicas/--allreduce/--tuner=measured constraints moved out of
-  // the CLI into the shared validator, so the daemon enforces them on
-  // JSON-built specs too.
+  // The --replicas/--allreduce constraints moved out of the CLI into the
+  // shared validator, so the daemon enforces them on JSON-built specs too.
   JobSpec s;
   s.replicas = 2;
   s.runtime = "pygt";
   EXPECT_NE(s.validate().find("--runtime pipad"), std::string::npos);
   s.runtime = "pipad";
-  EXPECT_EQ(s.validate(), "");
-  s.tuner = "measured";
-  EXPECT_NE(s.validate().find("replica"), std::string::npos);
-  s.replicas = 0;
   EXPECT_EQ(s.validate(), "");
   s.replicas = 65;
   EXPECT_NE(s.validate().find("--replicas"), std::string::npos);

@@ -90,18 +90,6 @@ TEST(CliParse, UnknownRuntimeIsAnError) {
   EXPECT_FALSE(parse({"train", "--runtime", "cuda"}).ok);
 }
 
-TEST(CliParse, TunerModesAcceptedAndValidated) {
-  EXPECT_EQ(parse({"train"}).options.job.tuner, "analytic");
-  for (const char* t : {"analytic", "measured"}) {
-    const auto r = parse({"train", "--tuner", t});
-    ASSERT_TRUE(r.ok) << t << ": " << r.error;
-    EXPECT_EQ(r.options.job.tuner, t);
-  }
-  const auto bad = parse({"train", "--tuner", "oracle"});
-  EXPECT_FALSE(bad.ok);
-  EXPECT_NE(bad.error.find("oracle"), std::string::npos);
-}
-
 TEST(CliParse, ReplicaFlagsLandAndValidate) {
   const auto r = parse({"train", "--replicas", "4", "--allreduce", "tree"});
   ASSERT_TRUE(r.ok) << r.error;
@@ -118,19 +106,12 @@ TEST(CliParse, ReplicaFlagsLandAndValidate) {
   EXPECT_NE(bad.error.find("butterfly"), std::string::npos);
 }
 
-TEST(CliParse, ReplicasRequirePipadRuntimeAndAnalyticTuner) {
+TEST(CliParse, ReplicasRequirePipadRuntime) {
   EXPECT_TRUE(parse({"train", "--replicas", "2"}).ok);
   EXPECT_TRUE(parse({"bench", "--replicas", "2"}).ok);
   const auto pygt = parse({"train", "--runtime", "pygt", "--replicas", "2"});
   EXPECT_FALSE(pygt.ok);
   EXPECT_NE(pygt.error.find("--runtime pipad"), std::string::npos);
-  // The measured-occupancy tuner's inputs are replica-dependent, so the
-  // combination is rejected up front rather than silently non-reproducible.
-  const auto measured =
-      parse({"train", "--replicas", "2", "--tuner", "measured"});
-  EXPECT_FALSE(measured.ok);
-  EXPECT_NE(measured.error.find("replica"), std::string::npos);
-  EXPECT_TRUE(parse({"train", "--tuner", "measured"}).ok);
 }
 
 TEST(CliUsage, MentionsReplicaFlags) {
@@ -211,7 +192,7 @@ TEST(CliUsage, MentionsEverySubcommandAndModel) {
   const std::string u = usage();
   for (const char* s : {"train", "bench", "trace", "analyze", "gcn", "tgcn",
                         "evolvegcn", "mpnn-lstm", "--snapshots", "--threads",
-                        "--trace", "--fail-above", "--prep", "--top"}) {
+                        "--trace", "--fail-above", "--top"}) {
     EXPECT_NE(u.find(s), std::string::npos) << s;
   }
 }
@@ -228,10 +209,6 @@ TEST(CliUsage, MentionsEveryAcceptedDataset) {
   EXPECT_NE(u.find("--snapshot-window"), std::string::npos);
   EXPECT_NE(u.find("--cache-dir"), std::string::npos);
   EXPECT_NE(u.find("--log-level"), std::string::npos);
-  // The tuner flag and both its modes must be documented.
-  EXPECT_NE(u.find("--tuner"), std::string::npos);
-  EXPECT_NE(u.find("analytic"), std::string::npos);
-  EXPECT_NE(u.find("measured"), std::string::npos);
 }
 
 TEST(CliParse, FileDatasetFlagsLand) {
@@ -317,11 +294,6 @@ TEST(CliParse, AnalyzeFlagsLand) {
 }
 
 TEST(CliParse, AnalyzeFlagValidation) {
-  // Live analyze runs accept --prep; trace-file runs don't (the schedule
-  // is already baked into the file).
-  EXPECT_TRUE(parse({"analyze", "--prep", "batch"}).ok);
-  EXPECT_FALSE(parse({"analyze", "--prep", "eager"}).ok);
-  EXPECT_FALSE(parse({"analyze", "--trace", "a.csv", "--prep", "batch"}).ok);
   EXPECT_FALSE(parse({"analyze", "--trace", ""}).ok);
   EXPECT_FALSE(parse({"analyze", "--top", "0"}).ok);
   EXPECT_FALSE(parse({"analyze", "--fail-above", "critical"}).ok);
@@ -429,8 +401,6 @@ TEST(CliBenchParity, BadSharedInputsRejectedWithIdenticalText) {
             bench_error({"--model=transformer"}));
   EXPECT_EQ(cli_error({"train", "--runtime", "cuda"}),
             bench_error({"--runtime=cuda"}));
-  EXPECT_EQ(cli_error({"train", "--tuner", "oracle"}),
-            bench_error({"--tuner=oracle"}));
   EXPECT_EQ(cli_error({"train", "--epochs", "0"}),
             bench_error({"--epochs=0"}));
   EXPECT_EQ(cli_error({"train", "--replicas", "65"}),
@@ -445,8 +415,17 @@ TEST(CliBenchParity, BadSharedInputsRejectedWithIdenticalText) {
   // bench surface runs the same JobSpec::validate().
   EXPECT_EQ(cli_error({"train", "--runtime", "pygt", "--replicas", "2"}),
             bench_error({"--runtime=pygt", "--replicas=2"}));
-  EXPECT_EQ(cli_error({"train", "--replicas", "2", "--tuner", "measured"}),
-            bench_error({"--replicas=2", "--tuner=measured"}));
+  // --tuner and --prep are not in the flag vocabulary: both surfaces
+  // reject them as unknown, whatever value they carry.
+  for (const char* flag : {"--tuner", "--prep"}) {
+    for (const char* value : {"measured", "batch", "analytic", "stream"}) {
+      const std::string cli = cli_error({"train", flag, value});
+      EXPECT_EQ(cli, "unknown flag '" + std::string(flag) + "'");
+      EXPECT_EQ(cli, bench_error({std::string(flag) + "=" + value}));
+    }
+  }
+  EXPECT_EQ(cli_error({"analyze", "--prep", "batch"}),
+            bench_error({"--prep=batch"}));
 }
 
 TEST(CliBenchParity, GoodSharedInputsLandIdentically) {

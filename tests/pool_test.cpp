@@ -1,8 +1,7 @@
 // Work-stealing executor tests: WorkDeque (Chase-Lev) semantics and
-// concurrent exactly-once claiming, ThreadPool::run_blocks steal behavior,
-// and the Qsbr reclamation domain (grace periods, offline exclusion,
-// drain, multi-thread stress). These suites are the ones CI runs under
-// TSan/ASan to race- and leak-check the pool internals; higher-level
+// concurrent exactly-once claiming, and ThreadPool::run_blocks steal
+// behavior. These suites are the ones CI runs under TSan/ASan to race- and
+// leak-check the pool internals; higher-level
 // ComputePool region semantics live in common_test.
 #include <gtest/gtest.h>
 
@@ -16,7 +15,6 @@
 
 #include "common/compute_pool.hpp"
 #include "common/error.hpp"
-#include "common/qsbr.hpp"
 #include "common/thread_pool.hpp"
 #include "common/work_deque.hpp"
 
@@ -260,142 +258,6 @@ TEST(ComputePoolSteal, DisablingStealingZeroesTheRegionStealCounter) {
   cp.set_stealing(true);
   EXPECT_TRUE(cp.stealing());
   ComputePool::set_min_block_work(0);  // Restore the calibrated floor.
-}
-
-// --------------------------------------------------------------------- Qsbr
-
-TEST(Qsbr, GracePeriodWaitsForEveryOnlineThread) {
-  Qsbr& q = Qsbr::instance();
-  const Qsbr::Handle h1 = q.register_thread();
-  const Qsbr::Handle h2 = q.register_thread();
-  bool freed = false;
-  q.retire([&freed] { freed = true; });
-  EXPECT_FALSE(freed);  // Never freed synchronously with the retire.
-  // h2 never announces quiescence, so no amount of progress by h1 may
-  // advance the epoch far enough to free the object.
-  for (int i = 0; i < 5; ++i) q.quiescent(h1);
-  EXPECT_FALSE(freed);
-  q.quiescent(h2);  // The laggard catches up: one grace period.
-  q.quiescent(h1);
-  q.quiescent(h2);  // Second grace period; e + 2 reached.
-  q.quiescent(h1);
-  EXPECT_TRUE(freed);
-  q.unregister_thread(h1);
-  q.unregister_thread(h2);
-}
-
-TEST(Qsbr, OfflineThreadIsExcludedFromGracePeriods) {
-  Qsbr& q = Qsbr::instance();
-  const Qsbr::Handle h1 = q.register_thread();
-  const Qsbr::Handle h2 = q.register_thread();
-  bool freed = false;
-  q.retire([&freed] { freed = true; });
-  for (int i = 0; i < 5; ++i) q.quiescent(h1);
-  EXPECT_FALSE(freed);  // Blocked on h2.
-  q.offline(h2);  // An idle worker must not stall reclamation.
-  for (int i = 0; i < 5; ++i) q.quiescent(h1);
-  EXPECT_TRUE(freed);
-  q.online(h2);
-  q.unregister_thread(h1);
-  q.unregister_thread(h2);
-}
-
-TEST(Qsbr, UnregisterActsAsFinalQuiescentPoint) {
-  Qsbr& q = Qsbr::instance();
-  const Qsbr::Handle h1 = q.register_thread();
-  const Qsbr::Handle h2 = q.register_thread();
-  bool freed = false;
-  q.retire([&freed] { freed = true; });
-  for (int i = 0; i < 5; ++i) q.quiescent(h1);
-  EXPECT_FALSE(freed);
-  q.unregister_thread(h2);  // The departing laggard unblocks the epoch.
-  for (int i = 0; i < 5; ++i) q.quiescent(h1);
-  EXPECT_TRUE(freed);
-  q.unregister_thread(h1);
-}
-
-TEST(Qsbr, DrainFreesEverythingWithNoRegisteredReaders) {
-  Qsbr& q = Qsbr::instance();
-  std::atomic<int> freed{0};
-  constexpr int kObjects = 100;
-  const std::uint64_t reclaimed_before = q.reclaimed();
-  for (int i = 0; i < kObjects; ++i) {
-    q.retire([&freed] { freed.fetch_add(1, std::memory_order_relaxed); });
-  }
-  EXPECT_LT(freed.load(), kObjects);  // At least the newest must pend.
-  EXPECT_GT(q.pending(), 0u);
-  q.drain();
-  EXPECT_EQ(freed.load(), kObjects);
-  EXPECT_EQ(q.pending(), 0u);
-  EXPECT_GE(q.reclaimed(), reclaimed_before + kObjects);
-}
-
-TEST(Qsbr, EpochAdvancesMonotonically) {
-  Qsbr& q = Qsbr::instance();
-  const Qsbr::Handle h = q.register_thread();
-  const std::uint64_t e0 = q.epoch();
-  q.retire([] {});  // pending > 0 lets quiescent() attempt advances.
-  for (int i = 0; i < 3; ++i) q.quiescent(h);
-  EXPECT_GT(q.epoch(), e0);
-  q.unregister_thread(h);
-  q.drain();
-}
-
-// Readers churn through register/quiescent/unregister while the main thread
-// retires objects: every deleter must run exactly once, and only after the
-// retire. Run under TSan/ASan in CI.
-TEST(Qsbr, StressManyReadersNoLostOrDoubleFrees) {
-  Qsbr& q = Qsbr::instance();
-  constexpr int kReaders = 4;
-  constexpr int kObjects = 2000;
-  std::vector<std::atomic<int>> runs(kObjects);
-  std::atomic<bool> stop{false};
-
-  std::vector<std::thread> readers;
-  readers.reserve(kReaders);
-  for (int r = 0; r < kReaders; ++r) {
-    readers.emplace_back([&q, &stop] {
-      const Qsbr::Handle h = q.register_thread();
-      while (!stop.load(std::memory_order_acquire)) {
-        q.quiescent(h);
-        std::this_thread::yield();
-      }
-      q.unregister_thread(h);
-    });
-  }
-  for (int i = 0; i < kObjects; ++i) {
-    q.retire([&runs, i] { runs[i].fetch_add(1, std::memory_order_relaxed); });
-    if (i % 64 == 0) std::this_thread::yield();
-  }
-  stop.store(true, std::memory_order_release);
-  for (auto& r : readers) r.join();
-  q.drain();
-
-  for (int i = 0; i < kObjects; ++i) {
-    EXPECT_EQ(runs[i].load(), 1) << "object " << i;
-  }
-  EXPECT_EQ(q.pending(), 0u);
-}
-
-// Pool workers announce quiescence between tasks and go offline while idle,
-// so a trainer-thread retire is freed by worker progress alone — the
-// end-to-end wiring the streaming prep pipeline relies on.
-TEST(Qsbr, PoolWorkersDriveReclamationOfTrainerRetires) {
-  Qsbr& q = Qsbr::instance();
-  q.drain();  // Start from an empty queue.
-  ThreadPool pool(2);
-  std::atomic<bool> freed{false};
-  q.retire([&freed] { freed.store(true, std::memory_order_release); });
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (!freed.load(std::memory_order_acquire) &&
-         std::chrono::steady_clock::now() < deadline) {
-    // Each task ends with a quiescent announcement on its worker; idle
-    // workers sit offline, so two small batches are enough to advance two
-    // epochs no matter how the tasks interleave.
-    for (auto& f : pool.map(4, [](std::size_t) {})) f.get();
-  }
-  EXPECT_TRUE(freed.load());
 }
 
 }  // namespace

@@ -181,20 +181,6 @@ TEST(ReplicaResult, SingleReplicaNeverTouchesTheLink) {
   }
 }
 
-TEST(ReplicaTrainerCtor, RejectsTheMeasuredTuner) {
-  const auto g = graph::generate(tiny_config(40, 8, 3));
-  gpusim::Gpu gpu;
-  runtime::PipadOptions opts;
-  opts.replicas = 2;
-  opts.tuner = runtime::TunerMode::Measured;
-  EXPECT_THROW(
-      {
-        replica::ReplicaTrainer t(gpu, g, small_cfg(models::ModelType::TGcn),
-                                  opts);
-      },
-      Error);
-}
-
 TEST(ReplicaTrainerCtor, RejectsUnknownAllreduceAlgorithms) {
   const auto g = graph::generate(tiny_config(40, 8, 3));
   gpusim::Gpu gpu;
@@ -265,9 +251,11 @@ TEST(InfeedQueue, OutOfOrderWaitStillDrains) {
   replica::InfeedQueue q(
       lane, "r0", 6, [&](std::size_t) { ran.fetch_add(1); }, 2);
   // Waiting on the last shard first forces the whole window-refill path.
+  // Shard 4 may still be in flight when shard 5 retires, so the count is
+  // only checked once every shard has been waited on.
   EXPECT_GT(q.wait(5), 0.0);
-  EXPECT_EQ(ran.load(), 6);
   for (std::size_t j = 0; j < 6; ++j) EXPECT_GT(q.wait(j), 0.0);
+  EXPECT_EQ(ran.load(), 6);
 }
 
 TEST(InfeedQueue, DestructorDrainsUnconsumedShards) {

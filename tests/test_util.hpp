@@ -182,14 +182,11 @@ inline std::pair<std::vector<float>, std::vector<float>> train_snapshot(
   return {r.frame_loss, flat_params(pip.model())};
 }
 
-/// Train the long config with streaming or batch prep under a tuner mode.
-inline models::TrainResult train_long(const graph::DTDG& g, bool stream_prep,
-                                      runtime::TunerMode mode, int threads,
+/// Train the long config at the given pool width.
+inline models::TrainResult train_long(const graph::DTDG& g, int threads,
                                       std::map<int, int>* decisions = nullptr) {
   gpusim::Gpu gpu;
   runtime::PipadOptions opts;
-  opts.stream_prep = stream_prep;
-  opts.tuner = mode;
   opts.host_threads = threads;
   runtime::PipadTrainer pip(gpu, g, long_cfg(), opts);
   const auto r = pip.train();

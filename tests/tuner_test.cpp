@@ -1,8 +1,7 @@
-// Host-aware dynamic tuning tests: table-driven decide_sper cases
-// (memory bound, transfer-bound, forced S_per, measured-vs-analytic
-// divergence), per-lane occupancy window queries, the streaming
-// HostStream extractor (backpressure, charging, exceptions), and the
-// first-steady-frame latency regression of streaming vs batch prep.
+// Dynamic tuning tests: table-driven decide_sper cases (memory bound,
+// transfer-bound, forced S_per, pipeline off), the streaming HostStream
+// extractor (backpressure, charging, exceptions), and the long-timeline
+// streamed-prep determinism wall across thread counts.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -18,9 +17,7 @@ namespace pipad {
 namespace {
 
 using gpusim::Resource;
-using runtime::MeasuredOccupancy;
 using runtime::TunerInputs;
-using runtime::TunerMode;
 
 // ---------- decide_sper: table-driven cases ----------
 
@@ -43,22 +40,20 @@ gpusim::CostModel cost_model() {
 
 TEST(DecideSper, PicksAParallelOptionOnHighOverlapWorkloads) {
   const auto cm = cost_model();
-  const auto d = runtime::decide_sper(cm, base_inputs());
-  EXPECT_GT(d.s_per, 1);
-  EXPECT_FALSE(d.measured_rejected);
+  EXPECT_GT(runtime::decide_sper(cm, base_inputs()), 1);
 }
 
 TEST(DecideSper, ForcedSperBypassesEverythingButTheFrameSize) {
   const auto cm = cost_model();
   auto in = base_inputs();
   in.forced_sper = 4;
-  EXPECT_EQ(runtime::decide_sper(cm, in).s_per, 4);
+  EXPECT_EQ(runtime::decide_sper(cm, in), 4);
   in.forced_sper = 32;  // Clamped to the frame.
-  EXPECT_EQ(runtime::decide_sper(cm, in).s_per, 8);
+  EXPECT_EQ(runtime::decide_sper(cm, in), 8);
   // Forced wins even when the option would be memory-rejected.
   in.forced_sper = 4;
   in.device_available = 1;
-  EXPECT_EQ(runtime::decide_sper(cm, in).s_per, 4);
+  EXPECT_EQ(runtime::decide_sper(cm, in), 4);
 }
 
 TEST(DecideSper, MemoryBoundRejectsOptionsThatWouldOom) {
@@ -67,27 +62,16 @@ TEST(DecideSper, MemoryBoundRejectsOptionsThatWouldOom) {
   // Room for ~2.5 snapshots at 8 MB each (with the 1.2x/0.8x headroom):
   // S=4 and S=8 must be rejected, S=2 survives.
   in.device_available = 30u << 20;
-  EXPECT_EQ(runtime::decide_sper(cm, in).s_per, 2);
+  EXPECT_EQ(runtime::decide_sper(cm, in), 2);
   in.device_available = 1u << 20;  // Nothing fits: fall back to 1.
-  EXPECT_EQ(runtime::decide_sper(cm, in).s_per, 1);
+  EXPECT_EQ(runtime::decide_sper(cm, in), 1);
 }
 
 TEST(DecideSper, OptionsBeyondTheFrameAreSkipped) {
   const auto cm = cost_model();
   auto in = base_inputs();
   in.frame_size = 3;
-  EXPECT_EQ(runtime::decide_sper(cm, in).s_per, 2);
-}
-
-TEST(DecideSper, MeasuredModeWithoutASampleFallsBackToAnalytic) {
-  const auto cm = cost_model();
-  auto analytic = base_inputs();
-  auto measured = base_inputs();
-  measured.mode = TunerMode::Measured;  // measured.measured stays invalid.
-  const auto a = runtime::decide_sper(cm, analytic);
-  const auto m = runtime::decide_sper(cm, measured);
-  EXPECT_EQ(a.s_per, m.s_per);
-  EXPECT_FALSE(m.measured_rejected);
+  EXPECT_EQ(runtime::decide_sper(cm, in), 2);
 }
 
 /// A transfer-bound workload: wide features, low overlap — per-partition
@@ -100,84 +84,18 @@ TunerInputs transfer_bound_inputs() {
   return in;
 }
 
-TEST(DecideSper, MeasuredVsAnalyticDivergeOnTransferBoundWorkloads) {
+TEST(DecideSper, TransferBoundWorkloadsStillPreferParallelOptions) {
   const auto cm = cost_model();
-  // Analytic: even transfer-bound, larger S_per wins the bottleneck metric
-  // (the overlap topology ships once per partition, §4.1).
-  auto analytic = transfer_bound_inputs();
-  const int analytic_s = runtime::decide_sper(cm, analytic).s_per;
-  EXPECT_GT(analytic_s, 1);
-
-  // Measured: the preparing epoch showed a host+device pipeline far too
-  // cheap to hide those transfers — every parallel option stalls, and the
-  // tuner must say so and settle for S=1.
-  auto measured = transfer_bound_inputs();
-  measured.mode = TunerMode::Measured;
-  measured.measured.host_us_per_snapshot = 1.0;
-  measured.measured.snapshots = 16;
-  const auto m = runtime::decide_sper(cm, measured);
-  EXPECT_EQ(m.s_per, 1);
-  EXPECT_TRUE(m.measured_rejected);
-  EXPECT_LT(m.s_per, analytic_s);
-}
-
-TEST(DecideSper, LargeMeasuredHostCostKeepsTheAnalyticChoice) {
-  const auto cm = cost_model();
-  // The same transfer-bound shape, but the measured lanes are busy enough
-  // to hide the transfers: nothing is rejected, the modes agree.
-  auto in = transfer_bound_inputs();
-  const int analytic_s = runtime::decide_sper(cm, in).s_per;
-  in.mode = TunerMode::Measured;
-  in.measured.host_us_per_snapshot = 1e9;
-  in.measured.snapshots = 16;
-  const auto m = runtime::decide_sper(cm, in);
-  EXPECT_EQ(m.s_per, analytic_s);
-  EXPECT_FALSE(m.measured_rejected);
+  // Even transfer-bound, larger S_per wins the bottleneck metric (the
+  // overlap topology ships once per partition, §4.1).
+  EXPECT_GT(runtime::decide_sper(cm, transfer_bound_inputs()), 1);
 }
 
 TEST(DecideSper, PipelineOffDisablesTheStallRejection) {
   const auto cm = cost_model();
   auto in = transfer_bound_inputs();
   in.enable_pipeline = false;  // No async transfers: nothing to stall.
-  in.mode = TunerMode::Measured;
-  in.measured.host_us_per_snapshot = 1.0;
-  in.measured.snapshots = 16;
-  const auto m = runtime::decide_sper(cm, in);
-  EXPECT_GT(m.s_per, 1);
-  EXPECT_FALSE(m.measured_rejected);
-}
-
-// ---------- Occupancy window queries ----------
-
-TEST(OccupancyWindow, ClipsOpsToTheWindow) {
-  gpusim::Timeline tl;
-  tl.set_worker_lanes(2);
-  tl.submit_worker(0, "prep:a", 10.0);        // [0, 10)
-  tl.submit_worker(0, "compute:k", 10.0);     // [10, 20)
-  tl.submit_worker(1, "prep:b", 30.0);        // [0, 30)
-  const auto all = tl.worker_busy_in(5.0, 15.0);
-  ASSERT_EQ(all.size(), 2u);
-  EXPECT_NEAR(all[0], 10.0, 1e-9);  // 5 of prep:a + 5 of compute:k.
-  EXPECT_NEAR(all[1], 10.0, 1e-9);  // Clipped slice of prep:b.
-  const auto prep = tl.worker_busy_in(5.0, 15.0, "prep:");
-  EXPECT_NEAR(prep[0], 5.0, 1e-9);
-  EXPECT_NEAR(prep[1], 10.0, 1e-9);
-  // Empty and inverted windows are zero.
-  for (double v : tl.worker_busy_in(40.0, 50.0)) EXPECT_EQ(v, 0.0);
-  for (double v : tl.worker_busy_in(15.0, 5.0)) EXPECT_EQ(v, 0.0);
-}
-
-TEST(OccupancyWindow, HostLaneWrapperSeesChargedPrep) {
-  gpusim::Gpu gpu;
-  host::HostLane lane(gpu, 2);
-  lane.run("job", 4, [](std::size_t) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  });
-  const double t1 = gpu.timeline().makespan();
-  double total = 0.0;
-  for (double v : lane.occupancy(0.0, t1, "prep:job")) total += v;
-  EXPECT_NEAR(total, gpu.timeline().busy_us(Resource::CpuWorker), 1e-9);
-  EXPECT_GT(total, 0.0);
+  EXPECT_GT(runtime::decide_sper(cm, in), 1);
 }
 
 // ---------- HostStream: streaming extraction ----------
@@ -277,10 +195,11 @@ TEST(HostStream, OutOfOrderWaitStillDrains) {
   auto stream = lane.stream(
       "job", 6, [&](std::size_t) { ran.fetch_add(1); }, 2);
   // Waiting on the last job first forces the stream through the whole
-  // window-refill path.
+  // window-refill path. Job 4 may still be in flight when job 5 retires,
+  // so the count is only checked once every job has been waited on.
   EXPECT_GT(stream->wait(5), 0.0);
-  EXPECT_EQ(ran.load(), 6);
   for (std::size_t j = 0; j < 6; ++j) EXPECT_GT(stream->wait(j), 0.0);
+  EXPECT_EQ(ran.load(), 6);
 }
 
 TEST(HostStream, DestructorDrainsUnconsumedJobs) {
@@ -318,50 +237,21 @@ TEST(HostStream, RethrowsTheFirstJobFailureFromWait) {
   EXPECT_THROW(stream->wait(5), std::runtime_error);
 }
 
-// ---------- First-steady-frame latency: streaming vs batch ----------
+// ---------- Streamed prep on a long timeline ----------
 
-using testutil::train_long;
-
-TEST(StreamingPrep, FirstSteadyFrameBeatsTheBatchExtractor) {
-  // Long timeline (48 snapshots, ~41 sliding frames), sized so partition
-  // extraction has real measurable cost: the batch extractor makes the
-  // first steady frame wait for every partition, the stream only for its
-  // own. The margin is structural (~40 extractions vs ~2), so the
-  // comparison holds despite run-to-run measurement noise.
-  const auto g = graph::generate(testutil::tiny_config(2048, 48, 2));
-  const auto batch = train_long(g, false, TunerMode::Analytic, 2);
-  const auto stream = train_long(g, true, TunerMode::Analytic, 2);
-  EXPECT_GT(batch.first_steady_us, 0.0);
-  EXPECT_GT(stream.first_steady_us, 0.0);
-  EXPECT_LT(stream.first_steady_us, batch.first_steady_us);
-  // Streaming changes scheduling, never math: losses are bit-identical.
-  ASSERT_EQ(batch.frame_loss.size(), stream.frame_loss.size());
-  for (std::size_t i = 0; i < batch.frame_loss.size(); ++i) {
-    EXPECT_EQ(batch.frame_loss[i], stream.frame_loss[i]) << "frame " << i;
-  }
-}
-
-TEST(MeasuredTuner, DecisionsAndLossesBitIdenticalAcrossThreadCounts) {
-  // The acceptance bar for the charge-aware tuner: occupancy is derived
-  // from charged sim-time, so --threads must not leak into decisions.
+TEST(StreamingPrep, DecisionsAndLossesBitIdenticalAcrossThreadCounts) {
+  // Every sliding frame of the long config. The steady epoch is the final
+  // one, and the tuner picks S_per = 8 here, so frames 7 and 8 free the
+  // partitions behind the window inline while 8 pool workers run the
+  // streamed extraction and the kernels (TSan/ASan CI run this).
   const auto g = graph::generate(testutil::tiny_config(256, 16, 2));
   std::map<int, int> d1, d8;
-  const auto r1 = train_long(g, true, TunerMode::Measured, 1, &d1);
-  const auto r8 = train_long(g, true, TunerMode::Measured, 8, &d8);
+  const auto r1 = testutil::train_long(g, 1, &d1);
+  const auto r8 = testutil::train_long(g, 8, &d8);
   EXPECT_EQ(d1, d8);
   ASSERT_EQ(r1.frame_loss.size(), r8.frame_loss.size());
   for (std::size_t i = 0; i < r1.frame_loss.size(); ++i) {
     EXPECT_EQ(r1.frame_loss[i], r8.frame_loss[i]) << "frame " << i;
-  }
-}
-
-TEST(MeasuredTuner, PicksFromConfiguredOptionsOnRealTraining) {
-  const auto g = graph::generate(testutil::tiny_config(64, 16, 2));
-  std::map<int, int> dec;
-  train_long(g, true, TunerMode::Measured, 2, &dec);
-  ASSERT_FALSE(dec.empty());
-  for (const auto& [start, s] : dec) {
-    EXPECT_TRUE(s == 1 || s == 2 || s == 4 || s == 8) << "S_per=" << s;
   }
 }
 
