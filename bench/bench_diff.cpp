@@ -15,22 +15,25 @@
 // but pass (the trajectory can grow). Exit codes: 0 ok, 1 regression or
 // missing record, 2 usage/parse error — so CI can gate on it.
 //
-// The parser handles exactly the subset of JSON our writer emits (flat
-// string/number fields, no nesting inside records, no escapes); it rejects
-// anything it cannot understand rather than guessing.
-#include <cctype>
-#include <cerrno>
+// Documents are parsed with api::Json (the job API's strict codec), so any
+// record bench_record_json writes — escaped dataset names included — is
+// read back exactly. Each record's string and number fields are kept;
+// other value types are ignored.
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "api/json.hpp"
+#include "common/error.hpp"
+
 namespace {
+
+using pipad::api::Json;
 
 struct Record {
   std::map<std::string, std::string> strings;
@@ -44,56 +47,6 @@ struct Document {
 [[noreturn]] void die(const std::string& msg) {
   std::fprintf(stderr, "bench_diff: %s\n", msg.c_str());
   std::exit(2);
-}
-
-void skip_ws(const std::string& s, std::size_t& i) {
-  while (i < s.size() && std::isspace(static_cast<unsigned char>(s[i]))) ++i;
-}
-
-std::string parse_string(const std::string& s, std::size_t& i) {
-  if (i >= s.size() || s[i] != '"') die("expected '\"' at offset " +
-                                        std::to_string(i));
-  const std::size_t end = s.find('"', i + 1);
-  if (end == std::string::npos) die("unterminated string");
-  std::string out = s.substr(i + 1, end - i - 1);
-  i = end + 1;
-  return out;
-}
-
-double parse_number(const std::string& s, std::size_t& i) {
-  char* endp = nullptr;
-  errno = 0;
-  const double v = std::strtod(s.c_str() + i, &endp);
-  if (endp == s.c_str() + i || errno == ERANGE) {
-    die("malformed number at offset " + std::to_string(i));
-  }
-  i = static_cast<std::size_t>(endp - s.c_str());
-  return v;
-}
-
-/// Parse one flat {"key": value, ...} object starting at s[i] == '{'.
-Record parse_record(const std::string& s, std::size_t& i) {
-  Record r;
-  ++i;  // '{'
-  for (;;) {
-    skip_ws(s, i);
-    if (i < s.size() && s[i] == '}') {
-      ++i;
-      return r;
-    }
-    const std::string key = parse_string(s, i);
-    skip_ws(s, i);
-    if (i >= s.size() || s[i] != ':') die("expected ':' after \"" + key + '"');
-    ++i;
-    skip_ws(s, i);
-    if (i < s.size() && s[i] == '"') {
-      r.strings[key] = parse_string(s, i);
-    } else {
-      r.numbers[key] = parse_number(s, i);
-    }
-    skip_ws(s, i);
-    if (i < s.size() && s[i] == ',') ++i;
-  }
 }
 
 /// Highest record schema_version this tool understands. Records without
@@ -118,23 +71,26 @@ Document parse_document(const std::string& path) {
   if (!is) die("cannot open " + path);
   std::stringstream buf;
   buf << is.rdbuf();
-  const std::string s = buf.str();
-
-  const std::size_t key = s.find("\"records\"");
-  if (key == std::string::npos) die(path + ": no \"records\" array");
-  std::size_t i = s.find('[', key);
-  if (i == std::string::npos) die(path + ": no '[' after \"records\"");
-  ++i;
+  Json json;
+  try {
+    json = Json::parse(buf.str());
+  } catch (const pipad::Error& e) {
+    die(path + ": " + e.what());
+  }
+  const Json* records = json.find("records");
+  if (records == nullptr || !records->is_array()) {
+    die(path + ": no \"records\" array");
+  }
   Document doc;
-  for (;;) {
-    skip_ws(s, i);
-    if (i >= s.size()) die(path + ": unterminated records array");
-    if (s[i] == ']') break;
-    if (s[i] != '{') die(path + ": expected record object");
-    doc.records.push_back(parse_record(s, i));
-    check_schema(path, doc.records.back());
-    skip_ws(s, i);
-    if (i < s.size() && s[i] == ',') ++i;
+  for (const Json& item : records->items()) {
+    if (!item.is_object()) die(path + ": expected record object");
+    Record r;
+    for (const auto& [key, value] : item.members()) {
+      if (value.is_string()) r.strings[key] = value.as_string();
+      if (value.is_number()) r.numbers[key] = value.as_number();
+    }
+    check_schema(path, r);
+    doc.records.push_back(std::move(r));
   }
   return doc;
 }

@@ -16,7 +16,7 @@
 //   --trace-dir=DIR   write one trace CSV per run into DIR (created if
 //                     missing), named <bench>-<dataset>-<model>-<method>.csv
 //                     and labeled for `pipad analyze` (wired into
-//                     fig10_end2end and ablation_tuner; other binaries
+//                     fig10_end2end and fig_replicas; other binaries
 //                     accept but ignore it)
 // Unknown flags and invalid values are rejected with a usage message
 // (exit code 2), mirroring the CLI driver. Defaults are sized for a
@@ -43,7 +43,6 @@
 #include "graph/io/loader.hpp"
 #include "host/host_lane.hpp"
 #include "models/bench_record.hpp"
-#include "pipad/pipad_trainer.hpp"
 #include "replica/replica_trainer.hpp"
 
 namespace pipad::bench {
@@ -305,10 +304,7 @@ inline models::TrainResult run_method(gpusim::Gpu& gpu,
                                         baselines::Variant::PyGTG)
           .train();
     case Method::PiPAD:
-      if (popts.replicas > 0) {
-        return replica::ReplicaTrainer(gpu, data, cfg, popts).train();
-      }
-      return runtime::PipadTrainer(gpu, data, cfg, popts).train();
+      return replica::ReplicaTrainer(gpu, data, cfg, popts).train();
   }
   throw Error("bad method");
 }

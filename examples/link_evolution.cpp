@@ -9,7 +9,7 @@
 #include <map>
 
 #include "graph/generator.hpp"
-#include "pipad/pipad_trainer.hpp"
+#include "replica/replica_trainer.hpp"
 
 int main() {
   using namespace pipad;
@@ -30,7 +30,7 @@ int main() {
   tcfg.max_frames_per_epoch = 10;
 
   gpusim::Gpu gpu;
-  runtime::PipadTrainer trainer(gpu, data, tcfg);
+  replica::ReplicaTrainer trainer(gpu, data, tcfg);
   const auto r = trainer.train();
 
   std::printf("\ntuner S_per decisions per frame:\n  ");

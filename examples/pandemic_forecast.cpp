@@ -7,7 +7,7 @@
 #include <cstdio>
 
 #include "graph/generator.hpp"
-#include "pipad/pipad_trainer.hpp"
+#include "replica/replica_trainer.hpp"
 
 int main() {
   using namespace pipad;
@@ -30,7 +30,7 @@ int main() {
   tcfg.lr = 2e-3f;
 
   gpusim::Gpu gpu;
-  runtime::PipadTrainer trainer(gpu, data, tcfg);
+  replica::ReplicaTrainer trainer(gpu, data, tcfg);
   const auto r = trainer.train();
 
   std::printf("\ntraining loss trajectory (per frame):\n");

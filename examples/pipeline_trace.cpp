@@ -10,7 +10,7 @@
 #include "baselines/baseline_trainer.hpp"
 #include "gpusim/trace.hpp"
 #include "graph/generator.hpp"
-#include "pipad/pipad_trainer.hpp"
+#include "replica/replica_trainer.hpp"
 
 int main() {
   using namespace pipad;
@@ -30,7 +30,7 @@ int main() {
   base.train();
 
   gpusim::Gpu gpu_pipad;
-  runtime::PipadTrainer pipad(gpu_pipad, data, tcfg);
+  replica::ReplicaTrainer pipad(gpu_pipad, data, tcfg);
   pipad.train();
 
   gpusim::GanttOptions opts;

@@ -6,7 +6,7 @@
 
 #include "baselines/baseline_trainer.hpp"
 #include "graph/generator.hpp"
-#include "pipad/pipad_trainer.hpp"
+#include "replica/replica_trainer.hpp"
 
 int main() {
   using namespace pipad;
@@ -40,7 +40,7 @@ int main() {
   // 4. PiPAD: sliced CSR, overlap-aware transfer, parallel multi-snapshot
   //    GNN, inter-frame reuse, pipelined execution.
   gpusim::Gpu gpu_pipad;
-  runtime::PipadTrainer pipad(gpu_pipad, data, tcfg);
+  replica::ReplicaTrainer pipad(gpu_pipad, data, tcfg);
   const auto rp = pipad.train();
 
   std::printf("\n%-8s %14s %14s %12s %10s\n", "method", "sim total (us)",

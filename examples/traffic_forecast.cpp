@@ -8,7 +8,7 @@
 #include <cstdio>
 
 #include "graph/generator.hpp"
-#include "pipad/pipad_trainer.hpp"
+#include "replica/replica_trainer.hpp"
 
 int main() {
   using namespace pipad;
@@ -29,7 +29,7 @@ int main() {
     gpusim::Gpu gpu;
     runtime::PipadOptions opts;
     opts.enable_reuse = reuse;
-    runtime::PipadTrainer trainer(gpu, data, tcfg, opts);
+    replica::ReplicaTrainer trainer(gpu, data, tcfg, opts);
     return trainer.train();
   };
 

@@ -383,7 +383,8 @@ std::string flags_help() {
       "  --replicas K       replicated data-parallel training across K\n"
       "                     simulated devices (pipad runtime only; losses\n"
       "                     and params are bit-identical for every K and\n"
-      "                     --threads), 0 = classic single device  [0]\n"
+      "                     --threads), 0 = one device stepping after\n"
+      "                     every frame  [0]\n"
       "  --allreduce ALGO   interconnect timing model for --replicas:\n"
       "                     ring | tree (numerics are identical)  [ring]\n"
       "  --seed N           dataset + model RNG seed  [2023]\n"

@@ -132,17 +132,11 @@ RunOutput run_method(const JobSpec& o, const std::string& runtime,
   if (runtime == "pipad") {
     runtime::PipadOptions popts = pipad_options(o);
     popts.cancel = cancel;
-    if (o.replicas > 0) {
-      // K simulated devices; replica 0 runs on `gpu`, so trace/analyze
-      // render the primary replica's timeline (Link lane included).
-      replica::ReplicaTrainer trainer(gpu, b.data, tcfg, popts);
-      out.train = trainer.train();
-      if (o.return_params) out.params = flat_params(trainer.model());
-    } else {
-      runtime::PipadTrainer trainer(gpu, b.data, tcfg, popts);
-      out.train = trainer.train();
-      if (o.return_params) out.params = flat_params(trainer.model());
-    }
+    // Replica 0 runs on `gpu`, so trace/analyze render the primary
+    // replica's timeline (Link lane included when there are several).
+    replica::ReplicaTrainer trainer(gpu, b.data, tcfg, popts);
+    out.train = trainer.train();
+    if (o.return_params) out.params = flat_params(trainer.model());
   } else {
     baselines::BaselineOptions bopts;
     bopts.cancel = cancel;

@@ -16,28 +16,20 @@ HostLane::HostLane(gpusim::Gpu& gpu, std::size_t threads) : gpu_(gpu) {
   gpu_.set_worker_lanes(pool().size());
 }
 
-BatchResult HostLane::run(const std::string& name, std::size_t n,
-                          const std::function<void(std::size_t)>& job,
-                          double not_before_us) {
-  BatchResult res;
-  res.job_end_us.assign(n, not_before_us);
-  res.end_us = not_before_us;
-  if (n == 0) return res;
+void HostLane::run(const std::string& name, std::size_t n,
+                   const std::function<void(std::size_t)>& job) {
+  if (n == 0) return;
 
-  struct JobRec {
-    std::size_t index;
-    double wall_us;
-  };
   ThreadPool& p = pool();
-  // Indexed by lane; each inner vector is only touched by its own pool
-  // thread, so no lock is needed.
-  std::vector<std::vector<JobRec>> per_lane(p.size());
+  // Per-job wall-clock, indexed by lane; each inner vector is only touched
+  // by its own pool thread, so no lock is needed.
+  std::vector<std::vector<double>> per_lane(p.size());
 
   auto futs = p.map(n, [&](std::size_t i) {
     const std::size_t lane = ThreadPool::worker_index();
     Timer timer;
     job(i);
-    per_lane[lane].push_back({i, timer.elapsed_us()});
+    per_lane[lane].push_back(timer.elapsed_us());
   });
   // Drain the whole batch before rethrowing so per_lane stays alive for
   // every in-flight job.
@@ -55,13 +47,10 @@ BatchResult HostLane::run(const std::string& name, std::size_t n,
   // thread-safe): per lane, in the order that lane executed its jobs, so
   // the simulated schedule mirrors the real one.
   for (std::size_t lane = 0; lane < per_lane.size(); ++lane) {
-    for (const JobRec& jr : per_lane[lane]) {
-      const double end = gpu_.worker_op(lane, name, jr.wall_us, not_before_us);
-      res.job_end_us[jr.index] = end;
-      res.end_us = std::max(res.end_us, end);
+    for (const double wall_us : per_lane[lane]) {
+      gpu_.worker_op(lane, name, wall_us);
     }
   }
-  return res;
 }
 
 double HostLane::charge_all(const std::string& name, double wall_us,

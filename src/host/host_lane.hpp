@@ -7,8 +7,8 @@
 // is measured on the pool thread that executed it and charged to the
 // matching simulated CpuWorker lane, so the Timeline shows true prep/device
 // overlap instead of a single-thread measurement divided by an assumed
-// parallelism factor. Per-job simulated completion times come back to the
-// caller so device transfers can wait on exactly the job that produced
+// parallelism factor. Streamed jobs report their simulated completion
+// times so device transfers can wait on exactly the job that produced
 // their data.
 #pragma once
 
@@ -37,12 +37,6 @@ class HostStream;
 /// (Alias of default_compute_threads(): prep and compute share one pool.)
 std::size_t default_prep_threads();
 
-/// Simulated completion times of one batch of prep jobs.
-struct BatchResult {
-  std::vector<double> job_end_us;  ///< Per job, indexed like the batch.
-  double end_us = 0.0;             ///< Latest job end (batch completion).
-};
-
 class HostLane {
  public:
   /// Configures the process-wide ComputePool to `threads` workers (0 picks
@@ -60,12 +54,11 @@ class HostLane {
 
   /// Execute job(i) for i in [0, n) on the pool and wait. Every job's
   /// measured wall-clock is charged to the worker lane it actually ran on,
-  /// in that lane's execution order, starting no earlier than
-  /// not_before_us. Results written by the jobs must go to disjoint slots;
-  /// the first job exception is rethrown after the batch drains.
-  BatchResult run(const std::string& name, std::size_t n,
-                  const std::function<void(std::size_t)>& job,
-                  double not_before_us = 0.0);
+  /// in that lane's execution order. Results written by the jobs must go to
+  /// disjoint slots; the first job exception is rethrown after the batch
+  /// drains.
+  void run(const std::string& name, std::size_t n,
+           const std::function<void(std::size_t)>& job);
 
   /// Charge a parallel region driven from the main thread (an
   /// internally-parallel build) for a measured wall_us. `tasks` bounds the

@@ -44,8 +44,9 @@ struct TrainResult {
   /// a single lane). Not a timing: a load-balance observability counter.
   std::uint64_t steals = 0;
 
-  // Replicated data-parallel runs (src/replica) only; 0/empty otherwise.
-  int replicas = 0;             ///< Replica count (0 = classic single run).
+  // PiPAD runs (replica::ReplicaTrainer) only; 0/empty otherwise.
+  int replicas = 0;             ///< --replicas as given (0 = one device,
+                                ///< an optimizer step after every frame).
   double allreduce_us = 0.0;    ///< Modeled interconnect busy time charged
                                 ///< to replica 0's Link lane.
   std::vector<double> replica_total_us;  ///< Per-replica makespan.

@@ -26,6 +26,10 @@ using models::TrainResult;
 
 namespace {
 
+/// Host cost per individual kernel launch of the lean C++ path, on top of
+/// the device launch latency (the CUDA-graph path skips it).
+constexpr double kFrameworkUsPerLaunch = 2.0;
+
 /// Per-snapshot sliced topology produced by the online graph analyzer (❶).
 struct SlicedSnapshot {
   sliced::SlicedCSR adj;
@@ -90,8 +94,7 @@ class PipadExecutor final : public models::FrameExecutor,
     if (opts_.enable_cuda_graph) {
       graph_.add_kernel(name, full);
     } else {
-      gpu_.launch_kernel(compute_, name, full,
-                         opts_.framework_us_per_launch);
+      gpu_.launch_kernel(compute_, name, full, kFrameworkUsPerLaunch);
     }
   }
 
@@ -399,7 +402,7 @@ struct PipadTrainer::Impl {
   bool steady_prepared = false;
   bool final_epoch = false;  ///< Partitions behind the window get retired.
 
-  // Step-wise driving state (replica mode; unused on the classic path).
+  // Step-wise driving state.
   std::vector<graph::Frame> step_frames;
   std::vector<nn::Parameter*> step_params;
   bool step_prep = false;
@@ -633,69 +636,13 @@ struct PipadTrainer::Impl {
   /// GPU reuse-buffer budget: what is left after the working set, capped.
   void set_reuse_budget() {
     if (!opts.enable_reuse) return;
-    std::size_t budget = opts.gpu_reuse_budget;
-    if (budget == 0) {
-      const std::size_t working =
-          16 * per_snapshot_mem + (per_snapshot_mem * 8);
-      budget = gpu.device().available() > working
-                   ? (gpu.device().available() - working) / 2
-                   : 0;
-    }
-    gpu_buffer.set_budget(budget);
+    const std::size_t working = 16 * per_snapshot_mem + (per_snapshot_mem * 8);
+    gpu_buffer.set_budget(gpu.device().available() > working
+                              ? (gpu.device().available() - working) / 2
+                              : 0);
   }
 
-  TrainResult train() {
-    TrainResult result;
-    auto frames = epoch_frames();
-    auto params = model->params();
-
-    // Kernel regions measured before training (dataset generation, other
-    // trainers in the same process) are not this run's to charge.
-    ComputePool::instance().discard_regions();
-    run_analyzer();
-    run_profiling(frames);
-    set_reuse_budget();
-
-    bool first_steady_recorded = false;
-    for (int epoch = 0; epoch < cfg.epochs; ++epoch) {
-      const bool prep = epoch < opts.preparing_epochs;
-      final_epoch = epoch == cfg.epochs - 1;
-      if (!prep) prepare_steady(frames);
-      for (const auto& frame : frames) {
-        if (opts.cancel != nullptr &&
-            opts.cancel->load(std::memory_order_relaxed)) {
-          // Frame boundary: in-flight streamed extractions drain via the
-          // HostStream destructor, so cancelling never leaks pool work.
-          throw Cancelled();
-        }
-        if (prep) {
-          result.frame_loss.push_back(
-              train_prep_frame(frame, params, /*step=*/true));
-        } else {
-          result.frame_loss.push_back(
-              train_steady_frame(frame, params, /*step=*/true));
-          if (!first_steady_recorded) {
-            first_steady_recorded = true;
-            // Sim time at which the first steady frame fully finished: its
-            // host issue work, transfers and kernels. Streaming prep pulls
-            // this in on long timelines: it waits only on the partitions
-            // the frame itself uses.
-            const auto& tl = gpu.timeline();
-            result.first_steady_us = std::max(
-                {tl.stream_ready(exec.compute_stream()),
-                 tl.stream_ready(copy_stream),
-                 tl.resource_ready(gpusim::Resource::Cpu)});
-          }
-        }
-      }
-    }
-    models::summarize_timeline(gpu.timeline(), result);
-    return result;
-  }
-
-  float train_prep_frame(const graph::Frame& frame,
-                         const std::vector<nn::Parameter*>& params,
-                         bool step) {
+  float train_prep_frame(const graph::Frame& frame) {
     // One-snapshot fashion with asynchronous pinned transfers (§4.3).
     std::vector<std::optional<EventId>> evs(frame.size);
     std::size_t frame_bytes = 0;
@@ -715,12 +662,10 @@ struct PipadTrainer::Impl {
                                   frame_bytes + activation_bytes(frame),
                                   "prep frame");
     exec.begin_prep_frame(frame, std::move(evs));
-    return run_model(frame, params, step);
+    return run_model(frame);
   }
 
-  float train_steady_frame(const graph::Frame& frame,
-                           const std::vector<nn::Parameter*>& params,
-                           bool step) {
+  float train_steady_frame(const graph::Frame& frame) {
     const int s = decide_sper(frame);
     std::vector<const sliced::FramePartition*> parts;
     std::vector<std::pair<int, int>> part_keys;
@@ -783,7 +728,7 @@ struct PipadTrainer::Impl {
                                   frame_bytes + activation_bytes(frame),
                                   "steady frame");
     exec.begin_steady_frame(frame, std::move(parts), std::move(evs));
-    const float loss = run_model(frame, params, step);
+    const float loss = run_model(frame);
     // Frames slide forward by one: results before the next frame's start
     // will never be used again.
     gpu_buffer.evict_before(frame.start + 1);
@@ -813,25 +758,16 @@ struct PipadTrainer::Impl {
            sizeof(float) * frame.size * (model->num_agg_layers() + 2);
   }
 
-  /// `step` = classic per-frame optimizer step. The replica driver passes
-  /// false: the frame's gradients stay in the params for the round's
-  /// canonical reduction, and apply_step() advances the optimizer later.
-  float run_model(const graph::Frame& frame,
-                  const std::vector<nn::Parameter*>& params, bool step) {
+  /// The frame's gradients stay in step_params for ReplicaTrainer's
+  /// canonical round reduction; apply_step() advances the optimizer.
+  float run_model(const graph::Frame& frame) {
     std::vector<const Tensor*> xs, ys;
     for (int i = 0; i < frame.size; ++i) {
       xs.push_back(&data.snapshots[frame.start + i].features);
       ys.push_back(&data.targets[frame.start + i]);
     }
-    nn::zero_grads(params);
+    nn::zero_grads(step_params);
     const float loss = model->train_frame(exec, xs, ys);
-    if (step) {
-      optim.step(params);
-      for (const auto* p : params) {
-        exec.record("ew:optim",
-                    kernels::elementwise_stats(p->value.size(), 3, 8));
-      }
-    }
     exec.flush();
     // The frame's numeric kernels ran for real on the ComputePool; charge
     // their measured wall-clock to the worker lanes they occupied (§4.2's
@@ -841,7 +777,7 @@ struct PipadTrainer::Impl {
     return loss;
   }
 
-  // ---- Step-wise driving (replica mode) ----
+  // ---- Step-wise driving ----
 
   const std::vector<graph::Frame>& begin_steps() {
     step_frames = epoch_frames();
@@ -863,12 +799,13 @@ struct PipadTrainer::Impl {
   }
 
   float grad_frame(const graph::Frame& frame) {
-    if (step_prep) {
-      return train_prep_frame(frame, step_params, /*step=*/false);
-    }
-    const float loss = train_steady_frame(frame, step_params, /*step=*/false);
+    if (step_prep) return train_prep_frame(frame);
+    const float loss = train_steady_frame(frame);
     if (!step_first_steady) {
       step_first_steady = true;
+      // Sim time at which the first steady frame fully finished: its host
+      // issue work, transfers and kernels. Streaming prep pulls this in on
+      // long timelines: it waits only on the partitions the frame uses.
       const auto& tl = gpu.timeline();
       step_first_steady_us =
           std::max({tl.stream_ready(exec.compute_stream()),
@@ -915,8 +852,6 @@ PipadTrainer::PipadTrainer(gpusim::Gpu& gpu, const graph::DTDG& data,
     : impl_(std::make_unique<Impl>(gpu, data, cfg, std::move(opts))) {}
 
 PipadTrainer::~PipadTrainer() = default;
-
-TrainResult PipadTrainer::train() { return impl_->train(); }
 
 models::DgnnModel& PipadTrainer::model() { return *impl_->model; }
 

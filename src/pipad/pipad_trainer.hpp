@@ -41,7 +41,6 @@ struct PipadOptions {
   bool enable_cuda_graph = true;   ///< Batched kernel launches (§4.2).
   bool enable_weight_reuse = true; ///< Locality-optimized update (§4.2).
   int forced_sper = 0;             ///< >0 bypasses the tuner (ablations).
-  double framework_us_per_launch = 2.0;  ///< Lean C++ host path.
   /// Width of the process-wide common::ComputePool, which executes both
   /// host-side preparation (slicing, overlap extraction — via
   /// host::HostLane) and the numeric hot path (aggregation, GEMM,
@@ -49,19 +48,18 @@ struct PipadOptions {
   /// charged to the worker lane(s) it ran on. 0 = library default
   /// (min(hardware_concurrency, 8)).
   int host_threads = 0;
-  std::size_t gpu_reuse_budget = 0;  ///< 0 = auto (remaining device memory).
   /// Cooperative cancellation: when non-null and set, training throws
-  /// pipad::Cancelled at the next frame (or replica-round) boundary. The
-  /// pointee must outlive the trainer; the serve scheduler points it at the
-  /// job's cancel flag.
+  /// pipad::Cancelled at the next round boundary (every frame under
+  /// --replicas 0). The pointee must outlive the trainer; the serve
+  /// scheduler points it at the job's cancel flag.
   const std::atomic<bool>* cancel = nullptr;
 
-  // ---- Replicated data-parallel training (src/replica, ReplicaTrainer) ----
-  /// Number of simulated devices. 0 keeps the classic single-trainer path
-  /// (per-frame optimizer steps); >= 1 routes through ReplicaTrainer's
-  /// round-based synchronous data parallelism, where even --replicas 1 uses
-  /// the round/all-reduce schedule so results are bit-identical across
-  /// replica counts.
+  // ---- Training schedule (src/replica, ReplicaTrainer) ----
+  /// Number of simulated devices, K = max(1, replicas). 0 is PiPAD's own
+  /// schedule: one device and an optimizer step after every frame. K >= 1
+  /// synchronizes K devices once per round of 4 frames, so even
+  /// --replicas 1 uses the round/all-reduce schedule and results are
+  /// bit-identical across replica counts.
   int replicas = 0;
   /// All-reduce schedule charged to the modeled interconnect: "ring"
   /// (bandwidth-optimal, 2(K-1) chunked steps) or "tree" (latency-optimal,
@@ -69,38 +67,24 @@ struct PipadOptions {
   /// reduction is always the canonical fixed-order sum, so the choice can
   /// never change a single bit of the result.
   std::string allreduce = "ring";
-  double link_latency_us = 5.0;    ///< Per all-reduce step latency.
-  double link_gb_per_s = 50.0;     ///< Interconnect bandwidth (NVLink-ish).
-  /// Frames per synchronization round. Gradients of all frames in a round
-  /// are computed at the round-start parameters, reduced in global frame
-  /// order and applied as one optimizer step — a pure function of the frame
-  /// index, so the grouping (and therefore every bit of the result) is
-  /// independent of the replica count. 0 picks 4.
-  int replica_round = 0;
-  /// Max in-flight staged shards per replica infeed queue (0 picks 2).
-  int infeed_window = 0;
 };
 
+/// The per-device PiPAD step engine. replica::ReplicaTrainer is the one
+/// loop that trains it: that loop interleaves frames from K engines and
+/// owns the optimizer schedule — grad_frame() trains one frame at the
+/// current parameters WITHOUT stepping, the loop reduces a round's
+/// gradients in canonical order, then apply_step() advances this engine's
+/// Adam.
 class PipadTrainer {
  public:
   PipadTrainer(gpusim::Gpu& gpu, const graph::DTDG& data,
                models::TrainConfig cfg, PipadOptions opts = {});
   ~PipadTrainer();
 
-  models::TrainResult train();
-
   models::DgnnModel& model();
 
-  /// S_per decisions made by the tuner, keyed by frame start (after train()).
+  /// S_per decisions made by the tuner, keyed by frame start.
   const std::map<int, int>& sper_decisions() const;
-
-  // ---- Step-wise driving API (src/replica's ReplicaTrainer) ----
-  // The replica driver interleaves frames from K trainers and owns the
-  // optimizer schedule: grad_frame() trains one frame at the current
-  // parameters WITHOUT stepping, the driver reduces the gradients across
-  // the round in canonical order, then apply_step() advances this
-  // trainer's Adam. train() is exactly the old per-frame-step path and
-  // never goes through these.
 
   /// Analyzer + profiling over the full epoch frame list (so tuner inputs
   /// are replica-invariant) + reuse budget. Returns the frame list. Does

@@ -10,7 +10,6 @@
 #include "host/host_lane.hpp"
 #include "nn/parameter.hpp"
 #include "replica/allreduce.hpp"
-#include "replica/infeed.hpp"
 
 namespace pipad::replica {
 
@@ -18,6 +17,11 @@ using gpusim::Resource;
 using models::TrainResult;
 
 namespace {
+
+/// Frames per synchronization round for --replicas K >= 1.
+constexpr int kReplicaRound = 4;
+/// Staged shards in flight per replica: one being consumed, one staging.
+constexpr std::size_t kInfeedWindow = 2;
 
 std::vector<float> flatten_grads(const std::vector<nn::Parameter*>& params) {
   std::size_t total = 0;
@@ -64,12 +68,12 @@ struct ReplicaTrainer::Impl {
        runtime::PipadOptions o)
       : gpu0(g), data(d), cfg(c), opts(std::move(o)) {
     K = std::max(1, opts.replicas);
-    round_size = opts.replica_round > 0 ? opts.replica_round : 4;
+    // --replicas 0 is PiPAD's own schedule, an optimizer step after every
+    // frame; this is the only place that tells it apart.
+    round_size = opts.replicas == 0 ? 1 : kReplicaRound;
     PIPAD_CHECK_MSG(parse_allreduce(opts.allreduce, algo),
                     "unknown allreduce algorithm '" << opts.allreduce
                                                     << "' (ring|tree)");
-    link.latency_us = opts.link_latency_us;
-    link.gb_per_s = opts.link_gb_per_s;
 
     gpus.push_back(&gpu0);
     for (int k = 1; k < K; ++k) {
@@ -117,16 +121,16 @@ struct ReplicaTrainer::Impl {
       assigned[k].push_back(frames[j]);
     }
 
-    // Per-replica infeed: one bounded queue per replica spanning every
+    // Per-replica infeed: one bounded HostStream per replica spanning every
     // epoch; shard (epoch * per_epoch + q) stages the features + targets of
-    // the replica's q-th assigned frame into its slot. Staging is declared
-    // before the queues so in-flight jobs never outlive their slots.
-    const std::size_t window =
-        opts.infeed_window > 0 ? static_cast<std::size_t>(opts.infeed_window)
-                               : 2;
+    // the replica's q-th assigned frame into its slot. Each shard's measured
+    // wall-clock lands on the worker lane that ran it as a
+    // "prep:infeed:r<k>" op, and at most kInfeedWindow shards are staged
+    // but unconsumed. Staging is declared before the streams so in-flight
+    // jobs never outlive their slots.
     std::vector<std::vector<std::vector<float>>> staging(K);
     std::vector<std::unique_ptr<host::HostLane>> lanes(K);
-    std::vector<std::unique_ptr<InfeedQueue>> infeed(K);
+    std::vector<std::unique_ptr<host::HostStream>> infeed(K);
     for (int k = 0; k < K; ++k) {
       const std::size_t per_epoch = assigned[k].size();
       const std::size_t shards =
@@ -139,12 +143,13 @@ struct ReplicaTrainer::Impl {
       auto* stage_k = &staging[k];
       const auto* frames_k = &assigned[k];
       const graph::DTDG* d = &data;
-      // Built with += (not `"r" + std::to_string(k)`) to dodge a gcc-12
-      // -Werror=restrict false positive on char*+string&& (GCC PR105329).
-      std::string infeed_name = "r";
+      // Built with += (not `"infeed:r" + std::to_string(k)`) to dodge a
+      // gcc-12 -Werror=restrict false positive on char*+string&& (GCC
+      // PR105329).
+      std::string infeed_name = "infeed:r";
       infeed_name += std::to_string(k);
-      infeed[k] = std::make_unique<InfeedQueue>(
-          *lanes[k], std::move(infeed_name), shards,
+      infeed[k] = lanes[k]->stream(
+          std::move(infeed_name), shards,
           [stage_k, frames_k, d, per_epoch](std::size_t shard) {
             // The staged shard is the pinned-host copy a real infeed would
             // build: the frame's raw features and targets. Consumers keep
@@ -160,7 +165,7 @@ struct ReplicaTrainer::Impl {
               buf.insert(buf.end(), targ.begin(), targ.end());
             }
           },
-          window);
+          kInfeedWindow);
     }
 
     const std::size_t grad_bytes =
@@ -180,7 +185,7 @@ struct ReplicaTrainer::Impl {
       for (std::size_t r0 = 0; r0 < F; r0 += static_cast<std::size_t>(G)) {
         if (opts.cancel != nullptr &&
             opts.cancel->load(std::memory_order_relaxed)) {
-          // Round boundary: the infeed queues drain through their
+          // Round boundary: the infeed streams drain through their
           // destructors, so cancelling never leaks staged shards.
           throw Cancelled();
         }
@@ -237,7 +242,9 @@ struct ReplicaTrainer::Impl {
     const auto losses = std::move(result.frame_loss);
     result = per[0];
     result.frame_loss = losses;
-    result.replicas = K;
+    // The flag as given: bench records of --replicas 0 keep the
+    // single-device field set.
+    result.replicas = opts.replicas;
     result.allreduce_us = allreduce_total;
     for (int k = 0; k < K; ++k) {
       result.replica_total_us.push_back(per[k].total_us);
@@ -258,6 +265,10 @@ TrainResult ReplicaTrainer::train() { return impl_->train(); }
 
 models::DgnnModel& ReplicaTrainer::model() {
   return impl_->trainers[0]->model();
+}
+
+const std::map<int, int>& ReplicaTrainer::sper_decisions() const {
+  return impl_->trainers[0]->sper_decisions();
 }
 
 int ReplicaTrainer::replicas() const { return impl_->K; }

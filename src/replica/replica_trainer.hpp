@@ -1,16 +1,18 @@
-// Replicated data-parallel training across K simulated devices.
+// Replicated data-parallel training across K simulated devices — the one
+// loop that trains PiPAD.
 //
 // K PipadTrainers — each with its own simulated Gpu/Timeline (replica 0
 // runs on the caller's Gpu so `pipad trace`/`analyze` keep working
-// unchanged) — run the existing pipelined epoch over disjoint frame
-// subsets, fed by per-replica bounded infeed queues, and synchronize
-// through a gradient all-reduce charged to each replica's Resource::Link
-// lane.
+// unchanged) — run the pipelined epoch over disjoint frame subsets, fed by
+// per-replica bounded infeed streams, and synchronize through a gradient
+// all-reduce charged to each replica's Resource::Link lane. `--replicas 0`
+// is the one-device case with one-frame rounds: an optimizer step after
+// every frame, PiPAD's own schedule (§4, Fig. 7).
 //
 // Determinism argument (the repo's wall — bit-identical losses and params
-// for ANY --replicas x --threads combination):
-//   - Frames are grouped into rounds of a fixed size G (PipadOptions::
-//     replica_round) that never depends on K. Every frame's gradient is
+// for ANY --replicas x --threads combination, K >= 1):
+//   - Frames are grouped into rounds of a fixed size G that never depends
+//     on K (4 frames; 1 under --replicas 0). Every frame's gradient is
 //     computed at the round-start parameters — no replica steps its
 //     optimizer mid-round — so the per-frame gradients are pure functions
 //     of (dataset, round-start params, frame).
@@ -20,15 +22,17 @@
 //   - The reduction sums the round's per-frame gradients in global frame
 //     order with one float accumulator per element and divides by the
 //     round size (allreduce.hpp) — canonical arithmetic whichever
-//     algorithm (ring/tree) models the interconnect time.
+//     algorithm (ring/tree) models the interconnect time. A one-frame round
+//     is an exact copy divided by 1.
 //   - Every replica applies the identical averaged gradient to identical
 //     parameters with its own (position-keyed, therefore lockstep) Adam,
 //     so replicas never diverge and replica 0's model IS the result.
 //   - Tuner inputs (profiling statistics) are computed over the FULL epoch
-//     frame list per replica, and the measured-occupancy tuner — whose
-//     inputs are genuinely replica-dependent — is rejected up front.
+//     frame list per replica, so every replica makes the same S_per
+//     decisions whichever frames it trains.
 #pragma once
 
+#include <map>
 #include <memory>
 
 #include "gpusim/gpu.hpp"
@@ -40,9 +44,9 @@ namespace pipad::replica {
 
 class ReplicaTrainer {
  public:
-  /// opts.replicas >= 1 selects K; the other replica knobs (allreduce,
-  /// link_latency_us, link_gb_per_s, replica_round, infeed_window) shape
-  /// the schedule. Throws Error on an unknown allreduce name.
+  /// opts.replicas selects K = max(1, replicas) and the round size (one
+  /// frame when replicas == 0, else 4); opts.allreduce picks the
+  /// interconnect timing model. Throws Error on an unknown allreduce name.
   ReplicaTrainer(gpusim::Gpu& gpu, const graph::DTDG& data,
                  models::TrainConfig cfg, runtime::PipadOptions opts = {});
   ~ReplicaTrainer();
@@ -52,6 +56,9 @@ class ReplicaTrainer {
   /// Replica 0's model — identical to every other replica's (see the
   /// determinism argument above).
   models::DgnnModel& model();
+
+  /// Replica 0's S_per decisions, keyed by frame start (after train()).
+  const std::map<int, int>& sper_decisions() const;
 
   int replicas() const;
 

@@ -95,7 +95,7 @@ TEST(CliParse, ReplicaFlagsLandAndValidate) {
   ASSERT_TRUE(r.ok) << r.error;
   EXPECT_EQ(r.options.job.replicas, 4);
   EXPECT_EQ(r.options.job.allreduce, "tree");
-  // Defaults: 0 replicas selects the classic single-trainer path.
+  // Defaults: 0 replicas, one device stepping after every frame.
   EXPECT_EQ(parse({"train"}).options.job.replicas, 0);
   EXPECT_EQ(parse({"train"}).options.job.allreduce, "ring");
   EXPECT_FALSE(parse({"train", "--replicas", "-1"}).ok);

@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "baselines/baseline_trainer.hpp"
-#include "pipad/pipad_trainer.hpp"
+#include "replica/replica_trainer.hpp"
 #include "test_util.hpp"
 
 namespace pipad {
@@ -38,7 +38,7 @@ std::vector<MethodRun> run_all_methods(const graph::DTDG& g, ModelType m) {
   }
   {
     gpusim::Gpu gpu;
-    runtime::PipadTrainer tr(gpu, g, cfg);
+    replica::ReplicaTrainer tr(gpu, g, cfg);
     runs.push_back({"PiPAD", tr.train()});
   }
   return runs;
@@ -111,7 +111,7 @@ TEST(EndToEnd, SimulatedScheduleIsCausallySane) {
   cfg.epochs = 2;
   cfg.max_frames_per_epoch = 2;
   cfg.hidden_dim = 4;
-  runtime::PipadTrainer tr(gpu, g, cfg);
+  replica::ReplicaTrainer tr(gpu, g, cfg);
   tr.train();
   double busy_sum = 0.0;
   for (const auto& rec : gpu.timeline().records()) {

@@ -20,7 +20,6 @@
 #include "gpusim/gpu.hpp"
 #include "graph/generator.hpp"
 #include "models/training.hpp"
-#include "pipad/pipad_trainer.hpp"
 #include "replica/replica_trainer.hpp"
 #include "test_util.hpp"
 
@@ -83,17 +82,11 @@ RunOutput run_point(const graph::DTDG& g, const RandomPoint& p, int threads,
   gpusim::Gpu& gpu = out_gpu != nullptr ? *out_gpu : local;
   runtime::PipadOptions opts;
   opts.host_threads = threads;
+  opts.replicas = replicas;
+  replica::ReplicaTrainer trainer(gpu, g, p.train, opts);
   RunOutput out;
-  if (replicas > 0) {
-    opts.replicas = replicas;
-    replica::ReplicaTrainer trainer(gpu, g, p.train, opts);
-    out.losses = trainer.train().frame_loss;
-    out.params = flat_params(trainer.model());
-  } else {
-    runtime::PipadTrainer trainer(gpu, g, p.train, opts);
-    out.losses = trainer.train().frame_loss;
-    out.params = flat_params(trainer.model());
-  }
+  out.losses = trainer.train().frame_loss;
+  out.params = flat_params(trainer.model());
   return out;
 }
 
@@ -135,8 +128,9 @@ TEST(Property, CriticalPathAccountsForTheMakespan) {
     const RandomPoint p = draw(seed);
     SCOPED_TRACE(p.describe(seed));
     const auto g = graph::generate(p.dataset);
-    // Classic single-trainer run (replicas=0) and a replicated run both
-    // obey the DAG contract: critical path (durations + gaps) == makespan.
+    // A one-device run with a step after every frame (replicas=0) and a
+    // replicated run both obey the DAG contract: critical path (durations
+    // + gaps) == makespan.
     for (const int replicas : {0, p.replicas}) {
       SCOPED_TRACE(replicas);
       gpusim::Gpu gpu;

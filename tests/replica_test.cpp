@@ -1,29 +1,23 @@
 // replica/ tests: the bitwise-determinism wall around replicated
 // data-parallel training (losses and params identical for ANY
-// --replicas x --threads combination), the per-replica bounded infeed
-// queue (backpressure, out-of-order waits, teardown drain, sticky
-// failures — the same wall tuner_test builds around HostStream), and the
-// all-reduce unit surface (canonical reduction numerics, interconnect
-// timing formulas).
+// --replicas x --threads combination), --replicas 0 as the one-device,
+// one-frame-round case of the same loop, the per-replica infeed charging
+// (its HostStream machinery is walled in tuner_test), and the all-reduce
+// unit surface (canonical reduction numerics, interconnect timing
+// formulas).
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
 #include <cstring>
-#include <stdexcept>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/error.hpp"
 #include "gpusim/gpu.hpp"
 #include "graph/generator.hpp"
-#include "host/host_lane.hpp"
 #include "models/training.hpp"
 #include "pipad/pipad_trainer.hpp"
 #include "replica/allreduce.hpp"
-#include "replica/infeed.hpp"
 #include "replica/replica_trainer.hpp"
 #include "test_util.hpp"
 
@@ -126,6 +120,56 @@ TEST(ReplicaDeterminism, RingAndTreeProduceIdenticalNumerics) {
   EXPECT_NE(ring.result.allreduce_us, tree.result.allreduce_us);
 }
 
+// ---------- --replicas 0: one device, one-frame rounds ----------
+
+/// PiPAD's own per-frame loop, driven by hand through the step API: an
+/// optimizer step after every frame, no ReplicaTrainer in between.
+ReplicaRun train_by_hand(const graph::DTDG& g, const models::TrainConfig& cfg,
+                         int threads) {
+  gpusim::Gpu gpu;
+  runtime::PipadOptions opts;
+  opts.host_threads = threads;
+  runtime::PipadTrainer trainer(gpu, g, cfg, opts);
+  ReplicaRun run;
+  const std::vector<graph::Frame>& frames = trainer.begin_steps();
+  for (int epoch = 0; epoch < cfg.epochs; ++epoch) {
+    trainer.begin_epoch(epoch, frames);
+    for (const graph::Frame& f : frames) {
+      run.result.frame_loss.push_back(trainer.grad_frame(f));
+      trainer.apply_step();
+    }
+  }
+  run.params = flat_params(trainer.model());
+  return run;
+}
+
+TEST(ReplicaDeterminism, ReplicasZeroStepsAfterEveryFrame) {
+  const auto g = graph::generate(tiny_config(48, 8, 3));
+  for (const auto model :
+       {models::ModelType::Gcn, models::ModelType::TGcn,
+        models::ModelType::EvolveGcn, models::ModelType::MpnnLstm}) {
+    for (const int threads : {1, 8}) {
+      SCOPED_TRACE(std::string(models::model_type_name(model)) +
+                   " threads=" + std::to_string(threads));
+      const auto cfg = small_cfg(model);
+      const ReplicaRun looped = train_replicated(g, cfg, threads, 0);
+      const ReplicaRun hand = train_by_hand(g, cfg, threads);
+      EXPECT_EQ(looped.result.replicas, 0);
+      ASSERT_FALSE(hand.result.frame_loss.empty());
+      ASSERT_EQ(looped.result.frame_loss.size(),
+                hand.result.frame_loss.size());
+      EXPECT_EQ(std::memcmp(looped.result.frame_loss.data(),
+                            hand.result.frame_loss.data(),
+                            hand.result.frame_loss.size() * sizeof(float)),
+                0);
+      ASSERT_EQ(looped.params.size(), hand.params.size());
+      EXPECT_EQ(std::memcmp(looped.params.data(), hand.params.data(),
+                            hand.params.size() * sizeof(float)),
+                0);
+    }
+  }
+}
+
 // ---------- TrainResult replica fields + Link lane charging ----------
 
 TEST(ReplicaResult, PopulatesReplicaFieldsAndLinkOps) {
@@ -165,6 +209,33 @@ TEST(ReplicaResult, PopulatesReplicaFieldsAndLinkOps) {
   }
 }
 
+TEST(ReplicaResult, ChargesInfeedStagingToEachReplicasWorkerLanes) {
+  const auto g = graph::generate(tiny_config(40, 8, 3));
+  const auto cfg = small_cfg(models::ModelType::TGcn);
+  for (const int replicas : {0, 2}) {
+    SCOPED_TRACE(replicas);
+    gpusim::Gpu gpu;
+    runtime::PipadOptions opts;
+    opts.host_threads = 2;
+    opts.replicas = replicas;
+    replica::ReplicaTrainer trainer(gpu, g, cfg, opts);
+    const auto r = trainer.train();
+    // Every trained frame stages one shard on its replica, charged to that
+    // replica's worker lanes under its own infeed name.
+    int shards = 0;
+    for (int k = 0; k < trainer.replicas(); ++k) {
+      const std::string name = "prep:infeed:r" + std::to_string(k);
+      for (const auto& rec : trainer.replica_timeline(k).records()) {
+        if (rec.name.rfind("prep:infeed:", 0) != 0) continue;
+        EXPECT_EQ(rec.resource, Resource::CpuWorker) << rec.name;
+        EXPECT_EQ(rec.name, name);
+        ++shards;
+      }
+    }
+    EXPECT_EQ(shards, static_cast<int>(r.frame_loss.size()));
+  }
+}
+
 TEST(ReplicaResult, SingleReplicaNeverTouchesTheLink) {
   const auto g = graph::generate(tiny_config(40, 8, 3));
   gpusim::Gpu gpu;
@@ -193,103 +264,6 @@ TEST(ReplicaTrainerCtor, RejectsUnknownAllreduceAlgorithms) {
                                   opts);
       },
       Error);
-}
-
-// ---------- InfeedQueue: the HostStream wall, on the replica seam ----------
-
-TEST(InfeedQueue, StagesEveryShardAndChargesTheLanes) {
-  gpusim::Gpu gpu;
-  host::HostLane lane(gpu, 2);
-  std::vector<int> out(8, 0);
-  replica::InfeedQueue q(lane, "r0", 8, [&](std::size_t i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    out[i] = static_cast<int>(i) + 1;
-  });
-  EXPECT_EQ(q.size(), 8u);
-  EXPECT_EQ(q.window(), 2u);  // window=0 picks 2.
-  for (std::size_t j = 0; j < 8; ++j) EXPECT_GT(q.wait(j), 0.0);
-  for (int i = 0; i < 8; ++i) EXPECT_EQ(out[i], i + 1);
-  EXPECT_EQ(q.retired(), 8u);
-  // Staging cost lands on the worker lanes under the infeed name.
-  int infeed_ops = 0;
-  for (const auto& rec : gpu.timeline().records()) {
-    ASSERT_EQ(rec.resource, Resource::CpuWorker);
-    EXPECT_EQ(rec.name.rfind("prep:infeed:r0", 0), 0u) << rec.name;
-    ++infeed_ops;
-  }
-  EXPECT_EQ(infeed_ops, 8);
-}
-
-TEST(InfeedQueue, WindowBoundsInFlightShards) {
-  gpusim::Gpu gpu;
-  host::HostLane lane(gpu, 2);
-  constexpr std::size_t kWindow = 3;
-  std::atomic<int> started{0};
-  replica::InfeedQueue q(
-      lane, "r0", 12,
-      [&](std::size_t) {
-        started.fetch_add(1);
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      },
-      kWindow);
-  for (std::size_t j = 0; j < 12; ++j) {
-    q.wait(j);
-    // Backpressure: the producer never runs ahead of the consumer by more
-    // than the in-flight window, so a long timeline cannot pile up staged
-    // feature copies.
-    EXPECT_LE(static_cast<std::size_t>(started.load()),
-              q.retired() + kWindow);
-  }
-  EXPECT_EQ(started.load(), 12);
-  EXPECT_EQ(q.retired(), 12u);
-}
-
-TEST(InfeedQueue, OutOfOrderWaitStillDrains) {
-  gpusim::Gpu gpu;
-  host::HostLane lane(gpu, 2);
-  std::atomic<int> ran{0};
-  replica::InfeedQueue q(
-      lane, "r0", 6, [&](std::size_t) { ran.fetch_add(1); }, 2);
-  // Waiting on the last shard first forces the whole window-refill path.
-  // Shard 4 may still be in flight when shard 5 retires, so the count is
-  // only checked once every shard has been waited on.
-  EXPECT_GT(q.wait(5), 0.0);
-  for (std::size_t j = 0; j < 6; ++j) EXPECT_GT(q.wait(j), 0.0);
-  EXPECT_EQ(ran.load(), 6);
-}
-
-TEST(InfeedQueue, DestructorDrainsUnconsumedShards) {
-  gpusim::Gpu gpu;
-  host::HostLane lane(gpu, 2);
-  std::atomic<int> ran{0};
-  {
-    replica::InfeedQueue q(
-        lane, "r0", 10, [&](std::size_t) { ran.fetch_add(1); }, 4);
-    q.wait(0);
-  }  // Dtor must retire the rest; jobs reference `ran` on this frame.
-  EXPECT_EQ(ran.load(), 10);
-}
-
-TEST(InfeedQueue, RethrowsTheFirstStagingFailureFromWait) {
-  gpusim::Gpu gpu;
-  host::HostLane lane(gpu, 2);
-  std::atomic<int> ran{0};
-  replica::InfeedQueue q(
-      lane, "r0", 6,
-      [&](std::size_t i) {
-        ran.fetch_add(1);
-        if (i == 2) throw std::runtime_error("shard failed");
-      },
-      2);
-  EXPECT_THROW(
-      {
-        for (std::size_t j = 0; j < 6; ++j) q.wait(j);
-      },
-      std::runtime_error);
-  EXPECT_EQ(ran.load(), 6);  // The failure drained, not wedged, the queue.
-  // Sticky: a failed shard can never be consumed as if it succeeded.
-  EXPECT_THROW(q.wait(2), std::runtime_error);
-  EXPECT_THROW(q.wait(5), std::runtime_error);
 }
 
 // ---------- All-reduce unit wall ----------

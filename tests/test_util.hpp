@@ -16,7 +16,7 @@
 #include "graph/generator.hpp"
 #include "kernels/aggregate.hpp"
 #include "models/executor.hpp"
-#include "pipad/pipad_trainer.hpp"
+#include "replica/replica_trainer.hpp"
 #include "tensor/ops.hpp"
 
 namespace pipad::testutil {
@@ -177,7 +177,7 @@ inline std::pair<std::vector<float>, std::vector<float>> train_snapshot(
   opts.host_threads = threads;
   models::TrainConfig c = cfg;
   c.model = model;
-  runtime::PipadTrainer pip(gpu, g, c, opts);
+  replica::ReplicaTrainer pip(gpu, g, c, opts);
   const auto r = pip.train();
   return {r.frame_loss, flat_params(pip.model())};
 }
@@ -188,7 +188,7 @@ inline models::TrainResult train_long(const graph::DTDG& g, int threads,
   gpusim::Gpu gpu;
   runtime::PipadOptions opts;
   opts.host_threads = threads;
-  runtime::PipadTrainer pip(gpu, g, long_cfg(), opts);
+  replica::ReplicaTrainer pip(gpu, g, long_cfg(), opts);
   const auto r = pip.train();
   if (decisions != nullptr) *decisions = pip.sper_decisions();
   return r;

@@ -7,7 +7,7 @@
 
 #include "baselines/baseline_trainer.hpp"
 #include "gpusim/trace.hpp"
-#include "pipad/pipad_trainer.hpp"
+#include "replica/replica_trainer.hpp"
 #include "test_util.hpp"
 
 namespace pipad {
@@ -91,7 +91,7 @@ TEST(Trace, PipadOverlapsCopyAndComputeMoreThanPygt) {
                                   baselines::Variant::PyGT);
   base.train();
   gpusim::Gpu gpu_pipad;
-  runtime::PipadTrainer pipad(gpu_pipad, g, cfg);
+  replica::ReplicaTrainer pipad(gpu_pipad, g, cfg);
   pipad.train();
 
   const double base_ov = gpusim::overlap_fraction(
