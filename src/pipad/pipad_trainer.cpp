@@ -406,6 +406,8 @@ struct PipadTrainer::Impl {
   std::vector<graph::Frame> step_frames;
   std::vector<nn::Parameter*> step_params;
   bool step_prep = false;
+  /// The current frame's graph also carries the next apply_step()'s kernels.
+  bool step_next = false;
   bool step_first_steady = false;
   double step_first_steady_us = 0.0;
 
@@ -768,6 +770,7 @@ struct PipadTrainer::Impl {
     }
     nn::zero_grads(step_params);
     const float loss = model->train_frame(exec, xs, ys);
+    if (step_next) record_optim();
     exec.flush();
     // The frame's numeric kernels ran for real on the ComputePool; charge
     // their measured wall-clock to the worker lanes they occupied (§4.2's
@@ -798,7 +801,8 @@ struct PipadTrainer::Impl {
     if (!step_prep) prepare_steady(prep_frames);
   }
 
-  float grad_frame(const graph::Frame& frame) {
+  float grad_frame(const graph::Frame& frame, bool step_follows) {
+    step_next = step_follows;
     if (step_prep) return train_prep_frame(frame);
     const float loss = train_steady_frame(frame);
     if (!step_first_steady) {
@@ -815,12 +819,22 @@ struct PipadTrainer::Impl {
     return loss;
   }
 
-  void apply_step() {
-    optim.step(step_params);
+  /// The optimizer's modeled kernels (the step's numerics run in
+  /// apply_step; the stats depend only on the parameter sizes).
+  void record_optim() {
     for (const auto* p : step_params) {
       exec.record("ew:optim",
                   kernels::elementwise_stats(p->value.size(), 3, 8));
     }
+  }
+
+  void apply_step() {
+    optim.step(step_params);
+    if (step_next) {
+      step_next = false;  // Launched with the frame's graph.
+      return;
+    }
+    record_optim();
     exec.flush();
   }
 
@@ -868,8 +882,8 @@ void PipadTrainer::begin_epoch(int epoch,
   impl_->begin_epoch(epoch, prep_frames);
 }
 
-float PipadTrainer::grad_frame(const graph::Frame& frame) {
-  return impl_->grad_frame(frame);
+float PipadTrainer::grad_frame(const graph::Frame& frame, bool step_follows) {
+  return impl_->grad_frame(frame, step_follows);
 }
 
 void PipadTrainer::apply_step() { impl_->apply_step(); }

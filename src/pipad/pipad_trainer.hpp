@@ -94,8 +94,11 @@ class PipadTrainer {
   /// train (steady-state partition extraction covers only those).
   void begin_epoch(int epoch, const std::vector<graph::Frame>& prep_frames);
   /// Train one frame at the current params, leaving the gradients in
-  /// params(); returns the frame loss.
-  float grad_frame(const graph::Frame& frame);
+  /// params(); returns the frame loss. `step_follows` promises that
+  /// apply_step() is the next call on this trainer: the optimizer's kernels
+  /// then join the frame's CUDA graph instead of a graph of their own,
+  /// PiPAD's per-frame schedule.
+  float grad_frame(const graph::Frame& frame, bool step_follows = false);
   /// Optimizer step on whatever is in params()' grads now.
   void apply_step();
   /// The model parameters in canonical (model-defined) order.

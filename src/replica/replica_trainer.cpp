@@ -59,6 +59,7 @@ struct ReplicaTrainer::Impl {
   LinkModel link;
   int K;
   int round_size;
+  bool staged;  ///< Frames come through per-replica infeed streams.
 
   std::vector<std::unique_ptr<gpusim::Gpu>> extra_gpus;  ///< Replicas 1..K-1.
   std::vector<gpusim::Gpu*> gpus;                        ///< All K.
@@ -68,9 +69,12 @@ struct ReplicaTrainer::Impl {
        runtime::PipadOptions o)
       : gpu0(g), data(d), cfg(c), opts(std::move(o)) {
     K = std::max(1, opts.replicas);
-    // --replicas 0 is PiPAD's own schedule, an optimizer step after every
-    // frame; this is the only place that tells it apart.
-    round_size = opts.replicas == 0 ? 1 : kReplicaRound;
+    // --replicas 0 is PiPAD's own schedule: an optimizer step after every
+    // frame, and the trainer reads the DTDG directly with no infeed staging
+    // in front of it. This is the only place that tells it apart.
+    const bool classic = opts.replicas == 0;
+    round_size = classic ? 1 : kReplicaRound;
+    staged = !classic;
     PIPAD_CHECK_MSG(parse_allreduce(opts.allreduce, algo),
                     "unknown allreduce algorithm '" << opts.allreduce
                                                     << "' (ring|tree)");
@@ -121,17 +125,17 @@ struct ReplicaTrainer::Impl {
       assigned[k].push_back(frames[j]);
     }
 
-    // Per-replica infeed: one bounded HostStream per replica spanning every
-    // epoch; shard (epoch * per_epoch + q) stages the features + targets of
-    // the replica's q-th assigned frame into its slot. Each shard's measured
-    // wall-clock lands on the worker lane that ran it as a
-    // "prep:infeed:r<k>" op, and at most kInfeedWindow shards are staged
-    // but unconsumed. Staging is declared before the streams so in-flight
-    // jobs never outlive their slots.
+    // Per-replica infeed (K >= 1 only): one bounded HostStream per replica
+    // spanning every epoch; shard (epoch * per_epoch + q) stages the
+    // features + targets of the replica's q-th assigned frame into its slot.
+    // Each shard's measured wall-clock lands on the worker lane that ran it
+    // as a "prep:infeed:r<k>" op, and at most kInfeedWindow shards are
+    // staged but unconsumed. Staging is declared before the streams so
+    // in-flight jobs never outlive their slots.
     std::vector<std::vector<std::vector<float>>> staging(K);
     std::vector<std::unique_ptr<host::HostLane>> lanes(K);
     std::vector<std::unique_ptr<host::HostStream>> infeed(K);
-    for (int k = 0; k < K; ++k) {
+    for (int k = 0; staged && k < K; ++k) {
       const std::size_t per_epoch = assigned[k].size();
       const std::size_t shards =
           per_epoch * static_cast<std::size_t>(cfg.epochs);
@@ -199,13 +203,16 @@ struct ReplicaTrainer::Impl {
         for (int k = 0; k < K; ++k) {
           for (std::size_t j = r0; j < r1; ++j) {
             if (owner[j] != k) continue;
-            const std::size_t shard =
-                static_cast<std::size_t>(epoch) * assigned[k].size() +
-                static_cast<std::size_t>(shard_pos[j]);
-            const double staged = infeed[k]->wait(shard);
-            std::vector<float>().swap(staging[k][shard]);  // Consumed.
-            trainers[k]->set_stage_ready(staged);
-            round_loss[j - r0] = trainers[k]->grad_frame(frames[j]);
+            if (staged) {
+              const std::size_t shard =
+                  static_cast<std::size_t>(epoch) * assigned[k].size() +
+                  static_cast<std::size_t>(shard_pos[j]);
+              const double ready_us = infeed[k]->wait(shard);
+              std::vector<float>().swap(staging[k][shard]);  // Consumed.
+              trainers[k]->set_stage_ready(ready_us);
+            }
+            // A one-frame round steps right behind its frame.
+            round_loss[j - r0] = trainers[k]->grad_frame(frames[j], G == 1);
             round_grads[j - r0] = flatten_grads(trainers[k]->params());
           }
         }
@@ -232,7 +239,7 @@ struct ReplicaTrainer::Impl {
         for (float l : round_loss) result.frame_loss.push_back(l);
       }
     }
-    for (int k = 0; k < K; ++k) infeed[k]->finish();
+    for (int k = 0; staged && k < K; ++k) infeed[k]->finish();
 
     // ---- Summaries: replica 0's timeline is the primary record (its Gpu
     // is the caller's, so trace/analyze see it); total spans the slowest

@@ -6,8 +6,8 @@
 // unchanged) — run the pipelined epoch over disjoint frame subsets, fed by
 // per-replica bounded infeed streams, and synchronize through a gradient
 // all-reduce charged to each replica's Resource::Link lane. `--replicas 0`
-// is the one-device case with one-frame rounds: an optimizer step after
-// every frame, PiPAD's own schedule (§4, Fig. 7).
+// is the one-device case with one-frame rounds and no infeed staging: an
+// optimizer step after every frame, PiPAD's own schedule (§4, Fig. 7).
 //
 // Determinism argument (the repo's wall — bit-identical losses and params
 // for ANY --replicas x --threads combination, K >= 1):

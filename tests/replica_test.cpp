@@ -212,7 +212,7 @@ TEST(ReplicaResult, PopulatesReplicaFieldsAndLinkOps) {
 TEST(ReplicaResult, ChargesInfeedStagingToEachReplicasWorkerLanes) {
   const auto g = graph::generate(tiny_config(40, 8, 3));
   const auto cfg = small_cfg(models::ModelType::TGcn);
-  for (const int replicas : {0, 2}) {
+  for (const int replicas : {1, 2}) {
     SCOPED_TRACE(replicas);
     gpusim::Gpu gpu;
     runtime::PipadOptions opts;
@@ -234,6 +234,38 @@ TEST(ReplicaResult, ChargesInfeedStagingToEachReplicasWorkerLanes) {
     }
     EXPECT_EQ(shards, static_cast<int>(r.frame_loss.size()));
   }
+}
+
+TEST(ReplicaResult, ReplicasZeroLaunchesOneGraphPerFrameWithoutStaging) {
+  // PiPAD's own schedule: the trainer reads the DTDG directly, and each
+  // frame's optimizer kernels ride in that frame's CUDA graph.
+  const auto g = graph::generate(tiny_config(40, 8, 3));
+  gpusim::Gpu gpu;
+  runtime::PipadOptions opts;
+  opts.host_threads = 2;
+  replica::ReplicaTrainer trainer(gpu, g, small_cfg(models::ModelType::TGcn),
+                                  opts);
+  const auto r = trainer.train();
+  // A graph's kernels directly follow its launch in the record order.
+  int optim_graphs = 0;
+  bool has_optim = false, has_frame_kernel = false;
+  auto close_graph = [&] {
+    if (!has_optim) return;
+    ++optim_graphs;
+    EXPECT_TRUE(has_frame_kernel) << "optimizer launched in a graph of its own";
+  };
+  for (const auto& rec : gpu.timeline().records()) {
+    EXPECT_NE(rec.name.rfind("prep:infeed:", 0), 0u) << rec.name;
+    if (rec.name == "launch:graph") {
+      close_graph();
+      has_optim = has_frame_kernel = false;
+    } else if (rec.resource == Resource::Compute) {
+      (rec.name == "kernel:ew:optim" ? has_optim : has_frame_kernel) = true;
+    }
+  }
+  close_graph();
+  ASSERT_FALSE(r.frame_loss.empty());
+  EXPECT_EQ(optim_graphs, static_cast<int>(r.frame_loss.size()));
 }
 
 TEST(ReplicaResult, SingleReplicaNeverTouchesTheLink) {
