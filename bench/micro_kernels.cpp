@@ -71,6 +71,38 @@ void BM_Gemm(benchmark::State& state) {
 }
 BENCHMARK(BM_Gemm)->Arg(1000)->Arg(8000);
 
+// The transposed modes at rnn-dense's T-GCN shapes (2750 rows, hidden 32):
+// the weight gradient dW += X^T dY and the input gradient dX = dY W^T.
+void BM_GemmTN(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  Rng rng(4);
+  const Tensor x = Tensor::randn(n, 32, rng);
+  const Tensor dy = Tensor::randn(n, 32, rng);
+  Tensor dw(32, 32);
+  for (auto _ : state) {
+    ops::gemm(x, dy, dw, /*trans_a=*/true, false, 1.0f, 1.0f);
+    benchmark::DoNotOptimize(dw.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * 2ull * n * 32 * 32);
+}
+BENCHMARK(BM_GemmTN)->Arg(2750);
+
+void BM_GemmNT(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  Rng rng(5);
+  const Tensor dy = Tensor::randn(n, 32, rng);
+  const Tensor w = Tensor::randn(32, 32, rng);
+  Tensor dx(n, 32);
+  for (auto _ : state) {
+    ops::gemm(dy, w, dx, false, /*trans_b=*/true);
+    benchmark::DoNotOptimize(dx.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * 2ull * n * 32 * 32);
+}
+BENCHMARK(BM_GemmNT)->Arg(2750);
+
 void BM_SliceCsr(benchmark::State& state) {
   const auto& g = test_graph();
   for (auto _ : state) {

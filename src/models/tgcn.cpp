@@ -1,5 +1,7 @@
 #include "models/tgcn.hpp"
 
+#include <cmath>
+
 #include "kernels/stats_builders.hpp"
 #include "tensor/ops.hpp"
 
@@ -25,25 +27,41 @@ TGcn::TGcn(int in_dim, int hidden_dim, Rng& rng)
 Tensor TGcn::step(const Tensor& uz, const Tensor& ur, const Tensor& un,
                   const Tensor& h_prev, StepCache& cache,
                   kernels::KernelRecorder* rec) {
+  const int rows = h_prev.rows();
   cache.h_prev = h_prev;
-  Tensor az = hz_.forward(h_prev, rec, "rnn.tgcn.hz");
-  ops::add_inplace(az, uz);
-  Tensor ar = hr_.forward(h_prev, rec, "rnn.tgcn.hr");
-  ops::add_inplace(ar, ur);
-  cache.z = ops::sigmoid(az);
-  cache.r = ops::sigmoid(ar);
+  const Tensor yz = hz_.forward_unbiased(h_prev, rec, "rnn.tgcn.hz");
+  const Tensor yr = hr_.forward_unbiased(h_prev, rec, "rnn.tgcn.hr");
+  const float* bz = hz_.bias().value.row(0);
+  const float* br = hr_.bias().value.row(0);
+  cache.z = Tensor(rows, hid_);
+  cache.r = Tensor(rows, hid_);
+  cache.rh = Tensor(rows, hid_);
+  // z = σ((h U_z + b_z) + u_z), r = σ((h U_r + b_r) + u_r), rh = r ⊙ h.
+  ops::par_rows("elementwise", rows, h_prev.size(), [&](int i) {
+    const float *pyz = yz.row(i), *pyr = yr.row(i);
+    const float *puz = uz.row(i), *pur = ur.row(i), *ph = h_prev.row(i);
+    float *pz = cache.z.row(i), *pr = cache.r.row(i), *prh = cache.rh.row(i);
+    for (int c = 0; c < hid_; ++c) {
+      pz[c] = ops::sigmoid((pyz[c] + bz[c]) + puz[c]);
+      pr[c] = ops::sigmoid((pyr[c] + br[c]) + pur[c]);
+      prh[c] = pr[c] * ph[c];
+    }
+  });
 
-  cache.rh = ops::mul(cache.r, h_prev);
-  Tensor an = hn_.forward(cache.rh, rec, "rnn.tgcn.hn");
-  ops::add_inplace(an, un);
-  cache.n = ops::tanh(an);
-
-  Tensor h(h_prev.rows(), hid_);
-  for (std::size_t i = 0; i < h.size(); ++i) {
-    const float z = cache.z.data()[i];
-    h.data()[i] =
-        (1.0f - z) * cache.n.data()[i] + z * h_prev.data()[i];
-  }
+  const Tensor yn = hn_.forward_unbiased(cache.rh, rec, "rnn.tgcn.hn");
+  const float* bn = hn_.bias().value.row(0);
+  cache.n = Tensor(rows, hid_);
+  Tensor h(rows, hid_);
+  // n = tanh((rh U_n + b_n) + u_n), h = (1 - z) ⊙ n + z ⊙ h_prev.
+  ops::par_rows("elementwise", rows, h.size(), [&](int i) {
+    const float *pyn = yn.row(i), *pun = un.row(i), *pz = cache.z.row(i);
+    const float* ph = h_prev.row(i);
+    float *pn = cache.n.row(i), *pout = h.row(i);
+    for (int c = 0; c < hid_; ++c) {
+      pn[c] = std::tanh((pyn[c] + bn[c]) + pun[c]);
+      pout[c] = (1.0f - pz[c]) * pn[c] + pz[c] * ph[c];
+    }
+  });
   record(rec, "ew:rnn.tgcn.act",
          kernels::elementwise_stats(3 * h.size(), 1, 5));
   return h;
@@ -52,26 +70,52 @@ Tensor TGcn::step(const Tensor& uz, const Tensor& ur, const Tensor& un,
 Tensor TGcn::step_backward(const StepCache& cache, const Tensor& dh,
                            Tensor& d_uz, Tensor& d_ur, Tensor& d_un,
                            kernels::KernelRecorder* rec) {
-  // h = (1-z)*n + z*h_prev.
-  Tensor dz = ops::mul(dh, ops::sub(cache.h_prev, cache.n));
-  Tensor dn = ops::mul(
-      dh, ops::sub(Tensor::full(dh.rows(), dh.cols(), 1.0f), cache.z));
-  Tensor dh_prev = ops::mul(dh, cache.z);
+  const int rows = dh.rows();
+  const std::size_t size = dh.size();
+  Tensor dh_prev(rows, hid_);
+  d_uz = Tensor(rows, hid_);
+  d_un = Tensor(rows, hid_);
+  // h = (1-z)*n + z*h_prev: dh_prev = dh*z; through the candidate's tanh,
+  // d_un = (dh*(1-z))*(1-n^2); through z's sigmoid,
+  // d_uz = ((dh*(h_prev-n))*z)*(1-z).
+  {
+    const float *pdh = dh.data(), *pz = cache.z.data(), *pn = cache.n.data();
+    const float* ph = cache.h_prev.data();
+    float *pdhp = dh_prev.data(), *pduz = d_uz.data(), *pdun = d_un.data();
+    ops::par_elems(size, [&](std::size_t lo, std::size_t hi) {
+      for (std::size_t i = lo; i < hi; ++i) {
+        pdhp[i] = pdh[i] * pz[i];
+        pdun[i] = ops::tanh_grad(pdh[i] * (1.0f - pz[i]), pn[i]);
+        pduz[i] = ops::sigmoid_grad(pdh[i] * (ph[i] - pn[i]), pz[i]);
+      }
+    });
+  }
 
-  // Candidate branch: an = un + U_n(rh).
-  Tensor dan = ops::tanh_grad(dn, cache.n);
-  d_un = dan;
-  Tensor drh = hn_.backward(cache.rh, dan, rec, "rnn.tgcn.hn");
-  Tensor dr = ops::mul(drh, cache.h_prev);
-  ops::add_inplace(dh_prev, ops::mul(drh, cache.r));
+  // Candidate branch: an = un + U_n(rh), rh = r ⊙ h_prev.
+  const Tensor drh = hn_.backward(cache.rh, d_un, rec, "rnn.tgcn.hn");
+  d_ur = Tensor(rows, hid_);
+  {
+    const float *pdrh = drh.data(), *pr = cache.r.data();
+    const float* ph = cache.h_prev.data();
+    float *pdhp = dh_prev.data(), *pdur = d_ur.data();
+    ops::par_elems(size, [&](std::size_t lo, std::size_t hi) {
+      for (std::size_t i = lo; i < hi; ++i) {
+        pdur[i] = ops::sigmoid_grad(pdrh[i] * ph[i], pr[i]);
+        pdhp[i] += pdrh[i] * pr[i];
+      }
+    });
+  }
 
-  // Gates.
-  Tensor daz = ops::sigmoid_grad(dz, cache.z);
-  Tensor dar = ops::sigmoid_grad(dr, cache.r);
-  d_uz = daz;
-  d_ur = dar;
-  ops::add_inplace(dh_prev, hz_.backward(cache.h_prev, daz, rec, "rnn.tgcn.hz"));
-  ops::add_inplace(dh_prev, hr_.backward(cache.h_prev, dar, rec, "rnn.tgcn.hr"));
+  // Gates' hidden transforms.
+  const Tensor dhz = hz_.backward(cache.h_prev, d_uz, rec, "rnn.tgcn.hz");
+  const Tensor dhr = hr_.backward(cache.h_prev, d_ur, rec, "rnn.tgcn.hr");
+  {
+    const float *pz = dhz.data(), *pr = dhr.data();
+    float* pdhp = dh_prev.data();
+    ops::par_elems(size, [&](std::size_t lo, std::size_t hi) {
+      for (std::size_t i = lo; i < hi; ++i) pdhp[i] = (pdhp[i] + pz[i]) + pr[i];
+    });
+  }
   record(rec, "ew:rnn.tgcn.act.bwd",
          kernels::elementwise_stats(6 * dh.size(), 2, 6));
   return dh_prev;

@@ -27,15 +27,13 @@ class TGcn final : public DgnnModel {
   std::vector<nn::Parameter*> params() override;
   int num_agg_layers() const override { return 1; }
 
- private:
+  // One recurrent step and its backward, public so a step can be checked
+  // in isolation. Each runs its gate elementwise math as fused passes.
   struct StepCache {
     Tensor h_prev;
     Tensor z, r, n;
     Tensor rh;  ///< r ⊙ h_prev.
   };
-
-  float run_frame(FrameExecutor& ex, const std::vector<const Tensor*>& xs,
-                  const std::vector<const Tensor*>& targets, bool train);
 
   /// One recurrent step given the precomputed gate inputs.
   Tensor step(const Tensor& uz, const Tensor& ur, const Tensor& un,
@@ -47,6 +45,10 @@ class TGcn final : public DgnnModel {
   Tensor step_backward(const StepCache& cache, const Tensor& dh,
                        Tensor& d_uz, Tensor& d_ur, Tensor& d_un,
                        kernels::KernelRecorder* rec);
+
+ private:
+  float run_frame(FrameExecutor& ex, const std::vector<const Tensor*>& xs,
+                  const std::vector<const Tensor*>& targets, bool train);
 
   int hid_ = 0;
   nn::Linear gate_z_, gate_r_, gate_n_;  ///< GCN update weights W_g (in->hid).

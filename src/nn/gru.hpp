@@ -23,7 +23,6 @@ class GRUCell {
     Tensor x, h_prev;
     Tensor xh;    ///< [x | h_prev].
     Tensor z, r;  ///< Update / reset gates.
-    Tensor rh;    ///< r ⊙ h_prev.
     Tensor xrh;   ///< [x | r ⊙ h_prev].
     Tensor n;     ///< Candidate state.
   };

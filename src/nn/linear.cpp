@@ -14,8 +14,14 @@ void record_gemm(kernels::KernelRecorder* rec, const std::string& name,
 
 Tensor Linear::forward(const Tensor& x, kernels::KernelRecorder* rec,
                        const std::string& tag) const {
-  Tensor y = ops::matmul(x, w_.value);
+  Tensor y = forward_unbiased(x, rec, tag);
   ops::add_bias(y, b_.value);
+  return y;
+}
+
+Tensor Linear::forward_unbiased(const Tensor& x, kernels::KernelRecorder* rec,
+                                const std::string& tag) const {
+  Tensor y = ops::matmul(x, w_.value);
   record_gemm(rec, "gemm:" + tag, x.rows(), x.cols(), w_.value.cols());
   return y;
 }

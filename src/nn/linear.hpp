@@ -23,6 +23,11 @@ class Linear {
   Tensor forward(const Tensor& x, kernels::KernelRecorder* rec,
                  const std::string& tag) const;
 
+  /// y = x * W, recorded like forward(), for callers that add bias() inside
+  /// a fused elementwise pass.
+  Tensor forward_unbiased(const Tensor& x, kernels::KernelRecorder* rec,
+                          const std::string& tag) const;
+
   /// Given the cached input x and upstream dy: accumulates dW, db and
   /// returns dx.
   Tensor backward(const Tensor& x, const Tensor& dy,

@@ -1,5 +1,7 @@
 #include "nn/lstm.hpp"
 
+#include <cmath>
+
 #include "kernels/stats_builders.hpp"
 #include "tensor/ops.hpp"
 
@@ -27,21 +29,38 @@ std::pair<Tensor, Tensor> LSTMCell::forward(const Tensor& x,
   PIPAD_CHECK_MSG(x.cols() == in_, "LSTM input dim mismatch");
   PIPAD_CHECK_MSG(h_prev.cols() == hid_ && c_prev.cols() == hid_,
                   "LSTM hidden dim mismatch");
+  const int rows = x.rows();
   cache.xh = ops::concat_cols(x, h_prev);
-  Tensor gates = ops::matmul(cache.xh, w_.value);
-  ops::add_bias(gates, b_.value);
+  const Tensor gates = ops::matmul(cache.xh, w_.value);
   record(rec, "gemm:" + tag + ".gates",
          kernels::gemm_stats(x.rows(), in_ + hid_, 4 * hid_));
 
-  cache.i = ops::sigmoid(ops::slice_cols(gates, 0, hid_));
-  cache.f = ops::sigmoid(ops::slice_cols(gates, hid_, hid_));
-  cache.g = ops::tanh(ops::slice_cols(gates, 2 * hid_, hid_));
-  cache.o = ops::sigmoid(ops::slice_cols(gates, 3 * hid_, hid_));
+  cache.i = Tensor(rows, hid_);
+  cache.f = Tensor(rows, hid_);
+  cache.g = Tensor(rows, hid_);
+  cache.o = Tensor(rows, hid_);
   cache.c_prev = c_prev;
-
-  cache.c = ops::add(ops::mul(cache.f, c_prev), ops::mul(cache.i, cache.g));
-  cache.tanh_c = ops::tanh(cache.c);
-  Tensor h = ops::mul(cache.o, cache.tanh_c);
+  cache.c = Tensor(rows, hid_);
+  cache.tanh_c = Tensor(rows, hid_);
+  Tensor h(rows, hid_);
+  // Gate order i|f|g|o on a = xh W + b; c = f ⊙ c_prev + i ⊙ g and
+  // h = o ⊙ tanh(c).
+  const float* b = b_.value.row(0);
+  ops::par_rows("elementwise", rows, gates.size(), [&](int r) {
+    const float *pa = gates.row(r), *pcp = c_prev.row(r);
+    float *pi = cache.i.row(r), *pf = cache.f.row(r), *pg = cache.g.row(r);
+    float *po = cache.o.row(r), *pc = cache.c.row(r);
+    float *ptc = cache.tanh_c.row(r), *ph = h.row(r);
+    for (int c = 0; c < hid_; ++c) {
+      pi[c] = ops::sigmoid(pa[c] + b[c]);
+      pf[c] = ops::sigmoid(pa[hid_ + c] + b[hid_ + c]);
+      pg[c] = std::tanh(pa[2 * hid_ + c] + b[2 * hid_ + c]);
+      po[c] = ops::sigmoid(pa[3 * hid_ + c] + b[3 * hid_ + c]);
+      pc[c] = pf[c] * pcp[c] + pi[c] * pg[c];
+      ptc[c] = std::tanh(pc[c]);
+      ph[c] = po[c] * ptc[c];
+    }
+  });
   record(rec, "ew:" + tag + ".act",
          kernels::elementwise_stats(gates.size(), 1, 6));
   return {std::move(h), cache.c};
@@ -50,28 +69,30 @@ std::pair<Tensor, Tensor> LSTMCell::forward(const Tensor& x,
 std::tuple<Tensor, Tensor, Tensor> LSTMCell::backward(
     const Cache& cache, const Tensor& dh, const Tensor& dc,
     kernels::KernelRecorder* rec, const std::string& tag) {
-  // dc_total = dc + dh * o * (1 - tanh_c^2)
-  Tensor dtanh_c = ops::mul(dh, cache.o);
-  Tensor dc_total = ops::tanh_grad(dtanh_c, cache.tanh_c);
-  if (!dc.empty()) ops::add_inplace(dc_total, dc);
-
-  Tensor d_o = ops::mul(dh, cache.tanh_c);
-  Tensor d_f = ops::mul(dc_total, cache.c_prev);
-  Tensor dc_prev = ops::mul(dc_total, cache.f);
-  Tensor d_i = ops::mul(dc_total, cache.g);
-  Tensor d_g = ops::mul(dc_total, cache.i);
-
-  // Through the gate nonlinearities.
-  Tensor da_i = ops::sigmoid_grad(d_i, cache.i);
-  Tensor da_f = ops::sigmoid_grad(d_f, cache.f);
-  Tensor da_g = ops::tanh_grad(d_g, cache.g);
-  Tensor da_o = ops::sigmoid_grad(d_o, cache.o);
-
-  Tensor da(dh.rows(), 4 * hid_);
-  ops::add_into_cols(da, da_i, 0);
-  ops::add_into_cols(da, da_f, hid_);
-  ops::add_into_cols(da, da_g, 2 * hid_);
-  ops::add_into_cols(da, da_o, 3 * hid_);
+  const int rows = dh.rows();
+  const bool has_dc = !dc.empty();
+  Tensor da(rows, 4 * hid_);
+  Tensor dc_prev(rows, hid_);
+  // dc_total = dh*o*(1 - tanh_c^2) + dc, then through each gate's
+  // nonlinearity into da = [da_i | da_f | da_g | da_o]. Each da entry is
+  // written as 0 + x, the value a scatter into a zeroed da holds (-0 reads
+  // back as +0).
+  ops::par_rows("elementwise", rows, da.size(), [&](int r) {
+    const float *pdh = dh.row(r), *pdc = has_dc ? dc.row(r) : nullptr;
+    const float *pi = cache.i.row(r), *pf = cache.f.row(r);
+    const float *pg = cache.g.row(r), *po = cache.o.row(r);
+    const float *pcp = cache.c_prev.row(r), *ptc = cache.tanh_c.row(r);
+    float *pda = da.row(r), *pdcp = dc_prev.row(r);
+    for (int c = 0; c < hid_; ++c) {
+      float dct = ops::tanh_grad(pdh[c] * po[c], ptc[c]);
+      if (has_dc) dct += pdc[c];
+      pdcp[c] = dct * pf[c];
+      pda[c] = 0.0f + ops::sigmoid_grad(dct * pg[c], pi[c]);
+      pda[hid_ + c] = 0.0f + ops::sigmoid_grad(dct * pcp[c], pf[c]);
+      pda[2 * hid_ + c] = 0.0f + ops::tanh_grad(dct * pi[c], pg[c]);
+      pda[3 * hid_ + c] = 0.0f + ops::sigmoid_grad(pdh[c] * ptc[c], po[c]);
+    }
+  });
   record(rec, "ew:" + tag + ".act.bwd",
          kernels::elementwise_stats(da.size(), 2, 8));
 

@@ -1,35 +1,100 @@
 #include "tensor/ops.hpp"
 
+#include <algorithm>
 #include <cmath>
-
-#include "common/compute_pool.hpp"
+#include <cstring>
+#include <vector>
 
 namespace pipad::ops {
 
 namespace {
-// Logical element access under optional transpose.
-inline float get(const Tensor& t, bool trans, int r, int c) {
-  return trans ? t.at(c, r) : t.at(r, c);
+// Four floats: SSE2 registers on the x86-64 baseline. Lane-wise * and + are
+// the same IEEE single-precision operations as the scalar code's.
+typedef float v4f __attribute__((vector_size(16)));
+
+inline v4f load4(const float* p) {
+  v4f v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+inline void store4(float* p, v4f v) { std::memcpy(p, &v, sizeof v); }
+
+// Columns of one C row kept in registers across the whole k loop.
+constexpr int kStrip = 32;
+
+// One strip of one C row: c[0, W) = beta * c[0, W), then for kk ascending
+// c[j] += (alpha * a[kk * lda]) * b[kk * ldb + j], skipping every kk whose
+// alpha * a[kk * lda] is exactly zero. That is the in-order scalar loop's
+// order of operations for every element, so the result is bit-identical
+// to it.
+template <int W>
+inline void gemm_strip(const float* a, std::size_t lda, int k, float alpha,
+                       const float* b, std::size_t ldb, float* c, float beta) {
+  if constexpr (W % 4 == 0) {
+    constexpr std::size_t kQ = W / 4;
+    const v4f betav = {beta, beta, beta, beta};
+    v4f acc[kQ];
+    for (std::size_t q = 0; q < kQ; ++q) {
+      acc[q] = beta == 0.0f ? v4f{} : load4(c + 4 * q);
+      if (beta != 0.0f && beta != 1.0f) acc[q] *= betav;
+    }
+    for (int kk = 0; kk < k; ++kk) {
+      const float av = alpha * a[kk * lda];
+      if (av == 0.0f) continue;
+      const v4f avv = {av, av, av, av};
+      const float* brow = b + kk * ldb;
+      for (std::size_t q = 0; q < kQ; ++q) acc[q] += avv * load4(brow + 4 * q);
+    }
+    for (std::size_t q = 0; q < kQ; ++q) store4(c + 4 * q, acc[q]);
+  } else {
+    static_assert(W == 1);
+    float acc = beta == 0.0f ? 0.0f : c[0];
+    if (beta != 0.0f && beta != 1.0f) acc *= beta;
+    for (int kk = 0; kk < k; ++kk) {
+      const float av = alpha * a[kk * lda];
+      if (av == 0.0f) continue;
+      acc += av * b[kk * ldb];
+    }
+    c[0] = acc;
+  }
 }
 
-// Row-blocked and element-blocked dispatch through the shared ComputePool.
-// Every op here computes each output row/element exactly as the serial code
-// would, so results are bit-identical for any thread count; only ops whose
-// rounding depends on a cross-row combine order (the reductions at the
-// bottom of this file) stay serial.
-template <typename F>
-inline void par_rows(const char* name, int rows, std::size_t total_work,
-                     const F& fn) {
-  ComputePool::instance().for_blocks(
-      name, static_cast<std::size_t>(rows), total_work,
-      [&fn](std::size_t lo, std::size_t hi) {
-        for (std::size_t r = lo; r < hi; ++r) fn(static_cast<int>(r));
-      });
+// One C row of n columns: full 32-column strips, then the tail in strips
+// of 16, 8, 4 and 1. Strip widths never change an element's operations.
+void gemm_row(const float* a, std::size_t lda, int k, float alpha,
+              const float* b, int n, float* c, float beta) {
+  const auto ldb = static_cast<std::size_t>(n);
+  int j = 0;
+  for (; j + kStrip <= n; j += kStrip) {
+    gemm_strip<kStrip>(a, lda, k, alpha, b + j, ldb, c + j, beta);
+  }
+  if (n - j >= 16) {
+    gemm_strip<16>(a, lda, k, alpha, b + j, ldb, c + j, beta);
+    j += 16;
+  }
+  if (n - j >= 8) {
+    gemm_strip<8>(a, lda, k, alpha, b + j, ldb, c + j, beta);
+    j += 8;
+  }
+  if (n - j >= 4) {
+    gemm_strip<4>(a, lda, k, alpha, b + j, ldb, c + j, beta);
+    j += 4;
+  }
+  for (; j < n; ++j) gemm_strip<1>(a, lda, k, alpha, b + j, ldb, c + j, beta);
 }
 
-template <typename F>
-inline void par_elems(const char* name, std::size_t n, const F& fn) {
-  ComputePool::instance().for_blocks(name, n, n, fn);
+// Row-major copy of t^T.
+std::vector<float> transposed(const Tensor& t) {
+  const int rows = t.rows();
+  const int cols = t.cols();
+  std::vector<float> out(t.size());
+  for (int r = 0; r < rows; ++r) {
+    const float* src = t.row(r);
+    for (int c = 0; c < cols; ++c) {
+      out[static_cast<std::size_t>(c) * rows + r] = src[c];
+    }
+  }
+  return out;
 }
 }  // namespace
 
@@ -46,36 +111,20 @@ void gemm(const Tensor& a, const Tensor& b, Tensor& c, bool trans_a,
   PIPAD_CHECK_MSG(c.rows() == m && c.cols() == n,
                   "gemm output shape mismatch: got " << c.shape_str());
 
-  if (beta == 0.0f) {
-    c.fill(0.0f);
-  } else if (beta != 1.0f) {
-    scale_inplace(c, beta);
-  }
-
+  // All four modes run the one row kernel. Row i of op(A) is read in place:
+  // contiguous, or a column of A with stride m when transposed (measured no
+  // slower than packing it first). The kernel reads whole rows of op(B), so
+  // a transposed B is packed into a row-major k x n copy, O(k * n) against
+  // the product's O(m * k * n). Rows of C are independent, so the
+  // row-blocked parallel path computes each one in the exact serial order.
+  const std::vector<float> packed_b =
+      trans_b ? transposed(b) : std::vector<float>();
+  const float* pb = trans_b ? packed_b.data() : b.data();
+  const std::size_t lda = trans_a ? static_cast<std::size_t>(m) : 1;
   const std::size_t work = static_cast<std::size_t>(m) * k * n;
-  // i-k-j ordering: streaming access over C and (untransposed) B rows. Rows
-  // of C are independent, so the row-blocked parallel path computes each one
-  // in the exact serial order.
-  if (!trans_a && !trans_b) {
-    par_rows("gemm", m, work, [&](int i) {
-      float* crow = c.row(i);
-      const float* arow = a.row(i);
-      for (int kk = 0; kk < k; ++kk) {
-        const float av = alpha * arow[kk];
-        if (av == 0.0f) continue;
-        const float* brow = b.row(kk);
-        for (int j = 0; j < n; ++j) crow[j] += av * brow[j];
-      }
-    });
-    return;
-  }
   par_rows("gemm", m, work, [&](int i) {
-    float* crow = c.row(i);
-    for (int kk = 0; kk < k; ++kk) {
-      const float av = alpha * get(a, trans_a, i, kk);
-      if (av == 0.0f) continue;
-      for (int j = 0; j < n; ++j) crow[j] += av * get(b, trans_b, kk, j);
-    }
+    const float* arow = trans_a ? a.data() + i : a.row(i);
+    gemm_row(arow, lda, k, alpha, pb, n, c.row(i), beta);
   });
 }
 
@@ -100,13 +149,23 @@ void add_bias(Tensor& y, const Tensor& bias) {
 
 Tensor bias_grad(const Tensor& grad) {
   Tensor g(1, grad.cols());
-  // Columns are independent and each column sums rows in serial order, so
-  // the column-blocked parallel path is bit-identical to the serial one.
-  par_rows("elementwise", grad.cols(), grad.size(), [&](int c) {
-    float acc = 0.0f;
-    for (int r = 0; r < grad.rows(); ++r) acc += grad.at(r, c);
-    g.at(0, c) = acc;
-  });
+  // Column-blocked: each block streams the rows once into local
+  // accumulators, kStrip columns at a time. Every column still sums its rows
+  // in ascending order, so the result is bit-identical for any block layout.
+  float* out = g.row(0);
+  ComputePool::instance().for_blocks(
+      "elementwise", static_cast<std::size_t>(grad.cols()), grad.size(),
+      [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t j0 = lo; j0 < hi; j0 += kStrip) {
+          const std::size_t w = std::min<std::size_t>(kStrip, hi - j0);
+          float acc[kStrip] = {};
+          for (int r = 0; r < grad.rows(); ++r) {
+            const float* row = grad.row(r) + j0;
+            for (std::size_t c = 0; c < w; ++c) acc[c] += row[c];
+          }
+          std::copy(acc, acc + w, out + j0);
+        }
+      });
   return g;
 }
 
@@ -116,7 +175,7 @@ void add_inplace(Tensor& a, const Tensor& b, float scale) {
                                        << b.shape_str());
   float* pa = a.data();
   const float* pb = b.data();
-  par_elems("elementwise", a.size(), [&](std::size_t lo, std::size_t hi) {
+  par_elems(a.size(), [&](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i) pa[i] += scale * pb[i];
   });
 }
@@ -139,7 +198,7 @@ Tensor mul(const Tensor& a, const Tensor& b) {
   const float* pa = a.data();
   const float* pb = b.data();
   float* pc = c.data();
-  par_elems("elementwise", a.size(), [&](std::size_t lo, std::size_t hi) {
+  par_elems(a.size(), [&](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i) pc[i] = pa[i] * pb[i];
   });
   return c;
@@ -147,7 +206,7 @@ Tensor mul(const Tensor& a, const Tensor& b) {
 
 void scale_inplace(Tensor& a, float s) {
   float* pa = a.data();
-  par_elems("elementwise", a.size(), [&](std::size_t lo, std::size_t hi) {
+  par_elems(a.size(), [&](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i) pa[i] *= s;
   });
 }
@@ -156,7 +215,7 @@ Tensor relu(const Tensor& x) {
   Tensor y(x.rows(), x.cols());
   const float* px = x.data();
   float* py = y.data();
-  par_elems("elementwise", x.size(), [&](std::size_t lo, std::size_t hi) {
+  par_elems(x.size(), [&](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i) py[i] = px[i] > 0.0f ? px[i] : 0.0f;
   });
   return y;
@@ -168,7 +227,7 @@ Tensor relu_grad(const Tensor& dy, const Tensor& x) {
   const float* pdy = dy.data();
   const float* px = x.data();
   float* pdx = dx.data();
-  par_elems("elementwise", x.size(), [&](std::size_t lo, std::size_t hi) {
+  par_elems(x.size(), [&](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i)
       pdx[i] = px[i] > 0.0f ? pdy[i] : 0.0f;
   });
@@ -179,9 +238,8 @@ Tensor sigmoid(const Tensor& x) {
   Tensor y(x.rows(), x.cols());
   const float* px = x.data();
   float* py = y.data();
-  par_elems("elementwise", x.size(), [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i)
-      py[i] = 1.0f / (1.0f + std::exp(-px[i]));
+  par_elems(x.size(), [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) py[i] = sigmoid(px[i]);
   });
   return y;
 }
@@ -192,9 +250,9 @@ Tensor sigmoid_grad(const Tensor& dy, const Tensor& y) {
   const float* pdy = dy.data();
   const float* py = y.data();
   float* pdx = dx.data();
-  par_elems("elementwise", y.size(), [&](std::size_t lo, std::size_t hi) {
+  par_elems(y.size(), [&](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i)
-      pdx[i] = pdy[i] * py[i] * (1.0f - py[i]);
+      pdx[i] = sigmoid_grad(pdy[i], py[i]);
   });
   return dx;
 }
@@ -203,7 +261,7 @@ Tensor tanh(const Tensor& x) {
   Tensor y(x.rows(), x.cols());
   const float* px = x.data();
   float* py = y.data();
-  par_elems("elementwise", x.size(), [&](std::size_t lo, std::size_t hi) {
+  par_elems(x.size(), [&](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i) py[i] = std::tanh(px[i]);
   });
   return y;
@@ -215,9 +273,9 @@ Tensor tanh_grad(const Tensor& dy, const Tensor& y) {
   const float* pdy = dy.data();
   const float* py = y.data();
   float* pdx = dx.data();
-  par_elems("elementwise", y.size(), [&](std::size_t lo, std::size_t hi) {
+  par_elems(y.size(), [&](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i)
-      pdx[i] = pdy[i] * (1.0f - py[i] * py[i]);
+      pdx[i] = tanh_grad(pdy[i], py[i]);
   });
   return dx;
 }

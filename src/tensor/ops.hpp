@@ -6,13 +6,58 @@
 // every output row/element is computed in serial order, so results are
 // bit-identical for any --threads value. Order-sensitive reductions
 // (mse_loss, sum, frobenius_norm) run serially for the same reason.
+//
+// Accumulation-order contract. Each op's result is defined by an in-order
+// scalar loop, and a faster implementation must reproduce it bit for bit:
+//   - gemm: C[i][j] starts from beta * C[i][j] (exactly 0 when beta == 0,
+//     C itself when beta == 1), then adds (alpha * A[i][k]) * B[k][j] for
+//     k ascending, skipping every k where alpha * A[i][k] == 0.0f (so +0
+//     and -0 both skip);
+//   - bias_grad: each column sums its rows in ascending order from +0;
+//   - no multiply-add contraction: every product is rounded before it is
+//     added (the build passes -ffp-contract=off, so FMA-capable targets
+//     round the same way as the x86-64 baseline).
+// Vectorizing across output columns and blocking over rows or columns is
+// free under this contract; reordering or splitting the k sum is not.
 #pragma once
 
+#include <cmath>
+#include <cstddef>
 #include <utility>
 
+#include "common/compute_pool.hpp"
 #include "tensor/tensor.hpp"
 
 namespace pipad::ops {
+
+// ---- Parallel building blocks (the ops below and fused RNN-cell passes) ----
+/// Run fn(r) for every row r in [0, rows) as one measured region on the
+/// shared ComputePool, in row blocks whose layout never depends on the pool
+/// width. fn must write only row r's outputs.
+template <typename F>
+void par_rows(const char* name, int rows, std::size_t total_work,
+              const F& fn) {
+  ComputePool::instance().for_blocks(
+      name, static_cast<std::size_t>(rows), total_work,
+      [&fn](std::size_t lo, std::size_t hi) {
+        for (std::size_t r = lo; r < hi; ++r) fn(static_cast<int>(r));
+      });
+}
+
+/// Run fn(lo, hi) over element blocks of [0, n) as one measured
+/// "elementwise" region. fn must compute element i from index i alone.
+template <typename F>
+void par_elems(std::size_t n, const F& fn) {
+  ComputePool::instance().for_blocks("elementwise", n, n, fn);
+}
+
+/// Scalar activations and gradients, shared by the tensor ops below and the
+/// fused RNN-cell passes so that both round the same way.
+inline float sigmoid(float x) { return 1.0f / (1.0f + std::exp(-x)); }
+/// dx given y = sigmoid(x): dy * y * (1 - y).
+inline float sigmoid_grad(float dy, float y) { return dy * y * (1.0f - y); }
+/// dx given y = tanh(x): dy * (1 - y^2).
+inline float tanh_grad(float dy, float y) { return dy * (1.0f - y * y); }
 
 /// C = alpha * op(A) * op(B) + beta * C, row-major.
 /// trans_a/trans_b select op(X) = X or X^T.

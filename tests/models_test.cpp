@@ -1,5 +1,6 @@
 // Model tests: training dynamics, gradient sanity against numerical
-// differentiation, and structural invariants of the three DGNNs.
+// differentiation, structural invariants of the DGNNs, and T-GCN's fused
+// recurrent step against its op-by-op chain.
 #include <gtest/gtest.h>
 
 #include "models/evolvegcn.hpp"
@@ -151,6 +152,128 @@ TEST(ModelStructure, DeterministicInitAcrossRuns) {
   for (std::size_t i = 0; i < p1.size(); ++i) {
     EXPECT_EQ(ops::max_abs_diff(p1[i]->value, p2[i]->value), 0.0f);
   }
+}
+
+// ---------- T-GCN's fused step vs the op-by-op chain it replaced ----------
+
+using testutil::randn_with_zeros;
+using testutil::same_bits;
+
+/// One step and its backward as separate tensor ops, in the order T-GCN
+/// used before its gate math was fused.
+struct TgcnChain {
+  Tensor z, r, n, rh, h, dh_prev, d_uz, d_ur, d_un;
+};
+
+TgcnChain tgcn_chain(nn::Linear& hz, nn::Linear& hr, nn::Linear& hn,
+                     const Tensor& uz, const Tensor& ur, const Tensor& un,
+                     const Tensor& h_prev, const Tensor& dh) {
+  TgcnChain o;
+  Tensor az = hz.forward(h_prev, nullptr, "t");
+  ops::add_inplace(az, uz);
+  Tensor ar = hr.forward(h_prev, nullptr, "t");
+  ops::add_inplace(ar, ur);
+  o.z = ops::sigmoid(az);
+  o.r = ops::sigmoid(ar);
+  o.rh = ops::mul(o.r, h_prev);
+  Tensor an = hn.forward(o.rh, nullptr, "t");
+  ops::add_inplace(an, un);
+  o.n = ops::tanh(an);
+  o.h = Tensor(h_prev.rows(), h_prev.cols());
+  for (std::size_t i = 0; i < o.h.size(); ++i) {
+    const float z = o.z.data()[i];
+    o.h.data()[i] = (1.0f - z) * o.n.data()[i] + z * h_prev.data()[i];
+  }
+
+  Tensor dz = ops::mul(dh, ops::sub(h_prev, o.n));
+  Tensor dn =
+      ops::mul(dh, ops::sub(Tensor::full(dh.rows(), dh.cols(), 1.0f), o.z));
+  o.dh_prev = ops::mul(dh, o.z);
+  o.d_un = ops::tanh_grad(dn, o.n);
+  Tensor drh = hn.backward(o.rh, o.d_un, nullptr, "t");
+  Tensor dr = ops::mul(drh, h_prev);
+  ops::add_inplace(o.dh_prev, ops::mul(drh, o.r));
+  o.d_uz = ops::sigmoid_grad(dz, o.z);
+  o.d_ur = ops::sigmoid_grad(dr, o.r);
+  ops::add_inplace(o.dh_prev, hz.backward(h_prev, o.d_uz, nullptr, "t"));
+  ops::add_inplace(o.dh_prev, hr.backward(h_prev, o.d_ur, nullptr, "t"));
+  return o;
+}
+
+/// Gate inputs, state and upstream grad for one step.
+struct StepInputs {
+  Tensor uz, ur, un, h0, dh;
+  StepInputs(int rows, int hid, Rng& rng)
+      : uz(randn_with_zeros(rows, hid, rng)),
+        ur(randn_with_zeros(rows, hid, rng)),
+        un(randn_with_zeros(rows, hid, rng)),
+        h0(randn_with_zeros(rows, hid, rng)),
+        dh(randn_with_zeros(rows, hid, rng)) {}
+};
+
+/// A seeded T-GCN with nonzero biases.
+models::TGcn seeded_tgcn(int hid, Rng& rng) {
+  models::TGcn model(3, hid, rng);
+  testutil::randomize_biases(model.params(), rng);
+  return model;
+}
+
+void expect_tgcn_step_matches_chain(int rows, int hid, std::uint64_t seed) {
+  Rng rng(seed);
+  models::TGcn model = seeded_tgcn(hid, rng);
+  const StepInputs in(rows, hid, rng);
+  // params(): gate_z, gate_r, gate_n, hz, hr, hn, head, each (W, b).
+  const auto p = model.params();
+  std::vector<nn::Linear> u(3);
+  for (int g = 0; g < 3; ++g) {
+    u[g] = nn::Linear(hid, hid, rng);
+    u[g].weight().value = p[6 + 2 * g]->value;
+    u[g].bias().value = p[7 + 2 * g]->value;
+  }
+
+  models::TGcn::StepCache cache;
+  const Tensor h = model.step(in.uz, in.ur, in.un, in.h0, cache, nullptr);
+  Tensor d_uz, d_ur, d_un;
+  const Tensor dh0 =
+      model.step_backward(cache, in.dh, d_uz, d_ur, d_un, nullptr);
+  const TgcnChain want =
+      tgcn_chain(u[0], u[1], u[2], in.uz, in.ur, in.un, in.h0, in.dh);
+
+  EXPECT_TRUE(same_bits(cache.z, want.z));
+  EXPECT_TRUE(same_bits(cache.r, want.r));
+  EXPECT_TRUE(same_bits(cache.n, want.n));
+  EXPECT_TRUE(same_bits(cache.rh, want.rh));
+  EXPECT_TRUE(same_bits(h, want.h));
+  EXPECT_TRUE(same_bits(dh0, want.dh_prev));
+  EXPECT_TRUE(same_bits(d_uz, want.d_uz));
+  EXPECT_TRUE(same_bits(d_ur, want.d_ur));
+  EXPECT_TRUE(same_bits(d_un, want.d_un));
+  for (int g = 0; g < 3; ++g) {
+    EXPECT_TRUE(same_bits(p[6 + 2 * g]->grad, u[g].weight().grad)) << g;
+    EXPECT_TRUE(same_bits(p[7 + 2 * g]->grad, u[g].bias().grad)) << g;
+  }
+}
+
+TEST(TgcnStep, FusedPassesMatchOpChainBitForBit) {
+  expect_tgcn_step_matches_chain(67, 9, 51);  // Strip tails everywhere.
+  expect_tgcn_step_matches_chain(300, 32, 52);
+}
+
+TEST(TgcnStep, FusedPassesBitIdenticalAcrossThreadCounts) {
+  testutil::expect_same_bits_across_threads([] {
+    Rng rng(53);
+    models::TGcn model = seeded_tgcn(32, rng);
+    const StepInputs in(700, 32, rng);
+    models::TGcn::StepCache cache;
+    std::vector<Tensor> out{
+        model.step(in.uz, in.ur, in.un, in.h0, cache, nullptr)};
+    Tensor d_uz, d_ur, d_un;
+    out.push_back(
+        model.step_backward(cache, in.dh, d_uz, d_ur, d_un, nullptr));
+    out.insert(out.end(), {d_uz, d_ur, d_un});
+    for (auto* p : model.params()) out.push_back(p->grad);
+    return out;
+  });
 }
 
 }  // namespace

@@ -1,14 +1,17 @@
 // NN layer tests: numerical gradient checks for every module's manual
-// backward, plus optimizer behaviour.
+// backward, the fused GRU/LSTM gate passes against their op-by-op chains,
+// plus optimizer behaviour.
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <tuple>
 
 #include "nn/gru.hpp"
 #include "nn/linear.hpp"
 #include "nn/lstm.hpp"
 #include "nn/optim.hpp"
 #include "tensor/ops.hpp"
+#include "test_util.hpp"
 
 namespace pipad {
 namespace {
@@ -181,6 +184,228 @@ TEST(GruCell, HiddenStateStaysBounded) {
   for (std::size_t i = 0; i < h.size(); ++i) {
     EXPECT_LE(std::abs(h.data()[i]), 1.0f + 1e-5f);
   }
+}
+
+// ---------- Fused gate passes vs the op-by-op chains they replaced ----------
+//
+// gru_chain() and lstm_chain() are each cell's forward and backward written
+// as separate tensor ops, in the order the cells used before their gate
+// math was fused; the fused cells must reproduce them bit for bit.
+
+using testutil::randomize_biases;
+using testutil::randn_with_zeros;
+using testutil::same_bits;
+
+struct GruChain {
+  Tensor z, r, xrh, n, h, dx, dh_prev;
+};
+
+GruChain gru_chain(nn::GRUCell& cell, const Tensor& x, const Tensor& h_prev,
+                   const Tensor& dh) {
+  const auto p = cell.params();  // wz, wr, wn, bz, br, bn.
+  GruChain o;
+  const Tensor xh = ops::concat_cols(x, h_prev);
+  Tensor az = ops::matmul(xh, p[0]->value);
+  ops::add_bias(az, p[3]->value);
+  Tensor ar = ops::matmul(xh, p[1]->value);
+  ops::add_bias(ar, p[4]->value);
+  o.z = ops::sigmoid(az);
+  o.r = ops::sigmoid(ar);
+  const Tensor rh = ops::mul(o.r, h_prev);
+  o.xrh = ops::concat_cols(x, rh);
+  Tensor an = ops::matmul(o.xrh, p[2]->value);
+  ops::add_bias(an, p[5]->value);
+  o.n = ops::tanh(an);
+  o.h = Tensor(x.rows(), cell.hidden_dim());
+  for (std::size_t i = 0; i < o.h.size(); ++i) {
+    const float z = o.z.data()[i];
+    o.h.data()[i] = (1.0f - z) * o.n.data()[i] + z * h_prev.data()[i];
+  }
+
+  Tensor dz = ops::mul(dh, ops::sub(h_prev, o.n));
+  Tensor dn =
+      ops::mul(dh, ops::sub(Tensor::full(dh.rows(), dh.cols(), 1.0f), o.z));
+  o.dh_prev = ops::mul(dh, o.z);
+  Tensor dan = ops::tanh_grad(dn, o.n);
+  ops::gemm(o.xrh, dan, p[2]->grad, true, false, 1.0f, 1.0f);
+  ops::add_inplace(p[5]->grad, ops::bias_grad(dan));
+  Tensor dxrh = ops::matmul(dan, p[2]->value, false, true);
+  auto [dx_n, drh] = ops::split_cols(dxrh, cell.input_dim());
+  Tensor dr = ops::mul(drh, h_prev);
+  ops::add_inplace(o.dh_prev, ops::mul(drh, o.r));
+  Tensor daz = ops::sigmoid_grad(dz, o.z);
+  Tensor dar = ops::sigmoid_grad(dr, o.r);
+  ops::gemm(xh, daz, p[0]->grad, true, false, 1.0f, 1.0f);
+  ops::add_inplace(p[3]->grad, ops::bias_grad(daz));
+  ops::gemm(xh, dar, p[1]->grad, true, false, 1.0f, 1.0f);
+  ops::add_inplace(p[4]->grad, ops::bias_grad(dar));
+  Tensor dxh_z = ops::matmul(daz, p[0]->value, false, true);
+  Tensor dxh_r = ops::matmul(dar, p[1]->value, false, true);
+  auto [dx_z, dh_z] = ops::split_cols(dxh_z, cell.input_dim());
+  auto [dx_r, dh_r] = ops::split_cols(dxh_r, cell.input_dim());
+  o.dx = dx_n;
+  ops::add_inplace(o.dx, dx_z);
+  ops::add_inplace(o.dx, dx_r);
+  ops::add_inplace(o.dh_prev, dh_z);
+  ops::add_inplace(o.dh_prev, dh_r);
+  return o;
+}
+
+/// Fused forward + backward of a seeded cell: h, dx, dh_prev, then grads.
+std::vector<Tensor> gru_fused(int rows, int in, int hid, std::uint64_t seed) {
+  Rng rng(seed);
+  nn::GRUCell cell(in, hid, rng);
+  randomize_biases(cell.params(), rng);
+  const Tensor x = randn_with_zeros(rows, in, rng);
+  const Tensor h0 = randn_with_zeros(rows, hid, rng);
+  const Tensor dh = randn_with_zeros(rows, hid, rng);
+  nn::GRUCell::Cache cache;
+  std::vector<Tensor> out{cell.forward(x, h0, cache, nullptr, "t")};
+  auto [dx, dh0] = cell.backward(cache, dh, nullptr, "t");
+  out.push_back(dx);
+  out.push_back(dh0);
+  for (auto* p : cell.params()) out.push_back(p->grad);
+  return out;
+}
+
+void expect_gru_matches_chain(int rows, int in, int hid, std::uint64_t seed) {
+  Rng rng(seed);
+  nn::GRUCell cell(in, hid, rng);
+  randomize_biases(cell.params(), rng);
+  nn::GRUCell ref = cell;
+  const Tensor x = randn_with_zeros(rows, in, rng);
+  const Tensor h0 = randn_with_zeros(rows, hid, rng);
+  const Tensor dh = randn_with_zeros(rows, hid, rng);
+
+  nn::GRUCell::Cache cache;
+  const Tensor h = cell.forward(x, h0, cache, nullptr, "t");
+  auto [dx, dh0] = cell.backward(cache, dh, nullptr, "t");
+  const GruChain want = gru_chain(ref, x, h0, dh);
+
+  EXPECT_TRUE(same_bits(cache.z, want.z));
+  EXPECT_TRUE(same_bits(cache.r, want.r));
+  EXPECT_TRUE(same_bits(cache.xrh, want.xrh));
+  EXPECT_TRUE(same_bits(cache.n, want.n));
+  EXPECT_TRUE(same_bits(h, want.h));
+  EXPECT_TRUE(same_bits(dx, want.dx));
+  EXPECT_TRUE(same_bits(dh0, want.dh_prev));
+  const auto got_p = cell.params();
+  const auto want_p = ref.params();
+  for (std::size_t i = 0; i < got_p.size(); ++i) {
+    EXPECT_TRUE(same_bits(got_p[i]->grad, want_p[i]->grad)) << "param " << i;
+  }
+}
+
+TEST(GruCell, FusedPassesMatchOpChainBitForBit) {
+  expect_gru_matches_chain(67, 7, 33, 21);  // Strip tails everywhere.
+  expect_gru_matches_chain(300, 16, 32, 22);
+}
+
+TEST(GruCell, FusedPassesBitIdenticalAcrossThreadCounts) {
+  testutil::expect_same_bits_across_threads(
+      [] { return gru_fused(700, 16, 32, 23); });
+}
+
+struct LstmChain {
+  Tensor i, f, g, o, c, tanh_c, h, dx, dh_prev, dc_prev;
+};
+
+LstmChain lstm_chain(nn::LSTMCell& cell, const Tensor& x, const Tensor& h_prev,
+                     const Tensor& c_prev, const Tensor& dh, const Tensor& dc) {
+  const int hid = cell.hidden_dim();
+  nn::Parameter& w = *cell.params()[0];
+  nn::Parameter& b = *cell.params()[1];
+  LstmChain o;
+  const Tensor xh = ops::concat_cols(x, h_prev);
+  Tensor gates = ops::matmul(xh, w.value);
+  ops::add_bias(gates, b.value);
+  o.i = ops::sigmoid(ops::slice_cols(gates, 0, hid));
+  o.f = ops::sigmoid(ops::slice_cols(gates, hid, hid));
+  o.g = ops::tanh(ops::slice_cols(gates, 2 * hid, hid));
+  o.o = ops::sigmoid(ops::slice_cols(gates, 3 * hid, hid));
+  o.c = ops::add(ops::mul(o.f, c_prev), ops::mul(o.i, o.g));
+  o.tanh_c = ops::tanh(o.c);
+  o.h = ops::mul(o.o, o.tanh_c);
+
+  Tensor dtanh_c = ops::mul(dh, o.o);
+  Tensor dc_total = ops::tanh_grad(dtanh_c, o.tanh_c);
+  if (!dc.empty()) ops::add_inplace(dc_total, dc);
+  Tensor d_o = ops::mul(dh, o.tanh_c);
+  Tensor d_f = ops::mul(dc_total, c_prev);
+  o.dc_prev = ops::mul(dc_total, o.f);
+  Tensor d_i = ops::mul(dc_total, o.g);
+  Tensor d_g = ops::mul(dc_total, o.i);
+  Tensor da(dh.rows(), 4 * hid);
+  ops::add_into_cols(da, ops::sigmoid_grad(d_i, o.i), 0);
+  ops::add_into_cols(da, ops::sigmoid_grad(d_f, o.f), hid);
+  ops::add_into_cols(da, ops::tanh_grad(d_g, o.g), 2 * hid);
+  ops::add_into_cols(da, ops::sigmoid_grad(d_o, o.o), 3 * hid);
+  ops::gemm(xh, da, w.grad, true, false, 1.0f, 1.0f);
+  ops::add_inplace(b.grad, ops::bias_grad(da));
+  Tensor dxh = ops::matmul(da, w.value, false, true);
+  std::tie(o.dx, o.dh_prev) = ops::split_cols(dxh, cell.input_dim());
+  return o;
+}
+
+/// Fused forward + backward of a seeded cell: h, c, dx, dh_prev, dc_prev,
+/// then grads.
+std::vector<Tensor> lstm_fused(int rows, int in, int hid, std::uint64_t seed) {
+  Rng rng(seed);
+  nn::LSTMCell cell(in, hid, rng);
+  randomize_biases(cell.params(), rng);
+  const Tensor x = randn_with_zeros(rows, in, rng);
+  const Tensor h0 = randn_with_zeros(rows, hid, rng);
+  const Tensor c0 = randn_with_zeros(rows, hid, rng);
+  const Tensor dh = randn_with_zeros(rows, hid, rng);
+  const Tensor dc = randn_with_zeros(rows, hid, rng);
+  nn::LSTMCell::Cache cache;
+  auto [h, c] = cell.forward(x, h0, c0, cache, nullptr, "t");
+  auto [dx, dh0, dc0] = cell.backward(cache, dh, dc, nullptr, "t");
+  std::vector<Tensor> out{h, c, dx, dh0, dc0};
+  for (auto* p : cell.params()) out.push_back(p->grad);
+  return out;
+}
+
+void expect_lstm_matches_chain(int rows, int in, int hid, bool with_dc,
+                               std::uint64_t seed) {
+  Rng rng(seed);
+  nn::LSTMCell cell(in, hid, rng);
+  randomize_biases(cell.params(), rng);
+  nn::LSTMCell ref = cell;
+  const Tensor x = randn_with_zeros(rows, in, rng);
+  const Tensor h0 = randn_with_zeros(rows, hid, rng);
+  const Tensor c0 = randn_with_zeros(rows, hid, rng);
+  const Tensor dh = randn_with_zeros(rows, hid, rng);
+  const Tensor dc = with_dc ? randn_with_zeros(rows, hid, rng) : Tensor();
+
+  nn::LSTMCell::Cache cache;
+  auto [h, c] = cell.forward(x, h0, c0, cache, nullptr, "t");
+  auto [dx, dh0, dc0] = cell.backward(cache, dh, dc, nullptr, "t");
+  const LstmChain want = lstm_chain(ref, x, h0, c0, dh, dc);
+
+  EXPECT_TRUE(same_bits(cache.i, want.i));
+  EXPECT_TRUE(same_bits(cache.f, want.f));
+  EXPECT_TRUE(same_bits(cache.g, want.g));
+  EXPECT_TRUE(same_bits(cache.o, want.o));
+  EXPECT_TRUE(same_bits(cache.tanh_c, want.tanh_c));
+  EXPECT_TRUE(same_bits(c, want.c));
+  EXPECT_TRUE(same_bits(h, want.h));
+  EXPECT_TRUE(same_bits(dx, want.dx));
+  EXPECT_TRUE(same_bits(dh0, want.dh_prev));
+  EXPECT_TRUE(same_bits(dc0, want.dc_prev));
+  EXPECT_TRUE(same_bits(cell.params()[0]->grad, ref.params()[0]->grad));
+  EXPECT_TRUE(same_bits(cell.params()[1]->grad, ref.params()[1]->grad));
+}
+
+TEST(LstmCell, FusedPassesMatchOpChainBitForBit) {
+  expect_lstm_matches_chain(67, 5, 9, true, 31);  // 4*hid = 36: a strip tail.
+  expect_lstm_matches_chain(67, 5, 9, false, 32);  // No upstream dc.
+  expect_lstm_matches_chain(300, 16, 32, true, 33);
+}
+
+TEST(LstmCell, FusedPassesBitIdenticalAcrossThreadCounts) {
+  testutil::expect_same_bits_across_threads(
+      [] { return lstm_fused(500, 16, 32, 34); });
 }
 
 TEST(Optim, SgdDescendsQuadratic) {

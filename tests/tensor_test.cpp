@@ -1,14 +1,18 @@
-// Tensor/ops tests: GEMM in all transpose modes against a naive reference,
-// elementwise maps, gate helpers, losses.
+// Tensor/ops tests: GEMM in all transpose modes against a naive reference
+// and, bit for bit, against its in-order definition; elementwise maps, gate
+// helpers, losses.
 #include <gtest/gtest.h>
 
 #include <tuple>
 
 #include "common/compute_pool.hpp"
 #include "tensor/ops.hpp"
+#include "test_util.hpp"
 
 namespace pipad {
 namespace {
+
+using testutil::same_bits;
 
 Tensor naive_matmul(const Tensor& a, const Tensor& b, bool ta, bool tb) {
   const int m = ta ? a.cols() : a.rows();
@@ -59,6 +63,81 @@ TEST(Gemm, BetaAccumulates) {
   EXPECT_LT(ops::max_abs_diff(c, expect), 1e-4f);
 }
 
+/// The GEMM as defined before packing and register tiling, element by
+/// element: C is beta-scaled first, then each element adds its k products
+/// in ascending order, skipping every k where alpha * a is exactly zero.
+void in_order_gemm(const Tensor& a, const Tensor& b, Tensor& c, bool ta,
+                   bool tb, float alpha, float beta) {
+  const int k = ta ? a.rows() : a.cols();
+  if (beta == 0.0f) {
+    c.fill(0.0f);
+  } else if (beta != 1.0f) {
+    for (float& v : c.storage()) v *= beta;
+  }
+  for (int i = 0; i < c.rows(); ++i) {
+    for (int kk = 0; kk < k; ++kk) {
+      const float av = alpha * (ta ? a.at(kk, i) : a.at(i, kk));
+      if (av == 0.0f) continue;
+      for (int j = 0; j < c.cols(); ++j) {
+        c.at(i, j) += av * (tb ? b.at(j, kk) : b.at(kk, j));
+      }
+    }
+  }
+}
+
+/// ops::gemm against in_order_gemm for one shape and transpose mode, over
+/// alpha in {1, 0.5} and beta in {0, 1, 0.5}.
+void expect_gemm_bits(bool ta, bool tb, int m, int k, int n, Rng& rng) {
+  Tensor a = ta ? Tensor::randn(k, m, rng) : Tensor::randn(m, k, rng);
+  // Exact zeros of both signs exercise the skip; when m > 1 the second row
+  // of op(A) is all zeros, so its C row keeps beta * C.
+  for (int i = 0; i < m; ++i) {
+    for (int kk = 0; kk < k; ++kk) {
+      float& v = ta ? a.at(kk, i) : a.at(i, kk);
+      if (i == 1 || (i + kk) % 3 == 0) v = (kk % 2 == 0) ? 0.0f : -0.0f;
+    }
+  }
+  const Tensor b = tb ? Tensor::randn(n, k, rng) : Tensor::randn(k, n, rng);
+  Tensor seed = Tensor::randn(m, n, rng);
+  for (std::size_t e = 0; e < seed.size(); e += 2) seed.data()[e] = -0.0f;
+  for (const float alpha : {1.0f, 0.5f}) {
+    for (const float beta : {0.0f, 1.0f, 0.5f}) {
+      Tensor want = seed;
+      in_order_gemm(a, b, want, ta, tb, alpha, beta);
+      Tensor got = seed;
+      ops::gemm(a, b, got, ta, tb, alpha, beta);
+      EXPECT_TRUE(same_bits(got, want))
+          << "ta=" << ta << " tb=" << tb << " m=" << m << " k=" << k
+          << " n=" << n << " alpha=" << alpha << " beta=" << beta;
+    }
+  }
+}
+
+TEST(Gemm, BitIdenticalToInOrderReference) {
+  Rng rng(41);
+  for (const bool ta : {false, true}) {
+    for (const bool tb : {false, true}) {
+      for (const int m : {1, 5, 33}) {
+        for (const int k : {1, 7, 2750}) {
+          // n straddles the 32-column strip width.
+          for (const int n : {1, 6, 31, 32, 33, 65}) {
+            expect_gemm_bits(ta, tb, m, k, n, rng);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Gemm, MatmulBitIdenticalToInOrderReference) {
+  Rng rng(42);
+  const Tensor a = Tensor::randn(37, 19, rng);
+  const Tensor b = Tensor::randn(19, 70, rng);
+  Tensor want(37, 70);
+  in_order_gemm(a, b, want, false, false, 1.0f, 0.0f);
+  EXPECT_TRUE(same_bits(ops::matmul(a, b), want));
+}
+
 TEST(Gemm, ShapeMismatchThrows) {
   const Tensor a(4, 3), b(4, 5);
   Tensor c(4, 5);
@@ -75,6 +154,19 @@ TEST(Ops, BiasAddAndGradRoundTrip) {
   }
   const Tensor g = ops::bias_grad(y);
   for (int c = 0; c < 4; ++c) EXPECT_NEAR(g.at(0, c), 6 * bias.at(0, c), 1e-5f);
+}
+
+TEST(Ops, BiasGradBitIdenticalToColumnOrderReference) {
+  Rng rng(43);
+  // Enough work that the column blocks fan out over the pool.
+  const Tensor grad = Tensor::randn(2750, 67, rng);
+  Tensor want(1, grad.cols());
+  for (int c = 0; c < grad.cols(); ++c) {
+    float acc = 0.0f;
+    for (int r = 0; r < grad.rows(); ++r) acc += grad.at(r, c);
+    want.at(0, c) = acc;
+  }
+  EXPECT_TRUE(same_bits(ops::bias_grad(grad), want));
 }
 
 TEST(Ops, ActivationsAndGrads) {

@@ -1,21 +1,27 @@
 // Shared helpers for model/trainer tests: tiny deterministic datasets, a
 // plain sequential executor that computes ground-truth math with no
 // simulation (for comparing every runtime against), trainer-setup fixtures
-// shared by the pipad/tuner/analyze/replica/property suites, and analyzer
-// shorthands.
+// shared by the pipad/tuner/analyze/replica/property suites, bitwise tensor
+// checks, and analyzer shorthands.
 #pragma once
 
+#include <cstring>
+#include <functional>
 #include <map>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include <gtest/gtest.h>
+
 #include "analyze/report.hpp"
+#include "common/compute_pool.hpp"
 #include "gpusim/gpu.hpp"
 #include "graph/generator.hpp"
 #include "kernels/aggregate.hpp"
 #include "models/executor.hpp"
+#include "nn/parameter.hpp"
 #include "replica/replica_trainer.hpp"
 #include "tensor/ops.hpp"
 
@@ -152,6 +158,50 @@ inline models::TrainConfig long_cfg() {
   cfg.max_frames_per_epoch = 0;  // Every frame of the long timeline.
   cfg.hidden_dim = 6;
   return cfg;
+}
+
+/// Bitwise tensor equality: unlike ==, tells -0 from +0.
+inline bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.same_shape(b) && std::memcmp(a.data(), b.data(), a.bytes()) == 0;
+}
+
+/// Gaussian tensor with every seventh entry an exact +0 or -0, so bitwise
+/// checks also cover signed-zero handling.
+inline Tensor randn_with_zeros(int rows, int cols, Rng& rng) {
+  Tensor t = Tensor::randn(rows, cols, rng);
+  for (std::size_t i = 0; i < t.size(); i += 7) {
+    t.data()[i] = (i % 2 == 0) ? 0.0f : -0.0f;
+  }
+  return t;
+}
+
+/// Give every bias (1-row parameter) random values; biases start at zero,
+/// which would leave the bias adds untested.
+inline void randomize_biases(const std::vector<nn::Parameter*>& params,
+                             Rng& rng) {
+  for (auto* p : params) {
+    if (p->value.rows() == 1) {
+      p->value = Tensor::randn(1, p->value.cols(), rng, 0.3f);
+    }
+  }
+}
+
+/// Run `run` under a 1-wide and an 8-wide ComputePool, with the block floor
+/// pinned at its minimum so mid-sized regions really fan out, and expect
+/// every returned tensor to match bit for bit.
+inline void expect_same_bits_across_threads(
+    const std::function<std::vector<Tensor>()>& run) {
+  ComputePool::set_min_block_work(ComputePool::kMinBlockWorkFloor);
+  ComputePool::instance().configure(1);
+  const std::vector<Tensor> serial = run();
+  ComputePool::instance().configure(8);
+  const std::vector<Tensor> wide = run();
+  ComputePool::instance().configure(0);
+  ComputePool::set_min_block_work(0);
+  ASSERT_EQ(serial.size(), wide.size());
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    EXPECT_TRUE(same_bits(serial[i], wide[i])) << "output " << i;
+  }
 }
 
 /// Flat copy of every parameter tensor (value then grad, in param order) —
