@@ -15,9 +15,10 @@
 // but pass (the trajectory can grow). Exit codes: 0 ok, 1 regression or
 // missing record, 2 usage/parse error — so CI can gate on it.
 //
-// Documents are parsed with api::Json (the job API's strict codec), so any
-// record bench_record_json writes — escaped dataset names included — is
-// read back exactly. Each record's string and number fields are kept;
+// Documents are parsed with api::Json, the codec that also builds and
+// writes them (api::bench_record, analyze::report_json,
+// api::write_document), so any record — escaped dataset names included —
+// is read back exactly. Each record's string and number fields are kept;
 // other value types are ignored.
 #include <cstdarg>
 #include <cstdio>

@@ -11,8 +11,9 @@
 //                     temporal CSV / .dtdg; docs/DATASET_FORMATS.md)
 //                                                          (default all 7)
 //   --json=FILE       write per-run records to FILE as JSON (wired into
-//                     fig10_end2end and ablation_sper; other binaries
-//                     accept but ignore it until they adopt JsonReport)
+//                     fig10_end2end, ablation_sper, contention_pool,
+//                     fig_replicas and ingest_stream; other binaries
+//                     accept but ignore it)
 //   --trace-dir=DIR   write one trace CSV per run into DIR (created if
 //                     missing), named <bench>-<dataset>-<model>-<method>.csv
 //                     and labeled for `pipad analyze` (wired into
@@ -33,6 +34,7 @@
 #include <string>
 #include <vector>
 
+#include "api/job_result.hpp"
 #include "api/job_spec.hpp"
 #include "api/run_job.hpp"
 #include "baselines/baseline_trainer.hpp"
@@ -42,7 +44,6 @@
 #include "graph/generator.hpp"
 #include "graph/io/loader.hpp"
 #include "host/host_lane.hpp"
-#include "models/bench_record.hpp"
 #include "replica/replica_trainer.hpp"
 
 namespace pipad::bench {
@@ -387,38 +388,34 @@ class JsonReport {
 
   bool empty() const { return rows_.empty(); }
 
-  /// Write the collected records; returns false (with a message on stderr)
-  /// when the file cannot be opened.
-  bool write(const std::string& path) const {
-    std::ofstream os(path);
-    if (!os) {
-      std::fprintf(stderr, "[bench] cannot open %s for writing\n",
-                   path.c_str());
-      return false;
-    }
-    os << "{\n  \"bench\": \"" << bench_ << "\",\n"
-       << "  \"flags\": {\"scale_large\": " << flags_.job.scale_large
-       << ", \"scale_small\": " << flags_.job.scale_small
-       << ", \"epochs\": " << flags_.job.epochs
-       << ", \"frames\": " << flags_.job.frames
-       << ", \"frame_size\": " << flags_.job.frame_size
-       << ", \"threads\": " << flags_.job.threads << "},\n"
-       << "  \"records\": [\n";
-    for (std::size_t i = 0; i < rows_.size(); ++i) {
-      const Row& r = rows_[i];
-      os << models::bench_record_json(r.dataset, r.model, r.method,
-                                      r.result.total_us / flags_.job.epochs,
-                                      r.result)
-         << (i + 1 < rows_.size() ? ",\n" : "\n");
-    }
-    os << "  ]\n}\n";
-    return static_cast<bool>(os);
-  }
-
-  /// Write when --json was given; prints a confirmation line.
+  /// Write the collected records when --json was given (one record per
+  /// line, via api::write_document); false with a message on stderr when
+  /// the file cannot be written.
   bool write_if_requested() const {
     if (flags_.json.empty()) return true;
-    if (!write(flags_.json)) return false;
+    api::Json flags = api::Json::object();
+    flags.set("scale_large", flags_.job.scale_large);
+    flags.set("scale_small", flags_.job.scale_small);
+    flags.set("epochs", flags_.job.epochs);
+    flags.set("frames", flags_.job.frames);
+    flags.set("frame_size", flags_.job.frame_size);
+    flags.set("threads", flags_.job.threads);
+    api::Json records = api::Json::array();
+    for (const Row& r : rows_) {
+      const double epoch_us = r.result.total_us / flags_.job.epochs;
+      records.push_back(
+          api::bench_record(r.dataset, r.model, r.method, epoch_us, r.result));
+    }
+    api::Json doc = api::Json::object();
+    doc.set("bench", bench_);
+    doc.set("flags", std::move(flags));
+    doc.set("records", std::move(records));
+    try {
+      api::write_document(flags_.json, doc);
+    } catch (const Error& e) {
+      std::fprintf(stderr, "[bench] %s\n", e.what());
+      return false;
+    }
     std::printf("\n[bench] %zu records written to %s\n", rows_.size(),
                 flags_.json.c_str());
     return true;

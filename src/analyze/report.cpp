@@ -5,11 +5,8 @@
 #include <string>
 
 #include "gpusim/trace.hpp"
-#include "models/bench_record.hpp"
 
 namespace pipad::analyze {
-
-using models::json_escape;
 
 Analysis analyze_trace(TraceData td, const PassOptions& opts,
                        ThreadPool* pool, const PassRegistry* registry) {
@@ -53,6 +50,19 @@ std::string blame_string(const Finding& f) {
     out += name + " (" + fmt1(us) + " us)";
   }
   return out;
+}
+
+/// The (dataset, model, method) key every record and finding starts with.
+api::Json keyed(const TraceData& td) {
+  api::Json j = api::Json::object();
+  j.set("dataset", label_or(td.dataset));
+  j.set("model", label_or(td.model));
+  j.set("method", label_or(td.method));
+  return j;
+}
+
+double crit_us(const CriticalPath& path, gpusim::Resource r) {
+  return path.by_resource[static_cast<int>(r)];
 }
 
 }  // namespace
@@ -120,69 +130,57 @@ void write_human_report(std::ostream& os, const Analysis& a, int top) {
   os << gpusim::render_gantt(td.records, td.worker_lanes, g);
 }
 
-void write_json_report(std::ostream& os, const std::vector<Analysis>& as,
-                       int threads) {
-  os << "{\n  \"bench\": \"pipad-analyze\",\n"
-     << "  \"schema_version\": " << kAnalyzeReportSchemaVersion << ",\n"
-     << "  \"flags\": {\"threads\": " << threads << "},\n"
-     << "  \"records\": [\n";
-  for (std::size_t i = 0; i < as.size(); ++i) {
-    const Analysis& a = as[i];
-    const TraceData& td = a.trace;
+api::Json report_json(const std::vector<Analysis>& as, int threads) {
+  using gpusim::Resource;
+  api::Json records = api::Json::array();
+  api::Json findings = api::Json::array();
+  for (const Analysis& a : as) {
     int by_sev[4] = {0, 0, 0, 0};
     double recoverable = 0.0;
     for (const auto& f : a.findings) {
       ++by_sev[static_cast<int>(f.severity)];
       recoverable += f.recoverable_us;
     }
-    os << "    {\"dataset\": \"" << json_escape(label_or(td.dataset))
-       << "\", \"model\": \"" << json_escape(label_or(td.model))
-       << "\", \"method\": \"" << json_escape(label_or(td.method))
-       << "\", \"ops\": " << td.records.size()
-       << ", \"makespan_us\": " << fmt1(td.makespan_us)
-       << ", \"critical_path_us\": " << fmt1(a.path.total_us)
-       << ", \"crit_gap_us\": " << fmt1(a.path.gap_us)
-       << ", \"crit_cpu_us\": "
-       << fmt1(a.path.by_resource[static_cast<int>(gpusim::Resource::Cpu)])
-       << ", \"crit_worker_us\": "
-       << fmt1(a.path.by_resource[static_cast<int>(
-              gpusim::Resource::CpuWorker)])
-       << ", \"crit_h2d_us\": "
-       << fmt1(a.path.by_resource[static_cast<int>(gpusim::Resource::H2D)])
-       << ", \"crit_d2h_us\": "
-       << fmt1(a.path.by_resource[static_cast<int>(gpusim::Resource::D2H)])
-       << ", \"crit_compute_us\": "
-       << fmt1(a.path.by_resource[static_cast<int>(
-              gpusim::Resource::Compute)])
-       << ", \"findings\": " << a.findings.size()
-       << ", \"findings_high\": " << by_sev[3]
-       << ", \"findings_medium\": " << by_sev[2]
-       << ", \"findings_low\": " << by_sev[1]
-       << ", \"findings_info\": " << by_sev[0]
-       << ", \"recoverable_us\": " << fmt1(recoverable) << "}"
-       << (i + 1 < as.size() ? ",\n" : "\n");
-  }
-  os << "  ],\n  \"findings\": [\n";
-  bool first = true;
-  for (const Analysis& a : as) {
+    api::Json r = keyed(a.trace);
+    r.set("ops", a.trace.records.size());
+    r.set("makespan_us", a.trace.makespan_us);
+    r.set("critical_path_us", a.path.total_us);
+    r.set("crit_gap_us", a.path.gap_us);
+    r.set("crit_cpu_us", crit_us(a.path, Resource::Cpu));
+    r.set("crit_worker_us", crit_us(a.path, Resource::CpuWorker));
+    r.set("crit_h2d_us", crit_us(a.path, Resource::H2D));
+    r.set("crit_d2h_us", crit_us(a.path, Resource::D2H));
+    r.set("crit_compute_us", crit_us(a.path, Resource::Compute));
+    r.set("findings", a.findings.size());
+    r.set("findings_high", by_sev[3]);
+    r.set("findings_medium", by_sev[2]);
+    r.set("findings_low", by_sev[1]);
+    r.set("findings_info", by_sev[0]);
+    r.set("recoverable_us", recoverable);
+    records.push_back(std::move(r));
+
     for (const Finding& f : a.findings) {
-      if (!first) os << ",\n";
-      first = false;
-      os << "    {\"dataset\": \"" << json_escape(label_or(a.trace.dataset))
-         << "\", \"model\": \"" << json_escape(label_or(a.trace.model))
-         << "\", \"method\": \"" << json_escape(label_or(a.trace.method))
-         << "\", \"pass\": \"" << json_escape(f.pass)
-         << "\", \"severity\": \"" << severity_name(f.severity)
-         << "\", \"from_us\": " << fmt1(f.from_us)
-         << ", \"to_us\": " << fmt1(f.to_us)
-         << ", \"recoverable_us\": " << fmt1(f.recoverable_us)
-         << ", \"steals\": " << f.steals
-         << ", \"blame\": \"" << json_escape(blame_string(f))
-         << "\", \"detail\": \"" << json_escape(f.detail) << "\"}";
+      api::Json j = keyed(a.trace);
+      j.set("pass", f.pass);
+      j.set("severity", severity_name(f.severity));
+      j.set("from_us", f.from_us);
+      j.set("to_us", f.to_us);
+      j.set("recoverable_us", f.recoverable_us);
+      j.set("steals", f.steals);
+      j.set("blame", blame_string(f));
+      j.set("detail", f.detail);
+      findings.push_back(std::move(j));
     }
   }
-  if (!first) os << "\n";
-  os << "  ]\n}\n";
+  api::Json doc = api::Json::object();
+  doc.set("bench", "pipad-analyze");
+  doc.set("schema_version", kAnalyzeReportSchemaVersion);
+  api::Json flags = api::Json::object();
+  flags.set("threads", threads);
+  doc.set("flags", std::move(flags));
+  doc.set("records", std::move(records));
+  doc.set("findings", std::move(findings));
+  return doc;
 }
 
 Severity max_severity(const std::vector<Analysis>& as) {

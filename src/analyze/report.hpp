@@ -5,6 +5,7 @@
 // JSON layout (docs/ANALYZER.md has the schema):
 //   {
 //     "bench": "pipad-analyze",
+//     "schema_version": 1,
 //     "flags": {"threads": N},
 //     "records": [ one flat record per trace, keyed (dataset|model|method),
 //                  carrying critical_path_us / makespan_us / severity
@@ -18,6 +19,7 @@
 #include <vector>
 
 #include "analyze/passes.hpp"
+#include "api/json.hpp"
 
 namespace pipad::analyze {
 
@@ -46,10 +48,9 @@ void write_human_report(std::ostream& os, const Analysis& a, int top = 5);
 /// tolerates unknown fields).
 inline constexpr int kAnalyzeReportSchemaVersion = 1;
 
-/// The machine-readable document described above, one record per analysis.
-/// The document carries a top-level "schema_version".
-void write_json_report(std::ostream& os, const std::vector<Analysis>& as,
-                       int threads);
+/// The machine-readable document described above, one record per analysis
+/// (write it with api::write_document).
+api::Json report_json(const std::vector<Analysis>& as, int threads);
 
 /// Highest finding severity across all analyses (Info when none fired).
 Severity max_severity(const std::vector<Analysis>& as);

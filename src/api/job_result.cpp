@@ -8,7 +8,7 @@ namespace {
 
 Json float_array(const std::vector<float>& xs) {
   Json a = Json::array();
-  // A double holds any float exactly and the dumper's %.17g rendering
+  // A double holds any float exactly and the dumper's shortest rendering
   // round-trips the double, so float bit patterns survive the wire.
   for (const float x : xs) a.push_back(Json(static_cast<double>(x)));
   return a;
@@ -33,6 +33,32 @@ bool read_float_array(const Json& a, std::vector<float>& out,
 }
 
 }  // namespace
+
+Json bench_record(const std::string& dataset, const std::string& model,
+                  const std::string& method, double epoch_us,
+                  const models::TrainResult& r) {
+  Json j = Json::object();
+  j.set("dataset", dataset);
+  j.set("model", model);
+  j.set("method", method);
+  j.set("epoch_us", epoch_us);
+  j.set("total_us", r.total_us);
+  j.set("transfer_us", r.transfer_us);
+  j.set("compute_us", r.compute_us);
+  j.set("prep_us", r.prep_us);
+  j.set("first_steady_us", r.first_steady_us);
+  j.set("steals", r.steals);
+  j.set("sm_util", r.sm_utilization);
+  j.set("final_loss", r.final_loss());
+  // Replica fields ride along only on replicated runs, so single-device
+  // records keep the legacy field set.
+  if (r.replicas > 0) {
+    j.set("replicas", r.replicas);
+    j.set("allreduce_us", r.allreduce_us);
+  }
+  j.set("schema_version", kBenchRecordSchemaVersion);
+  return j;
+}
 
 Json JobResult::to_json() const {
   Json j = Json::object();

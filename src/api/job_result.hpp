@@ -4,6 +4,12 @@
 // optional analyzer summary, and optionally the flat params+grads (the
 // bitwise determinism payload). Serialized over the serve wire protocol
 // and by `pipad submit`; parsed back by clients and tests.
+//
+// bench_record() builds that record. It is the one record builder: the
+// bench binaries' JsonReport, `pipad bench --json` and make_result (the
+// serve daemon's results) all call it, and bench_diff matches records by
+// the field names it emits — so there is exactly one place to add a field
+// without silently breaking the CI perf gates.
 #pragma once
 
 #include <cstdint>
@@ -11,8 +17,25 @@
 #include <vector>
 
 #include "api/json.hpp"
+#include "models/training.hpp"
 
 namespace pipad::api {
+
+/// Version of the bench-record schema. Bumped when a field changes meaning
+/// or is removed; added fields are backward compatible — bench_diff keys on
+/// the legacy fields and tolerates unknown ones, so checked-in BENCH_*.json
+/// baselines written before versioning keep gating.
+inline constexpr int kBenchRecordSchemaVersion = 1;
+
+/// One flat bench record keyed by (dataset, model, method). Keys in order:
+/// the legacy fields (dataset ... final_loss), then `replicas` and
+/// `allreduce_us` only on replicated runs (replicas > 0), then
+/// `schema_version` last. Numbers are exact, not rounded. `epoch_us` is
+/// total_us / epochs, computed by the caller since only it knows the
+/// epoch count.
+Json bench_record(const std::string& dataset, const std::string& model,
+                  const std::string& method, double epoch_us,
+                  const models::TrainResult& r);
 
 /// Bump when a field changes meaning or is removed; adding fields is
 /// backward compatible (bench_diff ignores unknown fields).
@@ -34,9 +57,9 @@ struct JobResult {
   /// script assert on.
   std::uint64_t seq = 0;
 
-  /// The bench record as a JSON object: dataset/model/method/epoch_us/
-  /// total_us/... exactly as models::bench_record_json emits them
-  /// (schema_version included). Null for failed/cancelled jobs.
+  /// The bench record as bench_record() builds it: dataset/model/method/
+  /// epoch_us/total_us/... with schema_version last. Null for
+  /// failed/cancelled jobs.
   Json record;
 
   /// Per-frame losses in training order. Numbers round-trip the float bit

@@ -1,8 +1,10 @@
 #include "api/json.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 
 #include "common/error.hpp"
 
@@ -277,9 +279,37 @@ void dump_number(std::string& out, double v) {
     out += buf;
     return;
   }
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out += buf;
+  char buf[32];
+  const auto res = std::to_chars(buf, buf + sizeof(buf), v);
+  out.append(buf, res.ptr);
+}
+
+std::string json_quote(const std::string& s) {
+  std::string out;
+  out.reserve(s.size() + 2);
+  out.push_back('"');
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\b': out += "\\b"; break;
+      case '\f': out += "\\f"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
+          out += buf;
+        } else {
+          out.push_back(c);
+        }
+    }
+  }
+  out.push_back('"');
+  return out;
 }
 
 void dump_value(std::string& out, const Json& v) {
@@ -392,38 +422,31 @@ const Json* Json::find(const std::string& key) const {
   return nullptr;
 }
 
-std::string json_quote(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  out.push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
+void write_document(const std::string& path, const Json& doc) {
+  std::string out = "{\n";
+  const auto& members = doc.members();
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    const auto& [key, value] = members[i];
+    out += "  " + json_quote(key) + ": ";
+    if (value.is_array() && !value.items().empty()) {
+      out += "[\n";
+      const auto& items = value.items();
+      for (std::size_t k = 0; k < items.size(); ++k) {
+        out += "    " + items[k].dump();
+        out += k + 1 < items.size() ? ",\n" : "\n";
+      }
+      out += "  ]";
+    } else {
+      out += value.dump();
     }
+    out += i + 1 < members.size() ? ",\n" : "\n";
   }
-  out.push_back('"');
-  return out;
-}
-
-std::string json_float(float v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.9g", static_cast<double>(v));
-  return buf;
+  out += "}\n";
+  std::ofstream os(path);
+  if (!os) throw Error("cannot open " + path + " for writing");
+  os << out;
+  os.flush();  // Surface buffered write errors (ENOSPC) here, not later.
+  if (!os) throw Error("write failed: " + path);
 }
 
 }  // namespace pipad::api

@@ -6,9 +6,13 @@
 // is stable) and reject duplicate keys; parse() consumes the whole input
 // and throws pipad::Error on anything malformed — the daemon turns that
 // into a clean {"ok":false} response instead of dying. Numbers are stored
-// as double; binary32 payloads (losses, params) are emitted with %.9g,
-// which round-trips the underlying float bit pattern exactly through
-// decimal → double → float narrowing.
+// as double and dumped as the shortest decimal that parses back to the same
+// double, so binary32 payloads (losses, params) widened to double keep their
+// exact float bit pattern through the wire.
+//
+// This is the only JSON encoder in the tree: bench records, analyzer
+// reports, JobResults and wire messages are all built as Json values, and
+// every file-backed document goes through write_document().
 #pragma once
 
 #include <cstddef>
@@ -52,7 +56,8 @@ class Json {
   static Json parse(const std::string& text);
 
   /// Serialize compactly (no added whitespace), object keys in insertion
-  /// order, numbers via %.17g trimmed (integers print without exponent).
+  /// order. Integral numbers print as integers; the rest print as the
+  /// shortest round-trip decimal (611.6, not 611.60000000000002).
   std::string dump() const;
 
   Type type() const { return type_; }
@@ -88,11 +93,11 @@ class Json {
   std::vector<std::pair<std::string, Json>> obj_;
 };
 
-/// Escape + quote a string for direct embedding in hand-built JSON text.
-std::string json_quote(const std::string& s);
-
-/// %.9g rendering: shortest decimal that round-trips IEEE binary32, used
-/// for losses/params where bitwise fidelity through the wire matters.
-std::string json_float(float v);
+/// Write `doc` (an object) to `path` one line per top-level member, and one
+/// line per element of an array member, each value rendered by dump() — so
+/// a bench document keeps one record per line and regenerated baselines
+/// diff line by line. Throws pipad::Error when the file cannot be opened
+/// or written.
+void write_document(const std::string& path, const Json& doc);
 
 }  // namespace pipad::api

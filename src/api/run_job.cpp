@@ -7,7 +7,6 @@
 #include "common/compute_pool.hpp"
 #include "graph/generator.hpp"
 #include "host/host_lane.hpp"
-#include "models/bench_record.hpp"
 #include "replica/replica_trainer.hpp"
 
 namespace pipad::api {
@@ -155,23 +154,14 @@ RunOutput run_job(const JobSpec& spec, const std::atomic<bool>* cancel) {
   return run_method(spec, spec.runtime, gpu, b, cancel);
 }
 
-Json run_record(const JobSpec& spec, const std::string& method,
-                const RunOutput& out) {
-  // One formatter for every JSON surface: render the canonical record
-  // string and parse it, so the serve schema can never drift from the
-  // BENCH_*.json baselines.
-  return Json::parse(models::bench_record_json(
-      out.dataset_name, spec.model, method,
-      out.train.total_us / spec.epochs, out.train));
-}
-
 JobResult make_result(const JobSpec& spec, const RunOutput& out) {
   JobResult r;
   r.tenant = spec.tenant;
   r.priority = spec.priority;
   r.tag = spec.tag;
   r.state = "done";
-  r.record = run_record(spec, spec.runtime, out);
+  r.record = bench_record(out.dataset_name, spec.model, spec.runtime,
+                          out.train.total_us / spec.epochs, out.train);
   r.frame_loss = out.train.frame_loss;
   if (spec.return_params) r.params = out.params;
   r.analyzed = out.analyzed;

@@ -66,12 +66,6 @@ RunOutput run_method(const JobSpec& spec, const std::string& runtime,
 RunOutput run_job(const JobSpec& spec,
                   const std::atomic<bool>* cancel = nullptr);
 
-/// The bench-record JSON object for a finished run (dataset/model/method/
-/// epoch_us/..., schema_version included) — the `record` field of a
-/// JobResult.
-Json run_record(const JobSpec& spec, const std::string& method,
-                const RunOutput& out);
-
 /// Assemble the JobResult for a completed (state "done") run.
 JobResult make_result(const JobSpec& spec, const RunOutput& out);
 

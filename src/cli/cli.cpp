@@ -13,7 +13,6 @@
 #include "common/error.hpp"
 #include "common/log.hpp"
 #include "gpusim/trace.hpp"
-#include "models/bench_record.hpp"
 #include "models/training.hpp"
 #include "serve/session.hpp"
 #include "serve/wire.hpp"
@@ -61,35 +60,26 @@ void print_dataset(const graph::DTDG& data) {
 /// Write the bench records in the bench_util.hpp JsonReport layout, so
 /// `bench_diff` can gate `pipad bench` runs (CI does this for the
 /// checked-in sample dataset).
-bool write_bench_json(const Options& o, const std::string& dataset,
+void write_bench_json(const Options& o, const std::string& dataset,
                       const std::string& base_method,
                       const models::TrainResult& rb,
                       const models::TrainResult& rp) {
-  std::ofstream os(o.json);
-  if (!os) {
-    std::fprintf(stderr, "pipad: cannot open %s for writing\n",
-                 o.json.c_str());
-    return false;
-  }
-  os << "{\n  \"bench\": \"pipad-cli\",\n"
-     << "  \"flags\": {\"epochs\": " << o.job.epochs
-     << ", \"frames\": " << o.job.frames
-     << ", \"frame_size\": " << o.job.frame_size
-     << ", \"threads\": " << o.job.threads << "},\n"
-     << "  \"records\": [\n"
-     << models::bench_record_json(dataset, o.job.model, base_method,
-                                  rb.total_us / o.job.epochs, rb)
-     << ",\n"
-     << models::bench_record_json(dataset, o.job.model, "pipad",
-                                  rp.total_us / o.job.epochs, rp)
-     << "\n  ]\n}\n";
-  os.flush();  // Surface buffered write errors (ENOSPC) before reporting.
-  if (!os) {
-    std::fprintf(stderr, "pipad: write failed: %s\n", o.json.c_str());
-    return false;
-  }
+  api::Json flags = api::Json::object();
+  flags.set("epochs", o.job.epochs);
+  flags.set("frames", o.job.frames);
+  flags.set("frame_size", o.job.frame_size);
+  flags.set("threads", o.job.threads);
+  api::Json records = api::Json::array();
+  records.push_back(api::bench_record(dataset, o.job.model, base_method,
+                                      rb.total_us / o.job.epochs, rb));
+  records.push_back(api::bench_record(dataset, o.job.model, "pipad",
+                                      rp.total_us / o.job.epochs, rp));
+  api::Json doc = api::Json::object();
+  doc.set("bench", "pipad-cli");
+  doc.set("flags", std::move(flags));
+  doc.set("records", std::move(records));
+  api::write_document(o.json, doc);
   std::printf("\n2 records written to %s\n", o.json.c_str());
-  return true;
 }
 
 int cmd_train(const Options& o) {
@@ -120,9 +110,8 @@ int cmd_bench(const Options& o) {
   print_result("pipad", rp.train);
   std::printf("\nPiPAD end-to-end speedup over %s: %.2fx\n", base.c_str(),
               rb.train.total_us / rp.train.total_us);
-  if (!o.json.empty() &&
-      !write_bench_json(o, data.data.name, base, rb.train, rp.train)) {
-    return 1;
+  if (!o.json.empty()) {
+    write_bench_json(o, data.data.name, base, rb.train, rp.train);
   }
   return 0;
 }
@@ -212,18 +201,7 @@ int cmd_analyze(const Options& o) {
   }
 
   if (!o.json.empty()) {
-    std::ofstream js(o.json);
-    if (!js) {
-      std::fprintf(stderr, "pipad: cannot open %s for writing\n",
-                   o.json.c_str());
-      return 1;
-    }
-    analyze::write_json_report(js, analyses, o.job.threads);
-    js.flush();
-    if (!js) {
-      std::fprintf(stderr, "pipad: write failed: %s\n", o.json.c_str());
-      return 1;
-    }
+    api::write_document(o.json, analyze::report_json(analyses, o.job.threads));
     std::printf("%zu analysis records written to %s\n", analyses.size(),
                 o.json.c_str());
   }
@@ -298,18 +276,12 @@ bool write_record_json(const std::string& path, const api::JobResult& r) {
                  static_cast<unsigned long long>(r.id), r.state.c_str());
     return false;
   }
-  std::ofstream os(path);
-  if (!os) {
-    std::fprintf(stderr, "pipad: cannot open %s for writing\n", path.c_str());
-    return false;
-  }
-  os << "{\n  \"bench\": \"pipad-serve\",\n  \"records\": [\n    "
-     << r.record.dump() << "\n  ]\n}\n";
-  os.flush();
-  if (!os) {
-    std::fprintf(stderr, "pipad: write failed: %s\n", path.c_str());
-    return false;
-  }
+  api::Json records = api::Json::array();
+  records.push_back(r.record);
+  api::Json doc = api::Json::object();
+  doc.set("bench", "pipad-serve");
+  doc.set("records", std::move(records));
+  api::write_document(path, doc);
   std::printf("1 record written to %s\n", path.c_str());
   return true;
 }

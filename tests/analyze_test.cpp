@@ -444,14 +444,20 @@ TEST(AnalyzeReport, JsonCarriesGateableRecordsAndDetailFindings) {
   tl.submit_worker(0, "prep:x", 50.0);
   tl.submit(0, Resource::Compute, "kernel:k", 50.0, 50.0);
   auto a = analyze::analyze_trace(analyze::from_timeline(tl));
-  const std::string js = json_of(a, 4);
-  EXPECT_NE(js.find("\"bench\": \"pipad-analyze\""), std::string::npos);
-  EXPECT_NE(js.find("\"threads\": 4"), std::string::npos);
+  const api::Json js = api::Json::parse(json_of(a, 4));
+  EXPECT_EQ(js.find("bench")->as_string(), "pipad-analyze");
+  EXPECT_EQ(js.find("flags")->find("threads")->as_int(), 4);
+  ASSERT_EQ(js.find("records")->items().size(), 1u);
+  const api::Json& rec = js.find("records")->items()[0];
   // Unlabeled traces key under "trace" so bench_diff still matches them.
-  EXPECT_NE(js.find("\"dataset\": \"trace\""), std::string::npos);
-  EXPECT_NE(js.find("\"critical_path_us\": 100.0"), std::string::npos);
-  EXPECT_NE(js.find("\"findings_high\": 1"), std::string::npos);
-  EXPECT_NE(js.find("\"pass\": \"prep_bound\""), std::string::npos);
+  EXPECT_EQ(rec.find("dataset")->as_string(), "trace");
+  EXPECT_EQ(rec.find("critical_path_us")->as_number(), 100.0);
+  EXPECT_EQ(rec.find("findings_high")->as_int(), 1);
+  bool prep_bound = false;
+  for (const api::Json& f : js.find("findings")->items()) {
+    prep_bound = prep_bound || f.find("pass")->as_string() == "prep_bound";
+  }
+  EXPECT_TRUE(prep_bound);
   EXPECT_EQ(analyze::max_severity({}), analyze::Severity::Info);
 }
 

@@ -9,11 +9,13 @@
 #include <vector>
 
 #include "../bench/bench_util.hpp"
+#include "analyze/report.hpp"
+#include "api/job_result.hpp"
+#include "api/json.hpp"
 #include "cli/cli.hpp"
 #include "gpusim/timeline.hpp"
 #include "gpusim/trace.hpp"
 #include "graph/generator.hpp"
-#include "models/bench_record.hpp"
 
 namespace pipad::cli {
 namespace {
@@ -445,11 +447,35 @@ TEST(CliBenchParity, GoodSharedInputsLandIdentically) {
   EXPECT_EQ(r.options.job.allreduce, f.job.allreduce);
 }
 
-TEST(BenchRecord, LegacyFieldBytesAreStableUnderVersioning) {
-  // The exact bytes the pre-versioning formatter produced, with
-  // ", "schema_version": 1}" appended and nothing else moved. If this
-  // breaks, freshly produced records stop matching the checked-in
-  // BENCH_*.json baselines and every CI perf gate trips at once.
+api::Json read_json(const std::string& path) {
+  std::ifstream is(path);
+  EXPECT_TRUE(is.good()) << path;
+  std::stringstream buf;
+  buf << is.rdbuf();
+  return api::Json::parse(buf.str());
+}
+
+std::vector<std::string> keys_of(const api::Json& obj) {
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : obj.members()) keys.push_back(key);
+  return keys;
+}
+
+const std::vector<std::string> kLegacyRecordKeys = {
+    "dataset", "model", "method", "epoch_us", "total_us", "transfer_us",
+    "compute_us", "prep_us", "first_steady_us", "steals", "sm_util",
+    "final_loss"};
+
+std::vector<std::string> with_keys(std::vector<std::string> keys,
+                                   std::initializer_list<const char*> more) {
+  keys.insert(keys.end(), more.begin(), more.end());
+  return keys;
+}
+
+TEST(BenchRecord, LegacyFieldsKeepOrderAndExactValuesUnderVersioning) {
+  // The legacy fields come first in their pre-versioning order and
+  // schema_version comes last, so fresh records line up with the
+  // checked-in BENCH_*.json baselines; every number reads back exactly.
   models::TrainResult r;
   r.total_us = 2469.0;
   r.transfer_us = 100.5;
@@ -459,32 +485,103 @@ TEST(BenchRecord, LegacyFieldBytesAreStableUnderVersioning) {
   r.steals = 3;
   r.sm_utilization = 0.8125;
   r.frame_loss = {0.5f, 0.25f};
-  EXPECT_EQ(models::bench_record_json("web", "tgcn", "pipad", 1234.5, r),
-            "    {\"dataset\": \"web\", \"model\": \"tgcn\", "
-            "\"method\": \"pipad\", \"epoch_us\": 1234.5, "
-            "\"total_us\": 2469.0, \"transfer_us\": 100.5, "
-            "\"compute_us\": 2000.5, \"prep_us\": 42.0, "
-            "\"first_steady_us\": 617.5, \"steals\": 3, "
-            "\"sm_util\": 0.8125, \"final_loss\": 0.250000, "
-            "\"schema_version\": 1}");
-  // Replica fields still ride between the legacy set and the version tag.
+  const api::Json rec = api::Json::parse(
+      api::bench_record("web", "tgcn", "pipad", 1234.5, r).dump());
+  EXPECT_EQ(keys_of(rec), with_keys(kLegacyRecordKeys, {"schema_version"}));
+  EXPECT_EQ(rec.find("dataset")->as_string(), "web");
+  EXPECT_EQ(rec.find("model")->as_string(), "tgcn");
+  EXPECT_EQ(rec.find("method")->as_string(), "pipad");
+  EXPECT_EQ(rec.find("epoch_us")->as_number(), 1234.5);
+  EXPECT_EQ(rec.find("total_us")->as_number(), 2469.0);
+  EXPECT_EQ(rec.find("transfer_us")->as_number(), 100.5);
+  EXPECT_EQ(rec.find("compute_us")->as_number(), 2000.5);
+  EXPECT_EQ(rec.find("prep_us")->as_number(), 42.0);
+  EXPECT_EQ(rec.find("first_steady_us")->as_number(), 617.5);
+  EXPECT_EQ(rec.find("steals")->as_int(), 3);
+  EXPECT_EQ(rec.find("sm_util")->as_number(), 0.8125);
+  EXPECT_EQ(rec.find("final_loss")->as_number(), 0.25);
+  EXPECT_EQ(rec.find("schema_version")->as_int(),
+            api::kBenchRecordSchemaVersion);
+
+  // Replica fields ride between the legacy set and the version tag, and
+  // only on replicated runs.
   r.replicas = 2;
   r.allreduce_us = 7.5;
-  const std::string rep =
-      models::bench_record_json("web", "tgcn", "pipad", 1234.5, r);
-  EXPECT_NE(rep.find(", \"replicas\": 2, \"allreduce_us\": 7.5, "
-                     "\"schema_version\": 1}"),
-            std::string::npos)
-      << rep;
+  const api::Json rep = api::Json::parse(
+      api::bench_record("web", "tgcn", "pipad", 1234.5, r).dump());
+  EXPECT_EQ(keys_of(rep),
+            with_keys(kLegacyRecordKeys,
+                      {"replicas", "allreduce_us", "schema_version"}));
+  EXPECT_EQ(rep.find("replicas")->as_int(), 2);
+  EXPECT_EQ(rep.find("allreduce_us")->as_number(), 7.5);
 }
 
 TEST(BenchRecord, EscapesJsonStrings) {
   // Dataset names are file stems and may contain JSON-special characters.
   models::TrainResult r;
-  const std::string rec =
-      models::bench_record_json("sa\"mp\\le", "tgcn", "pipad", 1.0, r);
-  EXPECT_NE(rec.find("\"dataset\": \"sa\\\"mp\\\\le\""), std::string::npos)
-      << rec;
+  const std::string name = "sa\"mp\\le\x01";
+  const api::Json rec = api::Json::parse(
+      api::bench_record(name, "tgcn", "pipad", 1.0, r).dump());
+  EXPECT_EQ(rec.find("dataset")->as_string(), name);
+}
+
+/// The analyzer's record and finding key orders, taken from a report on a
+/// prep-bound trace (which fires one finding).
+api::Json prep_bound_report() {
+  gpusim::Timeline tl;
+  tl.submit_worker(0, "prep:x", 50.0);
+  tl.submit(0, gpusim::Resource::Compute, "kernel:k", 50.0, 50.0);
+  return analyze::report_json(
+      {analyze::analyze_trace(analyze::from_timeline(tl))}, 1);
+}
+
+TEST(BenchBaselines, CheckedInRecordsKeepTheBuilderKeyOrder) {
+  // Every checked-in baseline record carries exactly the keys its builder
+  // emits today, in the same order — ignoring the trailing schema_version,
+  // which baselines written before versioning lack. A field renamed or
+  // reordered in a builder shows up here before it breaks a CI perf gate.
+  const auto strip_version = [](std::vector<std::string> keys) {
+    if (!keys.empty() && keys.back() == "schema_version") keys.pop_back();
+    return keys;
+  };
+  models::TrainResult single;
+  models::TrainResult replicated;
+  replicated.replicas = 1;
+  const std::vector<std::string> single_keys = strip_version(
+      keys_of(api::bench_record("d", "m", "x", 0.0, single)));
+  const std::vector<std::string> replica_keys = strip_version(
+      keys_of(api::bench_record("d", "m", "x", 0.0, replicated)));
+  for (const char* name : {"fig10", "cli_file", "pool", "ingest",
+                           "replicas"}) {
+    SCOPED_TRACE(name);
+    const api::Json doc = read_json(std::string(PIPAD_SOURCE_DIR) +
+                                    "/BENCH_" + name + ".json");
+    ASSERT_NE(doc.find("records"), nullptr);
+    ASSERT_FALSE(doc.find("records")->items().empty());
+    for (const api::Json& rec : doc.find("records")->items()) {
+      const bool has_replicas = rec.find("replicas") != nullptr;
+      EXPECT_EQ(strip_version(keys_of(rec)),
+                has_replicas ? replica_keys : single_keys)
+          << rec.dump();
+    }
+  }
+
+  const api::Json fresh = prep_bound_report();
+  const std::vector<std::string> record_keys =
+      keys_of(fresh.find("records")->items().at(0));
+  const std::vector<std::string> finding_keys =
+      keys_of(fresh.find("findings")->items().at(0));
+  const api::Json analyze_doc =
+      read_json(std::string(PIPAD_SOURCE_DIR) + "/BENCH_analyze.json");
+  ASSERT_NE(analyze_doc.find("records"), nullptr);
+  ASSERT_NE(analyze_doc.find("findings"), nullptr);
+  ASSERT_FALSE(analyze_doc.find("records")->items().empty());
+  for (const api::Json& rec : analyze_doc.find("records")->items()) {
+    EXPECT_EQ(keys_of(rec), record_keys) << rec.dump();
+  }
+  for (const api::Json& f : analyze_doc.find("findings")->items()) {
+    EXPECT_EQ(keys_of(f), finding_keys) << f.dump();
+  }
 }
 
 // ---- end-to-end: run() on a tiny synthetic dataset, in process ----
@@ -534,15 +631,14 @@ TEST(CliRun, TrainAndBenchOnFileDataset) {
   EXPECT_EQ(run(o), 0);
   // The JSON report is bench_diff-compatible: a records array keyed by
   // (dataset, model, method).
-  std::ifstream is(json);
-  ASSERT_TRUE(is.good());
-  std::stringstream buf;
-  buf << is.rdbuf();
-  const std::string doc = buf.str();
-  EXPECT_NE(doc.find("\"records\""), std::string::npos);
-  EXPECT_NE(doc.find("\"dataset\": \"sample_edges\""), std::string::npos);
-  EXPECT_NE(doc.find("\"method\": \"pipad\""), std::string::npos);
-  EXPECT_NE(doc.find("\"epoch_us\""), std::string::npos);
+  const api::Json doc = read_json(json);
+  const api::Json* records = doc.find("records");
+  ASSERT_NE(records, nullptr);
+  ASSERT_EQ(records->items().size(), 2u);
+  const api::Json& rec = records->items()[1];
+  EXPECT_EQ(rec.find("dataset")->as_string(), "sample_edges");
+  EXPECT_EQ(rec.find("method")->as_string(), "pipad");
+  EXPECT_NE(rec.find("epoch_us"), nullptr);
   std::remove(json.c_str());
 }
 
@@ -552,13 +648,11 @@ TEST(CliRun, AnalyzeLiveRunAndTraceFileRoundTrip) {
   const std::string json = ::testing::TempDir() + "cli_analyze.json";
   o.json = json;
   EXPECT_EQ(run(o), 0);
-  std::ifstream is(json);
-  ASSERT_TRUE(is.good());
-  std::stringstream buf;
-  buf << is.rdbuf();
-  const std::string doc = buf.str();
-  EXPECT_NE(doc.find("\"bench\": \"pipad-analyze\""), std::string::npos);
-  EXPECT_NE(doc.find("\"critical_path_us\""), std::string::npos);
+  const api::Json doc = read_json(json);
+  EXPECT_EQ(doc.find("bench")->as_string(), "pipad-analyze");
+  ASSERT_EQ(doc.find("records")->items().size(), 1u);
+  EXPECT_NE(doc.find("records")->items()[0].find("critical_path_us"),
+            nullptr);
   std::remove(json.c_str());
 
   // Trace-file mode: `pipad trace` writes a labeled CSV, analyze reads it.

@@ -8,7 +8,6 @@
 #include <cstring>
 #include <functional>
 #include <map>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -281,11 +280,7 @@ inline const analyze::Finding* find_pass(const analyze::Analysis& a,
 
 inline std::string analysis_json(const analyze::Analysis& a,
                                  int threads = 1) {
-  std::vector<analyze::Analysis> as;
-  as.push_back(a);
-  std::ostringstream os;
-  analyze::write_json_report(os, as, threads);
-  return os.str();
+  return analyze::report_json({a}, threads).dump();
 }
 
 }  // namespace pipad::testutil
