@@ -54,7 +54,7 @@ struct Document {
 /// the field (pre-versioning baselines) and records at or below this
 /// version are accepted; newer records fail loudly instead of being
 /// compared under stale semantics.
-constexpr int kMaxRecordSchemaVersion = 1;
+constexpr int kMaxRecordSchemaVersion = 2;
 
 void check_schema(const std::string& path, const Record& r) {
   const auto it = r.numbers.find("schema_version");

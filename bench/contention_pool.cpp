@@ -5,9 +5,10 @@
 //   zipf    — block b's rows cost ~ 1/(b+1), so the leading blocks dwarf
 //             the tail the way skewed row distributions do in the real
 //             aggregation kernels (the imbalance `pipad analyze` flags).
-// Each profile runs with stealing on and off through the same
-// ComputePool::for_blocks region (identical block layout — the toggle only
-// moves execution, never the partitioning), timed as min-of-N wall clock.
+// Each profile runs with stealing on and off as the same
+// ThreadPool::run_blocks region over ComputePool::even_ranges(kRows,
+// kMaxBlocks) (identical block layout — the toggle only moves execution,
+// never the partitioning), timed as min-of-N wall clock.
 //
 // The binary is its own gate: with >= 2 workers the zipf profile must run
 // faster with stealing than without, and must actually steal, or it exits
@@ -27,6 +28,7 @@
 namespace {
 
 using pipad::ComputePool;
+using pipad::ThreadPool;
 
 constexpr std::size_t kRows = 1u << 15;
 /// Per-row work repetitions for the uniform profile; zipf redistributes the
@@ -65,42 +67,39 @@ struct RunResult {
 };
 
 /// Time the region `iters` times (plus one untimed warmup) and keep the
-/// fastest run; steal/block counters come from the drained region stats.
+/// fastest run; steal/block counters are summed over the timed runs.
 RunResult run_profile(const Profile& p, bool steal, int iters,
                       std::vector<float>& out) {
-  auto& cp = ComputePool::instance();
-  cp.set_stealing(steal);
-  cp.discard_regions();
-  RunResult r;
-  r.min_us = 1e30;
+  const ComputePool::Ranges ranges =
+      ComputePool::even_ranges(kRows, ComputePool::kMaxBlocks);
+  ThreadPool& pool = ComputePool::instance().pool();
   const auto region = [&] {
-    cp.for_blocks("contention", kRows, kRows * kUniformReps,
-                  [&](std::size_t lo, std::size_t hi) {
-                    for (std::size_t i = lo; i < hi; ++i) {
-                      float acc = static_cast<float>(i) * 0.5f + 1.0f;
-                      const std::size_t reps = p.reps[i];
-                      for (std::size_t k = 0; k < reps; ++k) {
-                        acc = acc * 0.999f + 0.001f * static_cast<float>(k);
-                      }
-                      out[i] = acc;
-                    }
-                  });
+    return pool.run_blocks(
+        ranges.size(),
+        [&](std::size_t b) {
+          for (std::size_t i = ranges[b].first; i < ranges[b].second; ++i) {
+            float acc = static_cast<float>(i) * 0.5f + 1.0f;
+            const std::size_t reps = p.reps[i];
+            for (std::size_t k = 0; k < reps; ++k) {
+              acc = acc * 0.999f + 0.001f * static_cast<float>(k);
+            }
+            out[i] = acc;
+          }
+        },
+        steal);
   };
   region();  // Warmup (page faults, pool wakeup).
-  cp.discard_regions();
+  RunResult r;
+  r.min_us = 1e30;
   for (int it = 0; it < iters; ++it) {
     const auto t0 = std::chrono::steady_clock::now();
-    region();
+    const ThreadPool::StealStats st = region();
     const auto t1 = std::chrono::steady_clock::now();
     r.min_us = std::min(
         r.min_us,
         std::chrono::duration<double, std::micro>(t1 - t0).count());
-  }
-  auto regions = cp.drain_regions();
-  const auto it = regions.find("contention");
-  if (it != regions.end()) {
-    r.steals = it->second.steals;
-    r.blocks = it->second.blocks;
+    r.steals += st.stolen;
+    r.blocks += st.executed;
   }
   return r;
 }
@@ -112,9 +111,6 @@ int main(int argc, char** argv) {
   const auto flags = bench::Flags::parse(argc, argv);
   ComputePool::instance().configure(
       flags.job.threads > 0 ? static_cast<std::size_t>(flags.job.threads) : 0);
-  // Pin the work floor so the block layout (kMaxBlocks blocks) does not
-  // depend on the machine's measured calibration.
-  ComputePool::set_min_block_work(ComputePool::kMinBlockWorkFloor);
   const std::size_t threads = ComputePool::instance().threads();
   const int iters = std::max(flags.job.epochs, 5);
 
@@ -152,12 +148,9 @@ int main(int argc, char** argv) {
       models::TrainResult tr;
       tr.total_us = r.min_us;
       tr.compute_us = r.min_us;
-      tr.steals = r.steals;
       report.add(profile.name, "pool", steal ? "steal" : "static", tr);
     }
   }
-  ComputePool::set_min_block_work(0);  // Restore the calibrated floor.
-  ComputePool::instance().set_stealing(true);
 
   if (!report.write_if_requested()) return 1;
 

@@ -60,11 +60,8 @@ int main(int argc, char** argv) {
   }
   std::printf(
       "\nShape check (Fig. 10): PiPAD wins in geomean for every model; "
-      "PyGT-G is the strongest\nvariant. epoch_us now includes the "
-      "*measured* numeric-kernel execution charged to the\n--threads "
-      "ComputePool lanes (serial COO scatter for the PyG-style baselines, "
-      "row-blocked\nparallel kernels for PiPAD and GE-SpMM), so margins "
-      "tighten on CPU-bound configs and\nthe same run at --threads=8 vs "
-      "--threads=1 shows the real aggregation+GEMM speedup.\n");
+      "PyGT-G is the strongest\nvariant. epoch_us is modeled: device "
+      "kernels and copies come from the gpusim cost\nmodel, and only "
+      "PiPAD's host prep is charged at measured cost.\n");
   return report.write_if_requested() ? 0 : 1;
 }

@@ -214,11 +214,10 @@ class TransferBoundPass final : public Pass {
 // ---------------------------------------------------------------------------
 // prep_bound: host-side preparation runs *exclusively* — wall-clock time
 // where some worker lane runs a `prep:*` op while no training compute
-// (device kernels or worker `compute:*` math) runs anywhere. A streamed
-// extractor hides preparation under the steady epochs, so this exposure is
-// the signature of a pipeline that failed to overlap (a one-off ingest, or
-// extraction that blocks training); it is exactly the time an overlapped
-// schedule could win back.
+// (device kernels) runs anywhere. A streamed extractor hides preparation
+// under the steady epochs, so this exposure is the signature of a pipeline
+// that failed to overlap (a one-off ingest, or extraction that blocks
+// training); it is exactly the time an overlapped schedule could win back.
 class PrepBoundPass final : public Pass {
  public:
   const char* name() const override { return "prep_bound"; }
@@ -232,12 +231,9 @@ class PrepBoundPass final : public Pass {
     if (td.makespan_us <= 0.0) return {};
     Intervals prep, train;
     for (const auto& r : td.records) {
-      if (r.resource == Resource::CpuWorker) {
-        if (r.name.rfind("prep:", 0) == 0) {
-          prep.emplace_back(r.start_us, r.end_us);
-        } else if (r.name.rfind("compute:", 0) == 0) {
-          train.emplace_back(r.start_us, r.end_us);
-        }
+      if (r.resource == Resource::CpuWorker &&
+          r.name.rfind("prep:", 0) == 0) {
+        prep.emplace_back(r.start_us, r.end_us);
       } else if (r.resource == Resource::Compute) {
         train.emplace_back(r.start_us, r.end_us);
       }
@@ -302,14 +298,6 @@ class ComputeImbalancePass final : public Pass {
     double mean = 0.0;
     for (double b : lanes) mean += b;
     mean /= static_cast<double>(lanes.size());
-    // Sum the region executor's steal counters over worker compute ops: the
-    // skew we report is what remains *after* work stealing already moved
-    // these blocks, so a nonzero count shifts the diagnosis from scheduling
-    // to block granularity.
-    std::uint64_t steals = 0;
-    for (const auto& rec : td.records) {
-      if (rec.resource == Resource::CpuWorker) steals += rec.steals;
-    }
 
     Finding f;
     f.pass = name();
@@ -317,7 +305,6 @@ class ComputeImbalancePass final : public Pass {
     f.to_us = td.makespan_us;
     f.recoverable_us = std::max(0.0, maxb - mean);
     f.severity = severity_for(f.recoverable_us, td.makespan_us);
-    f.steals = steals;
     for (std::size_t l = 0; l < lanes.size(); ++l) {
       f.blamed.emplace_back("cpu-w" + std::to_string(l), lanes[l]);
     }
@@ -327,9 +314,7 @@ class ComputeImbalancePass final : public Pass {
                 return a.first < b.first;
               });
     f.detail = "lane busy skew " + format_pct(skew) + " (busiest " +
-               format_us(maxb) + " us, idlest " + format_us(minb) +
-               " us) despite " + std::to_string(steals) + " stolen block" +
-               (steals == 1 ? "" : "s");
+               format_us(maxb) + " us, idlest " + format_us(minb) + " us)";
     return {f};
   }
 };
@@ -477,9 +462,9 @@ class SerializationPass final : public Pass {
 // allreduce_bound: replicated-run interconnect exposure. The replica
 // trainer charges each gradient synchronization as comm:allreduce:* steps
 // on the link lane; exposed link time — link busy with no training compute
-// (device kernels or worker compute:* math) in flight anywhere — is pure
-// synchronization stall. A schedule that overlaps the reduce with the next
-// round's prep/compute (or a faster interconnect) wins exactly this back.
+// (device kernels) in flight anywhere — is pure synchronization stall. A
+// schedule that overlaps the reduce with the next round's prep/compute (or
+// a faster interconnect) wins exactly this back.
 // Single-device traces have no link ops and never trip the pass.
 class AllreduceBoundPass final : public Pass {
  public:
@@ -496,9 +481,7 @@ class AllreduceBoundPass final : public Pass {
     for (const auto& r : td.records) {
       if (r.resource == Resource::Link) {
         link.emplace_back(r.start_us, r.end_us);
-      } else if (r.resource == Resource::Compute ||
-                 (r.resource == Resource::CpuWorker &&
-                  r.name.rfind("compute:", 0) == 0)) {
+      } else if (r.resource == Resource::Compute) {
         train.emplace_back(r.start_us, r.end_us);
       }
     }

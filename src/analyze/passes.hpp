@@ -9,7 +9,7 @@
 //   transfer_bound      PCIe copies carry a large share of the critical
 //                       path and are not hidden under compute.
 //   prep_bound          host-side preparation (worker `prep:*` ops) runs
-//                       with no training compute in flight — the batch-
+//                       with no device compute in flight — the batch-
 //                       extractor signature a streamed schedule removes.
 //   compute_imbalance   per-worker-lane busy time is skewed: some lanes
 //                       idle while the busiest one gates progress.
@@ -20,11 +20,10 @@
 //                       ping-pong execution.
 //   allreduce_bound     replicated runs only: the modeled interconnect
 //                       (comm:allreduce:* ops on the link lane) is exposed
-//                       — gradient synchronization runs with no compute in
-//                       flight to hide it.
+//                       — gradient synchronization runs with no device
+//                       compute in flight to hide it.
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <string>
 #include <utility>
@@ -58,11 +57,6 @@ struct Finding {
   /// time each contributes to the diagnosis, largest first.
   std::vector<std::pair<std::string, double>> blamed;
   std::string detail;  ///< One human-readable sentence.
-  /// compute_imbalance only: blocks the work-stealing executor moved off
-  /// their home slot inside the window (0 elsewhere).
-  /// Residual skew *despite* steals points at block granularity, not at
-  /// the scheduler.
-  std::uint64_t steals = 0;
 };
 
 /// Tunable detection thresholds, all as fractions of the makespan (or of

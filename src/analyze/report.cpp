@@ -166,7 +166,6 @@ api::Json report_json(const std::vector<Analysis>& as, int threads) {
       j.set("from_us", f.from_us);
       j.set("to_us", f.to_us);
       j.set("recoverable_us", f.recoverable_us);
-      j.set("steals", f.steals);
       j.set("blame", blame_string(f));
       j.set("detail", f.detail);
       findings.push_back(std::move(j));

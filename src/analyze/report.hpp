@@ -46,7 +46,7 @@ void write_human_report(std::ostream& os, const Analysis& a, int top = 5);
 /// Version of the analyzer JSON document. Bumped when a field changes
 /// meaning or is removed; added fields are backward compatible (bench_diff
 /// tolerates unknown fields).
-inline constexpr int kAnalyzeReportSchemaVersion = 1;
+inline constexpr int kAnalyzeReportSchemaVersion = 2;
 
 /// The machine-readable document described above, one record per analysis
 /// (write it with api::write_document).

@@ -6,10 +6,10 @@
 // in-process trainer run (from_timeline) and over a trace CSV written by
 // `pipad trace`, `pipad analyze`, or a bench's --trace-dir
 // (read_trace_csv / read_trace_file). The CSV reader understands the
-// optional `# pipad-trace v2` metadata header that labels a trace with the
+// optional `# pipad-trace v3` metadata header that labels a trace with the
 // (dataset, model, method) key the bench_diff-compatible JSON report uses,
-// and accepts only the 9-field v2 row layout (the 7 op fields followed by
-// the region executor's steals,blocks counters).
+// and accepts only the 7-field v3 row layout
+// (name,resource,stream,start_us,end_us,bytes,lane).
 #pragma once
 
 #include <istream>

@@ -47,7 +47,6 @@ Json bench_record(const std::string& dataset, const std::string& model,
   j.set("compute_us", r.compute_us);
   j.set("prep_us", r.prep_us);
   j.set("first_steady_us", r.first_steady_us);
-  j.set("steals", r.steals);
   j.set("sm_util", r.sm_utilization);
   j.set("final_loss", r.final_loss());
   // Replica fields ride along only on replicated runs, so single-device

@@ -25,7 +25,7 @@ namespace pipad::api {
 /// or is removed; added fields are backward compatible — bench_diff keys on
 /// the legacy fields and tolerates unknown ones, so checked-in BENCH_*.json
 /// baselines written before versioning keep gating.
-inline constexpr int kBenchRecordSchemaVersion = 1;
+inline constexpr int kBenchRecordSchemaVersion = 2;
 
 /// One flat bench record keyed by (dataset, model, method). Keys in order:
 /// the legacy fields (dataset ... final_loss), then `replicas` and

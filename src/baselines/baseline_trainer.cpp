@@ -4,7 +4,6 @@
 #include <optional>
 
 #include "common/error.hpp"
-#include "host/host_lane.hpp"
 #include "kernels/aggregate.hpp"
 #include "kernels/stats_builders.hpp"
 #include "nn/optim.hpp"
@@ -251,12 +250,7 @@ struct BaselineTrainer::Impl {
             rng)),
         optim(c.lr),
         exec(g, d, v, o.framework_us_per_launch),
-        copy_stream(g.create_stream("copy")) {
-    // The baselines' numeric kernels execute on the shared ComputePool too;
-    // register matching worker lanes so their measured compute is charged
-    // under the same accounting as PiPAD's.
-    gpu.set_worker_lanes(ComputePool::instance().threads());
-  }
+        copy_stream(g.create_stream("copy")) {}
 
   bool async() const { return variant != Variant::PyGT; }
 
@@ -297,8 +291,6 @@ struct BaselineTrainer::Impl {
     }
     auto params = model->params();
 
-    // Regions measured before this run belong to other work in the process.
-    ComputePool::instance().discard_regions();
     for (int epoch = 0; epoch < cfg.epochs; ++epoch) {
       for (const auto& frame : frames) {
         if (opts.cancel != nullptr &&
@@ -350,9 +342,6 @@ struct BaselineTrainer::Impl {
           exec.record("ew:optim",
                       kernels::elementwise_stats(p->value.size(), 3, 8));
         }
-        // Charge the frame's measured numeric compute to the worker lanes
-        // (same accounting as the PiPAD trainer).
-        host::charge_compute(gpu);
         gpu.memcpy_d2h(copy_stream, "loss", sizeof(float), async());
       }
     }

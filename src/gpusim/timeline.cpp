@@ -74,8 +74,7 @@ double Timeline::submit(StreamId stream, Resource res, std::string name,
 }
 
 double Timeline::submit_worker(std::size_t lane, std::string name,
-                               double duration_us, double extra_ready_us,
-                               std::uint64_t steals, std::uint64_t blocks) {
+                               double duration_us, double extra_ready_us) {
   PIPAD_CHECK_MSG(lane < worker_ready_.size(),
                   "unknown worker lane " << lane << " (have "
                                          << worker_ready_.size() << ")");
@@ -94,8 +93,6 @@ double Timeline::submit_worker(std::size_t lane, std::string name,
   rec.start_us = start;
   rec.end_us = end;
   rec.lane = lane;
-  rec.steals = steals;
-  rec.blocks = blocks;
   records_.push_back(std::move(rec));
   return end;
 }

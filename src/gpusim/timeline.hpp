@@ -48,12 +48,6 @@ struct OpRecord {
   double end_us;
   std::size_t bytes = 0;      ///< Transfers only.
   std::size_t lane = 0;       ///< CpuWorker ops only: which worker lane.
-  /// compute:* CpuWorker ops only — what the work-stealing region executor
-  /// did for the charged region: blocks executed, and how many of them ran
-  /// off their home slot. Attached to the first lane op of each region
-  /// (the counters describe the region, not one lane).
-  std::uint64_t steals = 0;
-  std::uint64_t blocks = 0;
   KernelStats stats;          ///< Kernels only.
 };
 
@@ -83,11 +77,9 @@ class Timeline {
   /// Schedule a background host-prep op on one worker lane. Lanes are
   /// independent: an op starts at max(lane front, extra_ready_us), so jobs
   /// that ran concurrently on different pool threads overlap on the
-  /// timeline. steals/blocks carry the region executor's counters into the
-  /// op record (trace column, imbalance analyzer). Returns end time.
+  /// timeline. Returns end time.
   double submit_worker(std::size_t lane, std::string name,
-                       double duration_us, double extra_ready_us = 0.0,
-                       std::uint64_t steals = 0, std::uint64_t blocks = 0);
+                       double duration_us, double extra_ready_us = 0.0);
 
   /// Current front of a worker lane.
   double worker_lane_ready(std::size_t lane) const;

@@ -32,14 +32,12 @@ std::string csv_time(double us) {
 }
 
 void write_rows(const Timeline& tl, std::ostream& os) {
-  // v2 layout: the steals/blocks pair carries the work-stealing region
-  // executor's counters on compute:* worker ops (0 everywhere else).
-  os << "name,resource,stream,start_us,end_us,bytes,lane,steals,blocks\n";
+  os << "name,resource,stream,start_us,end_us,bytes,lane\n";
   for (const auto& rec : tl.records()) {
     os << csv_quote(rec.name) << ',' << resource_name(rec.resource) << ','
        << rec.stream << ',' << csv_time(rec.start_us) << ','
-       << csv_time(rec.end_us) << ',' << rec.bytes << ',' << rec.lane << ','
-       << rec.steals << ',' << rec.blocks << '\n';
+       << csv_time(rec.end_us) << ',' << rec.bytes << ',' << rec.lane
+       << '\n';
   }
 }
 
@@ -60,7 +58,7 @@ void write_trace_csv(const Timeline& tl, std::ostream& os) {
 
 void write_trace_csv(const Timeline& tl, std::ostream& os,
                      const TraceMeta& meta) {
-  os << "# pipad-trace v2\n";
+  os << "# pipad-trace v3\n";
   os << "# dataset=" << meta_value(meta.dataset)
      << " model=" << meta_value(meta.model)
      << " method=" << meta_value(meta.method) << '\n';

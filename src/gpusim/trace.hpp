@@ -22,15 +22,14 @@ struct TraceMeta {
   std::string method;
 };
 
-/// One CSV row per op:
-/// name,resource,stream,start_us,end_us,bytes,lane,steals,blocks.
+/// One CSV row per op: name,resource,stream,start_us,end_us,bytes,lane.
 /// Names containing commas, quotes or newlines are double-quoted with ""
 /// escapes; times are written with enough digits to round-trip doubles
 /// exactly, so an analysis of the re-read trace matches the live one bit
 /// for bit.
 void write_trace_csv(const Timeline& tl, std::ostream& os);
 
-/// Same, prefixed with a `# pipad-trace v2` header and the meta comment
+/// Same, prefixed with a `# pipad-trace v3` header and the meta comment
 /// (whitespace in meta values is replaced with '_').
 void write_trace_csv(const Timeline& tl, std::ostream& os,
                      const TraceMeta& meta);

@@ -267,24 +267,4 @@ double charge_load(gpusim::Gpu& gpu, const graph::io::LoadStats& st,
   return end;
 }
 
-void charge_compute(gpusim::Gpu& gpu) {
-  const auto regions = ComputePool::instance().drain_regions();
-  auto& tl = gpu.timeline();
-  const std::size_t max_lanes = std::max<std::size_t>(1, tl.worker_lanes());
-  for (const auto& [name, region] : regions) {
-    // The executor's steal/block counters describe the region as a whole;
-    // carry them on the first charged lane op so trace consumers see each
-    // region's counters exactly once.
-    bool first_op = true;
-    for (std::size_t lane = 0; lane < region.lane_us.size(); ++lane) {
-      if (region.lane_us[lane] <= 0.0) continue;
-      tl.submit_worker(lane % max_lanes, "compute:" + name,
-                       region.lane_us[lane], 0.0,
-                       first_op ? region.steals : 0,
-                       first_op ? region.blocks : 0);
-      first_op = false;
-    }
-  }
-}
-
 }  // namespace pipad::host

@@ -174,13 +174,6 @@ class HostStream {
   bool have_last_wait_ = false;
 };
 
-/// Drain the ComputePool's measured kernel regions and charge each to the
-/// Gpu's worker lanes as a "compute:<name>" op per occupied lane — the same
-/// accounting HostLane applies to prep jobs, so `--threads N` scales the
-/// simulated cost of the numeric hot path from real measurements. Trainers
-/// call this once per trained frame.
-void charge_compute(gpusim::Gpu& gpu);
-
 /// Charge an on-disk dataset load's measured phases (file read, chunked
 /// parse, snapshot build, cache I/O — graph::io::LoadStats) to the Gpu's
 /// worker lanes, the same accounting prep jobs get: `pipad trace` shows the

@@ -90,7 +90,7 @@ void ref_spmm(const graph::CSR& a, const Tensor& x, Tensor& out,
   // unweighted path is kept as a separate loop (not weight=1.0) so existing
   // datasets stay bit-identical.
   ComputePool::instance().for_blocks(
-      "agg:spmm", static_cast<std::size_t>(a.rows), a.nnz() * f,
+      static_cast<std::size_t>(a.rows), a.nnz() * f,
       [&](std::size_t lo, std::size_t hi) {
         for (std::size_t r = lo; r < hi; ++r) {
           float* orow = out.row(static_cast<int>(r));
@@ -125,25 +125,22 @@ KernelStats agg_coo(const graph::COO& a, const Tensor& x, Tensor& out,
 
   // Per-edge scatter to arbitrary destination rows: the pattern that needs
   // atomics on a GPU and does not decompose into disjoint row blocks here.
-  // Runs serially (measured, so the baseline's compute is charged to the
-  // timeline like everything else) — mirroring how PyG's scatter-add gains
-  // nothing from dimension-aware parallelism.
-  ComputePool::instance().run_serial("agg:coo", nnz * f, [&] {
-    if (w == nullptr) {
-      for (std::size_t i = 0; i < a.nnz(); ++i) {
-        const float* xrow = x.row(a.col[i]);
-        float* orow = out.row(a.row[i]);
-        for (int d = 0; d < f; ++d) orow[d] += xrow[d];
-      }
-    } else {
-      for (std::size_t i = 0; i < a.nnz(); ++i) {
-        const float* xrow = x.row(a.col[i]);
-        float* orow = out.row(a.row[i]);
-        const float wi = (*w)[i];
-        for (int d = 0; d < f; ++d) orow[d] += wi * xrow[d];
-      }
+  // Runs serially — mirroring how PyG's scatter-add gains nothing from
+  // dimension-aware parallelism.
+  if (w == nullptr) {
+    for (std::size_t i = 0; i < a.nnz(); ++i) {
+      const float* xrow = x.row(a.col[i]);
+      float* orow = out.row(a.row[i]);
+      for (int d = 0; d < f; ++d) orow[d] += xrow[d];
     }
-  });
+  } else {
+    for (std::size_t i = 0; i < a.nnz(); ++i) {
+      const float* xrow = x.row(a.col[i]);
+      float* orow = out.row(a.row[i]);
+      const float wi = (*w)[i];
+      for (int d = 0; d < f; ++d) orow[d] += wi * xrow[d];
+    }
+  }
 
   KernelStats s;
   const std::uint64_t fu = static_cast<std::uint64_t>(f);
@@ -327,8 +324,7 @@ KernelStats agg_sliced(const sliced::SlicedCSR& a, const Tensor& x,
   // member's F-wide stripe just gets its own scale.
   const std::size_t work = a.nnz() * static_cast<std::size_t>(fc);
   ComputePool::instance().run_ranges(
-      "agg:sliced", slice_blocks(a, work), work,
-      [&](std::size_t lo, std::size_t hi) {
+      slice_blocks(a, work), [&](std::size_t lo, std::size_t hi) {
         for (std::size_t sl = lo; sl < hi; ++sl) {
           float* orow = out.row(a.row_idx[sl]);
           if (parts == 0) {
@@ -364,7 +360,7 @@ KernelStats gcn_normalize_backward_coalesced(
   const int parts = static_cast<int>(degs.size());
   const int f = d_out.cols() / parts;
   ComputePool::instance().for_blocks(
-      "normalize", static_cast<std::size_t>(d_out.rows()), 2 * d_out.size(),
+      static_cast<std::size_t>(d_out.rows()), 2 * d_out.size(),
       [&](std::size_t lo, std::size_t hi) {
         for (std::size_t vv = lo; vv < hi; ++vv) {
           const int v = static_cast<int>(vv);
@@ -394,7 +390,7 @@ KernelStats gcn_normalize(const std::vector<float>& deg, const Tensor& x,
   PIPAD_CHECK(x.same_shape(out));
   const int f = x.cols();
   ComputePool::instance().for_blocks(
-      "normalize", static_cast<std::size_t>(x.rows()), 2 * x.size(),
+      static_cast<std::size_t>(x.rows()), 2 * x.size(),
       [&](std::size_t lo, std::size_t hi) {
         for (std::size_t vv = lo; vv < hi; ++vv) {
           const int v = static_cast<int>(vv);
@@ -421,7 +417,7 @@ KernelStats gcn_normalize_coalesced(
   const int parts = static_cast<int>(degs.size());
   const int f = x.cols() / parts;
   ComputePool::instance().for_blocks(
-      "normalize", static_cast<std::size_t>(x.rows()), 2 * x.size(),
+      static_cast<std::size_t>(x.rows()), 2 * x.size(),
       [&](std::size_t lo, std::size_t hi) {
         for (std::size_t vv = lo; vv < hi; ++vv) {
           const int v = static_cast<int>(vv);
@@ -450,7 +446,7 @@ KernelStats gcn_normalize_backward(const std::vector<float>& deg,
   PIPAD_CHECK(d_out.same_shape(d_agg) && d_out.same_shape(d_x_direct));
   const int f = d_out.cols();
   ComputePool::instance().for_blocks(
-      "normalize", static_cast<std::size_t>(d_out.rows()), 2 * d_out.size(),
+      static_cast<std::size_t>(d_out.rows()), 2 * d_out.size(),
       [&](std::size_t lo, std::size_t hi) {
         for (std::size_t vv = lo; vv < hi; ++vv) {
           const int v = static_cast<int>(vv);

@@ -37,7 +37,7 @@ Tensor TGcn::step(const Tensor& uz, const Tensor& ur, const Tensor& un,
   cache.r = Tensor(rows, hid_);
   cache.rh = Tensor(rows, hid_);
   // z = σ((h U_z + b_z) + u_z), r = σ((h U_r + b_r) + u_r), rh = r ⊙ h.
-  ops::par_rows("elementwise", rows, h_prev.size(), [&](int i) {
+  ops::par_rows(rows, h_prev.size(), [&](int i) {
     const float *pyz = yz.row(i), *pyr = yr.row(i);
     const float *puz = uz.row(i), *pur = ur.row(i), *ph = h_prev.row(i);
     float *pz = cache.z.row(i), *pr = cache.r.row(i), *prh = cache.rh.row(i);
@@ -53,7 +53,7 @@ Tensor TGcn::step(const Tensor& uz, const Tensor& ur, const Tensor& un,
   cache.n = Tensor(rows, hid_);
   Tensor h(rows, hid_);
   // n = tanh((rh U_n + b_n) + u_n), h = (1 - z) ⊙ n + z ⊙ h_prev.
-  ops::par_rows("elementwise", rows, h.size(), [&](int i) {
+  ops::par_rows(rows, h.size(), [&](int i) {
     const float *pyn = yn.row(i), *pun = un.row(i), *pz = cache.z.row(i);
     const float* ph = h_prev.row(i);
     float *pn = cache.n.row(i), *pout = h.row(i);

@@ -39,9 +39,7 @@ struct TrainResult {
   /// baselines have no steady state).
   double first_steady_us = 0.0;
 
-  /// Blocks the work-stealing region executor moved off their home slot,
-  /// summed over all charged compute regions (0 with stealing disabled or
-  /// a single lane). Not a timing: a load-balance observability counter.
+  /// Never set; kept only because bench/e2e/pipad_e2e.cpp still reads it.
   std::uint64_t steals = 0;
 
   // PiPAD runs (replica::ReplicaTrainer) only; 0/empty otherwise.
@@ -89,9 +87,7 @@ inline void summarize_timeline(const gpusim::Timeline& tl, TrainResult& r) {
   r.sm_utilization = tl.utilization(Resource::Compute);
   r.device_active = tl.device_active_fraction();
   r.gnn_us = r.rnn_us = r.other_us = 0.0;
-  r.steals = 0;
   for (const auto& rec : tl.records()) {
-    if (rec.resource == Resource::CpuWorker) r.steals += rec.steals;
     if (rec.resource != Resource::Compute) continue;
     const double d = rec.end_us - rec.start_us;
     if (is_gnn_kernel(rec.name)) {

@@ -44,7 +44,7 @@ Tensor GRUCell::forward(const Tensor& x, const Tensor& h_prev, Cache& cache,
   cache.r = Tensor(rows, hid_);
   cache.xrh = Tensor(rows, in_ + hid_);
   // z = σ(xh W_z + b_z), r = σ(xh W_r + b_r), xrh = [x | r ⊙ h_prev].
-  ops::par_rows("elementwise", rows, cache.xrh.size(), [&](int i) {
+  ops::par_rows(rows, cache.xrh.size(), [&](int i) {
     const float *pyz = yz.row(i), *pyr = yr.row(i), *ph = h_prev.row(i);
     float *pz = cache.z.row(i), *pr = cache.r.row(i), *pxrh = cache.xrh.row(i);
     std::copy(x.row(i), x.row(i) + in_, pxrh);
@@ -62,7 +62,7 @@ Tensor GRUCell::forward(const Tensor& x, const Tensor& h_prev, Cache& cache,
   cache.n = Tensor(rows, hid_);
   Tensor h(rows, hid_);
   // n = tanh(xrh W_n + b_n), h = (1 - z) ⊙ n + z ⊙ h_prev.
-  ops::par_rows("elementwise", rows, h.size(), [&](int i) {
+  ops::par_rows(rows, h.size(), [&](int i) {
     const float *pyn = yn.row(i), *pz = cache.z.row(i), *ph = h_prev.row(i);
     float *pn = cache.n.row(i), *pout = h.row(i);
     for (int c = 0; c < hid_; ++c) {
@@ -107,7 +107,7 @@ std::pair<Tensor, Tensor> GRUCell::backward(const Cache& cache,
   const Tensor dxrh = ops::matmul(dan, wn_.value, false, true);
   // dxrh = [dx_n | drh] with rh = r ⊙ h_prev: dar = ((drh*h_prev)*r)*(1-r).
   Tensor dar(rows, hid_);
-  ops::par_rows("elementwise", rows, dh.size(), [&](int i) {
+  ops::par_rows(rows, dh.size(), [&](int i) {
     const float *pdrh = dxrh.row(i) + in_, *pr = cache.r.row(i);
     const float* ph = cache.h_prev.row(i);
     float *pdar = dar.row(i), *pdhp = dh_prev.row(i);
@@ -127,7 +127,7 @@ std::pair<Tensor, Tensor> GRUCell::backward(const Cache& cache,
 
   // [dx | dh_prev] += dxh_z, then += dxh_r.
   Tensor dx(rows, in_);
-  ops::par_rows("elementwise", rows, dxrh.size(), [&](int i) {
+  ops::par_rows(rows, dxrh.size(), [&](int i) {
     const float *pn = dxrh.row(i), *pz = dxh_z.row(i), *pr = dxh_r.row(i);
     float *pdx = dx.row(i), *pdhp = dh_prev.row(i);
     for (int c = 0; c < in_; ++c) pdx[c] = (pn[c] + pz[c]) + pr[c];

@@ -46,7 +46,7 @@ std::pair<Tensor, Tensor> LSTMCell::forward(const Tensor& x,
   // Gate order i|f|g|o on a = xh W + b; c = f ⊙ c_prev + i ⊙ g and
   // h = o ⊙ tanh(c).
   const float* b = b_.value.row(0);
-  ops::par_rows("elementwise", rows, gates.size(), [&](int r) {
+  ops::par_rows(rows, gates.size(), [&](int r) {
     const float *pa = gates.row(r), *pcp = c_prev.row(r);
     float *pi = cache.i.row(r), *pf = cache.f.row(r), *pg = cache.g.row(r);
     float *po = cache.o.row(r), *pc = cache.c.row(r);
@@ -77,7 +77,7 @@ std::tuple<Tensor, Tensor, Tensor> LSTMCell::backward(
   // nonlinearity into da = [da_i | da_f | da_g | da_o]. Each da entry is
   // written as 0 + x, the value a scatter into a zeroed da holds (-0 reads
   // back as +0).
-  ops::par_rows("elementwise", rows, da.size(), [&](int r) {
+  ops::par_rows(rows, da.size(), [&](int r) {
     const float *pdh = dh.row(r), *pdc = has_dc ? dc.row(r) : nullptr;
     const float *pi = cache.i.row(r), *pf = cache.f.row(r);
     const float *pg = cache.g.row(r), *po = cache.o.row(r);

@@ -772,10 +772,6 @@ struct PipadTrainer::Impl {
     const float loss = model->train_frame(exec, xs, ys);
     if (step_next) record_optim();
     exec.flush();
-    // The frame's numeric kernels ran for real on the ComputePool; charge
-    // their measured wall-clock to the worker lanes they occupied (§4.2's
-    // parallel GNN, executed rather than assumed).
-    host::charge_compute(gpu);
     gpu.memcpy_d2h(copy_stream, "loss", sizeof(float), true);
     return loss;
   }

@@ -44,8 +44,9 @@ struct PipadOptions {
   /// Width of the process-wide common::ComputePool, which executes both
   /// host-side preparation (slicing, overlap extraction — via
   /// host::HostLane) and the numeric hot path (aggregation, GEMM,
-  /// elementwise kernels). Every job/kernel's measured wall-clock is
-  /// charged to the worker lane(s) it ran on. 0 = library default
+  /// elementwise kernels). Every prep job's measured wall-clock is
+  /// charged to the worker lane it ran on; the kernels are charged to the
+  /// device from the gpusim cost model. 0 = library default
   /// (min(hardware_concurrency, 8)).
   int host_threads = 0;
   /// Cooperative cancellation: when non-null and set, training throws

@@ -5,7 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/compute_pool.hpp"
 #include "common/error.hpp"
 #include "host/host_lane.hpp"
 #include "nn/parameter.hpp"
@@ -102,12 +101,6 @@ struct ReplicaTrainer::Impl {
   }
 
   TrainResult train() {
-    // Regions measured before training (dataset generation, earlier
-    // trainers in this process) are not this run's to charge. Done ONCE
-    // here — the per-trainer step API never discards, so each replica's
-    // frames charge to its own timeline.
-    ComputePool::instance().discard_regions();
-
     const std::vector<graph::Frame>* frames_ptr = nullptr;
     for (int k = 0; k < K; ++k) frames_ptr = &trainers[k]->begin_steps();
     const std::vector<graph::Frame>& frames = *frames_ptr;

@@ -122,7 +122,7 @@ void gemm(const Tensor& a, const Tensor& b, Tensor& c, bool trans_a,
   const float* pb = trans_b ? packed_b.data() : b.data();
   const std::size_t lda = trans_a ? static_cast<std::size_t>(m) : 1;
   const std::size_t work = static_cast<std::size_t>(m) * k * n;
-  par_rows("gemm", m, work, [&](int i) {
+  par_rows(m, work, [&](int i) {
     const float* arow = trans_a ? a.data() + i : a.row(i);
     gemm_row(arow, lda, k, alpha, pb, n, c.row(i), beta);
   });
@@ -141,7 +141,7 @@ void add_bias(Tensor& y, const Tensor& bias) {
                   "bias shape " << bias.shape_str() << " vs y "
                                 << y.shape_str());
   const float* b = bias.row(0);
-  par_rows("elementwise", y.rows(), y.size(), [&](int r) {
+  par_rows(y.rows(), y.size(), [&](int r) {
     float* row = y.row(r);
     for (int c = 0; c < y.cols(); ++c) row[c] += b[c];
   });
@@ -154,7 +154,7 @@ Tensor bias_grad(const Tensor& grad) {
   // in ascending order, so the result is bit-identical for any block layout.
   float* out = g.row(0);
   ComputePool::instance().for_blocks(
-      "elementwise", static_cast<std::size_t>(grad.cols()), grad.size(),
+      static_cast<std::size_t>(grad.cols()), grad.size(),
       [&](std::size_t lo, std::size_t hi) {
         for (std::size_t j0 = lo; j0 < hi; j0 += kStrip) {
           const std::size_t w = std::min<std::size_t>(kStrip, hi - j0);
@@ -283,7 +283,7 @@ Tensor tanh_grad(const Tensor& dy, const Tensor& y) {
 Tensor concat_cols(const Tensor& a, const Tensor& b) {
   PIPAD_CHECK_MSG(a.rows() == b.rows(), "concat_cols row mismatch");
   Tensor c(a.rows(), a.cols() + b.cols());
-  par_rows("elementwise", a.rows(), c.size(), [&](int r) {
+  par_rows(a.rows(), c.size(), [&](int r) {
     float* crow = c.row(r);
     std::copy(a.row(r), a.row(r) + a.cols(), crow);
     std::copy(b.row(r), b.row(r) + b.cols(), crow + a.cols());
@@ -295,7 +295,7 @@ std::pair<Tensor, Tensor> split_cols(const Tensor& ab, int a_cols) {
   PIPAD_CHECK_MSG(a_cols >= 0 && a_cols <= ab.cols(), "split_cols bad split");
   Tensor a(ab.rows(), a_cols);
   Tensor b(ab.rows(), ab.cols() - a_cols);
-  par_rows("elementwise", ab.rows(), ab.size(), [&](int r) {
+  par_rows(ab.rows(), ab.size(), [&](int r) {
     const float* src = ab.row(r);
     std::copy(src, src + a_cols, a.row(r));
     std::copy(src + a_cols, src + ab.cols(), b.row(r));
@@ -307,7 +307,7 @@ Tensor slice_cols(const Tensor& t, int start, int len) {
   PIPAD_CHECK_MSG(start >= 0 && len >= 0 && start + len <= t.cols(),
                   "slice_cols out of range");
   Tensor out(t.rows(), len);
-  par_rows("elementwise", t.rows(), out.size(), [&](int r) {
+  par_rows(t.rows(), out.size(), [&](int r) {
     const float* src = t.row(r) + start;
     std::copy(src, src + len, out.row(r));
   });
@@ -318,7 +318,7 @@ void add_into_cols(Tensor& dst, const Tensor& src, int start) {
   PIPAD_CHECK_MSG(dst.rows() == src.rows() &&
                       start + src.cols() <= dst.cols(),
                   "add_into_cols shape mismatch");
-  par_rows("elementwise", dst.rows(), src.size(), [&](int r) {
+  par_rows(dst.rows(), src.size(), [&](int r) {
     float* d = dst.row(r) + start;
     const float* s = src.row(r);
     for (int c = 0; c < src.cols(); ++c) d[c] += s[c];

@@ -31,24 +31,23 @@
 namespace pipad::ops {
 
 // ---- Parallel building blocks (the ops below and fused RNN-cell passes) ----
-/// Run fn(r) for every row r in [0, rows) as one measured region on the
-/// shared ComputePool, in row blocks whose layout never depends on the pool
+/// Run fn(r) for every row r in [0, rows) as one region on the shared
+/// ComputePool, in row blocks whose layout never depends on the pool
 /// width. fn must write only row r's outputs.
 template <typename F>
-void par_rows(const char* name, int rows, std::size_t total_work,
-              const F& fn) {
+void par_rows(int rows, std::size_t total_work, const F& fn) {
   ComputePool::instance().for_blocks(
-      name, static_cast<std::size_t>(rows), total_work,
+      static_cast<std::size_t>(rows), total_work,
       [&fn](std::size_t lo, std::size_t hi) {
         for (std::size_t r = lo; r < hi; ++r) fn(static_cast<int>(r));
       });
 }
 
-/// Run fn(lo, hi) over element blocks of [0, n) as one measured
-/// "elementwise" region. fn must compute element i from index i alone.
+/// Run fn(lo, hi) over element blocks of [0, n) as one region. fn must
+/// compute element i from index i alone.
 template <typename F>
 void par_elems(std::size_t n, const F& fn) {
-  ComputePool::instance().for_blocks("elementwise", n, n, fn);
+  ComputePool::instance().for_blocks(n, n, fn);
 }
 
 /// Scalar activations and gradients, shared by the tensor ops below and the

@@ -331,7 +331,7 @@ TEST(AnalyzeTrace, CsvRoundTripYieldsIdenticalAnalysis) {
   tl.wait_event(0, e);
   tl.submit(0, Resource::Compute, "kernel:agg", 10.0 / 3.0);
   tl.submit_worker(0, "prep:we\"ird,name", 7.77);  // CSV-hostile name.
-  tl.submit_worker(1, "compute:gemm", 3.3, 0.0, /*steals=*/5, /*blocks=*/32);
+  tl.submit_worker(1, "prep:profiling", 3.3);
   tl.submit(s, Resource::D2H, "d2h:loss", 1.0 / 7.0, 0.0, 8);
 
   auto live = analyze::from_timeline(tl);
@@ -343,11 +343,9 @@ TEST(AnalyzeTrace, CsvRoundTripYieldsIdenticalAnalysis) {
   std::istringstream in(csv.str());
   const auto reread = analyze::read_trace_csv(in, "<mem>");
 
-  // The v2 steals/blocks columns survive the round trip.
   ASSERT_EQ(reread.records.size(), live.records.size());
   for (std::size_t i = 0; i < live.records.size(); ++i) {
-    EXPECT_EQ(reread.records[i].steals, live.records[i].steals) << i;
-    EXPECT_EQ(reread.records[i].blocks, live.records[i].blocks) << i;
+    EXPECT_EQ(reread.records[i].lane, live.records[i].lane) << i;
   }
 
   const auto a1 = analyze::analyze_trace(live);
@@ -365,17 +363,26 @@ TEST(AnalyzeTrace, ReaderRejectsMalformedInput) {
     return analyze::read_trace_csv(in, "<mem>");
   };
   const std::string header =
-      "name,resource,stream,start_us,end_us,bytes,lane,steals,blocks\n";
+      "name,resource,stream,start_us,end_us,bytes,lane\n";
   EXPECT_THROW(parse(""), Error);
-  EXPECT_THROW(parse(header + "k,warp,0,0,1,0,0,0,0\n"), Error);
-  EXPECT_THROW(parse(header + "k,compute,0,5,1,0,0,0,0\n"), Error);
-  EXPECT_THROW(parse(header + "k,compute,0,zero,1,0,0,0,0\n"), Error);
-  // Only 9-field rows parse: the 7-field pre-counter layout and 8 fields
-  // are both rejected.
-  EXPECT_NO_THROW(parse(header + "k,compute,0,0,1,0,0,2,8\n"));
-  EXPECT_THROW(parse(header + "k,compute,0,0,1,0,0\n"), Error);
+  EXPECT_THROW(parse(header + "k,warp,0,0,1,0,0\n"), Error);
+  EXPECT_THROW(parse(header + "k,compute,0,5,1,0,0\n"), Error);
+  EXPECT_THROW(parse(header + "k,compute,0,zero,1,0,0\n"), Error);
+  EXPECT_THROW(parse(header + "k,compute,0,0,1,0,x\n"), Error);
+  // Only 7-field v3 rows parse: the 9-field v2 layout (with the retired
+  // steals,blocks counters) and 8 fields are both rejected, and the error
+  // names the expected columns.
+  EXPECT_NO_THROW(parse(header + "k,compute,0,0,1,0,0\n"));
   EXPECT_THROW(parse(header + "k,compute,0,0,1,0,0,2\n"), Error);
-  EXPECT_THROW(parse(header + "k,compute,0,0,1,0,0,x,8\n"), Error);
+  try {
+    parse(header + "k,compute,0,0,1,0,0,2,8\n");
+    ADD_FAILURE() << "a 9-field v2 row parsed";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "name,resource,stream,start_us,end_us,bytes,lane"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(OccupancyWindow, ClipsOpsToTheWindow) {

@@ -463,8 +463,7 @@ std::vector<std::string> keys_of(const api::Json& obj) {
 
 const std::vector<std::string> kLegacyRecordKeys = {
     "dataset", "model", "method", "epoch_us", "total_us", "transfer_us",
-    "compute_us", "prep_us", "first_steady_us", "steals", "sm_util",
-    "final_loss"};
+    "compute_us", "prep_us", "first_steady_us", "sm_util", "final_loss"};
 
 std::vector<std::string> with_keys(std::vector<std::string> keys,
                                    std::initializer_list<const char*> more) {
@@ -482,7 +481,6 @@ TEST(BenchRecord, LegacyFieldsKeepOrderAndExactValuesUnderVersioning) {
   r.compute_us = 2000.5;
   r.prep_us = 42.0;
   r.first_steady_us = 617.5;
-  r.steals = 3;
   r.sm_utilization = 0.8125;
   r.frame_loss = {0.5f, 0.25f};
   const api::Json rec = api::Json::parse(
@@ -497,7 +495,7 @@ TEST(BenchRecord, LegacyFieldsKeepOrderAndExactValuesUnderVersioning) {
   EXPECT_EQ(rec.find("compute_us")->as_number(), 2000.5);
   EXPECT_EQ(rec.find("prep_us")->as_number(), 42.0);
   EXPECT_EQ(rec.find("first_steady_us")->as_number(), 617.5);
-  EXPECT_EQ(rec.find("steals")->as_int(), 3);
+  EXPECT_EQ(rec.find("steals"), nullptr);  // Retired in schema version 2.
   EXPECT_EQ(rec.find("sm_util")->as_number(), 0.8125);
   EXPECT_EQ(rec.find("final_loss")->as_number(), 0.25);
   EXPECT_EQ(rec.find("schema_version")->as_int(),

@@ -249,10 +249,9 @@ TEST(ThreadPool, NestedSubmitFromOwnWorkerThrowsInsteadOfDeadlocking) {
 
 TEST(ComputePool, BlockLayoutIsIndependentOfThreadCount) {
   // Determinism across --threads rests on this: the layout derives from the
-  // problem size and the per-process work floor only. Pin the floor so the
-  // exact block counts are assertable regardless of this machine's
-  // calibration.
-  ComputePool::set_min_block_work(16384);
+  // problem size and the fixed work floor only.
+  ComputePool::set_min_block_work(0);
+  ASSERT_EQ(ComputePool::min_block_work(), 16384u);
   const auto blocks_at = [](std::size_t n, std::size_t work) {
     return ComputePool::block_count(n, work);
   };
@@ -271,26 +270,21 @@ TEST(ComputePool, BlockLayoutIsIndependentOfThreadCount) {
     EXPECT_EQ(ComputePool::instance().threads(), t);
   }
   ComputePool::instance().configure(0);
-  ComputePool::set_min_block_work(0);  // Back to the measured calibration.
 }
 
-TEST(ComputePool, CalibratedFloorIsClampedAndStable) {
+TEST(ComputePool, MinBlockWorkIsFixedUnlessPinned) {
+  // The floor is a constant, not a per-process measurement, so the block
+  // layout is the same on every machine and at every pool width.
   ComputePool::set_min_block_work(0);
-  const std::size_t floor = ComputePool::min_block_work();
-  EXPECT_GE(floor, ComputePool::kMinBlockWorkFloor);
-  EXPECT_LE(floor, ComputePool::kMinBlockWorkCeil);
-  // Calibration happens once per process: repeated queries (and queries
-  // from any thread count) must agree, or block layouts would drift
-  // between regions within one run.
-  EXPECT_EQ(ComputePool::min_block_work(), floor);
+  EXPECT_EQ(ComputePool::min_block_work(), ComputePool::kMinBlockWork);
   ComputePool::instance().configure(8);
-  EXPECT_EQ(ComputePool::min_block_work(), floor);
+  EXPECT_EQ(ComputePool::min_block_work(), ComputePool::kMinBlockWork);
   ComputePool::instance().configure(0);
   // The pin overrides, 0 restores.
   ComputePool::set_min_block_work(4096);
   EXPECT_EQ(ComputePool::min_block_work(), 4096u);
   ComputePool::set_min_block_work(0);
-  EXPECT_EQ(ComputePool::min_block_work(), floor);
+  EXPECT_EQ(ComputePool::min_block_work(), ComputePool::kMinBlockWork);
 }
 
 TEST(ComputePool, ForBlocksCoversRangeExactlyOnceForAnyWidth) {
@@ -298,7 +292,7 @@ TEST(ComputePool, ForBlocksCoversRangeExactlyOnceForAnyWidth) {
     ComputePool::instance().configure(t);
     std::vector<std::atomic<int>> hits(4097);
     ComputePool::instance().for_blocks(
-        "test", hits.size(), 1 << 20, [&](std::size_t lo, std::size_t hi) {
+        hits.size(), 1 << 20, [&](std::size_t lo, std::size_t hi) {
           for (std::size_t i = lo; i < hi; ++i) hits[i].fetch_add(1);
         });
     for (auto& h : hits) EXPECT_EQ(h.load(), 1);
@@ -311,10 +305,10 @@ TEST(ComputePool, NestedRegionFallsBackToInlineExecution) {
   // A region launched from a worker of the same pool must run inline
   // (submitting would risk deadlock) and still cover the range.
   ComputePool::instance().for_blocks(
-      "outer", 4, 1 << 20, [&](std::size_t lo, std::size_t hi) {
+      4, 1 << 20, [&](std::size_t lo, std::size_t hi) {
         for (std::size_t i = lo; i < hi; ++i) {
           ComputePool::instance().for_blocks(
-              "inner", 100, 1 << 20, [&](std::size_t l2, std::size_t h2) {
+              100, 1 << 20, [&](std::size_t l2, std::size_t h2) {
                 inner_hits.fetch_add(static_cast<int>(h2 - l2));
               });
         }
@@ -322,58 +316,18 @@ TEST(ComputePool, NestedRegionFallsBackToInlineExecution) {
   EXPECT_EQ(inner_hits.load(), 400);
 }
 
-TEST(ComputePool, MeasuredRegionsAggregateAndDrain) {
-  auto& cp = ComputePool::instance();
-  ComputePool::set_min_block_work(16384);  // Assertable block counts below.
-  cp.configure(4);
-  cp.discard_regions();
-  // Real arithmetic per block so the measured thread-CPU cost is non-zero.
-  std::atomic<long long> sink{0};
-  const auto burn = [&](std::size_t lo, std::size_t hi) {
-    long long acc = 0;
-    for (std::size_t i = lo * 2000; i < hi * 2000; ++i) {
-      acc += static_cast<long long>(i) * 31;
-    }
-    sink.fetch_add(acc);
-  };
-  const std::size_t big = 1 << 20;  // Above the work floor: measured.
-  cp.for_blocks("k1", 256, big, burn);
-  cp.for_blocks("k1", 256, big, burn);
-  cp.run_serial("k2", big, [&] { burn(0, 256); });
-  // Below the threshold: runs but is not logged.
-  cp.for_blocks("k3", 16, 16, [&](std::size_t, std::size_t) {});
-
-  const auto regions = cp.drain_regions();
-  ASSERT_EQ(regions.size(), 2u);
-  EXPECT_EQ(regions.at("k1").count, 2u);
-  EXPECT_GT(regions.at("k1").total_us(), 0.0);
-  // 32 blocks placed over a 4-wide pool: every lane received work.
-  ASSERT_EQ(regions.at("k1").lanes(), 4u);
-  for (double l : regions.at("k1").lane_us) EXPECT_GT(l, 0.0);
-  // Serial region: one lane carries the whole cost.
-  EXPECT_EQ(regions.at("k2").lanes(), 1u);
-  // The executor reports what it ran: 32 blocks per "k1" region, and the
-  // serial region counts as one block with no steals possible.
-  EXPECT_EQ(regions.at("k1").blocks, 64u);
-  EXPECT_LE(regions.at("k1").steals, regions.at("k1").blocks);
-  EXPECT_EQ(regions.at("k2").blocks, 1u);
-  EXPECT_EQ(regions.at("k2").steals, 0u);
-  EXPECT_TRUE(cp.drain_regions().empty());  // Drain clears.
-  ComputePool::set_min_block_work(0);
-}
-
 TEST(ComputePool, RethrowsBlockExceptionAfterDraining) {
   auto& cp = ComputePool::instance();
   cp.configure(4);
   EXPECT_THROW(
-      cp.for_blocks("boom", 64, 1 << 20,
+      cp.for_blocks(64, 1 << 20,
                     [&](std::size_t lo, std::size_t) {
                       if (lo == 0) throw std::runtime_error("block failed");
                     }),
       std::runtime_error);
   // Pool is reusable afterwards.
   std::atomic<int> ok{0};
-  cp.for_blocks("after", 64, 1 << 20,
+  cp.for_blocks(64, 1 << 20,
                 [&](std::size_t lo, std::size_t hi) {
                   ok.fetch_add(static_cast<int>(hi - lo));
                 });

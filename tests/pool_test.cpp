@@ -13,7 +13,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/compute_pool.hpp"
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
 #include "common/work_deque.hpp"
@@ -231,33 +230,6 @@ TEST(RunBlocks, CalledFromOwnWorkerThrowsInsteadOfDeadlocking) {
     pool.run_blocks(8, [](std::size_t) {});
   });
   EXPECT_THROW(fut.get(), std::runtime_error);
-}
-
-// ---------------------------------------------------------- ComputePool knob
-
-TEST(ComputePoolSteal, DisablingStealingZeroesTheRegionStealCounter) {
-  auto& cp = ComputePool::instance();
-  cp.configure(4);
-  ComputePool::set_min_block_work(1);  // Force the parallel path.
-  cp.discard_regions();
-
-  cp.set_stealing(false);
-  EXPECT_FALSE(cp.stealing());
-  std::vector<double> out(4096, 0.0);
-  cp.for_blocks("pool_test_static", out.size(), out.size() * 64,
-                [&](std::size_t lo, std::size_t hi) {
-                  for (std::size_t i = lo; i < hi; ++i) {
-                    out[i] = static_cast<double>(i) * 0.5;
-                  }
-                });
-  auto regions = cp.drain_regions();
-  ASSERT_TRUE(regions.count("pool_test_static"));
-  EXPECT_GT(regions["pool_test_static"].blocks, 1u);
-  EXPECT_EQ(regions["pool_test_static"].steals, 0u);
-
-  cp.set_stealing(true);
-  EXPECT_TRUE(cp.stealing());
-  ComputePool::set_min_block_work(0);  // Restore the calibrated floor.
 }
 
 }  // namespace

@@ -569,7 +569,8 @@ TEST(Wire, ConcurrentMixedJobsBitwiseIdenticalToStandalone) {
         << "params diverged for job " << i;
     ASSERT_FALSE(r.record.is_null());
     EXPECT_EQ(r.record.find("model")->as_string(), specs[i].model);
-    EXPECT_EQ(r.record.find("schema_version")->as_int(), 1);
+    EXPECT_EQ(r.record.find("schema_version")->as_int(),
+              api::kBenchRecordSchemaVersion);
   }
 
   session.shutdown();

@@ -186,11 +186,11 @@ inline void randomize_biases(const std::vector<nn::Parameter*>& params,
 }
 
 /// Run `run` under a 1-wide and an 8-wide ComputePool, with the block floor
-/// pinned at its minimum so mid-sized regions really fan out, and expect
-/// every returned tensor to match bit for bit.
+/// pinned at a quarter of kMinBlockWork so mid-sized regions really fan out,
+/// and expect every returned tensor to match bit for bit.
 inline void expect_same_bits_across_threads(
     const std::function<std::vector<Tensor>()>& run) {
-  ComputePool::set_min_block_work(ComputePool::kMinBlockWorkFloor);
+  ComputePool::set_min_block_work(ComputePool::kMinBlockWork / 4);
   ComputePool::instance().configure(1);
   const std::vector<Tensor> serial = run();
   ComputePool::instance().configure(8);

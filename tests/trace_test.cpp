@@ -30,20 +30,22 @@ TEST(Trace, CsvContainsEveryOp) {
   EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'), 3);
 }
 
-TEST(Trace, CsvCarriesWorkerStealCounters) {
+TEST(Trace, CsvRowsHaveSevenColumnsEndingInTheWorkerLane) {
   Timeline tl;
   tl.set_worker_lanes(2);
-  tl.submit_worker(0, "compute:agg", 10.0, 0.0, /*steals=*/3, /*blocks=*/32);
-  tl.submit_worker(1, "compute:agg", 9.0);
+  tl.submit_worker(0, "prep:a", 10.0);
+  tl.submit_worker(1, "prep:b", 9.0);
   std::ostringstream os;
   gpusim::write_trace_csv(tl, os);
   const std::string csv = os.str();
-  EXPECT_EQ(csv.rfind("name,resource,stream,start_us,end_us,bytes,lane,"
-                      "steals,blocks\n", 0), 0u)
+  EXPECT_EQ(csv.rfind("name,resource,stream,start_us,end_us,bytes,lane\n",
+                      0),
+            0u)
       << csv;
-  // First lane op of the region carries the counters; the rest stay 0.
-  EXPECT_NE(csv.find(",0,3,32\n"), std::string::npos) << csv;
-  EXPECT_NE(csv.find(",1,0,0\n"), std::string::npos) << csv;
+  EXPECT_NE(csv.find("prep:a,cpu-worker,0,0,10,0,0\n"), std::string::npos)
+      << csv;
+  EXPECT_NE(csv.find("prep:b,cpu-worker,0,0,9,0,1\n"), std::string::npos)
+      << csv;
 }
 
 TEST(Trace, GanttMarksBusyCells) {
@@ -137,7 +139,7 @@ TEST(Trace, CsvMetaHeaderLabelsTheTrace) {
   std::ostringstream os;
   gpusim::write_trace_csv(tl, os, {"reddit body", "tgcn", "pipad"});
   const std::string csv = os.str();
-  EXPECT_EQ(csv.rfind("# pipad-trace v2\n", 0), 0u) << csv;
+  EXPECT_EQ(csv.rfind("# pipad-trace v3\n", 0), 0u) << csv;
   // Whitespace in labels would break the space-separated meta comment.
   EXPECT_NE(csv.find("# dataset=reddit_body model=tgcn method=pipad\n"),
             std::string::npos)
