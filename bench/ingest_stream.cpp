@@ -4,14 +4,17 @@
 // bytes/edge is stable across seeds), gzips it, and loads it three ways —
 // plain with the default 8 MiB window, plain with a deliberately tiny
 // window, and gzip'd — timing each load's phases (read / inflate / parse /
-// build, from graph::io::LoadStats).
+// build, from graph::io::LoadStats). The plain file is then loaded twice
+// more through a fresh `.dtdg` cache directory: cold (parse + cache write)
+// and warm (cache key + cache read) — the `cached` record is the warm load,
+// whose read time is the cache key's content hash.
 //
-// The binary is its own gate: all three loads must produce bit-identical
-// DTDGs (adjacency, weights, features, targets and name table all folded
-// into one FNV signature) and the same edge-instance count, or it exits
-// nonzero — CI runs it before diffing BENCH_ingest.json, so a windowing or
-// gzip regression fails fast even when timings stay inside the bench_diff
-// threshold.
+// The binary is its own gate: all loads must produce bit-identical DTDGs
+// (adjacency, weights, features, targets and name table all folded into
+// one FNV signature) and the same edge-instance count, and the warm load
+// must be a cache hit, or it exits nonzero — CI runs it before diffing
+// BENCH_ingest.json, so a windowing, gzip or cache regression fails fast
+// even when timings stay inside the bench_diff threshold.
 //
 // Extra flags on top of the shared bench set (--threads / --epochs /
 // --json / --window-bytes are the meaningful shared ones):
@@ -147,10 +150,12 @@ struct LoadRun {
   std::size_t edges = 0;
 };
 
-LoadRun load_once(const std::string& path, std::size_t window_bytes) {
+LoadRun load_once(const std::string& path, std::size_t window_bytes,
+                  const std::string& cache_dir = {}) {
   pipad::graph::io::LoadOptions lo;
   lo.snapshot_window = 1;  // 12 distinct timestamps -> 12 snapshots.
   lo.window_bytes = window_bytes;
+  lo.cache_dir = cache_dir;
   LoadRun r;
   pipad::Timer timer;
   const DTDG g = pipad::graph::io::load_dataset(
@@ -278,6 +283,28 @@ int main(int argc, char** argv) {
       return 1;
     }
 
+    // Cold then warm through a cache directory emptied first, so the cold
+    // load always parses and writes the cache the warm one must hit.
+    const std::string cache_dir = (fs::path(gen.dir) / "dtdg_cache").string();
+    fs::remove_all(cache_dir);
+    const LoadRun cold = load_once(plain, default_window, cache_dir);
+    show("cache-cold", cold);
+    const LoadRun warm = load_once(plain, default_window, cache_dir);
+    show("cached", warm);
+    std::printf("cached load: key %.1f ms, cache read %.1f ms\n",
+                warm.stats.read_us / 1e3, warm.stats.cache_us / 1e3);
+    if (cold.stats.cache_hit || !warm.stats.cache_hit ||
+        warm.signature != stream.signature || warm.edges != stream.edges) {
+      std::fprintf(stderr,
+                   "FAIL: cached load — cold hit %d, warm hit %d, "
+                   "signature %016llx/%zu vs stream %016llx/%zu\n",
+                   cold.stats.cache_hit ? 1 : 0, warm.stats.cache_hit ? 1 : 0,
+                   static_cast<unsigned long long>(warm.signature), warm.edges,
+                   static_cast<unsigned long long>(stream.signature),
+                   stream.edges);
+      return 1;
+    }
+
     bench::JsonReport report("ingest_stream", flags);
     const auto record = [&](const char* method, const LoadRun& r) {
       models::TrainResult tr;
@@ -289,6 +316,7 @@ int main(int argc, char** argv) {
     };
     record("stream", stream);
     record("gzip", gzr);
+    record("cached", warm);
     if (!report.write_if_requested()) return 1;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "ingest_stream: %s\n", e.what());

@@ -8,8 +8,10 @@
 //                           added the optional vertex-name table; older
 //                           files are rejected, which a cache probe treats
 //                           as a miss)
-//   u64    config_hash      FNV-1a over source bytes + load options; the
-//                           loader treats a mismatch as a cache miss
+//   u64    config_hash      cache key: XXH64 of each input file, folded
+//                           with sizes, sidecar presence, load options and
+//                           the loader version; the loader treats a
+//                           mismatch as a cache miss
 //   i32    num_nodes
 //   i32    feat_dim
 //   i32    num_snapshots

@@ -23,8 +23,9 @@ namespace {
 
 /// Bumped whenever the loader's semantics change, so stale caches from an
 /// older code version never match. v3: windowed streaming parse, string
-/// vertex ids (names persist through `.dtdg` v3), gzip inputs.
-constexpr std::uint64_t kLoaderVersion = 3;
+/// vertex ids (names persist through `.dtdg` v3), gzip inputs. v4: the key
+/// hashes file contents with XXH64 instead of FNV-1a.
+constexpr std::uint64_t kLoaderVersion = 4;
 
 /// Default snapshotting (one snapshot per distinct timestamp) refuses to
 /// explode on epoch-style timestamps; callers must pick a window instead.
@@ -43,38 +44,39 @@ constexpr long long kMaxStagedSnapshots = 1LL << 24;
 constexpr unsigned long long kMinPlausibleNodes = 65536;
 constexpr unsigned long long kNodesPerEdgeSlack = 256;
 
-/// FNV-1a over the raw dataset bytes, streamed (the file is never held in
-/// memory whole). Chained onto kLoaderVersion, matching the old slurp
-/// hash's structure: version, content bytes, content size.
-std::uint64_t hash_file(const std::string& path) {
-  std::uint64_t h = fnv1a_u64(kLoaderVersion);
+/// Streams `path` through a 1 MiB buffer into a ContentHash (the file is
+/// never held in memory whole).
+ContentHash hash_file(const std::string& path) {
   std::ifstream is(path, std::ios::binary);
   if (!is) throw Error("cannot open " + path);
   std::vector<char> buf(1u << 20);
-  std::uint64_t total = 0;
+  ContentHash h;
   for (;;) {
     is.read(buf.data(), static_cast<std::streamsize>(buf.size()));
     const auto got = static_cast<std::size_t>(is.gcount());
     if (is.bad()) throw Error(path + ": read error");
     if (got == 0) break;
-    h = fnv1a(buf.data(), got, h);
-    total += got;
+    h.update(buf.data(), got);
   }
-  h = fnv1a_u64(total, h);
   return h;
 }
 
-std::uint64_t config_hash(std::uint64_t h, const std::string& feat_content,
-                          const std::string& targ_content,
-                          const LoadOptions& o) {
+/// The cache key: loader version, the dataset's digest and size, then per
+/// sidecar its presence bit, digest and size (an absent sidecar hashes as
+/// empty), then every option that shapes the loaded DTDG.
+std::uint64_t config_hash(const ContentHash& data, const ContentHash& feat,
+                          const ContentHash& targ, const LoadOptions& o) {
+  std::uint64_t h = fnv1a_u64(kLoaderVersion);
+  h = fnv1a_u64(data.digest(), h);
+  h = fnv1a_u64(data.size(), h);
   // Presence bits: an *absent* sidecar file must key differently from an
   // empty one (the latter is a parse error a warm cache must not mask).
   h = fnv1a_u64(o.features_path.empty() ? 0 : 1, h);
-  h = fnv1a(feat_content.data(), feat_content.size(), h);
-  h = fnv1a_u64(feat_content.size(), h);
+  h = fnv1a_u64(feat.digest(), h);
+  h = fnv1a_u64(feat.size(), h);
   h = fnv1a_u64(o.targets_path.empty() ? 0 : 1, h);
-  h = fnv1a(targ_content.data(), targ_content.size(), h);
-  h = fnv1a_u64(targ_content.size(), h);
+  h = fnv1a_u64(targ.digest(), h);
+  h = fnv1a_u64(targ.size(), h);
   h = fnv1a_u64(static_cast<std::uint64_t>(o.snapshot_window), h);
   h = fnv1a_u64(static_cast<std::uint64_t>(o.snapshot_count), h);
   h = fnv1a_u64(static_cast<std::uint64_t>(o.edge_life), h);
@@ -263,22 +265,18 @@ DTDG load_dataset(const std::string& path, const LoadOptions& opts,
     return g;
   }
 
-  // ---- Sidecars + cache key ----
-  // Sidecar files are small and slurped; the dataset itself is only ever
-  // hashed in a streaming pass (and only when a cache could use the key).
-  Timer rt;
-  const std::string feat_content =
-      opts.features_path.empty() ? std::string() : read_file(opts.features_path);
-  const std::string targ_content =
-      opts.targets_path.empty() ? std::string() : read_file(opts.targets_path);
+  // ---- Cache key + probe ----
+  // Every input file is hashed in a streaming pass, and only when a cache
+  // could use the key; a hit never reads the sidecars beyond that.
   std::uint64_t key = 0;
   if (!opts.cache_dir.empty()) {
-    key = config_hash(hash_file(path), feat_content, targ_content, opts);
-  }
-  st.read_us = rt.elapsed_us();
-
-  // ---- Cache probe ----
-  if (!opts.cache_dir.empty()) {
+    Timer rt;
+    const auto digest = [](const std::string& file) {
+      return file.empty() ? ContentHash() : hash_file(file);
+    };
+    key = config_hash(hash_file(path), digest(opts.features_path),
+                      digest(opts.targets_path), opts);
+    st.read_us = rt.elapsed_us();
     st.cache_path =
         (fs::path(opts.cache_dir) / (file_stem(path) + "-" + hex16(key) +
                                      ".dtdg"))
@@ -312,6 +310,15 @@ DTDG load_dataset(const std::string& path, const LoadOptions& opts,
       }
     }
   }
+
+  // ---- Sidecars (read whole only without a cache hit; parsed below, once
+  // the vertex remap exists) ----
+  Timer rt;
+  const std::string feat_content =
+      opts.features_path.empty() ? std::string() : read_file(opts.features_path);
+  const std::string targ_content =
+      opts.targets_path.empty() ? std::string() : read_file(opts.targets_path);
+  st.read_us += rt.elapsed_us();
 
   // ---- Parse (windowed streaming, chunk-parallel per window) ----
   // Two staging strategies behind one sink:

@@ -8,8 +8,10 @@
 //   read      the file is pulled through a bounded StreamReader window
 //             (default 8 MiB; `.gz` inputs are inflated transparently) —
 //             memory stays bounded by the window, not the file size; when
-//             a cache_dir is set the raw bytes are content-hashed in a
-//             separate streaming pass (the cache key);
+//             a cache_dir is set, the raw bytes of the dataset and of each
+//             sidecar file are first XXH64-hashed in a separate streaming
+//             pass (the cache key), and the sidecars are read whole only
+//             on a cache miss;
 //   parse     chunk-parallel on the shared ComputePool (text formats),
 //             window by window; results are bit-identical for any window
 //             size and thread count;
@@ -30,7 +32,8 @@
 //             bit-identical for any thread count;
 //   cache     with cache_dir set, the result is written as a `.dtdg` file
 //             keyed by a content+options hash; a later load with the same
-//             inputs skips the parse entirely (logged at debug level).
+//             inputs skips the parse and the sidecar reads entirely (logged
+//             at debug level).
 //
 // Features come from an optional sidecar file (static or temporal; see
 // text_format.hpp) or are synthesized as a seeded AR(1) walk; targets come
@@ -68,7 +71,8 @@ struct LoadOptions {
 /// Measured wall-clock of each load phase (real time, not simulated), plus
 /// the task counts host::charge_load uses to occupy worker lanes.
 struct LoadStats {
-  double read_us = 0.0;    ///< File read + content hash.
+  double read_us = 0.0;    ///< Cache-key hashing + file reads; on a
+                           ///< cache hit, the key's hashing time only.
   double inflate_us = 0.0;  ///< Gzip decompression (0 for plain inputs).
   double parse_us = 0.0;   ///< Chunk-parallel text parse (0 on cache hit).
   double build_us = 0.0;  ///< Snapshot CSR/feature/target build.

@@ -7,7 +7,6 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
-#include <sstream>
 #include <string_view>
 #include <unordered_map>
 
@@ -16,11 +15,16 @@
 namespace pipad::graph::io {
 
 std::string read_file(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
+  std::ifstream is(path, std::ios::binary | std::ios::ate);
   if (!is) throw Error("cannot open " + path);
-  std::ostringstream buf;
-  buf << is.rdbuf();
-  return buf.str();
+  const std::streamoff size = is.tellg();
+  if (size < 0 || !is.seekg(0)) throw Error(path + ": read error");
+  std::string out(static_cast<std::size_t>(size), '\0');
+  is.read(out.data(), static_cast<std::streamsize>(size));
+  if (is.gcount() != static_cast<std::streamsize>(size)) {
+    throw Error(path + ": read error");
+  }
+  return out;
 }
 
 std::uint64_t fnv1a(const void* data, std::size_t n, std::uint64_t h) {
@@ -34,6 +38,112 @@ std::uint64_t fnv1a(const void* data, std::size_t n, std::uint64_t h) {
 
 std::uint64_t fnv1a_u64(std::uint64_t v, std::uint64_t h) {
   return fnv1a(&v, sizeof(v), h);
+}
+
+namespace {
+
+constexpr std::uint64_t kXxP1 = 0x9e3779b185ebca87ull;
+constexpr std::uint64_t kXxP2 = 0xc2b2ae3d27d4eb4full;
+constexpr std::uint64_t kXxP3 = 0x165667b19e3779f9ull;
+constexpr std::uint64_t kXxP4 = 0x85ebca77c2b2ae63ull;
+constexpr std::uint64_t kXxP5 = 0x27d4eb2f165667c5ull;
+
+inline std::uint64_t rotl64(std::uint64_t x, int r) {
+  return (x << r) | (x >> (64 - r));
+}
+
+inline std::uint64_t load64(const unsigned char* p) {
+  std::uint64_t v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+inline std::uint32_t load32(const unsigned char* p) {
+  std::uint32_t v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+inline std::uint64_t xx_round(std::uint64_t acc, std::uint64_t input) {
+  acc += input * kXxP2;
+  return rotl64(acc, 31) * kXxP1;
+}
+
+inline std::uint64_t xx_merge(std::uint64_t h, std::uint64_t lane) {
+  h ^= xx_round(0, lane);
+  return h * kXxP1 + kXxP4;
+}
+
+}  // namespace
+
+ContentHash::ContentHash() : lane_{kXxP1 + kXxP2, kXxP2, 0, 0 - kXxP1} {}
+
+void ContentHash::update(const void* data, std::size_t n) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  total_ += n;
+  if (buffered_ + n < sizeof(stripe_)) {
+    if (n > 0) std::memcpy(stripe_ + buffered_, p, n);
+    buffered_ += n;
+    return;
+  }
+  if (buffered_ > 0) {
+    const std::size_t fill = sizeof(stripe_) - buffered_;
+    std::memcpy(stripe_ + buffered_, p, fill);
+    p += fill;
+    n -= fill;
+    for (int i = 0; i < 4; ++i) {
+      lane_[i] = xx_round(lane_[i], load64(stripe_ + 8 * i));
+    }
+    buffered_ = 0;
+  }
+  // The four lanes are independent, so their multiply chains overlap.
+  std::uint64_t v0 = lane_[0], v1 = lane_[1], v2 = lane_[2], v3 = lane_[3];
+  for (; n >= 32; p += 32, n -= 32) {
+    v0 = xx_round(v0, load64(p));
+    v1 = xx_round(v1, load64(p + 8));
+    v2 = xx_round(v2, load64(p + 16));
+    v3 = xx_round(v3, load64(p + 24));
+  }
+  lane_[0] = v0;
+  lane_[1] = v1;
+  lane_[2] = v2;
+  lane_[3] = v3;
+  if (n > 0) std::memcpy(stripe_, p, n);
+  buffered_ = n;
+}
+
+std::uint64_t ContentHash::digest() const {
+  std::uint64_t h;
+  if (total_ >= 32) {
+    h = rotl64(lane_[0], 1) + rotl64(lane_[1], 7) + rotl64(lane_[2], 12) +
+        rotl64(lane_[3], 18);
+    for (const std::uint64_t lane : lane_) h = xx_merge(h, lane);
+  } else {
+    h = kXxP5;
+  }
+  h += total_;
+  const unsigned char* p = stripe_;
+  std::size_t n = buffered_;
+  for (; n >= 8; p += 8, n -= 8) {
+    h ^= xx_round(0, load64(p));
+    h = rotl64(h, 27) * kXxP1 + kXxP4;
+  }
+  if (n >= 4) {
+    h ^= static_cast<std::uint64_t>(load32(p)) * kXxP1;
+    h = rotl64(h, 23) * kXxP2 + kXxP3;
+    p += 4;
+    n -= 4;
+  }
+  for (; n > 0; ++p, --n) {
+    h ^= *p * kXxP5;
+    h = rotl64(h, 11) * kXxP1;
+  }
+  h ^= h >> 33;
+  h *= kXxP2;
+  h ^= h >> 29;
+  h *= kXxP3;
+  h ^= h >> 32;
+  return h;
 }
 
 std::string escape_token(std::string_view tok, std::size_t max_bytes) {

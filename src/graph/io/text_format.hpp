@@ -68,14 +68,39 @@ struct EdgeFile {
   std::size_t streamed_edges = 0;
 };
 
-/// Read a whole file into memory; throws Error when it cannot be opened.
+/// Read a whole file into memory with one sized read; throws Error when it
+/// cannot be opened or delivers fewer bytes than its size.
 std::string read_file(const std::string& path);
 
-/// FNV-1a over a byte range, chainable through `h` (cache keys).
+/// FNV-1a over a byte range, chainable through `h`: folds a few scalars
+/// (cache-key digests and options, bench signatures) into one value.
 std::uint64_t fnv1a(const void* data, std::size_t n,
                     std::uint64_t h = 0xcbf29ce484222325ull);
 std::uint64_t fnv1a_u64(std::uint64_t v,
                         std::uint64_t h = 0xcbf29ce484222325ull);
+
+/// Streaming XXH64 (the public spec: four independent 64-bit
+/// multiply-rotate lanes over 32-byte stripes, then the tail and the
+/// avalanche) with seed 0 — the content hash behind the `.dtdg` cache key.
+/// The digest depends only on the bytes fed, never on how update() calls
+/// split them. Input words are read in host byte order, so digests match
+/// the published vectors on little-endian hosts (the byte order `.dtdg`
+/// files assume).
+class ContentHash {
+ public:
+  ContentHash();
+  void update(const void* data, std::size_t n);
+  /// Digest of everything fed so far; more update() calls may follow.
+  std::uint64_t digest() const;
+  /// Bytes fed so far.
+  std::uint64_t size() const { return total_; }
+
+ private:
+  std::uint64_t lane_[4];
+  unsigned char stripe_[32] = {};
+  std::size_t buffered_ = 0;  ///< Bytes pending in stripe_ (< 32).
+  std::uint64_t total_ = 0;
+};
 
 /// `tok` made safe for an error message: non-printable bytes become \xNN
 /// escapes and anything past `max_bytes` input bytes is elided with "...",

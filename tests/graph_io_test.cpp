@@ -6,10 +6,12 @@
 
 #include <zlib.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "graph/generator.hpp"
@@ -92,6 +94,58 @@ DatasetConfig small_cfg() {
   cfg.edge_life = 4.0;
   cfg.seed = 5;
   return cfg;
+}
+
+// ---- content hash ----
+
+std::uint64_t xxh64(std::string_view bytes) {
+  ContentHash h;
+  h.update(bytes.data(), bytes.size());
+  return h.digest();
+}
+
+TEST(ContentHash, MatchesPublishedXxh64Vectors) {
+  EXPECT_EQ(xxh64(""), 0xef46db3751d8e999ull);
+  EXPECT_EQ(xxh64("a"), 0xd24ec4f1a98c6e5bull);
+  EXPECT_EQ(xxh64("abc"), 0x44bc2cf5ad770999ull);
+  EXPECT_EQ(xxh64("Nobody inspects the spammish repetition"),
+            0xfbcea83c8a378bf1ull);
+}
+
+TEST(ContentHash, DigestIndependentOfUpdateSplits) {
+  std::string bytes(1000, '\0');
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<char>((i * 131 + 7) % 251);
+  }
+  const std::uint64_t whole = xxh64(bytes);
+  for (const std::size_t step : {std::size_t{1}, std::size_t{13}}) {
+    ContentHash h;
+    for (std::size_t i = 0; i < bytes.size(); i += step) {
+      h.update(bytes.data() + i, std::min(step, bytes.size() - i));
+    }
+    EXPECT_EQ(h.digest(), whole) << step << "-byte updates";
+    EXPECT_EQ(h.size(), bytes.size());
+  }
+  for (const std::size_t cut : {31u, 32u, 33u}) {
+    ContentHash h;
+    h.update(bytes.data(), cut);
+    h.update(bytes.data() + cut, bytes.size() - cut);
+    EXPECT_EQ(h.digest(), whole) << "split at " << cut;
+  }
+}
+
+TEST(ContentHash, EveryByteReachesTheDigest) {
+  // Lengths cover each tail shape after the stripes: 8-byte words, a 4-byte
+  // word and single bytes, with and without a full stripe before them.
+  for (const std::size_t n : {1u, 5u, 13u, 31u, 32u, 45u, 1000u}) {
+    std::string bytes(n, 'x');
+    const std::uint64_t base = xxh64(bytes);
+    for (std::size_t i = 0; i < n; ++i) {
+      bytes[i] = 'y';
+      EXPECT_NE(xxh64(bytes), base) << "length " << n << ", byte " << i;
+      bytes[i] = 'x';
+    }
+  }
 }
 
 // ---- text parsing ----
@@ -653,6 +707,77 @@ TEST(Cache, SecondLoadHitsAndIsBitExact) {
   o3.features_path = write_file_at(
       fs::path(::testing::TempDir()) / "pipad_io" / "empty_features.tsv", "");
   EXPECT_THROW(load_dataset(fixture("sample_edges.csv"), o3), Error);
+}
+
+TEST(Cache, ContentEditsMissAndRestoredContentHits) {
+  // Sidecar contents are folded into the key, never compared on a hit, so
+  // every input byte must reach the key: stripe body and final tail of the
+  // edge file, each sidecar, and the split between the two sidecars.
+  const auto dir = temp_dir();
+  const std::string edges0 = read_file(fixture("sample_edges.csv"));
+  const std::string feats0 = read_file(fixture("sample_features.tsv"));
+  const std::string targs0 = "# pipad-targets v1\n0 3 1.5\n2 0 -2.25\n";
+  const auto edges = write_file_at(dir / "e.csv", edges0);
+  LoadOptions o;
+  o.cache_dir = (dir / "cache").string();
+  o.features_path = write_file_at(dir / "f.tsv", feats0);
+  o.targets_path = write_file_at(dir / "y.tsv", targs0);
+  const auto restore = [&] {
+    write_file_at(edges, edges0);
+    write_file_at(o.features_path, feats0);
+    write_file_at(o.targets_path, targs0);
+  };
+  LoadStats warm;
+  const DTDG g0 = load_dataset(edges, o, nullptr, &warm);
+  ASSERT_FALSE(warm.cache_hit);
+
+  // Each edit changes the loaded data; a cache-less load of the edited
+  // files is the reference the missed load must reproduce.
+  const auto expect_edited_miss = [&](const std::string& file,
+                                      std::string bytes, std::size_t at,
+                                      char to) {
+    ASSERT_LT(at, bytes.size());
+    ASSERT_NE(bytes[at], to);
+    bytes[at] = to;
+    write_file_at(file, bytes);
+    LoadOptions plain = o;
+    plain.cache_dir.clear();
+    const DTDG ref = load_dataset(edges, plain);
+    LoadStats st;
+    const DTDG g = load_dataset(edges, o, nullptr, &st);
+    EXPECT_FALSE(st.cache_hit) << file << " byte " << at;
+    EXPECT_NE(st.cache_path, warm.cache_path) << file << " byte " << at;
+    expect_same_dtdg(ref, g);
+    restore();
+  };
+  const std::size_t stripes = edges0.size() / 32 * 32;
+  ASSERT_GT(edges0.size() - stripes, 4u);  // A non-empty tail to edit.
+  const std::size_t body = edges0.find("1,0,0\n") + 2;  // dst 0 -> 5
+  ASSERT_LT(body, stripes);
+  const std::size_t tail = edges0.rfind("6,0,3") + 2;    // dst 0 -> 1
+  ASSERT_GE(tail, stripes);
+  expect_edited_miss(edges, edges0, body, '5');
+  expect_edited_miss(edges, edges0, tail, '1');
+  expect_edited_miss(o.features_path, feats0, feats0.find("0.9"), '8');
+  expect_edited_miss(o.targets_path, targs0, targs0.find("1.5"), '7');
+
+  // Same bytes in sequence, split differently: the features file's final
+  // newline becomes a leading blank line of the targets file. The data is
+  // unchanged, but the key must not be.
+  write_file_at(o.features_path, feats0.substr(0, feats0.size() - 1));
+  write_file_at(o.targets_path, "\n" + targs0);
+  LoadStats moved;
+  const DTDG gm = load_dataset(edges, o, nullptr, &moved);
+  EXPECT_FALSE(moved.cache_hit);
+  EXPECT_NE(moved.cache_path, warm.cache_path);
+  expect_same_dtdg(g0, gm);
+
+  restore();
+  LoadStats back;
+  const DTDG gb = load_dataset(edges, o, nullptr, &back);
+  EXPECT_TRUE(back.cache_hit);
+  EXPECT_EQ(back.cache_path, warm.cache_path);
+  expect_same_dtdg(g0, gb);
 }
 
 TEST(Cache, CorruptCacheIsIgnoredAndRegenerated) {
