@@ -9,9 +9,10 @@
 // kMinBlockWork floor — never on the pool width or the machine — and every
 // block writes disjoint output rows/elements, so results are bit-identical
 // for any thread count (including the inline serial fallback). Which worker
-// *executes* a block is dynamic: regions run through per-worker Chase-Lev
-// deques with randomized-victim work stealing (ThreadPool::run_blocks), so
-// a skewed block distribution does not idle the other workers.
+// *executes* a block is dynamic: regions run through per-slot Chase-Lev
+// deques with randomized-victim work stealing (ThreadPool::run_blocks), the
+// launching thread running one slot itself, so a skewed block distribution
+// does not idle the other workers and a busy pool does not stall a region.
 // Reductions whose rounding depends on combine order (losses, norms) stay
 // serial in their callers.
 //

@@ -6,18 +6,24 @@
 // charges the simulated time to the Timeline worker lane it actually ran on.
 //
 // Scheduling is two-level:
-//   - submit()/map() enqueue whole jobs on a shared injector queue (mutex +
-//     condition variable — jobs are coarse, so the injector is touched a
-//     handful of times per frame and is never the bottleneck);
+//   - submit()/map()/parallel_for() enqueue whole jobs on a shared injector
+//     queue (mutex + condition variable — jobs are coarse, so the injector
+//     is touched a handful of times per frame and is never the bottleneck).
+//     The calling thread never runs them: parallel_for's callers allocate
+//     heavily, and keeping their chunks on the workers is what holds a
+//     graph-heavy training's peak RSS at ~315 MB instead of ~395 MB;
 //   - run_blocks() executes a *region* of fine-grained blocks through
-//     per-worker Chase-Lev deques with randomized-victim work stealing: the
-//     launching thread preloads one deque per runner slot (round-robin, a
-//     pure function of the block count), submits one runner task per slot
-//     through the injector, and each runner drains its own deque LIFO and
-//     then steals FIFO from random victims. Which worker executes a block
-//     is dynamic — skewed blocks no longer idle the other workers — but
-//     the *set* of blocks never depends on the pool width, which is what
-//     keeps region outputs bit-identical across thread counts.
+//     per-slot Chase-Lev deques with randomized-victim work stealing: the
+//     launching thread preloads one deque per slot (round-robin, a pure
+//     function of the block count), submits one runner job for each slot
+//     but slot 0, and runs slot 0 itself. Every runner drains its own
+//     deque LIFO and then steals FIFO from random victims, and the region
+//     returns once every block has finished — so a region never waits
+//     behind coarse jobs queued ahead of its runners, while the number of
+//     threads working on it stays at the pool width. Which thread executes
+//     a block is dynamic, but the *set* of blocks never depends on the
+//     pool width, which is what keeps region outputs bit-identical across
+//     thread counts.
 #pragma once
 
 #include <condition_variable>
@@ -52,10 +58,11 @@ class ThreadPool {
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
   static std::size_t worker_index();
 
-  /// The pool the current thread is a worker of, or nullptr for external
-  /// threads. Callers that might run on a pool worker (nested parallel
-  /// regions) use this to fall back to inline execution instead of
-  /// deadlocking on their own pool.
+  /// The pool the current thread is working for — a worker's own pool, or
+  /// the pool of the run_blocks() region whose slot 0 the calling thread is
+  /// running — or nullptr otherwise. Callers that might run inside a pool
+  /// (nested parallel regions) use this to fall back to inline execution
+  /// instead of deadlocking on their own pool.
   static const ThreadPool* current_pool();
 
   /// Enqueue a task; the returned future yields its result (or rethrows the
@@ -95,8 +102,12 @@ class ThreadPool {
     return futs;
   }
 
-  /// Run fn(i) for i in [0, n) across the pool and wait for completion.
-  /// The first exception thrown by any chunk is rethrown here.
+  /// Run fn(i) for i in [0, n) as at most 4 * size() contiguous chunk jobs
+  /// on the workers and wait for completion; the calling thread runs none
+  /// of them (see file header) unless n == 1 or size() == 1, when the loop
+  /// runs inline. The first exception thrown by any chunk is rethrown after
+  /// every chunk has finished. Must not be called from a worker of this
+  /// pool, like submit().
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
   /// Work-stealing outcome of one run_blocks() region.
@@ -108,13 +119,15 @@ class ThreadPool {
   /// Execute fn(i) for every i in [0, n) through per-slot Chase-Lev deques
   /// (see file header). Blocks are preloaded round-robin (block i homes on
   /// slot i % slots, slots = min(n, size())) so the assignment is a pure
-  /// function of n; with `steal` true, runners that drain their own deque
-  /// steal from randomized victims, otherwise they stop at their static
-  /// share (the contention_pool bench compares the two). Blocks must write
-  /// disjoint state. Waits for completion; the first exception any block
-  /// threw is rethrown after the region drains (remaining blocks still
-  /// run). Must not be called from a worker of this pool — run nested
-  /// regions inline, like submit().
+  /// function of n. The calling thread runs slot 0 and size() - 1 runner
+  /// jobs at most run the others. With `steal` true, runners that drain
+  /// their own deque steal from randomized victims, so the region finishes
+  /// even while every worker is busy; otherwise each slot stops at its
+  /// static share (the contention_pool bench compares the two). Blocks must
+  /// write disjoint state. Returns once every block has finished; the first
+  /// exception any block threw is rethrown after that (remaining blocks
+  /// still run). Must not be called from a worker of this pool — run
+  /// nested regions inline, like submit().
   StealStats run_blocks(std::size_t n,
                         const std::function<void(std::size_t)>& fn,
                         bool steal = true);

@@ -6,6 +6,7 @@
 #include "common/compute_pool.hpp"
 #include "common/util.hpp"
 #include "kernels/stats_builders.hpp"
+#include "tensor/simd.hpp"
 
 namespace pipad::kernels {
 
@@ -59,8 +60,76 @@ RowAccess vector_row_access(std::uint64_t f) {
           std::max<std::uint64_t>(1, ceil_div<std::uint64_t>(f, 8))};
 }
 
-// Thread blocks a GPU keeps in flight for the load-balance model.
-constexpr int kBalanceUnits = 512;
+using simd::load4;
+using simd::store4;
+using simd::v4f;
+
+// Columns [0, W) of one destination row over one slice: the strip is
+// loaded from `out`, then edges i in [lo, hi) add x[col[i]][0, W) — scaled
+// by w[i] when kWeighted — in ascending i, and the strip is stored back.
+// `x` and `out` point at the strip's first column; ldx is x's row stride.
+template <int W, bool kWeighted>
+inline void slice_strip(const int* col, int lo, int hi, const float* w,
+                        const float* x, std::size_t ldx, float* out) {
+  if constexpr (W % 4 == 0) {
+    constexpr std::size_t kQ = W / 4;
+    v4f acc[kQ];
+    for (std::size_t q = 0; q < kQ; ++q) acc[q] = load4(out + 4 * q);
+    for (int i = lo; i < hi; ++i) {
+      const float* xr = x + static_cast<std::size_t>(col[i]) * ldx;
+      if constexpr (kWeighted) {
+        const v4f wv = {w[i], w[i], w[i], w[i]};
+        for (std::size_t q = 0; q < kQ; ++q) {
+          acc[q] += wv * load4(xr + 4 * q);
+        }
+      } else {
+        for (std::size_t q = 0; q < kQ; ++q) acc[q] += load4(xr + 4 * q);
+      }
+    }
+    for (std::size_t q = 0; q < kQ; ++q) store4(out + 4 * q, acc[q]);
+  } else {
+    float acc[W];
+    for (int d = 0; d < W; ++d) acc[d] = out[d];
+    for (int i = lo; i < hi; ++i) {
+      const float* xr = x + static_cast<std::size_t>(col[i]) * ldx;
+      for (int d = 0; d < W; ++d) {
+        if constexpr (kWeighted) {
+          acc[d] += w[i] * xr[d];
+        } else {
+          acc[d] += xr[d];
+        }
+      }
+    }
+    for (int d = 0; d < W; ++d) out[d] = acc[d];
+  }
+}
+
+// Columns [0, width) of one destination row over one slice, in strips of
+// 16, then one each of 8, 4, 2 and 1 for the tail. Strip widths never
+// change an element's operations.
+template <bool kWeighted>
+void slice_cols(const int* col, int lo, int hi, const float* w,
+                const float* x, std::size_t ldx, float* out, int width) {
+  int c = 0;
+  for (; c + 16 <= width; c += 16) {
+    slice_strip<16, kWeighted>(col, lo, hi, w, x + c, ldx, out + c);
+  }
+  if (width - c >= 8) {
+    slice_strip<8, kWeighted>(col, lo, hi, w, x + c, ldx, out + c);
+    c += 8;
+  }
+  if (width - c >= 4) {
+    slice_strip<4, kWeighted>(col, lo, hi, w, x + c, ldx, out + c);
+    c += 4;
+  }
+  if (width - c >= 2) {
+    slice_strip<2, kWeighted>(col, lo, hi, w, x + c, ldx, out + c);
+    c += 2;
+  }
+  if (width - c >= 1) {
+    slice_strip<1, kWeighted>(col, lo, hi, w, x + c, ldx, out + c);
+  }
+}
 
 void check_spmm_shapes(int a_rows, int a_cols, const Tensor& x,
                        const Tensor& out) {
@@ -195,7 +264,7 @@ KernelStats agg_csr(const graph::CSR& a, const Tensor& x, Tensor& out,
   s.total_warps = std::max<std::uint64_t>(1, rows) * feature_tiles;
   const double eff = static_cast<double>(std::min<std::uint64_t>(f, 32)) / 32.0;
   s.active_thread_ratio_sum = static_cast<double>(s.total_warps) * eff;
-  s.imbalance = sliced::csr_load_balance(a, kBalanceUnits).imbalance();
+  s.imbalance = sliced::csr_load_balance(a, sliced::kBalanceUnits).imbalance();
   return s;
 }
 
@@ -231,7 +300,7 @@ KernelStats agg_gespmm(const graph::CSR& a, const Tensor& x, Tensor& out,
   s.total_warps = std::max<std::uint64_t>(1, rows) * feature_tiles;
   const double eff = static_cast<double>(std::min<std::uint64_t>(f, 32)) / 32.0;
   s.active_thread_ratio_sum = static_cast<double>(s.total_warps) * eff;
-  s.imbalance = sliced::csr_load_balance(a, kBalanceUnits).imbalance();
+  s.imbalance = sliced::csr_load_balance(a, sliced::kBalanceUnits).imbalance();
   return s;
 }
 
@@ -319,35 +388,31 @@ KernelStats agg_sliced(const sliced::SlicedCSR& a, const Tensor& x,
   // result + atomicAdd structure of Algorithm 1). Chunked over
   // destination-row-aligned slice blocks: each output row belongs to one
   // block, so no atomics are needed and every row accumulates its slices in
-  // serial order — bit-identical results for any thread count. With stripe
-  // weights, the shared topology is still walked once per non-zero; each
-  // member's F-wide stripe just gets its own scale.
+  // serial order — bit-identical results for any thread count (see the
+  // contract in aggregate.hpp). With stripe weights, each member's F-wide
+  // stripe of the shared topology's aggregate just gets its own scale.
   const std::size_t work = a.nnz() * static_cast<std::size_t>(fc);
+  const std::size_t ldx = static_cast<std::size_t>(fc);
+  const int* col = a.col_idx.data();
   ComputePool::instance().run_ranges(
       slice_blocks(a, work), [&](std::size_t lo, std::size_t hi) {
         for (std::size_t sl = lo; sl < hi; ++sl) {
           float* orow = out.row(a.row_idx[sl]);
+          const int b = a.slice_off[sl];
+          const int e = a.slice_off[sl + 1];
           if (parts == 0) {
-            for (int i = a.slice_off[sl]; i < a.slice_off[sl + 1]; ++i) {
-              const float* xrow = x.row(a.col_idx[i]);
-              for (int d = 0; d < fc; ++d) orow[d] += xrow[d];
-            }
+            slice_cols<false>(col, b, e, nullptr, x.data(), ldx, orow, fc);
           } else {
-            for (int i = a.slice_off[sl]; i < a.slice_off[sl + 1]; ++i) {
-              const float* xrow = x.row(a.col_idx[i]);
-              for (int p = 0; p < parts; ++p) {
-                const float wp = (*stripe_w[p])[i];
-                for (int d = 0; d < fpp; ++d) {
-                  const int c = p * fpp + d;
-                  orow[c] += wp * xrow[c];
-                }
-              }
+            for (int p = 0; p < parts; ++p) {
+              const std::size_t c0 = static_cast<std::size_t>(p) * fpp;
+              slice_cols<true>(col, b, e, stripe_w[p]->data(), x.data() + c0,
+                               ldx, orow + c0, fpp);
             }
           }
         }
       });
   KernelStats s = sliced_agg_stats(a.nnz(), a.num_slices(), fc, coalesce_num);
-  s.imbalance = sliced::sliced_load_balance(a, kBalanceUnits).imbalance();
+  s.imbalance = a.imbalance;
   return s;
 }
 

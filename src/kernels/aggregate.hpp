@@ -64,6 +64,19 @@ KernelStats agg_gespmm(const graph::CSR& a, const Tensor& x, Tensor& out,
                        bool accumulate = false,
                        const std::vector<float>* w = nullptr);
 
+/// Accumulation-order contract. agg_sliced's result is defined by an
+/// in-order scalar loop, and a faster implementation must reproduce it bit
+/// for bit: every output element starts from +0 (or from its current value
+/// with `accumulate`), then for each slice in ascending order and each
+/// non-zero i of that slice in ascending order adds x[col_idx[i]][c] — or,
+/// with stripe weights, stripe_w[p][i] * x[col_idx[i]][c] for the stripe p
+/// holding column c, the product rounded before the add (the build passes
+/// -ffp-contract=off). Each element therefore adds its edges in ascending
+/// slice order. Keeping a column strip in registers across a slice,
+/// vectorizing across columns and splitting slices into destination-row
+/// blocks are free under this contract; reordering or splitting one
+/// element's sum is not.
+///
 /// PiPAD parallel aggregation (Algorithm 1) over a SlicedCSR. `x` is the
 /// coalesced feature matrix [N x (F * S)]; its full row width is processed
 /// per non-zero. coalesce_num bounds the number of thread groups per warp

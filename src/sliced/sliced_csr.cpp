@@ -1,8 +1,46 @@
 #include "sliced/sliced_csr.hpp"
 
 #include <algorithm>
+#include <cstdint>
 
 namespace pipad::sliced {
+
+namespace {
+
+/// sliced_load_balance's model fed one slice at a time, so slice() and
+/// slice_from_sorted_keys() compute it inside their own loops: slice i adds
+/// its size to bin i % units. With fewer slices than units every slice has
+/// a bin to itself, which is the model's one-unit-per-slice case. Sizes are
+/// summed as integers, exactly, like the costs they become.
+class SliceBins {
+ public:
+  explicit SliceBins(int units) : bins_(static_cast<std::size_t>(units), 0) {}
+
+  void add(int size) {
+    bins_[next_] += size;
+    total_ += size;
+    if (++next_ == bins_.size()) next_ = 0;
+    ++count_;
+  }
+
+  LoadBalance result() const {
+    if (count_ == 0) return {};
+    LoadBalance lb;
+    lb.balanced_cost = static_cast<double>(total_) /
+                       static_cast<double>(std::min(bins_.size(), count_));
+    lb.actual_cost =
+        static_cast<double>(*std::max_element(bins_.begin(), bins_.end()));
+    return lb;
+  }
+
+ private:
+  std::vector<std::int64_t> bins_;
+  std::size_t next_ = 0;
+  std::size_t count_ = 0;
+  std::int64_t total_ = 0;
+};
+
+}  // namespace
 
 void SlicedCSR::validate() const {
   PIPAD_CHECK(slice_bound > 0);
@@ -40,6 +78,7 @@ SlicedCSR slice(const graph::CSR& csr, int bound) {
   s.slice_bound = bound;
   s.col_idx = csr.col_idx;
   s.slice_off.push_back(0);
+  SliceBins bins(kBalanceUnits);
   for (int r = 0; r < csr.rows; ++r) {
     int remaining = csr.degree(r);
     int off = csr.row_ptr[r];
@@ -48,9 +87,11 @@ SlicedCSR slice(const graph::CSR& csr, int bound) {
       s.row_idx.push_back(r);
       off += take;
       s.slice_off.push_back(off);
+      bins.add(take);
       remaining -= take;
     }
   }
+  s.imbalance = bins.result().imbalance();
   return s;
 }
 
@@ -78,6 +119,7 @@ SlicedCSR slice_from_sorted_keys(int rows, int cols,
   s.slice_bound = bound;
   s.col_idx.reserve(keys.size());
   s.slice_off.push_back(0);
+  SliceBins bins(kBalanceUnits);
   int cur_row = -1;
   int cur_fill = 0;
   for (std::uint64_t k : keys) {
@@ -86,6 +128,7 @@ SlicedCSR slice_from_sorted_keys(int rows, int cols,
       // Close the previous slice (if any) and open a new one.
       if (cur_fill > 0) {
         s.slice_off.push_back(static_cast<int>(s.col_idx.size()));
+        bins.add(cur_fill);
       }
       s.row_idx.push_back(e.dst);
       cur_row = e.dst;
@@ -96,7 +139,9 @@ SlicedCSR slice_from_sorted_keys(int rows, int cols,
   }
   if (cur_fill > 0) {
     s.slice_off.push_back(static_cast<int>(s.col_idx.size()));
+    bins.add(cur_fill);
   }
+  s.imbalance = bins.result().imbalance();
   return s;
 }
 
@@ -124,20 +169,9 @@ LoadBalance csr_load_balance(const graph::CSR& csr, int parallel_units) {
 
 LoadBalance sliced_load_balance(const SlicedCSR& s, int parallel_units) {
   PIPAD_CHECK(parallel_units > 0);
-  if (s.num_slices() == 0) return {};
-  const int units = std::max(
-      1, std::min<int>(parallel_units, static_cast<int>(s.num_slices())));
-  std::vector<double> bins(units, 0.0);
-  double total = 0.0;
-  for (std::size_t i = 0; i < s.num_slices(); ++i) {
-    const double w = s.slice_size(i);
-    bins[i % units] += w;
-    total += w;
-  }
-  LoadBalance lb;
-  lb.balanced_cost = total / units;
-  lb.actual_cost = *std::max_element(bins.begin(), bins.end());
-  return lb;
+  SliceBins bins(parallel_units);
+  for (std::size_t i = 0; i < s.num_slices(); ++i) bins.add(s.slice_size(i));
+  return bins.result();
 }
 
 }  // namespace pipad::sliced

@@ -22,6 +22,8 @@
 namespace pipad::sliced {
 
 inline constexpr int kDefaultSliceBound = 32;  ///< §4.1: up to 32 nnz/slice.
+/// Thread blocks a GPU keeps in flight for the load-balance model.
+inline constexpr int kBalanceUnits = 512;
 
 struct SlicedCSR {
   int rows = 0;
@@ -30,6 +32,10 @@ struct SlicedCSR {
   std::vector<int> row_idx;    ///< Row of each slice (size = #slices).
   std::vector<int> slice_off;  ///< Start of each slice in col_idx (#slices+1).
   std::vector<int> col_idx;    ///< Column indices, sorted within a slice.
+  /// sliced_load_balance(*this, kBalanceUnits).imbalance(), computed once
+  /// by slice() and slice_from_sorted_keys() so every aggregation over the
+  /// topology reuses it; 1.0 (balanced) for a topology without slices.
+  double imbalance = 1.0;
 
   std::size_t num_slices() const { return row_idx.size(); }
   std::size_t nnz() const { return col_idx.size(); }

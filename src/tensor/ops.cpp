@@ -2,22 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <vector>
+
+#include "tensor/simd.hpp"
 
 namespace pipad::ops {
 
 namespace {
-// Four floats: SSE2 registers on the x86-64 baseline. Lane-wise * and + are
-// the same IEEE single-precision operations as the scalar code's.
-typedef float v4f __attribute__((vector_size(16)));
-
-inline v4f load4(const float* p) {
-  v4f v;
-  std::memcpy(&v, p, sizeof v);
-  return v;
-}
-inline void store4(float* p, v4f v) { std::memcpy(p, &v, sizeof v); }
+using simd::load4;
+using simd::store4;
+using simd::v4f;
 
 // Columns of one C row kept in registers across the whole k loop.
 constexpr int kStrip = 32;

@@ -3,6 +3,9 @@
 // depend on.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "common/compute_pool.hpp"
 #include "graph/generator.hpp"
 #include "kernels/aggregate.hpp"
@@ -492,6 +495,86 @@ TEST(PooledKernels, NormalizeBitIdenticalAcrossThreadCounts) {
     kernels::gcn_normalize_backward(deg, x, d_agg, d_x);
     return d_agg;
   });
+}
+
+// ---------- agg_sliced against its in-order definition ----------
+
+/// The scalar agg_sliced loop that defines the kernel's accumulation order
+/// (the contract in aggregate.hpp), kept verbatim as the reference for the
+/// register-strip implementation.
+void reference_agg_sliced(
+    const sliced::SlicedCSR& a, const Tensor& x, Tensor& out,
+    bool accumulate, const std::vector<const std::vector<float>*>& stripe_w) {
+  if (!accumulate) out.fill(0.0f);
+  const int fc = x.cols();
+  const int parts = static_cast<int>(stripe_w.size());
+  const int fpp = parts > 0 ? fc / parts : 0;
+  for (std::size_t sl = 0; sl < a.num_slices(); ++sl) {
+    float* orow = out.row(a.row_idx[sl]);
+    if (parts == 0) {
+      for (int i = a.slice_off[sl]; i < a.slice_off[sl + 1]; ++i) {
+        const float* xrow = x.row(a.col_idx[i]);
+        for (int d = 0; d < fc; ++d) orow[d] += xrow[d];
+      }
+    } else {
+      for (int i = a.slice_off[sl]; i < a.slice_off[sl + 1]; ++i) {
+        const float* xrow = x.row(a.col_idx[i]);
+        for (int p = 0; p < parts; ++p) {
+          const float wp = (*stripe_w[p])[i];
+          for (int d = 0; d < fpp; ++d) {
+            const int c = p * fpp + d;
+            orow[c] += wp * xrow[c];
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SlicedStrips, BitIdenticalToScalarLoopForEveryWidthAndStripeCount) {
+  // Coalesced widths 1..40 walk every strip tail (16 / 8 / 4 / 2 / 1), 0-4
+  // weight stripes cover the unweighted loop and every stripe width that
+  // divides the row, and a pinned work floor makes the 4-thread pool run
+  // real multi-block regions even on this small graph.
+  ComputePool::set_min_block_work(64);
+  Rng rng(47);
+  const CSR g = random_csr(90, 1500, rng);
+  const auto s = sliced::slice(g, 5);
+  std::vector<std::vector<float>> weights(4);
+  for (auto& w : weights) {
+    w.resize(s.nnz());
+    for (auto& v : w) v = static_cast<float>(rng.next_double()) - 0.25f;
+  }
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    ComputePool::instance().configure(threads);
+    for (int fc = 1; fc <= 40; ++fc) {
+      const Tensor x = Tensor::randn(90, fc, rng);
+      const Tensor seed = Tensor::randn(90, fc, rng);
+      for (int parts = 0; parts <= 4; ++parts) {
+        if (parts > 0 && fc % parts != 0) continue;
+        std::vector<const std::vector<float>*> stripe_w;
+        for (int p = 0; p < parts; ++p) stripe_w.push_back(&weights[p]);
+        for (const bool accumulate : {false, true}) {
+          Tensor want = seed;
+          Tensor got = seed;
+          reference_agg_sliced(s, x, want, accumulate, stripe_w);
+          kernels::agg_sliced(s, x, got, 4, accumulate, stripe_w);
+          for (std::size_t i = 0; i < want.storage().size(); ++i) {
+            ASSERT_EQ(std::bit_cast<std::uint32_t>(want.storage()[i]),
+                      std::bit_cast<std::uint32_t>(got.storage()[i]))
+                << "threads " << threads << " width " << fc << " stripes "
+                << parts << " accumulate " << accumulate << " elem " << i;
+          }
+        }
+      }
+    }
+  }
+  // The modeled stats report the load balance cached at slicing time.
+  Tensor out(90, 8);
+  EXPECT_EQ(kernels::agg_sliced(s, Tensor::randn(90, 8, rng), out).imbalance,
+            sliced::sliced_load_balance(s, sliced::kBalanceUnits).imbalance());
+  ComputePool::set_min_block_work(0);
+  ComputePool::instance().configure(0);
 }
 
 // ---------- Edge shapes through the new blocking logic ----------

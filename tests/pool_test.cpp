@@ -6,13 +6,17 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstddef>
+#include <cstdint>
 #include <mutex>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "common/compute_pool.hpp"
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
 #include "common/work_deque.hpp"
@@ -221,6 +225,130 @@ TEST(RunBlocks, RethrowsFirstBlockExceptionAfterDrainingRegion) {
   // The throwing block must not abort the region: every block still ran.
   for (std::size_t i = 0; i < kBlocks; ++i) {
     EXPECT_EQ(hits[i].load(), 1) << "block " << i;
+  }
+}
+
+// The calling thread runs slot 0 and steals the rest, so a region must not
+// wait for a worker to free up. Both workers are held by jobs that wait on
+// a release flag; the region has to finish before the test releases them.
+// The holds give up after a deadline and set a flag, so an executor that
+// waits for its runners fails here instead of hanging the suite.
+TEST(RunBlocks, CompletesWhileEveryWorkerIsBusy) {
+  ThreadPool pool(2);
+  std::atomic<int> holding{0};
+  std::atomic<bool> release{false};
+  std::atomic<bool> timed_out{false};
+  const auto hold = [&] {
+    holding.fetch_add(1, std::memory_order_acq_rel);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!release.load(std::memory_order_acquire)) {
+      if (std::chrono::steady_clock::now() > deadline) {
+        timed_out.store(true, std::memory_order_relaxed);
+        return;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  };
+  auto first = pool.submit(hold);
+  auto second = pool.submit(hold);
+  while (holding.load(std::memory_order_acquire) < 2) {
+    std::this_thread::yield();
+  }
+  constexpr std::size_t kBlocks = 16;
+  std::vector<std::atomic<int>> hits(kBlocks);
+  const auto stats = pool.run_blocks(kBlocks, [&](std::size_t i) {
+    hits[i].fetch_add(1, std::memory_order_relaxed);
+  });
+  const bool finished_while_held = !timed_out.load();
+  release.store(true, std::memory_order_release);
+  first.get();
+  second.get();
+  EXPECT_TRUE(finished_while_held)
+      << "run_blocks waited for a busy worker";
+  EXPECT_EQ(stats.executed, kBlocks);
+  for (std::size_t i = 0; i < kBlocks; ++i) {
+    EXPECT_EQ(hits[i].load(), 1) << "block " << i;
+  }
+}
+
+TEST(RunBlocks, CallingThreadBlockExceptionRethrownAfterEveryBlockRan) {
+  ThreadPool pool(2);
+  const auto caller = std::this_thread::get_id();
+  constexpr std::size_t kBlocks = 8;
+  std::vector<std::atomic<int>> hits(kBlocks);
+  std::atomic<int> thrown_on_caller{0};
+  try {
+    pool.run_blocks(kBlocks, [&](std::size_t i) {
+      if (std::this_thread::get_id() == caller) {
+        hits[i].fetch_add(1, std::memory_order_relaxed);
+        thrown_on_caller.fetch_add(1, std::memory_order_relaxed);
+        throw Error("calling-thread block failed");
+      }
+      // Worker blocks finish well after the caller's first throw.
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      hits[i].fetch_add(1, std::memory_order_relaxed);
+    });
+    ADD_FAILURE() << "run_blocks did not rethrow";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("calling-thread block failed"),
+              std::string::npos);
+    // Rethrown only after the region drained: every block already ran.
+    for (std::size_t i = 0; i < kBlocks; ++i) {
+      EXPECT_EQ(hits[i].load(), 1) << "block " << i;
+    }
+  }
+  EXPECT_GE(thrown_on_caller.load(), 1) << "no block ran on the caller";
+}
+
+// A block the calling thread runs counts as inside the pool, so a region it
+// starts runs inline there — exactly like one started on a worker — and the
+// output matches the single-thread run bit for bit.
+TEST(RunBlocks, NestedRegionFromACallingThreadBlockIsBitIdentical) {
+  ComputePool::set_min_block_work(16);
+  constexpr std::size_t kRows = 64;
+  constexpr std::size_t kCols = 48;
+  const auto compute = [&](int& nested_on_caller) {
+    ThreadPool* const pool = &ComputePool::instance().pool();
+    const auto caller = std::this_thread::get_id();
+    std::atomic<int> on_caller{0};
+    std::vector<float> out(kRows * kCols);
+    ComputePool::instance().for_blocks(
+        kRows, kRows * kCols, [&](std::size_t lo, std::size_t hi) {
+          if (std::this_thread::get_id() == caller && pool->size() > 1) {
+            EXPECT_EQ(ThreadPool::current_pool(), pool);
+            on_caller.fetch_add(1, std::memory_order_relaxed);
+          }
+          for (std::size_t r = lo; r < hi; ++r) {
+            ComputePool::instance().for_blocks(
+                kCols, kCols * 64, [&](std::size_t c0, std::size_t c1) {
+                  for (std::size_t c = c0; c < c1; ++c) {
+                    float acc = static_cast<float>(r) * 0.5f;
+                    for (int k = 0; k < 64; ++k) {
+                      acc = acc * 0.999f +
+                            0.001f * static_cast<float>(c + k);
+                    }
+                    out[r * kCols + c] = acc;
+                  }
+                });
+          }
+        });
+    nested_on_caller = on_caller.load();
+    return out;
+  };
+  int nested_on_caller = 0;
+  ComputePool::instance().configure(1);
+  const std::vector<float> serial = compute(nested_on_caller);
+  ComputePool::instance().configure(4);
+  const std::vector<float> parallel = compute(nested_on_caller);
+  ComputePool::instance().configure(0);
+  ComputePool::set_min_block_work(0);
+  EXPECT_GE(nested_on_caller, 1) << "no outer block ran on the caller";
+  ASSERT_EQ(serial.size(), parallel.size());
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(serial[i]),
+              std::bit_cast<std::uint32_t>(parallel[i]))
+        << "elem " << i;
   }
 }
 

@@ -100,6 +100,34 @@ TEST(LoadBalance, SlicingImprovesSkewedGraphs) {
   EXPECT_GE(lb_sliced.imbalance(), 1.0);
 }
 
+TEST(LoadBalance, CachedImbalanceMatchesAFreshModel) {
+  // agg_sliced reports SlicedCSR::imbalance instead of re-running the model
+  // on every call, so both constructors must store exactly what a fresh
+  // sliced_load_balance computes — for skewed, tiny and empty topologies.
+  Rng rng(17);
+  std::vector<graph::Edge> es;
+  for (int i = 0; i < 3000; ++i) {
+    const int dst = static_cast<int>(700 * std::pow(rng.next_double(), 3.0));
+    es.push_back({static_cast<int>(rng.next_below(700)), dst});
+  }
+  const auto skewed = graph::csr_from_edges(700, 700, std::move(es));
+  const auto tiny = random_csr(6, 9, rng);
+  const graph::CSR empty{5, 5, std::vector<int>(6, 0), {}};
+  for (const graph::CSR* csr : {&skewed, &tiny, &empty}) {
+    for (const int bound : {1, 4, kDefaultSliceBound}) {
+      const auto a = slice(*csr, bound);
+      const auto b = slice_from_sorted_keys(csr->rows, csr->cols,
+                                            graph::edge_keys(*csr), bound);
+      const double fresh =
+          sliced_load_balance(a, kBalanceUnits).imbalance();
+      EXPECT_EQ(a.imbalance, fresh) << "bound " << bound;
+      EXPECT_EQ(b.imbalance, fresh) << "bound " << bound;
+    }
+  }
+  EXPECT_GT(slice(skewed, 4).imbalance, 1.0);
+  EXPECT_EQ(slice(empty).imbalance, 1.0);
+}
+
 // ---------- Partitions ----------
 
 TEST(Partition, InvariantOverlapPlusExclusiveEqualsSnapshot) {
