@@ -1,7 +1,5 @@
 // Ablation: force S_per in {1,2,4,8} and compare against the dynamic tuner
-// (§4.4) — shows the tuner tracks or beats the best static choice — plus a
-// host-prep thread sweep demonstrating the Fig. 8 prep/device overlap with
-// real measured threads (the HostLane) instead of an assumed divisor.
+// (§4.4) — shows the tuner tracks or beats the best static choice.
 #include <cstdio>
 
 #include "bench_util.hpp"
@@ -41,32 +39,7 @@ int main(int argc, char** argv) {
     std::printf("\n");
   }
 
-  // Host-prep thread sweep: the prep busy time is the *measured* wall-clock
-  // of slicing + overlap extraction summed over the worker lanes it ran on;
-  // more lanes shorten the background-prep critical path that device
-  // transfers wait on (§4.3, Fig. 8).
   std::printf(
-      "Ablation: HostLane threads (T-GCN; total us / measured prep us)\n\n");
-  std::printf("%-18s %16s %16s %16s %16s\n", "Dataset", "T=1", "T=2", "T=4",
-              "T=8");
-  for (const auto& dcfg : flags.configs()) {
-    const auto& g = cache.get(dcfg);
-    const auto tcfg = bench::train_config(flags, models::ModelType::TGcn);
-    std::printf("%-18s", dcfg.name.c_str());
-    for (int t : {1, 2, 4, 8}) {
-      auto o = bench::pipad_options(flags);
-      o.host_threads = t;
-      const auto r = bench::run_method(g, bench::Method::PiPAD, tcfg, o);
-      report.add(dcfg.name, "tgcn", "PiPAD[T=" + std::to_string(t) + "]", r);
-      char cell[64];
-      std::snprintf(cell, sizeof(cell), "%.0f/%.0f", r.total_us, r.prep_us);
-      std::printf(" %16s", cell);
-    }
-    std::printf("\n");
-  }
-  std::printf(
-      "\nShape check: the tuner tracks or beats the best static S_per; the "
-      "thread sweep's\nprep time is measured from real HostLane execution "
-      "(it varies run to run).\n");
+      "Shape check: the tuner tracks or beats the best static S_per.\n");
   return report.write_if_requested() ? 0 : 1;
 }

@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
   std::printf(
       "\nShape check (Fig. 10): PiPAD wins in geomean for every model; "
       "PyGT-G is the strongest\nvariant. epoch_us is modeled: device "
-      "kernels and copies come from the gpusim cost\nmodel, and only "
-      "PiPAD's host prep is charged at measured cost.\n");
+      "kernels and copies come from the gpusim cost\nmodel, and PiPAD's "
+      "host prep from the prep cost model (counts, not clocks).\n");
   return report.write_if_requested() ? 0 : 1;
 }

@@ -47,8 +47,8 @@ namespace {
 using Intervals = std::vector<std::pair<double, double>>;
 
 /// Group key for blame: the op name truncated after its second ':', so
-/// "prep:load:3" and "prep:load:4" pool into "prep:load" while "kernel:gcn"
-/// stays intact.
+/// "prep:infeed:r0" and "prep:infeed:r1" pool into "prep:infeed" while
+/// "kernel:gcn" stays intact.
 std::string blame_key(const std::string& name) {
   auto p = name.find(':');
   if (p == std::string::npos) return name;

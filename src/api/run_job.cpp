@@ -6,7 +6,6 @@
 #include "baselines/baseline_trainer.hpp"
 #include "common/compute_pool.hpp"
 #include "graph/generator.hpp"
-#include "host/host_lane.hpp"
 #include "replica/replica_trainer.hpp"
 
 namespace pipad::api {
@@ -112,7 +111,7 @@ models::TrainConfig train_config(const JobSpec& o) {
 
 runtime::PipadOptions pipad_options(const JobSpec& o) {
   runtime::PipadOptions popts;
-  popts.host_threads = o.threads;  // 0 = HostLane default.
+  popts.host_threads = o.threads;  // 0 = ComputePool default.
   popts.replicas = o.replicas;
   popts.allreduce = o.allreduce;
   return popts;
@@ -121,9 +120,12 @@ runtime::PipadOptions pipad_options(const JobSpec& o) {
 RunOutput run_method(const JobSpec& o, const std::string& runtime,
                      gpusim::Gpu& gpu, const BuiltDataset& b,
                      const std::atomic<bool>* cancel) {
+  // Ingest time is wall-clock only (BuiltDataset::load); it never reaches
+  // the modeled timeline. A loaded dataset still leaves the pool at the
+  // job's width for the baselines, which own no HostLane.
   if (b.from_file) {
-    host::charge_load(gpu, b.load,
-                      o.threads > 0 ? static_cast<std::size_t>(o.threads) : 0);
+    ComputePool::instance().configure(
+        o.threads > 0 ? static_cast<std::size_t>(o.threads) : 0);
   }
   RunOutput out;
   out.dataset_name = b.data.name;

@@ -21,8 +21,8 @@
 
 namespace pipad::api {
 
-/// A dataset plus, for on-disk loads, the measured ingest phases that get
-/// charged to the simulated worker lanes before training starts.
+/// A dataset plus, for on-disk loads, the measured wall-clock of its ingest
+/// phases (reported only; the modeled timeline starts at training).
 struct BuiltDataset {
   graph::DTDG data;
   graph::io::LoadStats load;
@@ -55,9 +55,8 @@ struct RunOutput {
 };
 
 /// Train `runtime` (not necessarily spec.runtime — `pipad bench` runs the
-/// baseline and pipad on the same spec) on a caller-owned Gpu, charging
-/// file ingest to its lanes first. Throws pipad::Cancelled when `cancel`
-/// fires, pipad::Error on any job failure.
+/// baseline and pipad on the same spec) on a caller-owned Gpu. Throws
+/// pipad::Cancelled when `cancel` fires, pipad::Error on any job failure.
 RunOutput run_method(const JobSpec& spec, const std::string& runtime,
                      gpusim::Gpu& gpu, const BuiltDataset& data,
                      const std::atomic<bool>* cancel = nullptr);

@@ -12,7 +12,6 @@
 namespace pipad {
 
 namespace {
-thread_local std::size_t tl_worker_index = ThreadPool::npos;
 thread_local const ThreadPool* tl_pool = nullptr;
 
 /// xorshift64*: cheap per-runner victim randomization. Seeded from the slot
@@ -25,8 +24,6 @@ inline std::uint64_t next_rand(std::uint64_t& s) {
   return s * 0x2545F4914F6CDD1Dull;
 }
 }  // namespace
-
-std::size_t ThreadPool::worker_index() { return tl_worker_index; }
 
 const ThreadPool* ThreadPool::current_pool() { return tl_pool; }
 
@@ -45,7 +42,7 @@ ThreadPool::ThreadPool(std::size_t threads) {
   }
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) {
-    workers_.emplace_back([this, i] { worker_loop(i); });
+    workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
@@ -63,8 +60,7 @@ void ThreadPool::shutdown() {
   }
 }
 
-void ThreadPool::worker_loop(std::size_t index) {
-  tl_worker_index = index;
+void ThreadPool::worker_loop() {
   tl_pool = this;
   for (;;) {
     std::function<void()> task;

@@ -2,11 +2,11 @@
 //
 // PiPAD's runtime overlaps CPU-side preparation (graph slicing, overlap
 // extraction, partition assembly) with simulated device work (§4.3). The pool
-// executes that host work for real; host::HostLane measures each job and
-// charges the simulated time to the Timeline worker lane it actually ran on.
+// executes that host work for real; what it costs on the modeled timeline
+// comes from host/prep_cost.hpp, never from the pool's own run time.
 //
 // Scheduling is two-level:
-//   - submit()/map()/parallel_for() enqueue whole jobs on a shared injector
+//   - submit()/parallel_for() enqueue whole jobs on a shared injector
 //     queue (mutex + condition variable — jobs are coarse, so the injector
 //     is touched a handful of times per frame and is never the bottleneck).
 //     The calling thread never runs them: parallel_for's callers allocate
@@ -52,12 +52,6 @@ class ThreadPool {
   /// Idempotent; submit() after shutdown() throws.
   void shutdown();
 
-  /// Index of the pool worker executing the current thread, or npos when
-  /// called from a thread that does not belong to a pool. Jobs use this to
-  /// attribute their measured cost to the correct simulated worker lane.
-  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
-  static std::size_t worker_index();
-
   /// The pool the current thread is working for — a worker's own pool, or
   /// the pool of the run_blocks() region whose slot 0 the calling thread is
   /// running — or nullptr otherwise. Callers that might run inside a pool
@@ -84,22 +78,6 @@ class ThreadPool {
     }
     cv_.notify_one();
     return fut;
-  }
-
-  /// Bulk map: enqueue fn(i) for i in [0, n) as n independent tasks and
-  /// return their futures without waiting. The caller decides when (and in
-  /// what order) to harvest results; each future rethrows its task's
-  /// exception.
-  template <typename F>
-  auto map(std::size_t n, F&& fn)
-      -> std::vector<std::future<std::invoke_result_t<F, std::size_t>>> {
-    using R = std::invoke_result_t<F, std::size_t>;
-    std::vector<std::future<R>> futs;
-    futs.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      futs.push_back(submit([fn, i] { return fn(i); }));
-    }
-    return futs;
   }
 
   /// Run fn(i) for i in [0, n) as at most 4 * size() contiguous chunk jobs
@@ -133,7 +111,7 @@ class ThreadPool {
                         bool steal = true);
 
  private:
-  void worker_loop(std::size_t index);
+  void worker_loop();
   /// Throws when the calling thread is a worker of this pool (deadlock
   /// hazard; see submit()).
   void reject_nested_submit() const;

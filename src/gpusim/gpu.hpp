@@ -122,17 +122,22 @@ class Gpu {
                             until_us - cpu_now);
   }
 
-  /// Declare how many background worker lanes exist (one per host::HostLane
-  /// pool thread).
+  /// Declare how many background worker lanes exist (one per modeled host
+  /// core, host::kModeledHostCores).
   void set_worker_lanes(std::size_t n) { timeline_.set_worker_lanes(n); }
 
-  /// Host-side work on one background worker lane (PiPAD's async prep).
-  /// The duration is the job's measured wall-clock; the lane is the pool
-  /// thread it actually ran on.
-  double worker_op(std::size_t lane, const std::string& name,
-                   double duration_us, double not_before_us = 0.0) {
-    return timeline_.submit_worker(lane, "prep:" + name, duration_us,
-                                   not_before_us);
+  /// Host-side work on a background worker lane (PiPAD's async prep). The
+  /// duration comes from host::prep_cost_us; the op goes to the
+  /// least-loaded lane (earliest front, lowest index on ties), so the
+  /// placement depends only on the order of the calls.
+  double worker_op(const std::string& name, double duration_us) {
+    std::size_t lane = 0;
+    for (std::size_t l = 1; l < timeline_.worker_lanes(); ++l) {
+      if (timeline_.worker_lane_ready(l) < timeline_.worker_lane_ready(lane)) {
+        lane = l;
+      }
+    }
+    return timeline_.submit_worker(lane, "prep:" + name, duration_us);
   }
 
   EventId record_event(StreamId stream) {

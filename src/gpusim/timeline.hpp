@@ -7,9 +7,10 @@
 //     compute but not with same-direction transfers,
 //   - the issuing CPU thread (kernel-launch overhead serializes here),
 //   - N background CPU worker lanes for PiPAD's asynchronous host-side
-//     preparation (§4.3), one per host::HostLane pool thread. Worker ops are
-//     submitted per lane with submit_worker(); the duration is the *measured*
-//     wall-clock of the job that actually ran on that pool thread.
+//     preparation (§4.3), one per modeled host core (host::kModeledHostCores).
+//     Worker ops are submitted per lane with submit_worker(); the duration
+//     comes from the prep cost model (host/prep_cost.hpp), never a host
+//     clock.
 // Streams give program order; events give cross-stream dependencies. Since
 // ops are scheduled eagerly at submission, the whole simulation is a single
 // deterministic pass.
@@ -75,9 +76,8 @@ class Timeline {
   void set_worker_lanes(std::size_t n);
 
   /// Schedule a background host-prep op on one worker lane. Lanes are
-  /// independent: an op starts at max(lane front, extra_ready_us), so jobs
-  /// that ran concurrently on different pool threads overlap on the
-  /// timeline. Returns end time.
+  /// independent: an op starts at max(lane front, extra_ready_us), so ops
+  /// on different lanes overlap on the timeline. Returns end time.
   double submit_worker(std::size_t lane, std::string name,
                        double duration_us, double extra_ready_us = 0.0);
 
@@ -87,7 +87,7 @@ class Timeline {
   /// Record the current position of a stream as an event.
   EventId record_event(StreamId stream);
 
-  /// Record an event at an explicit timestamp (e.g. the measured completion
+  /// Record an event at an explicit timestamp (e.g. the modeled completion
   /// of a worker-lane job) so streams can wait on background prep.
   EventId record_event_at(double time_us);
 

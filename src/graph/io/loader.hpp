@@ -38,8 +38,9 @@
 // Features come from an optional sidecar file (static or temporal; see
 // text_format.hpp) or are synthesized as a seeded AR(1) walk; targets come
 // from a sidecar file or the generator's degree/feature/season blend.
-// Every phase is wall-clock-measured into LoadStats so callers can charge
-// the ingest to the simulated HostLane worker lanes (host::charge_load).
+// Every phase is wall-clock-measured into LoadStats for reporting
+// (bench/ingest_stream, bench/e2e's per-layer spans). Ingest is real work
+// only: it never reaches the modeled timeline.
 #pragma once
 
 #include <cstdint>
@@ -69,7 +70,7 @@ struct LoadOptions {
 };
 
 /// Measured wall-clock of each load phase (real time, not simulated), plus
-/// the task counts host::charge_load uses to occupy worker lanes.
+/// how wide the parallel phases fanned out.
 struct LoadStats {
   double read_us = 0.0;    ///< Cache-key hashing + file reads; on a
                            ///< cache hit, the key's hashing time only.

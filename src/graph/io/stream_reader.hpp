@@ -18,8 +18,7 @@
 // instead of surfacing as "malformed src '<garbage>'" from the tokenizer.
 //
 // Wall-clock spent in raw file reads and in inflate is measured separately
-// (read_us / inflate_us) so host::charge_load can place the new phases on
-// the simulated worker lanes.
+// (read_us / inflate_us) and reported in LoadStats.
 #pragma once
 
 #include <cstddef>

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/error.hpp"
-#include "common/timer.hpp"
 #include "host/host_lane.hpp"
 #include "kernels/aggregate.hpp"
 #include "kernels/stats_builders.hpp"
@@ -387,7 +386,7 @@ struct PipadTrainer::Impl {
   const graph::DTDG& data;
   TrainConfig cfg;
   PipadOptions opts;
-  host::HostLane lane;  ///< Executes + measures all host prep (§4.3).
+  host::HostLane lane;  ///< Executes and charges all host prep (§4.3).
   Rng rng;
   std::unique_ptr<models::DgnnModel> model;
   nn::Adam optim;
@@ -452,13 +451,19 @@ struct PipadTrainer::Impl {
     return model->num_agg_layers() > 1 || !opts.enable_reuse;
   }
 
-  /// ❶ Online graph analyzer: slice every snapshot as one HostLane job
-  /// each; the measured per-job wall-clock lands on the worker lane that
-  /// executed it, so slicing overlaps across lanes on the timeline.
+  /// ❶ Online graph analyzer: slice every snapshot (and its transpose) as
+  /// one HostLane job each, charged by the rows and edges it slices.
   void run_analyzer() {
     const int n = data.num_snapshots();
     sliced.resize(n);
-    lane.run("graph-analyzer", static_cast<std::size_t>(n),
+    std::vector<host::PrepCounts> counts(n);
+    for (int t = 0; t < n; ++t) {
+      const auto& snap = data.snapshots[t];
+      counts[t].rows = static_cast<std::uint64_t>(snap.adj.rows) +
+                       static_cast<std::uint64_t>(snap.adj_t.rows);
+      counts[t].edges = snap.adj.nnz() + snap.adj_t.nnz();
+    }
+    lane.run("graph-analyzer", counts,
              [&](std::size_t t) {
                const auto& snap = data.snapshots[t];
                sliced[t].adj = sliced::slice(snap.adj, opts.slice_bound);
@@ -490,7 +495,19 @@ struct PipadTrainer::Impl {
     const int cnt = std::max(0, last - lo);
     std::vector<std::uint64_t> nnz(cnt, 0);
     std::vector<double> pair_or(cnt, -1.0);  ///< -1 = no successor pair.
-    lane.run("profiling", static_cast<std::size_t>(cnt), [&](std::size_t j) {
+    // A job with a successor pair walks both snapshots for their edge keys.
+    std::vector<host::PrepCounts> counts(cnt);
+    for (int j = 0; j < cnt; ++j) {
+      const int t = lo + j;
+      if (t + 1 < hi && t + 1 < data.num_snapshots()) {
+        const auto& a = data.snapshots[t].adj;
+        const auto& b = data.snapshots[t + 1].adj;
+        counts[j].rows = static_cast<std::uint64_t>(a.rows) +
+                         static_cast<std::uint64_t>(b.rows);
+        counts[j].edges = a.nnz() + b.nnz();
+      }
+    }
+    lane.run("profiling", counts, [&](std::size_t j) {
       const int t = lo + static_cast<int>(j);
       nnz[j] = data.snapshots[t].adj.nnz();
       if (t + 1 < hi && t + 1 < data.num_snapshots()) {
@@ -525,40 +542,27 @@ struct PipadTrainer::Impl {
     auto it = partition_cache.find(key);
     if (it != partition_cache.end()) return it->second;
 
+    // prepare_steady streamed every partition a steady frame uses: the
+    // frames and S_per decisions are the same ones it walked.
     const auto si = stream_index.find(key);
-    if (prep_stream && si != stream_index.end()) {
-      // Streamed extraction (§4.3): block only until *this* partition's job
-      // retires — the wait is real, so the simulated CPU pays exactly it.
-      const double end = prep_stream->wait(si->second);
-      gpu.cpu_wait_until("overlap-extract", end);
-      partition_ready[key] = gpu.timeline().record_event_at(end);
-      it = partition_cache.emplace(key, std::move(stream_parts[si->second]))
-               .first;
-      return it->second;
-    }
-
-    // On-demand miss (prepare_steady covers the common case): build with
-    // the pool-parallel path and charge the measured wall-clock to every
-    // lane the build occupied.
-    Timer timer;
-    auto part = sliced::build_partition(data, start, count,
-                                        opts.slice_bound, &lane.pool());
-    // The build fans out into 2 overlap + 2*count exclusive slice tasks;
-    // only that many lanes were busy.
-    const double end =
-        lane.charge_all("overlap-extract", timer.elapsed_us(), 0.0,
-                        2 + 2 * static_cast<std::size_t>(count));
+    PIPAD_CHECK_MSG(prep_stream && si != stream_index.end(),
+                    "partition (" << start << ", " << count
+                                  << ") was not streamed");
+    // Streamed extraction (§4.3): block only until *this* partition's job
+    // retires; the simulated CPU waits for its modeled completion.
+    const double end = prep_stream->wait(si->second);
+    gpu.cpu_wait_until("overlap-extract", end);
     partition_ready[key] = gpu.timeline().record_event_at(end);
-    it = partition_cache.emplace(key, std::move(part)).first;
+    it = partition_cache.emplace(key, std::move(stream_parts[si->second]))
+             .first;
     return it->second;
   }
 
   /// One-off steady-state preparation (§4.3): decide S_per for every
   /// frame, then extract every needed partition on the worker lanes (❷).
-  /// The extraction jobs are *streamed* in first-use order with an
-  /// adaptive in-flight window: the first steady frame's transfers (and the
-  /// main thread) wait only on the jobs that built its own partitions, not
-  /// the whole batch.
+  /// The extraction jobs are *streamed* in first-use order: the first
+  /// steady frame's transfers (and the main thread) wait only on the jobs
+  /// that built its own partitions, not the whole batch.
   void prepare_steady(const std::vector<graph::Frame>& frames) {
     if (steady_prepared) return;
     steady_prepared = true;
@@ -583,17 +587,25 @@ struct PipadTrainer::Impl {
 
     stream_keys = keys;
     stream_parts.assign(keys.size(), {});
-    for (std::size_t j = 0; j < keys.size(); ++j) stream_index[keys[j]] = j;
-    // The stream balances extraction cost against the measured consumption
-    // rate itself, starting from 2x the pool width.
-    prep_stream = lane.stream(
-        "overlap-extract", keys.size(),
-        [this](std::size_t j) {
-          stream_parts[j] = sliced::build_partition(
-              data, stream_keys[j].first, stream_keys[j].second,
-              opts.slice_bound);
-        },
-        /*window=*/0, /*adaptive=*/true);
+    // An extraction walks each member twice for its edge keys and slices
+    // the overlap plus every member's exclusive part, forward and
+    // transposed: 2 + 4 * count row walks, plus the member edges it splits.
+    std::vector<host::PrepCounts> counts(keys.size());
+    for (std::size_t j = 0; j < keys.size(); ++j) {
+      stream_index[keys[j]] = j;
+      const auto [start, count] = keys[j];
+      counts[j].rows = static_cast<std::uint64_t>(data.num_nodes) *
+                       static_cast<std::uint64_t>(2 + 4 * count);
+      for (int i = 0; i < count; ++i) {
+        counts[j].member_edges += data.snapshots[start + i].adj.nnz();
+      }
+    }
+    prep_stream = lane.stream("overlap-extract", std::move(counts),
+                              [this](std::size_t j) {
+                                stream_parts[j] = sliced::build_partition(
+                                    data, stream_keys[j].first,
+                                    stream_keys[j].second, opts.slice_bound);
+                              });
   }
 
   /// Dynamic tuner (§4.4): pick S_per for a frame (pipad/tuner.hpp has the
@@ -835,10 +847,10 @@ struct PipadTrainer::Impl {
   }
 
   void set_stage_ready(double ready_us) {
-    // The real host thread blocked on the infeed wait; the staged shard's
-    // transfers may not ship before it landed. cpu_wait_until alone cannot
-    // gate H2D (submit only consults stream/resource fronts), hence the
-    // explicit copy-stream event.
+    // The training thread waits for the modeled infeed shard, and the
+    // shard's transfers may not ship before it landed. cpu_wait_until alone
+    // cannot gate H2D (submit only consults stream/resource fronts), hence
+    // the explicit copy-stream event.
     gpu.cpu_wait_until("infeed", ready_us);
     gpu.wait_event(copy_stream, gpu.timeline().record_event_at(ready_us));
   }

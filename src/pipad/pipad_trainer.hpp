@@ -1,17 +1,18 @@
 // PiPAD: pipelined and parallel DGNN training (§4).
 //
 // The trainer implements the full runtime of Fig. 7:
-//   - online graph analyzer: CSR -> sliced CSR conversion, charged to the
-//     background CPU lane at its real measured cost (§4.3);
+//   - online graph analyzer: CSR -> sliced CSR conversion on the background
+//     CPU lanes, charged from the rows and edges it slices (§4.3,
+//     host/prep_cost.hpp);
 //   - data preparation: per-partition overlap extraction, cached per
-//     (start, S_per) and likewise charged at measured cost;
+//     (start, S_per) and likewise charged from its counts;
 //   - preparing epochs: one-snapshot training with asynchronous transfers,
 //     while profiling per-snapshot sizes/overlap and filling the CPU-side
 //     layer-0 aggregation cache;
 //   - steady epochs: per frame, the dynamic tuner picks S_per (memory bound,
 //     offline speedup estimate, pipeline-stall rejection — §4.4 /
 //     pipad/tuner.hpp), partition extraction streams in first-use order on
-//     the worker lanes with an adaptive in-flight window (HostStream),
+//     the worker lanes with a bounded in-flight window (HostStream),
 //     partition data moves over a dedicated copy
 //     stream, the dimension-aware parallel GNN processes each partition
 //     (§4.2), GPU-resident reuse results skip transfers entirely, and
@@ -44,9 +45,9 @@ struct PipadOptions {
   /// Width of the process-wide common::ComputePool, which executes both
   /// host-side preparation (slicing, overlap extraction — via
   /// host::HostLane) and the numeric hot path (aggregation, GEMM,
-  /// elementwise kernels). Every prep job's measured wall-clock is
-  /// charged to the worker lane it ran on; the kernels are charged to the
-  /// device from the gpusim cost model. 0 = library default
+  /// elementwise kernels). It sets the real pool width and nothing else:
+  /// prep is charged from counts (host/prep_cost.hpp) and the kernels from
+  /// the gpusim cost model. 0 = library default
   /// (min(hardware_concurrency, 8)).
   int host_threads = 0;
   /// Cooperative cancellation: when non-null and set, training throws

@@ -1,12 +1,13 @@
 #include "replica/replica_trainer.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/error.hpp"
-#include "host/host_lane.hpp"
+#include "host/prep_cost.hpp"
 #include "nn/parameter.hpp"
 #include "replica/allreduce.hpp"
 
@@ -19,8 +20,6 @@ namespace {
 
 /// Frames per synchronization round for --replicas K >= 1.
 constexpr int kReplicaRound = 4;
-/// Staged shards in flight per replica: one being consumed, one staging.
-constexpr std::size_t kInfeedWindow = 2;
 
 std::vector<float> flatten_grads(const std::vector<nn::Parameter*>& params) {
   std::size_t total = 0;
@@ -58,7 +57,7 @@ struct ReplicaTrainer::Impl {
   LinkModel link;
   int K;
   int round_size;
-  bool staged;  ///< Frames come through per-replica infeed streams.
+  bool staged;  ///< Frames pass through a modeled per-replica infeed.
 
   std::vector<std::unique_ptr<gpusim::Gpu>> extra_gpus;  ///< Replicas 1..K-1.
   std::vector<gpusim::Gpu*> gpus;                        ///< All K.
@@ -110,60 +109,33 @@ struct ReplicaTrainer::Impl {
     // Fixed frame -> replica assignment: within-epoch index j goes to
     // replica (j % G) % K. Pure in j, so the grouping is K-invariant.
     std::vector<std::vector<graph::Frame>> assigned(K);
-    std::vector<int> owner(F), shard_pos(F);
+    std::vector<int> owner(F);
     for (std::size_t j = 0; j < F; ++j) {
       const int k = static_cast<int>(j % static_cast<std::size_t>(G)) % K;
       owner[j] = k;
-      shard_pos[j] = static_cast<int>(assigned[k].size());
       assigned[k].push_back(frames[j]);
     }
 
-    // Per-replica infeed (K >= 1 only): one bounded HostStream per replica
-    // spanning every epoch; shard (epoch * per_epoch + q) stages the
-    // features + targets of the replica's q-th assigned frame into its slot.
-    // Each shard's measured wall-clock lands on the worker lane that ran it
-    // as a "prep:infeed:r<k>" op, and at most kInfeedWindow shards are
-    // staged but unconsumed. Staging is declared before the streams so
-    // in-flight jobs never outlive their slots.
-    std::vector<std::vector<std::vector<float>>> staging(K);
-    std::vector<std::unique_ptr<host::HostLane>> lanes(K);
-    std::vector<std::unique_ptr<host::HostStream>> infeed(K);
-    for (int k = 0; staged && k < K; ++k) {
-      const std::size_t per_epoch = assigned[k].size();
-      const std::size_t shards =
-          per_epoch * static_cast<std::size_t>(cfg.epochs);
-      staging[k].assign(shards, {});
-      lanes[k] = std::make_unique<host::HostLane>(
-          *gpus[k], opts.host_threads > 0
-                        ? static_cast<std::size_t>(opts.host_threads)
-                        : 0);
-      auto* stage_k = &staging[k];
-      const auto* frames_k = &assigned[k];
-      const graph::DTDG* d = &data;
+    // Per-replica infeed (K >= 1 only): before a replica trains a frame it
+    // stages the frame's raw features and targets into pinned host memory.
+    // The trainers read the canonical DTDG tensors, so no copy is made;
+    // each shard is a modeled "prep:infeed:r<k>" op charged per staged
+    // byte on that replica's worker lanes, in consumption order.
+    std::vector<std::string> infeed_name(K);
+    for (int k = 0; k < K; ++k) {
       // Built with += (not `"infeed:r" + std::to_string(k)`) to dodge a
       // gcc-12 -Werror=restrict false positive on char*+string&& (GCC
       // PR105329).
-      std::string infeed_name = "infeed:r";
-      infeed_name += std::to_string(k);
-      infeed[k] = lanes[k]->stream(
-          std::move(infeed_name), shards,
-          [stage_k, frames_k, d, per_epoch](std::size_t shard) {
-            // The staged shard is the pinned-host copy a real infeed would
-            // build: the frame's raw features and targets. Consumers keep
-            // reading the canonical DTDG tensors — this models the staging
-            // cost and backpressure, not a second source of truth.
-            const graph::Frame& f = (*frames_k)[shard % per_epoch];
-            auto& buf = (*stage_k)[shard];
-            for (int i = 0; i < f.size; ++i) {
-              const int t = f.start + i;
-              const auto& feat = d->snapshots[t].features.storage();
-              const auto& targ = d->targets[t].storage();
-              buf.insert(buf.end(), feat.begin(), feat.end());
-              buf.insert(buf.end(), targ.begin(), targ.end());
-            }
-          },
-          kInfeedWindow);
+      infeed_name[k] = "infeed:r";
+      infeed_name[k] += std::to_string(k);
     }
+    const auto staged_bytes = [&](const graph::Frame& f) {
+      std::uint64_t floats = 0;
+      for (int t = f.start; t < f.start + f.size; ++t) {
+        floats += data.snapshots[t].features.size() + data.targets[t].size();
+      }
+      return floats * sizeof(float);
+    };
 
     const std::size_t grad_bytes =
         flatten_grads(trainers[0]->params()).size() * sizeof(float);
@@ -182,9 +154,7 @@ struct ReplicaTrainer::Impl {
       for (std::size_t r0 = 0; r0 < F; r0 += static_cast<std::size_t>(G)) {
         if (opts.cancel != nullptr &&
             opts.cancel->load(std::memory_order_relaxed)) {
-          // Round boundary: the infeed streams drain through their
-          // destructors, so cancelling never leaks staged shards.
-          throw Cancelled();
+          throw Cancelled();  // Round boundary.
         }
         const std::size_t r1 = std::min(F, r0 + static_cast<std::size_t>(G));
         // ---- Gradient phase: each replica runs its round frames at the
@@ -197,12 +167,10 @@ struct ReplicaTrainer::Impl {
           for (std::size_t j = r0; j < r1; ++j) {
             if (owner[j] != k) continue;
             if (staged) {
-              const std::size_t shard =
-                  static_cast<std::size_t>(epoch) * assigned[k].size() +
-                  static_cast<std::size_t>(shard_pos[j]);
-              const double ready_us = infeed[k]->wait(shard);
-              std::vector<float>().swap(staging[k][shard]);  // Consumed.
-              trainers[k]->set_stage_ready(ready_us);
+              host::PrepCounts shard;
+              shard.bytes = staged_bytes(frames[j]);
+              trainers[k]->set_stage_ready(
+                  host::charge(*gpus[k], infeed_name[k], shard));
             }
             // A one-frame round steps right behind its frame.
             round_loss[j - r0] = trainers[k]->grad_frame(frames[j], G == 1);
@@ -232,7 +200,6 @@ struct ReplicaTrainer::Impl {
         for (float l : round_loss) result.frame_loss.push_back(l);
       }
     }
-    for (int k = 0; staged && k < K; ++k) infeed[k]->finish();
 
     // ---- Summaries: replica 0's timeline is the primary record (its Gpu
     // is the caller's, so trace/analyze see it); total spans the slowest

@@ -4,7 +4,7 @@
 // K PipadTrainers — each with its own simulated Gpu/Timeline (replica 0
 // runs on the caller's Gpu so `pipad trace`/`analyze` keep working
 // unchanged) — run the pipelined epoch over disjoint frame subsets, fed by
-// per-replica bounded infeed streams, and synchronize through a gradient
+// a modeled per-replica infeed, and synchronize through a gradient
 // all-reduce charged to each replica's Resource::Link lane. `--replicas 0`
 // is the one-device case with one-frame rounds and no infeed staging: an
 // optimizer step after every frame, PiPAD's own schedule (§4, Fig. 7).

@@ -157,27 +157,6 @@ TEST(ThreadPool, PropagatesReturnValues) {
   EXPECT_EQ(f.get(), 42);
 }
 
-TEST(ThreadPool, MapReturnsFuturePerTask) {
-  ThreadPool pool(3);
-  auto futs = pool.map(10, [](std::size_t i) { return 2 * i; });
-  ASSERT_EQ(futs.size(), 10u);
-  for (std::size_t i = 0; i < futs.size(); ++i) {
-    EXPECT_EQ(futs[i].get(), 2 * i);
-  }
-}
-
-TEST(ThreadPool, MapFuturesRethrowTaskExceptions) {
-  ThreadPool pool(2);
-  auto futs = pool.map(4, [](std::size_t i) {
-    if (i == 2) throw std::runtime_error("task 2 failed");
-    return i;
-  });
-  EXPECT_EQ(futs[0].get(), 0u);
-  EXPECT_EQ(futs[1].get(), 1u);
-  EXPECT_THROW(futs[2].get(), std::runtime_error);
-  EXPECT_EQ(futs[3].get(), 3u);
-}
-
 TEST(ThreadPool, ParallelForRethrowsExceptionAndPoolSurvives) {
   ThreadPool pool(4);
   EXPECT_THROW(pool.parallel_for(64,
@@ -203,21 +182,6 @@ TEST(ThreadPool, SubmitAfterShutdownThrows) {
   EXPECT_EQ(ran.load(), 1);
   EXPECT_THROW(pool.submit([] {}), std::runtime_error);
   pool.shutdown();  // Idempotent.
-}
-
-TEST(ThreadPool, WorkerIndexIdentifiesTheExecutingLane) {
-  ThreadPool pool(4);
-  // Not a pool thread here.
-  EXPECT_EQ(ThreadPool::worker_index(), ThreadPool::npos);
-  std::vector<std::atomic<int>> lane_hits(4);
-  pool.parallel_for(256, [&](std::size_t) {
-    const std::size_t lane = ThreadPool::worker_index();
-    ASSERT_LT(lane, 4u);
-    lane_hits[lane].fetch_add(1);
-  });
-  int total = 0;
-  for (auto& h : lane_hits) total += h.load();
-  EXPECT_EQ(total, 256);
 }
 
 TEST(ThreadPool, NestedSubmitFromOwnWorkerThrowsInsteadOfDeadlocking) {

@@ -20,7 +20,6 @@
 #include "graph/io/loader.hpp"
 #include "graph/io/stream_reader.hpp"
 #include "graph/io/text_format.hpp"
-#include "host/host_lane.hpp"
 
 namespace pipad::graph::io {
 namespace {
@@ -800,41 +799,6 @@ TEST(Cache, CorruptCacheIsIgnoredAndRegenerated) {
   EXPECT_TRUE(st3.cache_hit);  // ... and the cache was rewritten.
 }
 
-// ---- worker-lane charging ----
-
-TEST(LoadCharge, PlacesMeasuredPhasesOnWorkerLanes) {
-  graph::io::LoadStats st;
-  st.read_us = 10.0;
-  st.parse_us = 100.0;
-  st.parse_chunks = 2;
-  st.build_us = 50.0;
-  st.build_tasks = 8;
-  gpusim::Gpu gpu;
-  const double end = host::charge_load(gpu, st, 2);
-  EXPECT_GT(end, 0.0);
-  int read = 0, parse = 0, build = 0;
-  for (const auto& r : gpu.timeline().records()) {
-    if (r.name == "prep:load:read") ++read;
-    if (r.name == "prep:load:parse") ++parse;
-    if (r.name == "prep:load:build") ++build;
-  }
-  EXPECT_EQ(read, 1);
-  EXPECT_EQ(parse, 2);  // min(parse_chunks, 2 lanes).
-  EXPECT_EQ(build, 2);  // min(build_tasks, 2 lanes).
-
-  graph::io::LoadStats hit;
-  hit.read_us = 5.0;
-  hit.cache_us = 20.0;
-  hit.cache_hit = true;
-  gpusim::Gpu gpu2;
-  host::charge_load(gpu2, hit, 2);
-  bool cache_read = false;
-  for (const auto& r : gpu2.timeline().records()) {
-    if (r.name == "prep:load:cache-read") cache_read = true;
-  }
-  EXPECT_TRUE(cache_read);
-}
-
 // ---- docs stay in sync with the fixture ----
 
 TEST(Docs, FormatSpecWorkedExampleIsTheCheckedInFixture) {
@@ -1262,23 +1226,6 @@ TEST(StringIds, GzipNamedGraphMatchesPlain) {
   const auto plain = write_file_at(dir / "s.el", content);
   const auto gz = gzip_file_at(dir / "s.el.gz", content);
   expect_same_dtdg(load_dataset(plain), load_dataset(gz));
-}
-
-TEST(LoadCharge, GzipInflateOccupiesALane) {
-  graph::io::LoadStats st;
-  st.read_us = 10.0;
-  st.inflate_us = 30.0;
-  st.parse_us = 40.0;
-  st.parse_chunks = 1;
-  st.build_us = 5.0;
-  st.build_tasks = 1;
-  gpusim::Gpu gpu;
-  host::charge_load(gpu, st, 2);
-  int inflate = 0;
-  for (const auto& r : gpu.timeline().records()) {
-    if (r.name == "prep:load:inflate") ++inflate;
-  }
-  EXPECT_EQ(inflate, 1);
 }
 
 }  // namespace

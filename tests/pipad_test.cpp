@@ -294,12 +294,11 @@ TEST(Pipad, CudaGraphBatchingReducesHostTime) {
 }
 
 TEST(Pipad, PipelineOverlapsTransferWithCompute) {
-  // Structure, not totals: the makespans include measured host compute and
-  // flip under load. The graph is scaled (sim_scale) and feature-heavy so
-  // the modeled copies dwarf every measured host cost; then the pipelined
-  // run's partition copies run under kernels without ever blocking the
-  // issuing CPU, while the synchronous run's CPU waits out its copies
-  // ("sync:partition").
+  // Structure, not totals. The graph is scaled (sim_scale) and
+  // feature-heavy so the modeled copies dwarf every host cost; then the
+  // pipelined run's partition copies run under kernels without ever
+  // blocking the issuing CPU, while the synchronous run's CPU waits out its
+  // copies ("sync:partition").
   auto g = graph::generate(testutil::tiny_config(96, 12, 64));
   g.sim_scale = 1000;
   struct Shape {

@@ -7,6 +7,8 @@
 #include <atomic>
 #include <chrono>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "host/host_lane.hpp"
 #include "pipad/pipad_trainer.hpp"
@@ -100,23 +102,29 @@ TEST(DecideSper, PipelineOffDisablesTheStallRejection) {
 
 // ---------- HostStream: streaming extraction ----------
 
+/// n jobs with distinct modeled costs (job i scans 100 * (i + 1) edges).
+std::vector<host::PrepCounts> distinct_counts(std::size_t n) {
+  std::vector<host::PrepCounts> counts(n);
+  for (std::size_t i = 0; i < n; ++i) counts[i].edges = 100 * (i + 1);
+  return counts;
+}
+
 TEST(HostStream, RunsEveryJobAndChargesTheLanes) {
   gpusim::Gpu gpu;
   host::HostLane lane(gpu, 2);
   std::vector<int> out(8, 0);
-  auto stream = lane.stream("job", 8, [&](std::size_t i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  auto stream = lane.stream("job", distinct_counts(8), [&](std::size_t i) {
     out[i] = static_cast<int>(i) + 1;
   });
   for (std::size_t j = 0; j < 8; ++j) {
     EXPECT_GT(stream->wait(j), 0.0);
   }
   for (int i = 0; i < 8; ++i) EXPECT_EQ(out[i], i + 1);
-  // All eight measured jobs landed on the worker lanes.
+  // All eight jobs landed on the modeled worker lanes.
   int prep_ops = 0;
   for (const auto& rec : gpu.timeline().records()) {
     ASSERT_EQ(rec.resource, Resource::CpuWorker);
-    EXPECT_LT(rec.lane, 2u);
+    EXPECT_LT(rec.lane, host::kModeledHostCores);
     ++prep_ops;
   }
   EXPECT_EQ(prep_ops, 8);
@@ -127,79 +135,64 @@ TEST(HostStream, RunsEveryJobAndChargesTheLanes) {
 TEST(HostStream, WindowBoundsInFlightJobs) {
   gpusim::Gpu gpu;
   host::HostLane lane(gpu, 2);
-  constexpr std::size_t kWindow = 3;
+  const std::size_t window = 2 * lane.threads();
   std::atomic<int> started{0};
-  auto stream = lane.stream(
-      "job", 12,
-      [&](std::size_t) {
-        started.fetch_add(1);
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      },
-      kWindow);
+  auto stream = lane.stream("job", distinct_counts(12), [&](std::size_t) {
+    started.fetch_add(1);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  });
   for (std::size_t j = 0; j < 12; ++j) {
     stream->wait(j);
     // Backpressure: at most (retired so far) + window jobs may ever have
     // started — the stream never runs ahead of the consumer by more than
-    // the in-flight window.
+    // twice the pool width.
     EXPECT_LE(static_cast<std::size_t>(started.load()),
-              stream->retired() + kWindow);
+              stream->retired() + window);
   }
   EXPECT_EQ(started.load(), 12);
   EXPECT_EQ(stream->retired(), 12u);
 }
 
-TEST(HostStream, AdaptiveWindowGrowsWhenExtractionBound) {
-  gpusim::Gpu gpu;
-  host::HostLane lane(gpu, 2);
-  const std::size_t base = lane.threads();  // The process-wide pool width.
-  auto stream = lane.stream(
-      "job", 64,
-      [&](std::size_t) {
-        // Well above any sanitizer-inflated wait overhead, so production
-        // cost dominates the consumption budget even under TSan/ASan.
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
-      },
-      /*window=*/0, /*adaptive=*/true);
-  EXPECT_EQ(stream->window(), 2 * base);  // 0 = the 2x-pool default.
-  for (std::size_t j = 0; j < 64; ++j) {
-    // Re-waiting a retired job is free, so these tight calls collapse the
-    // measured inter-wait gap to microseconds: production (2 ms) dwarfs
-    // the consumption budget and the stream is extraction-bound.
-    for (int k = 0; k < 8; ++k) stream->wait(j > 0 ? j - 1 : 0);
-    stream->wait(j);
+TEST(HostStream, ChargesInIndexOrderWhenJobsCompleteOutOfOrder) {
+  // The same batch twice: once with the first jobs finishing last, once
+  // with every job instant. The modeled schedule is identical.
+  auto schedule = [](bool skewed) {
+    gpusim::Gpu gpu;
+    host::HostLane lane(gpu, 4);
+    auto stream = lane.stream("job", distinct_counts(10), [&](std::size_t i) {
+      if (skewed && i < 3) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(4 - i));
+      }
+    });
+    std::vector<double> ends;
+    for (std::size_t j = 0; j < 10; ++j) ends.push_back(stream->wait(j));
+    std::vector<std::pair<std::size_t, double>> ops;
+    for (const auto& rec : gpu.timeline().records()) {
+      ops.emplace_back(rec.lane, rec.end_us - rec.start_us);
+    }
+    return std::make_pair(ends, ops);
+  };
+  const auto skewed = schedule(true);
+  EXPECT_EQ(skewed, schedule(false));
+  // Job i is the i-th op charged, at its own cost.
+  const auto counts = distinct_counts(10);
+  ASSERT_EQ(skewed.second.size(), 10u);
+  for (std::size_t i = 0; i < 10; ++i) {
+    EXPECT_DOUBLE_EQ(skewed.second[i].second, host::prep_cost_us(counts[i]));
   }
-  EXPECT_EQ(stream->window(), 4 * base);
-}
-
-TEST(HostStream, AdaptiveWindowShrinksWhenConsumerBound) {
-  gpusim::Gpu gpu;
-  host::HostLane lane(gpu, 2);
-  const std::size_t base = lane.threads();
-  auto stream = lane.stream(
-      "job", 64, [&](std::size_t) {},
-      /*window=*/1000000, /*adaptive=*/true);
-  EXPECT_EQ(stream->window(), 4 * base);  // Clamps down to 4x pool width.
-  for (std::size_t j = 0; j < 64; ++j) {
-    // Instant jobs, a 2 ms consumer: results would only pile up, so the
-    // window walks back down to the pool width.
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    stream->wait(j);
-  }
-  EXPECT_EQ(stream->window(), base);
 }
 
 TEST(HostStream, OutOfOrderWaitStillDrains) {
   gpusim::Gpu gpu;
   host::HostLane lane(gpu, 2);
   std::atomic<int> ran{0};
-  auto stream = lane.stream(
-      "job", 6, [&](std::size_t) { ran.fetch_add(1); }, 2);
-  // Waiting on the last job first forces the stream through the whole
-  // window-refill path. Job 4 may still be in flight when job 5 retires,
-  // so the count is only checked once every job has been waited on.
+  auto stream = lane.stream("job", distinct_counts(6),
+                            [&](std::size_t) { ran.fetch_add(1); });
+  // Waiting on the last job first retires every job before it, in order.
   EXPECT_GT(stream->wait(5), 0.0);
-  for (std::size_t j = 0; j < 6; ++j) EXPECT_GT(stream->wait(j), 0.0);
+  EXPECT_EQ(stream->retired(), 6u);
   EXPECT_EQ(ran.load(), 6);
+  for (std::size_t j = 0; j < 6; ++j) EXPECT_GT(stream->wait(j), 0.0);
 }
 
 TEST(HostStream, DestructorDrainsUnconsumedJobs) {
@@ -207,8 +200,8 @@ TEST(HostStream, DestructorDrainsUnconsumedJobs) {
   host::HostLane lane(gpu, 2);
   std::atomic<int> ran{0};
   {
-    auto stream = lane.stream(
-        "job", 10, [&](std::size_t) { ran.fetch_add(1); }, 4);
+    auto stream = lane.stream("job", distinct_counts(10),
+                              [&](std::size_t) { ran.fetch_add(1); });
     stream->wait(0);
   }  // Dtor must retire the rest; jobs reference `ran` on this frame.
   EXPECT_EQ(ran.load(), 10);
@@ -218,22 +211,17 @@ TEST(HostStream, RethrowsTheFirstJobFailureFromWait) {
   gpusim::Gpu gpu;
   host::HostLane lane(gpu, 2);
   std::atomic<int> ran{0};
-  auto stream = lane.stream(
-      "job", 6,
-      [&](std::size_t i) {
-        ran.fetch_add(1);
-        if (i == 2) throw std::runtime_error("job failed");
-      },
-      2);
-  EXPECT_THROW(
-      {
-        for (std::size_t j = 0; j < 6; ++j) stream->wait(j);
-      },
-      std::runtime_error);
+  auto stream = lane.stream("job", distinct_counts(6), [&](std::size_t i) {
+    ran.fetch_add(1);
+    if (i == 2) throw std::runtime_error("job failed");
+  });
+  // Jobs before the failure are consumed normally.
+  EXPECT_GT(stream->wait(1), 0.0);
+  EXPECT_THROW(stream->wait(2), std::runtime_error);
   EXPECT_EQ(ran.load(), 6);  // The failure drained, not wedged, the stream.
   // Sticky: the failed batch can never hand out results as if it
-  // succeeded — every later wait (including on the failed job) throws.
-  EXPECT_THROW(stream->wait(2), std::runtime_error);
+  // succeeded — every later wait (including on earlier jobs) throws.
+  EXPECT_THROW(stream->wait(0), std::runtime_error);
   EXPECT_THROW(stream->wait(5), std::runtime_error);
 }
 
