@@ -1,21 +1,25 @@
-// contention_pool: the work-stealing region executor against static blocks.
+// contention_pool: the shared-counter region executor against static blocks.
 //
 // Synthetic row workload, two cost profiles:
-//   uniform — every row costs the same (stealing should be a wash);
+//   uniform — every row costs the same (balancing should be a wash);
 //   zipf    — block b's rows cost ~ 1/(b+1), so the leading blocks dwarf
 //             the tail the way skewed row distributions do in the real
 //             aggregation kernels (the imbalance `pipad analyze` flags).
-// Each profile runs with stealing on and off as the same
-// ThreadPool::run_blocks region over ComputePool::even_ranges(kRows,
-// kMaxBlocks) (identical block layout — the toggle only moves execution,
-// never the partitioning), timed as min-of-N wall clock.
+// Both methods walk the same ComputePool::even_ranges(kRows, kMaxBlocks)
+// layout, so they compute identical outputs:
+//   dynamic — one ThreadPool::run_blocks region over the blocks, which
+//             threads claim from the shared counter as they free up;
+//   static  — a run_blocks region of one job per pool thread, job s
+//             walking its fixed round-robin share s, s + threads, ...
+// Each is timed as min-of-N wall clock.
 //
-// The binary is its own gate: with >= 2 workers the zipf profile must run
-// faster with stealing than without, and must actually steal, or it exits
-// nonzero — CI runs it before diffing BENCH_pool.json so a regression in
-// the executor fails fast even when the timings stay inside the bench_diff
-// threshold. Flags are the shared bench set; only --threads, --epochs
-// (measurement repetitions) and --json are meaningful here.
+// The binary is its own gate: the two methods must produce identical
+// outputs, and with >= 2 workers on a multi-core host the zipf profile
+// must run faster dynamic than static, or it exits nonzero — CI runs it
+// before diffing BENCH_pool.json so a regression in the executor fails
+// fast even when the timings stay inside the bench_diff threshold. Flags
+// are the shared bench set; only --threads, --epochs (measurement
+// repetitions) and --json are meaningful here.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -60,48 +64,43 @@ Profile make_zipf() {
   return p;
 }
 
-struct RunResult {
-  double min_us = 0.0;
-  std::size_t steals = 0;
-  std::size_t blocks = 0;
-};
-
-/// Time the region `iters` times (plus one untimed warmup) and keep the
-/// fastest run; steal/block counters are summed over the timed runs.
-RunResult run_profile(const Profile& p, bool steal, int iters,
-                      std::vector<float>& out) {
+/// Time the region `iters` times (plus one untimed warmup) and return the
+/// fastest run in microseconds.
+double run_profile(const Profile& p, bool dynamic, int iters,
+                   std::vector<float>& out) {
   const ComputePool::Ranges ranges =
       ComputePool::even_ranges(kRows, ComputePool::kMaxBlocks);
   ThreadPool& pool = ComputePool::instance().pool();
+  const auto block = [&](std::size_t b) {
+    for (std::size_t i = ranges[b].first; i < ranges[b].second; ++i) {
+      float acc = static_cast<float>(i) * 0.5f + 1.0f;
+      const std::size_t reps = p.reps[i];
+      for (std::size_t k = 0; k < reps; ++k) {
+        acc = acc * 0.999f + 0.001f * static_cast<float>(k);
+      }
+      out[i] = acc;
+    }
+  };
+  const std::size_t threads = pool.size();
   const auto region = [&] {
-    return pool.run_blocks(
-        ranges.size(),
-        [&](std::size_t b) {
-          for (std::size_t i = ranges[b].first; i < ranges[b].second; ++i) {
-            float acc = static_cast<float>(i) * 0.5f + 1.0f;
-            const std::size_t reps = p.reps[i];
-            for (std::size_t k = 0; k < reps; ++k) {
-              acc = acc * 0.999f + 0.001f * static_cast<float>(k);
-            }
-            out[i] = acc;
-          }
-        },
-        steal);
+    if (dynamic) {
+      pool.run_blocks(ranges.size(), block);
+    } else {
+      pool.run_blocks(threads, [&](std::size_t s) {
+        for (std::size_t b = s; b < ranges.size(); b += threads) block(b);
+      });
+    }
   };
   region();  // Warmup (page faults, pool wakeup).
-  RunResult r;
-  r.min_us = 1e30;
+  double min_us = 1e30;
   for (int it = 0; it < iters; ++it) {
     const auto t0 = std::chrono::steady_clock::now();
-    const ThreadPool::StealStats st = region();
+    region();
     const auto t1 = std::chrono::steady_clock::now();
-    r.min_us = std::min(
-        r.min_us,
-        std::chrono::duration<double, std::micro>(t1 - t0).count());
-    r.steals += st.stolen;
-    r.blocks += st.executed;
+    min_us = std::min(
+        min_us, std::chrono::duration<double, std::micro>(t1 - t0).count());
   }
-  return r;
+  return min_us;
 }
 
 }  // namespace
@@ -118,66 +117,55 @@ int main(int argc, char** argv) {
               "min of %d runs\n\n",
               static_cast<std::size_t>(kRows), ComputePool::kMaxBlocks,
               threads, iters);
-  std::printf("%-10s %-8s %12s %8s %8s\n", "profile", "method", "min_us",
-              "steals", "blocks");
+  std::printf("%-10s %-8s %12s\n", "profile", "method", "min_us");
 
   bench::JsonReport report("contention_pool", flags);
   std::vector<float> out(kRows, 0.0f);
   std::vector<float> reference;
-  double zipf_steal_us = 0.0, zipf_static_us = 0.0;
-  std::size_t zipf_steals = 0;
+  double zipf_dynamic_us = 0.0, zipf_static_us = 0.0;
   for (const auto& profile : {make_uniform(), make_zipf()}) {
     reference.clear();
-    for (const bool steal : {true, false}) {
-      const auto r = run_profile(profile, steal, iters, out);
-      std::printf("%-10s %-8s %12.1f %8zu %8zu\n", profile.name,
-                  steal ? "steal" : "static", r.min_us, r.steals, r.blocks);
-      // The toggle must never change the numbers the blocks produce.
+    for (const bool dynamic : {true, false}) {
+      const char* method = dynamic ? "dynamic" : "static";
+      const double us = run_profile(profile, dynamic, iters, out);
+      std::printf("%-10s %-8s %12.1f\n", profile.name, method, us);
+      // The schedule must never change the numbers the blocks produce.
       if (reference.empty()) {
         reference = out;
       } else if (reference != out) {
         std::fprintf(stderr,
-                     "FAIL: %s outputs differ between steal and static\n",
+                     "FAIL: %s outputs differ between dynamic and static\n",
                      profile.name);
         return 1;
       }
       if (std::string(profile.name) == "zipf") {
-        (steal ? zipf_steal_us : zipf_static_us) = r.min_us;
-        if (steal) zipf_steals = r.steals;
+        (dynamic ? zipf_dynamic_us : zipf_static_us) = us;
       }
       models::TrainResult tr;
-      tr.total_us = r.min_us;
-      tr.compute_us = r.min_us;
-      report.add(profile.name, "pool", steal ? "steal" : "static", tr);
+      tr.total_us = us;
+      tr.compute_us = us;
+      report.add(profile.name, "pool", method, tr);
     }
   }
 
   if (!report.write_if_requested()) return 1;
 
-  if (threads >= 2) {
-    // The point of the executor: skewed blocks must not serialize on their
-    // home slots, so the zipf region must actually rebalance.
-    if (zipf_steals == 0) {
-      std::fprintf(stderr,
-                   "FAIL: zipf profile executed without a single steal\n");
-      return 1;
-    }
-  }
   if (threads >= 2 && std::thread::hardware_concurrency() >= 2) {
-    // Wall-clock superiority needs real cores: on a single-CPU machine the
-    // OS serializes the workers and steal == static by construction, so
-    // only the steals > 0 gate above applies there.
-    if (zipf_steal_us >= zipf_static_us) {
+    // The point of the executor: skewed blocks must not serialize on the
+    // thread whose fixed share they fall in. Wall-clock superiority needs
+    // real cores: on a single-CPU machine the OS serializes the workers
+    // and dynamic == static by construction.
+    if (zipf_dynamic_us >= zipf_static_us) {
       std::fprintf(stderr,
-                   "FAIL: stealing (%.1f us) did not beat static blocks "
-                   "(%.1f us) on the zipf profile\n",
-                   zipf_steal_us, zipf_static_us);
+                   "FAIL: dynamic blocks (%.1f us) did not beat static "
+                   "blocks (%.1f us) on the zipf profile\n",
+                   zipf_dynamic_us, zipf_static_us);
       return 1;
     }
-    std::printf("\nzipf speedup from stealing: %.2fx\n",
-                zipf_static_us / zipf_steal_us);
+    std::printf("\nzipf speedup from dynamic blocks: %.2fx\n",
+                zipf_static_us / zipf_dynamic_us);
   } else {
-    std::printf("\n(%s: zipf steal-vs-static timing gate skipped)\n",
+    std::printf("\n(%s: zipf dynamic-vs-static timing gate skipped)\n",
                 threads < 2 ? "single worker" : "single hardware CPU");
   }
   return 0;

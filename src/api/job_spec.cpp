@@ -80,6 +80,12 @@ FlagStatus apply_flag(const std::string& flag, const std::string& value,
       return FlagStatus::Error;
     }
     o.replicas = static_cast<int>(n);
+  } else if (flag == "--threads") {
+    if (!parse_ll(value, n) || n < 0 || n > 256) {
+      error = "--threads expects an integer in [0, 256], got '" + value + "'";
+      return FlagStatus::Error;
+    }
+    o.threads = static_cast<int>(n);
   } else if (flag == "--allreduce") {
     replica::AllReduceAlgo algo;
     if (!replica::parse_allreduce(value, algo)) {
@@ -113,7 +119,7 @@ FlagStatus apply_flag(const std::string& flag, const std::string& value,
              flag == "--events" || flag == "--feat-dim" ||
              flag == "--scale-large" || flag == "--scale-small" ||
              flag == "--epochs" || flag == "--frame-size" ||
-             flag == "--frames" || flag == "--threads" || flag == "--seed" ||
+             flag == "--frames" || flag == "--seed" ||
              flag == "--snapshot-window" || flag == "--window-bytes") {
     if (!parse_ll(value, n) || n < 0) {
       error = flag + " expects a non-negative integer, got '" + value + "'";
@@ -135,7 +141,6 @@ FlagStatus apply_flag(const std::string& flag, const std::string& value,
     else if (flag == "--epochs") o.epochs = static_cast<int>(n);
     else if (flag == "--frame-size") o.frame_size = static_cast<int>(n);
     else if (flag == "--frames") o.frames = static_cast<int>(n);
-    else if (flag == "--threads") o.threads = static_cast<int>(n);
     else if (flag == "--snapshot-window") o.snapshot_window = n;
     else if (flag == "--window-bytes") o.window_bytes = n;
     else o.seed = static_cast<std::uint64_t>(n);
@@ -166,10 +171,10 @@ std::string JobSpec::validate() const {
   if (scale_large <= 0 || scale_small <= 0) {
     return "--scale-large and --scale-small must be positive";
   }
-  if (snapshots < 0 || frames < 0 || threads < 0 || snapshot_window < 0 ||
+  if (snapshots < 0 || frames < 0 || snapshot_window < 0 ||
       window_bytes < 0) {
-    return "--snapshots, --frames, --threads, --snapshot-window and "
-           "--window-bytes must be non-negative";
+    return "--snapshots, --frames, --snapshot-window and --window-bytes "
+           "must be non-negative";
   }
   if (edge_life < 1.0 || !std::isfinite(edge_life)) {
     return "--edge-life expects a number >= 1, got '" +
@@ -195,6 +200,10 @@ std::string JobSpec::validate() const {
   if (replicas < 0 || replicas > 64) {
     return "--replicas expects an integer in [0, 64], got '" +
            std::to_string(replicas) + "'";
+  }
+  if (threads < 0 || threads > 256) {
+    return "--threads expects an integer in [0, 256], got '" +
+           std::to_string(threads) + "'";
   }
   if (replicas > 0 && runtime != "pipad") {
     return "--replicas requires --runtime pipad";
@@ -379,7 +388,7 @@ std::string flags_help() {
       "  --frame-size N     sliding-window size  [8]\n"
       "  --frames N         max frames per epoch, 0 = all  [4]\n"
       "  --threads N        ComputePool worker lanes (host prep + numeric\n"
-      "                     kernels), 0 = default  [0]\n"
+      "                     kernels), 0 = default, at most 256  [0]\n"
       "  --replicas K       replicated data-parallel training across K\n"
       "                     simulated devices (pipad runtime only; losses\n"
       "                     and params are bit-identical for every K and\n"

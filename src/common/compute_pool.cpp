@@ -86,8 +86,7 @@ void ComputePool::run_ranges(const Ranges& ranges, const BlockFn& fn) {
     for (const auto& [lo, hi] : ranges) fn(lo, hi);
     return;
   }
-  // Blocks preloaded on per-slot deques, one stealing runner per slot;
-  // run_blocks drains every block before rethrowing the first failure.
+  // run_blocks finishes every block before rethrowing the first failure.
   candidate.run_blocks(ranges.size(), [&](std::size_t b) {
     fn(ranges[b].first, ranges[b].second);
   });

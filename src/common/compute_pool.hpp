@@ -9,10 +9,10 @@
 // kMinBlockWork floor — never on the pool width or the machine — and every
 // block writes disjoint output rows/elements, so results are bit-identical
 // for any thread count (including the inline serial fallback). Which worker
-// *executes* a block is dynamic: regions run through per-slot Chase-Lev
-// deques with randomized-victim work stealing (ThreadPool::run_blocks), the
-// launching thread running one slot itself, so a skewed block distribution
-// does not idle the other workers and a busy pool does not stall a region.
+// *executes* a block is dynamic: the launching thread and the workers claim
+// blocks from one shared counter (ThreadPool::run_blocks), so a skewed
+// block distribution does not idle the other workers and a busy pool does
+// not stall a region.
 // Reductions whose rounding depends on combine order (losses, norms) stay
 // serial in their callers.
 //
@@ -76,7 +76,7 @@ class ComputePool {
   }
 
   /// Run caller-computed contiguous ranges (e.g. blocks aligned to
-  /// destination-row boundaries) as one work-stealing region. Ranges must
+  /// destination-row boundaries) as one run_blocks() region. Ranges must
   /// be disjoint; determinism requires that they not depend on the pool
   /// width.
   void run_ranges(const Ranges& ranges, const BlockFn& fn);
@@ -106,8 +106,9 @@ class ComputePool {
   /// every process.
   static constexpr std::size_t kMinBlockWork = 16384;
   /// Upper bound on blocks per region — more blocks than the widest
-  /// default pool (8), so the stealing executor has slack to rebalance,
-  /// and fixed so the layout is independent of the pool width.
+  /// default pool (8), so threads that finish cheap blocks early pick up
+  /// the rest of a skewed region, and fixed so the layout is independent
+  /// of the pool width.
   static constexpr std::size_t kMaxBlocks = 32;
 
  private:

@@ -2,27 +2,14 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
-
-#include "common/work_deque.hpp"
 
 namespace pipad {
 
 namespace {
 thread_local const ThreadPool* tl_pool = nullptr;
-
-/// xorshift64*: cheap per-runner victim randomization. Seeded from the slot
-/// index only — victim order varies run to run with timing anyway, and a
-/// deterministic seed keeps the executor free of global RNG state.
-inline std::uint64_t next_rand(std::uint64_t& s) {
-  s ^= s << 13;
-  s ^= s >> 7;
-  s ^= s << 17;
-  return s * 0x2545F4914F6CDD1Dull;
-}
 }  // namespace
 
 const ThreadPool* ThreadPool::current_pool() { return tl_pool; }
@@ -41,8 +28,15 @@ ThreadPool::ThreadPool(std::size_t threads) {
     threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   }
   workers_.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
+  try {
+    for (std::size_t i = 0; i < threads; ++i) {
+      workers_.emplace_back([this] { worker_loop(); });
+    }
+  } catch (...) {
+    // Out of threads (or memory for one): the destructor will not run, so
+    // join the workers that did start before the error leaves.
+    shutdown();
+    throw;
   }
 }
 
@@ -126,65 +120,36 @@ void ThreadPool::parallel_for(std::size_t n,
 namespace {
 
 /// One run_blocks() region, shared by the launching thread and the runner
-/// jobs it submits. A runner that a busy pool starts only after the region
-/// returned still finds this state alive, sees every deque empty and exits
-/// without touching fn — which by then may be gone.
+/// jobs it submits. Every thread claims blocks from one shared counter, so
+/// an idle thread always takes a block no other thread has reached. A
+/// runner that a busy pool starts only after the region returned still
+/// finds this state alive, sees the counter past n and exits without
+/// touching fn — which by then may be gone.
 struct Region {
-  Region(std::size_t n, std::size_t slots,
-         const std::function<void(std::size_t)>& f)
-      : deques(slots), fn(&f), remaining(n) {
-    // Block i homes on slot i % slots, pushed in descending order so the
-    // owner pops (LIFO) in ascending block order — cache-friendly for
-    // row-contiguous blocks — while thieves take (FIFO) from the far end.
-    // The injector mutex publishes the filled deques to the workers.
-    for (std::size_t s = 0; s < slots; ++s) {
-      deques[s] = std::make_unique<WorkDeque>(n / slots + 1);
-      for (std::size_t i = ((n - 1 - s) / slots) * slots + s;; i -= slots) {
-        deques[s]->prefill(i);
-        if (i < slots) break;
-      }
-    }
-  }
+  Region(std::size_t n, const std::function<void(std::size_t)>& f)
+      : n(n), fn(&f), remaining(n) {}
 
-  /// Slot s's runner: drain its own deque, then (with `steal`) steal from
-  /// randomized victims, then sweep every victim until it is seen empty. A
-  /// steal only fails empty-handed when another thread claimed that item,
-  /// so the sweep ends, and a stealing runner exits only once every block
-  /// is claimed — the caller never waits for a runner that has not started.
-  void run(std::size_t s, bool steal) {
-    const std::size_t slots = deques.size();
-    std::uint64_t rng = 0x9E3779B97F4A7C15ull ^ (s + 1);
-    std::size_t id = 0;
+  /// Claim and run blocks until the counter passes n, then report them as
+  /// finished in one step. Keep claiming after a failure: callers expect
+  /// the whole region to settle before the rethrow.
+  void run() {
+    std::size_t ran = 0;
+    std::exception_ptr error;
     for (;;) {
-      bool have = deques[s]->pop(id);
-      bool was_steal = false;
-      if (!have && steal) {
-        for (std::size_t tries = 0; tries < 2 * slots && !have; ++tries) {
-          const std::size_t v =
-              (s + 1 + next_rand(rng) % (slots - 1)) % slots;
-          have = deques[v]->steal(id);
-        }
-        for (std::size_t v = 0; v < slots && !have; ++v) {
-          while (v != s && !have && !deques[v]->empty()) {
-            have = deques[v]->steal(id);
-          }
-        }
-        was_steal = have;
-      }
-      if (!have) return;
-      if (was_steal) stolen.fetch_add(1, std::memory_order_relaxed);
-      // Keep draining after a failure: callers expect the whole region to
-      // settle before the rethrow.
-      std::exception_ptr error;
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= n) break;
+      ++ran;
       try {
-        (*fn)(id);
+        (*fn)(i);
       } catch (...) {
-        error = std::current_exception();
+        if (!error) error = std::current_exception();
       }
-      std::lock_guard<std::mutex> lock(mutex);
-      if (error && !first) first = error;
-      if (--remaining == 0) done.notify_all();
     }
+    if (ran == 0) return;
+    std::lock_guard<std::mutex> lock(mutex);
+    if (error && !first) first = error;
+    remaining -= ran;
+    if (remaining == 0) done.notify_all();
   }
 
   /// Block until every block has finished (not until every runner ran).
@@ -193,9 +158,9 @@ struct Region {
     done.wait(lock, [this] { return remaining == 0; });
   }
 
-  std::vector<std::unique_ptr<WorkDeque>> deques;
+  const std::size_t n;
   const std::function<void(std::size_t)>* fn;
-  std::atomic<std::size_t> stolen{0};
+  std::atomic<std::size_t> next{0};  ///< The next unclaimed block.
   std::mutex mutex;  ///< Guards remaining and first; pairs with done.
   std::size_t remaining;  ///< Blocks not yet finished.
   std::condition_variable done;
@@ -204,48 +169,43 @@ struct Region {
 
 }  // namespace
 
-ThreadPool::StealStats ThreadPool::run_blocks(
-    std::size_t n, const std::function<void(std::size_t)>& fn, bool steal) {
-  StealStats stats;
-  if (n == 0) return stats;
+void ThreadPool::run_blocks(std::size_t n,
+                            const std::function<void(std::size_t)>& fn) {
+  if (n == 0) return;
   reject_nested_submit();  // Same deadlock hazard as submit().
-  const std::size_t slots = std::min(n, workers_.size());
-  if (slots <= 1) {
+  const std::size_t threads = std::min(n, workers_.size());
+  if (threads <= 1) {
     for (std::size_t i = 0; i < n; ++i) fn(i);
-    stats.executed = n;
-    return stats;
+    return;
   }
 
-  // The calling thread is slot 0's runner, so only slots - 1 runners go
+  // The calling thread claims blocks too, so only threads - 1 runners go
   // through the injector and the region never waits for a worker to free
-  // up: with stealing on, the caller alone can finish every block.
-  const auto region = std::make_shared<Region>(n, slots, fn);
+  // up: the caller alone can finish every block.
+  const auto region = std::make_shared<Region>(n, fn);
   bool queued = false;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (!stopping_) {  // Stopping: the caller steals every slot below.
-      for (std::size_t s = 1; s < slots; ++s) {
-        queue_.emplace([region, s, steal] { region->run(s, steal); });
+    if (!stopping_) {  // Stopping: the caller runs every block below.
+      for (std::size_t r = 1; r < threads; ++r) {
+        queue_.emplace([region] { region->run(); });
       }
       queued = true;
     }
   }
   if (queued) {
-    for (std::size_t s = 1; s < slots; ++s) cv_.notify_one();
+    for (std::size_t r = 1; r < threads; ++r) cv_.notify_one();
   }
   {
     // While the caller runs blocks it counts as inside this pool, so a
     // nested region runs inline there exactly as it does on a worker.
     const ThreadPool* const outer = tl_pool;
     tl_pool = this;
-    region->run(0, steal || !queued);
+    region->run();
     tl_pool = outer;
   }
   region->wait();
-  stats.executed = n;
-  stats.stolen = region->stolen.load(std::memory_order_relaxed);
   if (region->first) std::rethrow_exception(region->first);
-  return stats;
 }
 
 }  // namespace pipad

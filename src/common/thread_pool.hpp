@@ -12,12 +12,11 @@
 //     The calling thread never runs them: parallel_for's callers allocate
 //     heavily, and keeping their chunks on the workers is what holds a
 //     graph-heavy training's peak RSS at ~315 MB instead of ~395 MB;
-//   - run_blocks() executes a *region* of fine-grained blocks through
-//     per-slot Chase-Lev deques with randomized-victim work stealing: the
-//     launching thread preloads one deque per slot (round-robin, a pure
-//     function of the block count), submits one runner job for each slot
-//     but slot 0, and runs slot 0 itself. Every runner drains its own
-//     deque LIFO and then steals FIFO from random victims, and the region
+//   - run_blocks() executes a *region* of fine-grained blocks: the
+//     launching thread and at most size() - 1 runner jobs each claim the
+//     next unclaimed block from one shared atomic counter until none is
+//     left, so an idle thread always takes a block no busy thread has
+//     reached. The launching thread claims blocks itself and the region
 //     returns once every block has finished — so a region never waits
 //     behind coarse jobs queued ahead of its runners, while the number of
 //     threads working on it stays at the pool width. Which thread executes
@@ -39,7 +38,9 @@ namespace pipad {
 
 class ThreadPool {
  public:
-  /// threads == 0 picks hardware_concurrency (min 1).
+  /// threads == 0 picks hardware_concurrency (min 1). Throws
+  /// std::system_error when a worker cannot be started, after joining the
+  /// ones that did.
   explicit ThreadPool(std::size_t threads = 0);
   ~ThreadPool();
 
@@ -53,8 +54,8 @@ class ThreadPool {
   void shutdown();
 
   /// The pool the current thread is working for — a worker's own pool, or
-  /// the pool of the run_blocks() region whose slot 0 the calling thread is
-  /// running — or nullptr otherwise. Callers that might run inside a pool
+  /// the pool of the run_blocks() region the calling thread is running
+  /// blocks of — or nullptr otherwise. Callers that might run inside a pool
   /// (nested parallel regions) use this to fall back to inline execution
   /// instead of deadlocking on their own pool.
   static const ThreadPool* current_pool();
@@ -88,27 +89,16 @@ class ThreadPool {
   /// pool, like submit().
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
-  /// Work-stealing outcome of one run_blocks() region.
-  struct StealStats {
-    std::size_t executed = 0;  ///< Blocks executed (== n on success).
-    std::size_t stolen = 0;    ///< Blocks executed away from their home slot.
-  };
-
-  /// Execute fn(i) for every i in [0, n) through per-slot Chase-Lev deques
-  /// (see file header). Blocks are preloaded round-robin (block i homes on
-  /// slot i % slots, slots = min(n, size())) so the assignment is a pure
-  /// function of n. The calling thread runs slot 0 and size() - 1 runner
-  /// jobs at most run the others. With `steal` true, runners that drain
-  /// their own deque steal from randomized victims, so the region finishes
-  /// even while every worker is busy; otherwise each slot stops at its
-  /// static share (the contention_pool bench compares the two). Blocks must
-  /// write disjoint state. Returns once every block has finished; the first
-  /// exception any block threw is rethrown after that (remaining blocks
-  /// still run). Must not be called from a worker of this pool — run
-  /// nested regions inline, like submit().
-  StealStats run_blocks(std::size_t n,
-                        const std::function<void(std::size_t)>& fn,
-                        bool steal = true);
+  /// Execute fn(i) for every i in [0, n) (see file header): the calling
+  /// thread and at most min(n, size()) - 1 runner jobs claim blocks from
+  /// one shared counter, so the caller alone finishes the region even
+  /// while every worker is busy, and a runner that starts after the region
+  /// returned claims nothing and never calls fn. Blocks must write disjoint
+  /// state. Returns once every block has finished; the first exception any
+  /// block threw is rethrown after that (remaining blocks still run). Must
+  /// not be called from a worker of this pool — run nested regions inline,
+  /// like submit().
+  void run_blocks(std::size_t n, const std::function<void(std::size_t)>& fn);
 
  private:
   void worker_loop();

@@ -108,6 +108,29 @@ TEST(CliParse, ReplicaFlagsLandAndValidate) {
   EXPECT_NE(bad.error.find("butterfly"), std::string::npos);
 }
 
+// Each pool thread reserves a stack, so an unbounded width could exhaust
+// the address space before the first job runs; the flag and the shared
+// validator (which also guards wire-built specs) reject it with one text.
+TEST(CliParse, ThreadsBoundedToTwoHundredFiftySix) {
+  const auto ok = parse({"train", "--threads", "256"});
+  ASSERT_TRUE(ok.ok) << ok.error;
+  EXPECT_EQ(ok.options.job.threads, 256);
+  EXPECT_TRUE(parse({"train", "--threads", "0"}).ok);
+  const std::string expects = "--threads expects an integer in [0, 256], got '";
+  for (const char* bad : {"257", "-1", "2147483647", "many"}) {
+    const auto r = parse({"train", "--threads", bad});
+    EXPECT_FALSE(r.ok) << bad;
+    EXPECT_EQ(r.error, expects + bad + "'");
+  }
+  api::JobSpec s;
+  s.threads = 257;
+  EXPECT_EQ(s.validate(), expects + "257'");
+  s.threads = -1;
+  EXPECT_EQ(s.validate(), expects + "-1'");
+  s.threads = 256;
+  EXPECT_EQ(s.validate(), "");
+}
+
 TEST(CliParse, ReplicasRequirePipadRuntime) {
   EXPECT_TRUE(parse({"train", "--replicas", "2"}).ok);
   EXPECT_TRUE(parse({"bench", "--replicas", "2"}).ok);

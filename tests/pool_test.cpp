@@ -1,213 +1,92 @@
-// Work-stealing executor tests: WorkDeque (Chase-Lev) semantics and
-// concurrent exactly-once claiming, and ThreadPool::run_blocks steal
-// behavior. These suites are the ones CI runs under TSan/ASan to race- and
-// leak-check the pool internals; higher-level
-// ComputePool region semantics live in common_test.
+// Region executor tests: ThreadPool::run_blocks claiming (every block
+// exactly once, idle runners never wait on busy ones, late runners never
+// call fn), exception and nesting semantics, and ThreadPool construction
+// failure. These suites are the ones CI runs under TSan/ASan to race- and
+// leak-check the pool internals; higher-level ComputePool region semantics
+// live in common_test.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <bit>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
+#include <fstream>
+#include <future>
 #include <mutex>
 #include <stdexcept>
 #include <string>
+#include <system_error>
 #include <thread>
 #include <vector>
 
 #include "common/compute_pool.hpp"
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
-#include "common/work_deque.hpp"
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define PIPAD_UNDER_SANITIZER 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define PIPAD_UNDER_SANITIZER 1
+#endif
+#endif
 
 namespace pipad {
 namespace {
 
-// ------------------------------------------------------------------ WorkDeque
-
-TEST(WorkDeque, OwnerPopIsLifo) {
-  WorkDeque d(8);
-  d.prefill(10);
-  d.prefill(20);
-  d.prefill(30);
-  std::size_t v = 0;
-  ASSERT_TRUE(d.pop(v));
-  EXPECT_EQ(v, 30u);
-  ASSERT_TRUE(d.pop(v));
-  EXPECT_EQ(v, 20u);
-  ASSERT_TRUE(d.pop(v));
-  EXPECT_EQ(v, 10u);
-  EXPECT_FALSE(d.pop(v));
-  EXPECT_TRUE(d.empty());
-}
-
-TEST(WorkDeque, ThiefStealIsFifo) {
-  WorkDeque d(8);
-  d.prefill(1);
-  d.prefill(2);
-  d.prefill(3);
-  std::size_t v = 0;
-  ASSERT_TRUE(d.steal(v));
-  EXPECT_EQ(v, 1u);
-  ASSERT_TRUE(d.steal(v));
-  EXPECT_EQ(v, 2u);
-  ASSERT_TRUE(d.steal(v));
-  EXPECT_EQ(v, 3u);
-  EXPECT_FALSE(d.steal(v));
-  EXPECT_TRUE(d.empty());
-}
-
-TEST(WorkDeque, PopAndStealMeetInTheMiddleWithoutOverlap) {
-  WorkDeque d(8);
-  for (std::size_t i = 1; i <= 4; ++i) d.prefill(i);
-  std::size_t v = 0;
-  ASSERT_TRUE(d.steal(v));
-  EXPECT_EQ(v, 1u);  // Oldest.
-  ASSERT_TRUE(d.pop(v));
-  EXPECT_EQ(v, 4u);  // Newest.
-  ASSERT_TRUE(d.steal(v));
-  EXPECT_EQ(v, 2u);
-  ASSERT_TRUE(d.pop(v));
-  EXPECT_EQ(v, 3u);
-  EXPECT_FALSE(d.pop(v));
-  EXPECT_FALSE(d.steal(v));
-}
-
-TEST(WorkDeque, CapacityRoundsUpToPowerOfTwo) {
-  WorkDeque d(5);  // Rounds up to 8.
-  for (std::size_t i = 0; i < 8; ++i) d.prefill(i);
-  EXPECT_THROW(d.prefill(8), Error);  // 9th item exceeds the fixed buffer.
-  std::size_t v = 0;
-  for (std::size_t i = 0; i < 8; ++i) {
-    ASSERT_TRUE(d.pop(v));
-    EXPECT_EQ(v, 7 - i);
-  }
-}
-
-// The exactly-once contract under contention: one owner popping LIFO races
-// several thieves stealing FIFO over a fully preloaded deque; every item
-// must be claimed by exactly one thread (no losses, no duplicates).
-TEST(WorkDeque, ConcurrentPopAndStealClaimEveryItemExactlyOnce) {
-  constexpr std::size_t kItems = 1 << 12;
-  constexpr int kThieves = 3;
-  WorkDeque d(kItems);
-  for (std::size_t i = 0; i < kItems; ++i) d.prefill(i);
-
-  std::vector<std::vector<std::size_t>> claimed(kThieves + 1);
-  const auto thief = [&](int t) {
-    std::size_t v = 0;
-    for (;;) {
-      if (d.steal(v)) {
-        claimed[t].push_back(v);
-      } else if (d.empty()) {
-        return;  // steal() may fail spuriously under CAS contention;
-                 // only an observed-empty deque ends the loop.
-      }
-    }
-  };
-  std::vector<std::thread> thieves;
-  thieves.reserve(kThieves);
-  for (int t = 0; t < kThieves; ++t) {
-    thieves.emplace_back(thief, t);
-  }
-  // This thread plays the owner.
-  std::size_t v = 0;
-  for (;;) {
-    if (d.pop(v)) {
-      claimed[kThieves].push_back(v);
-    } else if (d.empty()) {
-      break;  // pop() only fails when empty or the last item was lost.
-    }
-  }
-  for (auto& th : thieves) th.join();
-
-  std::vector<int> count(kItems, 0);
-  std::size_t total = 0;
-  for (const auto& c : claimed) {
-    total += c.size();
-    for (std::size_t id : c) {
-      ASSERT_LT(id, kItems);
-      ++count[id];
-    }
-  }
-  EXPECT_EQ(total, kItems);
-  for (std::size_t i = 0; i < kItems; ++i) {
-    EXPECT_EQ(count[i], 1) << "item " << i;
-  }
-}
-
 // --------------------------------------------------------------- run_blocks
+
+/// Yield until pred() holds and return true, or return false after 10 s, so
+/// a broken executor fails the test that waits instead of hanging the suite.
+template <typename Pred>
+bool spin_until(const Pred& pred) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!pred()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
 
 TEST(RunBlocks, ExecutesEveryBlockExactlyOnce) {
   ThreadPool pool(4);
   constexpr std::size_t kBlocks = 257;  // Not a multiple of the pool width.
   std::vector<std::atomic<int>> hits(kBlocks);
-  const auto stats = pool.run_blocks(kBlocks, [&](std::size_t i) {
+  pool.run_blocks(kBlocks, [&](std::size_t i) {
     hits[i].fetch_add(1, std::memory_order_relaxed);
   });
-  EXPECT_EQ(stats.executed, kBlocks);
   for (std::size_t i = 0; i < kBlocks; ++i) {
     EXPECT_EQ(hits[i].load(), 1) << "block " << i;
   }
 }
 
-TEST(RunBlocks, StealDisabledRunsEveryBlockOnItsHomeSlotOnly) {
-  ThreadPool pool(4);
-  constexpr std::size_t kBlocks = 32;
-  std::vector<std::atomic<int>> hits(kBlocks);
-  const auto stats = pool.run_blocks(
-      kBlocks,
-      [&](std::size_t i) {
-        if (i == 0) {  // Skew the first block; nobody may rebalance it.
-          std::this_thread::sleep_for(std::chrono::milliseconds(5));
-        }
-        hits[i].fetch_add(1, std::memory_order_relaxed);
-      },
-      /*steal=*/false);
-  EXPECT_EQ(stats.executed, kBlocks);
-  EXPECT_EQ(stats.stolen, 0u);
-  for (std::size_t i = 0; i < kBlocks; ++i) {
-    EXPECT_EQ(hits[i].load(), 1) << "block " << i;
-  }
-}
-
-// Deterministic steal: with 2 workers and 4 blocks, slot 1 owns blocks
-// {1, 3} and pops them in ascending order (the preload is descending so
-// owners run cache-friendly ascending). Block 1 spins until block 3 has
-// executed — the only way block 3 can run while slot 1's owner is pinned
-// inside block 1 is for the other worker to steal it.
-TEST(RunBlocks, IdleWorkerStealsFromABlockedSiblingsDeque) {
+// With 2 threads and 4 blocks, block 1 spins until block 3 has executed:
+// whichever thread claimed block 1 is pinned inside it, so block 3 can only
+// run if the other thread keeps claiming blocks nobody has reached yet.
+TEST(RunBlocks, IdleRunnerTakesBlocksABusyRunnerHasNotReached) {
   ThreadPool pool(2);
   std::atomic<bool> block3_done{false};
   std::atomic<bool> timed_out{false};
-  const auto stats = pool.run_blocks(4, [&](std::size_t i) {
+  pool.run_blocks(4, [&](std::size_t i) {
     if (i == 3) {
       block3_done.store(true, std::memory_order_release);
-    } else if (i == 1) {
-      const auto deadline =
-          std::chrono::steady_clock::now() + std::chrono::seconds(30);
-      while (!block3_done.load(std::memory_order_acquire)) {
-        if (std::chrono::steady_clock::now() > deadline) {
-          timed_out.store(true, std::memory_order_relaxed);
-          return;  // Fail via the flag below instead of hanging the suite.
-        }
-        std::this_thread::yield();
-      }
+    } else if (i == 1 && !spin_until([&] { return block3_done.load(); })) {
+      timed_out.store(true, std::memory_order_relaxed);
     }
   });
-  EXPECT_FALSE(timed_out.load()) << "block 3 was never stolen";
-  EXPECT_EQ(stats.executed, 4u);
-  EXPECT_GE(stats.stolen, 1u);
+  EXPECT_FALSE(timed_out.load()) << "block 3 was never claimed";
 }
 
 TEST(RunBlocks, SingleWorkerFallsBackToInlineWithoutSteals) {
   ThreadPool pool(1);
   std::vector<int> order;
-  const auto stats = pool.run_blocks(
+  pool.run_blocks(
       5, [&](std::size_t i) { order.push_back(static_cast<int>(i)); });
-  EXPECT_EQ(stats.executed, 5u);
-  EXPECT_EQ(stats.stolen, 0u);
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
@@ -228,48 +107,89 @@ TEST(RunBlocks, RethrowsFirstBlockExceptionAfterDrainingRegion) {
   }
 }
 
-// The calling thread runs slot 0 and steals the rest, so a region must not
-// wait for a worker to free up. Both workers are held by jobs that wait on
-// a release flag; the region has to finish before the test releases them.
-// The holds give up after a deadline and set a flag, so an executor that
-// waits for its runners fails here instead of hanging the suite.
-TEST(RunBlocks, CompletesWhileEveryWorkerIsBusy) {
-  ThreadPool pool(2);
-  std::atomic<int> holding{0};
-  std::atomic<bool> release{false};
-  std::atomic<bool> timed_out{false};
-  const auto hold = [&] {
-    holding.fetch_add(1, std::memory_order_acq_rel);
+/// Occupies every worker of a pool with a job that waits for release().
+/// The holds give up after a deadline and record it, so an executor that
+/// waits for its runners fails a test instead of hanging the suite.
+class HoldEveryWorker {
+ public:
+  explicit HoldEveryWorker(ThreadPool& pool) {
+    for (std::size_t w = 0; w < pool.size(); ++w) {
+      jobs_.push_back(pool.submit([this] { hold(); }));
+    }
+    while (holding_.load(std::memory_order_acquire) <
+           static_cast<int>(pool.size())) {
+      std::this_thread::yield();
+    }
+  }
+  ~HoldEveryWorker() { release(); }
+
+  /// Let the workers go; false when a hold hit its deadline first.
+  bool release() {
+    const bool in_time = !timed_out_.load(std::memory_order_relaxed);
+    release_.store(true, std::memory_order_release);
+    for (auto& job : jobs_) {
+      if (job.valid()) job.get();
+    }
+    return in_time;
+  }
+
+ private:
+  void hold() {
+    holding_.fetch_add(1, std::memory_order_acq_rel);
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(10);
-    while (!release.load(std::memory_order_acquire)) {
+    while (!release_.load(std::memory_order_acquire)) {
       if (std::chrono::steady_clock::now() > deadline) {
-        timed_out.store(true, std::memory_order_relaxed);
+        timed_out_.store(true, std::memory_order_relaxed);
         return;
       }
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
-  };
-  auto first = pool.submit(hold);
-  auto second = pool.submit(hold);
-  while (holding.load(std::memory_order_acquire) < 2) {
-    std::this_thread::yield();
   }
+
+  std::vector<std::future<void>> jobs_;
+  std::atomic<int> holding_{0};
+  std::atomic<bool> release_{false};
+  std::atomic<bool> timed_out_{false};
+};
+
+// The calling thread claims blocks too, so a region must not wait for a
+// worker to free up: both workers are held until after the region returns.
+TEST(RunBlocks, CompletesWhileEveryWorkerIsBusy) {
+  ThreadPool pool(2);
+  HoldEveryWorker held(pool);
   constexpr std::size_t kBlocks = 16;
   std::vector<std::atomic<int>> hits(kBlocks);
-  const auto stats = pool.run_blocks(kBlocks, [&](std::size_t i) {
+  pool.run_blocks(kBlocks, [&](std::size_t i) {
     hits[i].fetch_add(1, std::memory_order_relaxed);
   });
-  const bool finished_while_held = !timed_out.load();
-  release.store(true, std::memory_order_release);
-  first.get();
-  second.get();
-  EXPECT_TRUE(finished_while_held)
-      << "run_blocks waited for a busy worker";
-  EXPECT_EQ(stats.executed, kBlocks);
+  EXPECT_TRUE(held.release()) << "run_blocks waited for a busy worker";
   for (std::size_t i = 0; i < kBlocks; ++i) {
     EXPECT_EQ(hits[i].load(), 1) << "block " << i;
   }
+}
+
+// The caller finishes a region alone while every worker is held, so its
+// runner jobs start only after run_blocks returned — when fn may already be
+// gone. They must find nothing left to claim.
+TEST(RunBlocks, LateRunnerNeverCallsFnAfterTheRegionReturned) {
+  ThreadPool pool(4);
+  HoldEveryWorker held(pool);
+  constexpr std::size_t kBlocks = 16;
+  std::atomic<std::size_t> calls{0};
+  std::atomic<std::size_t> late_calls{0};
+  std::atomic<bool> returned{false};
+  pool.run_blocks(kBlocks, [&](std::size_t) {
+    if (returned.load(std::memory_order_acquire)) {
+      late_calls.fetch_add(1, std::memory_order_relaxed);
+    }
+    calls.fetch_add(1, std::memory_order_relaxed);
+  });
+  returned.store(true, std::memory_order_release);
+  EXPECT_TRUE(held.release()) << "run_blocks waited for a busy worker";
+  pool.shutdown();  // Drains the queue: every late runner has run.
+  EXPECT_EQ(calls.load(), kBlocks);
+  EXPECT_EQ(late_calls.load(), 0u);
 }
 
 TEST(RunBlocks, CallingThreadBlockExceptionRethrownAfterEveryBlockRan) {
@@ -285,8 +205,9 @@ TEST(RunBlocks, CallingThreadBlockExceptionRethrownAfterEveryBlockRan) {
         thrown_on_caller.fetch_add(1, std::memory_order_relaxed);
         throw Error("calling-thread block failed");
       }
-      // Worker blocks finish well after the caller's first throw.
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      // Worker blocks finish only after the caller's first throw, which
+      // also leaves the caller blocks to claim.
+      spin_until([&] { return thrown_on_caller.load() > 0; });
       hits[i].fetch_add(1, std::memory_order_relaxed);
     });
     ADD_FAILURE() << "run_blocks did not rethrow";
@@ -318,6 +239,10 @@ TEST(RunBlocks, NestedRegionFromACallingThreadBlockIsBitIdentical) {
           if (std::this_thread::get_id() == caller && pool->size() > 1) {
             EXPECT_EQ(ThreadPool::current_pool(), pool);
             on_caller.fetch_add(1, std::memory_order_relaxed);
+          } else if (pool->size() > 1) {
+            // Runners could otherwise claim every block first; holding
+            // them until the caller has one makes its path run every time.
+            spin_until([&] { return on_caller.load() > 0; });
           }
           for (std::size_t r = lo; r < hi; ++r) {
             ComputePool::instance().for_blocks(
@@ -358,6 +283,40 @@ TEST(RunBlocks, CalledFromOwnWorkerThrowsInsteadOfDeadlocking) {
     pool.run_blocks(8, [](std::size_t) {});
   });
   EXPECT_THROW(fut.get(), std::runtime_error);
+}
+
+// Death-test child: cap the address space a little above what the process
+// already maps, so a few workers start and a later one fails, then build a
+// 200-worker pool. Exits 0 once the constructor's std::system_error
+// arrives; a pool that leaves the started workers waiting hangs until the
+// alarm kills the child. _Exit skips static destructors: a forked child
+// must not join the parent's ComputePool workers, which it does not have.
+[[maybe_unused, noreturn]] void build_pool_under_address_cap() {
+  long pages = 0;
+  std::ifstream("/proc/self/statm") >> pages;
+  const rlim_t cap =
+      static_cast<rlim_t>(pages) * static_cast<rlim_t>(sysconf(_SC_PAGESIZE)) +
+      (rlim_t{128} << 20);
+  const rlimit limit{cap, cap};
+  if (pages <= 0 || setrlimit(RLIMIT_AS, &limit) != 0) std::_Exit(2);
+  alarm(20);
+  try {
+    ThreadPool pool(200);
+  } catch (const std::system_error&) {
+    std::_Exit(0);
+  }
+  std::_Exit(3);  // Every worker started: the cap never bit.
+}
+
+// A worker that cannot be started must not strand the ones that did: the
+// constructor joins them and rethrows.
+TEST(ThreadPool, SpawnFailureJoinsStartedWorkersAndThrows) {
+#ifdef PIPAD_UNDER_SANITIZER
+  GTEST_SKIP() << "sanitizer shadow memory conflicts with RLIMIT_AS";
+#else
+  EXPECT_EXIT(build_pool_under_address_cap(), ::testing::ExitedWithCode(0),
+              "");
+#endif
 }
 
 }  // namespace
