@@ -1,9 +1,10 @@
 // Discrete-Time Dynamic Graph: an ordered sequence of snapshots (§2.1).
 //
-// A snapshot bundles the adjacency (with self-loops, per GCN's \tilde{A}),
-// its transpose (for backward aggregation), and the node-feature matrix at
-// that timestep. The DTDG also carries the regression targets used by the
-// training task (predict the next-snapshot node signal).
+// A snapshot bundles the adjacency (the stored edges only: GCN
+// normalization adds the self term), its transpose (for backward
+// aggregation), and the node-feature matrix at that timestep. The DTDG also
+// carries the regression targets used by the training task (predict the
+// next-snapshot node signal).
 #pragma once
 
 #include <string>
@@ -15,13 +16,12 @@
 namespace pipad::graph {
 
 struct Snapshot {
-  CSR adj;     ///< \tilde{A} = A + I, row = destination vertex.
+  CSR adj;     ///< A, row = destination vertex; no self-loops added.
   CSR adj_t;   ///< Transpose, for gradient aggregation.
   /// Edge weights aligned with adj.col_idx. Empty = unweighted (implicit
   /// 1.0 everywhere — the synthetic generators produce this). On-disk
   /// datasets with a weight column keep their weights here: duplicate
-  /// edge instances sum, and a self-loop adds +1 on the diagonal
-  /// (\tilde{A} = A + I extends to weighted A).
+  /// edge instances sum, in file order.
   std::vector<float> edge_w;
   Tensor features;  ///< [num_nodes x feat_dim].
 

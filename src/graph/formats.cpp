@@ -23,12 +23,7 @@ void CSR::validate() const {
   }
 }
 
-CSR csr_from_edges(int rows, int cols, std::vector<Edge> edges,
-                   bool add_self_loops) {
-  if (add_self_loops) {
-    edges.reserve(edges.size() + static_cast<std::size_t>(rows));
-    for (int v = 0; v < rows; ++v) edges.push_back({v, v});
-  }
+CSR csr_from_edges(int rows, int cols, const std::vector<Edge>& edges) {
   std::vector<std::uint64_t> keys;
   keys.reserve(edges.size());
   for (const auto& e : edges) {
@@ -77,7 +72,7 @@ CSR csr_from_coo(const COO& coo) {
   for (std::size_t i = 0; i < coo.nnz(); ++i) {
     edges[i] = {coo.col[i], coo.row[i]};
   }
-  return csr_from_edges(coo.rows, coo.cols, std::move(edges));
+  return csr_from_edges(coo.rows, coo.cols, edges);
 }
 
 CSR transpose(const CSR& csr) {

@@ -68,10 +68,8 @@ struct CSR {
 };
 
 /// Build a CSR from (unsorted, possibly duplicated) edges; duplicates are
-/// removed. add_self_loops appends (v, v) for every vertex — GCN's
-/// \tilde{A} = A + I.
-CSR csr_from_edges(int rows, int cols, std::vector<Edge> edges,
-                   bool add_self_loops = false);
+/// removed. No self-loops are added: GCN normalization adds the self term.
+CSR csr_from_edges(int rows, int cols, const std::vector<Edge>& edges);
 
 /// Build a CSR from sorted unique edge keys (fast path for generators).
 CSR csr_from_sorted_keys(int rows, int cols,

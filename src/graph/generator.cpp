@@ -6,6 +6,7 @@
 
 #include "common/rng.hpp"
 #include "graph/overlap.hpp"
+#include "graph/snapshot_builder.hpp"
 
 namespace pipad::graph {
 
@@ -107,90 +108,28 @@ DTDG generate(const DatasetConfig& cfg, ThreadPool* pool) {
     }
   }
 
-  // Bucket events by birth so each snapshot's active set is a sliding window.
-  std::vector<std::vector<const EdgeEvent*>> born_at(S);
-  for (const auto& e : events) born_at[e.birth].push_back(&e);
+  // Births in order; equal births by key, so the builder never sorts a
+  // batch. The order among equal (birth, key) events cannot matter: the
+  // topology is unweighted.
+  std::sort(events.begin(), events.end(),
+            [](const EdgeEvent& a, const EdgeEvent& b) {
+              return a.birth != b.birth ? a.birth < b.birth : a.key < b.key;
+            });
 
   DTDG g;
   g.name = cfg.name;
   g.num_nodes = n;
   g.feat_dim = cfg.feat_dim;
   g.sim_scale = cfg.sim_scale;
-  g.snapshots.resize(S);
-  g.targets.resize(S);
-
-  // ---- Sequential phase: everything that consumes the RNG or the live
-  // sliding window, in the exact order of the serial generator (so the
-  // dataset is identical for any pool size).
-  std::vector<const EdgeEvent*> live;
-  // Parallel builds stage every snapshot's raw keys before fanning out (a
-  // transient ~sum-of-live-edges x 8 B); the serial path reuses one buffer
-  // and builds in-loop, keeping the old memory footprint.
-  std::vector<std::vector<std::uint64_t>> keys_at(pool != nullptr ? S : 0);
-  std::vector<std::uint64_t> keys_buf;
-
-  // Per-snapshot sort/dedup, CSR build, transpose and target computation —
-  // the expensive half; touches only snapshot t's slots and `keys`.
-  const auto build_snapshot = [&](int t, std::vector<std::uint64_t>& keys) {
-    std::sort(keys.begin(), keys.end());
-    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-
-    Snapshot& snap = g.snapshots[t];
-    snap.adj = csr_from_sorted_keys(n, n, keys);
-    snap.adj_t = transpose(snap.adj);
-
-    // Target: normalized in-degree blended with the node's mean feature —
-    // depends on both structure and signal, so a DGNN can learn it.
-    const float season =
-        std::sin(2.0f * 3.14159265f * static_cast<float>(t) / 12.0f);
-    Tensor y(n, 1);
-    for (int v = 0; v < n; ++v) {
-      const float deg = static_cast<float>(snap.adj.degree(v));
-      float fmean = 0.0f;
-      for (int d = 0; d < cfg.feat_dim; ++d) fmean += snap.features.at(v, d);
-      fmean /= static_cast<float>(cfg.feat_dim);
-      y.at(v, 0) = 0.5f * std::log1p(deg) + 0.5f * fmean + 0.1f * season;
-    }
-    g.targets[t] = std::move(y);
-  };
-
-  // Features: temporally correlated random walk with a periodic term.
-  Tensor feat = Tensor::randn(n, cfg.feat_dim, rng, 1.0f);
-
-  for (int t = 0; t < S; ++t) {
-    // Retire dead events, then add the newborn ones.
-    live.erase(std::remove_if(live.begin(), live.end(),
-                              [t](const EdgeEvent* e) { return e->death <= t; }),
-               live.end());
-    for (const EdgeEvent* e : born_at[t]) live.push_back(e);
-
-    auto& keys = pool != nullptr ? keys_at[t] : keys_buf;
-    keys.clear();
-    keys.reserve(live.size());
-    for (const EdgeEvent* e : live) keys.push_back(e->key);
-
-    // Evolve features: AR(1) walk plus a shared seasonal signal so the
-    // regression task has temporal structure the RNNs can exploit.
-    const float season =
-        std::sin(2.0f * 3.14159265f * static_cast<float>(t) / 12.0f);
-    for (int v = 0; v < n; ++v) {
-      for (int d = 0; d < cfg.feat_dim; ++d) {
-        float x = feat.at(v, d);
-        x = 0.92f * x + 0.05f * rng.normal() + 0.03f * season;
-        feat.at(v, d) = x;
-      }
-    }
-    g.snapshots[t].features = feat;
-
-    if (pool == nullptr) build_snapshot(t, keys_buf);
+  {
+    SnapshotBuilder builder(n, /*weighted=*/false);
+    for (const EdgeEvent& e : events) builder.add(e.birth, e.death, e.key);
+    events = std::vector<EdgeEvent>();
+    g.snapshots = builder.finish(S);
   }
-
-  if (pool != nullptr) {
-    pool->parallel_for(S, [&](std::size_t t) {
-      build_snapshot(static_cast<int>(t), keys_at[t]);
-      keys_at[t] = {};  // Free the raw keys as soon as the CSR exists.
-    });
-  }
+  // Features draw from the same stream right after the topology events.
+  ar1_features(g, rng);
+  finish_snapshots(g, pool);
   return g;
 }
 

@@ -59,10 +59,9 @@ DatasetConfig dataset_by_name(const std::string& name, int scale_large = 64,
                               int scale_small = 4);
 
 /// Generate the full DTDG (adjacency + transpose + features + targets).
-/// With a pool, per-snapshot CSR construction (sort, build, transpose,
-/// targets) runs as parallel tasks; every RNG draw stays on the calling
-/// thread in a fixed order, so the generated dataset is bit-identical to
-/// the serial build for any pool size.
+/// The RNG draws (events, then the AR(1) walk) and the SnapshotBuilder
+/// sweep run on the calling thread; with a pool, transposes and targets run
+/// as per-snapshot tasks, so the result is the same for any pool size.
 DTDG generate(const DatasetConfig& cfg, ThreadPool* pool = nullptr);
 
 /// Statistics used by bench/table1_datasets.

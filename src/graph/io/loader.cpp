@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <charconv>
-#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <limits>
 #include <numeric>
+#include <optional>
 
 #include "common/log.hpp"
 #include "common/rng.hpp"
@@ -14,6 +14,7 @@
 #include "graph/io/dtdg_file.hpp"
 #include "graph/io/stream_reader.hpp"
 #include "graph/io/text_format.hpp"
+#include "graph/snapshot_builder.hpp"
 
 namespace pipad::graph::io {
 
@@ -33,16 +34,21 @@ constexpr int kMaxAutoSnapshots = 4096;
 
 /// Hard cap on snapshot counts from any mode — matches the `.dtdg` reader's
 /// kMaxSnapshots, so a `snapshots=2000000000` directive (or an absurd
-/// window) fails cleanly instead of allocating per-snapshot staging for
-/// billions of buckets.
+/// window) fails cleanly instead of building billions of snapshots.
 constexpr long long kMaxStagedSnapshots = 1LL << 24;
 
-/// `nodes=N` plausibility guard: with an identity remap the loader
-/// allocates features/targets for all N vertices, so a directive wildly
-/// exceeding what the edge set could touch is treated as adversarial or
-/// corrupt input rather than honored with a giant allocation.
-constexpr unsigned long long kMinPlausibleNodes = 65536;
-constexpr unsigned long long kNodesPerEdgeSlack = 256;
+/// The `nodes=N` plausibility guard: with an identity remap the loader
+/// allocates features, targets and each snapshot's row offsets for all N
+/// vertices, so a directive wildly exceeding what the edge set could touch
+/// is treated as adversarial or corrupt input rather than honored with a
+/// giant allocation. Monotone in `edge_rows`.
+bool plausible_nodes(unsigned long long declared,
+                     unsigned long long edge_rows) {
+  constexpr unsigned long long kMinPlausibleNodes = 65536;
+  constexpr unsigned long long kNodesPerEdgeSlack = 256;
+  return declared <= std::max(kMinPlausibleNodes,
+                              kNodesPerEdgeSlack * edge_rows);
+}
 
 /// Streams `path` through a 1 MiB buffer into a ContentHash (the file is
 /// never held in memory whole).
@@ -81,7 +87,6 @@ std::uint64_t config_hash(const ContentHash& data, const ContentHash& feat,
   h = fnv1a_u64(static_cast<std::uint64_t>(o.snapshot_count), h);
   h = fnv1a_u64(static_cast<std::uint64_t>(o.edge_life), h);
   h = fnv1a_u64(static_cast<std::uint64_t>(o.feat_dim), h);
-  h = fnv1a_u64(o.add_self_loops ? 1u : 0u, h);
   h = fnv1a_u64(o.seed, h);
   // window_bytes is deliberately NOT hashed: the window size never changes
   // the loaded DTDG (bit-identical by construction), so any window may
@@ -112,23 +117,6 @@ ThreadPool* usable_pool(ThreadPool* pool) {
                                                                     : nullptr;
 }
 
-/// The generator's regression target: normalized in-degree blended with
-/// the node's mean feature plus a shared seasonal term, so any on-disk
-/// topology yields a learnable task even without a targets file.
-void synthesize_target(const Snapshot& snap, int t, int feat_dim,
-                       Tensor& out) {
-  const int n = snap.adj.rows;
-  const float season =
-      std::sin(2.0f * 3.14159265f * static_cast<float>(t) / 12.0f);
-  for (int v = 0; v < n; ++v) {
-    const float deg = static_cast<float>(snap.adj.degree(v));
-    float fmean = 0.0f;
-    for (int d = 0; d < feat_dim; ++d) fmean += snap.features.at(v, d);
-    fmean /= static_cast<float>(feat_dim);
-    out.at(v, 0) = 0.5f * std::log1p(deg) + 0.5f * fmean + 0.1f * season;
-  }
-}
-
 std::string_view strip_quotes_sv(std::string_view t) {
   if (t.size() >= 2 && t.front() == '"' && t.back() == '"') {
     t.remove_prefix(1);
@@ -137,87 +125,74 @@ std::string_view strip_quotes_sv(std::string_view t) {
   return t;
 }
 
-[[noreturn]] void throw_snapshot_cap(const std::string& path, long long s) {
-  throw Error(path + ": snapshotting produces " + std::to_string(s) +
-              " snapshots (cap " + std::to_string(kMaxStagedSnapshots) + ")");
+[[noreturn]] void throw_snapshot_cap(const std::string& path,
+                                     const std::string& count) {
+  throw Error(path + ": snapshotting produces " + count + " snapshots (cap " +
+              std::to_string(kMaxStagedSnapshots) + ")");
 }
 
-/// Bounded-memory staging for the common big-file shape: integer ids,
-/// `nodes=N` declared up front, a fixed snapshot_window. Edges are bucketed
-/// into per-snapshot key/weight stages window by window and never retained,
-/// so peak memory is the staged keys (~edge instances), not the edge list
-/// plus the stages. Produces byte-identical stages to the general path: the
-/// bucket arithmetic is the same, and the trailing truncation reproduces
-/// S = bucket(t_max) + 1 (timestamps are sorted, so buckets past the last
-/// real one only ever come from edge_life spill, which the general path
-/// clamps at S).
-struct DirectStager {
+/// Direct staging (see load_dataset). The bucket arithmetic is the general
+/// path's, and the last snapshot is the last real bucket: edge_life spill
+/// past it is never built, as the general path clamps at S. Weights are
+/// kept from the first row on, since the weight column may first appear in
+/// a later window; an unweighted file drops them at EOF.
+struct DirectFeed {
   const std::string& path;
-  int n = 0;
-  unsigned long long window = 0;
-  int edge_life = 1;
-  bool weights = false;
-  bool have_first_t = false;
+  const LoadOptions& opts;
+  int n;
+  SnapshotBuilder builder;
   long long t_min = 0;
-  int max_s0 = -1;
-  std::vector<std::vector<std::uint64_t>> keys_at;
-  std::vector<std::vector<float>> w_at;
+  int last_s0 = -1;
+  unsigned long long rows = 0;
+  /// Rows held back while `nodes=N` is implausible for the rows seen so
+  /// far (at most N / 256 of them): a snapshot allocates N + 1 row
+  /// offsets, so none is built before the EOF guard could pass.
+  std::vector<TemporalEdge> held;
 
-  explicit DirectStager(const std::string& p) : path(p) {}
+  DirectFeed(const std::string& p, const LoadOptions& o, int nodes)
+      : path(p), opts(o), n(nodes), builder(nodes, /*weighted=*/true) {}
 
-  void feed(const std::vector<TemporalEdge>& batch, bool has_weights) {
-    if (has_weights && !weights) {
-      // The weight column first appeared in this window: earlier rows get
-      // the implicit 1.0, exactly as the general path stages them.
-      weights = true;
-      w_at.resize(keys_at.size());
-      for (std::size_t s = 0; s < keys_at.size(); ++s) {
-        w_at[s].assign(keys_at[s].size(), 1.0f);
-      }
+  void feed(std::vector<TemporalEdge>&& batch) {
+    rows += batch.size();
+    if (held.empty()) {
+      held = std::move(batch);
+    } else {
+      held.insert(held.end(), batch.begin(), batch.end());
     }
-    for (const TemporalEdge& e : batch) {
+    if (!plausible_nodes(static_cast<unsigned long long>(n), rows)) return;
+    for (const TemporalEdge& e : held) {
       if (e.src >= n || e.dst >= n) {
         throw Error(path + ": vertex id " +
                     std::to_string(std::max(e.src, e.dst)) +
                     " out of range for declared nodes=" + std::to_string(n));
       }
-      if (!have_first_t) {
-        have_first_t = true;
-        t_min = e.t;
-      }
+      if (last_s0 < 0) t_min = e.t;
       const auto bucket = (static_cast<unsigned long long>(e.t) -
                            static_cast<unsigned long long>(t_min)) /
-                          window;
-      if (bucket >= static_cast<unsigned long long>(
-                        std::numeric_limits<int>::max())) {
-        throw Error(path + ": snapshot_window produces " +
-                    std::to_string(bucket) + "+1 snapshots");
+                          static_cast<unsigned long long>(opts.snapshot_window);
+      if (bucket >= static_cast<unsigned long long>(kMaxStagedSnapshots)) {
+        throw_snapshot_cap(path, std::to_string(bucket) + "+1");
       }
-      const auto s0 = static_cast<int>(bucket);
-      if (s0 >= kMaxStagedSnapshots) throw_snapshot_cap(path, bucket + 1);
-      max_s0 = std::max(max_s0, s0);
-      const std::uint64_t key64 = edge_key(
-          Edge{static_cast<int>(e.src), static_cast<int>(e.dst)});
-      const auto s_end = static_cast<int>(std::min<long long>(
-          kMaxStagedSnapshots, static_cast<long long>(s0) + edge_life));
-      if (static_cast<std::size_t>(s_end) > keys_at.size()) {
-        keys_at.resize(static_cast<std::size_t>(s_end));
-        if (weights) w_at.resize(static_cast<std::size_t>(s_end));
-      }
-      for (int s = s0; s < s_end; ++s) {
-        keys_at[static_cast<std::size_t>(s)].push_back(key64);
-        if (weights) w_at[static_cast<std::size_t>(s)].push_back(e.w);
-      }
+      last_s0 = static_cast<int>(bucket);
+      const auto death = static_cast<int>(std::min<long long>(
+          kMaxStagedSnapshots,
+          static_cast<long long>(last_s0) + opts.edge_life));
+      builder.add(last_s0, death,
+                  edge_key(Edge{static_cast<int>(e.src),
+                                static_cast<int>(e.dst)}),
+                  e.w);
     }
+    held.clear();
   }
 
-  /// Final snapshot count; drops edge_life spill past the last real bucket
-  /// (the general path never stages those either).
-  int finish() {
-    const int S = max_s0 + 1;
-    keys_at.resize(static_cast<std::size_t>(S));
-    if (weights) w_at.resize(static_cast<std::size_t>(S));
-    return S;
+  /// The snapshots, once the EOF guard has passed.
+  std::vector<Snapshot> finish(bool weighted) {
+    PIPAD_CHECK(held.empty());
+    std::vector<Snapshot> snaps = builder.finish(last_s0 + 1);
+    if (!weighted) {
+      for (Snapshot& s : snaps) s.edge_w = std::vector<float>();
+    }
+    return snaps;
   }
 };
 
@@ -245,10 +220,10 @@ DTDG load_dataset(const std::string& path, const LoadOptions& opts,
     // Direct binary dataset: already snapshotted, featured and targeted —
     // options that would reshape it are errors, not silently dropped.
     if (opts.snapshot_count > 0 || opts.snapshot_window > 0 ||
-        opts.edge_life != 1 || opts.add_self_loops ||
-        !opts.features_path.empty() || !opts.targets_path.empty()) {
+        opts.edge_life != 1 || !opts.features_path.empty() ||
+        !opts.targets_path.empty()) {
       throw Error(path +
-                  ": snapshotting/edge-life/self-loop/feature/target options "
+                  ": snapshotting/edge-life/feature/target options "
                   "do not apply to binary .dtdg files (re-export the source "
                   "data to reshape it)");
     }
@@ -321,36 +296,30 @@ DTDG load_dataset(const std::string& path, const LoadOptions& opts,
   st.read_us += rt.elapsed_us();
 
   // ---- Parse (windowed streaming, chunk-parallel per window) ----
-  // Two staging strategies behind one sink:
-  //   general  the edges accumulate and everything below runs exactly as
-  //            the old slurp path did (needed whenever the vertex set or
-  //            snapshot range is only known at EOF);
+  // Two staging strategies behind one sink, both feeding a SnapshotBuilder:
+  //   general  the edges accumulate and feed it after the remap, once the
+  //            vertex set and snapshot range are known at EOF;
   //   direct   integer ids + `nodes=N` in the first window + a fixed
-  //            snapshot_window: edges go straight into per-snapshot stages
-  //            and are never retained, so memory stays bounded by the
-  //            window plus the staged keys — files larger than RAM load.
+  //            snapshot_window: each window feeds it as it is parsed and
+  //            is never retained, so memory stays bounded by the window
+  //            plus the built snapshots — files larger than RAM load.
   Timer pt;
   StreamReader reader(path, opts.window_bytes);
   std::vector<TemporalEdge> all;
-  DirectStager stager(path);
+  std::optional<DirectFeed> direct;
   bool decided = false;
-  bool direct = false;
   const EdgeSink sink = [&](const EdgeFile& hdr,
                             std::vector<TemporalEdge>&& batch) {
     if (!decided) {
       decided = true;
-      direct = !hdr.string_ids && opts.snapshot_count == 0 &&
-               opts.snapshot_window > 0 && hdr.declared_nodes >= 0 &&
-               hdr.declared_nodes <= std::numeric_limits<int>::max();
-      if (direct) {
-        stager.n = static_cast<int>(hdr.declared_nodes);
-        stager.window =
-            static_cast<unsigned long long>(opts.snapshot_window);
-        stager.edge_life = opts.edge_life;
+      if (!hdr.string_ids && opts.snapshot_count == 0 &&
+          opts.snapshot_window > 0 && hdr.declared_nodes >= 0 &&
+          hdr.declared_nodes <= std::numeric_limits<int>::max()) {
+        direct.emplace(path, opts, static_cast<int>(hdr.declared_nodes));
       }
     }
     if (direct) {
-      stager.feed(batch, hdr.has_weights);
+      direct->feed(std::move(batch));
     } else if (all.empty()) {
       all = std::move(batch);
     } else {
@@ -406,13 +375,9 @@ DTDG load_dataset(const std::string& path, const LoadOptions& opts,
   } else if (identity) {
     PIPAD_CHECK_MSG(ef.declared_nodes <= std::numeric_limits<int>::max(),
                     path << ": nodes directive out of range");
-    // Plausibility: features/targets allocate for all N declared vertices,
-    // so a directive the edge set cannot remotely justify is rejected as
-    // corrupt/adversarial input instead of honored with a huge allocation.
     const auto declared = static_cast<unsigned long long>(ef.declared_nodes);
     const auto edge_rows = static_cast<unsigned long long>(ef.streamed_edges);
-    if (declared > std::max(kMinPlausibleNodes,
-                            kNodesPerEdgeSlack * edge_rows)) {
+    if (!plausible_nodes(declared, edge_rows)) {
       throw Error(path + ": declared nodes=" + std::to_string(declared) +
                   " is implausibly large for " + std::to_string(edge_rows) +
                   " edge row(s)");
@@ -492,14 +457,15 @@ DTDG load_dataset(const std::string& path, const LoadOptions& opts,
   }
 
   // ---- Snapshotting ----
-  int S = 0;
-  std::vector<std::vector<std::uint64_t>> keys_at;
-  std::vector<std::vector<float>> w_at;
+  DTDG g;
+  g.name = file_stem(path);
+  g.num_nodes = n;
+  g.sim_scale = 1;
   if (direct) {
-    S = stager.finish();
-    keys_at = std::move(stager.keys_at);
-    w_at = std::move(stager.w_at);
+    g.snapshots = direct->finish(ef.has_weights);
+    direct.reset();  // Frees the live edge set.
   } else {
+    int S = 0;
     const long long t_min = ef.edges.front().t;
     const long long t_max = ef.edges.back().t;
     // Window arithmetic runs on the unsigned span: subtraction of
@@ -553,14 +519,11 @@ DTDG load_dataset(const std::string& path, const LoadOptions& opts,
       }
       S = static_cast<int>(distinct);
     }
-    if (S > kMaxStagedSnapshots) throw_snapshot_cap(path, S);
+    if (S > kMaxStagedSnapshots) throw_snapshot_cap(path, std::to_string(S));
 
-    // Stage every snapshot's raw edge keys; the edges are timestamp-sorted,
-    // so distinct-timestamp ranks advance monotonically in one walk. When
-    // the file carries a weight column, weights are staged in lockstep (in
-    // file order, so the dedup-sum below is order-deterministic).
-    keys_at.resize(static_cast<std::size_t>(S));
-    if (ef.has_weights) w_at.resize(static_cast<std::size_t>(S));
+    // The edges are timestamp-sorted, so births never decrease, and
+    // distinct-timestamp ranks advance monotonically in one walk.
+    SnapshotBuilder builder(n, ef.has_weights);
     int rank = 0;
     long long rank_t = t_min;
     for (const TemporalEdge& e : ef.edges) {
@@ -580,26 +543,17 @@ DTDG load_dataset(const std::string& path, const LoadOptions& opts,
         }
         s0 = rank;
       }
-      const std::uint64_t key64 = edge_key(Edge{dense(e.src), dense(e.dst)});
       // long long: s0 + edge_life can exceed INT_MAX for huge lifetimes.
-      const int s_end = static_cast<int>(std::min<long long>(
+      const int death = static_cast<int>(std::min<long long>(
           S, static_cast<long long>(s0) + opts.edge_life));
-      for (int s = s0; s < s_end; ++s) {
-        keys_at[static_cast<std::size_t>(s)].push_back(key64);
-        if (ef.has_weights) w_at[static_cast<std::size_t>(s)].push_back(e.w);
-      }
+      builder.add(s0, death, edge_key(Edge{dense(e.src), dense(e.dst)}), e.w);
     }
     ef.edges = std::vector<TemporalEdge>();  // Free the edge list eagerly.
+    g.snapshots = builder.finish(S);
   }
-  const bool weighted = direct ? stager.weights : ef.has_weights;
+  const int S = g.num_snapshots();
 
   // ---- Features ----
-  DTDG g;
-  g.name = file_stem(path);
-  g.num_nodes = n;
-  g.sim_scale = 1;
-  g.snapshots.resize(static_cast<std::size_t>(S));
-  g.targets.resize(static_cast<std::size_t>(S));
   if (!opts.features_path.empty()) {
     FeatureFile ff =
         parse_features(opts.features_path, feat_content, remap, n, S);
@@ -609,94 +563,20 @@ DTDG load_dataset(const std::string& path, const LoadOptions& opts,
           ff.temporal ? std::move(ff.per_snapshot[t]) : ff.static_feat;
     }
   } else {
-    // Seeded AR(1) walk with a shared seasonal term — the same shape the
-    // synthetic generators produce. All RNG draws happen here, serially,
-    // so the result is independent of the pool width.
     g.feat_dim = opts.feat_dim;
     Rng rng(opts.seed);
-    Tensor feat = Tensor::randn(n, g.feat_dim, rng, 1.0f);
-    for (int t = 0; t < S; ++t) {
-      const float season =
-          std::sin(2.0f * 3.14159265f * static_cast<float>(t) / 12.0f);
-      for (int v = 0; v < n; ++v) {
-        for (int d = 0; d < g.feat_dim; ++d) {
-          float x = feat.at(v, d);
-          x = 0.92f * x + 0.05f * rng.normal() + 0.03f * season;
-          feat.at(v, d) = x;
-        }
-      }
-      g.snapshots[t].features = feat;
-    }
+    ar1_features(g, rng);
   }
 
   // ---- Targets ----
-  std::vector<Tensor> file_targets;
   if (!opts.targets_path.empty()) {
-    file_targets = parse_targets(opts.targets_path, targ_content, remap, n, S);
+    g.targets = parse_targets(opts.targets_path, targ_content, remap, n, S);
   }
   // Only after the sidecar files are parsed: `remap` binds sorted_names.
   g.vertex_names = std::move(sorted_names);
 
-  // ---- Per-snapshot build (pool-parallel, width-independent) ----
-  const bool self_loops = opts.add_self_loops;
-  const auto build_one = [&](std::size_t t) {
-    auto& keys = keys_at[t];
-    Snapshot& snap = g.snapshots[t];
-    if (weighted) {
-      // Dedup-sum: duplicate instances of an edge add their weights, and a
-      // self-loop contributes +1 on top of any real (v, v) weight —
-      // \tilde{A} = A + I, weighted. stable_sort keeps equal keys in file
-      // order, so the float sums are bit-identical for any pool width.
-      auto& ws = w_at[t];
-      std::vector<std::pair<std::uint64_t, float>> kw;
-      kw.reserve(keys.size() + (self_loops ? static_cast<std::size_t>(n) : 0));
-      for (std::size_t i = 0; i < keys.size(); ++i) {
-        kw.emplace_back(keys[i], ws[i]);
-      }
-      if (self_loops) {
-        for (int v = 0; v < n; ++v) {
-          kw.emplace_back(edge_key(Edge{v, v}), 1.0f);
-        }
-      }
-      std::stable_sort(kw.begin(), kw.end(),
-                       [](const auto& a, const auto& b) {
-                         return a.first < b.first;
-                       });
-      keys.clear();
-      snap.edge_w.clear();
-      for (const auto& [ekey, w] : kw) {
-        if (!keys.empty() && keys.back() == ekey) {
-          snap.edge_w.back() += w;
-        } else {
-          keys.push_back(ekey);
-          snap.edge_w.push_back(w);
-        }
-      }
-      ws = std::vector<float>();  // Free staged weights eagerly.
-    } else {
-      if (self_loops) {
-        keys.reserve(keys.size() + static_cast<std::size_t>(n));
-        for (int v = 0; v < n; ++v) keys.push_back(edge_key(Edge{v, v}));
-      }
-      std::sort(keys.begin(), keys.end());
-      keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-    }
-    snap.adj = csr_from_sorted_keys(n, n, keys);
-    snap.adj_t = transpose(snap.adj);
-    keys = std::vector<std::uint64_t>();  // Free staged keys eagerly.
-    if (file_targets.empty()) {
-      Tensor y(n, 1);
-      synthesize_target(snap, static_cast<int>(t), g.feat_dim, y);
-      g.targets[t] = std::move(y);
-    } else {
-      g.targets[t] = std::move(file_targets[t]);
-    }
-  };
-  if (p != nullptr && S > 1) {
-    p->parallel_for(static_cast<std::size_t>(S), build_one);
-  } else {
-    for (int t = 0; t < S; ++t) build_one(static_cast<std::size_t>(t));
-  }
+  // ---- Transposes and synthesized targets (pool-parallel) ----
+  finish_snapshots(g, p);
   st.build_us = bt.elapsed_us();
   st.build_tasks = static_cast<std::size_t>(S);
   st.edges = g.total_edges();

@@ -26,9 +26,11 @@
 //             snapshot per distinct timestamp; edge_life > 1 keeps each
 //             edge instance alive for that many consecutive snapshots
 //             (the ESDG smoothing the synthetic generators apply);
-//   build     per-snapshot CSR construction, transposition and target
-//             synthesis run as parallel pool tasks, block layout
-//             independent of the pool width — the loaded DTDG is
+//   build     the edges feed one graph::SnapshotBuilder sweep in file
+//             order (duplicate weights sum in that order) — during the
+//             parse for integer ids + `nodes=N` + a fixed snapshot_window,
+//             after the remap otherwise; transposes and targets then run
+//             as one pool task per snapshot — the loaded DTDG is
 //             bit-identical for any thread count;
 //   cache     with cache_dir set, the result is written as a `.dtdg` file
 //             keyed by a content+options hash; a later load with the same
@@ -61,7 +63,6 @@ struct LoadOptions {
   std::string features_path;  ///< Optional `# pipad-features` file.
   std::string targets_path;   ///< Optional `# pipad-targets` file.
   std::string cache_dir;      ///< Non-empty: `.dtdg` snapshot cache.
-  bool add_self_loops = false;  ///< Append (v, v) to every snapshot.
   std::uint64_t seed = 2023;    ///< Synthesized-feature RNG seed.
   /// Streaming window for text inputs, in bytes (0 = the StreamReader
   /// default, 8 MiB). Never changes the loaded DTDG — only peak memory —
@@ -76,7 +77,8 @@ struct LoadStats {
                            ///< cache hit, the key's hashing time only.
   double inflate_us = 0.0;  ///< Gzip decompression (0 for plain inputs).
   double parse_us = 0.0;   ///< Chunk-parallel text parse (0 on cache hit).
-  double build_us = 0.0;  ///< Snapshot CSR/feature/target build.
+  double build_us = 0.0;  ///< Snapshot CSR/feature/target build (direct
+                          ///< staging sweeps during, and counts as, parse).
   double cache_us = 0.0;  ///< Cache read (hit) or write (miss).
   bool cache_hit = false;
   std::size_t parse_chunks = 0;  ///< Parallel width of the parse phase.

@@ -307,7 +307,6 @@ TEST(Loader, DtdgRejectsReshapingOptions) {
   for (const auto& opts : {[] { LoadOptions o; o.snapshot_count = 2; return o; }(),
                            [] { LoadOptions o; o.snapshot_window = 4; return o; }(),
                            [] { LoadOptions o; o.edge_life = 2; return o; }(),
-                           [] { LoadOptions o; o.add_self_loops = true; return o; }(),
                            [] { LoadOptions o; o.features_path = "f"; return o; }()}) {
     EXPECT_THROW(load_dataset(p, opts), Error);
   }
@@ -366,31 +365,20 @@ TEST(Loader, DeclaredSnapshotsRejectOutOfRangeTimestamps) {
   EXPECT_THROW(load_dataset(p), Error);
 }
 
-TEST(Loader, SelfLoopOption) {
-  const auto dir = temp_dir();
-  const auto p = write_file_at(dir / "sl.el", "0 1 0\n");
-  LoadOptions o;
-  o.add_self_loops = true;
-  const DTDG g = load_dataset(p, o);
-  EXPECT_EQ(g.snapshots[0].nnz(), 3u);  // 0->1 plus two self loops.
-}
-
-TEST(Loader, WeightColumnKeptSummedAndSelfLooped) {
+TEST(Loader, WeightColumnKeptAndSummed) {
   const auto dir = temp_dir();
   const auto p = write_file_at(dir / "w.el",
                                "0 1 0 2.5\n"
                                "0 1 0 0.5\n"
                                "1 1 0 4.0\n"
                                "2 0 0 0.25\n");
-  LoadOptions o;
-  o.add_self_loops = true;
-  const DTDG g = load_dataset(p, o);
+  const DTDG g = load_dataset(p);
   ASSERT_TRUE(g.snapshots[0].weighted());
-  // CSR (dst, src) order: (0,0) loop, (0,2), (1,0) duplicate summed,
-  // (1,1) real self edge + loop, (2,2) loop.
-  ASSERT_EQ(g.snapshots[0].nnz(), 5u);
+  // CSR (dst, src) order: (0,2), (1,0) duplicate summed, (1,1) the file's
+  // own self edge (no self-loop is ever added).
+  ASSERT_EQ(g.snapshots[0].nnz(), 3u);
   EXPECT_EQ(g.snapshots[0].edge_w,
-            (std::vector<float>{1.0f, 0.25f, 3.0f, 5.0f, 1.0f}));
+            (std::vector<float>{0.25f, 3.0f, 4.0f}));
 }
 
 TEST(Loader, CsvWeightColumnKept) {
@@ -407,10 +395,46 @@ TEST(Loader, CsvWeightColumnKept) {
 TEST(Loader, UnweightedFilesLeaveEdgeWEmpty) {
   const auto dir = temp_dir();
   const auto p = write_file_at(dir / "u.el", "0 1 0\n1 0 1\n");
-  LoadOptions o;
-  o.add_self_loops = true;
-  const DTDG g = load_dataset(p, o);
+  const DTDG g = load_dataset(p);
   for (const Snapshot& s : g.snapshots) EXPECT_FALSE(s.weighted());
+}
+
+TEST(Loader, DirectAndGeneralStagingAgree) {
+  // Every id in 0..N-1 appears, so the general path's ascending remap is
+  // the identity `nodes=N` pins. Weightless rows come first and the w
+  // column appears windows later: the direct path has built snapshots by
+  // then, and their duplicate rows must still sum as 1.0 each.
+  const int n = 12;
+  std::string body;
+  for (int i = 0; i < 48; ++i) {
+    const int t = i / 3;
+    char row[64];
+    std::snprintf(row, sizeof(row), "%d %d %d", i % n, (i * 5 + 1) % n, t);
+    body += row;
+    if (i >= 24) {
+      std::snprintf(row, sizeof(row), " %g", 0.25 * (i % 7) + 0.125);
+      body += row;
+    }
+    body += '\n';
+    if (i == 2) body += "2 11 0\n";  // Duplicate of row 2, weightless.
+  }
+  const auto dir = temp_dir();
+  const auto with_n =
+      write_file_at(dir / "direct.el", "# nodes=12\n" + body);
+  const auto without_n = write_file_at(dir / "general.el", body);
+  LoadOptions o;
+  o.edge_life = 2;
+  o.snapshot_window = 3;
+  o.window_bytes = 64;
+  ThreadPool pool(2);
+  const DTDG direct = load_dataset(with_n, o, &pool);
+  const DTDG general = load_dataset(without_n, o, &pool);
+  ASSERT_EQ(direct.num_nodes, n);
+  ASSERT_TRUE(direct.snapshots[0].weighted());
+  EXPECT_EQ(direct.snapshots[0].adj.degree(11), 1);
+  EXPECT_EQ(direct.snapshots[0].edge_w[direct.snapshots[0].adj.row_ptr[11]],
+            2.0f);
+  expect_same_dtdg(direct, general);
 }
 
 TEST(Loader, StaticFeatureFileAppliesToEverySnapshot) {
@@ -513,7 +537,7 @@ TEST(RoundTrip, WeightedExportLoadIsBitExact) {
   const auto dir = temp_dir();
   // Fractional weights that are NOT short decimals in binary32, plus a
   // real self edge, so the round trip has to carry exact floats through
-  // the %.9g text form and the diagonal +1 exactly once.
+  // the %.9g text form.
   const auto src = write_file_at(dir / "w.el",
                                  "# nodes=5 snapshots=3\n"
                                  "0 1 0 0.1\n"
@@ -522,15 +546,12 @@ TEST(RoundTrip, WeightedExportLoadIsBitExact) {
                                  "2 4 1 7.0\n"
                                  "4 0 2 0.0078125\n"
                                  "0 1 2 1e-3\n");
-  LoadOptions o;
-  o.add_self_loops = true;
-  const DTDG g0 = load_dataset(src, o);
+  const DTDG g0 = load_dataset(src);
   export_edge_list(g0, (dir / "rt.el").string());
   export_csv(g0, (dir / "rt.csv").string());
   export_features(g0, (dir / "rt_features.tsv").string());
   export_targets(g0, (dir / "rt_targets.tsv").string());
-  // The export already contains the self loops and the summed weights, so
-  // the reload must NOT re-add them.
+  // The export holds the summed weights, one row per stored edge.
   LoadOptions r;
   r.features_path = (dir / "rt_features.tsv").string();
   r.targets_path = (dir / "rt_targets.tsv").string();
@@ -584,9 +605,7 @@ TEST(DtdgFile, WriteReadRoundTripsBitExact) {
 TEST(DtdgFile, WeightedWriteReadRoundTripsBitExact) {
   const auto dir = temp_dir();
   const auto src = write_file_at(dir / "w.el", "0 1 0 0.5\n1 0 0 2.25\n");
-  LoadOptions o;
-  o.add_self_loops = true;
-  const DTDG g0 = load_dataset(src, o);
+  const DTDG g0 = load_dataset(src);
   ASSERT_TRUE(g0.snapshots[0].weighted());
   const auto p = (dir / "g.dtdg").string();
   write_dtdg(g0, p, 7u);
@@ -1044,6 +1063,26 @@ TEST(AdversarialInput, ImplausiblyLargeNodesDirectiveRejected) {
   // (small fixtures routinely over-declare).
   const auto ok = write_file_at(dir / "ok.el", "# nodes=65536\n0 1 0\n");
   EXPECT_EQ(load_dataset(ok).num_nodes, 65536);
+
+  // Direct staging (nodes=N plus a fixed window) builds snapshots while it
+  // parses, and each one allocates N + 1 row offsets: nothing may be built
+  // before the guard could pass, or this file allocates 400 MB per
+  // snapshot instead of being rejected.
+  std::string rows = "# nodes=100000000\n";
+  for (int t = 0; t < 20; ++t) {
+    rows += std::to_string(t) + " " + std::to_string(t + 1) + " " +
+            std::to_string(t) + "\n";
+  }
+  LoadOptions direct;
+  direct.snapshot_window = 1;
+  try {
+    load_dataset(write_file_at(dir / "hd.el", rows), direct);
+    FAIL() << "huge nodes directive accepted by direct staging";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("implausibly large"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(AdversarialInput, OverflowingTimestampRejected) {

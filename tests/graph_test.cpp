@@ -1,9 +1,17 @@
-// Graph substrate tests: formats, transposition, overlap algebra, and the
-// synthetic DTDG generators' statistical properties.
+// Graph substrate tests: formats, transposition, overlap algebra, the
+// synthetic DTDG generators' statistical properties, and the snapshot
+// builder against a stage-everything reference.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
+
 #include "graph/generator.hpp"
+#include "graph/io/loader.hpp"
 #include "graph/overlap.hpp"
+#include "graph/snapshot_builder.hpp"
 
 namespace pipad::graph {
 namespace {
@@ -31,15 +39,17 @@ TEST(Formats, CsrFromEdgesDedupsAndSorts) {
   EXPECT_EQ(c.col_idx[c.row_ptr[1] + 1], 2);
 }
 
-TEST(Formats, SelfLoopOption) {
-  const CSR c = csr_from_edges(3, 3, {{0, 1}}, /*add_self_loops=*/true);
-  EXPECT_EQ(c.nnz(), 4u);
+TEST(Formats, CsrFromEdgesAddsNoSelfLoops) {
+  // GCN normalization adds the self term; a stored (v, v) entry would
+  // count v twice, so only the edges given are stored.
+  const CSR c = csr_from_edges(3, 3, {{0, 1}, {2, 2}});
+  EXPECT_EQ(c.nnz(), 2u);
   for (int v = 0; v < 3; ++v) {
     bool found = false;
     for (int i = c.row_ptr[v]; i < c.row_ptr[v + 1]; ++i) {
       if (c.col_idx[i] == v) found = true;
     }
-    EXPECT_TRUE(found) << "self loop missing at " << v;
+    EXPECT_EQ(found, v == 2) << "vertex " << v;
   }
 }
 
@@ -242,9 +252,9 @@ TEST(Generator, ShortSequenceYieldsSingleTruncatedFrame) {
 }
 
 TEST(Generator, PoolParallelBuildIsBitIdenticalToSerial) {
-  // Every RNG draw happens on the calling thread in a fixed order; only
-  // the per-snapshot CSR/target construction parallelizes, so the dataset
-  // must not depend on the pool size.
+  // Every RNG draw and the snapshot sweep happen on the calling thread in
+  // a fixed order; only the per-snapshot transposes and targets
+  // parallelize, so the dataset must not depend on the pool size.
   const auto serial = generate(testutil_cfg());
   ThreadPool pool(4);
   const auto parallel = generate(testutil_cfg(), &pool);
@@ -265,6 +275,153 @@ TEST(Generator, PoolParallelBuildIsBitIdenticalToSerial) {
       EXPECT_EQ(serial.targets[t].data()[i], parallel.targets[t].data()[i]);
     }
   }
+}
+
+// ---------- Snapshot builder ----------
+
+/// An edge instance alive in snapshots [birth, death).
+struct Instance {
+  int birth;
+  int death;
+  std::uint64_t key;
+  float w;
+};
+
+/// Stage-everything reference: each snapshot gathers its live instances in
+/// arrival order, stable-sorts them by key and sums duplicate weights.
+std::vector<Snapshot> naive_snapshots(int n, int num_snapshots,
+                                      const std::vector<Instance>& all,
+                                      bool weighted) {
+  std::vector<Snapshot> out(static_cast<std::size_t>(num_snapshots));
+  for (int t = 0; t < num_snapshots; ++t) {
+    std::vector<std::pair<std::uint64_t, float>> kw;
+    for (const Instance& e : all) {
+      if (e.birth <= t && t < e.death) kw.emplace_back(e.key, e.w);
+    }
+    std::stable_sort(kw.begin(), kw.end(), [](const auto& a, const auto& b) {
+      return a.first < b.first;
+    });
+    std::vector<std::uint64_t> keys;
+    std::vector<float> w;
+    for (const auto& [k, x] : kw) {
+      if (!keys.empty() && keys.back() == k) {
+        w.back() += x;
+      } else {
+        keys.push_back(k);
+        w.push_back(x);
+      }
+    }
+    Snapshot& s = out[static_cast<std::size_t>(t)];
+    s.adj = csr_from_sorted_keys(n, n, keys);
+    s.adj_t = transpose(s.adj);
+    if (weighted) s.edge_w = std::move(w);
+  }
+  return out;
+}
+
+void expect_same_snapshots(const std::vector<Snapshot>& want,
+                           const std::vector<Snapshot>& got) {
+  ASSERT_EQ(want.size(), got.size());
+  for (std::size_t t = 0; t < want.size(); ++t) {
+    EXPECT_TRUE(same_topology(want[t].adj, got[t].adj)) << "adj, t=" << t;
+    EXPECT_TRUE(same_topology(want[t].adj_t, got[t].adj_t))
+        << "adj_t, t=" << t;
+    EXPECT_EQ(want[t].edge_w, got[t].edge_w) << "edge_w, t=" << t;
+  }
+}
+
+TEST(SnapshotBuilder, DuplicateKeysSumInArrivalOrderAndExpire) {
+  // The sum is 1 only in arrival order: any other association loses the
+  // 1 against 1e8 (float spacing there is 8).
+  const float a = 1e8f, b = -1e8f, c = 1.0f;
+  const std::uint64_t k = edge_key(Edge{2, 1});
+  const std::uint64_t other = edge_key(Edge{0, 3});
+  SnapshotBuilder builder(4, /*weighted=*/true);
+  builder.add(0, 3, k, a);
+  builder.add(0, 1, other, 0.5f);
+  builder.add(1, 3, k, b);
+  builder.add(1, 3, k, c);
+  const std::vector<Snapshot> s = builder.finish(4);
+  ASSERT_EQ(s.size(), 4u);
+  EXPECT_EQ(s[0].edge_w, (std::vector<float>{a, 0.5f}));
+  for (int t : {1, 2}) {
+    ASSERT_EQ(s[t].nnz(), 1u) << t;
+    EXPECT_EQ(s[t].adj.degree(1), 1);
+    EXPECT_EQ(s[t].adj.col_idx[0], 2);
+    EXPECT_EQ(s[t].edge_w, (std::vector<float>{(a + b) + c})) << t;
+    EXPECT_EQ(s[t].edge_w[0], 1.0f);
+  }
+  EXPECT_EQ(s[3].nnz(), 0u);  // Both instances of k died at 3.
+  EXPECT_TRUE(s[3].edge_w.empty());
+  for (const Snapshot& snap : s) snap.adj.validate();
+}
+
+/// generate()'s topology events, drawn as the generator draws them
+/// (dynamic topology only).
+std::vector<Instance> generator_events(const DatasetConfig& cfg) {
+  Rng rng(cfg.seed);
+  const int n = cfg.num_nodes;
+  const int S = cfg.num_snapshots;
+  const auto vertex = [&](double skew) {
+    const double u = rng.next_double();
+    return std::min(static_cast<int>(std::pow(u, skew) * n), n - 1);
+  };
+  std::vector<Instance> out;
+  for (long long i = 0; i < cfg.raw_events; ++i) {
+    const int src = vertex(1.0);
+    int dst = vertex(cfg.degree_skew);
+    if (dst == src) dst = (dst + 1) % n;
+    const int birth = static_cast<int>(rng.next_below(S));
+    const int whole = static_cast<int>(cfg.edge_life);
+    const double frac = cfg.edge_life - whole;
+    const int life = std::max(1, whole + (rng.next_double() < frac ? 1 : 0));
+    out.push_back({birth, std::min(S, birth + life), edge_key(Edge{src, dst}),
+                   1.0f});
+  }
+  return out;
+}
+
+TEST(SnapshotBuilder, GeneratorMatchesStageEverythingReference) {
+  const DatasetConfig cfg = testutil_cfg();
+  const auto want = naive_snapshots(cfg.num_nodes, cfg.num_snapshots,
+                                    generator_events(cfg), false);
+  for (std::size_t width : {1u, 4u}) {
+    ThreadPool pool(width);
+    expect_same_snapshots(want, generate(cfg, &pool).snapshots);
+  }
+}
+
+TEST(SnapshotBuilder, WeightedFileMatchesStageEverythingReference) {
+  // Keys recur within a snapshot (i and i + 16) and across snapshots (t and
+  // t + 1 share their keys), with weights of mixed magnitude, so both the
+  // batch sort and the merge's tie order decide float sums.
+  const int n = 16, S = 8, life = 3;
+  std::string content = "# nodes=16 snapshots=8\n";
+  std::vector<Instance> all;
+  char buf[96];
+  for (int t = 0; t < S; ++t) {
+    for (int i = 0; i < 40; ++i) {
+      const int src = (i * 7 + t / 2) % n;
+      const int dst = (i * 3) % n;
+      const float w = (i % 9 == 0 ? 3e7f : 0.37f) *
+                      static_cast<float>((i * 37 + t * 11) % 17 - 8);
+      std::snprintf(buf, sizeof(buf), "%d %d %d %.9g\n", src, dst, t, w);
+      content += buf;
+      all.push_back({t, std::min(S, t + life), edge_key(Edge{src, dst}), w});
+    }
+  }
+  const auto path =
+      std::filesystem::path(::testing::TempDir()) / "builder_weighted.el";
+  std::ofstream(path) << content;
+  io::LoadOptions o;
+  o.edge_life = life;
+  const auto want = naive_snapshots(n, S, all, true);
+  for (std::size_t width : {1u, 4u}) {
+    ThreadPool pool(width);
+    expect_same_snapshots(want,
+                          io::load_dataset(path.string(), o, &pool).snapshots);
+  }
+  std::filesystem::remove(path);
 }
 
 }  // namespace
