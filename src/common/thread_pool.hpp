@@ -84,9 +84,12 @@ class ThreadPool {
   /// Run fn(i) for i in [0, n) as at most 4 * size() contiguous chunk jobs
   /// on the workers and wait for completion; the calling thread runs none
   /// of them (see file header) unless n == 1 or size() == 1, when the loop
-  /// runs inline. The first exception thrown by any chunk is rethrown after
-  /// every chunk has finished. Must not be called from a worker of this
-  /// pool, like submit().
+  /// runs inline. A chunk stops at the first exception it throws; after
+  /// every chunk has finished, the exception of the lowest-index chunk that
+  /// threw is rethrown, whichever chunk threw first in time. So when each
+  /// fn(i) throws or not independently of the others, the rethrown
+  /// exception is the lowest such i's at every pool width. Must not be
+  /// called from a worker of this pool, like submit().
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
   /// Execute fn(i) for every i in [0, n) (see file header): the calling

@@ -125,21 +125,34 @@ std::string_view strip_quotes_sv(std::string_view t) {
   return t;
 }
 
+[[noreturn]] void throw_timestamp_range(const std::string& path,
+                                        long long t, int declared) {
+  throw Error(path + ": timestamp " + std::to_string(t) +
+              " out of range for declared snapshots=" +
+              std::to_string(declared));
+}
+
 [[noreturn]] void throw_snapshot_cap(const std::string& path,
                                      const std::string& count) {
   throw Error(path + ": snapshotting produces " + count + " snapshots (cap " +
               std::to_string(kMaxStagedSnapshots) + ")");
 }
 
-/// Direct staging (see load_dataset). The bucket arithmetic is the general
-/// path's, and the last snapshot is the last real bucket: edge_life spill
-/// past it is never built, as the general path clamps at S. Weights are
-/// kept from the first row on, since the weight column may first appear in
-/// a later window; an unweighted file drops them at EOF.
+/// Direct staging (see load_dataset): rows feed the builder window by
+/// window and are never staged. Snapshots come from one of two rules:
+///   declared  the file's `snapshots=S` (no snapshot_window): bucket = t,
+///             and all S snapshots are built, trailing empty ones too;
+///   window    a fixed snapshot_window: the general path's bucket
+///             arithmetic, and the last snapshot is the last real bucket,
+///             so edge_life spill past it is never built, as the general
+///             path clamps at S.
+/// Weights are kept from the first row on, since the weight column may
+/// first appear in a later window; an unweighted file drops them at EOF.
 struct DirectFeed {
   const std::string& path;
   const LoadOptions& opts;
   int n;
+  int declared;  ///< `snapshots=S` under the declared rule, else 0.
   SnapshotBuilder builder;
   long long t_min = 0;
   int last_s0 = -1;
@@ -147,40 +160,59 @@ struct DirectFeed {
   /// Rows held back while `nodes=N` is implausible for the rows seen so
   /// far (at most N / 256 of them): a snapshot allocates N + 1 row
   /// offsets, so none is built before the EOF guard could pass.
-  std::vector<TemporalEdge> held;
+  EdgeChunks held;
 
-  DirectFeed(const std::string& p, const LoadOptions& o, int nodes)
-      : path(p), opts(o), n(nodes), builder(nodes, /*weighted=*/true) {}
+  DirectFeed(const std::string& p, const LoadOptions& o, int nodes,
+             int declared_snapshots)
+      : path(p),
+        opts(o),
+        n(nodes),
+        declared(declared_snapshots),
+        builder(nodes, /*weighted=*/true) {
+    if (declared > kMaxStagedSnapshots) {
+      throw_snapshot_cap(path, std::to_string(declared));
+    }
+  }
 
-  void feed(std::vector<TemporalEdge>&& batch) {
-    rows += batch.size();
-    if (held.empty()) {
-      held = std::move(batch);
-    } else {
-      held.insert(held.end(), batch.begin(), batch.end());
+  int bucket(long long t) {
+    if (declared > 0) {
+      if (t < 0 || t >= declared) throw_timestamp_range(path, t, declared);
+      return static_cast<int>(t);
+    }
+    if (last_s0 < 0) t_min = t;
+    const auto b = (static_cast<unsigned long long>(t) -
+                    static_cast<unsigned long long>(t_min)) /
+                   static_cast<unsigned long long>(opts.snapshot_window);
+    if (b >= static_cast<unsigned long long>(kMaxStagedSnapshots)) {
+      throw_snapshot_cap(path, std::to_string(b) + "+1");
+    }
+    return static_cast<int>(b);
+  }
+
+  void feed(EdgeChunks&& batch) {
+    for (std::vector<TemporalEdge>& c : batch) {
+      rows += c.size();
+      held.push_back(std::move(c));
     }
     if (!plausible_nodes(static_cast<unsigned long long>(n), rows)) return;
-    for (const TemporalEdge& e : held) {
-      if (e.src >= n || e.dst >= n) {
-        throw Error(path + ": vertex id " +
-                    std::to_string(std::max(e.src, e.dst)) +
-                    " out of range for declared nodes=" + std::to_string(n));
+    for (const std::vector<TemporalEdge>& chunk : held) {
+      for (const TemporalEdge& e : chunk) {
+        if (e.src >= n || e.dst >= n) {
+          throw Error(path + ": vertex id " +
+                      std::to_string(std::max(e.src, e.dst)) +
+                      " out of range for declared nodes=" + std::to_string(n));
+        }
+        last_s0 = bucket(e.t);
+        // The builder stops at the last snapshot, so a death past it is
+        // never reached; the clamp only keeps it an int.
+        const auto death = static_cast<int>(std::min<long long>(
+            kMaxStagedSnapshots,
+            static_cast<long long>(last_s0) + opts.edge_life));
+        builder.add(last_s0, death,
+                    edge_key(Edge{static_cast<int>(e.src),
+                                  static_cast<int>(e.dst)}),
+                    e.w);
       }
-      if (last_s0 < 0) t_min = e.t;
-      const auto bucket = (static_cast<unsigned long long>(e.t) -
-                           static_cast<unsigned long long>(t_min)) /
-                          static_cast<unsigned long long>(opts.snapshot_window);
-      if (bucket >= static_cast<unsigned long long>(kMaxStagedSnapshots)) {
-        throw_snapshot_cap(path, std::to_string(bucket) + "+1");
-      }
-      last_s0 = static_cast<int>(bucket);
-      const auto death = static_cast<int>(std::min<long long>(
-          kMaxStagedSnapshots,
-          static_cast<long long>(last_s0) + opts.edge_life));
-      builder.add(last_s0, death,
-                  edge_key(Edge{static_cast<int>(e.src),
-                                static_cast<int>(e.dst)}),
-                  e.w);
     }
     held.clear();
   }
@@ -188,7 +220,8 @@ struct DirectFeed {
   /// The snapshots, once the EOF guard has passed.
   std::vector<Snapshot> finish(bool weighted) {
     PIPAD_CHECK(held.empty());
-    std::vector<Snapshot> snaps = builder.finish(last_s0 + 1);
+    std::vector<Snapshot> snaps =
+        builder.finish(declared > 0 ? declared : last_s0 + 1);
     if (!weighted) {
       for (Snapshot& s : snaps) s.edge_w = std::vector<float>();
     }
@@ -297,33 +330,41 @@ DTDG load_dataset(const std::string& path, const LoadOptions& opts,
 
   // ---- Parse (windowed streaming, chunk-parallel per window) ----
   // Two staging strategies behind one sink, both feeding a SnapshotBuilder:
-  //   general  the edges accumulate and feed it after the remap, once the
-  //            vertex set and snapshot range are known at EOF;
-  //   direct   integer ids + `nodes=N` in the first window + a fixed
-  //            snapshot_window: each window feeds it as it is parsed and
-  //            is never retained, so memory stays bounded by the window
-  //            plus the built snapshots — files larger than RAM load.
+  //   direct   integer ids with `nodes=N`, plus either a fixed
+  //            snapshot_window or (no snapshot_window/snapshot_count) a
+  //            `snapshots=S` directive — the shape our exporters write —
+  //            all seen by the first window with rows: each window feeds
+  //            the builder as it is parsed and is never retained, so
+  //            memory stays bounded by the window plus the built
+  //            snapshots, and files larger than RAM load;
+  //   general  everything else: the edges accumulate and feed the builder
+  //            after the remap, once the vertex set and snapshot range are
+  //            known at EOF.
   Timer pt;
   StreamReader reader(path, opts.window_bytes);
   std::vector<TemporalEdge> all;
   std::optional<DirectFeed> direct;
   bool decided = false;
-  const EdgeSink sink = [&](const EdgeFile& hdr,
-                            std::vector<TemporalEdge>&& batch) {
+  const EdgeSink sink = [&](const EdgeFile& hdr, EdgeChunks&& batch) {
+    if (batch.empty()) return;
     if (!decided) {
       decided = true;
+      const bool declared_index =
+          opts.snapshot_window == 0 && hdr.declared_snapshots > 0;
       if (!hdr.string_ids && opts.snapshot_count == 0 &&
-          opts.snapshot_window > 0 && hdr.declared_nodes >= 0 &&
+          (opts.snapshot_window > 0 || declared_index) &&
+          hdr.declared_nodes >= 0 &&
           hdr.declared_nodes <= std::numeric_limits<int>::max()) {
-        direct.emplace(path, opts, static_cast<int>(hdr.declared_nodes));
+        direct.emplace(path, opts, static_cast<int>(hdr.declared_nodes),
+                       declared_index ? hdr.declared_snapshots : 0);
       }
     }
     if (direct) {
       direct->feed(std::move(batch));
-    } else if (all.empty()) {
-      all = std::move(batch);
-    } else {
-      all.insert(all.end(), batch.begin(), batch.end());
+      return;
+    }
+    for (const std::vector<TemporalEdge>& c : batch) {
+      all.insert(all.end(), c.begin(), c.end());
     }
   };
   EdgeFile ef = ext == ".csv"
@@ -461,6 +502,7 @@ DTDG load_dataset(const std::string& path, const LoadOptions& opts,
   g.name = file_stem(path);
   g.num_nodes = n;
   g.sim_scale = 1;
+  const bool direct_staged = direct.has_value();
   if (direct) {
     g.snapshots = direct->finish(ef.has_weights);
     direct.reset();  // Frees the live edge set.
@@ -500,10 +542,7 @@ DTDG load_dataset(const std::string& path, const LoadOptions& opts,
       S = ef.declared_snapshots;
       declared_index = true;
       if (t_min < 0 || t_max >= S) {
-        throw Error(path + ": timestamp " +
-                    std::to_string(t_min < 0 ? t_min : t_max) +
-                    " out of range for declared snapshots=" +
-                    std::to_string(S));
+        throw_timestamp_range(path, t_min < 0 ? t_min : t_max, S);
       }
     } else {
       // One snapshot per distinct timestamp.
@@ -556,7 +595,7 @@ DTDG load_dataset(const std::string& path, const LoadOptions& opts,
   // ---- Features ----
   if (!opts.features_path.empty()) {
     FeatureFile ff =
-        parse_features(opts.features_path, feat_content, remap, n, S);
+        parse_features(opts.features_path, feat_content, remap, n, S, p);
     g.feat_dim = ff.dim;
     for (int t = 0; t < S; ++t) {
       g.snapshots[t].features =
@@ -570,7 +609,8 @@ DTDG load_dataset(const std::string& path, const LoadOptions& opts,
 
   // ---- Targets ----
   if (!opts.targets_path.empty()) {
-    g.targets = parse_targets(opts.targets_path, targ_content, remap, n, S);
+    g.targets =
+        parse_targets(opts.targets_path, targ_content, remap, n, S, p);
   }
   // Only after the sidecar files are parsed: `remap` binds sorted_names.
   g.vertex_names = std::move(sorted_names);
@@ -600,7 +640,7 @@ DTDG load_dataset(const std::string& path, const LoadOptions& opts,
   PIPAD_DEBUG("loaded " << path << ": " << n << " vertices, " << st.edges
                         << " edge instances, " << S << " snapshots, feat dim "
                         << g.feat_dim << " (parse " << st.parse_chunks
-                        << " chunks, " << (direct ? "direct" : "general")
+                        << " chunks, " << (direct_staged ? "direct" : "general")
                         << " staging" << (reader.gzip() ? ", gzip" : "")
                         << ")");
   if (stats != nullptr) *stats = st;

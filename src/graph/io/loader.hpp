@@ -7,7 +7,8 @@
 //
 //   read      the file is pulled through a bounded StreamReader window
 //             (default 8 MiB; `.gz` inputs are inflated transparently) —
-//             memory stays bounded by the window, not the file size; when
+//             the read buffer is bounded by the window, not the file size
+//             (whether parsed rows are kept is the build step's call); when
 //             a cache_dir is set, the raw bytes of the dataset and of each
 //             sidecar file are first XXH64-hashed in a separate streaming
 //             pass (the cache key), and the sidecars are read whole only
@@ -28,18 +29,21 @@
 //             (the ESDG smoothing the synthetic generators apply);
 //   build     the edges feed one graph::SnapshotBuilder sweep in file
 //             order (duplicate weights sum in that order) — during the
-//             parse for integer ids + `nodes=N` + a fixed snapshot_window,
-//             after the remap otherwise; transposes and targets then run
-//             as one pool task per snapshot — the loaded DTDG is
-//             bit-identical for any thread count;
+//             parse, window by window and never staged, for integer ids
+//             + `nodes=N` + either a fixed snapshot_window or a
+//             `snapshots=S` directive (what the exporters write); after
+//             the remap otherwise. Transposes and targets then run as one
+//             pool task per snapshot — the loaded DTDG is bit-identical
+//             for any thread count;
 //   cache     with cache_dir set, the result is written as a `.dtdg` file
 //             keyed by a content+options hash; a later load with the same
 //             inputs skips the parse and the sidecar reads entirely (logged
 //             at debug level).
 //
 // Features come from an optional sidecar file (static or temporal; see
-// text_format.hpp) or are synthesized as a seeded AR(1) walk; targets come
-// from a sidecar file or the generator's degree/feature/season blend.
+// text_format.hpp, parsed chunk-parallel on the pool) or are synthesized
+// as a seeded AR(1) walk; targets come from a sidecar file or the
+// generator's degree/feature/season blend.
 // Every phase is wall-clock-measured into LoadStats for reporting
 // (bench/ingest_stream, bench/e2e's per-layer spans). Ingest is real work
 // only: it never reaches the modeled timeline.
@@ -76,9 +80,12 @@ struct LoadStats {
   double read_us = 0.0;    ///< Cache-key hashing + file reads; on a
                            ///< cache hit, the key's hashing time only.
   double inflate_us = 0.0;  ///< Gzip decompression (0 for plain inputs).
-  double parse_us = 0.0;   ///< Chunk-parallel text parse (0 on cache hit).
-  double build_us = 0.0;  ///< Snapshot CSR/feature/target build (direct
-                          ///< staging sweeps during, and counts as, parse).
+  double parse_us = 0.0;   ///< Chunk-parallel text parse (0 on cache hit);
+                           ///< with direct staging it includes the
+                           ///< snapshot sweep, which runs per window.
+  double build_us = 0.0;  ///< Remap, snapshot sweep (general staging
+                          ///< only), sidecar parse, features, transposes
+                          ///< and targets.
   double cache_us = 0.0;  ///< Cache read (hit) or write (miss).
   bool cache_hit = false;
   std::size_t parse_chunks = 0;  ///< Parallel width of the parse phase.

@@ -5,10 +5,12 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <exception>
 #include <fstream>
 #include <limits>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 
 #include "graph/io/stream_reader.hpp"
 
@@ -224,9 +226,13 @@ std::string_view strip_quotes(std::string_view t) {
   return t;
 }
 
-/// Split a line into whitespace-separated tokens.
-std::vector<std::string_view> ws_tokens(std::string_view line) {
-  std::vector<std::string_view> out;
+/// A line's tokens. Each parse chunk keeps one buffer and refills it per
+/// line, so a data line allocates nothing once the buffer has grown.
+using Tokens = std::vector<std::string_view>;
+
+/// Split a line into whitespace-separated tokens (`out` is cleared first).
+void ws_tokens(std::string_view line, Tokens& out) {
+  out.clear();
   std::size_t i = 0;
   while (i < line.size()) {
     while (i < line.size() && is_space(line[i])) ++i;
@@ -234,7 +240,6 @@ std::vector<std::string_view> ws_tokens(std::string_view line) {
     while (i < line.size() && !is_space(line[i])) ++i;
     if (i > b) out.push_back(line.substr(b, i - b));
   }
-  return out;
 }
 
 /// A byte range of the input covering whole lines, plus the 1-based line
@@ -301,8 +306,9 @@ struct Partial {
 
 /// Recognize `nodes=N` / `snapshots=S` tokens in a comment line.
 void scan_directives(std::string_view comment, const std::string& path,
-                     std::size_t line, Partial& out) {
-  for (std::string_view tok : ws_tokens(comment)) {
+                     std::size_t line, Tokens& toks, Partial& out) {
+  ws_tokens(comment, toks);
+  for (std::string_view tok : toks) {
     long long* slot = nullptr;
     const char* what = nullptr;
     if (tok.rfind("nodes=", 0) == 0) {
@@ -373,6 +379,7 @@ void parse_el_chunk(const std::string& path, std::string_view text,
   long long prev_t = 0;
   std::size_t pos = 0;
   NameScratch scratch;
+  Tokens toks;
   while (pos < text.size()) {
     std::size_t eol = text.find('\n', pos);
     if (eol == std::string_view::npos) eol = text.size();
@@ -384,11 +391,11 @@ void parse_el_chunk(const std::string& path, std::string_view text,
       continue;
     }
     if (l.front() == '#') {
-      scan_directives(l.substr(1), path, line, out);
+      scan_directives(l.substr(1), path, line, toks, out);
       ++line;
       continue;
     }
-    const auto toks = ws_tokens(l);
+    ws_tokens(l, toks);
     if (toks.size() != 3 && toks.size() != 4) {
       fail_at(path, line,
               "expected `src dst t [w]`, got " + std::to_string(toks.size()) +
@@ -422,14 +429,15 @@ struct CsvLayout {
   std::size_t w = static_cast<std::size_t>(-1);  ///< npos = no weight column.
 };
 
-std::vector<std::string_view> csv_cells(std::string_view line) {
-  std::vector<std::string_view> out;
+/// Split a CSV row at commas into trimmed cells (`out` is cleared first).
+void csv_cells(std::string_view line, Tokens& out) {
+  out.clear();
   std::size_t pos = 0;
   for (;;) {
     std::size_t comma = line.find(',', pos);
     if (comma == std::string_view::npos) {
       out.push_back(trim(line.substr(pos)));
-      return out;
+      return;
     }
     out.push_back(trim(line.substr(pos, comma - pos)));
     pos = comma + 1;
@@ -439,7 +447,8 @@ std::vector<std::string_view> csv_cells(std::string_view line) {
 CsvLayout parse_csv_header(const std::string& path, std::string_view header,
                            std::size_t line) {
   CsvLayout lay;
-  const auto cells = csv_cells(header);
+  Tokens cells;
+  csv_cells(header, cells);
   lay.columns = cells.size();
   bool have_src = false, have_dst = false, have_t = false;
   for (std::size_t i = 0; i < cells.size(); ++i) {
@@ -477,6 +486,7 @@ void parse_csv_chunk(const std::string& path, std::string_view text,
   long long prev_t = 0;
   std::size_t pos = 0;
   NameScratch scratch;
+  Tokens cells;
   while (pos < text.size()) {
     std::size_t eol = text.find('\n', pos);
     if (eol == std::string_view::npos) eol = text.size();
@@ -488,11 +498,11 @@ void parse_csv_chunk(const std::string& path, std::string_view text,
       continue;
     }
     if (l.front() == '#') {
-      scan_directives(l.substr(1), path, line, out);
+      scan_directives(l.substr(1), path, line, cells, out);
       ++line;
       continue;
     }
-    const auto cells = csv_cells(l);
+    csv_cells(l, cells);
     if (cells.size() != lay.columns) {
       fail_at(path, line,
               "expected " + std::to_string(lay.columns) + " columns, got " +
@@ -530,6 +540,9 @@ struct ParseState {
   const bool csv;
 
   EdgeFile out;
+  /// Edges parsed since the last hand-off, one vector per non-empty chunk,
+  /// in file order.
+  EdgeChunks chunks;
   bool first_region = true;
   bool mode_known = false;
   bool have_layout = false;  ///< CSV: header row seen.
@@ -579,7 +592,8 @@ struct ParseState {
       }
       if (l.front() == '#') {
         Partial pre;
-        scan_directives(l.substr(1), path, line, pre);
+        Tokens toks;
+        scan_directives(l.substr(1), path, line, toks, pre);
         merge_directives(pre.nodes, pre.snapshots);
         pos = next;
         ++line;
@@ -598,6 +612,7 @@ struct ParseState {
   /// region has no data rows (mode stays undecided).
   int detect_mode(const std::string& text, std::size_t start) const {
     std::size_t pos = start;
+    Tokens toks;
     while (pos < text.size()) {
       std::size_t eol = text.find('\n', pos);
       if (eol == std::string::npos) eol = text.size();
@@ -605,25 +620,21 @@ struct ParseState {
           trim(std::string_view(text).substr(pos, eol - pos));
       pos = eol + 1;
       if (l.empty() || l.front() == '#') continue;
-      std::string_view tok;
       if (csv) {
-        const auto cells = csv_cells(l);
-        if (lay.src >= cells.size()) return 0;  // Column error surfaces later.
-        tok = cells[lay.src];
-      } else {
-        const auto toks = ws_tokens(l);
-        if (toks.empty()) continue;
-        tok = toks[0];
+        csv_cells(l, toks);
+        if (lay.src >= toks.size()) return 0;  // Column error surfaces later.
+        return is_integer_token(toks[lay.src]) ? 0 : 1;
       }
-      return is_integer_token(tok) ? 0 : 1;
+      ws_tokens(l, toks);
+      if (toks.empty()) continue;
+      return is_integer_token(toks[0]) ? 0 : 1;
     }
     return -1;
   }
 
+  /// Folds the region's chunk results into the file state in chunk order
+  /// and moves each non-empty chunk's edges onto `chunks` — no copy.
   void merge(std::vector<Partial>& parts) {
-    std::size_t total = out.edges.size();
-    for (const Partial& p : parts) total += p.edges.size();
-    out.edges.reserve(total);
     for (Partial& p : parts) {
       merge_directives(p.nodes, p.snapshots);
       out.has_weights = out.has_weights || p.weights;
@@ -650,12 +661,13 @@ struct ParseState {
           e.dst = to_global[static_cast<std::size_t>(e.dst)];
         }
       }
-      out.edges.insert(out.edges.end(), p.edges.begin(), p.edges.end());
+      out.streamed_edges += p.edges.size();
+      chunks.push_back(std::move(p.edges));
     }
   }
 
   /// Parse one region (whole lines) whose first line is `start_line`,
-  /// appending edges to out.edges.
+  /// appending its per-chunk edge vectors to `chunks`.
   void parse_region(const std::string& text, std::size_t start_line) {
     std::size_t pos = 0;
     std::size_t line = start_line;
@@ -681,11 +693,11 @@ struct ParseState {
         mode_known = true;
       }
     }
-    const auto chunks =
+    const auto ranges =
         chunk_lines(text, pos, line, want_chunks(text.size() - pos, pool));
-    std::vector<Partial> parts(chunks.size());
+    std::vector<Partial> parts(ranges.size());
     const auto parse_one = [&](std::size_t i) {
-      const Chunk& c = chunks[i];
+      const Chunk& c = ranges[i];
       const auto body =
           std::string_view(text).substr(c.begin, c.end - c.begin);
       if (csv) {
@@ -695,15 +707,15 @@ struct ParseState {
         parse_el_chunk(path, body, c.first_line, out.string_ids, parts[i]);
       }
     };
-    if (pool != nullptr && chunks.size() > 1 &&
+    if (pool != nullptr && ranges.size() > 1 &&
         ThreadPool::current_pool() == nullptr) {
-      pool->parallel_for(chunks.size(), parse_one);
+      pool->parallel_for(ranges.size(), parse_one);
     } else {
-      for (std::size_t i = 0; i < chunks.size(); ++i) parse_one(i);
+      for (std::size_t i = 0; i < ranges.size(); ++i) parse_one(i);
     }
     merge(parts);
     out.parse_chunks =
-        std::max(out.parse_chunks, std::max<std::size_t>(1, chunks.size()));
+        std::max(out.parse_chunks, std::max<std::size_t>(1, ranges.size()));
   }
 
   void finalize() {
@@ -724,6 +736,15 @@ EdgeFile parse_text(const std::string& path, const std::string& content,
   ParseState st(path, pool, Csv);
   st.parse_region(content, 1);
   st.finalize();
+  if (st.chunks.size() == 1) {
+    st.out.edges = std::move(st.chunks.front());
+  } else {
+    st.out.edges.reserve(st.out.streamed_edges);
+    for (const auto& c : st.chunks) {
+      st.out.edges.insert(st.out.edges.end(), c.begin(), c.end());
+    }
+  }
+  st.out.streamed_edges = 0;  // Counts sink hand-offs only.
   return std::move(st.out);
 }
 
@@ -735,10 +756,7 @@ EdgeFile parse_text_stream(const std::string& path, StreamReader& in,
   std::size_t first_line = 1;
   while (in.next_window(window, first_line)) {
     st.parse_region(window, first_line);
-    std::vector<TemporalEdge> batch = std::move(st.out.edges);
-    st.out.edges = std::vector<TemporalEdge>();
-    st.out.streamed_edges += batch.size();
-    sink(st.out, std::move(batch));
+    sink(st.out, std::exchange(st.chunks, EdgeChunks()));
   }
   st.finalize();
   return std::move(st.out);
@@ -766,162 +784,236 @@ EdgeFile parse_temporal_csv_stream(const std::string& path, StreamReader& in,
   return parse_text_stream<true>(path, in, pool, sink);
 }
 
-FeatureFile parse_features(const std::string& path, const std::string& content,
-                           const VertexRemap& remap, int num_nodes,
-                           int num_snapshots) {
-  FeatureFile ff;
-  std::size_t pos = 0, line = 1;
-  bool have_header = false;
-  std::vector<std::vector<bool>> seen;  // [snapshot or 0][vertex]
+namespace {
+
+/// The data-row shape of a sidecar file, fixed by its header.
+struct SidecarLayout {
+  bool targets = false;   ///< `t id y` rows (else feature rows).
+  bool temporal = false;  ///< Rows lead with a snapshot index.
+  int width = 1;          ///< Values per row.
+  int num_snapshots = 0;
+  std::size_t lead() const { return temporal ? 2 : 1; }
+};
+
+/// One parsed data row: where its line starts in the file and the
+/// (snapshot, vertex) slot it fills. Its values follow in
+/// SidecarPart::values.
+struct SidecarRow {
+  std::size_t offset;
+  int snap;
+  int v;
+};
+
+/// One chunk's rows, parsed independently of the others.
+struct SidecarPart {
+  std::vector<SidecarRow> rows;
+  std::vector<float> values;  ///< SidecarLayout::width per row.
+  /// The chunk's first bad row; parsing stopped there.
+  std::exception_ptr error;
+  /// The bad row resolved its slot before failing (a malformed value): it
+  /// is rows.back(), and its duplicate check comes first, as in a serial
+  /// parse.
+  bool error_has_slot = false;
+};
+
+/// The first non-blank line of `content` (trimmed), with `pos` and `line`
+/// advanced past it; empty when there is none.
+std::string_view sidecar_header(const std::string& content, std::size_t& pos,
+                                std::size_t& line) {
   while (pos < content.size()) {
     std::size_t eol = content.find('\n', pos);
     if (eol == std::string::npos) eol = content.size();
     const std::string_view l =
         trim(std::string_view(content).substr(pos, eol - pos));
-    pos = eol + 1;
-    if (l.empty()) {
-      ++line;
-      continue;
-    }
-    if (!have_header) {
-      // The first non-blank line must be the format header.
-      const auto toks = ws_tokens(l);
-      if (toks.size() < 4 || toks[0] != "#" || toks[1] != "pipad-features" ||
-          toks[2] != "v1" || toks[3].rfind("dim=", 0) != 0) {
-        fail_at(path, line,
-                "bad header (expected `# pipad-features v1 dim=D "
-                "static|temporal`)");
-      }
-      const long long d =
-          parse_ll_tok(std::string_view(toks[3]).substr(4), path, line,
-                       "feature dim");
-      if (d <= 0 || d > 1000000) fail_at(path, line, "feature dim out of range");
-      ff.dim = static_cast<int>(d);
-      ff.temporal = toks.size() > 4 && toks[4] == "temporal";
-      if (toks.size() > 4 && toks[4] != "temporal" && toks[4] != "static") {
-        fail_at(path, line, "bad header mode '" + escape_token(toks[4]) + "'");
-      }
-      if (ff.temporal) {
-        ff.per_snapshot.assign(num_snapshots, Tensor(num_nodes, ff.dim));
-        seen.assign(num_snapshots,
-                    std::vector<bool>(static_cast<std::size_t>(num_nodes)));
-      } else {
-        ff.static_feat = Tensor(num_nodes, ff.dim);
-        seen.assign(1, std::vector<bool>(static_cast<std::size_t>(num_nodes)));
-      }
-      have_header = true;
-      ++line;
-      continue;
-    }
-    if (l.front() == '#') {
-      ++line;
-      continue;
-    }
-    const auto toks = ws_tokens(l);
-    const std::size_t lead = ff.temporal ? 2 : 1;
-    if (toks.size() != lead + static_cast<std::size_t>(ff.dim)) {
-      fail_at(path, line,
-              "expected " + std::to_string(lead + ff.dim) + " tokens, got " +
-                  std::to_string(toks.size()));
-    }
-    int snap = 0;
-    if (ff.temporal) {
-      const long long t = parse_ll_tok(toks[0], path, line, "snapshot index");
-      if (t < 0 || t >= num_snapshots) {
-        fail_at(path, line, "snapshot index " + std::to_string(t) +
-                                " out of range [0, " +
-                                std::to_string(num_snapshots) + ")");
-      }
-      snap = static_cast<int>(t);
-    }
-    const std::string_view raw = toks[lead - 1];
-    int v;
-    try {
-      v = remap(raw);
-    } catch (const Error& e) {
-      fail_at(path, line, e.what());
-    }
-    if (seen[static_cast<std::size_t>(snap)][static_cast<std::size_t>(v)]) {
-      fail_at(path, line,
-              "duplicate feature row for vertex " + escape_token(raw));
-    }
-    seen[static_cast<std::size_t>(snap)][static_cast<std::size_t>(v)] = true;
-    Tensor& dest = ff.temporal ? ff.per_snapshot[snap] : ff.static_feat;
-    for (int d = 0; d < ff.dim; ++d) {
-      dest.at(v, d) = parse_f_tok(toks[lead + d], path, line, "feature value");
-    }
+    pos = std::min(eol + 1, content.size());
     ++line;
+    if (!l.empty()) return l;
   }
-  if (!have_header) {
+  return {};
+}
+
+void parse_sidecar_chunk(const std::string& path, const std::string& content,
+                         const Chunk& c, const SidecarLayout& lay,
+                         const VertexRemap& remap, SidecarPart& out) {
+  const std::size_t lead = lay.lead();
+  const std::size_t want = lead + static_cast<std::size_t>(lay.width);
+  const char* value_what = lay.targets ? "target value" : "feature value";
+  Tokens toks;
+  std::size_t pos = c.begin, line = c.first_line;
+  try {
+    while (pos < c.end) {
+      const std::size_t eol = std::min(content.find('\n', pos), c.end);
+      const std::string_view l =
+          trim(std::string_view(content).substr(pos, eol - pos));
+      const std::size_t offset = pos;
+      pos = eol + 1;
+      if (l.empty() || l.front() == '#') {
+        ++line;
+        continue;
+      }
+      ws_tokens(l, toks);
+      if (toks.size() != want) {
+        fail_at(path, line,
+                lay.targets ? "expected `t id y`, got " +
+                                  std::to_string(toks.size()) + " token(s)"
+                            : "expected " + std::to_string(want) +
+                                  " tokens, got " +
+                                  std::to_string(toks.size()));
+      }
+      int snap = 0;
+      if (lay.temporal) {
+        const long long t = parse_ll_tok(toks[0], path, line, "snapshot index");
+        if (t < 0 || t >= lay.num_snapshots) {
+          fail_at(path, line, "snapshot index " + std::to_string(t) +
+                                  " out of range [0, " +
+                                  std::to_string(lay.num_snapshots) + ")");
+        }
+        snap = static_cast<int>(t);
+      }
+      int v;
+      try {
+        v = remap(toks[lead - 1]);
+      } catch (const Error& e) {
+        fail_at(path, line, e.what());
+      }
+      out.rows.push_back({offset, snap, v});
+      out.error_has_slot = true;
+      for (std::size_t d = lead; d < want; ++d) {
+        out.values.push_back(parse_f_tok(toks[d], path, line, value_what));
+      }
+      out.error_has_slot = false;
+      ++line;
+    }
+  } catch (...) {
+    out.error = std::current_exception();
+  }
+}
+
+/// Parses the data rows of content[pos..] (whose first line is `line`) in
+/// newline-aligned chunks, on `pool` when there is more than one, then
+/// copies each row's values into row v of dest[snap] serially in file
+/// order, rejecting a second row for the same (snapshot, vertex) slot. A
+/// chunk holds its first error until every earlier row has passed that
+/// check, so the error thrown names the line a serial parse stops at, at
+/// any pool width.
+void parse_sidecar_rows(const std::string& path, const std::string& content,
+                        std::size_t pos, std::size_t line,
+                        const SidecarLayout& lay, const VertexRemap& remap,
+                        int num_nodes, ThreadPool* pool, Tensor* dest) {
+  const auto ranges =
+      chunk_lines(content, pos, line, want_chunks(content.size() - pos, pool));
+  std::vector<SidecarPart> parts(ranges.size());
+  const auto parse_one = [&](std::size_t i) {
+    parse_sidecar_chunk(path, content, ranges[i], lay, remap, parts[i]);
+  };
+  if (ranges.size() > 1) {  // want_chunks gave 1 unless `pool` is usable.
+    pool->parallel_for(ranges.size(), parse_one);
+  } else if (!ranges.empty()) {
+    parse_one(0);
+  }
+  std::vector<std::vector<bool>> seen(
+      lay.temporal ? static_cast<std::size_t>(lay.num_snapshots) : 1,
+      std::vector<bool>(static_cast<std::size_t>(num_nodes)));
+  const auto width = static_cast<std::size_t>(lay.width);
+  Tokens toks;
+  for (std::size_t c = 0; c < parts.size(); ++c) {
+    SidecarPart& part = parts[c];
+    for (std::size_t r = 0; r < part.rows.size(); ++r) {
+      const SidecarRow& row = part.rows[r];
+      auto slot = seen[static_cast<std::size_t>(row.snap)]
+                      [static_cast<std::size_t>(row.v)];
+      if (slot) {
+        const char* l = content.data() + row.offset;
+        ws_tokens(trim(std::string_view(
+                      l, std::min(content.find('\n', row.offset),
+                                  content.size()) -
+                             row.offset)),
+                  toks);
+        fail_at(path,
+                ranges[c].first_line +
+                    count_newlines(content.data() + ranges[c].begin, l),
+                std::string("duplicate ") +
+                    (lay.targets ? "target" : "feature") +
+                    " row for vertex " + escape_token(toks[lay.lead() - 1]));
+      }
+      if (part.error && part.error_has_slot && r + 1 == part.rows.size()) {
+        break;
+      }
+      slot = true;
+      std::copy_n(part.values.data() + r * width, width,
+                  dest[row.snap].row(row.v));
+    }
+    if (part.error) std::rethrow_exception(part.error);
+    part = SidecarPart();
+  }
+}
+
+}  // namespace
+
+FeatureFile parse_features(const std::string& path, const std::string& content,
+                           const VertexRemap& remap, int num_nodes,
+                           int num_snapshots, ThreadPool* pool) {
+  FeatureFile ff;
+  // The first non-blank line must be the format header.
+  std::size_t pos = 0, line = 1;
+  const std::string_view h = sidecar_header(content, pos, line);
+  if (h.empty()) {
     throw Error(path + ": bad header (expected `# pipad-features v1 dim=D "
                        "static|temporal`)");
   }
+  const std::size_t hline = line - 1;
+  Tokens toks;
+  ws_tokens(h, toks);
+  if (toks.size() < 4 || toks[0] != "#" || toks[1] != "pipad-features" ||
+      toks[2] != "v1" || toks[3].rfind("dim=", 0) != 0) {
+    fail_at(path, hline,
+            "bad header (expected `# pipad-features v1 dim=D "
+            "static|temporal`)");
+  }
+  const long long d =
+      parse_ll_tok(toks[3].substr(4), path, hline, "feature dim");
+  if (d <= 0 || d > 1000000) fail_at(path, hline, "feature dim out of range");
+  ff.dim = static_cast<int>(d);
+  ff.temporal = toks.size() > 4 && toks[4] == "temporal";
+  if (toks.size() > 4 && toks[4] != "temporal" && toks[4] != "static") {
+    fail_at(path, hline, "bad header mode '" + escape_token(toks[4]) + "'");
+  }
+  if (ff.temporal) {
+    ff.per_snapshot.assign(num_snapshots, Tensor(num_nodes, ff.dim));
+  } else {
+    ff.static_feat = Tensor(num_nodes, ff.dim);
+  }
+  SidecarLayout lay;
+  lay.temporal = ff.temporal;
+  lay.width = ff.dim;
+  lay.num_snapshots = num_snapshots;
+  parse_sidecar_rows(path, content, pos, line, lay, remap, num_nodes, pool,
+                     ff.temporal ? ff.per_snapshot.data() : &ff.static_feat);
   return ff;
 }
 
 std::vector<Tensor> parse_targets(const std::string& path,
                                   const std::string& content,
                                   const VertexRemap& remap, int num_nodes,
-                                  int num_snapshots) {
-  std::vector<Tensor> out(num_snapshots, Tensor(num_nodes, 1));
-  std::vector<std::vector<bool>> seen(
-      num_snapshots, std::vector<bool>(static_cast<std::size_t>(num_nodes)));
+                                  int num_snapshots, ThreadPool* pool) {
   std::size_t pos = 0, line = 1;
-  bool have_header = false;
-  while (pos < content.size()) {
-    std::size_t eol = content.find('\n', pos);
-    if (eol == std::string::npos) eol = content.size();
-    const std::string_view l =
-        trim(std::string_view(content).substr(pos, eol - pos));
-    pos = eol + 1;
-    if (l.empty()) {
-      ++line;
-      continue;
-    }
-    if (!have_header) {
-      const auto toks = ws_tokens(l);
-      if (toks.size() < 3 || toks[0] != "#" || toks[1] != "pipad-targets" ||
-          toks[2] != "v1") {
-        fail_at(path, line, "bad header (expected `# pipad-targets v1`)");
-      }
-      have_header = true;
-      ++line;
-      continue;
-    }
-    if (l.front() == '#') {
-      ++line;
-      continue;
-    }
-    const auto toks = ws_tokens(l);
-    if (toks.size() != 3) {
-      fail_at(path, line, "expected `t id y`, got " +
-                              std::to_string(toks.size()) + " token(s)");
-    }
-    const long long t = parse_ll_tok(toks[0], path, line, "snapshot index");
-    if (t < 0 || t >= num_snapshots) {
-      fail_at(path, line, "snapshot index " + std::to_string(t) +
-                              " out of range [0, " +
-                              std::to_string(num_snapshots) + ")");
-    }
-    const std::string_view raw = toks[1];
-    int v;
-    try {
-      v = remap(raw);
-    } catch (const Error& e) {
-      fail_at(path, line, e.what());
-    }
-    if (seen[static_cast<std::size_t>(t)][static_cast<std::size_t>(v)]) {
-      fail_at(path, line,
-              "duplicate target row for vertex " + escape_token(raw));
-    }
-    seen[static_cast<std::size_t>(t)][static_cast<std::size_t>(v)] = true;
-    out[static_cast<std::size_t>(t)].at(v, 0) =
-        parse_f_tok(toks[2], path, line, "target value");
-    ++line;
-  }
-  if (!have_header) {
+  const std::string_view h = sidecar_header(content, pos, line);
+  if (h.empty()) {
     throw Error(path + ": bad header (expected `# pipad-targets v1`)");
   }
+  Tokens toks;
+  ws_tokens(h, toks);
+  if (toks.size() < 3 || toks[0] != "#" || toks[1] != "pipad-targets" ||
+      toks[2] != "v1") {
+    fail_at(path, line - 1, "bad header (expected `# pipad-targets v1`)");
+  }
+  std::vector<Tensor> out(num_snapshots, Tensor(num_nodes, 1));
+  SidecarLayout lay;
+  lay.targets = true;
+  lay.temporal = true;
+  lay.num_snapshots = num_snapshots;
+  parse_sidecar_rows(path, content, pos, line, lay, remap, num_nodes, pool,
+                     out.data());
   return out;
 }
 

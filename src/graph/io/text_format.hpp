@@ -21,12 +21,12 @@
 // remaps the sorted-unique name set to a dense range. Edge parsing is
 // chunk-parallel on the shared ComputePool: the input is split at newline
 // boundaries into bounded chunks parsed independently, and chunk results
-// are concatenated in file order — so the parsed stream is bit-identical
-// for any thread count. The streaming entry points below additionally
-// window the input (see stream_reader.hpp): windows are parsed one at a
-// time and handed to a sink, which bounds memory by the window size
-// instead of the file size, with byte-identical results for any window
-// size.
+// are kept in file order — so the parsed stream is bit-identical for any
+// thread count. The streaming entry points below additionally window the
+// input (see stream_reader.hpp): windows are parsed one at a time and
+// their chunks handed to a sink, so the parser holds one window, not the
+// file, with byte-identical results for any window size. The sidecar
+// parsers are chunk-parallel too.
 #pragma once
 
 #include <cstdint>
@@ -118,14 +118,18 @@ EdgeFile parse_temporal_csv(const std::string& path,
                             const std::string& content,
                             ThreadPool* pool = nullptr);
 
+/// One window's parsed edges: the parse chunks' edge vectors in file order
+/// (empty chunks omitted). Their concatenation is the window's edge stream;
+/// handing them over as they are copies nothing.
+using EdgeChunks = std::vector<std::vector<TemporalEdge>>;
+
 /// Streaming sink: receives each window's edges in file order, exactly
 /// once, after that window fully parsed and merged. `so_far` is the
-/// accumulating summary — directives, string_ids/names and has_weights
-/// reflect everything parsed up to and including this window (so a sink
-/// may commit to a staging strategy on the first call). The edges vector
-/// is moved in; the sink owns it.
-using EdgeSink =
-    std::function<void(const EdgeFile& so_far, std::vector<TemporalEdge>&&)>;
+/// accumulating summary — directives, string_ids/names, has_weights and
+/// streamed_edges reflect everything parsed up to and including this
+/// window (so a sink may commit to a staging strategy on its first
+/// non-empty window). The chunks are moved in; the sink owns them.
+using EdgeSink = std::function<void(const EdgeFile& so_far, EdgeChunks&&)>;
 
 /// Windowed streaming variants: pull newline-aligned windows from `in`,
 /// parse each chunk-parallel, and hand each window's edges to `sink` —
@@ -153,16 +157,21 @@ struct FeatureFile {
 using VertexRemap = std::function<int(std::string_view)>;
 
 /// Parse a feature file. `remap` converts raw vertex-id tokens to dense
-/// indices and throws on unknown ids; `num_snapshots` bounds temporal
-/// rows' `t`.
+/// indices and throws on unknown ids (it is called from pool threads, so it
+/// must be safe to call concurrently); `num_snapshots` bounds temporal
+/// rows' `t`. With a pool (and when not already on a pool worker) the rows
+/// parse chunk-parallel and then fill the tensors serially in file order:
+/// the result, and the line any error names, are the same at every width.
 FeatureFile parse_features(const std::string& path, const std::string& content,
                            const VertexRemap& remap, int num_nodes,
-                           int num_snapshots);
+                           int num_snapshots, ThreadPool* pool = nullptr);
 
-/// Parse a target file into one [num_nodes x 1] tensor per snapshot.
+/// Parse a target file into one [num_nodes x 1] tensor per snapshot; the
+/// pool is used as in parse_features.
 std::vector<Tensor> parse_targets(const std::string& path,
                                   const std::string& content,
                                   const VertexRemap& remap, int num_nodes,
-                                  int num_snapshots);
+                                  int num_snapshots,
+                                  ThreadPool* pool = nullptr);
 
 }  // namespace pipad::graph::io

@@ -33,27 +33,6 @@ double overlap_rate(const CSR& a, const CSR& b) {
                   : static_cast<double>(inter) / static_cast<double>(uni);
 }
 
-double group_overlap_rate(const std::vector<const CSR*>& group) {
-  PIPAD_CHECK(!group.empty());
-  auto inter = edge_keys(*group[0]);
-  std::size_t union_upper = inter.size();
-  // Union computed incrementally alongside the intersection.
-  std::vector<std::uint64_t> uni = inter;
-  for (std::size_t i = 1; i < group.size(); ++i) {
-    const auto ki = edge_keys(*group[i]);
-    inter = key_intersection(inter, ki);
-    std::vector<std::uint64_t> merged;
-    merged.reserve(uni.size() + ki.size());
-    std::set_union(uni.begin(), uni.end(), ki.begin(), ki.end(),
-                   std::back_inserter(merged));
-    uni = std::move(merged);
-  }
-  union_upper = uni.size();
-  return union_upper == 0 ? 1.0
-                          : static_cast<double>(inter.size()) /
-                                static_cast<double>(union_upper);
-}
-
 OverlapDecomposition decompose_group(const std::vector<const CSR*>& group) {
   PIPAD_CHECK(!group.empty());
   const int rows = group[0]->rows;

@@ -17,9 +17,6 @@ namespace pipad::graph {
 /// Jaccard overlap rate of two edge sets: |A ∩ B| / |A ∪ B|.
 double overlap_rate(const CSR& a, const CSR& b);
 
-/// Overlap rate of a whole group: |∩ all| / |∪ all|.
-double group_overlap_rate(const std::vector<const CSR*>& group);
-
 /// Result of decomposing a snapshot group into shared + exclusive topology.
 struct OverlapDecomposition {
   CSR overlap;                  ///< Edges present in *every* group member.

@@ -63,7 +63,6 @@ FramePartition build_partition(const graph::DTDG& g, int start, int count,
   }
 
   auto decomp = graph::decompose_group(group);
-  p.group_overlap_rate = graph::group_overlap_rate(group);
 
   bool weighted = false;
   for (int i = 0; i < count; ++i) {

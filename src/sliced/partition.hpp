@@ -38,8 +38,6 @@ struct FramePartition {
   std::vector<std::vector<float>> exclusive_w;   ///< [count], member i's nnz.
   std::vector<std::vector<float>> exclusive_w_t; ///< [count], member i's nnz.
 
-  double group_overlap_rate = 0.0;    ///< |∩| / |∪| over the group.
-
   /// Device bytes for the partition's topology: the overlap is shipped once
   /// instead of `count` times — the transfer saving of §4.1. Weighted groups
   /// additionally ship every member's value arrays (no sharing there).

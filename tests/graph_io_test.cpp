@@ -1,12 +1,14 @@
 // graph/io tests: text-format parsing, malformed-input rejection, vertex
 // remapping, snapshotting modes, the generate -> export -> load round trip
 // (bit-exact), determinism across pool widths, the .dtdg binary format and
-// snapshot cache, and worker-lane charging of measured load phases.
+// snapshot cache, worker-lane charging of measured load phases, and the
+// chunk-parallel sidecar parse.
 #include <gtest/gtest.h>
 
 #include <zlib.h>
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -437,6 +439,103 @@ TEST(Loader, DirectAndGeneralStagingAgree) {
   expect_same_dtdg(direct, general);
 }
 
+/// Rows for the declared-index staging tests: every id in 0..11 appears
+/// (so the general path's ascending remap is the identity `nodes=12`
+/// pins), t runs 0..9 (so `snapshots=14` leaves 4 trailing empty
+/// snapshots), row 2 repeats weightless, and rows from 24 on carry a
+/// weight — in CSV every row does, 1 before then.
+std::string declared_index_rows(bool csv) {
+  std::string body;
+  char row[96];
+  for (int i = 0; i < 30; ++i) {
+    const int src = i % 12, dst = (i * 5 + 1) % 12, t = i / 3;
+    const double w = i >= 24 ? 0.25 * (i % 7) + 0.125 : 1.0;
+    if (csv) {
+      std::snprintf(row, sizeof(row), "%d,%d,%d,%g\n", src, dst, t, w);
+    } else if (i >= 24) {
+      std::snprintf(row, sizeof(row), "%d %d %d %g\n", src, dst, t, w);
+    } else {
+      std::snprintf(row, sizeof(row), "%d %d %d\n", src, dst, t);
+    }
+    body += row;
+    if (i == 2) body += csv ? "2,11,0,1\n" : "2 11 0\n";
+  }
+  return body;
+}
+
+TEST(Loader, DeclaredIndexDirectAndGeneralStagingAgree) {
+  // `nodes=12 snapshots=14` and no snapshot option: the direct path
+  // buckets by t while the windows parse; without nodes= the general path
+  // stages every row first. Both must build the same 14 snapshots.
+  const auto dir = temp_dir();
+  const std::string body = declared_index_rows(false);
+  const auto with_n =
+      write_file_at(dir / "direct.el", "# nodes=12 snapshots=14\n" + body);
+  const auto without_n =
+      write_file_at(dir / "general.el", "# snapshots=14\n" + body);
+  ThreadPool pool(2);
+  for (const int life : {1, 3}) {
+    LoadOptions o;
+    o.edge_life = life;
+    o.window_bytes = 64;
+    const DTDG direct = load_dataset(with_n, o, &pool);
+    const DTDG general = load_dataset(without_n, o, &pool);
+    ASSERT_EQ(direct.num_snapshots(), 14) << life;
+    ASSERT_TRUE(direct.snapshots[0].weighted());
+    EXPECT_EQ(direct.snapshots[0].edge_w[direct.snapshots[0].adj.row_ptr[11]],
+              2.0f);
+    // The last rows (t = 9) live through snapshot 8 + life; the rest of
+    // the 14 are built empty.
+    for (int t = 9; t < 14; ++t) {
+      EXPECT_EQ(direct.snapshots[t].nnz() > 0, t <= 8 + life)
+          << "life " << life << " snapshot " << t;
+    }
+    expect_same_dtdg(direct, general);
+  }
+}
+
+TEST(Loader, DeclaredIndexCsvMatchesEdgeList) {
+  const auto dir = temp_dir();
+  const std::string body = declared_index_rows(true);
+  const auto with_n = write_file_at(
+      dir / "direct.csv", "# nodes=12 snapshots=14\nsrc,dst,t,w\n" + body);
+  const auto without_n = write_file_at(dir / "general.csv",
+                                       "# snapshots=14\nsrc,dst,t,w\n" + body);
+  const auto el = write_file_at(
+      dir / "direct.el",
+      "# nodes=12 snapshots=14\n" + declared_index_rows(false));
+  ThreadPool pool(2);
+  for (const int life : {1, 3}) {
+    LoadOptions o;
+    o.edge_life = life;
+    o.window_bytes = 64;
+    const DTDG direct = load_dataset(with_n, o, &pool);
+    ASSERT_EQ(direct.num_snapshots(), 14);
+    expect_same_dtdg(direct, load_dataset(without_n, o, &pool));
+    expect_same_dtdg(direct, load_dataset(el, o, &pool));
+  }
+}
+
+TEST(Loader, DeclaredIndexDirectRejectsOutOfRangeTimestamp) {
+  // The direct path checks each row as it arrives, so it names the first
+  // timestamp past the range (the general path names the last).
+  const auto dir = temp_dir();
+  const auto p = write_file_at(
+      dir / "s.el", "# nodes=4 snapshots=2\n0 1 0\n1 2 1\n2 3 5\n3 0 7\n");
+  try {
+    load_dataset(p);
+    FAIL() << "out-of-range timestamp accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "timestamp 5 out of range for declared snapshots=2"),
+              std::string::npos)
+        << e.what();
+  }
+  const auto neg =
+      write_file_at(dir / "n.el", "# nodes=4 snapshots=2\n0 1 -1\n");
+  EXPECT_THROW(load_dataset(neg), Error);
+}
+
 TEST(Loader, StaticFeatureFileAppliesToEverySnapshot) {
   LoadOptions o;
   o.features_path = fixture("sample_features.tsv");
@@ -491,6 +590,108 @@ TEST(Loader, TargetsFileOverridesSynthesis) {
                                  "# pipad-targets v1\n"
                                  "0 3 1.0\n0 3 2.0\n");
   EXPECT_THROW(load_dataset(fixture("sample_edges.csv"), o), Error);
+}
+
+/// The error parse(pool) throws, or "" when it throws none.
+template <typename Parse>
+std::string error_of(const Parse& parse, ThreadPool* pool) {
+  try {
+    parse(pool);
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Sidecar, FirstErrorIsTheSameAtEveryPoolWidth) {
+  // Enough rows for several chunks. A late row repeats a slot an early
+  // chunk filled, and a malformed row comes later still: every width must
+  // name the duplicate, as a serial parse does. A row that is both a
+  // duplicate and malformed is a duplicate too (the slot is checked
+  // before the values).
+  constexpr int kNodes = 400, kSnaps = 20;
+  const VertexRemap remap = [](std::string_view tok) {
+    int v = -1;
+    std::from_chars(tok.data(), tok.data() + tok.size(), v);
+    if (v < 0 || v >= kNodes) throw Error("bad vertex");
+    return v;
+  };
+  ThreadPool p1(1), p4(4);
+  for (const bool malformed_dup : {false, true}) {
+    std::string feat = "# pipad-features v1 dim=2 temporal\n";
+    std::string targ = "# pipad-targets v1\n";
+    std::size_t line = 1, dup_line = 0;
+    for (int t = 0; t < kSnaps; ++t) {
+      for (int v = 0; v < kNodes; ++v) {
+        feat += std::to_string(t) + " " + std::to_string(v) + " 0.5 1.5\n";
+        targ += std::to_string(t) + " " + std::to_string(v) + " 2.5\n";
+        ++line;
+        if (t == 17 && v == 100) {
+          feat += malformed_dup ? "0 3 x 1.5\n" : "0 3 0.5 1.5\n";
+          targ += malformed_dup ? "0 3 x\n" : "0 3 2.5\n";
+          dup_line = ++line;
+        }
+        if (t == 19 && v == 300) {
+          feat += "19 7 0.5 oops\n";
+          targ += "19 7 oops\n";
+          ++line;
+        }
+      }
+    }
+    const std::string want = ":" + std::to_string(dup_line) +
+                             ": duplicate feature row for vertex 3";
+    const std::string want_t = ":" + std::to_string(dup_line) +
+                               ": duplicate target row for vertex 3";
+    for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &p1, &p4}) {
+      const std::string fe = error_of(
+          [&](ThreadPool* pl) {
+            parse_features("f.tsv", feat, remap, kNodes, kSnaps, pl);
+          },
+          pool);
+      EXPECT_NE(fe.find(want), std::string::npos) << fe;
+      const std::string te = error_of(
+          [&](ThreadPool* pl) {
+            parse_targets("y.tsv", targ, remap, kNodes, kSnaps, pl);
+          },
+          pool);
+      EXPECT_NE(te.find(want_t), std::string::npos) << te;
+    }
+  }
+}
+
+TEST(Sidecar, ChunkParallelParseIsBitIdentical) {
+  constexpr int kNodes = 300, kSnaps = 8;
+  const VertexRemap remap = [](std::string_view tok) {
+    int v = -1;
+    std::from_chars(tok.data(), tok.data() + tok.size(), v);
+    return v;
+  };
+  std::string feat = "\n# pipad-features v1 dim=3 temporal\n# comment\n";
+  std::string targ = "# pipad-targets v1\n\n";
+  for (int t = 0; t < kSnaps; ++t) {
+    for (int v = kNodes - 1; v >= 0; v -= 2) {  // Odd slots stay 0.
+      const std::string tv = std::to_string(t) + " " + std::to_string(v);
+      feat += tv + " " + std::to_string(0.001 * v) + " " +
+              std::to_string(t - 0.5) + " " + std::to_string(v * t) + "\n";
+      targ += tv + " " + std::to_string(0.01 * v - t) + "\n";
+    }
+  }
+  const FeatureFile base = parse_features("f", feat, remap, kNodes, kSnaps);
+  const auto base_y = parse_targets("y", targ, remap, kNodes, kSnaps);
+  ASSERT_TRUE(base.temporal);
+  EXPECT_FLOAT_EQ(base.per_snapshot[2].at(299, 1), 1.5f);
+  EXPECT_EQ(base.per_snapshot[2].at(298, 1), 0.0f);
+  ThreadPool p4(4);
+  const FeatureFile ff = parse_features("f", feat, remap, kNodes, kSnaps, &p4);
+  const auto y = parse_targets("y", targ, remap, kNodes, kSnaps, &p4);
+  for (int t = 0; t < kSnaps; ++t) {
+    EXPECT_EQ(ff.per_snapshot[t].storage(), base.per_snapshot[t].storage());
+    EXPECT_EQ(y[t].storage(), base_y[t].storage());
+  }
+  // A header with no rows and no trailing newline leaves every slot 0.
+  const auto empty = parse_targets("y", "# pipad-targets v1", remap, 3, 2, &p4);
+  ASSERT_EQ(empty.size(), 2u);
+  EXPECT_EQ(empty[1].storage(), std::vector<float>(3, 0.0f));
 }
 
 TEST(Loader, NoEdgesRejected) {
@@ -870,8 +1071,11 @@ TEST(Stream, StreamedParseMatchesInMemoryParse) {
   std::vector<TemporalEdge> streamed;
   const EdgeFile ef = parse_edge_list_stream(
       p, reader, nullptr,
-      [&](const EdgeFile&, std::vector<TemporalEdge>&& edges) {
-        streamed.insert(streamed.end(), edges.begin(), edges.end());
+      [&](const EdgeFile&, EdgeChunks&& chunks) {
+        for (const auto& c : chunks) {
+          EXPECT_FALSE(c.empty());
+          streamed.insert(streamed.end(), c.begin(), c.end());
+        }
       });
   EXPECT_TRUE(ef.edges.empty());
   EXPECT_EQ(ef.streamed_edges, mem.edges.size());
@@ -1102,6 +1306,21 @@ TEST(AdversarialInput, SnapshotCountBombRejected) {
   const auto dir = temp_dir();
   const auto p =
       write_file_at(dir / "s.el", "# snapshots=16777217\n0 1 0\n");
+  try {
+    load_dataset(p);
+    FAIL() << "snapshot bomb accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("cap"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(AdversarialInput, DirectSnapshotCountBombRejectedBeforeAllocating) {
+  // With nodes= the file takes the direct path, which would build all S
+  // snapshots of 65537 row offsets each: the cap must fire first.
+  const auto dir = temp_dir();
+  const auto p = write_file_at(
+      dir / "s.el", "# nodes=65536 snapshots=16777217\n0 1 0\n");
   try {
     load_dataset(p);
     FAIL() << "snapshot bomb accepted";

@@ -1,7 +1,7 @@
 // Region executor tests: ThreadPool::run_blocks claiming (every block
 // exactly once, idle runners never wait on busy ones, late runners never
-// call fn), exception and nesting semantics, and ThreadPool construction
-// failure. These suites are the ones CI runs under TSan/ASan to race- and
+// call fn), exception and nesting semantics, parallel_for's choice of the
+// exception it rethrows, and ThreadPool construction failure. These suites are the ones CI runs under TSan/ASan to race- and
 // leak-check the pool internals; higher-level ComputePool region semantics
 // live in common_test.
 #include <gtest/gtest.h>
@@ -104,6 +104,38 @@ TEST(RunBlocks, RethrowsFirstBlockExceptionAfterDrainingRegion) {
   // The throwing block must not abort the region: every block still ran.
   for (std::size_t i = 0; i < kBlocks; ++i) {
     EXPECT_EQ(hits[i].load(), 1) << "block " << i;
+  }
+}
+
+// ------------------------------------------------------------- parallel_for
+
+// The rethrown exception is the lowest-index chunk's, not the first thrown
+// in time: chunk 3 throws only after chunk 12 has. Chunked parsers rely on
+// this to name the same first bad line at every pool width.
+TEST(ParallelFor, RethrowsLowestIndexChunkExceptionNotTheFirstInTime) {
+  ThreadPool pool(4);
+  constexpr std::size_t kN = 16;  // 4 * size() chunks: one element each.
+  std::atomic<bool> late_thrown{false};
+  std::vector<std::atomic<int>> hits(kN);
+  try {
+    pool.parallel_for(kN, [&](std::size_t i) {
+      hits[i].fetch_add(1, std::memory_order_relaxed);
+      if (i == 12) {
+        late_thrown.store(true, std::memory_order_release);
+        throw Error("element 12");
+      }
+      if (i == 3) {
+        EXPECT_TRUE(spin_until(
+            [&] { return late_thrown.load(std::memory_order_acquire); }));
+        throw Error("element 3");
+      }
+    });
+    FAIL() << "no exception rethrown";
+  } catch (const Error& e) {
+    EXPECT_STREQ(e.what(), "element 3");
+  }
+  for (std::size_t i = 0; i < kN; ++i) {
+    EXPECT_EQ(hits[i].load(), 1) << "element " << i;
   }
 }
 

@@ -150,8 +150,7 @@ TEST(Partition, InvariantOverlapPlusExclusiveEqualsSnapshot) {
                    std::back_inserter(uni));
     EXPECT_EQ(uni, graph::edge_keys(g.snapshots[2 + i].adj)) << i;
   }
-  EXPECT_GT(p.group_overlap_rate, 0.0);
-  EXPECT_LE(p.group_overlap_rate, 1.0);
+  EXPECT_GT(p.overlap.nnz(), 0u);  // edge_life 4: the group shares edges.
 }
 
 TEST(Partition, TransposesAreConsistent) {
