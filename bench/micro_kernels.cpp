@@ -3,6 +3,9 @@
 // numeric code paths, complementing the simulated-time figures.
 #include <benchmark/benchmark.h>
 
+#include <cmath>
+#include <cstdint>
+
 #include "graph/generator.hpp"
 #include "kernels/aggregate.hpp"
 #include "kernels/update.hpp"
@@ -104,6 +107,51 @@ void BM_GemmNT(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2ull * n * 32 * 32);
 }
 BENCHMARK(BM_GemmNT)->Arg(2750);
+
+// The one-column GEMMs of rnn-dense's head.fc (hidden 32 -> 1): forward
+// y = H w (Arg 0) and the weight gradient dw += H^T dy (Arg 1).
+void BM_GemmOneColumn(benchmark::State& state) {
+  const bool grad = state.range(0) != 0;
+  Rng rng(6);
+  const Tensor h = Tensor::randn(2750, 32, rng);
+  const Tensor w = Tensor::randn(32, 1, rng);
+  const Tensor dy = Tensor::randn(2750, 1, rng);
+  Tensor y(2750, 1), dw(32, 1);
+  for (auto _ : state) {
+    if (grad) {
+      ops::gemm(h, dy, dw, /*trans_a=*/true, false, 1.0f, 1.0f);
+    } else {
+      ops::gemm(h, w, y);
+    }
+    benchmark::DoNotOptimize(grad ? dw.data() : y.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * 2750 * 32);
+}
+BENCHMARK(BM_GemmOneColumn)->Arg(0)->Arg(1);
+
+// tanh over one rnn-dense gate tensor (2750 x 32): libm's tanhf (Arg 0)
+// against the exact 4-lane port that replaced it (Arg 1).
+void BM_Tanh(benchmark::State& state) {
+  const bool lanes = state.range(0) != 0;
+  Rng rng(7);
+  const Tensor x = Tensor::randn(2750, 32, rng, 2.0f);
+  Tensor y(2750, 32);
+  for (auto _ : state) {
+    if (lanes) {
+      ops::tanh_n(x.data(), y.data(), x.size());
+    } else {
+      for (std::size_t i = 0; i < x.size(); ++i) {
+        y.data()[i] = std::tanh(x.data()[i]);
+      }
+    }
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(x.size()));
+}
+BENCHMARK(BM_Tanh)->Arg(0)->Arg(1);
 
 void BM_SliceCsr(benchmark::State& state) {
   const auto& g = test_graph();

@@ -150,11 +150,12 @@ class BaselineExecutor final : public models::FrameExecutor,
   std::vector<Tensor> update_backward(const std::vector<Tensor>& d_y,
                                       const std::vector<const Tensor*>& hs,
                                       nn::Linear& lin,
-                                      const std::string& tag) override {
+                                      const std::string& tag,
+                                      bool leaf_inputs) override {
     PIPAD_CHECK(d_y.size() == hs.size());
     std::vector<Tensor> out(d_y.size());
     for (std::size_t i = 0; i < d_y.size(); ++i) {
-      out[i] = lin.backward(*hs[i], d_y[i], this, tag);
+      out[i] = lin.backward(*hs[i], d_y[i], this, tag, leaf_inputs);
     }
     return out;
   }

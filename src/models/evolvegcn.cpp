@@ -105,8 +105,8 @@ float EvolveGcn::run_frame(FrameExecutor& ex,
   if (!train) return loss;
 
   // ---- Backward ----
-  std::vector<Tensor> d_out2 =
-      ex.update_backward(d_preds, out2p, head_, "head.fc");
+  std::vector<Tensor> d_out2 = ex.update_backward(
+      d_preds, out2p, head_, "head.fc", /*leaf_inputs=*/false);
 
   std::vector<Tensor> d_agg2(T), d_w2(T);
   for (int t = 0; t < T; ++t) {

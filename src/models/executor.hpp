@@ -10,6 +10,8 @@
 // Layer ids: 0 denotes aggregation over the frame's *raw input features* —
 // time-invariant w.r.t. parameters, hence cacheable and exempt from
 // backward. Layers >= 1 aggregate activations and always need backward.
+// For the same reason an update whose inputs are layer-0 aggregations has
+// leaf inputs: its backward accumulates the weight gradients only.
 #pragma once
 
 #include <string>
@@ -44,10 +46,13 @@ class FrameExecutor {
                                      nn::Linear& lin,
                                      const std::string& tag) = 0;
 
-  /// Backward of update(): accumulates lin's grads, returns d_hs.
+  /// Backward of update(): accumulates lin's grads, returns d_hs. With
+  /// leaf_inputs, nothing consumes d_hs: its tensors are left empty, not
+  /// computed, but their GEMMs are still recorded, so the modeled schedule
+  /// is the same either way.
   virtual std::vector<Tensor> update_backward(
       const std::vector<Tensor>& d_y, const std::vector<const Tensor*>& hs,
-      nn::Linear& lin, const std::string& tag) = 0;
+      nn::Linear& lin, const std::string& tag, bool leaf_inputs) = 0;
 
   /// Recorder for RNN / head / loss kernels the model launches directly.
   virtual kernels::KernelRecorder* recorder() = 0;

@@ -54,9 +54,10 @@ std::vector<Tensor> GcnLayer::backward(FrameExecutor& ex,
   std::vector<const Tensor*> hptr;
   hptr.reserve(cache.hidden.size());
   for (const auto& h : cache.hidden) hptr.push_back(&h);
-  std::vector<Tensor> d_hidden = ex.update_backward(d_y, hptr, lin_, tag);
-
-  if (layer_id == 0) return {};  // Inputs are leaves.
+  // Layer 0 aggregated the raw features: its inputs are leaves.
+  const bool leaf = layer_id == 0;
+  std::vector<Tensor> d_hidden = ex.update_backward(d_y, hptr, lin_, tag, leaf);
+  if (leaf) return {};
   return ex.aggregate_backward(d_hidden, layer_id, tag);
 }
 
@@ -95,8 +96,8 @@ float Gcn::run_frame(FrameExecutor& ex, const std::vector<const Tensor*>& xs,
       frame_mse_loss(preds, targets, train, d_preds, ex.recorder());
   if (!train) return loss;
 
-  std::vector<Tensor> d_e2 =
-      ex.update_backward(d_preds, e2p, head_, "head.fc");
+  std::vector<Tensor> d_e2 = ex.update_backward(
+      d_preds, e2p, head_, "head.fc", /*leaf_inputs=*/false);
   std::vector<Tensor> d_e1 = gcn2_.backward(ex, d_e2, c2, 1, "gcn.l2");
   gcn1_.backward(ex, d_e1, c1, 0, "gcn.l1");
   return loss;

@@ -58,8 +58,8 @@ float MpnnLstm::run_frame(FrameExecutor& ex,
   if (!train) return loss;
 
   // ---- Backward ----
-  std::vector<Tensor> d_h2 =
-      ex.update_backward(d_preds, h2p, head_, "head.fc");
+  std::vector<Tensor> d_h2 = ex.update_backward(
+      d_preds, h2p, head_, "head.fc", /*leaf_inputs=*/false);
   std::vector<Tensor> d_h1 = seq2.backward(d_h2, ex.recorder(), "rnn.lstm2");
   std::vector<Tensor> d_e2 = seq1.backward(d_h1, ex.recorder(), "rnn.lstm1");
   std::vector<Tensor> d_e1 = gcn2_.backward(ex, d_e2, c2, 1, "gcn.l2");

@@ -1,7 +1,5 @@
 #include "models/tgcn.hpp"
 
-#include <cmath>
-
 #include "kernels/stats_builders.hpp"
 #include "tensor/ops.hpp"
 
@@ -57,8 +55,9 @@ Tensor TGcn::step(const Tensor& uz, const Tensor& ur, const Tensor& un,
     const float *pyn = yn.row(i), *pun = un.row(i), *pz = cache.z.row(i);
     const float* ph = h_prev.row(i);
     float *pn = cache.n.row(i), *pout = h.row(i);
+    for (int c = 0; c < hid_; ++c) pn[c] = (pyn[c] + bn[c]) + pun[c];
+    ops::tanh_n(pn, pn, hid_);
     for (int c = 0; c < hid_; ++c) {
-      pn[c] = std::tanh((pyn[c] + bn[c]) + pun[c]);
       pout[c] = (1.0f - pz[c]) * pn[c] + pz[c] * ph[c];
     }
   });
@@ -166,7 +165,8 @@ float TGcn::run_frame(FrameExecutor& ex, const std::vector<const Tensor*>& xs,
   if (!train) return loss;
 
   // ---- Backward ----
-  std::vector<Tensor> d_hs = ex.update_backward(d_preds, hsp, head_, "head.fc");
+  std::vector<Tensor> d_hs = ex.update_backward(
+      d_preds, hsp, head_, "head.fc", /*leaf_inputs=*/false);
 
   std::vector<Tensor> d_uz(T), d_ur(T), d_un(T);
   Tensor carry = Tensor::zeros(n_rows, hid_);
@@ -176,17 +176,11 @@ float TGcn::run_frame(FrameExecutor& ex, const std::vector<const Tensor*>& xs,
     carry = step_backward(caches[t], dh, d_uz[t], d_ur[t], d_un[t], rec);
   }
 
-  std::vector<Tensor> d_agg_z =
-      ex.update_backward(d_uz, aggp, gate_z_, "gcn.gate_z");
-  std::vector<Tensor> d_agg_r =
-      ex.update_backward(d_ur, aggp, gate_r_, "gcn.gate_r");
-  std::vector<Tensor> d_agg_n =
-      ex.update_backward(d_un, aggp, gate_n_, "gcn.gate_n");
-  // Gradients would flow to the inputs only through layer-0 aggregation,
-  // which terminates at leaves — nothing further to do.
-  (void)d_agg_z;
-  (void)d_agg_r;
-  (void)d_agg_n;
+  // The gate inputs are layer-0 aggregations of the raw features: leaves,
+  // so only the gate weights get gradients.
+  ex.update_backward(d_uz, aggp, gate_z_, "gcn.gate_z", /*leaf_inputs=*/true);
+  ex.update_backward(d_ur, aggp, gate_r_, "gcn.gate_r", /*leaf_inputs=*/true);
+  ex.update_backward(d_un, aggp, gate_n_, "gcn.gate_n", /*leaf_inputs=*/true);
   return loss;
 }
 

@@ -1,7 +1,6 @@
 #include "nn/gru.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "kernels/stats_builders.hpp"
 #include "tensor/ops.hpp"
@@ -65,8 +64,9 @@ Tensor GRUCell::forward(const Tensor& x, const Tensor& h_prev, Cache& cache,
   ops::par_rows(rows, h.size(), [&](int i) {
     const float *pyn = yn.row(i), *pz = cache.z.row(i), *ph = h_prev.row(i);
     float *pn = cache.n.row(i), *pout = h.row(i);
+    for (int c = 0; c < hid_; ++c) pn[c] = pyn[c] + bn[c];
+    ops::tanh_n(pn, pn, hid_);
     for (int c = 0; c < hid_; ++c) {
-      pn[c] = std::tanh(pyn[c] + bn[c]);
       pout[c] = (1.0f - pz[c]) * pn[c] + pz[c] * ph[c];
     }
   });

@@ -27,12 +27,13 @@ Tensor Linear::forward_unbiased(const Tensor& x, kernels::KernelRecorder* rec,
 }
 
 Tensor Linear::backward(const Tensor& x, const Tensor& dy,
-                        kernels::KernelRecorder* rec,
-                        const std::string& tag) {
+                        kernels::KernelRecorder* rec, const std::string& tag,
+                        bool leaf_input) {
   // dW += x^T dy ; db += colsum(dy) ; dx = dy W^T.
   ops::gemm(x, dy, w_.grad, /*trans_a=*/true, /*trans_b=*/false, 1.0f, 1.0f);
   ops::add_inplace(b_.grad, ops::bias_grad(dy));
-  Tensor dx = ops::matmul(dy, w_.value, false, /*trans_b=*/true);
+  Tensor dx;
+  if (!leaf_input) dx = ops::matmul(dy, w_.value, false, /*trans_b=*/true);
   record_gemm(rec, "gemm:" + tag + ".dw", x.cols(), x.rows(), dy.cols());
   record_gemm(rec, "gemm:" + tag + ".dx", dy.rows(), dy.cols(),
               w_.value.rows());

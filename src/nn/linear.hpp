@@ -29,9 +29,11 @@ class Linear {
                           const std::string& tag) const;
 
   /// Given the cached input x and upstream dy: accumulates dW, db and
-  /// returns dx.
+  /// returns dx. With leaf_input, dx is neither needed nor computed (the
+  /// result is empty), but its GEMM is still recorded.
   Tensor backward(const Tensor& x, const Tensor& dy,
-                  kernels::KernelRecorder* rec, const std::string& tag);
+                  kernels::KernelRecorder* rec, const std::string& tag,
+                  bool leaf_input = false);
 
   Parameter& weight() { return w_; }
   Parameter& bias() { return b_; }

@@ -1,7 +1,5 @@
 #include "nn/lstm.hpp"
 
-#include <cmath>
-
 #include "kernels/stats_builders.hpp"
 #include "tensor/ops.hpp"
 
@@ -54,12 +52,13 @@ std::pair<Tensor, Tensor> LSTMCell::forward(const Tensor& x,
     for (int c = 0; c < hid_; ++c) {
       pi[c] = ops::sigmoid(pa[c] + b[c]);
       pf[c] = ops::sigmoid(pa[hid_ + c] + b[hid_ + c]);
-      pg[c] = std::tanh(pa[2 * hid_ + c] + b[2 * hid_ + c]);
+      pg[c] = pa[2 * hid_ + c] + b[2 * hid_ + c];
       po[c] = ops::sigmoid(pa[3 * hid_ + c] + b[3 * hid_ + c]);
-      pc[c] = pf[c] * pcp[c] + pi[c] * pg[c];
-      ptc[c] = std::tanh(pc[c]);
-      ph[c] = po[c] * ptc[c];
     }
+    ops::tanh_n(pg, pg, hid_);
+    for (int c = 0; c < hid_; ++c) pc[c] = pf[c] * pcp[c] + pi[c] * pg[c];
+    ops::tanh_n(pc, ptc, hid_);
+    for (int c = 0; c < hid_; ++c) ph[c] = po[c] * ptc[c];
   });
   record(rec, "ew:" + tag + ".act",
          kernels::elementwise_stats(gates.size(), 1, 6));

@@ -164,13 +164,13 @@ class PipadExecutor final : public models::FrameExecutor,
   std::vector<Tensor> update_backward(const std::vector<Tensor>& d_y,
                                       const std::vector<const Tensor*>& hs,
                                       nn::Linear& lin,
-                                      const std::string& tag) override {
+                                      const std::string& tag,
+                                      bool leaf_inputs) override {
     PIPAD_CHECK(d_y.size() == hs.size());
     std::vector<Tensor> out(d_y.size());
     for (std::size_t i = 0; i < d_y.size(); ++i) {
-      ops::gemm(*hs[i], d_y[i], lin.weight().grad, true, false, 1.0f, 1.0f);
-      ops::add_inplace(lin.bias().grad, ops::bias_grad(d_y[i]));
-      out[i] = ops::matmul(d_y[i], lin.weight().value, false, true);
+      // The numerics are Linear's; the kernels are recorded below.
+      out[i] = lin.backward(*hs[i], d_y[i], nullptr, tag, leaf_inputs);
     }
     if (opts_.enable_weight_reuse) {
       // dX = dY W^T shares W^T tiles across the group; the dW accumulator

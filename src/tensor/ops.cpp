@@ -10,6 +10,8 @@ namespace pipad::ops {
 
 namespace {
 using simd::load4;
+using simd::select;
+using simd::splat;
 using simd::store4;
 using simd::v4f;
 
@@ -77,6 +79,26 @@ void gemm_row(const float* a, std::size_t lda, int k, float alpha,
   for (; j < n; ++j) gemm_strip<1>(a, lda, k, alpha, b + j, ldb, c + j, beta);
 }
 
+// A one-column C (n == 1): four rows at once, lane r holding row r's
+// accumulator, where row r reads op(A) at a[r * row_step + kk * lda]. Each
+// lane runs gemm_strip<1>'s loop; a lane whose alpha * a is exactly zero
+// keeps its accumulator (a blend), as the scalar loop's skip does.
+void gemm_col4(const float* a, std::size_t row_step, std::size_t lda, int k,
+               float alpha, const float* b, float* c, float beta) {
+  v4f acc = beta == 0.0f ? v4f{} : load4(c);
+  if (beta != 0.0f && beta != 1.0f) acc *= splat(beta);
+  const v4f alphav = splat(alpha);
+  for (int kk = 0; kk < k; ++kk) {
+    const float* ak = a + kk * lda;
+    const v4f av =
+        alphav * (row_step == 1 ? load4(ak)
+                                : v4f{ak[0], ak[row_step], ak[2 * row_step],
+                                      ak[3 * row_step]});
+    acc = select(av == splat(0.0f), acc, acc + av * splat(b[kk]));
+  }
+  store4(c, acc);
+}
+
 // Row-major copy of t^T.
 std::vector<float> transposed(const Tensor& t) {
   const int rows = t.rows();
@@ -116,6 +138,28 @@ void gemm(const Tensor& a, const Tensor& b, Tensor& c, bool trans_a,
   const float* pb = trans_b ? packed_b.data() : b.data();
   const std::size_t lda = trans_a ? static_cast<std::size_t>(m) : 1;
   const std::size_t work = static_cast<std::size_t>(m) * k * n;
+  if (n == 1) {
+    // One output column leaves no columns to vectorize across, so run four
+    // C rows per vector instead, in blocks of whole 4-row groups (only the
+    // last group can fall short) whose layout never depends on the pool
+    // width.
+    const auto rows = static_cast<std::size_t>(m);
+    const std::size_t row_step = trans_a ? 1 : static_cast<std::size_t>(k);
+    ComputePool::instance().for_blocks(
+        (rows + 3) / 4, work, [&](std::size_t g_lo, std::size_t g_hi) {
+          std::size_t i = 4 * g_lo;
+          const std::size_t hi = std::min(4 * g_hi, rows);
+          for (; i + 4 <= hi; i += 4) {
+            gemm_col4(a.data() + i * row_step, row_step, lda, k, alpha, pb,
+                      c.data() + i, beta);
+          }
+          for (; i < hi; ++i) {
+            gemm_strip<1>(a.data() + i * row_step, lda, k, alpha, pb, 1,
+                          c.data() + i, beta);
+          }
+        });
+    return;
+  }
   par_rows(m, work, [&](int i) {
     const float* arow = trans_a ? a.data() + i : a.row(i);
     gemm_row(arow, lda, k, alpha, pb, n, c.row(i), beta);
@@ -256,7 +300,7 @@ Tensor tanh(const Tensor& x) {
   const float* px = x.data();
   float* py = y.data();
   par_elems(x.size(), [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) py[i] = std::tanh(px[i]);
+    tanh_n(px + lo, py + lo, hi - lo);
   });
   return y;
 }

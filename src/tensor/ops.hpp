@@ -17,8 +17,20 @@
 //   - no multiply-add contraction: every product is rounded before it is
 //     added (the build passes -ffp-contract=off, so FMA-capable targets
 //     round the same way as the x86-64 baseline).
-// Vectorizing across output columns and blocking over rows or columns is
-// free under this contract; reordering or splitting the k sum is not.
+// Vectorizing across output columns (or across C rows, when C has one
+// column) and blocking over rows or columns is free under this contract;
+// reordering or splitting the k sum is not.
+//
+// Activations. tanh does not call libm: tensor/tanh.hpp ports the fdlibm
+// tanhf that glibc ships, to SSE2 lanes and to scalar code, and both match
+// glibc's tanhf bit for bit on all 2^32 inputs, so results no longer depend
+// on the libm a binary links against. sigmoid stays on libm's expf: on CPUs
+// with FMA, glibc runs a build of its expf whose compiler fused five
+// multiply-adds. A port of that algorithm without fusion differs from it
+// on two inputs below 88 in magnitude (0x4202422f and 0xc27c65d9), and one
+// with the same fusions (std::fma) matches it on all of them, so an exact
+// SSE2 sigmoid would have to emulate double-precision fused multiply-adds,
+// which costs more than the call it replaces.
 #pragma once
 
 #include <cmath>
@@ -26,6 +38,7 @@
 #include <utility>
 
 #include "common/compute_pool.hpp"
+#include "tensor/tanh.hpp"
 #include "tensor/tensor.hpp"
 
 namespace pipad::ops {
@@ -51,7 +64,8 @@ void par_elems(std::size_t n, const F& fn) {
 }
 
 /// Scalar activations and gradients, shared by the tensor ops below and the
-/// fused RNN-cell passes so that both round the same way.
+/// fused RNN-cell passes so that both round the same way (tanh: tanh_n in
+/// tensor/tanh.hpp).
 inline float sigmoid(float x) { return 1.0f / (1.0f + std::exp(-x)); }
 /// dx given y = sigmoid(x): dy * y * (1 - y).
 inline float sigmoid_grad(float dy, float y) { return dy * y * (1.0f - y); }

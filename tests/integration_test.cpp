@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "baselines/baseline_trainer.hpp"
+#include "kernels/stats_builders.hpp"
 #include "replica/replica_trainer.hpp"
 #include "test_util.hpp"
 
@@ -82,6 +83,70 @@ INSTANTIATE_TEST_SUITE_P(Models, EndToEnd,
                            }
                            return n;
                          });
+
+// ---------- Leaf inputs: dX not computed, still charged ----------
+//
+// T-GCN's gate updates and GCN layer 0 read layer-0 aggregations, which are
+// leaves: the runtimes skip their dX GEMMs on the host, but the modeled
+// device still runs them, so each stays recorded with its full stats.
+
+bool same_stats(const gpusim::KernelStats& a, const gpusim::KernelStats& b) {
+  return a.flops == b.flops && a.global_requests == b.global_requests &&
+         a.global_transactions == b.global_transactions &&
+         a.shared_accesses == b.shared_accesses &&
+         a.atomic_ops == b.atomic_ops && a.total_warps == b.total_warps &&
+         a.active_thread_ratio_sum == b.active_thread_ratio_sum &&
+         a.imbalance == b.imbalance;
+}
+
+std::vector<gpusim::KernelStats> kernels_named(const gpusim::Gpu& gpu,
+                                               const std::string& name) {
+  std::vector<gpusim::KernelStats> out;
+  for (const auto& rec : gpu.timeline().records()) {
+    if (rec.name == "kernel:" + name) out.push_back(rec.stats);
+  }
+  return out;
+}
+
+void expect_leaf_dx_recorded(ModelType m, bool pipad) {
+  const auto g = graph::generate(testutil::tiny_config(48, 12, 2, 99));
+  const TrainConfig cfg = testutil::small_cfg(m);
+  gpusim::Gpu gpu;
+  if (pipad) {
+    replica::ReplicaTrainer(gpu, g, cfg).train();
+  } else {
+    BaselineTrainer(gpu, g, cfg, Variant::PyGT).train();
+  }
+  const std::vector<std::string> leaf_tags =
+      m == ModelType::TGcn
+          ? std::vector<std::string>{"gcn.gate_z", "gcn.gate_r", "gcn.gate_n"}
+          : std::vector<std::string>{"gcn.l1"};
+  // dX = dY W^T: [nodes x hidden] * [hidden x feat]; PiPAD records one
+  // weight-reuse GEMM per frame, PyGT one GEMM per snapshot.
+  const auto want =
+      (pipad ? kernels::gemm_weight_reuse_stats(g.num_nodes, cfg.hidden_dim,
+                                                g.feat_dim, cfg.frame_size)
+             : kernels::gemm_stats(g.num_nodes, cfg.hidden_dim, g.feat_dim))
+          .scaled(g.sim_scale);
+  const std::string suffix = pipad ? ".wr" : "";
+  for (const auto& tag : leaf_tags) {
+    const auto dx = kernels_named(gpu, "gemm:" + tag + ".dx" + suffix);
+    const auto dw = kernels_named(gpu, "gemm:" + tag + ".dw" + suffix);
+    EXPECT_FALSE(dx.empty()) << tag;
+    EXPECT_EQ(dx.size(), dw.size()) << tag;
+    for (const auto& s : dx) EXPECT_TRUE(same_stats(s, want)) << tag;
+  }
+}
+
+TEST(LeafInputs, DxKernelsStayRecordedUnderPipadAndPygt) {
+  for (const ModelType m : {ModelType::TGcn, ModelType::Gcn}) {
+    for (const bool pipad : {true, false}) {
+      SCOPED_TRACE(std::string(models::model_type_name(m)) +
+                   (pipad ? " PiPAD" : " PyGT"));
+      expect_leaf_dx_recorded(m, pipad);
+    }
+  }
+}
 
 TEST(EndToEnd, TransferShareShrinksUnderPipad) {
   // §3.1: transfers dominate PyGT; PiPAD's overlap-aware organization and

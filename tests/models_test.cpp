@@ -1,7 +1,9 @@
 // Model tests: training dynamics, gradient sanity against numerical
-// differentiation, structural invariants of the DGNNs, and T-GCN's fused
-// recurrent step against its op-by-op chain.
+// differentiation, structural invariants of the DGNNs, leaf-input updates,
+// and T-GCN's fused recurrent step against its op-by-op chain.
 #include <gtest/gtest.h>
+
+#include <cstring>
 
 #include "models/evolvegcn.hpp"
 #include "models/mpnn_lstm.hpp"
@@ -154,6 +156,99 @@ TEST(ModelStructure, DeterministicInitAcrossRuns) {
   }
 }
 
+// ---------- Leaf inputs: the dX a model skips changes no gradient ----------
+
+/// Forwards every call to `inner`, but computes dX for every update
+/// whatever the model asked, and logs the updates it asked to skip.
+class NoLeafSkip final : public models::FrameExecutor {
+ public:
+  explicit NoLeafSkip(models::FrameExecutor& inner) : inner_(inner) {}
+
+  std::vector<Tensor> aggregate(const std::vector<const Tensor*>& xs,
+                                int layer_id,
+                                const std::string& tag) override {
+    return inner_.aggregate(xs, layer_id, tag);
+  }
+  std::vector<Tensor> aggregate_backward(const std::vector<Tensor>& d_h,
+                                         int layer_id,
+                                         const std::string& tag) override {
+    return inner_.aggregate_backward(d_h, layer_id, tag);
+  }
+  std::vector<Tensor> update(const std::vector<const Tensor*>& hs,
+                             nn::Linear& lin,
+                             const std::string& tag) override {
+    return inner_.update(hs, lin, tag);
+  }
+  std::vector<Tensor> update_backward(const std::vector<Tensor>& d_y,
+                                      const std::vector<const Tensor*>& hs,
+                                      nn::Linear& lin, const std::string& tag,
+                                      bool leaf_inputs) override {
+    if (leaf_inputs) leaf_tags.push_back(tag);
+    std::vector<Tensor> d_hs =
+        inner_.update_backward(d_y, hs, lin, tag, /*leaf_inputs=*/false);
+    for (const auto& d : d_hs) EXPECT_FALSE(d.empty()) << tag;
+    return d_hs;
+  }
+  kernels::KernelRecorder* recorder() override { return inner_.recorder(); }
+
+  std::vector<std::string> leaf_tags;
+
+ private:
+  models::FrameExecutor& inner_;
+};
+
+class LeafInputs : public ::testing::TestWithParam<ModelType> {};
+
+TEST_P(LeafInputs, SkippedDxLeavesLossAndGradientsBitIdentical) {
+  const auto g = graph::generate(testutil::tiny_config());
+  const graph::Frame frame{0, 6};
+  const auto xs = testutil::frame_features(g, frame);
+  const auto ys = testutil::frame_targets(g, frame);
+  Rng rng_skip(13), rng_full(13);
+  auto skip = models::make_model(GetParam(), g.feat_dim, 8, rng_skip);
+  auto full = models::make_model(GetParam(), g.feat_dim, 8, rng_full);
+  testutil::ReferenceExecutor ex(g, frame);
+  NoLeafSkip no_skip(ex);
+  nn::zero_grads(skip->params());
+  nn::zero_grads(full->params());
+  const float loss_skip = skip->train_frame(ex, xs, ys);
+  const float loss_full = full->train_frame(no_skip, xs, ys);
+
+  EXPECT_EQ(std::memcmp(&loss_skip, &loss_full, sizeof(float)), 0);
+  const std::vector<float> p_skip = testutil::flat_params(*skip);
+  const std::vector<float> p_full = testutil::flat_params(*full);
+  ASSERT_EQ(p_skip.size(), p_full.size());
+  EXPECT_EQ(std::memcmp(p_skip.data(), p_full.data(),
+                        p_skip.size() * sizeof(float)),
+            0);
+  // Exactly the updates fed by layer-0 aggregation are leaves.
+  std::vector<std::string> want;
+  switch (GetParam()) {
+    case ModelType::TGcn:
+      want = {"gcn.gate_z", "gcn.gate_r", "gcn.gate_n"};
+      break;
+    case ModelType::Gcn:
+    case ModelType::MpnnLstm:
+      want = {"gcn.l1"};
+      break;
+    case ModelType::EvolveGcn:  // Its GCN updates are not executor updates.
+      break;
+  }
+  EXPECT_EQ(no_skip.leaf_tags, want);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllModels, LeafInputs,
+                         ::testing::Values(ModelType::MpnnLstm,
+                                           ModelType::EvolveGcn,
+                                           ModelType::TGcn, ModelType::Gcn),
+                         [](const auto& info) {
+                           std::string n = models::model_type_name(info.param);
+                           for (auto& c : n) {
+                             if (c == '-') c = '_';
+                           }
+                           return n;
+                         });
+
 // ---------- T-GCN's fused step vs the op-by-op chain it replaced ----------
 
 using testutil::randn_with_zeros;
@@ -257,6 +352,28 @@ void expect_tgcn_step_matches_chain(int rows, int hid, std::uint64_t seed) {
 TEST(TgcnStep, FusedPassesMatchOpChainBitForBit) {
   expect_tgcn_step_matches_chain(67, 9, 51);  // Strip tails everywhere.
   expect_tgcn_step_matches_chain(300, 32, 52);
+}
+
+// The candidate's tanh equals libm's tanhf in every column, including the
+// scalar tail of a hidden size that is not a multiple of 4.
+TEST(TgcnStep, CandidateTanhMatchesLibmWithHiddenSizeNotAMultipleOf4) {
+  Rng rng(54);
+  models::TGcn model = seeded_tgcn(7, rng);
+  StepInputs in(67, 7, rng);
+  ops::scale_inplace(in.un, 4.0f);  // Reach |x| > 1 too.
+  models::TGcn::StepCache cache;
+  model.step(in.uz, in.ur, in.un, in.h0, cache, nullptr);
+  // an = (rh U_n + b_n) + u_n; params() index 10/11 is hn's (W, b).
+  const auto p = model.params();
+  Tensor an = ops::matmul(cache.rh, p[10]->value);
+  ops::add_bias(an, p[11]->value);
+  ops::add_inplace(an, in.un);
+  std::size_t mismatches = 0;
+  for (std::size_t i = 0; i < an.size(); ++i) {
+    const float want = std::tanh(an.data()[i]);
+    mismatches += std::memcmp(&want, cache.n.data() + i, sizeof want) != 0;
+  }
+  EXPECT_EQ(mismatches, 0u);
 }
 
 TEST(TgcnStep, FusedPassesBitIdenticalAcrossThreadCounts) {

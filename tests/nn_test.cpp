@@ -3,8 +3,12 @@
 // plus optimizer behaviour.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
 #include <functional>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "nn/gru.hpp"
 #include "nn/linear.hpp"
@@ -42,6 +46,35 @@ TEST(Linear, ForwardMatchesManualMath) {
   Tensor expect = ops::matmul(x, lin.weight().value);
   ops::add_bias(expect, lin.bias().value);
   EXPECT_LT(ops::max_abs_diff(y, expect), 1e-6f);
+}
+
+// Records every kernel by name and stats, in order.
+class KernelLog final : public kernels::KernelRecorder {
+ public:
+  void record(const std::string& name,
+              const gpusim::KernelStats& s) override {
+    log.push_back(name + " " + std::to_string(s.flops) + " " +
+                  std::to_string(s.global_transactions) + " " +
+                  std::to_string(s.total_warps));
+  }
+  std::vector<std::string> log;
+};
+
+TEST(Linear, LeafInputSkipsDxButNotItsGradsOrKernels) {
+  Rng rng(3);
+  nn::Linear leaf(19, 6, rng);
+  testutil::randomize_biases(leaf.params(), rng);
+  nn::Linear full = leaf;
+  const Tensor x = testutil::randn_with_zeros(70, 19, rng);
+  const Tensor dy = testutil::randn_with_zeros(70, 6, rng);
+  KernelLog leaf_log, full_log;
+  EXPECT_TRUE(
+      leaf.backward(x, dy, &leaf_log, "t", /*leaf_input=*/true).empty());
+  EXPECT_EQ(full.backward(x, dy, &full_log, "t").rows(), 70);
+  EXPECT_TRUE(testutil::same_bits(leaf.weight().grad, full.weight().grad));
+  EXPECT_TRUE(testutil::same_bits(leaf.bias().grad, full.bias().grad));
+  EXPECT_EQ(leaf_log.log, full_log.log);
+  EXPECT_EQ(full_log.log.size(), 2u);  // .dw and .dx
 }
 
 TEST(Linear, GradientCheck) {
@@ -301,6 +334,32 @@ TEST(GruCell, FusedPassesMatchOpChainBitForBit) {
   expect_gru_matches_chain(300, 16, 32, 22);
 }
 
+/// Elements where got[i] is not libm's tanhf(pre[i]), bit for bit.
+std::size_t tanh_mismatches(const Tensor& pre, const Tensor& got) {
+  std::size_t n = 0;
+  for (std::size_t i = 0; i < pre.size(); ++i) {
+    const float want = std::tanh(pre.data()[i]);
+    n += std::memcmp(&want, got.data() + i, sizeof want) != 0;
+  }
+  return n;
+}
+
+// The cells' tanh equals libm's tanhf in every column, including the scalar
+// tail of a hidden size that is not a multiple of 4.
+TEST(GruCell, CandidateTanhMatchesLibmWithHiddenSizeNotAMultipleOf4) {
+  Rng rng(24);
+  nn::GRUCell cell(5, 7, rng);
+  randomize_biases(cell.params(), rng);
+  const Tensor x = Tensor::randn(67, 5, rng, 4.0f);  // Reach |x| > 1 too.
+  const Tensor h0 = Tensor::randn(67, 7, rng);
+  nn::GRUCell::Cache cache;
+  cell.forward(x, h0, cache, nullptr, "t");
+  const auto p = cell.params();  // wz, wr, wn, bz, br, bn.
+  Tensor an = ops::matmul(cache.xrh, p[2]->value);
+  ops::add_bias(an, p[5]->value);
+  EXPECT_EQ(tanh_mismatches(an, cache.n), 0u);
+}
+
 TEST(GruCell, FusedPassesBitIdenticalAcrossThreadCounts) {
   testutil::expect_same_bits_across_threads(
       [] { return gru_fused(700, 16, 32, 23); });
@@ -401,6 +460,21 @@ TEST(LstmCell, FusedPassesMatchOpChainBitForBit) {
   expect_lstm_matches_chain(67, 5, 9, true, 31);  // 4*hid = 36: a strip tail.
   expect_lstm_matches_chain(67, 5, 9, false, 32);  // No upstream dc.
   expect_lstm_matches_chain(300, 16, 32, true, 33);
+}
+
+TEST(LstmCell, TanhMatchesLibmWithHiddenSizeNotAMultipleOf4) {
+  Rng rng(35);
+  nn::LSTMCell cell(5, 7, rng);
+  randomize_biases(cell.params(), rng);
+  const Tensor x = Tensor::randn(67, 5, rng, 4.0f);
+  const Tensor h0 = Tensor::randn(67, 7, rng);
+  const Tensor c0 = Tensor::randn(67, 7, rng, 2.0f);
+  nn::LSTMCell::Cache cache;
+  cell.forward(x, h0, c0, cache, nullptr, "t");
+  Tensor gates = ops::matmul(cache.xh, cell.params()[0]->value);
+  ops::add_bias(gates, cell.params()[1]->value);
+  EXPECT_EQ(tanh_mismatches(ops::slice_cols(gates, 14, 7), cache.g), 0u);
+  EXPECT_EQ(tanh_mismatches(cache.c, cache.tanh_c), 0u);
 }
 
 TEST(LstmCell, FusedPassesBitIdenticalAcrossThreadCounts) {

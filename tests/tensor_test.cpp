@@ -1,12 +1,21 @@
 // Tensor/ops tests: GEMM in all transpose modes against a naive reference
 // and, bit for bit, against its in-order definition; elementwise maps, gate
-// helpers, losses.
+// helpers, losses; the exact tanh against libm's tanhf.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <limits>
 #include <tuple>
+#include <vector>
 
 #include "common/compute_pool.hpp"
 #include "tensor/ops.hpp"
+#include "tensor/simd.hpp"
+#include "tensor/tanh.hpp"
 #include "test_util.hpp"
 
 namespace pipad {
@@ -345,6 +354,223 @@ TEST(PooledEdgeShapes, ZeroRowTensorsAreNoOps) {
   EXPECT_EQ(cat.rows(), 0);
   EXPECT_EQ(cat.cols(), 10);
   ComputePool::instance().configure(0);
+}
+
+// ---------- Exact tanh (tensor/tanh.hpp) against libm's tanhf ----------
+
+std::uint32_t float_bits(float f) {
+  std::uint32_t u;
+  std::memcpy(&u, &f, sizeof u);
+  return u;
+}
+
+float from_bits(std::uint32_t u) {
+  float f;
+  std::memcpy(&f, &u, sizeof f);
+  return f;
+}
+
+/// Same bits, or both NaN.
+bool same_tanh(float want, float got) {
+  return std::isnan(want) ? std::isnan(got)
+                          : float_bits(want) == float_bits(got);
+}
+
+/// Every x gets libm's tanhf bits from tanh_scalar and from tanh4, the
+/// latter with x in each lane position (the other lanes hold x's
+/// neighbours in the list).
+void expect_tanh_exact(const std::vector<float>& xs) {
+  const std::size_t n = xs.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    const float x = xs[i];
+    const float want = std::tanh(x);
+    ASSERT_TRUE(same_tanh(want, ops::tanh_scalar(x)))
+        << std::hex << "scalar, x bits 0x" << float_bits(x);
+    for (std::size_t lane = 0; lane < 4; ++lane) {
+      float in[4], out[4];
+      for (std::size_t l = 0; l < 4; ++l) {
+        in[l] = xs[(i + 4 * n + l - lane) % n];
+      }
+      simd::store4(out, ops::tanh4(simd::load4(in)));
+      ASSERT_TRUE(same_tanh(want, out[lane]))
+          << std::hex << "lane " << lane << ", x bits 0x" << float_bits(x);
+    }
+  }
+}
+
+/// ±x for |x| within `ulps` of each bit pattern.
+std::vector<float> around(const std::vector<std::uint32_t>& patterns,
+                          int ulps) {
+  std::vector<float> xs;
+  for (const std::uint32_t p : patterns) {
+    for (int d = -ulps; d <= ulps; ++d) {
+      const float x = from_bits(p + static_cast<std::uint32_t>(d));
+      xs.push_back(x);
+      xs.push_back(-x);
+    }
+  }
+  return xs;
+}
+
+/// Smallest |x| bit pattern in [lo, hi) where pred turns true (pred is
+/// monotone over the range).
+template <typename Pred>
+std::uint32_t first_bits(std::uint32_t lo, std::uint32_t hi,
+                         const Pred& pred) {
+  while (lo < hi) {
+    const std::uint32_t mid = lo + (hi - lo) / 2;
+    if (pred(from_bits(mid))) {
+      hi = mid;
+    } else {
+      lo = mid + 1;
+    }
+  }
+  return lo;
+}
+
+TEST(Tanh, StridedBitPatternsMatchLibm) {
+  std::vector<float> xs;
+  // An odd stride walks every exponent with varied mantissas: ~1M inputs.
+  for (std::uint64_t u = 0; u < (std::uint64_t{1} << 32); u += 4093) {
+    xs.push_back(from_bits(static_cast<std::uint32_t>(u)));
+  }
+  expect_tanh_exact(xs);
+}
+
+TEST(Tanh, BranchThresholdsMatchLibm) {
+  // tanh's own thresholds on |x|: 2^-55, 1 and 22.
+  std::vector<std::uint32_t> edges = {0x24000000, 0x3f800000, 0x41b00000};
+  // expm1's, on its argument 2|x| (one exponent step above |x|): 2^-25,
+  // 0.5 ln2 and 1.5 ln2.
+  for (const std::uint32_t arg : {0x33000000u, 0x3eb17218u, 0x3f851592u}) {
+    edges.push_back(arg - 0x00800000u);
+  }
+  // Where expm1's k = trunc(arg / ln2 ± 0.5), computed as fdlibm does,
+  // reaches -3, 23 and 57: the edges between its scaling forms.
+  const auto k_of = [](float arg) {
+    return static_cast<int>(1.4426950216f * arg + (arg < 0 ? -0.5f : 0.5f));
+  };
+  edges.push_back(first_bits(0x3f000000, 0x3f800000, [&](float ax) {
+    return k_of(-2.0f * ax) <= -3;
+  }));
+  for (const int k : {23, 57}) {
+    edges.push_back(first_bits(0x3f800000, 0x41b00000, [&](float ax) {
+      return k_of(2.0f * ax) >= k;
+    }));
+  }
+  expect_tanh_exact(around(edges, 2));
+}
+
+TEST(Tanh, SpecialValuesMatchLibm) {
+  const float inf = std::numeric_limits<float>::infinity();
+  std::vector<float> xs = {0.0f,
+                           -0.0f,
+                           inf,
+                           -inf,
+                           std::numeric_limits<float>::quiet_NaN(),
+                           std::numeric_limits<float>::signaling_NaN(),
+                           -std::numeric_limits<float>::quiet_NaN(),
+                           std::numeric_limits<float>::max(),
+                           std::numeric_limits<float>::lowest(),
+                           std::numeric_limits<float>::min(),
+                           -std::numeric_limits<float>::min()};
+  for (const std::uint32_t sub : {0x00000001u, 0x00400000u, 0x007fffffu}) {
+    xs.push_back(from_bits(sub));
+    xs.push_back(-from_bits(sub));
+  }
+  expect_tanh_exact(xs);
+  EXPECT_EQ(ops::tanh_scalar(inf), 1.0f);
+  EXPECT_EQ(ops::tanh_scalar(-inf), -1.0f);
+  EXPECT_EQ(float_bits(ops::tanh_scalar(-0.0f)), float_bits(-0.0f));
+}
+
+TEST(Tanh, MixedBranchVectorsInEveryLanePosition) {
+  // One input per branch: tiny, expm1-tiny, k = 0, k = -1, k = -2, k = -3,
+  // k < 23, 23 <= k <= 56, k > 56, saturated, non-finite; both signs.
+  std::vector<float> reps;
+  for (const float x : {1e-18f, 1e-9f, 0.1f, 0.4f, 0.7f, 0.95f, 1.5f, 10.0f,
+                        20.0f, 25.0f, std::numeric_limits<float>::infinity()}) {
+    reps.push_back(x);
+    reps.push_back(-x);
+  }
+  reps.push_back(0.0f);
+  reps.push_back(std::numeric_limits<float>::quiet_NaN());
+  const std::size_t r = reps.size();
+  float in[4], out[4];
+  for (std::size_t code = 0; code < r * r * r * r; ++code) {
+    std::size_t c = code;
+    for (float& lane : in) {
+      lane = reps[c % r];
+      c /= r;
+    }
+    simd::store4(out, ops::tanh4(simd::load4(in)));
+    for (int l = 0; l < 4; ++l) {
+      ASSERT_TRUE(same_tanh(std::tanh(in[l]), out[l]))
+          << "lane " << l << " x " << in[l] << " in vector " << code;
+    }
+  }
+}
+
+TEST(Tanh, EveryTailLengthAndTheTensorOpMatchLibm) {
+  Rng rng(44);
+  const Tensor x = Tensor::randn(1, 11, rng, 3.0f);
+  for (std::size_t n = 0; n <= 11; ++n) {
+    std::vector<float> out(n), inplace(x.data(), x.data() + n);
+    ops::tanh_n(x.data(), out.data(), n);
+    ops::tanh_n(inplace.data(), inplace.data(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const float want = std::tanh(x.data()[i]);
+      EXPECT_EQ(float_bits(out[i]), float_bits(want)) << n << " " << i;
+      EXPECT_EQ(float_bits(inplace[i]), float_bits(want)) << n << " " << i;
+    }
+  }
+  // Odd sizes put tails at the end of uneven element blocks.
+  const Tensor big = Tensor::randn(173, 211, rng, 4.0f);
+  const Tensor y = ops::tanh(big);
+  std::size_t mismatches = 0;
+  for (std::size_t i = 0; i < big.size(); ++i) {
+    mismatches +=
+        float_bits(y.data()[i]) != float_bits(std::tanh(big.data()[i]));
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+// All 2^32 inputs, on the ComputePool: about 45 s on 4 threads, so it runs
+// by name (CI: --gtest_also_run_disabled_tests), not with the suite.
+TEST(Tanh, DISABLED_ExhaustiveMatchesLibmAndScalarPort) {
+  constexpr std::uint64_t kInputs = std::uint64_t{1} << 32;
+  std::atomic<std::uint64_t> vs_libm{0}, vs_scalar{0};
+  std::atomic<std::uint32_t> first_bad{0};
+  ComputePool::instance().for_blocks(
+      kInputs / 4, kInputs, [&](std::size_t lo, std::size_t hi) {
+        std::uint64_t libm = 0, scalar = 0;
+        for (std::uint64_t g = lo; g < hi; ++g) {
+          float in[4], out[4];
+          for (std::uint32_t l = 0; l < 4; ++l) {
+            in[l] = from_bits(static_cast<std::uint32_t>(4 * g + l));
+          }
+          simd::store4(out, ops::tanh4(simd::load4(in)));
+          for (int l = 0; l < 4; ++l) {
+            const float s = ops::tanh_scalar(in[l]);
+            const bool bad_libm = !same_tanh(std::tanh(in[l]), out[l]) ||
+                                  !same_tanh(std::tanh(in[l]), s);
+            const bool bad_scalar = !same_tanh(s, out[l]);
+            if (bad_libm || bad_scalar) first_bad = float_bits(in[l]);
+            libm += bad_libm;
+            scalar += bad_scalar;
+          }
+        }
+        vs_libm += libm;
+        vs_scalar += scalar;
+      });
+  std::printf(
+      "tanh exhaustive: %llu inputs, %llu mismatches against libm tanhf, "
+      "%llu between tanh4 and tanh_scalar\n",
+      static_cast<unsigned long long>(kInputs),
+      static_cast<unsigned long long>(vs_libm.load()),
+      static_cast<unsigned long long>(vs_scalar.load()));
+  EXPECT_EQ(vs_scalar.load(), 0u) << std::hex << "e.g. 0x" << first_bad;
+  EXPECT_EQ(vs_libm.load(), 0u) << std::hex << "e.g. 0x" << first_bad;
 }
 
 }  // namespace

@@ -101,10 +101,11 @@ class ReferenceExecutor final : public models::FrameExecutor {
   std::vector<Tensor> update_backward(const std::vector<Tensor>& d_y,
                                       const std::vector<const Tensor*>& hs,
                                       nn::Linear& lin,
-                                      const std::string& tag) override {
+                                      const std::string& tag,
+                                      bool leaf_inputs) override {
     std::vector<Tensor> out(d_y.size());
     for (std::size_t i = 0; i < d_y.size(); ++i) {
-      out[i] = lin.backward(*hs[i], d_y[i], nullptr, tag);
+      out[i] = lin.backward(*hs[i], d_y[i], nullptr, tag, leaf_inputs);
     }
     return out;
   }
