@@ -6,7 +6,7 @@
 #include "common/compute_pool.hpp"
 #include "common/util.hpp"
 #include "kernels/stats_builders.hpp"
-#include "tensor/simd.hpp"
+#include "tensor/simd_kernels.hpp"
 
 namespace pipad::kernels {
 
@@ -58,77 +58,6 @@ RowAccess row_access(std::uint64_t f) {
 RowAccess vector_row_access(std::uint64_t f) {
   return {std::max<std::uint64_t>(1, ceil_div<std::uint64_t>(f, 128)),
           std::max<std::uint64_t>(1, ceil_div<std::uint64_t>(f, 8))};
-}
-
-using simd::load4;
-using simd::store4;
-using simd::v4f;
-
-// Columns [0, W) of one destination row over one slice: the strip is
-// loaded from `out`, then edges i in [lo, hi) add x[col[i]][0, W) — scaled
-// by w[i] when kWeighted — in ascending i, and the strip is stored back.
-// `x` and `out` point at the strip's first column; ldx is x's row stride.
-template <int W, bool kWeighted>
-inline void slice_strip(const int* col, int lo, int hi, const float* w,
-                        const float* x, std::size_t ldx, float* out) {
-  if constexpr (W % 4 == 0) {
-    constexpr std::size_t kQ = W / 4;
-    v4f acc[kQ];
-    for (std::size_t q = 0; q < kQ; ++q) acc[q] = load4(out + 4 * q);
-    for (int i = lo; i < hi; ++i) {
-      const float* xr = x + static_cast<std::size_t>(col[i]) * ldx;
-      if constexpr (kWeighted) {
-        const v4f wv = {w[i], w[i], w[i], w[i]};
-        for (std::size_t q = 0; q < kQ; ++q) {
-          acc[q] += wv * load4(xr + 4 * q);
-        }
-      } else {
-        for (std::size_t q = 0; q < kQ; ++q) acc[q] += load4(xr + 4 * q);
-      }
-    }
-    for (std::size_t q = 0; q < kQ; ++q) store4(out + 4 * q, acc[q]);
-  } else {
-    float acc[W];
-    for (int d = 0; d < W; ++d) acc[d] = out[d];
-    for (int i = lo; i < hi; ++i) {
-      const float* xr = x + static_cast<std::size_t>(col[i]) * ldx;
-      for (int d = 0; d < W; ++d) {
-        if constexpr (kWeighted) {
-          acc[d] += w[i] * xr[d];
-        } else {
-          acc[d] += xr[d];
-        }
-      }
-    }
-    for (int d = 0; d < W; ++d) out[d] = acc[d];
-  }
-}
-
-// Columns [0, width) of one destination row over one slice, in strips of
-// 16, then one each of 8, 4, 2 and 1 for the tail. Strip widths never
-// change an element's operations.
-template <bool kWeighted>
-void slice_cols(const int* col, int lo, int hi, const float* w,
-                const float* x, std::size_t ldx, float* out, int width) {
-  int c = 0;
-  for (; c + 16 <= width; c += 16) {
-    slice_strip<16, kWeighted>(col, lo, hi, w, x + c, ldx, out + c);
-  }
-  if (width - c >= 8) {
-    slice_strip<8, kWeighted>(col, lo, hi, w, x + c, ldx, out + c);
-    c += 8;
-  }
-  if (width - c >= 4) {
-    slice_strip<4, kWeighted>(col, lo, hi, w, x + c, ldx, out + c);
-    c += 4;
-  }
-  if (width - c >= 2) {
-    slice_strip<2, kWeighted>(col, lo, hi, w, x + c, ldx, out + c);
-    c += 2;
-  }
-  if (width - c >= 1) {
-    slice_strip<1, kWeighted>(col, lo, hi, w, x + c, ldx, out + c);
-  }
 }
 
 void check_spmm_shapes(int a_rows, int a_cols, const Tensor& x,
@@ -383,7 +312,10 @@ KernelStats agg_sliced(const sliced::SlicedCSR& a, const Tensor& x,
                                                     << a.nnz() << " nnz");
     }
   }
-  const int fpp = parts > 0 ? fc / parts : 0;
+  std::vector<const float*> weights(stripe_w.size());
+  for (std::size_t p = 0; p < stripe_w.size(); ++p) {
+    weights[p] = stripe_w[p]->data();
+  }
   // Real math: slice-by-slice accumulation (mirrors the per-TG partial
   // result + atomicAdd structure of Algorithm 1). Chunked over
   // destination-row-aligned slice blocks: each output row belongs to one
@@ -391,26 +323,14 @@ KernelStats agg_sliced(const sliced::SlicedCSR& a, const Tensor& x,
   // serial order — bit-identical results for any thread count (see the
   // contract in aggregate.hpp). With stripe weights, each member's F-wide
   // stripe of the shared topology's aggregate just gets its own scale.
-  const std::size_t work = a.nnz() * static_cast<std::size_t>(fc);
-  const std::size_t ldx = static_cast<std::size_t>(fc);
-  const int* col = a.col_idx.data();
+  const simd::AggArgs g{a.row_idx.data(), a.slice_off.data(),
+                        a.col_idx.data(), x.data(), out.data(), fc,
+                        weights.data(), parts};
+  const auto slices_fn = simd::lanes() == 8 ? simd::detail::agg_slices_8
+                                            : simd::detail::agg_slices_4;
   ComputePool::instance().run_ranges(
-      slice_blocks(a, work), [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t sl = lo; sl < hi; ++sl) {
-          float* orow = out.row(a.row_idx[sl]);
-          const int b = a.slice_off[sl];
-          const int e = a.slice_off[sl + 1];
-          if (parts == 0) {
-            slice_cols<false>(col, b, e, nullptr, x.data(), ldx, orow, fc);
-          } else {
-            for (int p = 0; p < parts; ++p) {
-              const std::size_t c0 = static_cast<std::size_t>(p) * fpp;
-              slice_cols<true>(col, b, e, stripe_w[p]->data(), x.data() + c0,
-                               ldx, orow + c0, fpp);
-            }
-          }
-        }
-      });
+      slice_blocks(a, a.nnz() * static_cast<std::size_t>(fc)),
+      [&](std::size_t lo, std::size_t hi) { slices_fn(g, lo, hi); });
   KernelStats s = sliced_agg_stats(a.nnz(), a.num_slices(), fc, coalesce_num);
   s.imbalance = a.imbalance;
   return s;
@@ -591,3 +511,9 @@ std::vector<float> combined_degrees(const sliced::SlicedCSR& overlap,
 }
 
 }  // namespace pipad::kernels
+
+namespace pipad::simd::detail {
+void agg_slices_4(const AggArgs& g, std::size_t lo, std::size_t hi) {
+  agg_slices<4>(g, lo, hi);
+}
+}  // namespace pipad::simd::detail

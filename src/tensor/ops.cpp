@@ -4,101 +4,11 @@
 #include <cmath>
 #include <vector>
 
-#include "tensor/simd.hpp"
+#include "tensor/simd_kernels.hpp"
 
 namespace pipad::ops {
 
 namespace {
-using simd::load4;
-using simd::select;
-using simd::splat;
-using simd::store4;
-using simd::v4f;
-
-// Columns of one C row kept in registers across the whole k loop.
-constexpr int kStrip = 32;
-
-// One strip of one C row: c[0, W) = beta * c[0, W), then for kk ascending
-// c[j] += (alpha * a[kk * lda]) * b[kk * ldb + j], skipping every kk whose
-// alpha * a[kk * lda] is exactly zero. That is the in-order scalar loop's
-// order of operations for every element, so the result is bit-identical
-// to it.
-template <int W>
-inline void gemm_strip(const float* a, std::size_t lda, int k, float alpha,
-                       const float* b, std::size_t ldb, float* c, float beta) {
-  if constexpr (W % 4 == 0) {
-    constexpr std::size_t kQ = W / 4;
-    const v4f betav = {beta, beta, beta, beta};
-    v4f acc[kQ];
-    for (std::size_t q = 0; q < kQ; ++q) {
-      acc[q] = beta == 0.0f ? v4f{} : load4(c + 4 * q);
-      if (beta != 0.0f && beta != 1.0f) acc[q] *= betav;
-    }
-    for (int kk = 0; kk < k; ++kk) {
-      const float av = alpha * a[kk * lda];
-      if (av == 0.0f) continue;
-      const v4f avv = {av, av, av, av};
-      const float* brow = b + kk * ldb;
-      for (std::size_t q = 0; q < kQ; ++q) acc[q] += avv * load4(brow + 4 * q);
-    }
-    for (std::size_t q = 0; q < kQ; ++q) store4(c + 4 * q, acc[q]);
-  } else {
-    static_assert(W == 1);
-    float acc = beta == 0.0f ? 0.0f : c[0];
-    if (beta != 0.0f && beta != 1.0f) acc *= beta;
-    for (int kk = 0; kk < k; ++kk) {
-      const float av = alpha * a[kk * lda];
-      if (av == 0.0f) continue;
-      acc += av * b[kk * ldb];
-    }
-    c[0] = acc;
-  }
-}
-
-// One C row of n columns: full 32-column strips, then the tail in strips
-// of 16, 8, 4 and 1. Strip widths never change an element's operations.
-void gemm_row(const float* a, std::size_t lda, int k, float alpha,
-              const float* b, int n, float* c, float beta) {
-  const auto ldb = static_cast<std::size_t>(n);
-  int j = 0;
-  for (; j + kStrip <= n; j += kStrip) {
-    gemm_strip<kStrip>(a, lda, k, alpha, b + j, ldb, c + j, beta);
-  }
-  if (n - j >= 16) {
-    gemm_strip<16>(a, lda, k, alpha, b + j, ldb, c + j, beta);
-    j += 16;
-  }
-  if (n - j >= 8) {
-    gemm_strip<8>(a, lda, k, alpha, b + j, ldb, c + j, beta);
-    j += 8;
-  }
-  if (n - j >= 4) {
-    gemm_strip<4>(a, lda, k, alpha, b + j, ldb, c + j, beta);
-    j += 4;
-  }
-  for (; j < n; ++j) gemm_strip<1>(a, lda, k, alpha, b + j, ldb, c + j, beta);
-}
-
-// A one-column C (n == 1): four rows at once, lane r holding row r's
-// accumulator, where row r reads op(A) at a[r * row_step + kk * lda]. Each
-// lane runs gemm_strip<1>'s loop; a lane whose alpha * a is exactly zero
-// keeps its accumulator (a blend), as the scalar loop's skip does.
-void gemm_col4(const float* a, std::size_t row_step, std::size_t lda, int k,
-               float alpha, const float* b, float* c, float beta) {
-  v4f acc = beta == 0.0f ? v4f{} : load4(c);
-  if (beta != 0.0f && beta != 1.0f) acc *= splat(beta);
-  const v4f alphav = splat(alpha);
-  for (int kk = 0; kk < k; ++kk) {
-    const float* ak = a + kk * lda;
-    const v4f av =
-        alphav * (row_step == 1 ? load4(ak)
-                                : v4f{ak[0], ak[row_step], ak[2 * row_step],
-                                      ak[3 * row_step]});
-    acc = select(av == splat(0.0f), acc, acc + av * splat(b[kk]));
-  }
-  store4(c, acc);
-}
-
 // Row-major copy of t^T.
 std::vector<float> transposed(const Tensor& t) {
   const int rows = t.rows();
@@ -135,35 +45,28 @@ void gemm(const Tensor& a, const Tensor& b, Tensor& c, bool trans_a,
   // row-blocked parallel path computes each one in the exact serial order.
   const std::vector<float> packed_b =
       trans_b ? transposed(b) : std::vector<float>();
-  const float* pb = trans_b ? packed_b.data() : b.data();
-  const std::size_t lda = trans_a ? static_cast<std::size_t>(m) : 1;
-  const std::size_t work = static_cast<std::size_t>(m) * k * n;
-  if (n == 1) {
-    // One output column leaves no columns to vectorize across, so run four
-    // C rows per vector instead, in blocks of whole 4-row groups (only the
-    // last group can fall short) whose layout never depends on the pool
-    // width.
-    const auto rows = static_cast<std::size_t>(m);
-    const std::size_t row_step = trans_a ? 1 : static_cast<std::size_t>(k);
-    ComputePool::instance().for_blocks(
-        (rows + 3) / 4, work, [&](std::size_t g_lo, std::size_t g_hi) {
-          std::size_t i = 4 * g_lo;
-          const std::size_t hi = std::min(4 * g_hi, rows);
-          for (; i + 4 <= hi; i += 4) {
-            gemm_col4(a.data() + i * row_step, row_step, lda, k, alpha, pb,
-                      c.data() + i, beta);
-          }
-          for (; i < hi; ++i) {
-            gemm_strip<1>(a.data() + i * row_step, lda, k, alpha, pb, 1,
-                          c.data() + i, beta);
-          }
-        });
-    return;
-  }
-  par_rows(m, work, [&](int i) {
-    const float* arow = trans_a ? a.data() + i : a.row(i);
-    gemm_row(arow, lda, k, alpha, pb, n, c.row(i), beta);
-  });
+  const simd::GemmArgs g{a.data(),
+                         trans_a ? 1 : static_cast<std::size_t>(k),
+                         trans_a ? static_cast<std::size_t>(m) : 1,
+                         k,
+                         alpha,
+                         trans_b ? packed_b.data() : b.data(),
+                         n,
+                         c.data(),
+                         beta};
+  const int lanes = simd::lanes();
+  const auto rows_fn =
+      lanes == 8 ? simd::detail::gemm_rows_8 : simd::detail::gemm_rows_4;
+  // One output column leaves no columns to vectorize across, so the kernel
+  // runs one C row per lane instead: blocks then hold whole lane groups
+  // (only the last group can fall short).
+  const std::size_t group = n == 1 ? static_cast<std::size_t>(lanes) : 1;
+  const auto rows = static_cast<std::size_t>(m);
+  ComputePool::instance().for_blocks(
+      (rows + group - 1) / group, rows * k * n,
+      [&](std::size_t g_lo, std::size_t g_hi) {
+        rows_fn(g, group * g_lo, std::min(group * g_hi, rows));
+      });
 }
 
 Tensor matmul(const Tensor& a, const Tensor& b, bool trans_a, bool trans_b) {
@@ -188,21 +91,14 @@ void add_bias(Tensor& y, const Tensor& bias) {
 Tensor bias_grad(const Tensor& grad) {
   Tensor g(1, grad.cols());
   // Column-blocked: each block streams the rows once into local
-  // accumulators, kStrip columns at a time. Every column still sums its rows
-  // in ascending order, so the result is bit-identical for any block layout.
-  float* out = g.row(0);
+  // accumulators. Every column still sums its rows in ascending order, so
+  // the result is bit-identical for any block layout.
+  const auto cols_fn = simd::lanes() == 8 ? simd::detail::bias_grad_8
+                                          : simd::detail::bias_grad_4;
   ComputePool::instance().for_blocks(
       static_cast<std::size_t>(grad.cols()), grad.size(),
       [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t j0 = lo; j0 < hi; j0 += kStrip) {
-          const std::size_t w = std::min<std::size_t>(kStrip, hi - j0);
-          float acc[kStrip] = {};
-          for (int r = 0; r < grad.rows(); ++r) {
-            const float* row = grad.row(r) + j0;
-            for (std::size_t c = 0; c < w; ++c) acc[c] += row[c];
-          }
-          std::copy(acc, acc + w, out + j0);
-        }
+        cols_fn(grad.data(), grad.rows(), grad.cols(), lo, hi, g.row(0));
       });
   return g;
 }
@@ -416,3 +312,30 @@ bool all_finite(const Tensor& a) {
 }
 
 }  // namespace pipad::ops
+
+namespace pipad::simd {
+
+int lanes() {
+#if defined(__x86_64__) || defined(__i386__)
+  static const int kLanes = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2") ? 8 : 4;
+  }();
+  return kLanes;
+#else
+  return 4;
+#endif
+}
+
+namespace detail {
+void gemm_rows_4(const GemmArgs& g, std::size_t lo, std::size_t hi) {
+  gemm_rows<4>(g, lo, hi);
+}
+
+void bias_grad_4(const float* grad, int rows, int cols, std::size_t lo,
+                 std::size_t hi, float* out) {
+  bias_grad_cols<4>(grad, rows, cols, lo, hi, out);
+}
+}  // namespace detail
+
+}  // namespace pipad::simd

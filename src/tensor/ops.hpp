@@ -19,17 +19,20 @@
 //     round the same way as the x86-64 baseline).
 // Vectorizing across output columns (or across C rows, when C has one
 // column) and blocking over rows or columns is free under this contract;
-// reordering or splitting the k sum is not.
+// reordering or splitting the k sum is not. So is the vector width: the
+// kernels (tensor/simd_kernels.hpp) run 4 or 8 lanes, chosen once per
+// process from the host's CPU features (8 with AVX2, never with FMA), and
+// both widths give the same bits.
 //
 // Activations. tanh does not call libm: tensor/tanh.hpp ports the fdlibm
-// tanhf that glibc ships, to SSE2 lanes and to scalar code, and both match
+// tanhf that glibc ships, to 4 and 8 lanes and to scalar code, and all match
 // glibc's tanhf bit for bit on all 2^32 inputs, so results no longer depend
 // on the libm a binary links against. sigmoid stays on libm's expf: on CPUs
 // with FMA, glibc runs a build of its expf whose compiler fused five
 // multiply-adds. A port of that algorithm without fusion differs from it
 // on two inputs below 88 in magnitude (0x4202422f and 0xc27c65d9), and one
 // with the same fusions (std::fma) matches it on all of them, so an exact
-// SSE2 sigmoid would have to emulate double-precision fused multiply-adds,
+// vector sigmoid would have to emulate double-precision fused multiply-adds,
 // which costs more than the call it replaces.
 #pragma once
 

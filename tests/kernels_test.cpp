@@ -13,6 +13,7 @@
 #include "kernels/update.hpp"
 #include "sliced/partition.hpp"
 #include "tensor/ops.hpp"
+#include "tensor/simd_kernels.hpp"
 
 namespace pipad {
 namespace {
@@ -575,6 +576,53 @@ TEST(SlicedStrips, BitIdenticalToScalarLoopForEveryWidthAndStripeCount) {
             sliced::sliced_load_balance(s, sliced::kBalanceUnits).imbalance());
   ComputePool::set_min_block_work(0);
   ComputePool::instance().configure(0);
+}
+
+TEST(SlicedStrips, BothWidthsBitIdenticalToScalarLoop) {
+  // The 4- and 8-lane slice kernels called directly over all slices, with
+  // and without weight stripes; the 8-lane half is skipped on a host
+  // without AVX2.
+  Rng rng(48);
+  const CSR g = random_csr(90, 1500, rng);
+  const auto s = sliced::slice(g, 5);
+  std::vector<std::vector<float>> weights(3);
+  for (auto& w : weights) {
+    w.resize(s.nnz());
+    for (auto& v : w) v = static_cast<float>(rng.next_double()) - 0.25f;
+  }
+  using SlicesFn = decltype(&simd::detail::agg_slices_4);
+  const auto check = [&](int lanes, SlicesFn slices) {
+    // Widths 1..48 walk every strip tail at either width.
+    for (int fc = 1; fc <= 48; ++fc) {
+      const Tensor x = Tensor::randn(90, fc, rng);
+      const Tensor seed = Tensor::randn(90, fc, rng);
+      for (const int parts : {0, 1, 3}) {
+        if (parts > 0 && fc % parts != 0) continue;
+        std::vector<const std::vector<float>*> stripe_w;
+        std::vector<const float*> w;
+        for (int p = 0; p < parts; ++p) {
+          stripe_w.push_back(&weights[p]);
+          w.push_back(weights[p].data());
+        }
+        Tensor want = seed;
+        Tensor got = seed;
+        reference_agg_sliced(s, x, want, true, stripe_w);
+        const simd::AggArgs args{s.row_idx.data(), s.slice_off.data(),
+                                 s.col_idx.data(), x.data(), got.data(), fc,
+                                 w.data(), parts};
+        slices(args, 0, s.num_slices());
+        for (std::size_t i = 0; i < want.storage().size(); ++i) {
+          ASSERT_EQ(std::bit_cast<std::uint32_t>(want.storage()[i]),
+                    std::bit_cast<std::uint32_t>(got.storage()[i]))
+              << lanes << " lanes, width " << fc << " stripes " << parts
+              << " elem " << i;
+        }
+      }
+    }
+  };
+  check(4, simd::detail::agg_slices_4);
+  if (simd::lanes() < 8) GTEST_SKIP() << "8 lanes need AVX2";
+  check(8, simd::detail::agg_slices_8);
 }
 
 // ---------- Edge shapes through the new blocking logic ----------

@@ -1,6 +1,7 @@
 // Tensor/ops tests: GEMM in all transpose modes against a naive reference
 // and, bit for bit, against its in-order definition; elementwise maps, gate
-// helpers, losses; the exact tanh against libm's tanhf.
+// helpers, losses; the exact tanh against libm's tanhf. The vector kernels
+// are called at both widths, 4 and 8 lanes, whichever the host dispatches.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -8,13 +9,15 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <limits>
+#include <string>
 #include <tuple>
 #include <vector>
 
 #include "common/compute_pool.hpp"
 #include "tensor/ops.hpp"
-#include "tensor/simd.hpp"
+#include "tensor/simd_kernels.hpp"
 #include "tensor/tanh.hpp"
 #include "test_util.hpp"
 
@@ -40,6 +43,27 @@ Tensor naive_matmul(const Tensor& a, const Tensor& b, bool ta, bool tb) {
     }
   }
   return c;
+}
+
+/// The exact vector kernels at one width, called directly.
+struct Width {
+  int lanes;
+  void (*gemm_rows)(const simd::GemmArgs&, std::size_t, std::size_t);
+  void (*bias_grad)(const float*, int, int, std::size_t, std::size_t, float*);
+  void (*tanh_n)(const float*, float*, std::size_t);
+};
+
+/// Runs body at 4 lanes, then at 8. The 8-lane half is skipped on a host
+/// without AVX2; the 4-lane half runs everywhere, so the SSE2 kernels stay
+/// tested on hosts that dispatch to AVX2.
+template <typename F>
+void at_both_widths(const F& body) {
+  body(Width{4, simd::detail::gemm_rows_4, simd::detail::bias_grad_4,
+             simd::detail::tanh_n_4});
+  if (::testing::Test::HasFatalFailure()) return;
+  if (simd::lanes() < 8) GTEST_SKIP() << "8 lanes need AVX2";
+  body(Width{8, simd::detail::gemm_rows_8, simd::detail::bias_grad_8,
+             simd::detail::tanh_n_8});
 }
 
 class GemmModes
@@ -94,16 +118,24 @@ void in_order_gemm(const Tensor& a, const Tensor& b, Tensor& c, bool ta,
   }
 }
 
-/// ops::gemm against in_order_gemm for one shape and transpose mode, over
-/// alpha in {1, 0.5} and beta in {0, 1, 0.5}.
-void expect_gemm_bits(bool ta, bool tb, int m, int k, int n, Rng& rng) {
+using GemmFn = std::function<void(const Tensor&, const Tensor&, Tensor&, bool,
+                                   bool, float, float)>;
+
+/// gemm against in_order_gemm for one shape and transpose mode, over alpha
+/// in {1, 0.5} and beta in {0, 1, 0.5}.
+void expect_gemm_bits(const GemmFn& gemm, bool ta, bool tb, int m, int k,
+                      int n, Rng& rng) {
   Tensor a = ta ? Tensor::randn(k, m, rng) : Tensor::randn(m, k, rng);
   // Exact zeros of both signs exercise the skip; when m > 1 the second row
-  // of op(A) is all zeros, so its C row keeps beta * C.
+  // of op(A) is all zeros, so its C row keeps beta * C, and every fourth
+  // row from the third on has a run of zeros through its middle third.
   for (int i = 0; i < m; ++i) {
     for (int kk = 0; kk < k; ++kk) {
       float& v = ta ? a.at(kk, i) : a.at(i, kk);
-      if (i == 1 || (i + kk) % 3 == 0) v = (kk % 2 == 0) ? 0.0f : -0.0f;
+      const bool run = i % 4 == 2 && 3 * kk >= k && 3 * kk < 2 * k;
+      if (i == 1 || run || (i + kk) % 3 == 0) {
+        v = (kk % 2 == 0) ? 0.0f : -0.0f;
+      }
     }
   }
   const Tensor b = tb ? Tensor::randn(n, k, rng) : Tensor::randn(k, n, rng);
@@ -114,7 +146,7 @@ void expect_gemm_bits(bool ta, bool tb, int m, int k, int n, Rng& rng) {
       Tensor want = seed;
       in_order_gemm(a, b, want, ta, tb, alpha, beta);
       Tensor got = seed;
-      ops::gemm(a, b, got, ta, tb, alpha, beta);
+      gemm(a, b, got, ta, tb, alpha, beta);
       EXPECT_TRUE(same_bits(got, want))
           << "ta=" << ta << " tb=" << tb << " m=" << m << " k=" << k
           << " n=" << n << " alpha=" << alpha << " beta=" << beta;
@@ -130,12 +162,57 @@ TEST(Gemm, BitIdenticalToInOrderReference) {
         for (const int k : {1, 7, 2750}) {
           // n straddles the 32-column strip width.
           for (const int n : {1, 6, 31, 32, 33, 65}) {
-            expect_gemm_bits(ta, tb, m, k, n, rng);
+            expect_gemm_bits(ops::gemm, ta, tb, m, k, n, rng);
           }
         }
       }
     }
   }
+}
+
+/// The row kernel at width w on ops::gemm's operands: op(A) read in place,
+/// a transposed B packed row-major first, all rows in one range.
+void lane_gemm(const Width& w, const Tensor& a, const Tensor& b, Tensor& c,
+               bool ta, bool tb, float alpha, float beta) {
+  const int m = c.rows();
+  const int n = c.cols();
+  const int k = ta ? a.rows() : a.cols();
+  Tensor pb(k, n);
+  for (int kk = 0; kk < k; ++kk) {
+    for (int j = 0; j < n; ++j) pb.at(kk, j) = tb ? b.at(j, kk) : b.at(kk, j);
+  }
+  const simd::GemmArgs g{a.data(),
+                         ta ? 1 : static_cast<std::size_t>(k),
+                         ta ? static_cast<std::size_t>(m) : 1,
+                         k,
+                         alpha,
+                         pb.data(),
+                         n,
+                         c.data(),
+                         beta};
+  w.gemm_rows(g, 0, static_cast<std::size_t>(m));
+}
+
+TEST(Gemm, BothWidthsBitIdenticalToInOrderReference) {
+  at_both_widths([](const Width& w) {
+    Rng rng(45);
+    const GemmFn gemm = [&w](const Tensor& a, const Tensor& b, Tensor& c,
+                             bool ta, bool tb, float alpha, float beta) {
+      lane_gemm(w, a, b, c, ta, tb, alpha, beta);
+    };
+    for (const bool ta : {false, true}) {
+      for (const bool tb : {false, true}) {
+        // 21 rows: n == 1 runs whole vectors of rows, a group of 4 at
+        // 8 lanes, and a scalar row.
+        for (const int k : {1, 7, 40}) {
+          // Every strip: 32-column, 16, 8 (at either width), 4 and scalar.
+          for (const int n : {1, 3, 4, 7, 8, 12, 16, 24, 31, 32, 33, 96}) {
+            expect_gemm_bits(gemm, ta, tb, 21, k, n, rng);
+          }
+        }
+      }
+    }
+  });
 }
 
 TEST(Gemm, MatmulBitIdenticalToInOrderReference) {
@@ -165,17 +242,44 @@ TEST(Ops, BiasAddAndGradRoundTrip) {
   for (int c = 0; c < 4; ++c) EXPECT_NEAR(g.at(0, c), 6 * bias.at(0, c), 1e-5f);
 }
 
-TEST(Ops, BiasGradBitIdenticalToColumnOrderReference) {
-  Rng rng(43);
-  // Enough work that the column blocks fan out over the pool.
-  const Tensor grad = Tensor::randn(2750, 67, rng);
+/// Each column summed over its rows in ascending order from +0.
+Tensor column_order_bias_grad(const Tensor& grad) {
   Tensor want(1, grad.cols());
   for (int c = 0; c < grad.cols(); ++c) {
     float acc = 0.0f;
     for (int r = 0; r < grad.rows(); ++r) acc += grad.at(r, c);
     want.at(0, c) = acc;
   }
-  EXPECT_TRUE(same_bits(ops::bias_grad(grad), want));
+  return want;
+}
+
+TEST(Ops, BiasGradBitIdenticalToColumnOrderReference) {
+  Rng rng(43);
+  // Enough work that the column blocks fan out over the pool.
+  const Tensor grad = Tensor::randn(2750, 67, rng);
+  EXPECT_TRUE(same_bits(ops::bias_grad(grad), column_order_bias_grad(grad)));
+}
+
+TEST(Ops, BiasGradBothWidthsBitIdenticalToColumnOrderReference) {
+  at_both_widths([](const Width& w) {
+    Rng rng(46);
+    for (const int cols : {1, 31, 32, 33, 96}) {
+      Tensor grad = Tensor::randn(37, cols, rng);
+      for (std::size_t e = 0; e < grad.size(); e += 3) grad.data()[e] = -0.0f;
+      const Tensor want = column_order_bias_grad(grad);
+      // One range, then two whose cut leaves the second's strips unaligned.
+      for (const int cut : {0, cols / 2}) {
+        Tensor got(1, cols);
+        w.bias_grad(grad.data(), grad.rows(), cols, 0,
+                    static_cast<std::size_t>(cut), got.data());
+        w.bias_grad(grad.data(), grad.rows(), cols,
+                    static_cast<std::size_t>(cut),
+                    static_cast<std::size_t>(cols), got.data());
+        EXPECT_TRUE(same_bits(got, want))
+            << w.lanes << " lanes, " << cols << " columns, cut " << cut;
+      }
+    }
+  });
 }
 
 TEST(Ops, ActivationsAndGrads) {
@@ -376,26 +480,32 @@ bool same_tanh(float want, float got) {
                           : float_bits(want) == float_bits(got);
 }
 
-/// Every x gets libm's tanhf bits from tanh_scalar and from tanh4, the
-/// latter with x in each lane position (the other lanes hold x's
-/// neighbours in the list).
+/// Every x gets libm's tanhf bits from tanh_scalar and from the vector
+/// kernel at both widths, with x in each lane position (the other lanes
+/// hold x's neighbours in the list).
 void expect_tanh_exact(const std::vector<float>& xs) {
   const std::size_t n = xs.size();
   for (std::size_t i = 0; i < n; ++i) {
     const float x = xs[i];
-    const float want = std::tanh(x);
-    ASSERT_TRUE(same_tanh(want, ops::tanh_scalar(x)))
+    ASSERT_TRUE(same_tanh(std::tanh(x), ops::tanh_scalar(x)))
         << std::hex << "scalar, x bits 0x" << float_bits(x);
-    for (std::size_t lane = 0; lane < 4; ++lane) {
-      float in[4], out[4];
-      for (std::size_t l = 0; l < 4; ++l) {
-        in[l] = xs[(i + 4 * n + l - lane) % n];
-      }
-      simd::store4(out, ops::tanh4(simd::load4(in)));
-      ASSERT_TRUE(same_tanh(want, out[lane]))
-          << std::hex << "lane " << lane << ", x bits 0x" << float_bits(x);
-    }
   }
+  at_both_widths([&](const Width& w) {
+    const auto lanes = static_cast<std::size_t>(w.lanes);
+    float in[8], out[8];
+    for (std::size_t i = 0; i < n; ++i) {
+      const float want = std::tanh(xs[i]);
+      for (std::size_t lane = 0; lane < lanes; ++lane) {
+        for (std::size_t l = 0; l < lanes; ++l) {
+          in[l] = xs[(i + lanes * n + l - lane) % n];
+        }
+        w.tanh_n(in, out, lanes);
+        ASSERT_TRUE(same_tanh(want, out[lane]))
+            << std::hex << w.lanes << " lanes, lane " << lane
+            << ", x bits 0x" << float_bits(xs[i]);
+      }
+    }
+  });
 }
 
 /// ±x for |x| within `ulps` of each bit pattern.
@@ -495,35 +605,49 @@ TEST(Tanh, MixedBranchVectorsInEveryLanePosition) {
   }
   reps.push_back(0.0f);
   reps.push_back(std::numeric_limits<float>::quiet_NaN());
+  // Every 4-lane combination; at 8 lanes, each one beside its mirror
+  // image, so every branch meets every other in all 8 lane positions.
   const std::size_t r = reps.size();
-  float in[4], out[4];
-  for (std::size_t code = 0; code < r * r * r * r; ++code) {
-    std::size_t c = code;
-    for (float& lane : in) {
-      lane = reps[c % r];
-      c /= r;
+  const std::size_t combos = r * r * r * r;
+  at_both_widths([&](const Width& w) {
+    float in[8], out[8];
+    for (std::size_t code = 0; code < combos; ++code) {
+      for (int half = 0; half * 4 < w.lanes; ++half) {
+        std::size_t c = half == 0 ? code : combos - 1 - code;
+        for (int l = 0; l < 4; ++l) {
+          in[4 * half + l] = reps[c % r];
+          c /= r;
+        }
+      }
+      w.tanh_n(in, out, static_cast<std::size_t>(w.lanes));
+      for (int l = 0; l < w.lanes; ++l) {
+        ASSERT_TRUE(same_tanh(std::tanh(in[l]), out[l]))
+            << w.lanes << " lanes, lane " << l << " x " << in[l]
+            << " in vector " << code;
+      }
     }
-    simd::store4(out, ops::tanh4(simd::load4(in)));
-    for (int l = 0; l < 4; ++l) {
-      ASSERT_TRUE(same_tanh(std::tanh(in[l]), out[l]))
-          << "lane " << l << " x " << in[l] << " in vector " << code;
-    }
-  }
+  });
 }
 
 TEST(Tanh, EveryTailLengthAndTheTensorOpMatchLibm) {
   Rng rng(44);
-  const Tensor x = Tensor::randn(1, 11, rng, 3.0f);
-  for (std::size_t n = 0; n <= 11; ++n) {
-    std::vector<float> out(n), inplace(x.data(), x.data() + n);
-    ops::tanh_n(x.data(), out.data(), n);
-    ops::tanh_n(inplace.data(), inplace.data(), n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const float want = std::tanh(x.data()[i]);
-      EXPECT_EQ(float_bits(out[i]), float_bits(want)) << n << " " << i;
-      EXPECT_EQ(float_bits(inplace[i]), float_bits(want)) << n << " " << i;
+  const Tensor x = Tensor::randn(1, 19, rng, 3.0f);
+  // Two whole vectors and every tail after them, at either width.
+  const auto expect_every_length = [&](const auto& tanh_n, const char* what) {
+    for (std::size_t n = 0; n <= 19; ++n) {
+      std::vector<float> out(n), inplace(x.data(), x.data() + n);
+      tanh_n(x.data(), out.data(), n);
+      tanh_n(inplace.data(), inplace.data(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        const float want = std::tanh(x.data()[i]);
+        EXPECT_EQ(float_bits(out[i]), float_bits(want))
+            << what << n << " " << i;
+        EXPECT_EQ(float_bits(inplace[i]), float_bits(want))
+            << what << n << " " << i;
+      }
     }
-  }
+  };
+  expect_every_length(ops::tanh_n, "dispatched, n ");
   // Odd sizes put tails at the end of uneven element blocks.
   const Tensor big = Tensor::randn(173, 211, rng, 4.0f);
   const Tensor y = ops::tanh(big);
@@ -533,44 +657,61 @@ TEST(Tanh, EveryTailLengthAndTheTensorOpMatchLibm) {
         float_bits(y.data()[i]) != float_bits(std::tanh(big.data()[i]));
   }
   EXPECT_EQ(mismatches, 0u);
+  at_both_widths([&](const Width& w) {
+    expect_every_length(w.tanh_n, w.lanes == 4 ? "4 lanes, n " : "8 lanes, n ");
+  });
 }
 
 // All 2^32 inputs, on the ComputePool: about 45 s on 4 threads, so it runs
-// by name (CI: --gtest_also_run_disabled_tests), not with the suite.
+// by name (CI: --gtest_also_run_disabled_tests), not with the suite. Each
+// input goes through the scalar port and the 4-lane kernel, and through the
+// 8-lane kernel where the host has AVX2.
 TEST(Tanh, DISABLED_ExhaustiveMatchesLibmAndScalarPort) {
   constexpr std::uint64_t kInputs = std::uint64_t{1} << 32;
-  std::atomic<std::uint64_t> vs_libm{0}, vs_scalar{0};
+  const bool eight = simd::lanes() == 8;
+  std::atomic<std::uint64_t> vs_libm{0}, vs_scalar4{0}, vs_scalar8{0};
   std::atomic<std::uint32_t> first_bad{0};
   ComputePool::instance().for_blocks(
-      kInputs / 4, kInputs, [&](std::size_t lo, std::size_t hi) {
-        std::uint64_t libm = 0, scalar = 0;
+      kInputs / 8, kInputs, [&](std::size_t lo, std::size_t hi) {
+        std::uint64_t libm = 0, scalar4 = 0, scalar8 = 0;
         for (std::uint64_t g = lo; g < hi; ++g) {
-          float in[4], out[4];
-          for (std::uint32_t l = 0; l < 4; ++l) {
-            in[l] = from_bits(static_cast<std::uint32_t>(4 * g + l));
+          float in[8], out4[8], out8[8];
+          for (std::uint32_t l = 0; l < 8; ++l) {
+            in[l] = from_bits(static_cast<std::uint32_t>(8 * g + l));
           }
-          simd::store4(out, ops::tanh4(simd::load4(in)));
-          for (int l = 0; l < 4; ++l) {
+          simd::detail::tanh_n_4(in, out4, 8);
+          if (eight) simd::detail::tanh_n_8(in, out8, 8);
+          for (int l = 0; l < 8; ++l) {
             const float s = ops::tanh_scalar(in[l]);
-            const bool bad_libm = !same_tanh(std::tanh(in[l]), out[l]) ||
-                                  !same_tanh(std::tanh(in[l]), s);
-            const bool bad_scalar = !same_tanh(s, out[l]);
-            if (bad_libm || bad_scalar) first_bad = float_bits(in[l]);
+            const float want = std::tanh(in[l]);
+            const bool bad_libm = !same_tanh(want, s) ||
+                                  !same_tanh(want, out4[l]) ||
+                                  (eight && !same_tanh(want, out8[l]));
+            const bool bad4 = !same_tanh(s, out4[l]);
+            const bool bad8 = eight && !same_tanh(s, out8[l]);
+            if (bad_libm || bad4 || bad8) first_bad = float_bits(in[l]);
             libm += bad_libm;
-            scalar += bad_scalar;
+            scalar4 += bad4;
+            scalar8 += bad8;
           }
         }
         vs_libm += libm;
-        vs_scalar += scalar;
+        vs_scalar4 += scalar4;
+        vs_scalar8 += scalar8;
       });
   std::printf(
       "tanh exhaustive: %llu inputs, %llu mismatches against libm tanhf, "
-      "%llu between tanh4 and tanh_scalar\n",
+      "%llu between 4 lanes and tanh_scalar, %s between 8 lanes and "
+      "tanh_scalar\n",
       static_cast<unsigned long long>(kInputs),
       static_cast<unsigned long long>(vs_libm.load()),
-      static_cast<unsigned long long>(vs_scalar.load()));
-  EXPECT_EQ(vs_scalar.load(), 0u) << std::hex << "e.g. 0x" << first_bad;
+      static_cast<unsigned long long>(vs_scalar4.load()),
+      eight ? std::to_string(vs_scalar8.load()).c_str()
+            : "not run (no AVX2)");
+  EXPECT_EQ(vs_scalar4.load(), 0u) << std::hex << "e.g. 0x" << first_bad;
+  EXPECT_EQ(vs_scalar8.load(), 0u) << std::hex << "e.g. 0x" << first_bad;
   EXPECT_EQ(vs_libm.load(), 0u) << std::hex << "e.g. 0x" << first_bad;
+  if (!eight) GTEST_SKIP() << "8 lanes need AVX2";
 }
 
 }  // namespace
