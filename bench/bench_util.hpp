@@ -14,8 +14,8 @@
 //                     fig10_end2end, ablation_sper, contention_pool,
 //                     fig_replicas and ingest_stream; other binaries
 //                     accept but ignore it)
-//   --trace-dir=DIR   write one trace CSV per run into DIR (created if
-//                     missing), named <bench>-<dataset>-<model>-<method>.csv
+//   --trace-dir=DIR   write one trace file per run into DIR (created if
+//                     missing), named <bench>-<dataset>-<model>-<method>.json
 //                     and labeled for `pipad analyze` (wired into
 //                     fig10_end2end and fig_replicas; other binaries
 //                     accept but ignore it)
@@ -28,19 +28,18 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "analyze/trace_data.hpp"
 #include "api/job_result.hpp"
 #include "api/job_spec.hpp"
 #include "api/run_job.hpp"
 #include "baselines/baseline_trainer.hpp"
 #include "common/compute_pool.hpp"
 #include "common/util.hpp"
-#include "gpusim/trace.hpp"
 #include "graph/generator.hpp"
 #include "graph/io/loader.hpp"
 #include "host/host_lane.hpp"
@@ -55,7 +54,7 @@ struct Flags {
 
   std::vector<std::string> datasets;
   std::string json;  ///< Non-empty: write run records to this file.
-  std::string trace_dir;  ///< Non-empty: write one trace CSV per run here.
+  std::string trace_dir;  ///< Non-empty: write one trace file per run here.
 
   static std::string usage(const char* prog) {
     std::string p = prog != nullptr ? prog : "bench";
@@ -69,7 +68,7 @@ struct Flags {
            "                     names and/or file:PATH specs  [all 7]\n"
            "  --json=FILE        write per-run records as JSON\n"
            "                     (bench_diff-compatible)\n"
-           "  --trace-dir=DIR    write one labeled trace CSV per run\n";
+           "  --trace-dir=DIR    write one labeled trace file per run\n";
   }
 
   /// Strict non-exiting parse of `--name=value` arguments (program name
@@ -329,9 +328,10 @@ inline std::string trace_file_component(const std::string& s) {
   return out.empty() ? std::string("trace") : out;
 }
 
-/// Write one labeled trace CSV under flags.trace_dir (no-op when the flag
-/// is unset). The file lands at DIR/<bench>-<dataset>-<model>-<method>.csv
-/// so CI can feed it straight to `pipad analyze`.
+/// Write one labeled trace file under flags.trace_dir (no-op when the flag
+/// is unset). The file lands at DIR/<bench>-<dataset>-<model>-<method>.json
+/// so CI can feed it straight to `pipad analyze`. Throws Error when the
+/// file cannot be written, so a bench never exits 0 with a trace missing.
 inline void write_trace(const Flags& flags, const std::string& bench,
                         const gpusim::Gpu& gpu, const std::string& dataset,
                         const std::string& model, const std::string& method) {
@@ -342,15 +342,12 @@ inline void write_trace(const Flags& flags, const std::string& bench,
                            trace_file_component(bench) + "-" +
                            trace_file_component(dataset) + "-" +
                            trace_file_component(model) + "-" +
-                           trace_file_component(method) + ".csv";
-  std::ofstream os(path);
-  if (!os) {
-    std::fprintf(stderr, "[bench] cannot open %s for writing\n",
-                 path.c_str());
-    return;
-  }
-  gpusim::write_trace_csv(gpu.timeline(), os,
-                          gpusim::TraceMeta{dataset, model, method});
+                           trace_file_component(method) + ".json";
+  analyze::TraceData td = analyze::from_timeline(gpu.timeline());
+  td.dataset = dataset;
+  td.model = model;
+  td.method = method;
+  analyze::write_trace_file(path, td);
   std::fprintf(stderr, "[bench] trace written to %s\n", path.c_str());
 }
 

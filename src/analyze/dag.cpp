@@ -13,8 +13,8 @@ namespace {
 
 /// Tolerance for "this op's end gated that op's start". In-process times
 /// propagate exactly (the scheduler computes starts as max of ends), and
-/// the CSV writer emits %.17g which round-trips doubles — the epsilon only
-/// absorbs the last-ulp noise of re-parsing.
+/// trace files carry shortest round-trip doubles — the epsilon only
+/// absorbs last-ulp noise in traces from other writers.
 double time_eps(const TraceData& td) {
   return 1e-6 + 1e-9 * td.makespan_us;
 }

@@ -1,12 +1,12 @@
 #include "analyze/trace_data.hpp"
 
 #include <algorithm>
-#include <cerrno>
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
+#include <cmath>
+#include <utility>
 
 #include "common/error.hpp"
+#include "gpusim/trace.hpp"
+#include "graph/io/text_format.hpp"
 
 namespace pipad::analyze {
 
@@ -68,67 +68,55 @@ TraceData from_timeline(const gpusim::Timeline& tl) {
 
 namespace {
 
-/// Split one CSV line into fields, honoring double-quoted fields with ""
-/// escapes (the write_trace_csv quoting rules).
-std::vector<std::string> csv_fields(const std::string& line,
-                                    const std::string& path,
-                                    std::size_t lineno) {
-  std::vector<std::string> out;
-  std::string cur;
-  bool quoted = false;
-  for (std::size_t i = 0; i < line.size(); ++i) {
-    const char c = line[i];
-    if (quoted) {
-      if (c == '"') {
-        if (i + 1 < line.size() && line[i + 1] == '"') {
-          cur.push_back('"');
-          ++i;
-        } else {
-          quoted = false;
-        }
-      } else {
-        cur.push_back(c);
-      }
-    } else if (c == '"' && cur.empty()) {
-      quoted = true;
-    } else if (c == ',') {
-      out.push_back(std::move(cur));
-      cur.clear();
-    } else {
-      cur.push_back(c);
+/// Streams and worker lanes a trace may name. build_dag keeps one slot per
+/// stream and lane and gantt_rows one row per lane, up to the largest id
+/// read, so an unchecked id (lane 10^12 in a one-line file) would become a
+/// multi-terabyte allocation. The simulator creates a handful of streams
+/// and host::kModeledHostCores (8) worker lanes, far below this bound.
+constexpr double kMaxTraceLanes = 4096.0;
+
+/// Byte counts above 2^53 do not survive the trip through a JSON double.
+constexpr double kMaxExactCount = 9007199254740992.0;
+
+/// Reads the fields of event `index` of `path`; every error names both.
+struct EventReader {
+  const std::string& path;
+  std::size_t index;
+
+  [[noreturn]] void fail(const std::string& what) const {
+    throw Error(path + ": event " + std::to_string(index) + ": " + what);
+  }
+
+  /// obj[key], which must be present and of type `want`. `scope` prefixes
+  /// the key in messages ("args." for the op fields).
+  const api::Json& field(const api::Json& obj, const char* key,
+                         api::Json::Type want, const char* scope = "") const {
+    static const char* const kTypeNames[] = {"null",     "a bool",
+                                             "a number", "a string",
+                                             "an array", "an object"};
+    const std::string name = std::string("'") + scope + key + "'";
+    const api::Json* v = obj.find(key);
+    if (v == nullptr) fail("missing field " + name);
+    if (v->type() != want) {
+      fail("field " + name + " is not " +
+           kTypeNames[static_cast<int>(want)]);
     }
+    return *v;
   }
-  if (quoted) {
-    throw Error(path + ":" + std::to_string(lineno) +
-                ": unterminated quoted field");
-  }
-  out.push_back(std::move(cur));
-  return out;
-}
 
-double parse_double(const std::string& s, const std::string& path,
-                    std::size_t lineno, const char* what) {
-  char* end = nullptr;
-  errno = 0;
-  const double v = std::strtod(s.c_str(), &end);
-  if (s.empty() || end == nullptr || *end != '\0' || errno == ERANGE) {
-    throw Error(path + ":" + std::to_string(lineno) + ": bad " + what +
-                " '" + s + "'");
+  /// An integer in [0, limit).
+  std::size_t count(const api::Json& obj, const char* key, double limit,
+                    const char* scope = "") const {
+    const double v = field(obj, key, api::Json::Type::Number, scope)
+                         .as_number();
+    if (v < 0.0 || v >= limit || v != std::floor(v)) {
+      fail(std::string("field '") + scope + key +
+           "' must be an integer in [0, " + api::Json(limit).dump() +
+           "), got " + api::Json(v).dump());
+    }
+    return static_cast<std::size_t>(v);
   }
-  return v;
-}
-
-std::size_t parse_size(const std::string& s, const std::string& path,
-                       std::size_t lineno, const char* what) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (s.empty() || end == nullptr || *end != '\0' || errno == ERANGE) {
-    throw Error(path + ":" + std::to_string(lineno) + ": bad " + what +
-                " '" + s + "'");
-  }
-  return static_cast<std::size_t>(v);
-}
+};
 
 bool parse_resource(const std::string& s, Resource& out) {
   for (int i = 0; i < gpusim::kNumResources; ++i) {
@@ -141,66 +129,116 @@ bool parse_resource(const std::string& s, Resource& out) {
   return false;
 }
 
-/// `# key=value ...` metadata comment (written by write_trace_csv when a
-/// TraceMeta was given).
-void scan_meta(const std::string& comment, TraceData& td) {
-  std::istringstream is(comment);
-  std::string tok;
-  while (is >> tok) {
-    const auto eq = tok.find('=');
-    if (eq == std::string::npos) continue;
-    const std::string key = tok.substr(0, eq);
-    const std::string value = tok.substr(eq + 1);
-    if (key == "dataset") td.dataset = value;
-    else if (key == "model") td.model = value;
-    else if (key == "method") td.method = value;
-  }
+[[noreturn]] void not_a_trace(const std::string& path,
+                              const std::string& why) {
+  throw Error(path + ": not a pipad trace (expected trace-event JSON): " +
+              why);
 }
 
 }  // namespace
 
-TraceData read_trace_csv(std::istream& is, const std::string& path) {
+api::Json trace_document(const TraceData& td) {
+  const auto rows = gpusim::gantt_rows(td.records, td.worker_lanes);
+  api::Json events = api::Json::array();
+  for (std::size_t tid = 0; tid < rows.size(); ++tid) {
+    api::Json args = api::Json::object();
+    args.set("name", rows[tid].label);
+    api::Json ev = api::Json::object();
+    ev.set("ph", "M");
+    ev.set("name", "thread_name");
+    ev.set("pid", 0);
+    ev.set("tid", tid);
+    ev.set("args", std::move(args));
+    events.push_back(std::move(ev));
+  }
+  for (const auto& rec : td.records) {
+    const auto row =
+        std::find_if(rows.begin(), rows.end(),
+                     [&](const gpusim::GanttRow& r) { return r.matches(rec); });
+    PIPAD_CHECK_MSG(row != rows.end(),
+                    "op '" << rec.name << "' is on no Gantt row");
+    api::Json args = api::Json::object();
+    args.set("resource", gpusim::resource_name(rec.resource));
+    args.set("stream", rec.stream);
+    args.set("end_us", rec.end_us);
+    args.set("bytes", rec.bytes);
+    args.set("lane", rec.lane);
+    api::Json ev = api::Json::object();
+    ev.set("name", rec.name);
+    ev.set("ph", "X");
+    ev.set("ts", rec.start_us);
+    ev.set("dur", rec.end_us - rec.start_us);
+    ev.set("pid", 0);
+    ev.set("tid", static_cast<std::size_t>(row - rows.begin()));
+    ev.set("args", std::move(args));
+    events.push_back(std::move(ev));
+  }
+  api::Json labels = api::Json::object();
+  labels.set("dataset", td.dataset);
+  labels.set("model", td.model);
+  labels.set("method", td.method);
+  api::Json doc = api::Json::object();
+  doc.set("traceEvents", std::move(events));
+  doc.set("otherData", std::move(labels));
+  return doc;
+}
+
+void write_trace_file(const std::string& path, const TraceData& td) {
+  api::write_document(path, trace_document(td));
+}
+
+TraceData parse_trace(const std::string& text, const std::string& path) {
+  api::Json doc;
+  try {
+    doc = api::Json::parse(text);
+  } catch (const Error& e) {
+    not_a_trace(path, e.what());
+  }
+  const api::Json* events = doc.find("traceEvents");
+  if (events == nullptr || !events->is_array()) {
+    not_a_trace(path, "no traceEvents array");
+  }
   TraceData td;
-  std::string line;
-  std::size_t lineno = 0;
-  bool saw_header = false;
-  while (std::getline(is, line)) {
-    ++lineno;
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (line.empty()) continue;
-    if (line[0] == '#') {
-      scan_meta(line.substr(1), td);
-      continue;
-    }
-    if (!saw_header) {
-      if (line.rfind("name,resource,stream,", 0) != 0) {
-        throw Error(path + ":" + std::to_string(lineno) +
-                    ": not a pipad trace CSV (unexpected header '" + line +
-                    "')");
+  if (const api::Json* labels = doc.find("otherData")) {
+    for (auto [key, out] : {std::pair{"dataset", &td.dataset},
+                            std::pair{"model", &td.model},
+                            std::pair{"method", &td.method}}) {
+      const api::Json* v = labels->find(key);
+      if (v == nullptr) continue;
+      if (!v->is_string()) {
+        throw Error(path + ": otherData." + key + " is not a string");
       }
-      saw_header = true;
-      continue;
+      *out = v->as_string();
     }
-    const auto f = csv_fields(line, path, lineno);
-    if (f.size() != 7) {
-      throw Error(path + ":" + std::to_string(lineno) + ": expected 7 " +
-                  "fields (name,resource,stream,start_us,end_us,bytes,lane)"
-                  ", got " + std::to_string(f.size()));
-    }
+  }
+  using Type = api::Json::Type;
+  const auto& items = events->items();
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    const api::Json& ev = items[i];
+    const EventReader at{path, i};
+    if (!ev.is_object()) at.fail("not an object");
+    if (at.field(ev, "ph", Type::String).as_string() != "X") continue;
+    const api::Json& args = at.field(ev, "args", Type::Object);
     OpRecord rec;
-    rec.name = f[0];
-    if (!parse_resource(f[1], rec.resource)) {
-      throw Error(path + ":" + std::to_string(lineno) +
-                  ": unknown resource '" + f[1] + "'");
+    rec.name = at.field(ev, "name", Type::String).as_string();
+    const std::string& resource =
+        at.field(args, "resource", Type::String, "args.").as_string();
+    if (!parse_resource(resource, rec.resource)) {
+      at.fail("unknown resource '" + resource + "'");
     }
-    rec.stream = parse_size(f[2], path, lineno, "stream");
-    rec.start_us = parse_double(f[3], path, lineno, "start_us");
-    rec.end_us = parse_double(f[4], path, lineno, "end_us");
-    rec.bytes = parse_size(f[5], path, lineno, "bytes");
-    rec.lane = parse_size(f[6], path, lineno, "lane");
-    if (rec.end_us < rec.start_us || rec.start_us < 0.0) {
-      throw Error(path + ":" + std::to_string(lineno) +
-                  ": op '" + rec.name + "' has an invalid time range");
+    rec.stream = at.count(args, "stream", kMaxTraceLanes, "args.");
+    rec.start_us = at.field(ev, "ts", Type::Number).as_number();
+    rec.end_us = at.field(args, "end_us", Type::Number, "args.").as_number();
+    rec.bytes = at.count(args, "bytes", kMaxExactCount, "args.");
+    rec.lane = at.count(args, "lane", kMaxTraceLanes, "args.");
+    if (rec.start_us < 0.0) {
+      at.fail("op '" + rec.name + "' starts before 0 (ts " +
+              api::Json(rec.start_us).dump() + ")");
+    }
+    if (rec.end_us < rec.start_us) {
+      at.fail("op '" + rec.name + "' ends before it starts (args.end_us " +
+              api::Json(rec.end_us).dump() + " < ts " +
+              api::Json(rec.start_us).dump() + ")");
     }
     td.makespan_us = std::max(td.makespan_us, rec.end_us);
     td.num_streams = std::max(td.num_streams, rec.stream + 1);
@@ -209,14 +247,11 @@ TraceData read_trace_csv(std::istream& is, const std::string& path) {
     }
     td.records.push_back(std::move(rec));
   }
-  if (!saw_header) throw Error(path + ": not a pipad trace CSV (no header)");
   return td;
 }
 
 TraceData read_trace_file(const std::string& path) {
-  std::ifstream is(path);
-  if (!is) throw Error("cannot open " + path);
-  return read_trace_csv(is, path);
+  return parse_trace(graph::io::read_file(path), path);
 }
 
 }  // namespace pipad::analyze

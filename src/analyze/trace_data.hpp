@@ -1,21 +1,26 @@
-// Analyzer input: a self-contained snapshot of one training run's op
-// schedule.
+// Analyzer input and the trace file: a self-contained snapshot of one
+// training run's op schedule, and the only code that writes or reads it.
 //
 // The trace analyzer (docs/ANALYZER.md) works on plain op records rather
 // than on a live gpusim::Timeline, so the same passes run over an
-// in-process trainer run (from_timeline) and over a trace CSV written by
-// `pipad trace`, `pipad analyze`, or a bench's --trace-dir
-// (read_trace_csv / read_trace_file). The CSV reader understands the
-// optional `# pipad-trace v3` metadata header that labels a trace with the
-// (dataset, model, method) key the bench_diff-compatible JSON report uses,
-// and accepts only the 7-field v3 row layout
-// (name,resource,stream,start_us,end_us,bytes,lane).
+// in-process trainer run (from_timeline) and over a trace file written by
+// `pipad trace --out` or a bench's --trace-dir (read_trace_file).
+//
+// A trace file is Trace Event Format JSON, so Perfetto and
+// chrome://tracing open it too:
+//   {"traceEvents":[...],"otherData":{"dataset":..,"model":..,"method":..}}
+// Each op is one complete event ("ph":"X") with ts = start_us,
+// dur = end_us - start_us, pid 0 and tid = its Gantt row; its args carry
+// resource, stream, end_us, bytes and lane. Each Gantt row is named by a
+// "ph":"M" thread_name event. The reader skips every event but "X", takes
+// the end from args.end_us (ts + dur is not exact), and derives makespan,
+// stream and lane counts from the ops.
 #pragma once
 
-#include <istream>
 #include <string>
 #include <vector>
 
+#include "api/json.hpp"
 #include "gpusim/timeline.hpp"
 
 namespace pipad::analyze {
@@ -26,8 +31,8 @@ struct TraceData {
   std::size_t num_streams = 1;
   double makespan_us = 0.0;
 
-  // Trace labels: from CSV metadata, or filled by the caller for live
-  // runs. Empty fields default to "trace" in the JSON report.
+  // Trace labels: from the file's otherData, or filled by the caller for
+  // live runs. Empty fields default to "trace" in the JSON report.
   std::string dataset;
   std::string model;
   std::string method;
@@ -49,12 +54,18 @@ struct TraceData {
 /// running or be destroyed afterwards).
 TraceData from_timeline(const gpusim::Timeline& tl);
 
-/// Parse a trace CSV (write_trace_csv format, quoted fields supported).
-/// `path` is used in error messages only. Throws Error on
-/// malformed input.
-TraceData read_trace_csv(std::istream& is, const std::string& path);
+/// The trace-event document for `td` (what write_trace_file writes).
+api::Json trace_document(const TraceData& td);
 
-/// Convenience: open + parse a trace CSV file.
+/// Write trace_document(td) to `path`, one event per line. Throws Error
+/// when the file cannot be opened or written.
+void write_trace_file(const std::string& path, const TraceData& td);
+
+/// Parse a trace-event document. `path` is used in error messages only;
+/// throws Error on malformed input, naming the offending event's index.
+TraceData parse_trace(const std::string& text, const std::string& path);
+
+/// Read and parse a trace file.
 TraceData read_trace_file(const std::string& path);
 
 }  // namespace pipad::analyze

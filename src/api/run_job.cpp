@@ -139,10 +139,8 @@ RunOutput run_method(const JobSpec& o, const std::string& runtime,
     out.train = trainer.train();
     if (o.return_params) out.params = flat_params(trainer.model());
   } else {
-    baselines::BaselineOptions bopts;
-    bopts.cancel = cancel;
     baselines::BaselineTrainer trainer(gpu, b.data, tcfg,
-                                       baseline_variant(runtime), bopts);
+                                       baseline_variant(runtime), cancel);
     out.train = trainer.train();
     if (o.return_params) out.params = flat_params(trainer.model());
   }

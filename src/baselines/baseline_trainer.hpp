@@ -32,21 +32,14 @@ enum class Variant { PyGT, PyGTA, PyGTR, PyGTG };
 
 const char* variant_name(Variant v);
 
-struct BaselineOptions {
-  /// Host-side framework overhead charged per kernel launch, on top of the
-  /// driver launch cost. PyGT is a Python framework; ~10 us/op matches the
-  /// profiler-visible gaps that keep small-dataset utilization low (§5.2).
-  double framework_us_per_launch = 10.0;
-  /// Cooperative cancellation: when non-null and set, train() throws
-  /// pipad::Cancelled at the next frame boundary (see PipadOptions::cancel).
-  const std::atomic<bool>* cancel = nullptr;
-};
-
 class BaselineTrainer {
  public:
+  /// `cancel` is cooperative cancellation: when non-null and set, train()
+  /// throws pipad::Cancelled at the next frame boundary (see
+  /// PipadOptions::cancel).
   BaselineTrainer(gpusim::Gpu& gpu, const graph::DTDG& data,
                   models::TrainConfig cfg, Variant variant,
-                  BaselineOptions opts = {});
+                  const std::atomic<bool>* cancel = nullptr);
   ~BaselineTrainer();
 
   /// Run the configured number of epochs; the Gpu timeline accumulates the

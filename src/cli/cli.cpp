@@ -4,7 +4,6 @@
 #include <climits>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <sstream>
 
 #include "analyze/report.hpp"
@@ -140,22 +139,19 @@ int cmd_trace(const Options& o) {
                                                Resource::H2D,
                                                Resource::Compute));
   if (!o.out.empty()) {
-    std::ofstream csv(o.out);
-    if (!csv) {
-      std::fprintf(stderr, "pipad: cannot open %s for writing\n",
-                   o.out.c_str());
-      return 1;
-    }
-    const gpusim::TraceMeta meta{data.data.name, o.job.model, "pipad"};
-    gpusim::write_trace_csv(gpu_pipad.timeline(), csv, meta);
+    analyze::TraceData td = analyze::from_timeline(gpu_pipad.timeline());
+    td.dataset = data.data.name;
+    td.model = o.job.model;
+    td.method = "pipad";
+    analyze::write_trace_file(o.out, td);
     std::printf("PiPAD trace written to %s (%zu ops)\n", o.out.c_str(),
-                gpu_pipad.timeline().records().size());
+                td.records.size());
   }
   return 0;
 }
 
-/// "runs/trace-4.csv" -> "trace-4": the fallback dataset label for traces
-/// without a `# dataset=...` metadata line, so multiple unlabeled traces
+/// "runs/trace-4.json" -> "trace-4": the fallback dataset label for traces
+/// without an otherData.dataset label, so multiple unlabeled traces
 /// keep distinct (dataset|model|method) keys in the JSON report.
 std::string file_stem(const std::string& path) {
   const auto slash = path.find_last_of("/\\");
@@ -407,8 +403,9 @@ std::string usage() {
       "subcommands:\n"
       "  train    train one model under one runtime, print the sim summary\n"
       "  bench    train under a baseline and under PiPAD, print the speedup\n"
-      "  trace    like bench, plus ASCII Gantt charts and an optional CSV\n"
-      "  analyze  critical-path + bottleneck analysis of trace CSVs\n"
+      "  trace    like bench, plus ASCII Gantt charts and an optional trace\n"
+      "           file (trace-event JSON; opens in Perfetto)\n"
+      "  analyze  critical-path + bottleneck analysis of trace files\n"
       "           (--trace, repeatable), or of a live PiPAD run when no\n"
       "           --trace is given (docs/ANALYZER.md)\n"
       "  serve    long-lived multi-tenant training daemon on a local\n"
@@ -422,10 +419,11 @@ std::string usage() {
       api::flags_help() +
       "\n"
       "command flags:\n"
-      "  --out FILE         trace: write the PiPAD timeline as CSV\n"
+      "  --out FILE         trace: write the PiPAD timeline as trace-event\n"
+      "                     JSON\n"
       "  --json FILE        bench/analyze: write records as JSON\n"
       "                     (bench_diff-compatible)\n"
-      "  --trace FILE       analyze: a trace CSV to analyze (repeatable);\n"
+      "  --trace FILE       analyze: a trace file to analyze (repeatable);\n"
       "                     omitted = run PiPAD live and analyze that\n"
       "  --top N            analyze: findings shown per trace  [5]\n"
       "  --fail-above SEV   analyze: exit 3 when any finding reaches this\n"

@@ -3,8 +3,8 @@
 //
 //   pipad train --model tgcn --dataset epinions --runtime pipad
 //   pipad bench --model mpnn-lstm --snapshots 24
-//   pipad trace --dataset epinions --out trace.csv
-//   pipad analyze --trace trace.csv --json analysis.json
+//   pipad trace --dataset epinions --out trace.json
+//   pipad analyze --trace trace.json --json analysis.json
 //   pipad serve --socket /tmp/pipad.sock --executors 2
 //   pipad submit --socket /tmp/pipad.sock --model gcn --priority 8
 //
@@ -34,13 +34,13 @@ struct Options {
   /// The shared job description (see api/job_spec.hpp for every field).
   api::JobSpec job;
 
-  std::string out;          ///< `trace`: CSV output path (empty = stdout only).
+  std::string out;          ///< `trace`: trace file path (empty = stdout only).
   std::string json;         ///< `bench`/`analyze`: write records as JSON
                             ///< (bench_diff-compatible).
   std::string log_level = "warn";  ///< debug | info | warn | error | off.
 
   // `analyze` only.
-  std::vector<std::string> traces;  ///< Trace CSVs to analyze (repeatable);
+  std::vector<std::string> traces;  ///< Trace files to analyze (repeatable);
                                     ///< empty = run PiPAD live and analyze
                                     ///< the resulting timeline.
   std::string fail_above = "none";  ///< Exit 3 when a finding reaches this

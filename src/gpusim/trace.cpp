@@ -1,84 +1,11 @@
 #include "gpusim/trace.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <map>
 #include <sstream>
 #include <vector>
 
 namespace pipad::gpusim {
-
-namespace {
-
-/// RFC-4180 style quoting: only names containing a comma, quote or newline
-/// are wrapped, with internal quotes doubled, so typical traces stay
-/// byte-identical to the unescaped format.
-std::string csv_quote(const std::string& s) {
-  if (s.find_first_of(",\"\n") == std::string::npos) return s;
-  std::string out = "\"";
-  for (const char c : s) {
-    if (c == '"') out += "\"\"";
-    else out.push_back(c);
-  }
-  out.push_back('"');
-  return out;
-}
-
-/// %.17g: round-trips every double exactly, prints integers without noise.
-std::string csv_time(double us) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", us);
-  return buf;
-}
-
-void write_rows(const Timeline& tl, std::ostream& os) {
-  os << "name,resource,stream,start_us,end_us,bytes,lane\n";
-  for (const auto& rec : tl.records()) {
-    os << csv_quote(rec.name) << ',' << resource_name(rec.resource) << ','
-       << rec.stream << ',' << csv_time(rec.start_us) << ','
-       << csv_time(rec.end_us) << ',' << rec.bytes << ',' << rec.lane
-       << '\n';
-  }
-}
-
-/// Meta values land in a whitespace-tokenized comment line.
-std::string meta_value(const std::string& s) {
-  std::string out = s.empty() ? std::string("trace") : s;
-  for (char& c : out) {
-    if (c == ' ' || c == '\t' || c == '\n' || c == '\r') c = '_';
-  }
-  return out;
-}
-
-}  // namespace
-
-void write_trace_csv(const Timeline& tl, std::ostream& os) {
-  write_rows(tl, os);
-}
-
-void write_trace_csv(const Timeline& tl, std::ostream& os,
-                     const TraceMeta& meta) {
-  os << "# pipad-trace v3\n";
-  os << "# dataset=" << meta_value(meta.dataset)
-     << " model=" << meta_value(meta.model)
-     << " method=" << meta_value(meta.method) << '\n';
-  write_rows(tl, os);
-}
-
-namespace {
-
-/// One rendered row of the Gantt chart. For CpuWorker there is a row per
-/// worker lane; every other resource is a single row.
-struct GanttRow {
-  Resource resource;
-  std::size_t lane = 0;
-  std::string label;
-
-  bool matches(const OpRecord& rec) const {
-    return rec.resource == resource &&
-           (resource != Resource::CpuWorker || rec.lane == lane);
-  }
-};
 
 std::vector<GanttRow> gantt_rows(const std::vector<OpRecord>& records,
                                  std::size_t worker_lanes) {
@@ -104,6 +31,8 @@ std::vector<GanttRow> gantt_rows(const std::vector<OpRecord>& records,
   }
   return rows;
 }
+
+namespace {
 
 std::vector<char> lane_cells(const std::vector<OpRecord>& records,
                              const GanttRow& row, double from, double to,

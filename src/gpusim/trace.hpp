@@ -1,12 +1,14 @@
-// Timeline export: CSV dump and ASCII Gantt rendering.
+// Timeline views: ASCII Gantt rendering and the copy/compute overlap
+// metric.
 //
 // Reproduces Fig. 8's pipelined-execution view: one lane per hardware
 // resource (CPU, background CPU, H2D, D2H, compute) with ops placed at
-// their simulated start/end. Used by the pipeline_trace example and by
-// tests asserting overlap structure.
+// their simulated start/end. Used by `pipad trace`, by the analyzer's
+// report windows and by tests asserting overlap structure. Trace files
+// are written and read by analyze/trace_data, which labels its lanes with
+// the rows gantt_rows() returns.
 #pragma once
 
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -14,25 +16,23 @@
 
 namespace pipad::gpusim {
 
-/// Optional trace labels, written as a `# dataset=... model=... method=...`
-/// comment so analyze can key its JSON records the way bench_diff expects.
-struct TraceMeta {
-  std::string dataset;
-  std::string model;
-  std::string method;
+/// One rendered row of the Gantt chart. For CpuWorker there is a row per
+/// worker lane; every other resource is a single row.
+struct GanttRow {
+  Resource resource;
+  std::size_t lane = 0;
+  std::string label;
+
+  bool matches(const OpRecord& rec) const {
+    return rec.resource == resource &&
+           (resource != Resource::CpuWorker || rec.lane == lane);
+  }
 };
 
-/// One CSV row per op: name,resource,stream,start_us,end_us,bytes,lane.
-/// Names containing commas, quotes or newlines are double-quoted with ""
-/// escapes; times are written with enough digits to round-trip doubles
-/// exactly, so an analysis of the re-read trace matches the live one bit
-/// for bit.
-void write_trace_csv(const Timeline& tl, std::ostream& os);
-
-/// Same, prefixed with a `# pipad-trace v3` header and the meta comment
-/// (whitespace in meta values is replaced with '_').
-void write_trace_csv(const Timeline& tl, std::ostream& os,
-                     const TraceMeta& meta);
+/// The chart's rows, top to bottom: cpu, one row per worker lane, h2d,
+/// d2h, compute, and link when any record is on the interconnect.
+std::vector<GanttRow> gantt_rows(const std::vector<OpRecord>& records,
+                                 std::size_t worker_lanes);
 
 struct GanttOptions {
   int width = 100;          ///< Character columns for the time axis.

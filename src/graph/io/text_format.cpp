@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstring>
 #include <exception>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <string_view>
@@ -17,6 +18,12 @@
 namespace pipad::graph::io {
 
 std::string read_file(const std::string& path) {
+  // A directory opens like a file and reports a bogus size (LLONG_MAX on
+  // ext4), which the sized read below would try to allocate.
+  std::error_code ec;
+  if (std::filesystem::is_directory(path, ec)) {
+    throw Error(path + ": is a directory");
+  }
   std::ifstream is(path, std::ios::binary | std::ios::ate);
   if (!is) throw Error("cannot open " + path);
   const std::streamoff size = is.tellg();

@@ -1,18 +1,19 @@
 // Analyzer tests: DAG reconstruction from op records (stream / engine /
 // inferred join edges), the critical-path == makespan invariant, the pass
-// registry, each builtin diagnosis on hand-built schedules, CSV round-trip
-// equivalence, per-lane occupancy windows, and thread-count determinism of
-// the report.
+// registry, each builtin diagnosis on hand-built schedules, trace-file
+// round-trip equivalence and reader input checks, per-lane occupancy
+// windows, and thread-count determinism of the report.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <sstream>
 #include <utility>
 #include <vector>
 
 #include "analyze/report.hpp"
+#include "analyze/trace_data.hpp"
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
-#include "gpusim/trace.hpp"
 #include "test_util.hpp"
 
 namespace pipad {
@@ -319,34 +320,41 @@ TEST(AnalyzePasses, AllreduceBoundSilentOnSingleDeviceTraces) {
   EXPECT_EQ(find_pass(analyze_timeline(tl), "allreduce_bound"), nullptr);
 }
 
-// ---- CSV round trip ------------------------------------------------------
+// ---- trace file round trip ----------------------------------------------
 
-TEST(AnalyzeTrace, CsvRoundTripYieldsIdenticalAnalysis) {
+TEST(AnalyzeTrace, FileRoundTripYieldsIdenticalAnalysis) {
   Timeline tl;
   tl.set_worker_lanes(2);
   const auto s = tl.create_stream("copy");
+  const auto link = tl.create_stream("link");
   tl.submit(0, Resource::Cpu, "launch:graph", 0.37);
   tl.submit(s, Resource::H2D, "h2d:x", 25.125, 0.0, 4096);
   const auto e = tl.record_event(s);
   tl.wait_event(0, e);
   tl.submit(0, Resource::Compute, "kernel:agg", 10.0 / 3.0);
-  tl.submit_worker(0, "prep:we\"ird,name", 7.77);  // CSV-hostile name.
+  // Quote, comma, newline, a control character and non-ASCII bytes.
+  tl.submit_worker(0, "prep:we\"ird,na\nme\x01-\xc3\xa9\xff", 7.77);
   tl.submit_worker(1, "prep:profiling", 3.3);
   tl.submit(s, Resource::D2H, "d2h:loss", 1.0 / 7.0, 0.0, 8);
+  tl.submit(link, Resource::Link, "comm:allreduce:ring", 2.0 / 9.0, 0.0, 64);
 
   auto live = analyze::from_timeline(tl);
   live.dataset = "rt";
   live.model = "tgcn";
   live.method = "pipad";
-  std::ostringstream csv;
-  gpusim::write_trace_csv(tl, csv, {"rt", "tgcn", "pipad"});
-  std::istringstream in(csv.str());
-  const auto reread = analyze::read_trace_csv(in, "<mem>");
+  const std::string path = ::testing::TempDir() + "analyze_round_trip.json";
+  analyze::write_trace_file(path, live);
+  const auto reread = analyze::read_trace_file(path);
+  std::remove(path.c_str());
 
   ASSERT_EQ(reread.records.size(), live.records.size());
   for (std::size_t i = 0; i < live.records.size(); ++i) {
+    EXPECT_EQ(reread.records[i].name, live.records[i].name) << i;
     EXPECT_EQ(reread.records[i].lane, live.records[i].lane) << i;
+    EXPECT_EQ(reread.records[i].start_us, live.records[i].start_us) << i;
+    EXPECT_EQ(reread.records[i].end_us, live.records[i].end_us) << i;
   }
+  EXPECT_EQ(reread.dataset, "rt");
 
   const auto a1 = analyze::analyze_trace(live);
   const auto a2 = analyze::analyze_trace(reread);
@@ -357,32 +365,93 @@ TEST(AnalyzeTrace, CsvRoundTripYieldsIdenticalAnalysis) {
   EXPECT_EQ(h1.str(), h2.str());
 }
 
+TEST(AnalyzeTrace, WritingToAnUnwritablePathThrows) {
+  Timeline tl;
+  tl.submit(0, Resource::Compute, "kernel:k", 1.0);
+  EXPECT_THROW(analyze::write_trace_file("/no/such/dir/trace.json",
+                                         analyze::from_timeline(tl)),
+               Error);
+}
+
 TEST(AnalyzeTrace, ReaderRejectsMalformedInput) {
-  const auto parse = [](const std::string& text) {
-    std::istringstream in(text);
-    return analyze::read_trace_csv(in, "<mem>");
+  // The message of the error parse() throws ("" when it parses).
+  const auto error_of = [](const std::string& text) {
+    try {
+      analyze::parse_trace(text, "<mem>");
+    } catch (const Error& e) {
+      return std::string(e.what());
+    }
+    return std::string();
   };
-  const std::string header =
-      "name,resource,stream,start_us,end_us,bytes,lane\n";
-  EXPECT_THROW(parse(""), Error);
-  EXPECT_THROW(parse(header + "k,warp,0,0,1,0,0\n"), Error);
-  EXPECT_THROW(parse(header + "k,compute,0,5,1,0,0\n"), Error);
-  EXPECT_THROW(parse(header + "k,compute,0,zero,1,0,0\n"), Error);
-  EXPECT_THROW(parse(header + "k,compute,0,0,1,0,x\n"), Error);
-  // Only 7-field v3 rows parse: the 9-field v2 layout (with the retired
-  // steals,blocks counters) and 8 fields are both rejected, and the error
-  // names the expected columns.
-  EXPECT_NO_THROW(parse(header + "k,compute,0,0,1,0,0\n"));
-  EXPECT_THROW(parse(header + "k,compute,0,0,1,0,0,2\n"), Error);
-  try {
-    parse(header + "k,compute,0,0,1,0,0,2,8\n");
-    ADD_FAILURE() << "a 9-field v2 row parsed";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find(
-                  "name,resource,stream,start_us,end_us,bytes,lane"),
-              std::string::npos)
-        << e.what();
-  }
+  // A one-op trace: event 0 names a lane, event 1 is the op.
+  const auto trace = [](const std::string& args, const std::string& ts = "0") {
+    return R"({"traceEvents":[)"
+           R"({"ph":"M","name":"thread_name","pid":0,"tid":0,)"
+           R"("args":{"name":"compute"}},)"
+           R"({"name":"k","ph":"X","ts":)" +
+           ts + R"(,"dur":1,"pid":0,"tid":0,"args":)" + args + "}]}";
+  };
+  const auto args = [](const std::string& resource = R"("compute")",
+                       const std::string& end_us = "1",
+                       const std::string& lane = "0",
+                       const std::string& stream = "0") {
+    return R"({"resource":)" + resource + R"(,"stream":)" + stream +
+           R"(,"end_us":)" + end_us + R"(,"bytes":0,"lane":)" + lane + "}";
+  };
+  const auto rejected = [&](const std::string& text,
+                            const std::string& needle) {
+    const std::string what = error_of(text);
+    EXPECT_NE(what.find(needle), std::string::npos)
+        << "input: " << text << "\nerror: " << what;
+  };
+
+  EXPECT_EQ(error_of(trace(args())), "");
+  const auto td = analyze::parse_trace(trace(args()), "<mem>");
+  ASSERT_EQ(td.records.size(), 1u);  // The M event is skipped.
+
+  const std::string not_trace =
+      "<mem>: not a pipad trace (expected trace-event JSON)";
+  rejected("", not_trace);
+  rejected("not json", not_trace);
+  rejected("{}", not_trace);
+  rejected(R"({"traceEvents":{}})", not_trace);
+  // A trace in the retired CSV layout.
+  rejected("name,resource,stream,start_us,end_us,bytes,lane\n"
+           "k,compute,0,0,1,0,0\n",
+           not_trace);
+
+  // Every event error names the path and the event's index.
+  rejected(trace(R"({"resource":"compute","stream":0,"bytes":0,"lane":0})"),
+           "<mem>: event 1: missing field 'args.end_us'");
+  rejected(R"({"traceEvents":[{"name":"k","ph":"X","ts":0}]})",
+           "<mem>: event 0: missing field 'args'");
+  rejected(R"({"traceEvents":[7]})", "<mem>: event 0: not an object");
+  rejected(R"({"traceEvents":[],"otherData":{"dataset":1}})",
+           "<mem>: otherData.dataset is not a string");
+  rejected(trace(args(R"("warp")")), "event 1: unknown resource 'warp'");
+  rejected(trace(args(), "-1"), "event 1: op 'k' starts before 0");
+  rejected(trace(args(R"("compute")", "0.5"), "2"),
+           "event 1: op 'k' ends before it starts");
+  rejected(trace(args(R"("compute")", R"("1")")),
+           "event 1: field 'args.end_us' is not a number");
+  rejected(trace(args(R"("compute")", "1", "0.5")),
+           "event 1: field 'args.lane' must be an integer");
+  rejected(trace(args(R"("compute")", "1", "-1")),
+           "event 1: field 'args.lane' must be an integer");
+  // Lanes and streams are capped: each id becomes an allocated slot.
+  rejected(trace(args(R"("cpu-worker")", "1", "1e12")),
+           "event 1: field 'args.lane' must be an integer in [0, 4096)");
+  rejected(trace(args(R"("cpu-worker")", "1", "4096")),
+           "field 'args.lane' must be an integer in [0, 4096)");
+  rejected(trace(args(R"("compute")", "1", "0", "4096")),
+           "field 'args.stream' must be an integer in [0, 4096)");
+  const auto widest =
+      analyze::parse_trace(trace(args(R"("cpu-worker")", "1", "4095")), "");
+  EXPECT_EQ(widest.worker_lanes, 4096u);
+
+  // A directory opens like a file; it must fail as one, not as a huge
+  // allocation.
+  EXPECT_THROW(analyze::read_trace_file(::testing::TempDir()), Error);
 }
 
 TEST(OccupancyWindow, ClipsOpsToTheWindow) {

@@ -10,11 +10,11 @@
 
 #include "../bench/bench_util.hpp"
 #include "analyze/report.hpp"
+#include "analyze/trace_data.hpp"
 #include "api/job_result.hpp"
 #include "api/json.hpp"
 #include "cli/cli.hpp"
 #include "gpusim/timeline.hpp"
-#include "gpusim/trace.hpp"
 #include "graph/generator.hpp"
 
 namespace pipad::cli {
@@ -307,13 +307,13 @@ TEST(CliParse, JsonOnlyForBenchAndAnalyze) {
 }
 
 TEST(CliParse, AnalyzeFlagsLand) {
-  const auto r = parse({"analyze", "--trace", "a.csv", "--trace", "b.csv",
+  const auto r = parse({"analyze", "--trace", "a.json", "--trace", "b.json",
                         "--fail-above", "medium", "--top", "3"});
   ASSERT_TRUE(r.ok) << r.error;
   EXPECT_EQ(r.options.command, Command::Analyze);
   ASSERT_EQ(r.options.traces.size(), 2u);
-  EXPECT_EQ(r.options.traces[0], "a.csv");
-  EXPECT_EQ(r.options.traces[1], "b.csv");
+  EXPECT_EQ(r.options.traces[0], "a.json");
+  EXPECT_EQ(r.options.traces[1], "b.json");
   EXPECT_EQ(r.options.fail_above, "medium");
   EXPECT_EQ(r.options.top, 3);
 }
@@ -323,7 +323,7 @@ TEST(CliParse, AnalyzeFlagValidation) {
   EXPECT_FALSE(parse({"analyze", "--top", "0"}).ok);
   EXPECT_FALSE(parse({"analyze", "--fail-above", "critical"}).ok);
   // Analyzer flags are meaningless for the other subcommands.
-  EXPECT_FALSE(parse({"train", "--trace", "a.csv"}).ok);
+  EXPECT_FALSE(parse({"train", "--trace", "a.json"}).ok);
   EXPECT_FALSE(parse({"bench", "--fail-above", "low"}).ok);
   EXPECT_FALSE(parse({"trace", "--top", "3"}).ok);
 }
@@ -676,15 +676,16 @@ TEST(CliRun, AnalyzeLiveRunAndTraceFileRoundTrip) {
             nullptr);
   std::remove(json.c_str());
 
-  // Trace-file mode: `pipad trace` writes a labeled CSV, analyze reads it.
+  // Trace-file mode: `pipad trace` writes a labeled trace, analyze reads it.
   Options t = tiny(Command::Trace);
-  const std::string csv = ::testing::TempDir() + "cli_analyze_trace.csv";
-  t.out = csv;
+  const std::string trace = ::testing::TempDir() + "cli_analyze_trace.json";
+  t.out = trace;
   EXPECT_EQ(run(t), 0);
+  EXPECT_EQ(analyze::read_trace_file(trace).method, "pipad");
   Options a = tiny(Command::Analyze);
-  a.traces = {csv};
+  a.traces = {trace};
   EXPECT_EQ(run(a), 0);
-  std::remove(csv.c_str());
+  std::remove(trace.c_str());
 }
 
 TEST(CliRun, TrainReplicatedUnderPipad) {
@@ -704,15 +705,11 @@ TEST(CliRun, FailAboveGateExitsWithCode3) {
   tl.submit(0, gpusim::Resource::Compute, "kernel:k", 50.0);
   tl.submit(0, gpusim::Resource::Link, "comm:allreduce:ring", 25.0, 50.0);
   tl.submit(0, gpusim::Resource::Link, "comm:allreduce:ring", 25.0);
-  const std::string csv = ::testing::TempDir() + "cli_gate_trace.csv";
-  {
-    std::ofstream os(csv);
-    ASSERT_TRUE(os.good());
-    gpusim::write_trace_csv(tl, os);
-  }
+  const std::string trace = ::testing::TempDir() + "cli_gate_trace.json";
+  analyze::write_trace_file(trace, analyze::from_timeline(tl));
   Options o;
   o.command = Command::Analyze;
-  o.traces = {csv};
+  o.traces = {trace};
   o.fail_above = "info";
   EXPECT_EQ(run(o), 3);
   o.fail_above = "high";
@@ -720,11 +717,30 @@ TEST(CliRun, FailAboveGateExitsWithCode3) {
   // Reporting without a gate never turns findings into a failure.
   o.fail_above = "none";
   EXPECT_EQ(run(o), 0);
-  std::remove(csv.c_str());
+  std::remove(trace.c_str());
+}
+
+TEST(CliRun, TraceWritesFailLoudly) {
+  // `pipad trace --out` and a bench's --trace-dir both throw when the
+  // trace cannot be written, instead of exiting 0 without it.
+  Options o = tiny(Command::Trace);
+  o.out = "/no/such/dir/trace.json";
+  EXPECT_THROW(run(o), Error);
+
+  // A regular file where the trace directory should go: the directory
+  // cannot be created, so the trace cannot be written.
+  const std::string blocker = ::testing::TempDir() + "cli_trace_dir_blocker";
+  { std::ofstream touch(blocker); }
+  bench::Flags flags;
+  flags.trace_dir = blocker + "/traces";
+  const gpusim::Gpu gpu;
+  EXPECT_THROW(bench::write_trace(flags, "bench", gpu, "d", "m", "pipad"),
+               Error);
+  std::remove(blocker.c_str());
 }
 
 TEST(CliRun, AnalyzeMissingTraceFileFailsCleanly) {
-  const char* argv[] = {"pipad", "analyze", "--trace", "/no/such/trace.csv"};
+  const char* argv[] = {"pipad", "analyze", "--trace", "/no/such/trace.json"};
   EXPECT_EQ(main_impl(4, argv), 1);
 }
 

@@ -1,10 +1,10 @@
-// Trace/Gantt export tests, plus overlap-structure assertions on real
-// trainer timelines (the testable core of Fig. 8).
+// Trace-file and Gantt export tests, plus overlap-structure assertions on
+// real trainer timelines (the testable core of Fig. 8).
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <sstream>
+#include <string>
 
+#include "analyze/trace_data.hpp"
 #include "baselines/baseline_trainer.hpp"
 #include "gpusim/trace.hpp"
 #include "replica/replica_trainer.hpp"
@@ -16,36 +16,79 @@ namespace {
 using gpusim::Resource;
 using gpusim::Timeline;
 
-TEST(Trace, CsvContainsEveryOp) {
-  Timeline tl;
-  tl.submit(0, Resource::Compute, "kernel:a", 10.0);
-  tl.submit(0, Resource::H2D, "h2d:x", 5.0, 0.0, 1234);
-  std::ostringstream os;
-  gpusim::write_trace_csv(tl, os);
-  const std::string csv = os.str();
-  EXPECT_NE(csv.find("kernel:a,compute,0,"), std::string::npos);
-  EXPECT_NE(csv.find("h2d:x,h2d,0,"), std::string::npos);
-  EXPECT_NE(csv.find("1234"), std::string::npos);
-  // Header + 2 rows.
-  EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'), 3);
+/// The thread_name label of Gantt row `tid`.
+std::string lane_label(const api::Json& events, long long tid) {
+  for (const auto& ev : events.items()) {
+    if (ev.find("ph")->as_string() == "M" &&
+        ev.find("tid")->as_int() == tid) {
+      return ev.find("args")->find("name")->as_string();
+    }
+  }
+  return "";
 }
 
-TEST(Trace, CsvRowsHaveSevenColumnsEndingInTheWorkerLane) {
+TEST(Trace, EveryOpIsOneCompleteEventOnItsGanttRow) {
   Timeline tl;
   tl.set_worker_lanes(2);
+  tl.submit(0, Resource::Compute, "kernel:a", 10.0);
+  tl.submit(0, Resource::H2D, "h2d:x", 5.0, 0.0, 1234);
   tl.submit_worker(0, "prep:a", 10.0);
   tl.submit_worker(1, "prep:b", 9.0);
-  std::ostringstream os;
-  gpusim::write_trace_csv(tl, os);
-  const std::string csv = os.str();
-  EXPECT_EQ(csv.rfind("name,resource,stream,start_us,end_us,bytes,lane\n",
-                      0),
-            0u)
-      << csv;
-  EXPECT_NE(csv.find("prep:a,cpu-worker,0,0,10,0,0\n"), std::string::npos)
-      << csv;
-  EXPECT_NE(csv.find("prep:b,cpu-worker,0,0,9,0,1\n"), std::string::npos)
-      << csv;
+  const api::Json doc = analyze::trace_document(analyze::from_timeline(tl));
+  const api::Json& events = *doc.find("traceEvents");
+
+  // One thread_name event per Gantt row, in row order.
+  const auto rows = gpusim::gantt_rows(tl.records(), tl.worker_lanes());
+  std::size_t m = 0;
+  for (const auto& ev : events.items()) {
+    if (ev.find("ph")->as_string() != "M") continue;
+    EXPECT_EQ(ev.find("name")->as_string(), "thread_name");
+    EXPECT_EQ(ev.find("pid")->as_int(), 0);
+    ASSERT_LT(m, rows.size());
+    EXPECT_EQ(ev.find("tid")->as_int(), static_cast<long long>(m));
+    EXPECT_EQ(ev.find("args")->find("name")->as_string(), rows[m].label);
+    ++m;
+  }
+  EXPECT_EQ(m, rows.size());
+
+  // One X event per op, in submission order, carrying every field.
+  std::size_t i = 0;
+  for (const auto& ev : events.items()) {
+    if (ev.find("ph")->as_string() != "X") continue;
+    ASSERT_LT(i, tl.records().size());
+    const auto& rec = tl.records()[i++];
+    for (const char* key : {"name", "ph", "ts", "dur", "pid", "tid", "args"}) {
+      EXPECT_NE(ev.find(key), nullptr) << rec.name << " lacks " << key;
+    }
+    EXPECT_EQ(ev.find("name")->as_string(), rec.name);
+    EXPECT_EQ(ev.find("ts")->as_number(), rec.start_us);
+    EXPECT_EQ(ev.find("dur")->as_number(), rec.end_us - rec.start_us);
+    EXPECT_EQ(ev.find("pid")->as_int(), 0);
+    const api::Json& args = *ev.find("args");
+    EXPECT_EQ(args.find("resource")->as_string(),
+              gpusim::resource_name(rec.resource));
+    EXPECT_EQ(args.find("stream")->as_int(),
+              static_cast<long long>(rec.stream));
+    EXPECT_EQ(args.find("end_us")->as_number(), rec.end_us);
+    EXPECT_EQ(args.find("bytes")->as_int(), static_cast<long long>(rec.bytes));
+    EXPECT_EQ(args.find("lane")->as_int(), static_cast<long long>(rec.lane));
+  }
+  EXPECT_EQ(i, tl.records().size());
+
+  // Each op sits on the row that renders it.
+  const auto label_of = [&](const char* name) {
+    for (const auto& ev : events.items()) {
+      const api::Json* n = ev.find("name");
+      if (ev.find("ph")->as_string() == "X" && n->as_string() == name) {
+        return lane_label(events, ev.find("tid")->as_int());
+      }
+    }
+    return std::string();
+  };
+  EXPECT_EQ(label_of("kernel:a"), "compute");
+  EXPECT_EQ(label_of("h2d:x"), "h2d");
+  EXPECT_EQ(label_of("prep:a"), "cpu-w0");
+  EXPECT_EQ(label_of("prep:b"), "cpu-w1");
 }
 
 TEST(Trace, GanttMarksBusyCells) {
@@ -117,33 +160,28 @@ TEST(Trace, GanttWindowClipping) {
   EXPECT_NE(gantt.find("compute     .........."), std::string::npos) << gantt;
 }
 
-TEST(Trace, CsvQuotesHostileNamesAndRoundTripsExactly) {
+TEST(Trace, NamesLabelsAndTimesRoundTripVerbatim) {
   Timeline tl;
-  tl.submit(0, Resource::Compute, "k\"er,nel:a", 10.0 / 3.0);
-  tl.submit(0, Resource::Compute, "plain", 1.0);
-  std::ostringstream os;
-  gpusim::write_trace_csv(tl, os);
-  const std::string csv = os.str();
-  // Embedded quotes double, the field is quoted; plain names are not.
-  EXPECT_NE(csv.find("\"k\"\"er,nel:a\""), std::string::npos) << csv;
-  EXPECT_NE(csv.find("\nplain,"), std::string::npos) << csv;
-  // Times carry enough digits that strtod gives back the exact double.
-  const auto pos = csv.find("3.3333333333333335");
-  ASSERT_NE(pos, std::string::npos) << csv;
-  EXPECT_EQ(std::strtod(csv.c_str() + pos, nullptr), 10.0 / 3.0);
-}
-
-TEST(Trace, CsvMetaHeaderLabelsTheTrace) {
-  Timeline tl;
-  tl.submit(0, Resource::Compute, "k", 1.0);
-  std::ostringstream os;
-  gpusim::write_trace_csv(tl, os, {"reddit body", "tgcn", "pipad"});
-  const std::string csv = os.str();
-  EXPECT_EQ(csv.rfind("# pipad-trace v3\n", 0), 0u) << csv;
-  // Whitespace in labels would break the space-separated meta comment.
-  EXPECT_NE(csv.find("# dataset=reddit_body model=tgcn method=pipad\n"),
-            std::string::npos)
-      << csv;
+  const std::string hostile = "k\"er,nel\n:\t\x01\xc3\xa9\xff";
+  tl.submit(0, Resource::Compute, hostile, 10.0 / 3.0);
+  tl.submit(0, Resource::Compute, "plain", 1.0 / 7.0);
+  analyze::TraceData td = analyze::from_timeline(tl);
+  td.dataset = "reddit body";
+  td.model = "t\"gcn";
+  td.method = "pipad";
+  const std::string text = analyze::trace_document(td).dump();
+  const auto back = analyze::parse_trace(text, "<mem>");
+  // Labels are no longer squeezed into a whitespace-separated comment.
+  EXPECT_EQ(back.dataset, "reddit body");
+  EXPECT_EQ(back.model, "t\"gcn");
+  EXPECT_EQ(back.method, "pipad");
+  ASSERT_EQ(back.records.size(), 2u);
+  EXPECT_EQ(back.records[0].name, hostile);
+  // The end comes from args.end_us, not ts + dur, so it is exact.
+  EXPECT_EQ(back.records[0].end_us, 10.0 / 3.0);
+  EXPECT_EQ(back.records[1].start_us, 10.0 / 3.0);
+  EXPECT_EQ(back.records[1].end_us, 10.0 / 3.0 + 1.0 / 7.0);
+  EXPECT_EQ(back.makespan_us, tl.makespan());
 }
 
 // Out of line: GCC 12's -Wrestrict analysis trips on short string-literal
