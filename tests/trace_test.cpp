@@ -27,29 +27,20 @@ std::string lane_label(const api::Json& events, long long tid) {
   return "";
 }
 
-TEST(Trace, EveryOpIsOneCompleteEventOnItsGanttRow) {
-  Timeline tl;
+/// Two device ops and one op on each of two worker lanes.
+void submit_device_and_worker_ops(Timeline& tl) {
   tl.set_worker_lanes(2);
   tl.submit(0, Resource::Compute, "kernel:a", 10.0);
   tl.submit(0, Resource::H2D, "h2d:x", 5.0, 0.0, 1234);
   tl.submit_worker(0, "prep:a", 10.0);
   tl.submit_worker(1, "prep:b", 9.0);
+}
+
+TEST(Trace, EveryOpIsOneCompleteEvent) {
+  Timeline tl;
+  submit_device_and_worker_ops(tl);
   const api::Json doc = analyze::trace_document(analyze::from_timeline(tl));
   const api::Json& events = *doc.find("traceEvents");
-
-  // One thread_name event per Gantt row, in row order.
-  const auto rows = gpusim::gantt_rows(tl.records(), tl.worker_lanes());
-  std::size_t m = 0;
-  for (const auto& ev : events.items()) {
-    if (ev.find("ph")->as_string() != "M") continue;
-    EXPECT_EQ(ev.find("name")->as_string(), "thread_name");
-    EXPECT_EQ(ev.find("pid")->as_int(), 0);
-    ASSERT_LT(m, rows.size());
-    EXPECT_EQ(ev.find("tid")->as_int(), static_cast<long long>(m));
-    EXPECT_EQ(ev.find("args")->find("name")->as_string(), rows[m].label);
-    ++m;
-  }
-  EXPECT_EQ(m, rows.size());
 
   // One X event per op, in submission order, carrying every field.
   std::size_t i = 0;
@@ -74,6 +65,27 @@ TEST(Trace, EveryOpIsOneCompleteEventOnItsGanttRow) {
     EXPECT_EQ(args.find("lane")->as_int(), static_cast<long long>(rec.lane));
   }
   EXPECT_EQ(i, tl.records().size());
+}
+
+TEST(Trace, EveryOpSitsOnItsGanttRowWithItsWorkerLane) {
+  Timeline tl;
+  submit_device_and_worker_ops(tl);
+  const api::Json doc = analyze::trace_document(analyze::from_timeline(tl));
+  const api::Json& events = *doc.find("traceEvents");
+
+  // One thread_name event per Gantt row, in row order.
+  const auto rows = gpusim::gantt_rows(tl.records(), tl.worker_lanes());
+  std::size_t m = 0;
+  for (const auto& ev : events.items()) {
+    if (ev.find("ph")->as_string() != "M") continue;
+    EXPECT_EQ(ev.find("name")->as_string(), "thread_name");
+    EXPECT_EQ(ev.find("pid")->as_int(), 0);
+    ASSERT_LT(m, rows.size());
+    EXPECT_EQ(ev.find("tid")->as_int(), static_cast<long long>(m));
+    EXPECT_EQ(ev.find("args")->find("name")->as_string(), rows[m].label);
+    ++m;
+  }
+  EXPECT_EQ(m, rows.size());
 
   // Each op sits on the row that renders it.
   const auto label_of = [&](const char* name) {
@@ -160,28 +172,39 @@ TEST(Trace, GanttWindowClipping) {
   EXPECT_NE(gantt.find("compute     .........."), std::string::npos) << gantt;
 }
 
-TEST(Trace, NamesLabelsAndTimesRoundTripVerbatim) {
+TEST(Trace, HostileNamesAndTimesRoundTripExactly) {
   Timeline tl;
   const std::string hostile = "k\"er,nel\n:\t\x01\xc3\xa9\xff";
   tl.submit(0, Resource::Compute, hostile, 10.0 / 3.0);
   tl.submit(0, Resource::Compute, "plain", 1.0 / 7.0);
-  analyze::TraceData td = analyze::from_timeline(tl);
-  td.dataset = "reddit body";
-  td.model = "t\"gcn";
-  td.method = "pipad";
-  const std::string text = analyze::trace_document(td).dump();
+  const std::string text =
+      analyze::trace_document(analyze::from_timeline(tl)).dump();
   const auto back = analyze::parse_trace(text, "<mem>");
-  // Labels are no longer squeezed into a whitespace-separated comment.
-  EXPECT_EQ(back.dataset, "reddit body");
-  EXPECT_EQ(back.model, "t\"gcn");
-  EXPECT_EQ(back.method, "pipad");
   ASSERT_EQ(back.records.size(), 2u);
   EXPECT_EQ(back.records[0].name, hostile);
+  EXPECT_EQ(back.records[1].name, "plain");
   // The end comes from args.end_us, not ts + dur, so it is exact.
   EXPECT_EQ(back.records[0].end_us, 10.0 / 3.0);
   EXPECT_EQ(back.records[1].start_us, 10.0 / 3.0);
   EXPECT_EQ(back.records[1].end_us, 10.0 / 3.0 + 1.0 / 7.0);
   EXPECT_EQ(back.makespan_us, tl.makespan());
+}
+
+TEST(Trace, LabelsRoundTripVerbatim) {
+  Timeline tl;
+  tl.submit(0, Resource::Compute, "k", 1.0);
+  analyze::TraceData td = analyze::from_timeline(tl);
+  td.dataset = "reddit body";
+  td.model = "t\"gcn";
+  td.method = "pipad";
+  const api::Json doc = analyze::trace_document(td);
+  const api::Json& other = *doc.find("otherData");
+  EXPECT_EQ(other.find("dataset")->as_string(), "reddit body");
+  const auto back = analyze::parse_trace(doc.dump(), "<mem>");
+  // Labels are no longer squeezed into a whitespace-separated comment.
+  EXPECT_EQ(back.dataset, "reddit body");
+  EXPECT_EQ(back.model, "t\"gcn");
+  EXPECT_EQ(back.method, "pipad");
 }
 
 // Out of line: GCC 12's -Wrestrict analysis trips on short string-literal
