@@ -6,7 +6,7 @@
 #include "kernels/aggregate.hpp"
 #include "sliced/sliced_csr.hpp"
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace pipad;
   const auto flags = bench::Flags::parse(argc, argv);
   gpusim::CostModel cm((gpusim::SimConfig()));

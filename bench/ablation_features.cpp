@@ -6,7 +6,7 @@
 
 #include "bench_util.hpp"
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace pipad;
   auto flags = bench::Flags::parse(argc, argv);
   if (flags.datasets.empty()) flags.datasets = {"hepth", "epinions"};
@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
       for (const auto& dcfg : flags.configs()) {
         const auto& g = cache.get(dcfg);
         const auto r = bench::run_method(
-            g, bench::Method::PiPAD, bench::train_config(flags, model),
+            g, models::Method::PiPAD, bench::train_config(flags, model),
             c.opts);
         if (c.name == std::string("full PiPAD")) {
           full_us.push_back(r.total_us);

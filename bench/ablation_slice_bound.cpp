@@ -5,7 +5,7 @@
 #include "bench_util.hpp"
 #include "sliced/sliced_csr.hpp"
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace pipad;
   auto flags = bench::Flags::parse(argc, argv);
   if (flags.datasets.empty()) flags.datasets = {"epinions", "hepth"};
@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
       runtime::PipadOptions o;
       o.slice_bound = bound;
       const auto r = bench::run_method(
-          g, bench::Method::PiPAD,
+          g, models::Method::PiPAD,
           bench::train_config(flags, models::ModelType::EvolveGcn), o);
       std::printf("%-18s %6d %12s %10.3f %12.0f\n", dcfg.name.c_str(), bound,
                   human_bytes(s.transfer_bytes()).c_str(), lb.imbalance(),

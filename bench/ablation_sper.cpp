@@ -4,7 +4,7 @@
 
 #include "bench_util.hpp"
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace pipad;
   auto flags = bench::Flags::parse(argc, argv);
   if (flags.datasets.empty()) {
@@ -23,15 +23,15 @@ int main(int argc, char** argv) {
       const auto tcfg = bench::train_config(flags, model);
       std::printf("%-18s", dcfg.name.c_str());
       for (int s : {1, 2, 4, 8}) {
-        auto o = bench::pipad_options(flags);
+        auto o = api::pipad_options(flags.job);
         o.forced_sper = s;
-        const auto r = bench::run_method(g, bench::Method::PiPAD, tcfg, o);
+        const auto r = bench::run_method(g, models::Method::PiPAD, tcfg, o);
         report.add(dcfg.name, models::model_type_name(model),
                    "PiPAD[S=" + std::to_string(s) + "]", r);
         std::printf(" %10.0f", r.total_us);
       }
-      const auto r = bench::run_method(g, bench::Method::PiPAD, tcfg,
-                                       bench::pipad_options(flags));
+      const auto r = bench::run_method(g, models::Method::PiPAD, tcfg,
+                                       api::pipad_options(flags.job));
       report.add(dcfg.name, models::model_type_name(model), "PiPAD[tuner]",
                  r);
       std::printf(" %10.0f\n", r.total_us);

@@ -153,7 +153,7 @@ std::string strprintf(const char* fmt, ...) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   std::string baseline_path, fresh_path;
   double threshold = 0.15;
   double min_delta_us = 0.0;

@@ -1,5 +1,7 @@
 // Shared benchmark scaffolding: flag parsing, dataset caching, method
-// runners, table printing and the bench-to-JSON harness.
+// runners, table printing and the bench-to-JSON harness. Each bench binary
+// defines `int run(int argc, char** argv)`, which the one main()
+// (bench_main.cpp) calls.
 //
 // The job description lives in an api::JobSpec (Flags::job): every bench
 // binary accepts the same --name=value vocabulary as the `pipad` CLI and
@@ -37,7 +39,6 @@
 #include "api/job_result.hpp"
 #include "api/job_spec.hpp"
 #include "api/run_job.hpp"
-#include "baselines/baseline_trainer.hpp"
 #include "common/compute_pool.hpp"
 #include "common/util.hpp"
 #include "graph/generator.hpp"
@@ -197,11 +198,6 @@ struct Flags {
   }
 };
 
-/// PiPAD runtime options derived from the shared job spec.
-inline runtime::PipadOptions pipad_options(const Flags& f) {
-  return api::pipad_options(f.job);
-}
-
 /// Dataset construction is the slow part; cache per process and build each
 /// snapshot on the process-wide ComputePool. Constructed from the shared
 /// Flags so --threads=N governs generation, loading, host prep and the
@@ -255,61 +251,18 @@ inline models::TrainConfig train_config(const Flags& f, models::ModelType m) {
   return cfg;
 }
 
-enum class Method { PyGT, PyGTA, PyGTR, PyGTG, PiPAD };
-
-inline const char* method_name(Method m) {
-  switch (m) {
-    case Method::PyGT:
-      return "PyGT";
-    case Method::PyGTA:
-      return "PyGT-A";
-    case Method::PyGTR:
-      return "PyGT-R";
-    case Method::PyGTG:
-      return "PyGT-G";
-    case Method::PiPAD:
-      return "PiPAD";
-  }
-  return "?";
-}
-
-inline const std::vector<Method>& all_methods() {
-  static const std::vector<Method> ms = {Method::PyGT, Method::PyGTA,
-                                         Method::PyGTR, Method::PyGTG,
-                                         Method::PiPAD};
-  return ms;
-}
-
-/// Train on a caller-owned Gpu, leaving the timeline available for trace
-/// export (--trace-dir) or analysis.
+/// Train `m` on a caller-owned Gpu, leaving the timeline available for
+/// trace export (--trace-dir) or analysis.
 inline models::TrainResult run_method(gpusim::Gpu& gpu,
-                                      const graph::DTDG& data, Method m,
+                                      const graph::DTDG& data,
+                                      models::Method m,
                                       const models::TrainConfig& cfg,
                                       runtime::PipadOptions popts = {}) {
-  switch (m) {
-    case Method::PyGT:
-      return baselines::BaselineTrainer(gpu, data, cfg,
-                                        baselines::Variant::PyGT)
-          .train();
-    case Method::PyGTA:
-      return baselines::BaselineTrainer(gpu, data, cfg,
-                                        baselines::Variant::PyGTA)
-          .train();
-    case Method::PyGTR:
-      return baselines::BaselineTrainer(gpu, data, cfg,
-                                        baselines::Variant::PyGTR)
-          .train();
-    case Method::PyGTG:
-      return baselines::BaselineTrainer(gpu, data, cfg,
-                                        baselines::Variant::PyGTG)
-          .train();
-    case Method::PiPAD:
-      return replica::ReplicaTrainer(gpu, data, cfg, popts).train();
-  }
-  throw Error("bad method");
+  return replica::ReplicaTrainer(gpu, data, cfg, m, std::move(popts)).train();
 }
 
-inline models::TrainResult run_method(const graph::DTDG& data, Method m,
+inline models::TrainResult run_method(const graph::DTDG& data,
+                                      models::Method m,
                                       const models::TrainConfig& cfg,
                                       runtime::PipadOptions popts = {}) {
   gpusim::Gpu gpu;

@@ -105,7 +105,7 @@ double run_profile(const Profile& p, bool dynamic, int iters,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace pipad;
   const auto flags = bench::Flags::parse(argc, argv);
   ComputePool::instance().configure(

@@ -6,7 +6,7 @@
 
 #include "bench_util.hpp"
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace pipad;
   const auto flags = bench::Flags::parse(argc, argv);
   bench::DatasetCache cache(flags);
@@ -19,8 +19,8 @@ int main(int argc, char** argv) {
   for (auto model : bench::all_models()) {
     std::printf("\n--- %s ---\n", models::model_type_name(model));
     std::printf("%-18s", "Dataset");
-    for (auto m : bench::all_methods()) {
-      std::printf(" %9s", bench::method_name(m));
+    for (auto m : models::kMethods) {
+      std::printf(" %9s", models::method_label(m));
     }
     std::printf("\n");
 
@@ -29,15 +29,15 @@ int main(int argc, char** argv) {
       const auto& g = cache.get(cfg);
       const auto tcfg = bench::train_config(flags, model);
       std::vector<double> totals;
-      for (auto m : bench::all_methods()) {
+      for (auto m : models::kMethods) {
         gpusim::Gpu gpu;
         const auto r =
-            bench::run_method(gpu, g, m, tcfg, bench::pipad_options(flags));
+            bench::run_method(gpu, g, m, tcfg, api::pipad_options(flags.job));
         report.add(cfg.name, models::model_type_name(model),
-                   bench::method_name(m), r);
+                   models::method_label(m), r);
         bench::write_trace(flags, "fig10_end2end", gpu, cfg.name,
                            models::model_type_name(model),
-                           bench::method_name(m));
+                           models::method_label(m));
         totals.push_back(r.total_us);
       }
       std::printf("%-18s", cfg.name.c_str());

@@ -87,7 +87,7 @@ GnnRun run_parallel(const graph::DTDG& g, int start, int count, int f,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace pipad;
   const auto flags = bench::Flags::parse(argc, argv);
   bench::DatasetCache cache(flags);

@@ -9,7 +9,7 @@
 #include "bench_util.hpp"
 #include "sliced/sliced_csr.hpp"
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace pipad;
   const auto flags = bench::Flags::parse(argc, argv);
   bench::DatasetCache cache(flags);
@@ -44,10 +44,10 @@ int main(int argc, char** argv) {
       runtime::PipadOptions csr_opts;
       csr_opts.slice_bound = 1 << 28;  // One slice per row == CSR.
       const double sliced_us =
-          bench::run_method(g, bench::Method::PiPAD, tcfg, sliced_opts)
+          bench::run_method(g, models::Method::PiPAD, tcfg, sliced_opts)
               .total_us;
       const double csr_us =
-          bench::run_method(g, bench::Method::PiPAD, tcfg, csr_opts)
+          bench::run_method(g, models::Method::PiPAD, tcfg, csr_opts)
               .total_us;
       std::printf(" %9.2fx", csr_us / sliced_us);
     }

@@ -6,7 +6,7 @@
 
 #include "bench_util.hpp"
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace pipad;
   const auto flags = bench::Flags::parse(argc, argv);
   bench::DatasetCache cache(flags);
@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
   for (auto model : bench::all_models()) {
     for (const auto& cfg : flags.configs()) {
       const auto& g = cache.get(cfg);
-      const auto r = bench::run_method(g, bench::Method::PyGT,
+      const auto r = bench::run_method(g, models::Method::PyGT,
                                        bench::train_config(flags, model));
       std::printf("%-11s %-18s %7.1f%% %7.1f%% %7.1f%%\n",
                   models::model_type_name(model), cfg.name.c_str(),

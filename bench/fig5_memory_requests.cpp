@@ -9,7 +9,7 @@
 #include "bench_util.hpp"
 #include "kernels/aggregate.hpp"
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace pipad;
   const auto flags = bench::Flags::parse(argc, argv);
 

@@ -12,7 +12,7 @@
 #include "pipad/offline_analysis.hpp"
 #include "sliced/partition.hpp"
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace pipad;
   const auto flags = bench::Flags::parse(argc, argv);
   gpusim::CostModel cm((gpusim::SimConfig()));

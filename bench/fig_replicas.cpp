@@ -15,7 +15,7 @@
 
 #include "bench_util.hpp"
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace pipad;
   const auto flags = bench::Flags::parse(argc, argv);
   bench::DatasetCache cache(flags);
@@ -45,12 +45,12 @@ int main(int argc, char** argv) {
     bool have_ref = false;
     for (int threads : thread_counts) {
       for (int K : replica_counts) {
-        auto popts = bench::pipad_options(flags);
+        auto popts = api::pipad_options(flags.job);
         popts.host_threads = threads;
         popts.replicas = K;
         ComputePool::instance().configure(static_cast<std::size_t>(threads));
         gpusim::Gpu gpu;
-        const auto r = bench::run_method(gpu, g, bench::Method::PiPAD, tcfg,
+        const auto r = bench::run_method(gpu, g, models::Method::PiPAD, tcfg,
                                          popts);
         // += rather than char*+string&& (gcc-12 -Werror=restrict, PR105329).
         std::string method = "r";

@@ -168,7 +168,7 @@ LoadRun load_once(const std::string& path, std::size_t window_bytes,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace pipad;
 
   // Strip the ingest-specific flags, hand the rest to the shared parser.
@@ -215,112 +215,107 @@ int main(int argc, char** argv) {
   const std::string plain =
       (fs::path(gen.dir) / "ingest_edges.txt").string();
   const std::string gz = plain + ".gz";
-  try {
-    if (!gen.parse_only) {
-      fs::create_directories(gen.dir);
-      generate(gen, plain);
-      gzip_file(plain, gz);
-      std::printf("ingest_stream: generated %s (%lld edges, %.1f MB) and "
-                  "%s (%.1f MB)\n",
-                  plain.c_str(), gen.edges,
-                  static_cast<double>(fs::file_size(plain)) / 1e6, gz.c_str(),
-                  static_cast<double>(fs::file_size(gz)) / 1e6);
-      if (gen.gen_only) return 0;
-    }
+  if (!gen.parse_only) {
+    fs::create_directories(gen.dir);
+    generate(gen, plain);
+    gzip_file(plain, gz);
+    std::printf("ingest_stream: generated %s (%lld edges, %.1f MB) and "
+                "%s (%.1f MB)\n",
+                plain.c_str(), gen.edges,
+                static_cast<double>(fs::file_size(plain)) / 1e6, gz.c_str(),
+                static_cast<double>(fs::file_size(gz)) / 1e6);
+    if (gen.gen_only) return 0;
+  }
 
-    if (gen.parse_only) {
-      // The CI large-file smoke: one bounded-memory load of a file bigger
-      // than the address-space cap the harness set with ulimit -v.
-      const std::size_t wb =
-          static_cast<std::size_t>(std::max<long long>(0, flags.job.window_bytes));
-      const LoadRun r = load_once(plain, wb);
-      std::printf("ingest_stream: parsed %s under the bounded window: "
-                  "%zu edge instances, %.1f ms "
-                  "(read %.1f ms, parse %.1f ms, build %.1f ms)\n",
-                  plain.c_str(), r.edges, r.total_us / 1e3,
-                  r.stats.read_us / 1e3, r.stats.parse_us / 1e3,
-                  r.stats.build_us / 1e3);
-      return r.edges > 0 ? 0 : 1;
-    }
+  if (gen.parse_only) {
+    // The CI large-file smoke: one bounded-memory load of a file bigger
+    // than the address-space cap the harness set with ulimit -v.
+    const std::size_t wb =
+        static_cast<std::size_t>(std::max<long long>(0, flags.job.window_bytes));
+    const LoadRun r = load_once(plain, wb);
+    std::printf("ingest_stream: parsed %s under the bounded window: "
+                "%zu edge instances, %.1f ms "
+                "(read %.1f ms, parse %.1f ms, build %.1f ms)\n",
+                plain.c_str(), r.edges, r.total_us / 1e3,
+                r.stats.read_us / 1e3, r.stats.parse_us / 1e3,
+                r.stats.build_us / 1e3);
+    return r.edges > 0 ? 0 : 1;
+  }
 
-    const std::size_t default_window =
-        flags.job.window_bytes > 0 ? static_cast<std::size_t>(flags.job.window_bytes)
-                               : 0;
-    std::printf("\n%-14s %12s %10s %10s %10s %10s\n", "method", "total_us",
-                "read_ms", "inflate_ms", "parse_ms", "build_ms");
-    const auto show = [](const char* name, const LoadRun& r) {
-      std::printf("%-14s %12.1f %10.1f %10.1f %10.1f %10.1f\n", name,
-                  r.total_us, r.stats.read_us / 1e3, r.stats.inflate_us / 1e3,
-                  r.stats.parse_us / 1e3, r.stats.build_us / 1e3);
-    };
-    const LoadRun stream = load_once(plain, default_window);
-    show("stream", stream);
-    const LoadRun tiny = load_once(plain, 1u << 20);
-    show("stream-1MiB", tiny);
-    const LoadRun gzr = load_once(gz, default_window);
-    show("gzip", gzr);
+  const std::size_t default_window =
+      flags.job.window_bytes > 0 ? static_cast<std::size_t>(flags.job.window_bytes)
+                             : 0;
+  std::printf("\n%-14s %12s %10s %10s %10s %10s\n", "method", "total_us",
+              "read_ms", "inflate_ms", "parse_ms", "build_ms");
+  const auto show = [](const char* name, const LoadRun& r) {
+    std::printf("%-14s %12.1f %10.1f %10.1f %10.1f %10.1f\n", name,
+                r.total_us, r.stats.read_us / 1e3, r.stats.inflate_us / 1e3,
+                r.stats.parse_us / 1e3, r.stats.build_us / 1e3);
+  };
+  const LoadRun stream = load_once(plain, default_window);
+  show("stream", stream);
+  const LoadRun tiny = load_once(plain, 1u << 20);
+  show("stream-1MiB", tiny);
+  const LoadRun gzr = load_once(gz, default_window);
+  show("gzip", gzr);
 
-    // The gate: window size and transparent gzip must never change a bit.
-    if (stream.signature != tiny.signature ||
-        stream.signature != gzr.signature || stream.edges != tiny.edges ||
-        stream.edges != gzr.edges) {
-      std::fprintf(stderr,
-                   "FAIL: loads diverge — stream %016llx/%zu, "
-                   "1MiB-window %016llx/%zu, gzip %016llx/%zu\n",
-                   static_cast<unsigned long long>(stream.signature),
-                   stream.edges,
-                   static_cast<unsigned long long>(tiny.signature),
-                   tiny.edges, static_cast<unsigned long long>(gzr.signature),
-                   gzr.edges);
-      return 1;
-    }
-    std::printf("\nsignature %016llx (%zu edge instances) — identical for "
-                "plain, 1 MiB window and gzip\n",
-                static_cast<unsigned long long>(stream.signature),
-                stream.edges);
-    if (gzr.stats.inflate_us <= 0.0) {
-      std::fprintf(stderr, "FAIL: gzip load measured no inflate time\n");
-      return 1;
-    }
-
-    // Cold then warm through a cache directory emptied first, so the cold
-    // load always parses and writes the cache the warm one must hit.
-    const std::string cache_dir = (fs::path(gen.dir) / "dtdg_cache").string();
-    fs::remove_all(cache_dir);
-    const LoadRun cold = load_once(plain, default_window, cache_dir);
-    show("cache-cold", cold);
-    const LoadRun warm = load_once(plain, default_window, cache_dir);
-    show("cached", warm);
-    std::printf("cached load: key %.1f ms, cache read %.1f ms\n",
-                warm.stats.read_us / 1e3, warm.stats.cache_us / 1e3);
-    if (cold.stats.cache_hit || !warm.stats.cache_hit ||
-        warm.signature != stream.signature || warm.edges != stream.edges) {
-      std::fprintf(stderr,
-                   "FAIL: cached load — cold hit %d, warm hit %d, "
-                   "signature %016llx/%zu vs stream %016llx/%zu\n",
-                   cold.stats.cache_hit ? 1 : 0, warm.stats.cache_hit ? 1 : 0,
-                   static_cast<unsigned long long>(warm.signature), warm.edges,
-                   static_cast<unsigned long long>(stream.signature),
-                   stream.edges);
-      return 1;
-    }
-
-    bench::JsonReport report("ingest_stream", flags);
-    const auto record = [&](const char* method, const LoadRun& r) {
-      models::TrainResult tr;
-      tr.total_us = r.total_us;
-      tr.transfer_us = r.stats.read_us + r.stats.inflate_us;
-      tr.prep_us = r.stats.parse_us;
-      tr.compute_us = r.stats.build_us;
-      report.add("synthetic", "io", method, tr);
-    };
-    record("stream", stream);
-    record("gzip", gzr);
-    record("cached", warm);
-    if (!report.write_if_requested()) return 1;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "ingest_stream: %s\n", e.what());
+  // The gate: window size and transparent gzip must never change a bit.
+  if (stream.signature != tiny.signature ||
+      stream.signature != gzr.signature || stream.edges != tiny.edges ||
+      stream.edges != gzr.edges) {
+    std::fprintf(stderr,
+                 "FAIL: loads diverge — stream %016llx/%zu, "
+                 "1MiB-window %016llx/%zu, gzip %016llx/%zu\n",
+                 static_cast<unsigned long long>(stream.signature),
+                 stream.edges,
+                 static_cast<unsigned long long>(tiny.signature),
+                 tiny.edges, static_cast<unsigned long long>(gzr.signature),
+                 gzr.edges);
     return 1;
   }
+  std::printf("\nsignature %016llx (%zu edge instances) — identical for "
+              "plain, 1 MiB window and gzip\n",
+              static_cast<unsigned long long>(stream.signature),
+              stream.edges);
+  if (gzr.stats.inflate_us <= 0.0) {
+    std::fprintf(stderr, "FAIL: gzip load measured no inflate time\n");
+    return 1;
+  }
+
+  // Cold then warm through a cache directory emptied first, so the cold
+  // load always parses and writes the cache the warm one must hit.
+  const std::string cache_dir = (fs::path(gen.dir) / "dtdg_cache").string();
+  fs::remove_all(cache_dir);
+  const LoadRun cold = load_once(plain, default_window, cache_dir);
+  show("cache-cold", cold);
+  const LoadRun warm = load_once(plain, default_window, cache_dir);
+  show("cached", warm);
+  std::printf("cached load: key %.1f ms, cache read %.1f ms\n",
+              warm.stats.read_us / 1e3, warm.stats.cache_us / 1e3);
+  if (cold.stats.cache_hit || !warm.stats.cache_hit ||
+      warm.signature != stream.signature || warm.edges != stream.edges) {
+    std::fprintf(stderr,
+                 "FAIL: cached load — cold hit %d, warm hit %d, "
+                 "signature %016llx/%zu vs stream %016llx/%zu\n",
+                 cold.stats.cache_hit ? 1 : 0, warm.stats.cache_hit ? 1 : 0,
+                 static_cast<unsigned long long>(warm.signature), warm.edges,
+                 static_cast<unsigned long long>(stream.signature),
+                 stream.edges);
+    return 1;
+  }
+
+  bench::JsonReport report("ingest_stream", flags);
+  const auto record = [&](const char* method, const LoadRun& r) {
+    models::TrainResult tr;
+    tr.total_us = r.total_us;
+    tr.transfer_us = r.stats.read_us + r.stats.inflate_us;
+    tr.prep_us = r.stats.parse_us;
+    tr.compute_us = r.stats.build_us;
+    report.add("synthetic", "io", method, tr);
+  };
+  record("stream", stream);
+  record("gzip", gzr);
+  record("cached", warm);
+  if (!report.write_if_requested()) return 1;
   return 0;
 }

@@ -6,7 +6,7 @@
 
 #include "bench_util.hpp"
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace pipad;
   const auto flags = bench::Flags::parse(argc, argv);
   bench::DatasetCache cache(flags);

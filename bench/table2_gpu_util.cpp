@@ -7,7 +7,7 @@
 
 #include "bench_util.hpp"
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace pipad;
   const auto flags = bench::Flags::parse(argc, argv);
   bench::DatasetCache cache(flags);
@@ -20,8 +20,8 @@ int main(int argc, char** argv) {
       std::printf(" %6s", bench::short_name(cfg.name).c_str());
     }
     std::printf("\n");
-    for (auto m : bench::all_methods()) {
-      std::printf("%-8s", bench::method_name(m));
+    for (auto m : models::kMethods) {
+      std::printf("%-8s", models::method_label(m));
       for (const auto& cfg : flags.configs()) {
         const auto& g = cache.get(cfg);
         const auto r =

@@ -4,7 +4,6 @@
 //   $ ./build/examples/quickstart
 #include <cstdio>
 
-#include "baselines/baseline_trainer.hpp"
 #include "graph/generator.hpp"
 #include "replica/replica_trainer.hpp"
 
@@ -33,8 +32,7 @@ int main() {
 
   // 3. Baseline: PyGT-style one-snapshot-at-a-time training.
   gpusim::Gpu gpu_base;
-  baselines::BaselineTrainer base(gpu_base, data, tcfg,
-                                  baselines::Variant::PyGT);
+  replica::ReplicaTrainer base(gpu_base, data, tcfg, models::Method::PyGT);
   const auto rb = base.train();
 
   // 4. PiPAD: sliced CSR, overlap-aware transfer, parallel multi-snapshot

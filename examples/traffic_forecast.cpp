@@ -29,7 +29,8 @@ int main() {
     gpusim::Gpu gpu;
     runtime::PipadOptions opts;
     opts.enable_reuse = reuse;
-    replica::ReplicaTrainer trainer(gpu, data, tcfg, opts);
+    replica::ReplicaTrainer trainer(gpu, data, tcfg, models::Method::PiPAD,
+                                    opts);
     return trainer.train();
   };
 

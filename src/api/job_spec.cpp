@@ -6,6 +6,7 @@
 #include <cstdlib>
 
 #include "graph/io/loader.hpp"
+#include "models/training.hpp"
 #include "replica/allreduce.hpp"
 
 namespace pipad::api {
@@ -13,8 +14,6 @@ namespace pipad::api {
 namespace {
 
 const char* const kModels[] = {"gcn", "tgcn", "evolvegcn", "mpnn-lstm"};
-const char* const kRuntimes[] = {"pipad", "pygt", "pygt-a", "pygt-r",
-                                 "pygt-g"};
 
 bool is_one_of(const std::string& v, const char* const* set, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
@@ -62,7 +61,7 @@ FlagStatus apply_flag(const std::string& flag, const std::string& value,
     }
     o.model = value;
   } else if (flag == "--runtime") {
-    if (!is_one_of(value, kRuntimes, std::size(kRuntimes))) {
+    if (!models::parse_runtime(value)) {
       error = "unknown runtime '" + value +
               "' (expected pipad | pygt | pygt-a | pygt-r | pygt-g)";
       return FlagStatus::Error;
@@ -155,7 +154,7 @@ std::string JobSpec::validate() const {
     return "unknown model '" + model +
            "' (expected gcn | tgcn | evolvegcn | mpnn-lstm)";
   }
-  if (!is_one_of(runtime, kRuntimes, std::size(kRuntimes))) {
+  if (!models::parse_runtime(runtime)) {
     return "unknown runtime '" + runtime +
            "' (expected pipad | pygt | pygt-a | pygt-r | pygt-g)";
   }

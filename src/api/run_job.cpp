@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "analyze/report.hpp"
-#include "baselines/baseline_trainer.hpp"
 #include "common/compute_pool.hpp"
 #include "graph/generator.hpp"
 #include "replica/replica_trainer.hpp"
@@ -18,13 +17,6 @@ models::ModelType model_type(const std::string& name) {
   if (name == "evolvegcn") return models::ModelType::EvolveGcn;
   PIPAD_CHECK_MSG(name == "mpnn-lstm", "unknown model " << name);
   return models::ModelType::MpnnLstm;
-}
-
-baselines::Variant baseline_variant(const std::string& runtime) {
-  if (runtime == "pygt-a") return baselines::Variant::PyGTA;
-  if (runtime == "pygt-r") return baselines::Variant::PyGTR;
-  if (runtime == "pygt-g") return baselines::Variant::PyGTG;
-  return baselines::Variant::PyGT;
 }
 
 /// Flat copy of every parameter tensor (value then grad, in param order) —
@@ -127,23 +119,18 @@ RunOutput run_method(const JobSpec& o, const std::string& runtime,
     ComputePool::instance().configure(
         o.threads > 0 ? static_cast<std::size_t>(o.threads) : 0);
   }
+  const auto method = models::parse_runtime(runtime);
+  PIPAD_CHECK_MSG(method.has_value(), "unknown runtime " << runtime);
+  runtime::PipadOptions popts = pipad_options(o);
+  popts.cancel = cancel;
+  // Replica 0 runs on `gpu`, so trace/analyze render the primary replica's
+  // timeline (Link lane included when there are several).
+  replica::ReplicaTrainer trainer(gpu, b.data, train_config(o), *method,
+                                  popts);
   RunOutput out;
   out.dataset_name = b.data.name;
-  const models::TrainConfig tcfg = train_config(o);
-  if (runtime == "pipad") {
-    runtime::PipadOptions popts = pipad_options(o);
-    popts.cancel = cancel;
-    // Replica 0 runs on `gpu`, so trace/analyze render the primary
-    // replica's timeline (Link lane included when there are several).
-    replica::ReplicaTrainer trainer(gpu, b.data, tcfg, popts);
-    out.train = trainer.train();
-    if (o.return_params) out.params = flat_params(trainer.model());
-  } else {
-    baselines::BaselineTrainer trainer(gpu, b.data, tcfg,
-                                       baseline_variant(runtime), cancel);
-    out.train = trainer.train();
-    if (o.return_params) out.params = flat_params(trainer.model());
-  }
+  out.train = trainer.train();
+  if (o.return_params) out.params = flat_params(trainer.model());
   if (o.run_analyzer) run_analyzer(o, gpu, runtime, out);
   return out;
 }

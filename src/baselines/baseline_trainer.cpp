@@ -1,7 +1,8 @@
 #include "baselines/baseline_trainer.hpp"
 
-#include <algorithm>
+#include <map>
 #include <optional>
+#include <string>
 
 #include "common/error.hpp"
 #include "kernels/aggregate.hpp"
@@ -14,22 +15,9 @@ namespace pipad::baselines {
 using gpusim::EventId;
 using gpusim::KernelStats;
 using gpusim::StreamId;
+using models::Method;
 using models::TrainConfig;
 using models::TrainResult;
-
-const char* variant_name(Variant v) {
-  switch (v) {
-    case Variant::PyGT:
-      return "PyGT";
-    case Variant::PyGTA:
-      return "PyGT-A";
-    case Variant::PyGTR:
-      return "PyGT-R";
-    case Variant::PyGTG:
-      return "PyGT-G";
-  }
-  return "?";
-}
 
 namespace {
 
@@ -38,33 +26,110 @@ namespace {
 /// profiler-visible gaps that keep small-dataset utilization low (§5.2).
 constexpr double kFrameworkUsPerLaunch = 10.0;
 
-/// Per-snapshot executor: every kernel is launched individually on the
+/// The step engine of one PyGT variant, and the per-snapshot executor its
+/// model trains through: every kernel is launched individually on the
 /// compute stream, paying driver + framework overhead (no CUDA graphs in
 /// the PyGT stack).
-class BaselineExecutor final : public models::FrameExecutor,
-                               public kernels::KernelRecorder {
+class BaselineTrainer final : public models::StepEngine,
+                              public models::FrameExecutor,
+                              public kernels::KernelRecorder {
  public:
-  BaselineExecutor(gpusim::Gpu& gpu, const graph::DTDG& data,
-                   Variant variant)
+  // The model draws its weights from the seeded Rng first; the compute
+  // stream is created before the copy stream.
+  BaselineTrainer(gpusim::Gpu& gpu, const graph::DTDG& data, TrainConfig cfg,
+                  Method method)
       : gpu_(gpu),
         data_(data),
-        variant_(variant),
-        compute_(gpu.create_stream("compute")) {
-    coo_.resize(data.num_snapshots());
-    coo_t_.resize(data.num_snapshots());
-    deg_.resize(data.num_snapshots());
-    w_t_.resize(data.num_snapshots());
+        cfg_(cfg),
+        method_(method),
+        hid_(models::hidden_dim(cfg, data.feat_dim)),
+        rng_(cfg.seed),
+        model_(models::make_model(cfg.model, data.feat_dim, hid_, rng_)),
+        optim_(cfg.lr),
+        compute_(gpu.create_stream("compute")),
+        copy_(gpu.create_stream("copy")),
+        params_(model_->params()),
+        coo_(data.num_snapshots()),
+        coo_t_(data.num_snapshots()),
+        deg_(data.num_snapshots()),
+        w_t_(data.num_snapshots()) {
+    PIPAD_CHECK_MSG(method != Method::PiPAD, "PiPAD is not a PyGT baseline");
   }
 
-  StreamId compute_stream() const { return compute_; }
+  // ---- StepEngine ----
+  models::DgnnModel& model() override { return *model_; }
 
-  void begin_frame(const graph::Frame& frame,
-                   std::vector<std::optional<EventId>> snapshot_ready,
-                   std::vector<bool> serve_from_cache) {
+  const std::vector<graph::Frame>& begin_steps() override {
+    frames_ = graph::frames_of(data_, cfg_.frame_size,
+                               cfg_.max_frames_per_epoch);
+    return frames_;
+  }
+
+  // Every epoch of a baseline trains alike.
+  void begin_epoch(int, const std::vector<graph::Frame>&) override {}
+
+  float grad_frame(const graph::Frame& frame, bool step_follows) override {
     frame_ = frame;
-    ready_ = std::move(snapshot_ready);
-    from_cache_ = std::move(serve_from_cache);
-    waited_.assign(frame_.size, false);
+    ready_.assign(frame.size, std::nullopt);
+    from_cache_.assign(frame.size, false);
+    waited_.assign(frame.size, false);
+    // ---- Transfers ----
+    std::size_t frame_bytes = 0;
+    for (int i = 0; i < frame.size; ++i) {
+      const int t = frame.start + i;
+      from_cache_[i] = reuse_enabled() && cache_.count(t) > 0;
+      const std::size_t bytes = snapshot_bytes(t, from_cache_[i]);
+      frame_bytes += bytes;
+      if (async()) {
+        gpu_.memcpy_h2d(copy_, "snapshot", bytes, /*pinned=*/true);
+        ready_[i] = gpu_.record_event(copy_);
+      } else {
+        gpu_.memcpy_h2d_sync(copy_, "snapshot", bytes, /*pinned=*/false);
+      }
+    }
+    // ---- Resident-data accounting (released at frame end) ----
+    gpusim::DeviceReservation res(
+        gpu_.device(),
+        frame_bytes + models::activation_bytes(data_, hid_, frame.size,
+                                               model_->num_agg_layers()),
+        "frame data");
+    // ---- Compute, then the optimizer's kernels when the step follows ----
+    const float loss = models::train_frame(*model_, *this, data_, frame,
+                                           params_);
+    step_next_ = step_follows;
+    if (step_follows) nn::Adam::record_step(params_, *this);
+    gpu_.memcpy_d2h(copy_, "loss", sizeof(float), async());
+    return loss;
+  }
+
+  void apply_step() override {
+    optim_.step(params_);
+    if (step_next_) {
+      step_next_ = false;  // Issued with the frame.
+      return;
+    }
+    nn::Adam::record_step(params_, *this);
+  }
+
+  const std::vector<nn::Parameter*>& params() const override {
+    return params_;
+  }
+
+  void set_stage_ready(double ready_us) override {
+    gpu_.cpu_wait_until("infeed", ready_us);
+    gpu_.wait_event(copy_, gpu_.timeline().record_event_at(ready_us));
+  }
+
+  void barrier_at(double ready_us) override {
+    const EventId ev = gpu_.timeline().record_event_at(ready_us);
+    gpu_.wait_event(compute_, ev);
+    gpu_.wait_event(copy_, ev);
+  }
+
+  TrainResult finish_steps() override {
+    TrainResult result;
+    models::summarize_timeline(gpu_.timeline(), result);
+    return result;
   }
 
   // ---- KernelRecorder ----
@@ -93,7 +158,7 @@ class BaselineExecutor final : public models::FrameExecutor,
       const auto* w = snap.weighted() ? &snap.edge_w : nullptr;
       Tensor agg(xs[i]->rows(), xs[i]->cols());
       KernelStats st;
-      if (variant_ == Variant::PyGTG) {
+      if (method_ == Method::PyGTG) {
         st = kernels::agg_gespmm(snap.adj, *xs[i], agg, false, w);
         record("agg:gespmm:" + tag, st);
       } else {
@@ -126,7 +191,7 @@ class BaselineExecutor final : public models::FrameExecutor,
                                              d_direct));
       Tensor d_x(d_h[i].rows(), d_h[i].cols());
       KernelStats st;
-      if (variant_ == Variant::PyGTG) {
+      if (method_ == Method::PyGTG) {
         st = kernels::agg_gespmm(snap.adj_t, d_agg, d_x, false, wt);
         record("agg:gespmm:" + tag + ".bwd", st);
       } else {
@@ -166,12 +231,41 @@ class BaselineExecutor final : public models::FrameExecutor,
 
   kernels::KernelRecorder* recorder() override { return this; }
 
-  bool reuse_enabled() const {
-    return variant_ == Variant::PyGTR || variant_ == Variant::PyGTG;
-  }
-  bool has_cached(int snapshot) const { return cache_.count(snapshot) > 0; }
-
  private:
+  /// Every variant but PyGT ships pinned memory asynchronously.
+  bool async() const { return method_ != Method::PyGT; }
+  bool reuse_enabled() const {
+    return method_ == Method::PyGTR || method_ == Method::PyGTG;
+  }
+
+  /// H2D bytes for one snapshot of one frame given the cache state.
+  std::size_t snapshot_bytes(int t, bool cached) const {
+    const auto& snap = data_.snapshots[t];
+    const std::size_t n = static_cast<std::size_t>(data_.num_nodes);
+    const std::size_t feat = n * data_.feat_dim * sizeof(float);
+    const std::size_t targets = n * sizeof(float);
+    std::size_t topo;
+    if (method_ == Method::PyGTG) {
+      // GE-SpMM ships CSR for forward and CSC for backward (§5.2).
+      topo = snap.adj.transfer_bytes() + snap.adj_t.transfer_bytes();
+    } else {
+      // PyG ships COO (3 arrays per nnz); the backward transpose reuses the
+      // same arrays with row/col swapped, so nothing extra moves.
+      topo = 3 * snap.adj.nnz() * sizeof(int);
+    }
+    const std::size_t deg = n * sizeof(int);
+    const std::size_t scale = static_cast<std::size_t>(data_.sim_scale);
+    topo *= scale;
+    const std::size_t s_feat = feat * scale;
+    const std::size_t s_targets = targets * scale;
+    const std::size_t s_deg = deg * scale;
+    if (cached) {
+      const bool needs_topo = model_->num_agg_layers() > 1;
+      return s_feat + s_targets + (needs_topo ? topo + s_deg : 0);
+    }
+    return s_feat + s_targets + topo + s_deg;
+  }
+
   void wait_snapshot(int frame_offset) {
     if (waited_[frame_offset]) return;
     waited_[frame_offset] = true;
@@ -211,9 +305,21 @@ class BaselineExecutor final : public models::FrameExecutor,
 
   gpusim::Gpu& gpu_;
   const graph::DTDG& data_;
-  Variant variant_;
+  TrainConfig cfg_;
+  Method method_;
+  int hid_;
+  Rng rng_;
+  std::unique_ptr<models::DgnnModel> model_;
+  nn::Adam optim_;
   StreamId compute_;
+  StreamId copy_;
+  std::vector<graph::Frame> frames_;
+  std::vector<nn::Parameter*> params_;
+  /// The current frame already issued the next apply_step()'s kernels.
+  bool step_next_ = false;
 
+  // The frame in flight: per-snapshot transfer events, and which
+  // snapshots ship their cached layer-0 result instead of raw data.
   graph::Frame frame_{};
   std::vector<std::optional<EventId>> ready_;
   std::vector<bool> from_cache_;
@@ -227,141 +333,11 @@ class BaselineExecutor final : public models::FrameExecutor,
 
 }  // namespace
 
-struct BaselineTrainer::Impl {
-  gpusim::Gpu& gpu;
-  const graph::DTDG& data;
-  TrainConfig cfg;
-  Variant variant;
-  const std::atomic<bool>* cancel;
-  Rng rng;
-  std::unique_ptr<models::DgnnModel> model;
-  nn::Adam optim;
-  BaselineExecutor exec;
-  StreamId copy_stream;
-
-  Impl(gpusim::Gpu& g, const graph::DTDG& d, TrainConfig c, Variant v,
-       const std::atomic<bool>* k)
-      : gpu(g),
-        data(d),
-        cfg(c),
-        variant(v),
-        cancel(k),
-        rng(c.seed),
-        model(models::make_model(
-            c.model, d.feat_dim,
-            c.hidden_dim > 0 ? c.hidden_dim
-                             : models::default_hidden_dim(d.feat_dim),
-            rng)),
-        optim(c.lr),
-        exec(g, d, v),
-        copy_stream(g.create_stream("copy")) {}
-
-  bool async() const { return variant != Variant::PyGT; }
-
-  /// H2D bytes for one snapshot of one frame given the cache state.
-  std::size_t snapshot_bytes(int t, bool cached) const {
-    const auto& snap = data.snapshots[t];
-    const std::size_t n = static_cast<std::size_t>(data.num_nodes);
-    const std::size_t feat = n * data.feat_dim * sizeof(float);
-    const std::size_t targets = n * sizeof(float);
-    std::size_t topo;
-    if (variant == Variant::PyGTG) {
-      // GE-SpMM ships CSR for forward and CSC for backward (§5.2).
-      topo = snap.adj.transfer_bytes() + snap.adj_t.transfer_bytes();
-    } else {
-      // PyG ships COO (3 arrays per nnz); the backward transpose reuses the
-      // same arrays with row/col swapped, so nothing extra moves.
-      topo = 3 * snap.adj.nnz() * sizeof(int);
-    }
-    const std::size_t deg = n * sizeof(int);
-    const std::size_t scale = static_cast<std::size_t>(data.sim_scale);
-    topo *= scale;
-    const std::size_t s_feat = feat * scale;
-    const std::size_t s_targets = targets * scale;
-    const std::size_t s_deg = deg * scale;
-    if (cached) {
-      const bool needs_topo = model->num_agg_layers() > 1;
-      return s_feat + s_targets + (needs_topo ? topo + s_deg : 0);
-    }
-    return s_feat + s_targets + topo + s_deg;
-  }
-
-  TrainResult train() {
-    TrainResult result;
-    auto frames = graph::frames_of(data, cfg.frame_size);
-    if (cfg.max_frames_per_epoch > 0 &&
-        static_cast<int>(frames.size()) > cfg.max_frames_per_epoch) {
-      frames.resize(cfg.max_frames_per_epoch);
-    }
-    auto params = model->params();
-
-    for (int epoch = 0; epoch < cfg.epochs; ++epoch) {
-      for (const auto& frame : frames) {
-        if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
-          throw Cancelled();
-        }
-        // ---- Transfers ----
-        std::vector<std::optional<EventId>> evs(frame.size);
-        std::vector<bool> cached(frame.size, false);
-        std::size_t frame_bytes = 0;
-        for (int i = 0; i < frame.size; ++i) {
-          const int t = frame.start + i;
-          cached[i] = exec.reuse_enabled() && exec.has_cached(t);
-          const std::size_t bytes = snapshot_bytes(t, cached[i]);
-          frame_bytes += bytes;
-          if (async()) {
-            gpu.memcpy_h2d(copy_stream, "snapshot", bytes, /*pinned=*/true);
-            evs[i] = gpu.record_event(copy_stream);
-          } else {
-            gpu.memcpy_h2d_sync(copy_stream, "snapshot", bytes,
-                                /*pinned=*/false);
-          }
-        }
-
-        // ---- Resident-data accounting (released at frame end) ----
-        const int hid = cfg.hidden_dim > 0
-                            ? cfg.hidden_dim
-                            : models::default_hidden_dim(data.feat_dim);
-        const std::size_t act_bytes =
-            static_cast<std::size_t>(data.num_nodes) * hid * sizeof(float) *
-            frame.size * (model->num_agg_layers() + 2) * data.sim_scale;
-        gpusim::DeviceReservation res(gpu.device(), frame_bytes + act_bytes,
-                                      "frame data");
-
-        // ---- Compute ----
-        exec.begin_frame(frame, evs, cached);
-        std::vector<const Tensor*> xs, ys;
-        for (int i = 0; i < frame.size; ++i) {
-          xs.push_back(&data.snapshots[frame.start + i].features);
-          ys.push_back(&data.targets[frame.start + i]);
-        }
-        nn::zero_grads(params);
-        const float loss = model->train_frame(exec, xs, ys);
-        result.frame_loss.push_back(loss);
-
-        // ---- Optimizer (one elementwise kernel per parameter) ----
-        optim.step(params);
-        for (const auto* p : params) {
-          exec.record("ew:optim",
-                      kernels::elementwise_stats(p->value.size(), 3, 8));
-        }
-        gpu.memcpy_d2h(copy_stream, "loss", sizeof(float), async());
-      }
-    }
-    models::summarize_timeline(gpu.timeline(), result);
-    return result;
-  }
-};
-
-BaselineTrainer::BaselineTrainer(gpusim::Gpu& gpu, const graph::DTDG& data,
-                                 TrainConfig cfg, Variant variant,
-                                 const std::atomic<bool>* cancel)
-    : impl_(std::make_unique<Impl>(gpu, data, cfg, variant, cancel)) {}
-
-BaselineTrainer::~BaselineTrainer() = default;
-
-TrainResult BaselineTrainer::train() { return impl_->train(); }
-
-models::DgnnModel& BaselineTrainer::model() { return *impl_->model; }
+std::unique_ptr<models::StepEngine> make_trainer(gpusim::Gpu& gpu,
+                                                 const graph::DTDG& data,
+                                                 TrainConfig cfg,
+                                                 Method method) {
+  return std::make_unique<BaselineTrainer>(gpu, data, cfg, method);
+}
 
 }  // namespace pipad::baselines

@@ -16,11 +16,7 @@
 // exactly as the paper's evaluation does.
 #pragma once
 
-#include <atomic>
-#include <map>
 #include <memory>
-#include <string>
-#include <vector>
 
 #include "gpusim/gpu.hpp"
 #include "graph/dtdg.hpp"
@@ -28,29 +24,12 @@
 
 namespace pipad::baselines {
 
-enum class Variant { PyGT, PyGTA, PyGTR, PyGTG };
-
-const char* variant_name(Variant v);
-
-class BaselineTrainer {
- public:
-  /// `cancel` is cooperative cancellation: when non-null and set, train()
-  /// throws pipad::Cancelled at the next frame boundary (see
-  /// PipadOptions::cancel).
-  BaselineTrainer(gpusim::Gpu& gpu, const graph::DTDG& data,
-                  models::TrainConfig cfg, Variant variant,
-                  const std::atomic<bool>* cancel = nullptr);
-  ~BaselineTrainer();
-
-  /// Run the configured number of epochs; the Gpu timeline accumulates the
-  /// simulated schedule, summarized into the returned TrainResult.
-  models::TrainResult train();
-
-  models::DgnnModel& model();
-
- private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
-};
+/// The step engine of PyGT variant `method` (anything but PiPAD) on `gpu`.
+/// Baselines train on one device: replica::ReplicaTrainer drives a single
+/// engine and steps it after every frame.
+std::unique_ptr<models::StepEngine> make_trainer(gpusim::Gpu& gpu,
+                                                 const graph::DTDG& data,
+                                                 models::TrainConfig cfg,
+                                                 models::Method method);
 
 }  // namespace pipad::baselines

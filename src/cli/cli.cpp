@@ -30,14 +30,6 @@ bool parse_ll(const std::string& s, long long& out) {
   return true;
 }
 
-models::ModelType model_type(const std::string& name) {
-  if (name == "gcn") return models::ModelType::Gcn;
-  if (name == "tgcn") return models::ModelType::TGcn;
-  if (name == "evolvegcn") return models::ModelType::EvolveGcn;
-  PIPAD_CHECK_MSG(name == "mpnn-lstm", "unknown model " << name);
-  return models::ModelType::MpnnLstm;
-}
-
 void print_header() {
   std::printf("%-8s %14s %14s %14s %10s %10s\n", "method", "sim total (us)",
               "transfer (us)", "compute (us)", "SM util", "last loss");
@@ -81,11 +73,19 @@ void write_bench_json(const Options& o, const std::string& dataset,
   std::printf("\n2 records written to %s\n", o.json.c_str());
 }
 
+/// What `bench` and `trace` compare PiPAD against: the requested PyGT
+/// variant (PyGT under --runtime pipad) on one device.
+api::JobSpec baseline_job(api::JobSpec job) {
+  if (job.runtime == "pipad") job.runtime = "pygt";
+  job.replicas = 0;
+  return job;
+}
+
 int cmd_train(const Options& o) {
   const api::BuiltDataset data = api::build_dataset(o.job);
   print_dataset(data.data);
   std::printf("training %s under %s: %d epochs, frame size %d\n",
-              models::model_type_name(model_type(o.job.model)),
+              models::model_type_name(api::train_config(o.job).model),
               o.job.runtime.c_str(), o.job.epochs, o.job.frame_size);
   gpusim::Gpu gpu;
   const auto out = api::run_method(o.job, o.job.runtime, gpu, data, nullptr);
@@ -97,11 +97,10 @@ int cmd_train(const Options& o) {
 int cmd_bench(const Options& o) {
   const api::BuiltDataset data = api::build_dataset(o.job);
   print_dataset(data.data);
-  // Compare PiPAD against the requested baseline (plain PyGT unless the
-  // user picked a specific variant).
-  const std::string base = o.job.runtime == "pipad" ? "pygt" : o.job.runtime;
+  const api::JobSpec base_job = baseline_job(o.job);
+  const std::string& base = base_job.runtime;
   gpusim::Gpu gpu_base;
-  const auto rb = api::run_method(o.job, base, gpu_base, data, nullptr);
+  const auto rb = api::run_method(base_job, base, gpu_base, data, nullptr);
   gpusim::Gpu gpu_pipad;
   const auto rp = api::run_method(o.job, "pipad", gpu_pipad, data, nullptr);
   print_header();
@@ -118,9 +117,10 @@ int cmd_bench(const Options& o) {
 int cmd_trace(const Options& o) {
   const api::BuiltDataset data = api::build_dataset(o.job);
   print_dataset(data.data);
-  const std::string base = o.job.runtime == "pipad" ? "pygt" : o.job.runtime;
+  const api::JobSpec base_job = baseline_job(o.job);
+  const std::string& base = base_job.runtime;
   gpusim::Gpu gpu_base;
-  api::run_method(o.job, base, gpu_base, data, nullptr);
+  api::run_method(base_job, base, gpu_base, data, nullptr);
   gpusim::Gpu gpu_pipad;
   api::run_method(o.job, "pipad", gpu_pipad, data, nullptr);
 

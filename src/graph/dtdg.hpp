@@ -63,14 +63,17 @@ struct Frame {
   int end() const { return start + size; }
 };
 
-/// Enumerate all frames of the given size over a DTDG (stride 1).
-std::vector<Frame> frames_of(const DTDG& g, int frame_size);
-
-inline std::vector<Frame> frames_of(const DTDG& g, int frame_size) {
+/// Enumerate the frames of the given size over a DTDG (stride 1): all of
+/// them, or the first `max_frames` when that is > 0.
+inline std::vector<Frame> frames_of(const DTDG& g, int frame_size,
+                                    int max_frames = 0) {
   std::vector<Frame> out;
   const int n = g.num_snapshots();
   for (int s = 0; s + frame_size <= n; ++s) out.push_back({s, frame_size});
   if (out.empty() && n > 0) out.push_back({0, n});  // Short sequences: 1 frame.
+  if (max_frames > 0 && static_cast<int>(out.size()) > max_frames) {
+    out.resize(max_frames);
+  }
   return out;
 }
 

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/error.hpp"
+#include "kernels/stats_builders.hpp"
 
 namespace pipad::nn {
 
@@ -40,6 +41,13 @@ void Adam::step(const std::vector<Parameter*>& params) {
       const float vhat = v[i] / bc2;
       val[i] -= lr_ * mhat / (std::sqrt(vhat) + eps_);
     }
+  }
+}
+
+void Adam::record_step(const std::vector<Parameter*>& params,
+                       kernels::KernelRecorder& rec) {
+  for (const Parameter* p : params) {
+    rec.record("ew:optim", kernels::elementwise_stats(p->value.size(), 3, 8));
   }
 }
 

@@ -3,6 +3,7 @@
 
 #include <vector>
 
+#include "kernels/recorder.hpp"
 #include "nn/parameter.hpp"
 
 namespace pipad::nn {
@@ -25,6 +26,11 @@ class Adam {
   /// Per-parameter moment buffers are keyed by position, so the param list
   /// must be stable across steps.
   void step(const std::vector<Parameter*>& params);
+
+  /// The modeled kernels of one step() on `params`: one elementwise
+  /// "ew:optim" kernel per parameter (the numerics run in step()).
+  static void record_step(const std::vector<Parameter*>& params,
+                          kernels::KernelRecorder& rec);
 
   int iterations() const { return t_; }
 

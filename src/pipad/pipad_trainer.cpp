@@ -387,6 +387,7 @@ struct PipadTrainer::Impl {
   TrainConfig cfg;
   PipadOptions opts;
   host::HostLane lane;  ///< Executes and charges all host prep (§4.3).
+  int hid;
   Rng rng;
   std::unique_ptr<models::DgnnModel> model;
   nn::Adam optim;
@@ -423,7 +424,6 @@ struct PipadTrainer::Impl {
   double mean_pair_or = 0.0;
   std::uint64_t mean_nnz = 0;
   std::size_t per_snapshot_mem = 0;
-  int hid = 0;
 
   Impl(gpusim::Gpu& g, const graph::DTDG& d, TrainConfig c, PipadOptions o)
       : gpu(g),
@@ -433,19 +433,13 @@ struct PipadTrainer::Impl {
         lane(g, opts.host_threads > 0
                     ? static_cast<std::size_t>(opts.host_threads)
                     : 0),
+        hid(models::hidden_dim(c, d.feat_dim)),
         rng(c.seed),
-        model(models::make_model(
-            c.model, d.feat_dim,
-            c.hidden_dim > 0 ? c.hidden_dim
-                             : models::default_hidden_dim(d.feat_dim),
-            rng)),
+        model(models::make_model(c.model, d.feat_dim, hid, rng)),
         optim(c.lr),
         exec(g, d, opts),
         copy_stream(g.create_stream("copy")),
-        gpu_buffer(g.device()) {
-    hid = c.hidden_dim > 0 ? c.hidden_dim
-                           : models::default_hidden_dim(d.feat_dim);
-  }
+        gpu_buffer(g.device()) {}
 
   bool needs_topology_steady() const {
     return model->num_agg_layers() > 1 || !opts.enable_reuse;
@@ -638,15 +632,6 @@ struct PipadTrainer::Impl {
     return best_s;
   }
 
-  std::vector<graph::Frame> epoch_frames() const {
-    auto frames = graph::frames_of(data, cfg.frame_size);
-    if (cfg.max_frames_per_epoch > 0 &&
-        static_cast<int>(frames.size()) > cfg.max_frames_per_epoch) {
-      frames.resize(cfg.max_frames_per_epoch);
-    }
-    return frames;
-  }
-
   /// GPU reuse-buffer budget: what is left after the working set, capped.
   void set_reuse_budget() {
     if (!opts.enable_reuse) return;
@@ -672,9 +657,11 @@ struct PipadTrainer::Impl {
       gpu.memcpy_h2d(copy_stream, "snapshot", bytes, /*pinned=*/true);
       evs[i] = gpu.record_event(copy_stream);
     }
-    gpusim::DeviceReservation res(gpu.device(),
-                                  frame_bytes + activation_bytes(frame),
-                                  "prep frame");
+    gpusim::DeviceReservation res(
+        gpu.device(),
+        frame_bytes + models::activation_bytes(data, hid, frame.size,
+                                               model->num_agg_layers()),
+        "prep frame");
     exec.begin_prep_frame(frame, std::move(evs));
     return run_model(frame);
   }
@@ -738,9 +725,11 @@ struct PipadTrainer::Impl {
       }
     }
 
-    gpusim::DeviceReservation res(gpu.device(),
-                                  frame_bytes + activation_bytes(frame),
-                                  "steady frame");
+    gpusim::DeviceReservation res(
+        gpu.device(),
+        frame_bytes + models::activation_bytes(data, hid, frame.size,
+                                               model->num_agg_layers()),
+        "steady frame");
     exec.begin_steady_frame(frame, std::move(parts), std::move(evs));
     const float loss = run_model(frame);
     // Frames slide forward by one: results before the next frame's start
@@ -767,22 +756,12 @@ struct PipadTrainer::Impl {
     }
   }
 
-  std::size_t activation_bytes(const graph::Frame& frame) const {
-    return static_cast<std::size_t>(data.num_nodes) * data.sim_scale * hid *
-           sizeof(float) * frame.size * (model->num_agg_layers() + 2);
-  }
-
   /// The frame's gradients stay in step_params for ReplicaTrainer's
   /// canonical round reduction; apply_step() advances the optimizer.
   float run_model(const graph::Frame& frame) {
-    std::vector<const Tensor*> xs, ys;
-    for (int i = 0; i < frame.size; ++i) {
-      xs.push_back(&data.snapshots[frame.start + i].features);
-      ys.push_back(&data.targets[frame.start + i]);
-    }
-    nn::zero_grads(step_params);
-    const float loss = model->train_frame(exec, xs, ys);
-    if (step_next) record_optim();
+    const float loss =
+        models::train_frame(*model, exec, data, frame, step_params);
+    if (step_next) nn::Adam::record_step(step_params, exec);
     exec.flush();
     gpu.memcpy_d2h(copy_stream, "loss", sizeof(float), true);
     return loss;
@@ -791,7 +770,8 @@ struct PipadTrainer::Impl {
   // ---- Step-wise driving ----
 
   const std::vector<graph::Frame>& begin_steps() {
-    step_frames = epoch_frames();
+    step_frames =
+        graph::frames_of(data, cfg.frame_size, cfg.max_frames_per_epoch);
     step_params = model->params();
     run_analyzer();
     // Profiling always covers the FULL epoch frame list, even though this
@@ -827,22 +807,13 @@ struct PipadTrainer::Impl {
     return loss;
   }
 
-  /// The optimizer's modeled kernels (the step's numerics run in
-  /// apply_step; the stats depend only on the parameter sizes).
-  void record_optim() {
-    for (const auto* p : step_params) {
-      exec.record("ew:optim",
-                  kernels::elementwise_stats(p->value.size(), 3, 8));
-    }
-  }
-
   void apply_step() {
     optim.step(step_params);
     if (step_next) {
       step_next = false;  // Launched with the frame's graph.
       return;
     }
-    record_optim();
+    nn::Adam::record_step(step_params, exec);
     exec.flush();
   }
 

@@ -50,10 +50,11 @@ struct PipadOptions {
   /// the gpusim cost model. 0 = library default
   /// (min(hardware_concurrency, 8)).
   int host_threads = 0;
-  /// Cooperative cancellation: when non-null and set, training throws
-  /// pipad::Cancelled at the next round boundary (every frame under
-  /// --replicas 0). The pointee must outlive the trainer; the serve
-  /// scheduler points it at the job's cancel flag.
+  /// Cooperative cancellation, checked by the training loop
+  /// (replica::ReplicaTrainer) for every method: when non-null and set,
+  /// training throws pipad::Cancelled at the next round boundary (every
+  /// frame under --replicas 0). The pointee must outlive the trainer; the
+  /// serve scheduler points it at the job's cancel flag.
   const std::atomic<bool>* cancel = nullptr;
 
   // ---- Training schedule (src/replica, ReplicaTrainer) ----
@@ -71,47 +72,36 @@ struct PipadOptions {
   std::string allreduce = "ring";
 };
 
-/// The per-device PiPAD step engine. replica::ReplicaTrainer is the one
-/// loop that trains it: that loop interleaves frames from K engines and
-/// owns the optimizer schedule — grad_frame() trains one frame at the
-/// current parameters WITHOUT stepping, the loop reduces a round's
-/// gradients in canonical order, then apply_step() advances this engine's
-/// Adam.
-class PipadTrainer {
+/// The per-device PiPAD step engine (models::StepEngine, which documents
+/// the step API). replica::ReplicaTrainer drives it: that loop interleaves
+/// frames from K engines, reduces a round's gradients in canonical order,
+/// then steps every engine's Adam.
+class PipadTrainer final : public models::StepEngine {
  public:
   PipadTrainer(gpusim::Gpu& gpu, const graph::DTDG& data,
                models::TrainConfig cfg, PipadOptions opts = {});
-  ~PipadTrainer();
+  ~PipadTrainer() override;
 
-  models::DgnnModel& model();
+  models::DgnnModel& model() override;
 
   /// S_per decisions made by the tuner, keyed by frame start.
   const std::map<int, int>& sper_decisions() const;
 
   /// Analyzer + profiling over the full epoch frame list (so tuner inputs
-  /// are replica-invariant) + reuse budget. Returns the frame list. Does
-  /// NOT discard ComputePool regions — the driver does that once.
-  const std::vector<graph::Frame>& begin_steps();
-  /// Enter an epoch; `prep_frames` is the subset this trainer will actually
-  /// train (steady-state partition extraction covers only those).
-  void begin_epoch(int epoch, const std::vector<graph::Frame>& prep_frames);
-  /// Train one frame at the current params, leaving the gradients in
-  /// params(); returns the frame loss. `step_follows` promises that
-  /// apply_step() is the next call on this trainer: the optimizer's kernels
-  /// then join the frame's CUDA graph instead of a graph of their own,
-  /// PiPAD's per-frame schedule.
-  float grad_frame(const graph::Frame& frame, bool step_follows = false);
-  /// Optimizer step on whatever is in params()' grads now.
-  void apply_step();
-  /// The model parameters in canonical (model-defined) order.
-  const std::vector<nn::Parameter*>& params() const;
-  /// Gate this trainer's transfer stream on a staged infeed shard: the next
-  /// frame's H2D copies may not ship before sim time `ready_us`.
-  void set_stage_ready(double ready_us);
-  /// Gate both device streams at `ready_us` (the round's all-reduce end).
-  void barrier_at(double ready_us);
-  /// Summarize this trainer's timeline (frame_loss left to the driver).
-  models::TrainResult finish_steps();
+  /// are replica-invariant) + reuse budget. Returns the frame list.
+  const std::vector<graph::Frame>& begin_steps() override;
+  /// Steady epochs extract partitions for `prep_frames` only.
+  void begin_epoch(int epoch,
+                   const std::vector<graph::Frame>& prep_frames) override;
+  /// With `step_follows`, the optimizer's kernels join the frame's CUDA
+  /// graph instead of a graph of their own: PiPAD's per-frame schedule.
+  float grad_frame(const graph::Frame& frame,
+                   bool step_follows = false) override;
+  void apply_step() override;
+  const std::vector<nn::Parameter*>& params() const override;
+  void set_stage_ready(double ready_us) override;
+  void barrier_at(double ready_us) override;
+  models::TrainResult finish_steps() override;
 
  private:
   struct Impl;

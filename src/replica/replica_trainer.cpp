@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "baselines/baseline_trainer.hpp"
 #include "common/error.hpp"
 #include "host/prep_cost.hpp"
 #include "nn/parameter.hpp"
@@ -61,10 +62,10 @@ struct ReplicaTrainer::Impl {
 
   std::vector<std::unique_ptr<gpusim::Gpu>> extra_gpus;  ///< Replicas 1..K-1.
   std::vector<gpusim::Gpu*> gpus;                        ///< All K.
-  std::vector<std::unique_ptr<runtime::PipadTrainer>> trainers;
+  std::vector<std::unique_ptr<models::StepEngine>> trainers;
 
   Impl(gpusim::Gpu& g, const graph::DTDG& d, models::TrainConfig c,
-       runtime::PipadOptions o)
+       models::Method method, runtime::PipadOptions o)
       : gpu0(g), data(d), cfg(c), opts(std::move(o)) {
     K = std::max(1, opts.replicas);
     // --replicas 0 is PiPAD's own schedule: an optimizer step after every
@@ -76,6 +77,11 @@ struct ReplicaTrainer::Impl {
     PIPAD_CHECK_MSG(parse_allreduce(opts.allreduce, algo),
                     "unknown allreduce algorithm '" << opts.allreduce
                                                     << "' (ring|tree)");
+    const bool pipad = method == models::Method::PiPAD;
+    if (!pipad && !classic) {
+      throw Error(std::string("--replicas requires --runtime pipad (") +
+                  models::method_label(method) + " trains on one device)");
+    }
 
     gpus.push_back(&gpu0);
     for (int k = 1; k < K; ++k) {
@@ -83,8 +89,10 @@ struct ReplicaTrainer::Impl {
       gpus.push_back(extra_gpus.back().get());
     }
     for (int k = 0; k < K; ++k) {
-      trainers.push_back(std::make_unique<runtime::PipadTrainer>(
-          *gpus[k], data, cfg, opts));
+      trainers.push_back(
+          pipad ? std::make_unique<runtime::PipadTrainer>(*gpus[k], data,
+                                                          cfg, opts)
+                : baselines::make_trainer(*gpus[k], data, cfg, method));
     }
   }
 
@@ -222,9 +230,9 @@ struct ReplicaTrainer::Impl {
 };
 
 ReplicaTrainer::ReplicaTrainer(gpusim::Gpu& gpu, const graph::DTDG& data,
-                               models::TrainConfig cfg,
+                               models::TrainConfig cfg, models::Method method,
                                runtime::PipadOptions opts)
-    : impl_(std::make_unique<Impl>(gpu, data, cfg, std::move(opts))) {}
+    : impl_(std::make_unique<Impl>(gpu, data, cfg, method, std::move(opts))) {}
 
 ReplicaTrainer::~ReplicaTrainer() = default;
 
@@ -235,7 +243,10 @@ models::DgnnModel& ReplicaTrainer::model() {
 }
 
 const std::map<int, int>& ReplicaTrainer::sper_decisions() const {
-  return impl_->trainers[0]->sper_decisions();
+  static const std::map<int, int> kNone;
+  const auto* pipad =
+      dynamic_cast<const runtime::PipadTrainer*>(impl_->trainers[0].get());
+  return pipad != nullptr ? pipad->sper_decisions() : kNone;
 }
 
 int ReplicaTrainer::replicas() const { return impl_->K; }

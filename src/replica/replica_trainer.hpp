@@ -1,13 +1,14 @@
-// Replicated data-parallel training across K simulated devices — the one
-// loop that trains PiPAD.
-//
-// K PipadTrainers — each with its own simulated Gpu/Timeline (replica 0
-// runs on the caller's Gpu so `pipad trace`/`analyze` keep working
-// unchanged) — run the pipelined epoch over disjoint frame subsets, fed by
-// a modeled per-replica infeed, and synchronize through a gradient
-// all-reduce charged to each replica's Resource::Link lane. `--replicas 0`
-// is the one-device case with one-frame rounds and no infeed staging: an
-// optimizer step after every frame, PiPAD's own schedule (§4, Fig. 7).
+// The one training loop, for every method's step engine
+// (models::StepEngine): it owns the epochs, the cancel check, the frame
+// losses and the result. PiPAD may train on K simulated devices: K
+// PipadTrainers — each with its own simulated Gpu/Timeline (replica 0 runs
+// on the caller's Gpu so `pipad trace`/`analyze` keep working unchanged) —
+// run the pipelined epoch over disjoint frame subsets, fed by a modeled
+// per-replica infeed, and synchronize through a gradient all-reduce
+// charged to each replica's Resource::Link lane. `--replicas 0` is the
+// one-device case with one-frame rounds and no infeed staging: an
+// optimizer step after every frame, PiPAD's own schedule (§4, Fig. 7) and
+// the only one a PyGT baseline trains under.
 //
 // Determinism argument (the repo's wall — bit-identical losses and params
 // for ANY --replicas x --threads combination, K >= 1):
@@ -44,11 +45,15 @@ namespace pipad::replica {
 
 class ReplicaTrainer {
  public:
-  /// opts.replicas selects K = max(1, replicas) and the round size (one
-  /// frame when replicas == 0, else 4); opts.allreduce picks the
-  /// interconnect timing model. Throws Error on an unknown allreduce name.
+  /// Trains `method`. opts.replicas selects K = max(1, replicas) and the
+  /// round size (one frame when replicas == 0, else 4); opts.allreduce
+  /// picks the interconnect timing model; opts.cancel is checked at every
+  /// round boundary. The other options tune PiPAD only. Throws Error on an
+  /// unknown allreduce name and on replicas > 0 for a baseline.
   ReplicaTrainer(gpusim::Gpu& gpu, const graph::DTDG& data,
-                 models::TrainConfig cfg, runtime::PipadOptions opts = {});
+                 models::TrainConfig cfg,
+                 models::Method method = models::Method::PiPAD,
+                 runtime::PipadOptions opts = {});
   ~ReplicaTrainer();
 
   models::TrainResult train();
@@ -57,7 +62,8 @@ class ReplicaTrainer {
   /// determinism argument above).
   models::DgnnModel& model();
 
-  /// Replica 0's S_per decisions, keyed by frame start (after train()).
+  /// Replica 0's S_per decisions, keyed by frame start (after train());
+  /// empty for a baseline.
   const std::map<int, int>& sper_decisions() const;
 
   int replicas() const;

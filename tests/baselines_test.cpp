@@ -3,15 +3,15 @@
 // schedule must show the paper's qualitative orderings.
 #include <gtest/gtest.h>
 
-#include "baselines/baseline_trainer.hpp"
+#include "replica/replica_trainer.hpp"
 #include "test_util.hpp"
 
 namespace pipad {
 namespace {
 
-using baselines::BaselineTrainer;
-using baselines::Variant;
+using models::Method;
 using models::ModelType;
+using replica::ReplicaTrainer;
 using models::TrainConfig;
 using models::TrainResult;
 
@@ -25,10 +25,10 @@ TrainConfig small_cfg(ModelType m = ModelType::MpnnLstm) {
   return cfg;
 }
 
-TrainResult run_variant(const graph::DTDG& g, Variant v,
+TrainResult run_variant(const graph::DTDG& g, Method v,
                         ModelType m = ModelType::MpnnLstm) {
   gpusim::Gpu gpu;
-  BaselineTrainer tr(gpu, g, small_cfg(m), v);
+  ReplicaTrainer tr(gpu, g, small_cfg(m), v);
   return tr.train();
 }
 
@@ -36,29 +36,29 @@ TEST(Baselines, AllVariantsProduceIdenticalLosses) {
   // COO vs GE-SpMM vs cached aggregation all compute the same mathematics;
   // losses must match tightly (float addition order differs slightly).
   const auto g = graph::generate(testutil::tiny_config(32, 10, 2));
-  const auto base = run_variant(g, Variant::PyGT);
-  for (Variant v : {Variant::PyGTA, Variant::PyGTR, Variant::PyGTG}) {
+  const auto base = run_variant(g, Method::PyGT);
+  for (Method v : {Method::PyGTA, Method::PyGTR, Method::PyGTG}) {
     const auto r = run_variant(g, v);
     ASSERT_EQ(r.frame_loss.size(), base.frame_loss.size());
     for (std::size_t i = 0; i < r.frame_loss.size(); ++i) {
       EXPECT_NEAR(r.frame_loss[i], base.frame_loss[i],
                   2e-3f * (1.0f + std::abs(base.frame_loss[i])))
-          << variant_name(v) << " frame " << i;
+          << models::method_label(v) << " frame " << i;
     }
   }
 }
 
 TEST(Baselines, AsyncTransferBeatsSynchronous) {
   const auto g = graph::generate(testutil::tiny_config(64, 10, 2));
-  const auto sync = run_variant(g, Variant::PyGT);
-  const auto async = run_variant(g, Variant::PyGTA);
+  const auto sync = run_variant(g, Method::PyGT);
+  const auto async = run_variant(g, Method::PyGTA);
   EXPECT_LT(async.total_us, sync.total_us);
 }
 
 TEST(Baselines, ReuseEliminatesAggregationKernelsAfterWarmup) {
   const auto g = graph::generate(testutil::tiny_config(48, 12, 2));
-  const auto a = run_variant(g, Variant::PyGTA);
-  const auto r = run_variant(g, Variant::PyGTR);
+  const auto a = run_variant(g, Method::PyGTA);
+  const auto r = run_variant(g, Method::PyGTR);
   // With reuse, the layer-0 aggregation runs once per snapshot total, not
   // once per (frame, epoch): fewer aggregation transactions overall.
   EXPECT_LT(r.agg_stats.global_transactions,
@@ -70,12 +70,12 @@ TEST(Baselines, ReuseHelpsTgcnMost) {
   // T-GCN only has layer-0 aggregation, so reuse removes *all* of it in
   // steady state, and the topology transfer disappears too (§5.2).
   const auto g = graph::generate(testutil::tiny_config(48, 12, 2));
-  const auto a = run_variant(g, Variant::PyGTA, ModelType::TGcn);
-  const auto r = run_variant(g, Variant::PyGTR, ModelType::TGcn);
+  const auto a = run_variant(g, Method::PyGTA, ModelType::TGcn);
+  const auto r = run_variant(g, Method::PyGTR, ModelType::TGcn);
   EXPECT_LT(r.transfer_us, a.transfer_us);
   const double tgcn_gain = a.total_us / r.total_us;
-  const auto am = run_variant(g, Variant::PyGTA, ModelType::MpnnLstm);
-  const auto rm = run_variant(g, Variant::PyGTR, ModelType::MpnnLstm);
+  const auto am = run_variant(g, Method::PyGTA, ModelType::MpnnLstm);
+  const auto rm = run_variant(g, Method::PyGTR, ModelType::MpnnLstm);
   const double mpnn_gain = am.total_us / rm.total_us;
   EXPECT_GT(tgcn_gain, mpnn_gain * 0.9);
 }
@@ -83,10 +83,10 @@ TEST(Baselines, ReuseHelpsTgcnMost) {
 TEST(Baselines, GespmmShipsCsrAndCscCostingMoreTransferBytes) {
   const auto g = graph::generate(testutil::tiny_config(64, 10, 2));
   gpusim::Gpu gpu_r, gpu_g;
-  BaselineTrainer tr_r(gpu_r, g, small_cfg(ModelType::MpnnLstm),
-                       Variant::PyGTR);
-  BaselineTrainer tr_g(gpu_g, g, small_cfg(ModelType::MpnnLstm),
-                       Variant::PyGTG);
+  ReplicaTrainer tr_r(gpu_r, g, small_cfg(ModelType::MpnnLstm),
+                      Method::PyGTR);
+  ReplicaTrainer tr_g(gpu_g, g, small_cfg(ModelType::MpnnLstm),
+                      Method::PyGTG);
   tr_r.train();
   tr_g.train();
   const double r_h2d = gpu_r.timeline().busy_us(gpusim::Resource::H2D);
@@ -96,8 +96,8 @@ TEST(Baselines, GespmmShipsCsrAndCscCostingMoreTransferBytes) {
 
 TEST(Baselines, GespmmReducesAggregationWorkVsCoo) {
   const auto g = graph::generate(testutil::tiny_config(96, 10, 2));
-  const auto r = run_variant(g, Variant::PyGTR);
-  const auto ge = run_variant(g, Variant::PyGTG);
+  const auto r = run_variant(g, Method::PyGTR);
+  const auto ge = run_variant(g, Method::PyGTG);
   // Same reuse level; only the remaining (layer-2) aggregation kernel
   // differs, and GE-SpMM moves fewer transactions and no atomics. (On
   // tiny test graphs simulated *time* hits the launch-latency floor, so
@@ -112,7 +112,7 @@ TEST(Baselines, GespmmReducesAggregationWorkVsCoo) {
 
 TEST(Baselines, BreakdownFieldsArePopulatedAndConsistent) {
   const auto g = graph::generate(testutil::tiny_config(40, 8, 2));
-  const auto r = run_variant(g, Variant::PyGT);
+  const auto r = run_variant(g, Method::PyGT);
   EXPECT_GT(r.total_us, 0.0);
   EXPECT_GT(r.transfer_us, 0.0);
   EXPECT_GT(r.compute_us, 0.0);
@@ -127,8 +127,8 @@ TEST(Baselines, BreakdownFieldsArePopulatedAndConsistent) {
 
 TEST(Baselines, DeterministicAcrossRuns) {
   const auto g = graph::generate(testutil::tiny_config(32, 8, 2));
-  const auto a = run_variant(g, Variant::PyGTA);
-  const auto b = run_variant(g, Variant::PyGTA);
+  const auto a = run_variant(g, Method::PyGTA);
+  const auto b = run_variant(g, Method::PyGTA);
   EXPECT_EQ(a.total_us, b.total_us);
   ASSERT_EQ(a.frame_loss.size(), b.frame_loss.size());
   for (std::size_t i = 0; i < a.frame_loss.size(); ++i) {
@@ -140,8 +140,8 @@ TEST(Baselines, AllModelsRunUnderAllVariants) {
   const auto g = graph::generate(testutil::tiny_config(24, 8, 2));
   for (ModelType m :
        {ModelType::MpnnLstm, ModelType::EvolveGcn, ModelType::TGcn}) {
-    for (Variant v :
-         {Variant::PyGT, Variant::PyGTA, Variant::PyGTR, Variant::PyGTG}) {
+    for (Method v :
+         {Method::PyGT, Method::PyGTA, Method::PyGTR, Method::PyGTG}) {
       const auto r = run_variant(g, v, m);
       EXPECT_FALSE(r.frame_loss.empty());
       for (float l : r.frame_loss) EXPECT_TRUE(std::isfinite(l));

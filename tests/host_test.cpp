@@ -232,7 +232,7 @@ TEST(HostLane, TrainerIsDeterministicAcrossThreadCounts) {
     gpusim::Gpu gpu;
     runtime::PipadOptions opts;
     opts.host_threads = threads;
-    replica::ReplicaTrainer pip(gpu, g, cfg, opts);
+    replica::ReplicaTrainer pip(gpu, g, cfg, models::Method::PiPAD, opts);
     const auto r = pip.train();
     return Run{r.frame_loss, pip.sper_decisions(), gpu.timeline().records()};
   };
@@ -266,7 +266,8 @@ TEST(HostLane, TrainerChargesEveryPrepKindFromCounts) {
   gpusim::Gpu gpu;
   runtime::PipadOptions opts;
   opts.host_threads = 2;
-  replica::ReplicaTrainer pip(gpu, g, tiny_train_config(), opts);
+  replica::ReplicaTrainer pip(gpu, g, tiny_train_config(),
+                              models::Method::PiPAD, opts);
   const auto r = pip.train();
   const auto& tl = gpu.timeline();
   EXPECT_GT(tl.busy_us_with_prefix("prep:graph-analyzer"), 0.0);

@@ -3,7 +3,6 @@
 // ordering on a miniature dataset.
 #include <gtest/gtest.h>
 
-#include "baselines/baseline_trainer.hpp"
 #include "kernels/stats_builders.hpp"
 #include "replica/replica_trainer.hpp"
 #include "test_util.hpp"
@@ -11,8 +10,7 @@
 namespace pipad {
 namespace {
 
-using baselines::BaselineTrainer;
-using baselines::Variant;
+using models::Method;
 using models::ModelType;
 using models::TrainConfig;
 using models::TrainResult;
@@ -31,16 +29,10 @@ std::vector<MethodRun> run_all_methods(const graph::DTDG& g, ModelType m) {
   cfg.hidden_dim = 6;
 
   std::vector<MethodRun> runs;
-  for (Variant v :
-       {Variant::PyGT, Variant::PyGTA, Variant::PyGTR, Variant::PyGTG}) {
+  for (const Method method : models::kMethods) {
     gpusim::Gpu gpu;
-    BaselineTrainer tr(gpu, g, cfg, v);
-    runs.push_back({variant_name(v), tr.train()});
-  }
-  {
-    gpusim::Gpu gpu;
-    replica::ReplicaTrainer tr(gpu, g, cfg);
-    runs.push_back({"PiPAD", tr.train()});
+    replica::ReplicaTrainer tr(gpu, g, cfg, method);
+    runs.push_back({models::method_label(method), tr.train()});
   }
   return runs;
 }
@@ -112,11 +104,8 @@ void expect_leaf_dx_recorded(ModelType m, bool pipad) {
   const auto g = graph::generate(testutil::tiny_config(48, 12, 2, 99));
   const TrainConfig cfg = testutil::small_cfg(m);
   gpusim::Gpu gpu;
-  if (pipad) {
-    replica::ReplicaTrainer(gpu, g, cfg).train();
-  } else {
-    BaselineTrainer(gpu, g, cfg, Variant::PyGT).train();
-  }
+  replica::ReplicaTrainer(gpu, g, cfg, pipad ? Method::PiPAD : Method::PyGT)
+      .train();
   const std::vector<std::string> leaf_tags =
       m == ModelType::TGcn
           ? std::vector<std::string>{"gcn.gate_z", "gcn.gate_r", "gcn.gate_n"}

@@ -2,7 +2,6 @@
 // speedup, tuner behaviour, reuse buffers, and the ablation toggles.
 #include <gtest/gtest.h>
 
-#include "baselines/baseline_trainer.hpp"
 #include "common/compute_pool.hpp"
 #include "pipad/offline_analysis.hpp"
 #include "pipad/reuse.hpp"
@@ -12,6 +11,7 @@
 namespace pipad {
 namespace {
 
+using models::Method;
 using models::ModelType;
 using models::TrainConfig;
 using models::TrainResult;
@@ -25,8 +25,7 @@ using testutil::weighted_tiny;
 TEST(Pipad, LossesMatchPygtBaseline) {
   const auto g = graph::generate(testutil::tiny_config(32, 10, 2));
   gpusim::Gpu gpu_b, gpu_p;
-  baselines::BaselineTrainer base(gpu_b, g, small_cfg(),
-                                  baselines::Variant::PyGT);
+  ReplicaTrainer base(gpu_b, g, small_cfg(), Method::PyGT);
   ReplicaTrainer pip(gpu_p, g, small_cfg());
   const auto rb = base.train();
   const auto rp = pip.train();
@@ -43,8 +42,7 @@ class PipadAllModels : public ::testing::TestWithParam<ModelType> {};
 TEST_P(PipadAllModels, MatchesBaselineAndIsFaster) {
   const auto g = graph::generate(testutil::tiny_config(64, 12, 2));
   gpusim::Gpu gpu_b, gpu_p;
-  baselines::BaselineTrainer base(gpu_b, g, small_cfg(GetParam()),
-                                  baselines::Variant::PyGT);
+  ReplicaTrainer base(gpu_b, g, small_cfg(GetParam()), Method::PyGT);
   ReplicaTrainer pip(gpu_p, g, small_cfg(GetParam()));
   const auto rb = base.train();
   const auto rp = pip.train();
@@ -111,10 +109,8 @@ TEST(Pipad, WeightedLossesMatchBaselinesAndDifferFromUnweighted) {
   // PyGT exercises the weighted COO scatter path, PyGT-G the weighted
   // GE-SpMM forward/backward pair; PiPAD runs the stripe-weighted sliced
   // kernels. All three must agree on the math.
-  baselines::BaselineTrainer coo(gpu_coo, gw, small_cfg(),
-                                 baselines::Variant::PyGT);
-  baselines::BaselineTrainer ge(gpu_ge, gw, small_cfg(),
-                                baselines::Variant::PyGTG);
+  ReplicaTrainer coo(gpu_coo, gw, small_cfg(), Method::PyGT);
+  ReplicaTrainer ge(gpu_ge, gw, small_cfg(), Method::PyGTG);
   ReplicaTrainer pip(gpu_p, gw, small_cfg());
   const auto rc = coo.train();
   const auto rg = ge.train();
@@ -168,8 +164,7 @@ TEST(Pipad, BaselineLossesBitIdenticalAcrossThreadCounts) {
   auto run = [&](int threads) {
     ComputePool::instance().configure(static_cast<std::size_t>(threads));
     gpusim::Gpu gpu;
-    baselines::BaselineTrainer base(gpu, g, small_cfg(ModelType::TGcn),
-                                    baselines::Variant::PyGTG);
+    ReplicaTrainer base(gpu, g, small_cfg(ModelType::TGcn), Method::PyGTG);
     return base.train().frame_loss;
   };
   const auto l1 = run(1);
@@ -193,9 +188,9 @@ TEST(Pipad, NumericComputeIsChargedToTheDeviceOnly) {
   gpusim::Gpu gpu_p, gpu_b;
   PipadOptions opts;
   opts.host_threads = 4;
-  ReplicaTrainer pip(gpu_p, g, cfg, opts);
+  ReplicaTrainer pip(gpu_p, g, cfg, Method::PiPAD, opts);
   pip.train();
-  baselines::BaselineTrainer base(gpu_b, g, cfg, baselines::Variant::PyGT);
+  ReplicaTrainer base(gpu_b, g, cfg, Method::PyGT);
   base.train();
   for (const gpusim::Gpu* gpu : {&gpu_p, &gpu_b}) {
     const auto& tl = gpu->timeline();
@@ -257,7 +252,7 @@ TEST(Pipad, ForcedSperOverridesTuner) {
   cfg.frame_size = 8;
   PipadOptions opts;
   opts.forced_sper = 2;
-  ReplicaTrainer pip(gpu, g, cfg, opts);
+  ReplicaTrainer pip(gpu, g, cfg, Method::PiPAD, opts);
   pip.train();
   EXPECT_TRUE(pip.sper_decisions().empty());  // Tuner bypassed entirely.
 }
@@ -268,7 +263,7 @@ TEST(Pipad, ReuseReducesTransferAndAggregation) {
     gpusim::Gpu gpu;
     PipadOptions opts;
     opts.enable_reuse = reuse;
-    ReplicaTrainer pip(gpu, g, small_cfg(ModelType::TGcn), opts);
+    ReplicaTrainer pip(gpu, g, small_cfg(ModelType::TGcn), Method::PiPAD, opts);
     return pip.train();
   };
   const auto with = run(true);
@@ -284,7 +279,7 @@ TEST(Pipad, CudaGraphBatchingReducesHostTime) {
     gpusim::Gpu gpu;
     PipadOptions opts;
     opts.enable_cuda_graph = graph;
-    ReplicaTrainer pip(gpu, g, small_cfg(), opts);
+    ReplicaTrainer pip(gpu, g, small_cfg(), Method::PiPAD, opts);
     return pip.train();
   };
   const auto with = run(true);
@@ -309,7 +304,7 @@ TEST(Pipad, PipelineOverlapsTransferWithCompute) {
     gpusim::Gpu gpu;
     PipadOptions opts;
     opts.enable_pipeline = pipeline;
-    ReplicaTrainer pip(gpu, g, small_cfg(), opts);
+    ReplicaTrainer pip(gpu, g, small_cfg(), Method::PiPAD, opts);
     pip.train();
     const auto& recs = gpu.timeline().records();
     Shape s;

@@ -83,7 +83,7 @@ RunOutput run_point(const graph::DTDG& g, const RandomPoint& p, int threads,
   runtime::PipadOptions opts;
   opts.host_threads = threads;
   opts.replicas = replicas;
-  replica::ReplicaTrainer trainer(gpu, g, p.train, opts);
+  replica::ReplicaTrainer trainer(gpu, g, p.train, models::Method::PiPAD, opts);
   RunOutput out;
   out.losses = trainer.train().frame_loss;
   out.params = flat_params(trainer.model());

@@ -1,17 +1,22 @@
 // replica/ tests: the bitwise-determinism wall around replicated
 // data-parallel training (losses and params identical for ANY
 // --replicas x --threads combination), --replicas 0 as the one-device,
-// one-frame-round case of the same loop, the per-replica infeed charging
+// one-frame-round case of the same loop for every method, the loop's
+// cancel check, the per-replica infeed charging
 // (its HostStream machinery is walled in tuner_test), and the all-reduce
 // unit surface (canonical reduction numerics, interconnect timing
 // formulas).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "baselines/baseline_trainer.hpp"
+#include "common/compute_pool.hpp"
 #include "common/error.hpp"
 #include "gpusim/gpu.hpp"
 #include "graph/generator.hpp"
@@ -32,21 +37,23 @@ using testutil::tiny_config;
 struct ReplicaRun {
   models::TrainResult result;
   std::vector<float> params;  ///< Replica 0's flat params+grads.
+  std::vector<gpusim::OpRecord> records;  ///< Replica 0's timeline.
 };
 
-ReplicaRun train_replicated(const graph::DTDG& g,
-                            const models::TrainConfig& cfg, int threads,
-                            int replicas,
-                            const std::string& allreduce = "ring") {
+ReplicaRun train_replicated(
+    const graph::DTDG& g, const models::TrainConfig& cfg, int threads,
+    int replicas, const std::string& allreduce = "ring",
+    models::Method method = models::Method::PiPAD) {
   gpusim::Gpu gpu;
   runtime::PipadOptions opts;
   opts.host_threads = threads;
   opts.replicas = replicas;
   opts.allreduce = allreduce;
-  replica::ReplicaTrainer trainer(gpu, g, cfg, opts);
+  replica::ReplicaTrainer trainer(gpu, g, cfg, method, opts);
   ReplicaRun run;
   run.result = trainer.train();
   run.params = flat_params(trainer.model());
+  run.records = gpu.timeline().records();
   return run;
 }
 
@@ -122,50 +129,99 @@ TEST(ReplicaDeterminism, RingAndTreeProduceIdenticalNumerics) {
 
 // ---------- --replicas 0: one device, one-frame rounds ----------
 
-/// PiPAD's own per-frame loop, driven by hand through the step API: an
-/// optimizer step after every frame, no ReplicaTrainer in between.
+/// A method's own per-frame loop, driven by hand through its step engine:
+/// an optimizer step right behind every frame, no ReplicaTrainer in
+/// between.
 ReplicaRun train_by_hand(const graph::DTDG& g, const models::TrainConfig& cfg,
-                         int threads) {
+                         int threads, models::Method method) {
   gpusim::Gpu gpu;
   runtime::PipadOptions opts;
   opts.host_threads = threads;
-  runtime::PipadTrainer trainer(gpu, g, cfg, opts);
+  std::unique_ptr<models::StepEngine> trainer;
+  if (method == models::Method::PiPAD) {
+    trainer = std::make_unique<runtime::PipadTrainer>(gpu, g, cfg, opts);
+  } else {
+    trainer = baselines::make_trainer(gpu, g, cfg, method);
+  }
   ReplicaRun run;
-  const std::vector<graph::Frame>& frames = trainer.begin_steps();
+  const std::vector<graph::Frame>& frames = trainer->begin_steps();
   for (int epoch = 0; epoch < cfg.epochs; ++epoch) {
-    trainer.begin_epoch(epoch, frames);
+    trainer->begin_epoch(epoch, frames);
     for (const graph::Frame& f : frames) {
-      run.result.frame_loss.push_back(trainer.grad_frame(f));
-      trainer.apply_step();
+      run.result.frame_loss.push_back(trainer->grad_frame(f, true));
+      trainer->apply_step();
     }
   }
-  run.params = flat_params(trainer.model());
+  run.params = flat_params(trainer->model());
+  run.records = gpu.timeline().records();
   return run;
 }
 
 TEST(ReplicaDeterminism, ReplicasZeroStepsAfterEveryFrame) {
   const auto g = graph::generate(tiny_config(48, 8, 3));
-  for (const auto model :
-       {models::ModelType::Gcn, models::ModelType::TGcn,
-        models::ModelType::EvolveGcn, models::ModelType::MpnnLstm}) {
-    for (const int threads : {1, 8}) {
-      SCOPED_TRACE(std::string(models::model_type_name(model)) +
-                   " threads=" + std::to_string(threads));
-      const auto cfg = small_cfg(model);
-      const ReplicaRun looped = train_replicated(g, cfg, threads, 0);
-      const ReplicaRun hand = train_by_hand(g, cfg, threads);
-      EXPECT_EQ(looped.result.replicas, 0);
-      ASSERT_FALSE(hand.result.frame_loss.empty());
-      ASSERT_EQ(looped.result.frame_loss.size(),
-                hand.result.frame_loss.size());
-      EXPECT_EQ(std::memcmp(looped.result.frame_loss.data(),
-                            hand.result.frame_loss.data(),
-                            hand.result.frame_loss.size() * sizeof(float)),
-                0);
-      ASSERT_EQ(looped.params.size(), hand.params.size());
-      EXPECT_EQ(std::memcmp(looped.params.data(), hand.params.data(),
-                            hand.params.size() * sizeof(float)),
-                0);
+  for (const models::Method method : models::kMethods) {
+    for (const auto model :
+         {models::ModelType::Gcn, models::ModelType::TGcn,
+          models::ModelType::EvolveGcn, models::ModelType::MpnnLstm}) {
+      for (const int threads : {1, 8}) {
+        SCOPED_TRACE(std::string(models::method_label(method)) + " " +
+                     models::model_type_name(model) +
+                     " threads=" + std::to_string(threads));
+        // The baselines own no HostLane, so set the pool width here.
+        ComputePool::instance().configure(static_cast<std::size_t>(threads));
+        const auto cfg = small_cfg(model);
+        const ReplicaRun looped =
+            train_replicated(g, cfg, threads, 0, "ring", method);
+        const ReplicaRun hand = train_by_hand(g, cfg, threads, method);
+        EXPECT_EQ(looped.result.replicas, 0);
+        ASSERT_FALSE(hand.result.frame_loss.empty());
+        ASSERT_EQ(looped.result.frame_loss.size(),
+                  hand.result.frame_loss.size());
+        EXPECT_EQ(std::memcmp(looped.result.frame_loss.data(),
+                              hand.result.frame_loss.data(),
+                              hand.result.frame_loss.size() * sizeof(float)),
+                  0);
+        ASSERT_EQ(looped.params.size(), hand.params.size());
+        EXPECT_EQ(std::memcmp(looped.params.data(), hand.params.data(),
+                              hand.params.size() * sizeof(float)),
+                  0);
+        // ReplicaTrainer issues exactly the hand loop's ops, at the same times.
+        ASSERT_EQ(looped.records.size(), hand.records.size());
+        for (std::size_t i = 0; i < hand.records.size(); ++i) {
+          const gpusim::OpRecord& a = looped.records[i];
+          const gpusim::OpRecord& b = hand.records[i];
+          EXPECT_EQ(a.name, b.name) << i;
+          EXPECT_EQ(a.resource, b.resource) << i;
+          EXPECT_EQ(a.stream, b.stream) << i;
+          EXPECT_EQ(a.start_us, b.start_us) << i;
+          EXPECT_EQ(a.end_us, b.end_us) << i;
+        }
+      }
+    }
+  }
+  ComputePool::instance().configure(0);
+}
+
+// ---------- The loop's cancel check ----------
+
+TEST(ReplicaTrainerCancel, PresetFlagThrowsBeforeAnyFrameRuns) {
+  const auto g = graph::generate(tiny_config(40, 8, 3));
+  const std::atomic<bool> cancel{true};
+  for (const models::Method method :
+       {models::Method::PiPAD, models::Method::PyGTR}) {
+    SCOPED_TRACE(models::method_label(method));
+    gpusim::Gpu gpu;
+    runtime::PipadOptions opts;
+    opts.cancel = &cancel;
+    replica::ReplicaTrainer trainer(gpu, g, small_cfg(models::ModelType::TGcn),
+                                    method, opts);
+    EXPECT_THROW(trainer.train(), Cancelled);
+    // PiPAD's per-run setup may charge host prep; no frame reached the
+    // device: no transfer and no kernel.
+    for (const gpusim::OpRecord& rec : gpu.timeline().records()) {
+      EXPECT_NE(rec.resource, Resource::H2D) << rec.name;
+      EXPECT_NE(rec.resource, Resource::D2H) << rec.name;
+      EXPECT_NE(rec.resource, Resource::Compute) << rec.name;
     }
   }
 }
@@ -180,7 +236,7 @@ TEST(ReplicaResult, PopulatesReplicaFieldsAndLinkOps) {
   runtime::PipadOptions opts;
   opts.host_threads = 2;
   opts.replicas = 3;
-  replica::ReplicaTrainer trainer(gpu, g, cfg, opts);
+  replica::ReplicaTrainer trainer(gpu, g, cfg, models::Method::PiPAD, opts);
   const auto r = trainer.train();
 
   EXPECT_EQ(r.replicas, 3);
@@ -218,7 +274,7 @@ TEST(ReplicaResult, ChargesInfeedStagingToEachReplicasWorkerLanes) {
     runtime::PipadOptions opts;
     opts.host_threads = 2;
     opts.replicas = replicas;
-    replica::ReplicaTrainer trainer(gpu, g, cfg, opts);
+    replica::ReplicaTrainer trainer(gpu, g, cfg, models::Method::PiPAD, opts);
     const auto r = trainer.train();
     // Every trained frame stages one shard on its replica, charged to that
     // replica's worker lanes under its own infeed name.
@@ -244,7 +300,7 @@ TEST(ReplicaResult, ReplicasZeroLaunchesOneGraphPerFrameWithoutStaging) {
   runtime::PipadOptions opts;
   opts.host_threads = 2;
   replica::ReplicaTrainer trainer(gpu, g, small_cfg(models::ModelType::TGcn),
-                                  opts);
+                                  models::Method::PiPAD, opts);
   const auto r = trainer.train();
   // A graph's kernels directly follow its launch in the record order.
   int optim_graphs = 0;
@@ -274,7 +330,7 @@ TEST(ReplicaResult, SingleReplicaNeverTouchesTheLink) {
   runtime::PipadOptions opts;
   opts.replicas = 1;
   replica::ReplicaTrainer trainer(gpu, g, small_cfg(models::ModelType::TGcn),
-                                  opts);
+                                  models::Method::PiPAD, opts);
   const auto r = trainer.train();
   EXPECT_EQ(r.replicas, 1);
   EXPECT_EQ(r.allreduce_us, 0.0);
@@ -293,9 +349,24 @@ TEST(ReplicaTrainerCtor, RejectsUnknownAllreduceAlgorithms) {
   EXPECT_THROW(
       {
         replica::ReplicaTrainer t(gpu, g, small_cfg(models::ModelType::TGcn),
-                                  opts);
+                                  models::Method::PiPAD, opts);
       },
       Error);
+}
+
+TEST(ReplicaTrainerCtor, BaselinesTrainOnOneDevice) {
+  const auto g = graph::generate(tiny_config(40, 8, 3));
+  for (const models::Method method :
+       {models::Method::PyGT, models::Method::PyGTA, models::Method::PyGTR,
+        models::Method::PyGTG}) {
+    SCOPED_TRACE(models::method_label(method));
+    gpusim::Gpu gpu;
+    runtime::PipadOptions opts;
+    opts.replicas = 1;
+    EXPECT_THROW(replica::ReplicaTrainer(
+                     gpu, g, small_cfg(models::ModelType::TGcn), method, opts),
+                 Error);
+  }
 }
 
 // ---------- All-reduce unit wall ----------

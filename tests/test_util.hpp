@@ -227,7 +227,7 @@ inline std::pair<std::vector<float>, std::vector<float>> train_snapshot(
   opts.host_threads = threads;
   models::TrainConfig c = cfg;
   c.model = model;
-  replica::ReplicaTrainer pip(gpu, g, c, opts);
+  replica::ReplicaTrainer pip(gpu, g, c, models::Method::PiPAD, opts);
   const auto r = pip.train();
   return {r.frame_loss, flat_params(pip.model())};
 }
@@ -238,7 +238,7 @@ inline models::TrainResult train_long(const graph::DTDG& g, int threads,
   gpusim::Gpu gpu;
   runtime::PipadOptions opts;
   opts.host_threads = threads;
-  replica::ReplicaTrainer pip(gpu, g, long_cfg(), opts);
+  replica::ReplicaTrainer pip(gpu, g, long_cfg(), models::Method::PiPAD, opts);
   const auto r = pip.train();
   if (decisions != nullptr) *decisions = pip.sper_decisions();
   return r;

@@ -5,7 +5,6 @@
 #include <string>
 
 #include "analyze/trace_data.hpp"
-#include "baselines/baseline_trainer.hpp"
 #include "gpusim/trace.hpp"
 #include "replica/replica_trainer.hpp"
 #include "test_util.hpp"
@@ -144,8 +143,7 @@ TEST(Trace, PipadOverlapsCopyAndComputeMoreThanPygt) {
   cfg.hidden_dim = 6;
 
   gpusim::Gpu gpu_base;
-  baselines::BaselineTrainer base(gpu_base, g, cfg,
-                                  baselines::Variant::PyGT);
+  replica::ReplicaTrainer base(gpu_base, g, cfg, models::Method::PyGT);
   base.train();
   gpusim::Gpu gpu_pipad;
   replica::ReplicaTrainer pipad(gpu_pipad, g, cfg);
