@@ -13,15 +13,6 @@ namespace pipad::api {
 
 namespace {
 
-const char* const kModels[] = {"gcn", "tgcn", "evolvegcn", "mpnn-lstm"};
-
-bool is_one_of(const std::string& v, const char* const* set, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    if (v == set[i]) return true;
-  }
-  return false;
-}
-
 bool parse_ll(const std::string& s, long long& out) {
   if (s.empty()) return false;
   char* end = nullptr;
@@ -54,7 +45,7 @@ FlagStatus apply_flag(const std::string& flag, const std::string& value,
                       JobSpec& o, std::string& error) {
   long long n = 0;
   if (flag == "--model") {
-    if (!is_one_of(value, kModels, std::size(kModels))) {
+    if (!models::parse_model(value)) {
       error = "unknown model '" + value +
               "' (expected gcn | tgcn | evolvegcn | mpnn-lstm)";
       return FlagStatus::Error;
@@ -150,7 +141,7 @@ FlagStatus apply_flag(const std::string& flag, const std::string& value,
 }
 
 std::string JobSpec::validate() const {
-  if (!is_one_of(model, kModels, std::size(kModels))) {
+  if (!models::parse_model(model)) {
     return "unknown model '" + model +
            "' (expected gcn | tgcn | evolvegcn | mpnn-lstm)";
   }

@@ -11,14 +11,6 @@ namespace pipad::api {
 
 namespace {
 
-models::ModelType model_type(const std::string& name) {
-  if (name == "gcn") return models::ModelType::Gcn;
-  if (name == "tgcn") return models::ModelType::TGcn;
-  if (name == "evolvegcn") return models::ModelType::EvolveGcn;
-  PIPAD_CHECK_MSG(name == "mpnn-lstm", "unknown model " << name);
-  return models::ModelType::MpnnLstm;
-}
-
 /// Flat copy of every parameter tensor (value then grad, in param order) —
 /// the bitwise-comparison payload of the determinism walls.
 std::vector<float> flat_params(models::DgnnModel& model) {
@@ -93,7 +85,9 @@ BuiltDataset build_dataset(const JobSpec& o) {
 
 models::TrainConfig train_config(const JobSpec& o) {
   models::TrainConfig tcfg;
-  tcfg.model = model_type(o.model);
+  const auto model = models::parse_model(o.model);
+  PIPAD_CHECK_MSG(model.has_value(), "unknown model " << o.model);
+  tcfg.model = *model;
   tcfg.frame_size = o.frame_size;
   tcfg.epochs = o.epochs;
   tcfg.max_frames_per_epoch = o.frames;

@@ -6,9 +6,7 @@
 // pin benchmark shapes.
 #pragma once
 
-#include <cmath>
 #include <cstdint>
-#include <limits>
 
 namespace pipad {
 
@@ -55,23 +53,14 @@ class Rng {
     return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
   }
 
-  /// Uniform float in [0, 1).
+  /// Uniform float in [0, 1): k * 2^-24 for a uniform 24-bit k. Normal
+  /// draws are built from these by ops::fill_normal (tensor/normal.hpp).
   float next_float() {
     return static_cast<float>(next_u64() >> 40) * 0x1.0p-24f;
   }
 
   /// Uniform float in [lo, hi).
   float uniform(float lo, float hi) { return lo + (hi - lo) * next_float(); }
-
-  /// Standard normal via Box–Muller (single value; simple and stateless).
-  float normal() {
-    // Guard against log(0).
-    float u1 = next_float();
-    while (u1 <= 1e-12f) u1 = next_float();
-    const float u2 = next_float();
-    const float r = std::sqrt(-2.0f * std::log(u1));
-    return r * std::cos(6.28318530717958647692f * u2);
-  }
 
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) {

@@ -5,6 +5,8 @@
 #include <iterator>
 #include <numeric>
 
+#include "tensor/normal.hpp"
+
 namespace pipad::graph {
 
 namespace {
@@ -79,13 +81,18 @@ void SnapshotBuilder::build_next() {
 
 void ar1_features(DTDG& g, Rng& rng) {
   Tensor feat = Tensor::randn(g.num_nodes, g.feat_dim, rng, 1.0f);
+  // Every snapshot steps each element, in row-major order, with one fresh
+  // normal; they are drawn a block at a time.
+  constexpr std::size_t kBlock = 256;
+  float z[kBlock];
+  float* x = feat.data();
   for (int t = 0; t < g.num_snapshots(); ++t) {
     const float s = season(t);
-    for (int v = 0; v < g.num_nodes; ++v) {
-      for (int d = 0; d < g.feat_dim; ++d) {
-        float x = feat.at(v, d);
-        x = 0.92f * x + 0.05f * rng.normal() + 0.03f * s;
-        feat.at(v, d) = x;
+    for (std::size_t i = 0; i < feat.size(); i += kBlock) {
+      const std::size_t m = std::min(kBlock, feat.size() - i);
+      ops::fill_normal(rng, z, m);
+      for (std::size_t j = 0; j < m; ++j) {
+        x[i + j] = 0.92f * x[i + j] + 0.05f * z[j] + 0.03f * s;
       }
     }
     g.snapshots[t].features = feat;

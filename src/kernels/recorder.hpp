@@ -19,34 +19,4 @@ class KernelRecorder {
                       const gpusim::KernelStats& stats) = 0;
 };
 
-/// Swallows records (for pure-numerics tests and host-side reference runs).
-class NullRecorder final : public KernelRecorder {
- public:
-  void record(const std::string&, const gpusim::KernelStats&) override {}
-};
-
-/// Accumulates stats in memory, tagged by name (for kernel-level analysis).
-class CollectingRecorder final : public KernelRecorder {
- public:
-  void record(const std::string& name,
-              const gpusim::KernelStats& stats) override {
-    total_ += stats;
-    ++count_;
-    last_name_ = name;
-  }
-  const gpusim::KernelStats& total() const { return total_; }
-  std::size_t count() const { return count_; }
-  const std::string& last_name() const { return last_name_; }
-  void reset() {
-    total_ = {};
-    count_ = 0;
-    last_name_.clear();
-  }
-
- private:
-  gpusim::KernelStats total_;
-  std::size_t count_ = 0;
-  std::string last_name_;
-};
-
 }  // namespace pipad::kernels

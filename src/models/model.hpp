@@ -7,6 +7,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -48,7 +49,23 @@ class DgnnModel {
 
 enum class ModelType { MpnnLstm, EvolveGcn, TGcn, Gcn };
 
+/// The models a JobSpec can name, in the order its error texts list them.
+inline constexpr ModelType kModels[] = {ModelType::Gcn, ModelType::TGcn,
+                                        ModelType::EvolveGcn,
+                                        ModelType::MpnnLstm};
+
+/// Record and table label: "MPNN-LSTM", "EvolveGCN", "T-GCN", "GCN".
 const char* model_type_name(ModelType t);
+
+/// The model a JobSpec model string names ("gcn", "tgcn", "evolvegcn",
+/// "mpnn-lstm"); nullopt when it names none.
+inline std::optional<ModelType> parse_model(const std::string& name) {
+  constexpr const char* kNames[] = {"mpnn-lstm", "evolvegcn", "tgcn", "gcn"};
+  for (const ModelType m : kModels) {
+    if (name == kNames[static_cast<int>(m)]) return m;
+  }
+  return std::nullopt;
+}
 
 /// Factory. in_dim = dataset feature dimension; hidden_dim per §5.1 (32 for
 /// small-feature datasets is the paper's hidden for D=16; 6 for D=2).

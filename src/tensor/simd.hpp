@@ -1,7 +1,7 @@
 // Vectors of 4 or 8 float lanes for the bit-identical fast paths (the
 // kernels of tensor/simd_kernels.hpp behind ops::gemm, ops::bias_grad,
-// ops::tanh_n and kernels::agg_sliced). Which width runs is chosen once per
-// process, and both give the same bits.
+// ops::tanh_n, ops::fill_normal and kernels::agg_sliced). Which width runs
+// is chosen once per process, and both give the same bits.
 //
 // GCC/Clang `vector_size` vectors: 4 lanes map to SSE2 registers on the
 // x86-64 baseline with no -march flag, 8 lanes to AVX2 registers in the one
@@ -23,7 +23,11 @@
 
 namespace pipad::simd {
 
-/// Float, int32 and uint32 vectors of W lanes.
+/// Float, int32 and uint32 vectors of W lanes, and the double vector of the
+/// same register width (W / 2 lanes). A kernel that computes W floats in
+/// double precision works on two such halves: a double vector of W lanes
+/// would be wider than the target's registers, and GCC warns (-Wpsabi)
+/// when one is passed to or returned from a function.
 template <int W>
 struct lane_types;
 template <>
@@ -31,12 +35,14 @@ struct lane_types<4> {
   typedef float f __attribute__((vector_size(16)));
   typedef std::int32_t i __attribute__((vector_size(16)));
   typedef std::uint32_t u __attribute__((vector_size(16)));
+  typedef double d __attribute__((vector_size(16)));
 };
 template <>
 struct lane_types<8> {
   typedef float f __attribute__((vector_size(32)));
   typedef std::int32_t i __attribute__((vector_size(32)));
   typedef std::uint32_t u __attribute__((vector_size(32)));
+  typedef double d __attribute__((vector_size(32)));
 };
 
 template <int W>
@@ -45,6 +51,8 @@ template <int W>
 using ivec = typename lane_types<W>::i;
 template <int W>
 using uvec = typename lane_types<W>::u;
+template <int W>
+using dvec = typename lane_types<W>::d;
 
 namespace {
 
@@ -74,6 +82,58 @@ inline ivec<W> splat(std::int32_t i) {
     return ivec<W>{i, i, i, i};
   } else {
     return ivec<W>{i, i, i, i, i, i, i, i};
+  }
+}
+template <int W>
+inline dvec<W> splat(double d) {
+  if constexpr (W == 4) {
+    return dvec<W>{d, d};
+  } else {
+    return dvec<W>{d, d, d, d};
+  }
+}
+
+/// Lanes [H * W / 2, (H + 1) * W / 2) of v, widened to double (exact).
+template <int H, int W, typename V>
+inline dvec<W> widen(V v) {
+  static_assert(H == 0 || H == 1);
+  if constexpr (W == 4) {
+    return __builtin_convertvector(
+        __builtin_shufflevector(v, v, 2 * H, 2 * H + 1), dvec<W>);
+  } else {
+    return __builtin_convertvector(
+        __builtin_shufflevector(v, v, 4 * H, 4 * H + 1, 4 * H + 2, 4 * H + 3),
+        dvec<W>);
+  }
+}
+
+/// The W lanes lo ++ hi, each rounded to float.
+template <int W>
+inline vec<W> narrow(dvec<W> lo, dvec<W> hi) {
+  if constexpr (W == 4) {
+    typedef float half __attribute__((vector_size(8)));
+    const half a = __builtin_convertvector(lo, half);
+    const half b = __builtin_convertvector(hi, half);
+    return __builtin_shufflevector(a, b, 0, 1, 2, 3);
+  } else {
+    const vec<4> a = __builtin_convertvector(lo, vec<4>);
+    const vec<4> b = __builtin_convertvector(hi, vec<4>);
+    return __builtin_shufflevector(a, b, 0, 1, 2, 3, 4, 5, 6, 7);
+  }
+}
+
+/// The W lanes lo ++ hi, each truncated to int32 (values must fit).
+template <int W>
+inline ivec<W> truncate(dvec<W> lo, dvec<W> hi) {
+  if constexpr (W == 4) {
+    typedef std::int32_t half __attribute__((vector_size(8)));
+    const half a = __builtin_convertvector(lo, half);
+    const half b = __builtin_convertvector(hi, half);
+    return __builtin_shufflevector(a, b, 0, 1, 2, 3);
+  } else {
+    const ivec<4> a = __builtin_convertvector(lo, ivec<4>);
+    const ivec<4> b = __builtin_convertvector(hi, ivec<4>);
+    return __builtin_shufflevector(a, b, 0, 1, 2, 3, 4, 5, 6, 7);
   }
 }
 

@@ -40,6 +40,14 @@ void tanh_n_8(const float* x, float* y, std::size_t n) {
   tanh_span<8>(x, y, n);
 }
 
+void logf_n_8(const float* x, float* y, std::size_t n) {
+  logf_span<8>(x, y, n);
+}
+
+void cosf_n_8(const float* x, float* y, std::size_t n) {
+  cosf_span<8>(x, y, n);
+}
+
 void agg_slices_8(const AggArgs& g, std::size_t lo, std::size_t hi) {
   agg_slices<8>(g, lo, hi);
 }

@@ -1,14 +1,15 @@
-// The exact kernels behind ops::gemm, ops::bias_grad, ops::tanh_n and
-// kernels::agg_sliced, written once for vectors of W = 4 or 8 lanes.
+// The exact kernels behind ops::gemm, ops::bias_grad, ops::tanh_n,
+// ops::fill_normal and kernels::agg_sliced, written once for vectors of
+// W = 4 or 8 lanes.
 //
 // Each kernel body below is a template over W, and every element goes
 // through the same IEEE operations in the same order at either width, so
 // the two widths give the same bits (tensor/simd.hpp). The W = 4 entry
 // points are compiled for the x86-64 baseline next to their callers
-// (ops.cpp, tanh.cpp, kernels/aggregate.cpp); the W = 8 ones are compiled
-// for AVX2 in tensor/simd_avx2.cpp and may run only when lanes() == 8.
-// Callers pick one width per call from lanes(), which reads the host's CPU
-// features once per process.
+// (ops.cpp, tanh.cpp, normal.cpp, kernels/aggregate.cpp); the W = 8 ones
+// are compiled for AVX2 in tensor/simd_avx2.cpp and may run only when
+// lanes() == 8. Callers pick one width per call from lanes(), which reads
+// the host's CPU features once per process.
 //
 // The bodies have internal linkage, like simd.hpp's helpers: each
 // translation unit that includes this header compiles its own copies for
@@ -71,6 +72,13 @@ void bias_grad_8(const float* grad, int rows, int cols, std::size_t lo,
 /// y[i] = tanh(x[i]) for i in [0, n); y may equal x.
 void tanh_n_4(const float* x, float* y, std::size_t n);
 void tanh_n_8(const float* x, float* y, std::size_t n);
+/// y[i] = logf(x[i]) for positive normal x[i] (tensor/normal.hpp); y may
+/// equal x.
+void logf_n_4(const float* x, float* y, std::size_t n);
+void logf_n_8(const float* x, float* y, std::size_t n);
+/// y[i] = cosf(x[i]) for |x[i]| < 120 (tensor/normal.hpp); y may equal x.
+void cosf_n_4(const float* x, float* y, std::size_t n);
+void cosf_n_8(const float* x, float* y, std::size_t n);
 /// Slices [lo, hi).
 void agg_slices_4(const AggArgs& g, std::size_t lo, std::size_t hi);
 void agg_slices_8(const AggArgs& g, std::size_t lo, std::size_t hi);
@@ -337,6 +345,173 @@ void tanh_span(const float* x, float* y, std::size_t n) {
     }
   }
   for (; i < n; ++i) y[i] = ops::tanh_scalar(x[i]);
+}
+
+// ------------------------------------------------------------ logf, cosf
+//
+// Ports of glibc's logf and cosf (the ARM optimized-routines algorithms it
+// ships from 2.28 on) for the arguments Box-Muller passes them:
+// tensor/normal.hpp has the contract and where the constants come from.
+// Both work in double as glibc does, on two halves of W / 2 double lanes,
+// and round once to float at the end.
+
+// glibc's __logf_data: {1/c, log(c)} for the 16 subintervals of
+// [kLogfOff, 2 kLogfOff) that z falls in, then ln 2 and the log1p
+// polynomial A0..A2.
+constexpr double kLogfTab[16][2] = {
+    {0x1.661ec79f8f3bep+0, -0x1.57bf7808caadep-2},
+    {0x1.571ed4aaf883dp+0, -0x1.2bef0a7c06ddbp-2},
+    {0x1.49539f0f010bp+0, -0x1.01eae7f513a67p-2},
+    {0x1.3c995b0b80385p+0, -0x1.b31d8a68224e9p-3},
+    {0x1.30d190c8864a5p+0, -0x1.6574f0ac07758p-3},
+    {0x1.25e227b0b8eap+0, -0x1.1aa2bc79c81p-3},
+    {0x1.1bb4a4a1a343fp+0, -0x1.a4e76ce8c0e5ep-4},
+    {0x1.12358f08ae5bap+0, -0x1.1973c5a611cccp-4},
+    {0x1.0953f419900a7p+0, -0x1.252f438e10c1ep-5},
+    {0x1p+0, 0x0p+0},
+    {0x1.e608cfd9a47acp-1, 0x1.aa5aa5df25984p-5},
+    {0x1.ca4b31f026aap-1, 0x1.c5e53aa362eb4p-4},
+    {0x1.b2036576afce6p-1, 0x1.526e57720db08p-3},
+    {0x1.9c2d163a1aa2dp-1, 0x1.bc2860d22477p-3},
+    {0x1.886e6037841edp-1, 0x1.1058bc8a07ee1p-2},
+    {0x1.767dcf5534862p-1, 0x1.4043057b6ee09p-2},
+};
+constexpr double kLogfLn2 = 0x1.62e42fefa39efp-1;
+constexpr double kLogfA0 = -0x1.00ea348b88334p-2;
+constexpr double kLogfA1 = 0x1.5575b0be00b6ap-2;
+constexpr double kLogfA2 = -0x1.ffffef20a4123p-2;
+constexpr std::uint32_t kLogfOff = 0x3f330000;
+
+// Half H of logf's main path: log(x) = log1p(z / c - 1) + log(c) + k ln2,
+// where x = 2^k z, z lies in subinterval i and c is near its centre.
+template <int H, int W>
+dvec<W> logf_half(vec<W> z, ivec<W> k, ivec<W> i) {
+  constexpr int D = W / 2;
+  dvec<W> invc;
+  dvec<W> logc;
+  for (int l = 0; l < D; ++l) {
+    invc[l] = kLogfTab[i[H * D + l]][0];
+    logc[l] = kLogfTab[i[H * D + l]][1];
+  }
+  const dvec<W> r = widen<H, W>(z) * invc - splat<W>(1.0);
+  const dvec<W> y0 = logc + widen<H, W>(k) * splat<W>(kLogfLn2);
+  const dvec<W> r2 = r * r;
+  dvec<W> y = splat<W>(kLogfA1) * r + splat<W>(kLogfA2);
+  y = splat<W>(kLogfA0) * r2 + y;
+  return y * r2 + (y0 + r);
+}
+
+// logf of W lanes of positive normal floats. glibc's other paths (zero,
+// subnormal, negative, infinite and NaN inputs) are not ported, and at
+// x = 1 the main path gives +0 as glibc's early return does.
+template <int W>
+vec<W> logf_w(vec<W> x) {
+  const uvec<W> ix = reinterpret_cast<uvec<W>>(x);
+  const uvec<W> tmp = ix - kLogfOff;
+  const ivec<W> i = reinterpret_cast<ivec<W>>((tmp >> 19) & 15u);
+  const ivec<W> k = reinterpret_cast<ivec<W>>(tmp) >> 23;
+  const vec<W> z = reinterpret_cast<vec<W>>(ix - (tmp & 0xff800000u));
+  return narrow<W>(logf_half<0, W>(z, k, i), logf_half<1, W>(z, k, i));
+}
+
+// glibc's __sincosf_table[0]: 2/pi scaled by 2^24, pi/2, and the cosine
+// (c0..c4) and sine (s1..s3) polynomials on [-pi/4, pi/4].
+constexpr double kHpiInv = 0x1.45f306dc9c883p+23;
+constexpr double kHpi = 0x1.921fb54442d18p+0;
+constexpr double kCosC0 = 0x1p+0;
+constexpr double kCosC1 = -0x1.ffffffd0c621cp-2;
+constexpr double kCosC2 = 0x1.55553e1068f19p-5;
+constexpr double kCosC3 = -0x1.6c087e89a359dp-10;
+constexpr double kCosC4 = 0x1.99343027bf8c3p-16;
+constexpr double kSinS1 = -0x1.555545995a603p-3;
+constexpr double kSinS2 = 0x1.1107605230bc4p-7;
+constexpr double kSinS3 = -0x1.994eb3774cf24p-13;
+// Below 2^-12 (on the top 12 bits of |y|) cosf returns 1.
+constexpr std::int32_t kCosfTiny = 0x398;
+
+// glibc's sinf_poly, cosine branch, on the reduced argument x.
+template <int W>
+dvec<W> cos_poly(dvec<W> x) {
+  const dvec<W> x2 = x * x;
+  const dvec<W> x4 = x2 * x2;
+  const dvec<W> c2 = splat<W>(kCosC3) + x2 * splat<W>(kCosC4);
+  const dvec<W> c1 = splat<W>(kCosC0) + x2 * splat<W>(kCosC1);
+  const dvec<W> x6 = x4 * x2;
+  const dvec<W> c = c1 + x4 * splat<W>(kCosC2);
+  return c + x6 * c2;
+}
+
+// glibc's sinf_poly, sine branch.
+template <int W>
+dvec<W> sin_poly(dvec<W> x) {
+  const dvec<W> x2 = x * x;
+  const dvec<W> x3 = x * x2;
+  const dvec<W> s1 = splat<W>(kSinS2) + x2 * splat<W>(kSinS3);
+  const dvec<W> x7 = x3 * x2;
+  const dvec<W> s = x + x3 * splat<W>(kSinS1);
+  return s + x7 * s1;
+}
+
+// cosf of W lanes with |y| < 120. glibc reduces x = y - n pi/2 (its
+// reduce_fast) and evaluates the cosine polynomial for even n, the sine
+// polynomial for odd n, negated in quadrants 1 and 2: there it multiplies
+// x by sign[n & 3] = -1 (sine) or takes __sincosf_table[1], whose cosine
+// coefficients are table [0]'s negated (cosine). Both polynomials map -x,
+// or negated coefficients, to exactly the negated result, so negating the
+// float result gives the same bits. Every lane computes both polynomials
+// and keeps one. Below |y| = 0.75 glibc skips the reduction, which then
+// has n = 0 and leaves x unchanged; below 2^-12 it returns 1.
+template <int W>
+vec<W> cosf_w(vec<W> y) {
+  const ivec<W> top = (reinterpret_cast<ivec<W>>(y) >> 20) & splat<W>(0x7ff);
+  const dvec<W> x0 = widen<0, W>(y);
+  const dvec<W> x1 = widen<1, W>(y);
+  // The quadrant ends up in bits 24..31 of y * 2/pi * 2^24.
+  const ivec<W> n = (truncate<W>(x0 * splat<W>(kHpiInv),
+                                 x1 * splat<W>(kHpiInv)) +
+                     splat<W>(0x800000)) >>
+                    24;
+  const dvec<W> r0 = x0 - widen<0, W>(n) * splat<W>(kHpi);
+  const dvec<W> r1 = x1 - widen<1, W>(n) * splat<W>(kHpi);
+  const vec<W> c = narrow<W>(cos_poly<W>(r0), cos_poly<W>(r1));
+  const vec<W> s = narrow<W>(sin_poly<W>(r0), sin_poly<W>(r1));
+  const vec<W> v = select((n & splat<W>(1)) != splat<W>(0), s, c);
+  const ivec<W> flip = select(((n + splat<W>(1)) & splat<W>(2)) != splat<W>(0),
+                              splat<W>(INT32_MIN), splat<W>(0));
+  return select(top < splat<W>(kCosfTiny), splat<W>(1.0f),
+                reinterpret_cast<vec<W>>(reinterpret_cast<ivec<W>>(v) ^ flip));
+}
+
+// y[i] = f(x[i]) for i in [0, n): W lanes at a time, then one group of 4
+// (W = 8), then the last n % 4 elements in a group of 4 padded with `pad`.
+template <int W, typename F>
+void map_span(F f, const float* x, float* y, std::size_t n, float pad) {
+  std::size_t i = 0;
+  for (; i + W <= n; i += W) store(y + i, f(load<W>(x + i)));
+  if constexpr (W > 4) {
+    if (i + 4 <= n) {
+      store(y + i, f(load<4>(x + i)));
+      i += 4;
+    }
+  }
+  if (i < n) {
+    float buf[4] = {pad, pad, pad, pad};
+    std::memcpy(buf, x + i, (n - i) * sizeof(float));
+    store(buf, f(load<4>(buf)));
+    std::memcpy(y + i, buf, (n - i) * sizeof(float));
+  }
+}
+
+template <int W>
+void logf_span(const float* x, float* y, std::size_t n) {
+  map_span<W>([](auto v) { return logf_w<sizeof(v) / sizeof(float)>(v); }, x,
+              y, n, 1.0f);
+}
+
+template <int W>
+void cosf_span(const float* x, float* y, std::size_t n) {
+  map_span<W>([](auto v) { return cosf_w<sizeof(v) / sizeof(float)>(v); }, x,
+              y, n, 0.0f);
 }
 
 // ------------------------------------------------------------ agg_sliced

@@ -13,6 +13,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "tensor/normal.hpp"
 
 namespace pipad {
 
@@ -36,7 +37,8 @@ class Tensor {
   /// sqrt(2/(fan_in+fan_out))).
   static Tensor randn(int rows, int cols, Rng& rng, float stddev = 1.0f) {
     Tensor t(rows, cols);
-    for (auto& v : t.data_) v = rng.normal() * stddev;
+    ops::fill_normal(rng, t.data(), t.size());
+    for (auto& v : t.data_) v *= stddev;
     return t;
   }
 

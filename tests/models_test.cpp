@@ -145,6 +145,18 @@ TEST(ModelStructure, HiddenDimRuleMatchesPaper) {
   EXPECT_EQ(models::default_hidden_dim(16), 32);
 }
 
+TEST(ModelStructure, ParseModelNamesEveryModelOnce) {
+  const char* const names[] = {"gcn", "tgcn", "evolvegcn", "mpnn-lstm"};
+  ASSERT_EQ(std::size(names), std::size(models::kModels));
+  for (std::size_t i = 0; i < std::size(names); ++i) {
+    EXPECT_EQ(models::parse_model(names[i]), models::kModels[i]) << names[i];
+  }
+  EXPECT_STREQ(models::model_type_name(*models::parse_model("tgcn")), "T-GCN");
+  for (const char* bad : {"", "GCN", "T-GCN", "mpnn_lstm", "gcn "}) {
+    EXPECT_FALSE(models::parse_model(bad).has_value()) << bad;
+  }
+}
+
 TEST(ModelStructure, DeterministicInitAcrossRuns) {
   Rng rng1(42), rng2(42);
   auto m1 = models::make_model(ModelType::MpnnLstm, 3, 8, rng1);

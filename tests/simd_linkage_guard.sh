@@ -1,19 +1,21 @@
 #!/usr/bin/env bash
 # Linkage guard for the 8-lane kernels: only simd_avx2.cpp.o may hold AVX
-# code, and that object may export nothing but its pipad::simd::detail::
-# entry points. Together these keep a host without AVX2 on the SSE2 path:
-# no inline or template copy compiled for AVX2 can be picked by the linker
-# for a caller outside the dispatch.
+# code, and that object must export exactly the pipad::simd::detail::
+# entry points listed below. Together these keep a host without AVX2 on
+# the SSE2 path: no inline or template copy compiled for AVX2 can be picked
+# by the linker for a caller outside the dispatch.
 #
 #   simd_linkage_guard.sh OBJDUMP LIBRARY
 #
-# Exits 0 when both hold, 1 with the offending lines when not, and 77
+# Exits 0 when all hold, 1 with the offending lines when not, and 77
 # (skipped) when OBJDUMP is not an executable.
 set -euo pipefail
 
 objdump=$1
 lib=$2
 avx_obj=simd_avx2.cpp.o
+# The *_8 entry points tensor/simd_kernels.hpp declares.
+entry_points="gemm_rows_8 bias_grad_8 tanh_n_8 logf_n_8 cosf_n_8 agg_slices_8"
 
 if ! command -v "$objdump" >/dev/null 2>&1; then
   echo "simd_linkage_guard: objdump not found; skipped"
@@ -28,7 +30,11 @@ ymm=$("$objdump" -d --no-show-raw-insn "$lib" | awk -v keep="$avx_obj" '
 # objdump -t lines: address, 7 flag characters (1st: l/g/u/!, 2nd: w for
 # weak), section, a tab, size and the demangled name. Undefined symbols
 # (section *UND*) are references, not definitions.
-exported=$("$objdump" -t -C "$lib" | awk -v keep="$avx_obj" '
+# Prints each global or weak definition that is not a listed entry point,
+# then "missing NAME" for each entry point that is not defined.
+exported=$("$objdump" -t -C "$lib" | awk -v keep="$avx_obj" \
+    -v entries="$entry_points" '
+  BEGIN { split(entries, want, " "); for (e in want) listed[want[e]] = 1 }
   / file format / { obj = $1; sub(/:$/, "", obj); next }
   obj != keep || !/^[0-9a-f]+ / { next }
   {
@@ -37,9 +43,16 @@ exported=$("$objdump" -t -C "$lib" | awk -v keep="$avx_obj" '
     section = rest[1]
     name = substr(rest[2], index(rest[2], " ") + 1)
     global = substr(flags, 1, 1) ~ /[gu!]/ || substr(flags, 2, 1) == "w"
-    if (section != "*UND*" && global &&
-        name !~ /^pipad::simd::detail::[a-z0-9_]+\(/) print name
-  }')
+    if (section == "*UND*" || !global) next
+    fn = name
+    if (sub(/^pipad::simd::detail::/, "", fn) && sub(/\(.*/, "", fn) &&
+        fn in listed) {
+      found[fn] = 1
+    } else {
+      print name
+    }
+  }
+  END { for (e in listed) if (!(e in found)) print "missing " e }')
 
 status=0
 members=$("$objdump" -a "$lib")
@@ -54,7 +67,7 @@ if [ -n "$ymm" ]; then
 fi
 if [ -n "$exported" ]; then
   echo "simd_linkage_guard: $avx_obj defines global or weak symbols besides" \
-       "its pipad::simd::detail:: entry points:"
+       "its pipad::simd::detail:: entry points, or misses one of them:"
   echo "$exported"
   status=1
 fi

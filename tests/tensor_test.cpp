@@ -4,6 +4,7 @@
 // are called at both widths, 4 and 8 lanes, whichever the host dispatches.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "common/compute_pool.hpp"
+#include "tensor/normal.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/simd_kernels.hpp"
 #include "tensor/tanh.hpp"
@@ -51,6 +53,8 @@ struct Width {
   void (*gemm_rows)(const simd::GemmArgs&, std::size_t, std::size_t);
   void (*bias_grad)(const float*, int, int, std::size_t, std::size_t, float*);
   void (*tanh_n)(const float*, float*, std::size_t);
+  void (*logf_n)(const float*, float*, std::size_t);
+  void (*cosf_n)(const float*, float*, std::size_t);
 };
 
 /// Runs body at 4 lanes, then at 8. The 8-lane half is skipped on a host
@@ -59,11 +63,13 @@ struct Width {
 template <typename F>
 void at_both_widths(const F& body) {
   body(Width{4, simd::detail::gemm_rows_4, simd::detail::bias_grad_4,
-             simd::detail::tanh_n_4});
+             simd::detail::tanh_n_4, simd::detail::logf_n_4,
+             simd::detail::cosf_n_4});
   if (::testing::Test::HasFatalFailure()) return;
   if (simd::lanes() < 8) GTEST_SKIP() << "8 lanes need AVX2";
   body(Width{8, simd::detail::gemm_rows_8, simd::detail::bias_grad_8,
-             simd::detail::tanh_n_8});
+             simd::detail::tanh_n_8, simd::detail::logf_n_8,
+             simd::detail::cosf_n_8});
 }
 
 class GemmModes
@@ -712,6 +718,142 @@ TEST(Tanh, DISABLED_ExhaustiveMatchesLibmAndScalarPort) {
   EXPECT_EQ(vs_scalar8.load(), 0u) << std::hex << "e.g. 0x" << first_bad;
   EXPECT_EQ(vs_libm.load(), 0u) << std::hex << "e.g. 0x" << first_bad;
   if (!eight) GTEST_SKIP() << "8 lanes need AVX2";
+}
+
+// ---------- Exact Box-Muller (tensor/normal.hpp) against libm ----------
+
+// next_float()'s grid: k * 2^-24.
+float grid(std::uint32_t k) { return static_cast<float>(k) * 0x1.0p-24f; }
+
+// Box-Muller's cos argument for u2 = grid(k), rounded as fill_normal does.
+float angle(std::uint32_t k) { return 6.28318530717958647692f * grid(k); }
+
+/// The one-at-a-time normal draw fill_normal replaced, with host libm.
+float scalar_normal(Rng& r) {
+  float u1 = r.next_float();
+  while (u1 <= 1e-12f) u1 = r.next_float();
+  const float u2 = r.next_float();
+  return std::sqrt(-2.0f * std::log(u1)) *
+         std::cos(6.28318530717958647692f * u2);
+}
+
+/// Runs kernel on xs(k) for k in [first, last), in blocks, and counts the
+/// results whose bits differ from want(xs(k)).
+template <typename X, typename Want>
+std::uint64_t grid_mismatches(void (*kernel)(const float*, float*,
+                                             std::size_t),
+                              std::uint32_t first, std::uint32_t last,
+                              const X& xs, const Want& want,
+                              std::uint32_t& first_bad) {
+  constexpr std::uint32_t kBlock = 4096;
+  float in[kBlock], out[kBlock];
+  std::uint64_t bad = 0;
+  for (std::uint32_t k0 = first; k0 < last; k0 += kBlock) {
+    const std::uint32_t m = std::min(kBlock, last - k0);
+    for (std::uint32_t j = 0; j < m; ++j) in[j] = xs(k0 + j);
+    kernel(in, out, m);
+    for (std::uint32_t j = 0; j < m; ++j) {
+      if (float_bits(out[j]) != float_bits(want(in[j]))) {
+        if (bad++ == 0) first_bad = k0 + j;
+      }
+    }
+  }
+  return bad;
+}
+
+TEST(NormalGrid, LogMatchesLibmOnEveryUniform) {
+  at_both_widths([&](const Width& w) {
+    std::uint32_t first_bad = 0;
+    const std::uint64_t bad = grid_mismatches(
+        w.logf_n, 1, 1u << 24, grid, [](float x) { return std::log(x); },
+        first_bad);
+    EXPECT_EQ(bad, 0u) << w.lanes << " lanes, e.g. u1 = " << first_bad
+                       << " * 2^-24";
+  });
+}
+
+TEST(NormalGrid, CosMatchesLibmOnEveryAngle) {
+  at_both_widths([&](const Width& w) {
+    std::uint32_t first_bad = 0;
+    const std::uint64_t bad = grid_mismatches(
+        w.cosf_n, 0, 1u << 24, angle, [](float x) { return std::cos(x); },
+        first_bad);
+    EXPECT_EQ(bad, 0u) << w.lanes << " lanes, e.g. u2 = " << first_bad
+                       << " * 2^-24";
+  });
+}
+
+TEST(NormalGrid, EveryTailLengthMatchesLibm) {
+  // Grid points from the ends of both ranges and from around 1/4 and
+  // 3/4 turn, where cos changes quadrant.
+  std::vector<std::uint32_t> ks;
+  for (std::uint32_t k = 0; k < 6; ++k) {
+    for (const std::uint32_t base : {1u, (1u << 22) - 1, 3u << 22, (1u << 24) - 6}) {
+      ks.push_back(base + k);
+    }
+  }
+  at_both_widths([&](const Width& w) {
+    for (std::size_t n = 0; n <= ks.size(); ++n) {
+      std::vector<float> u(n), a(n), lg(n), cs(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        u[i] = grid(ks[i]);
+        a[i] = angle(ks[i]);
+      }
+      w.logf_n(u.data(), lg.data(), n);
+      w.cosf_n(a.data(), cs.data(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(float_bits(lg[i]), float_bits(std::log(u[i])))
+            << w.lanes << " lanes, n " << n << " " << i;
+        EXPECT_EQ(float_bits(cs[i]), float_bits(std::cos(a[i])))
+            << w.lanes << " lanes, n " << n << " " << i;
+      }
+    }
+  });
+}
+
+/// fill_normal(n) on one Rng equals n scalar_normal draws on a copy, and
+/// leaves it in the same state.
+void expect_fill_matches_scalar(const Rng& start, std::size_t n) {
+  Rng filled = start;
+  Rng scalar = start;
+  std::vector<float> z(n);
+  ops::fill_normal(filled, z.data(), n);
+  for (std::size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(float_bits(z[i]), float_bits(scalar_normal(scalar)))
+        << "n " << n << " draw " << i;
+  }
+  EXPECT_EQ(filled.next_u64(), scalar.next_u64()) << "n " << n;
+}
+
+TEST(NormalGrid, FillNormalMatchesScalarFormulaAtEveryLength) {
+  // Every tail after whole vectors of either width, and lengths around
+  // fill_normal's chunks.
+  const auto w = static_cast<std::size_t>(simd::lanes());
+  for (std::size_t n = 0; n <= w + 1; ++n) expect_fill_matches_scalar(Rng(3), n);
+  for (const std::size_t n : {255u, 256u, 257u, 1000u}) {
+    expect_fill_matches_scalar(Rng(5), n);
+  }
+}
+
+TEST(NormalGrid, FillNormalRedrawsAZeroUniformLikeTheScalarFormula) {
+  // Draw 10276510 of Rng(1) is next_float() == 0; starting 10 draws
+  // earlier puts it at the u1 of the sixth normal, which must be redrawn.
+  constexpr std::uint64_t kZeroDraw = 10276510;
+  Rng start(1);
+  for (std::uint64_t i = 0; i < kZeroDraw - 10; ++i) start.next_u64();
+  Rng probe = start;
+  for (int i = 0; i < 10; ++i) probe.next_u64();
+  ASSERT_EQ(probe.next_float(), 0.0f);
+  for (std::size_t n = 5; n <= 9; ++n) expect_fill_matches_scalar(start, n);
+}
+
+TEST(NormalGrid, RandnScalesFillNormal) {
+  Rng a(9), b(9);
+  const Tensor t = Tensor::randn(7, 5, a, 0.25f);
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    EXPECT_EQ(float_bits(t.data()[i]), float_bits(scalar_normal(b) * 0.25f));
+  }
+  EXPECT_EQ(a.next_u64(), b.next_u64());
 }
 
 }  // namespace
