@@ -3,11 +3,15 @@
 // defines `int run(int argc, char** argv)`, which the one main()
 // (bench_main.cpp) calls.
 //
-// The job description lives in an api::JobSpec (Flags::job): every bench
-// binary accepts the same --name=value vocabulary as the `pipad` CLI and
-// the serve daemon (api::apply_flag — one set of flags, one validator, one
-// set of error messages; see api/job_spec.hpp). On top of that, benches
-// add three flags of their own:
+// The job description lives in an api::JobSpec (Flags::job): benches parse
+// the job flags they read — --scale-large, --scale-small, --epochs,
+// --frames, --frame-size, --threads, --replicas, --allreduce,
+// --snapshot-window, --window-bytes and --cache-dir — through the same
+// api::apply_flag and validator as the `pipad` CLI and the serve daemon
+// (one set of error messages; see api/job_spec.hpp). Every other job flag
+// (--model, --seed, --dataset, ...) is rejected with an error naming it,
+// since a bench would otherwise run exactly as without it. On top of that,
+// benches add three flags of their own:
 //   --datasets=a,b    comma-separated subset of the Table-1 names and/or
 //                     file:PATH specs for on-disk datasets (edge list /
 //                     temporal CSV / .dtdg; docs/DATASET_FORMATS.md)
@@ -57,12 +61,39 @@ struct Flags {
   std::string json;  ///< Non-empty: write run records to this file.
   std::string trace_dir;  ///< Non-empty: write one trace file per run here.
 
+  /// The job flags benches read (see the header comment).
+  static bool reads(const std::string& flag) {
+    for (const char* f :
+         {"--scale-large", "--scale-small", "--epochs", "--frames",
+          "--frame-size", "--threads", "--replicas", "--allreduce",
+          "--snapshot-window", "--window-bytes", "--cache-dir"}) {
+      if (flag == f) return true;
+    }
+    return false;
+  }
+
   static std::string usage(const char* prog) {
     std::string p = prog != nullptr ? prog : "bench";
+    // api::flags_help() cut down to the flags benches read: an entry is a
+    // "  --name ..." line plus its indented continuation lines.
+    const std::string all = api::flags_help();
+    std::string job;
+    bool keep = false;
+    for (std::size_t pos = 0; pos < all.size();) {
+      std::size_t end = all.find('\n', pos);
+      end = end == std::string::npos ? all.size() : end + 1;
+      const std::string line = all.substr(pos, end - pos);
+      if (line.rfind("  --", 0) == 0) {
+        keep = reads(line.substr(2, line.find(' ', 2) - 2));
+      }
+      if (keep) job += line;
+      pos = end;
+    }
     return "usage: " + p + " [--name=value ...]\n"
            "\n"
-           "job flags (shared with the pipad CLI, --name=value form):\n" +
-           api::flags_help() +
+           "job flags (shared with the pipad CLI, --name=value form; other\n"
+           "job flags are rejected):\n" +
+           job +
            "\n"
            "bench flags:\n"
            "  --datasets=a,b     comma-separated subset of the Table-1\n"
@@ -120,16 +151,17 @@ struct Flags {
           f.datasets.push_back(name);
           pos = next == std::string::npos ? next : next + 1;
         }
-      } else {
-        switch (api::apply_flag(key, value, f.job, error)) {
-          case api::FlagStatus::Applied:
-            break;
-          case api::FlagStatus::Error:
-            return false;
-          case api::FlagStatus::Unknown:
-            error = "unknown flag '" + key + "'";
-            return false;
-        }
+      } else if (!reads(key)) {
+        api::JobSpec unused;
+        std::string ignored;
+        const bool job_flag = api::apply_flag(key, value, unused, ignored) !=
+                              api::FlagStatus::Unknown;
+        error = job_flag ? key + " is a job flag benches do not read"
+                         : "unknown flag '" + key + "'";
+        return false;
+      } else if (api::apply_flag(key, value, f.job, error) ==
+                 api::FlagStatus::Error) {
+        return false;
       }
     }
     // The file-oriented knobs (--snapshot-window, --window-bytes,
@@ -139,15 +171,7 @@ struct Flags {
     // take. With no file: entry the knobs are accepted-and-ignored, as
     // they always were.
     api::JobSpec v = f.job;
-    for (const auto& d : f.datasets) {
-      if (graph::io::is_file_dataset(d)) {
-        v.dataset = d;
-        break;
-      }
-    }
-    if (!graph::io::is_file_dataset(v.dataset) &&
-        (v.snapshot_window > 0 || v.window_bytes > 0 ||
-         !v.cache_dir.empty() || !v.features.empty())) {
+    if (v.snapshot_window > 0 || v.window_bytes > 0 || !v.cache_dir.empty()) {
       v.dataset = "file:-";
     }
     error = v.validate();
@@ -338,9 +362,9 @@ class JsonReport {
 
   bool empty() const { return rows_.empty(); }
 
-  /// Write the collected records when --json was given (one record per
-  /// line, via api::write_document); false with a message on stderr when
-  /// the file cannot be written.
+  /// Write the collected records when --json was given (via
+  /// api::write_bench_document); false with a message on stderr when the
+  /// file cannot be written.
   bool write_if_requested() const {
     if (flags_.json.empty()) return true;
     api::Json flags = api::Json::object();
@@ -356,12 +380,9 @@ class JsonReport {
       records.push_back(
           api::bench_record(r.dataset, r.model, r.method, epoch_us, r.result));
     }
-    api::Json doc = api::Json::object();
-    doc.set("bench", bench_);
-    doc.set("flags", std::move(flags));
-    doc.set("records", std::move(records));
     try {
-      api::write_document(flags_.json, doc);
+      api::write_bench_document(flags_.json, bench_, std::move(flags),
+                                std::move(records));
     } catch (const Error& e) {
       std::fprintf(stderr, "[bench] %s\n", e.what());
       return false;

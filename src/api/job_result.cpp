@@ -59,6 +59,15 @@ Json bench_record(const std::string& dataset, const std::string& model,
   return j;
 }
 
+void write_bench_document(const std::string& path, const std::string& bench,
+                          Json flags, Json records) {
+  Json doc = Json::object();
+  doc.set("bench", bench);
+  doc.set("flags", std::move(flags));
+  doc.set("records", std::move(records));
+  write_document(path, doc);
+}
+
 Json JobResult::to_json() const {
   Json j = Json::object();
   j.set("schema_version", kResultSchemaVersion);

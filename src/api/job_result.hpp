@@ -9,7 +9,8 @@
 // bench binaries' JsonReport, `pipad bench --json` and make_result (the
 // serve daemon's results) all call it, and bench_diff matches records by
 // the field names it emits — so there is exactly one place to add a field
-// without silently breaking the CI perf gates.
+// without silently breaking the CI perf gates. write_bench_document() is
+// the one writer of the document around the records.
 #pragma once
 
 #include <cstdint>
@@ -36,6 +37,14 @@ inline constexpr int kBenchRecordSchemaVersion = 2;
 Json bench_record(const std::string& dataset, const std::string& model,
                   const std::string& method, double epoch_us,
                   const models::TrainResult& r);
+
+/// Write the bench document bench_diff reads — `{"bench", "flags",
+/// "records"}`, one record per line — through write_document (throws Error
+/// when `path` cannot be written). Every writer passes its own `flags`:
+/// the bench binaries, `pipad bench --json` and `pipad submit
+/// --record-json`.
+void write_bench_document(const std::string& path, const std::string& bench,
+                          Json flags, Json records);
 
 /// Bump when a field changes meaning or is removed; adding fields is
 /// backward compatible (bench_diff ignores unknown fields).

@@ -48,9 +48,8 @@ void print_dataset(const graph::DTDG& data) {
               data.num_snapshots(), data.feat_dim);
 }
 
-/// Write the bench records in the bench_util.hpp JsonReport layout, so
-/// `bench_diff` can gate `pipad bench` runs (CI does this for the
-/// checked-in sample dataset).
+/// Write the two bench records as a bench document, so `bench_diff` can
+/// gate `pipad bench` runs (CI does this for the checked-in sample dataset).
 void write_bench_json(const Options& o, const std::string& dataset,
                       const std::string& base_method,
                       const models::TrainResult& rb,
@@ -65,11 +64,8 @@ void write_bench_json(const Options& o, const std::string& dataset,
                                       rb.total_us / o.job.epochs, rb));
   records.push_back(api::bench_record(dataset, o.job.model, "pipad",
                                       rp.total_us / o.job.epochs, rp));
-  api::Json doc = api::Json::object();
-  doc.set("bench", "pipad-cli");
-  doc.set("flags", std::move(flags));
-  doc.set("records", std::move(records));
-  api::write_document(o.json, doc);
+  api::write_bench_document(o.json, "pipad-cli", std::move(flags),
+                            std::move(records));
   std::printf("\n2 records written to %s\n", o.json.c_str());
 }
 
@@ -274,10 +270,9 @@ bool write_record_json(const std::string& path, const api::JobResult& r) {
   }
   api::Json records = api::Json::array();
   records.push_back(r.record);
-  api::Json doc = api::Json::object();
-  doc.set("bench", "pipad-serve");
-  doc.set("records", std::move(records));
-  api::write_document(path, doc);
+  // A job result does not carry the flags its job ran with: none to list.
+  api::write_bench_document(path, "pipad-serve", api::Json::object(),
+                            std::move(records));
   std::printf("1 record written to %s\n", path.c_str());
   return true;
 }

@@ -117,111 +117,139 @@ ThreadPool* usable_pool(ThreadPool* pool) {
                                                                     : nullptr;
 }
 
-std::string_view strip_quotes_sv(std::string_view t) {
-  if (t.size() >= 2 && t.front() == '"' && t.back() == '"') {
-    t.remove_prefix(1);
-    t.remove_suffix(1);
-  }
-  return t;
-}
-
-[[noreturn]] void throw_timestamp_range(const std::string& path,
-                                        long long t, int declared) {
-  throw Error(path + ": timestamp " + std::to_string(t) +
-              " out of range for declared snapshots=" +
-              std::to_string(declared));
-}
-
 [[noreturn]] void throw_snapshot_cap(const std::string& path,
                                      const std::string& count) {
   throw Error(path + ": snapshotting produces " + count + " snapshots (cap " +
               std::to_string(kMaxStagedSnapshots) + ")");
 }
 
-/// Direct staging (see load_dataset): rows feed the builder window by
-/// window and are never staged. Snapshots come from one of two rules:
-///   declared  the file's `snapshots=S` (no snapshot_window): bucket = t,
-///             and all S snapshots are built, trailing empty ones too;
-///   window    a fixed snapshot_window: the general path's bucket
-///             arithmetic, and the last snapshot is the last real bucket,
-///             so edge_life spill past it is never built, as the general
-///             path clamps at S.
-/// Weights are kept from the first row on, since the weight column may
-/// first appear in a later window; an unweighted file drops them at EOF.
-struct DirectFeed {
-  const std::string& path;
-  const LoadOptions& opts;
-  int n;
-  int declared;  ///< `snapshots=S` under the declared rule, else 0.
-  SnapshotBuilder builder;
+/// The one snapshot-bucketing rule: the snapshot a row is born in, from its
+/// timestamp. Rows arrive timestamp-sorted, so buckets never decrease.
+///   declared  the file's `snapshots=S` (no snapshot option): bucket = t,
+///             which must lie in [0, S); all S snapshots are built;
+///   window    (t - t_min) / window for a fixed snapshot_window, or for the
+///             snapshot_count window clamped to count - 1 (all count
+///             snapshots are built);
+///   rank      the timestamp's rank among the file's distinct timestamps.
+/// Window and rank build up to the last row's bucket.
+struct Bucketing {
+  int declared = 0;               ///< The declared rule's S, else 0.
+  int count = 0;                  ///< snapshot_count, else 0.
+  unsigned long long window = 0;  ///< 0 under the declared and rank rules.
   long long t_min = 0;
-  int last_s0 = -1;
-  unsigned long long rows = 0;
-  /// Rows held back while `nodes=N` is implausible for the rows seen so
-  /// far (at most N / 256 of them): a snapshot allocates N + 1 row
-  /// offsets, so none is built before the EOF guard could pass.
-  EdgeChunks held;
+  int last = -1;        ///< The last row's bucket.
+  long long last_t = 0;  ///< The last row's timestamp (rank rule).
 
-  DirectFeed(const std::string& p, const LoadOptions& o, int nodes,
-             int declared_snapshots)
-      : path(p),
-        opts(o),
-        n(nodes),
-        declared(declared_snapshots),
-        builder(nodes, /*weighted=*/true) {
-    if (declared > kMaxStagedSnapshots) {
-      throw_snapshot_cap(path, std::to_string(declared));
-    }
-  }
-
-  int bucket(long long t) {
+  int bucket(const std::string& path, long long t) {
     if (declared > 0) {
-      if (t < 0 || t >= declared) throw_timestamp_range(path, t, declared);
-      return static_cast<int>(t);
+      if (t < 0 || t >= declared) {
+        throw Error(path + ": timestamp " + std::to_string(t) +
+                    " out of range for declared snapshots=" +
+                    std::to_string(declared));
+      }
+      return last = static_cast<int>(t);
     }
-    if (last_s0 < 0) t_min = t;
+    if (window == 0) {
+      if (last < 0 || t != last_t) ++last;
+      last_t = t;
+      return last;
+    }
+    // Unsigned arithmetic: subtracting full-range 64-bit timestamps would
+    // be signed-overflow UB, and the unsigned magnitude is exact.
     const auto b = (static_cast<unsigned long long>(t) -
                     static_cast<unsigned long long>(t_min)) /
-                   static_cast<unsigned long long>(opts.snapshot_window);
+                   window;
+    if (count > 0) {
+      return last = static_cast<int>(
+                 std::min<unsigned long long>(count - 1, b));
+    }
     if (b >= static_cast<unsigned long long>(kMaxStagedSnapshots)) {
       throw_snapshot_cap(path, std::to_string(b) + "+1");
     }
-    return static_cast<int>(b);
+    return last = static_cast<int>(b);
   }
 
-  void feed(EdgeChunks&& batch) {
-    for (std::vector<TemporalEdge>& c : batch) {
-      rows += c.size();
-      held.push_back(std::move(c));
+  int snapshots() const {
+    return declared > 0 ? declared : count > 0 ? count : last + 1;
+  }
+};
+
+/// Fixes the rule from the options and the file: its `snapshots=S`
+/// directive (`declared`, <= 0 when absent), first and last timestamps and
+/// distinct-timestamp count. The last two are read only by the rules that
+/// need the whole file (snapshot_count and rank).
+Bucketing fix_rule(const std::string& path, const LoadOptions& opts,
+                   int declared, long long first_t, long long last_t,
+                   long long distinct) {
+  Bucketing rule;
+  rule.t_min = first_t;
+  if (opts.snapshot_count > 0) {
+    rule.count = opts.snapshot_count;
+    // floor(span/S) + 1 == ceil((span + 1) / S), without the +1 overflow —
+    // except when span/S is itself ULLONG_MAX (S == 1 over the full 64-bit
+    // range), where the +1 wraps to 0; saturate instead (bucket() clamps
+    // to S-1, so one max-width window is exact).
+    const auto span = static_cast<unsigned long long>(last_t) -
+                      static_cast<unsigned long long>(first_t);
+    rule.window = span / static_cast<unsigned long long>(rule.count) + 1;
+    if (rule.window == 0) {
+      rule.window = std::numeric_limits<unsigned long long>::max();
     }
-    if (!plausible_nodes(static_cast<unsigned long long>(n), rows)) return;
-    for (const std::vector<TemporalEdge>& chunk : held) {
-      for (const TemporalEdge& e : chunk) {
-        if (e.src >= n || e.dst >= n) {
-          throw Error(path + ": vertex id " +
-                      std::to_string(std::max(e.src, e.dst)) +
-                      " out of range for declared nodes=" + std::to_string(n));
-        }
-        last_s0 = bucket(e.t);
-        // The builder stops at the last snapshot, so a death past it is
-        // never reached; the clamp only keeps it an int.
-        const auto death = static_cast<int>(std::min<long long>(
-            kMaxStagedSnapshots,
-            static_cast<long long>(last_s0) + opts.edge_life));
-        builder.add(last_s0, death,
-                    edge_key(Edge{static_cast<int>(e.src),
-                                  static_cast<int>(e.dst)}),
-                    e.w);
+  } else if (opts.snapshot_window > 0) {
+    rule.window = static_cast<unsigned long long>(opts.snapshot_window);
+  } else if (declared > 0) {
+    rule.declared = declared;
+  } else if (distinct > kMaxAutoSnapshots) {
+    throw Error(path + ": " + std::to_string(distinct) +
+                " distinct timestamps — pass snapshot_window/"
+                "snapshot_count (--snapshot-window/--snapshots) to bucket "
+                "them");
+  }
+  if (rule.snapshots() > kMaxStagedSnapshots) {
+    throw_snapshot_cap(path, std::to_string(rule.snapshots()));
+  }
+  return rule;
+}
+
+/// The one feed loop, for both staging strategies: each row's declared
+/// vertex range is checked, the row is bucketed, its death clamped, and
+/// the instance added to the builder. Rows carry dense ids by now (raw ids
+/// under `nodes=N`, where ids >= N are the error).
+struct Feed {
+  const std::string& path;
+  int n;
+  int edge_life;
+  Bucketing rule;
+  /// Weights are kept from the first row on, since the weight column may
+  /// first appear in a later window; an unweighted file drops them.
+  SnapshotBuilder builder;
+
+  Feed(const std::string& p, int nodes, int life, Bucketing r)
+      : path(p), n(nodes), edge_life(life), rule(r),
+        builder(nodes, /*weighted=*/true) {}
+
+  void add(const std::vector<TemporalEdge>& rows) {
+    for (const TemporalEdge& e : rows) {
+      if (e.src >= n || e.dst >= n) {
+        throw Error(path + ": vertex id " +
+                    std::to_string(std::max(e.src, e.dst)) +
+                    " out of range for declared nodes=" + std::to_string(n));
       }
+      const int s0 = rule.bucket(path, e.t);
+      // The builder stops at the last snapshot, so a death past it is
+      // never reached; the clamp only keeps it an int (s0 + edge_life can
+      // exceed INT_MAX for huge lifetimes).
+      const auto death = static_cast<int>(std::min<long long>(
+          kMaxStagedSnapshots, static_cast<long long>(s0) + edge_life));
+      builder.add(s0, death,
+                  edge_key(Edge{static_cast<int>(e.src),
+                                static_cast<int>(e.dst)}),
+                  e.w);
     }
-    held.clear();
   }
 
-  /// The snapshots, once the EOF guard has passed.
   std::vector<Snapshot> finish(bool weighted) {
-    PIPAD_CHECK(held.empty());
-    std::vector<Snapshot> snaps =
-        builder.finish(declared > 0 ? declared : last_s0 + 1);
+    std::vector<Snapshot> snaps = builder.finish(rule.snapshots());
     if (!weighted) {
       for (Snapshot& s : snaps) s.edge_w = std::vector<float>();
     }
@@ -329,48 +357,57 @@ DTDG load_dataset(const std::string& path, const LoadOptions& opts,
   st.read_us += rt.elapsed_us();
 
   // ---- Parse (windowed streaming, chunk-parallel per window) ----
-  // Two staging strategies behind one sink, both feeding a SnapshotBuilder:
+  // Two staging strategies behind one sink, both feeding rows through one
+  // Feed, so both bucket with the one rule:
   //   direct   integer ids with `nodes=N`, plus either a fixed
   //            snapshot_window or (no snapshot_window/snapshot_count) a
   //            `snapshots=S` directive — the shape our exporters write —
-  //            all seen by the first window with rows: each window feeds
-  //            the builder as it is parsed and is never retained, so
-  //            memory stays bounded by the window plus the built
-  //            snapshots, and files larger than RAM load;
-  //   general  everything else: the edges accumulate and feed the builder
-  //            after the remap, once the vertex set and snapshot range are
-  //            known at EOF.
+  //            all seen by the first window with rows: the rule is fixed
+  //            there, and each window feeds the builder as it is parsed
+  //            and is never retained, so memory stays bounded by the
+  //            window plus the built snapshots, and files larger than RAM
+  //            load. While `nodes=N` is implausible for the rows seen so
+  //            far (at most N / 256 of them), rows are held back: a
+  //            snapshot allocates N + 1 row offsets, so none is built
+  //            before the EOF guard could pass;
+  //   general  everything else: the rows are staged, and feed the builder
+  //            after the remap, once the vertex set and the timestamp range
+  //            are known at EOF, where the rule is fixed.
   Timer pt;
   StreamReader reader(path, opts.window_bytes);
-  std::vector<TemporalEdge> all;
-  std::optional<DirectFeed> direct;
+  std::vector<TemporalEdge> staged;
+  std::optional<Feed> feed;  // Direct staging: set by the first window.
+  EdgeChunks held;
   bool decided = false;
   const EdgeSink sink = [&](const EdgeFile& hdr, EdgeChunks&& batch) {
     if (batch.empty()) return;
     if (!decided) {
       decided = true;
-      const bool declared_index =
-          opts.snapshot_window == 0 && hdr.declared_snapshots > 0;
       if (!hdr.string_ids && opts.snapshot_count == 0 &&
-          (opts.snapshot_window > 0 || declared_index) &&
+          (opts.snapshot_window > 0 || hdr.declared_snapshots > 0) &&
           hdr.declared_nodes >= 0 &&
           hdr.declared_nodes <= std::numeric_limits<int>::max()) {
-        direct.emplace(path, opts, static_cast<int>(hdr.declared_nodes),
-                       declared_index ? hdr.declared_snapshots : 0);
+        const long long t0 = batch.front().front().t;
+        feed.emplace(path, static_cast<int>(hdr.declared_nodes),
+                     opts.edge_life,
+                     fix_rule(path, opts, hdr.declared_snapshots, t0, t0, 1));
       }
     }
-    if (direct) {
-      direct->feed(std::move(batch));
+    if (!feed) {
+      for (const std::vector<TemporalEdge>& c : batch) {
+        staged.insert(staged.end(), c.begin(), c.end());
+      }
       return;
     }
-    for (const std::vector<TemporalEdge>& c : batch) {
-      all.insert(all.end(), c.begin(), c.end());
+    for (std::vector<TemporalEdge>& c : batch) held.push_back(std::move(c));
+    if (!plausible_nodes(static_cast<unsigned long long>(feed->n),
+                         hdr.streamed_edges)) {
+      return;
     }
+    for (const std::vector<TemporalEdge>& c : held) feed->add(c);
+    held.clear();
   };
-  EdgeFile ef = ext == ".csv"
-                    ? parse_temporal_csv_stream(path, reader, p, sink)
-                    : parse_edge_list_stream(path, reader, p, sink);
-  ef.edges = std::move(all);
+  EdgeFile ef = parse_edge_stream(path, ext == ".csv", reader, p, sink);
   st.read_us += reader.read_us();
   st.inflate_us = reader.inflate_us();
   st.parse_us = std::max(
@@ -381,9 +418,10 @@ DTDG load_dataset(const std::string& path, const LoadOptions& opts,
   Timer bt;
 
   // ---- Vertex remapping ----
-  // `dense` is THE mapping rule (unchecked — callers guarantee the id is
-  // mappable); `remap` is validation + dense, for sidecar files whose ids
-  // were not vetted with the edge stream.
+  // Staged rows are densified in place (the mapping rule); `remap` is
+  // validation + the same rule, for sidecar files whose ids were not
+  // vetted with the edge stream. Under `nodes=N` ids stay as they are, and
+  // the feed checks them against N.
   int n = 0;
   std::vector<long long> ids;  // Sorted unique raw ids (remapped mode).
   std::vector<int> name_perm;  // Arrival id -> dense id (string-id mode).
@@ -413,6 +451,10 @@ DTDG load_dataset(const std::string& path, const LoadOptions& opts,
       sorted_names[static_cast<std::size_t>(r)] =
           std::move(ef.names[static_cast<std::size_t>(arrival)]);
     }
+    for (TemporalEdge& e : staged) {
+      e.src = name_perm[static_cast<std::size_t>(e.src)];
+      e.dst = name_perm[static_cast<std::size_t>(e.dst)];
+    }
   } else if (identity) {
     PIPAD_CHECK_MSG(ef.declared_nodes <= std::numeric_limits<int>::max(),
                     path << ": nodes directive out of range");
@@ -424,16 +466,9 @@ DTDG load_dataset(const std::string& path, const LoadOptions& opts,
                   " edge row(s)");
     }
     n = static_cast<int>(ef.declared_nodes);
-    for (const TemporalEdge& e : ef.edges) {
-      if (e.src >= n || e.dst >= n) {
-        throw Error(path + ": vertex id " +
-                    std::to_string(std::max(e.src, e.dst)) +
-                    " out of range for declared nodes=" + std::to_string(n));
-      }
-    }
   } else {
-    ids.reserve(ef.edges.size() * 2);
-    for (const TemporalEdge& e : ef.edges) {
+    ids.reserve(staged.size() * 2);
+    for (const TemporalEdge& e : staged) {
       ids.push_back(e.src);
       ids.push_back(e.dst);
     }
@@ -443,17 +478,15 @@ DTDG load_dataset(const std::string& path, const LoadOptions& opts,
                         static_cast<std::size_t>(std::numeric_limits<int>::max()),
                     path << ": too many distinct vertices");
     n = static_cast<int>(ids.size());
+    for (TemporalEdge& e : staged) {
+      e.src = std::lower_bound(ids.begin(), ids.end(), e.src) - ids.begin();
+      e.dst = std::lower_bound(ids.begin(), ids.end(), e.dst) - ids.begin();
+    }
   }
-  const auto dense = [&](long long id) {
-    if (strings) return name_perm[static_cast<std::size_t>(id)];
-    if (identity) return static_cast<int>(id);
-    return static_cast<int>(std::lower_bound(ids.begin(), ids.end(), id) -
-                            ids.begin());
-  };
   VertexRemap remap;
   if (strings) {
     remap = [&sorted_names](std::string_view tok) {
-      const std::string_view name = strip_quotes_sv(tok);
+      const std::string_view name = strip_quotes(tok);
       const auto it = std::lower_bound(
           sorted_names.begin(), sorted_names.end(), name,
           [](const std::string& a, std::string_view b) {
@@ -502,94 +535,21 @@ DTDG load_dataset(const std::string& path, const LoadOptions& opts,
   g.name = file_stem(path);
   g.num_nodes = n;
   g.sim_scale = 1;
-  const bool direct_staged = direct.has_value();
-  if (direct) {
-    g.snapshots = direct->finish(ef.has_weights);
-    direct.reset();  // Frees the live edge set.
-  } else {
-    int S = 0;
-    const long long t_min = ef.edges.front().t;
-    const long long t_max = ef.edges.back().t;
-    // Window arithmetic runs on the unsigned span: subtraction of
-    // full-range 64-bit timestamps would be signed-overflow UB, and the
-    // unsigned magnitude is always exact (t_max >= t_min).
-    const auto uspan = static_cast<unsigned long long>(t_max) -
-                       static_cast<unsigned long long>(t_min);
-    unsigned long long window = 0;  // 0 = distinct-t or declared-index mode.
-    bool declared_index = false;
-    if (opts.snapshot_count > 0) {
-      S = opts.snapshot_count;
-      // floor(uspan/S) + 1 == ceil((uspan + 1) / S), without the +1
-      // overflow — except when uspan/S is itself ULLONG_MAX (S == 1 over
-      // the full 64-bit range), where the +1 wraps to 0; saturate instead
-      // (the staging loop clamps bucket indices to S-1, so one max-width
-      // window is exact).
-      window = uspan / static_cast<unsigned long long>(S) + 1;
-      if (window == 0) {
-        window = std::numeric_limits<unsigned long long>::max();
-      }
-    } else if (opts.snapshot_window > 0) {
-      window = static_cast<unsigned long long>(opts.snapshot_window);
-      // Highest bucket index first: `uspan / window + 1` itself can wrap.
-      const unsigned long long buckets = uspan / window;
-      if (buckets >= static_cast<unsigned long long>(
-                         std::numeric_limits<int>::max())) {
-        throw Error(path + ": snapshot_window produces " +
-                    std::to_string(buckets) + "+1 snapshots");
-      }
-      S = static_cast<int>(buckets) + 1;
-    } else if (ef.declared_snapshots > 0) {
-      S = ef.declared_snapshots;
-      declared_index = true;
-      if (t_min < 0 || t_max >= S) {
-        throw_timestamp_range(path, t_min < 0 ? t_min : t_max, S);
-      }
-    } else {
-      // One snapshot per distinct timestamp.
-      long long distinct = 1;
-      for (std::size_t i = 1; i < ef.edges.size(); ++i) {
-        if (ef.edges[i].t != ef.edges[i - 1].t) ++distinct;
-      }
-      if (distinct > kMaxAutoSnapshots) {
-        throw Error(path + ": " + std::to_string(distinct) +
-                    " distinct timestamps — pass snapshot_window/"
-                    "snapshot_count (--snapshot-window/--snapshots) to bucket "
-                    "them");
-      }
-      S = static_cast<int>(distinct);
+  const bool direct_staged = feed.has_value();
+  if (!feed) {
+    long long distinct = 1;
+    for (std::size_t i = 1; i < staged.size(); ++i) {
+      if (staged[i].t != staged[i - 1].t) ++distinct;
     }
-    if (S > kMaxStagedSnapshots) throw_snapshot_cap(path, std::to_string(S));
-
-    // The edges are timestamp-sorted, so births never decrease, and
-    // distinct-timestamp ranks advance monotonically in one walk.
-    SnapshotBuilder builder(n, ef.has_weights);
-    int rank = 0;
-    long long rank_t = t_min;
-    for (const TemporalEdge& e : ef.edges) {
-      int s0;
-      if (declared_index) {
-        s0 = static_cast<int>(e.t);
-      } else if (window > 0) {
-        const auto bucket = (static_cast<unsigned long long>(e.t) -
-                             static_cast<unsigned long long>(t_min)) /
-                            window;
-        s0 = static_cast<int>(std::min<unsigned long long>(
-            static_cast<unsigned long long>(S) - 1, bucket));
-      } else {
-        if (e.t != rank_t) {
-          ++rank;
-          rank_t = e.t;
-        }
-        s0 = rank;
-      }
-      // long long: s0 + edge_life can exceed INT_MAX for huge lifetimes.
-      const int death = static_cast<int>(std::min<long long>(
-          S, static_cast<long long>(s0) + opts.edge_life));
-      builder.add(s0, death, edge_key(Edge{dense(e.src), dense(e.dst)}), e.w);
-    }
-    ef.edges = std::vector<TemporalEdge>();  // Free the edge list eagerly.
-    g.snapshots = builder.finish(S);
+    feed.emplace(path, n, opts.edge_life,
+                 fix_rule(path, opts, ef.declared_snapshots, staged.front().t,
+                          staged.back().t, distinct));
+    feed->add(staged);
+    staged = std::vector<TemporalEdge>();  // Free the rows eagerly.
   }
+  PIPAD_CHECK(held.empty());
+  g.snapshots = feed->finish(ef.has_weights);
+  feed.reset();  // Frees the live edge set.
   const int S = g.num_snapshots();
 
   // ---- Features ----

@@ -21,7 +21,8 @@
 //             pins an identity mapping and makes ids >= N an error;
 //             string-id files (see text_format.hpp) remap the sorted
 //             name set instead and record it in DTDG::vertex_names;
-//   snapshot  edges are bucketed by timestamp into time windows
+//   snapshot  edges are bucketed by timestamp, under one rule for both
+//             build strategies below, into time windows
 //             (snapshot_window), an exact window count (snapshot_count),
 //             the file's `snapshots=S` directive, or — by default — one
 //             snapshot per distinct timestamp; edge_life > 1 keeps each

@@ -173,6 +173,14 @@ std::string escape_token(std::string_view tok, std::size_t max_bytes) {
   return out;
 }
 
+std::string_view strip_quotes(std::string_view t) {
+  if (t.size() >= 2 && t.front() == '"' && t.back() == '"') {
+    t.remove_prefix(1);
+    t.remove_suffix(1);
+  }
+  return t;
+}
+
 namespace {
 
 constexpr std::size_t kMinChunkBytes = 4096;
@@ -191,6 +199,16 @@ std::string_view trim(std::string_view s) {
   while (!s.empty() && is_space(s.front())) s.remove_prefix(1);
   while (!s.empty() && is_space(s.back())) s.remove_suffix(1);
   return s;
+}
+
+/// The line of `text` starting at `pos`, trimmed; `pos` moves past its
+/// newline (to text.size() + 1 after a last line without one).
+std::string_view next_line(std::string_view text, std::size_t& pos) {
+  std::size_t eol = text.find('\n', pos);
+  if (eol == std::string_view::npos) eol = text.size();
+  const std::string_view l = trim(text.substr(pos, eol - pos));
+  pos = eol + 1;
+  return l;
 }
 
 long long parse_ll_tok(std::string_view tok, const std::string& path,
@@ -220,17 +238,6 @@ bool is_integer_token(std::string_view tok) {
   long long v = 0;
   const auto [p, ec] = std::from_chars(tok.data(), tok.data() + tok.size(), v);
   return ec == std::errc{} && p == tok.data() + tok.size();
-}
-
-/// Strip one layer of surrounding double quotes (string-id mode); quotes
-/// do not protect whitespace or commas — ids containing separators are
-/// unsupported.
-std::string_view strip_quotes(std::string_view t) {
-  if (t.size() >= 2 && t.front() == '"' && t.back() == '"') {
-    t.remove_prefix(1);
-    t.remove_suffix(1);
-  }
-  return t;
 }
 
 /// A line's tokens. Each parse chunk keeps one buffer and refills it per
@@ -338,13 +345,6 @@ void scan_directives(std::string_view comment, const std::string& path,
   }
 }
 
-void check_vertex_ids(const TemporalEdge& e, const std::string& path,
-                      std::size_t line) {
-  if (e.src < 0 || e.dst < 0) {
-    fail_at(path, line, "vertex id must be non-negative");
-  }
-}
-
 void check_sorted(long long prev_t, const TemporalEdge& e,
                   const std::string& path, std::size_t line) {
   if (e.t < prev_t) {
@@ -378,86 +378,46 @@ long long vertex_tok(std::string_view tok, bool string_ids,
   return it->second;
 }
 
-/// Parse one edge-list chunk: `src dst t [w]` per line.
-void parse_el_chunk(const std::string& path, std::string_view text,
-                    std::size_t first_line, bool string_ids, Partial& out) {
-  std::size_t line = first_line;
-  bool have_prev = false;
-  long long prev_t = 0;
-  std::size_t pos = 0;
-  NameScratch scratch;
-  Tokens toks;
-  while (pos < text.size()) {
-    std::size_t eol = text.find('\n', pos);
-    if (eol == std::string_view::npos) eol = text.size();
-    const std::string_view raw = text.substr(pos, eol - pos);
-    pos = eol + 1;
-    const std::string_view l = trim(raw);
-    if (l.empty()) {
-      ++line;
-      continue;
-    }
-    if (l.front() == '#') {
-      scan_directives(l.substr(1), path, line, toks, out);
-      ++line;
-      continue;
-    }
-    ws_tokens(l, toks);
-    if (toks.size() != 3 && toks.size() != 4) {
-      fail_at(path, line,
-              "expected `src dst t [w]`, got " + std::to_string(toks.size()) +
-                  " token(s)");
-    }
-    TemporalEdge e;
-    e.src = vertex_tok(toks[0], string_ids, scratch, out, path, line,
-                       "src vertex");
-    e.dst = vertex_tok(toks[1], string_ids, scratch, out, path, line,
-                       "dst vertex");
-    e.t = parse_ll_tok(toks[2], path, line, "timestamp");
-    if (toks.size() == 4) {
-      e.w = parse_f_tok(toks[3], path, line, "weight");
-      out.weights = true;
-    }
-    if (!string_ids) check_vertex_ids(e, path, line);
-    if (have_prev) check_sorted(prev_t, e, path, line);
-    prev_t = e.t;
-    have_prev = true;
-    if (out.first_edge_line == 0) out.first_edge_line = line;
-    out.last_edge_line = line;
-    out.edges.push_back(e);
-    ++line;
-  }
-}
+/// Where a row's fields sit and how its line splits. A CSV's layout comes
+/// from its header row (`csv_layout`); an edge list has the fixed
+/// `src dst t [w]` layout, with 3 or 4 whitespace-separated tokens.
+struct RowLayout {
+  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  bool csv = false;
+  std::size_t columns = 0;  ///< CSV: the cell count every row must have.
+  std::size_t src = 0, dst = 1, t = 2;
+  std::size_t w = 3;  ///< A row has a weight when it has this field; a CSV
+                      ///< without a `w` column: kNone.
 
-/// Column layout of a temporal CSV, derived from its header row.
-struct CsvLayout {
-  std::size_t columns = 0;
-  std::size_t src = 0, dst = 0, t = 0;
-  std::size_t w = static_cast<std::size_t>(-1);  ///< npos = no weight column.
-};
-
-/// Split a CSV row at commas into trimmed cells (`out` is cleared first).
-void csv_cells(std::string_view line, Tokens& out) {
-  out.clear();
-  std::size_t pos = 0;
-  for (;;) {
-    std::size_t comma = line.find(',', pos);
-    if (comma == std::string_view::npos) {
-      out.push_back(trim(line.substr(pos)));
+  /// Split a line into its fields (`out` is cleared first).
+  void split(std::string_view line, Tokens& out) const {
+    if (!csv) {
+      ws_tokens(line, out);
       return;
     }
-    out.push_back(trim(line.substr(pos, comma - pos)));
-    pos = comma + 1;
+    out.clear();
+    std::size_t pos = 0;
+    for (;;) {
+      const std::size_t comma = line.find(',', pos);
+      if (comma == std::string_view::npos) {
+        out.push_back(trim(line.substr(pos)));
+        return;
+      }
+      out.push_back(trim(line.substr(pos, comma - pos)));
+      pos = comma + 1;
+    }
   }
-}
+};
 
-CsvLayout parse_csv_header(const std::string& path, std::string_view header,
-                           std::size_t line) {
-  CsvLayout lay;
+RowLayout csv_layout(const std::string& path, std::string_view header,
+                     std::size_t line) {
+  RowLayout lay;
+  lay.csv = true;
+  lay.w = RowLayout::kNone;
   Tokens cells;
-  csv_cells(header, cells);
+  lay.split(header, cells);
   lay.columns = cells.size();
-  bool have_src = false, have_dst = false, have_t = false;
+  bool have_src = false, have_dst = false, have_t = false, have_w = false;
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const std::string_view c = cells[i];
     const auto claim = [&](bool& have, std::size_t& slot, const char* name) {
@@ -472,7 +432,6 @@ CsvLayout parse_csv_header(const std::string& path, std::string_view header,
     } else if (c == "t") {
       claim(have_t, lay.t, "t");
     } else if (c == "w") {
-      bool have_w = lay.w != static_cast<std::size_t>(-1);
       claim(have_w, lay.w, "w");
     }
     // Other columns are ignored (documented).
@@ -485,66 +444,61 @@ CsvLayout parse_csv_header(const std::string& path, std::string_view header,
   return lay;
 }
 
-void parse_csv_chunk(const std::string& path, std::string_view text,
-                     std::size_t first_line, const CsvLayout& lay,
-                     bool string_ids, Partial& out) {
-  std::size_t line = first_line;
+/// Parse one chunk of rows laid out as `lay`.
+void parse_chunk(const std::string& path, std::string_view text,
+                 std::size_t first_line, const RowLayout& lay,
+                 bool string_ids, Partial& out) {
   bool have_prev = false;
   long long prev_t = 0;
-  std::size_t pos = 0;
   NameScratch scratch;
-  Tokens cells;
-  while (pos < text.size()) {
-    std::size_t eol = text.find('\n', pos);
-    if (eol == std::string_view::npos) eol = text.size();
-    const std::string_view raw = text.substr(pos, eol - pos);
-    pos = eol + 1;
-    const std::string_view l = trim(raw);
-    if (l.empty()) {
-      ++line;
-      continue;
-    }
+  Tokens toks;
+  for (std::size_t pos = 0, line = first_line; pos < text.size(); ++line) {
+    const std::string_view l = next_line(text, pos);
+    if (l.empty()) continue;
     if (l.front() == '#') {
-      scan_directives(l.substr(1), path, line, cells, out);
-      ++line;
+      scan_directives(l.substr(1), path, line, toks, out);
       continue;
     }
-    csv_cells(l, cells);
-    if (cells.size() != lay.columns) {
+    lay.split(l, toks);
+    if (lay.csv && toks.size() != lay.columns) {
       fail_at(path, line,
               "expected " + std::to_string(lay.columns) + " columns, got " +
-                  std::to_string(cells.size()));
+                  std::to_string(toks.size()));
+    }
+    if (!lay.csv && toks.size() != 3 && toks.size() != 4) {
+      fail_at(path, line,
+              "expected `src dst t [w]`, got " + std::to_string(toks.size()) +
+                  " token(s)");
     }
     TemporalEdge e;
-    e.src = vertex_tok(cells[lay.src], string_ids, scratch, out, path, line,
+    e.src = vertex_tok(toks[lay.src], string_ids, scratch, out, path, line,
                        "src vertex");
-    e.dst = vertex_tok(cells[lay.dst], string_ids, scratch, out, path, line,
+    e.dst = vertex_tok(toks[lay.dst], string_ids, scratch, out, path, line,
                        "dst vertex");
-    e.t = parse_ll_tok(cells[lay.t], path, line, "timestamp");
-    if (lay.w != static_cast<std::size_t>(-1)) {
-      e.w = parse_f_tok(cells[lay.w], path, line, "weight");
+    e.t = parse_ll_tok(toks[lay.t], path, line, "timestamp");
+    if (lay.w < toks.size()) {
+      e.w = parse_f_tok(toks[lay.w], path, line, "weight");
       out.weights = true;
     }
-    if (!string_ids) check_vertex_ids(e, path, line);
+    if (!string_ids && (e.src < 0 || e.dst < 0)) {
+      fail_at(path, line, "vertex id must be non-negative");
+    }
     if (have_prev) check_sorted(prev_t, e, path, line);
     prev_t = e.t;
     have_prev = true;
     if (out.first_edge_line == 0) out.first_edge_line = line;
     out.last_edge_line = line;
     out.edges.push_back(e);
-    ++line;
   }
 }
 
-/// One parse over a file — in one region (the in-memory entry points) or a
-/// sequence of windows (the streaming ones). Holds everything that must
-/// survive across windows so that the merged stream is byte-identical to a
-/// single-region parse: directives, string-id mode, the global name table,
-/// and the cross-chunk timestamp-ordering state.
+/// One parse over a file, window by window. Holds everything that must
+/// survive across windows so that the merged stream is byte-identical for
+/// any window size: directives, the row layout, string-id mode, the global
+/// name table, and the cross-chunk timestamp-ordering state.
 struct ParseState {
   const std::string& path;
   ThreadPool* pool;
-  const bool csv;
 
   EdgeFile out;
   /// Edges parsed since the last hand-off, one vector per non-empty chunk,
@@ -552,16 +506,16 @@ struct ParseState {
   EdgeChunks chunks;
   bool first_region = true;
   bool mode_known = false;
-  bool have_layout = false;  ///< CSV: header row seen.
-  CsvLayout lay;
+  bool have_layout;  ///< False until a CSV's header row is seen.
+  RowLayout lay;
   bool have_prev = false;
   long long prev_t = 0;
   /// Global name -> arrival-order id (string-id mode). Owns the strings
   /// that `out.names` views would dangle on — out.names stores copies.
   std::unordered_map<std::string, long long> name_index;
 
-  ParseState(const std::string& p, ThreadPool* pl, bool is_csv)
-      : path(p), pool(pl), csv(is_csv) {}
+  ParseState(const std::string& p, ThreadPool* pl, bool csv)
+      : path(p), pool(pl), have_layout(!csv) {}
 
   void merge_directives(long long nodes, long long snaps) {
     if (nodes >= 0) {
@@ -587,30 +541,19 @@ struct ParseState {
   bool scan_to_csv_header(const std::string& text, std::size_t& pos,
                           std::size_t& line) {
     while (pos < text.size()) {
-      std::size_t eol = text.find('\n', pos);
-      if (eol == std::string::npos) eol = text.size();
-      const std::string_view l =
-          trim(std::string_view(text).substr(pos, eol - pos));
-      const std::size_t next = eol + 1;
-      if (l.empty()) {
-        pos = next;
-        ++line;
-        continue;
+      const std::string_view l = next_line(text, pos);
+      const std::size_t at = line++;
+      if (l.empty()) continue;
+      if (l.front() != '#') {
+        lay = csv_layout(path, l, at);
+        have_layout = true;
+        pos = std::min(pos, text.size());
+        return true;
       }
-      if (l.front() == '#') {
-        Partial pre;
-        Tokens toks;
-        scan_directives(l.substr(1), path, line, toks, pre);
-        merge_directives(pre.nodes, pre.snapshots);
-        pos = next;
-        ++line;
-        continue;
-      }
-      lay = parse_csv_header(path, l, line);
-      have_layout = true;
-      pos = std::min(next, text.size());
-      ++line;
-      return true;
+      Partial pre;
+      Tokens toks;
+      scan_directives(l.substr(1), path, at, toks, pre);
+      merge_directives(pre.nodes, pre.snapshots);
     }
     return false;
   }
@@ -618,23 +561,13 @@ struct ParseState {
   /// The first data row's src token decides integer vs string ids. -1 =
   /// region has no data rows (mode stays undecided).
   int detect_mode(const std::string& text, std::size_t start) const {
-    std::size_t pos = start;
     Tokens toks;
-    while (pos < text.size()) {
-      std::size_t eol = text.find('\n', pos);
-      if (eol == std::string::npos) eol = text.size();
-      const std::string_view l =
-          trim(std::string_view(text).substr(pos, eol - pos));
-      pos = eol + 1;
+    for (std::size_t pos = start; pos < text.size();) {
+      const std::string_view l = next_line(text, pos);
       if (l.empty() || l.front() == '#') continue;
-      if (csv) {
-        csv_cells(l, toks);
-        if (lay.src >= toks.size()) return 0;  // Column error surfaces later.
-        return is_integer_token(toks[lay.src]) ? 0 : 1;
-      }
-      ws_tokens(l, toks);
-      if (toks.empty()) continue;
-      return is_integer_token(toks[0]) ? 0 : 1;
+      lay.split(l, toks);
+      if (lay.src >= toks.size()) return 0;  // Column error surfaces later.
+      return is_integer_token(toks[lay.src]) ? 0 : 1;
     }
     return -1;
   }
@@ -690,9 +623,7 @@ struct ParseState {
       fail_at(path, line + count_newlines(text.data(), p),
               "NUL byte — binary data is not a text dataset");
     }
-    if (csv && !have_layout) {
-      if (!scan_to_csv_header(text, pos, line)) return;
-    }
+    if (!have_layout && !scan_to_csv_header(text, pos, line)) return;
     if (!mode_known) {
       const int m = detect_mode(text, pos);
       if (m >= 0) {
@@ -705,14 +636,8 @@ struct ParseState {
     std::vector<Partial> parts(ranges.size());
     const auto parse_one = [&](std::size_t i) {
       const Chunk& c = ranges[i];
-      const auto body =
-          std::string_view(text).substr(c.begin, c.end - c.begin);
-      if (csv) {
-        parse_csv_chunk(path, body, c.first_line, lay, out.string_ids,
-                        parts[i]);
-      } else {
-        parse_el_chunk(path, body, c.first_line, out.string_ids, parts[i]);
-      }
+      parse_chunk(path, std::string_view(text).substr(c.begin, c.end - c.begin),
+                  c.first_line, lay, out.string_ids, parts[i]);
     };
     if (pool != nullptr && ranges.size() > 1 &&
         ThreadPool::current_pool() == nullptr) {
@@ -724,71 +649,26 @@ struct ParseState {
     out.parse_chunks =
         std::max(out.parse_chunks, std::max<std::size_t>(1, ranges.size()));
   }
-
-  void finalize() {
-    if (csv && !have_layout) {
-      throw Error(path + ": empty CSV (no header row)");
-    }
-    if (out.string_ids && out.declared_nodes >= 0) {
-      throw Error(path +
-                  ": the nodes=N directive requires integer vertex ids "
-                  "(this file uses string ids)");
-    }
-  }
 };
 
-template <bool Csv>
-EdgeFile parse_text(const std::string& path, const std::string& content,
-                    ThreadPool* pool) {
-  ParseState st(path, pool, Csv);
-  st.parse_region(content, 1);
-  st.finalize();
-  if (st.chunks.size() == 1) {
-    st.out.edges = std::move(st.chunks.front());
-  } else {
-    st.out.edges.reserve(st.out.streamed_edges);
-    for (const auto& c : st.chunks) {
-      st.out.edges.insert(st.out.edges.end(), c.begin(), c.end());
-    }
-  }
-  st.out.streamed_edges = 0;  // Counts sink hand-offs only.
-  return std::move(st.out);
-}
+}  // namespace
 
-template <bool Csv>
-EdgeFile parse_text_stream(const std::string& path, StreamReader& in,
+EdgeFile parse_edge_stream(const std::string& path, bool csv, StreamReader& in,
                            ThreadPool* pool, const EdgeSink& sink) {
-  ParseState st(path, pool, Csv);
+  ParseState st(path, pool, csv);
   std::string window;
   std::size_t first_line = 1;
   while (in.next_window(window, first_line)) {
     st.parse_region(window, first_line);
     sink(st.out, std::exchange(st.chunks, EdgeChunks()));
   }
-  st.finalize();
+  if (!st.have_layout) throw Error(path + ": empty CSV (no header row)");
+  if (st.out.string_ids && st.out.declared_nodes >= 0) {
+    throw Error(path +
+                ": the nodes=N directive requires integer vertex ids "
+                "(this file uses string ids)");
+  }
   return std::move(st.out);
-}
-
-}  // namespace
-
-EdgeFile parse_edge_list(const std::string& path, const std::string& content,
-                         ThreadPool* pool) {
-  return parse_text<false>(path, content, pool);
-}
-
-EdgeFile parse_temporal_csv(const std::string& path,
-                            const std::string& content, ThreadPool* pool) {
-  return parse_text<true>(path, content, pool);
-}
-
-EdgeFile parse_edge_list_stream(const std::string& path, StreamReader& in,
-                                ThreadPool* pool, const EdgeSink& sink) {
-  return parse_text_stream<false>(path, in, pool, sink);
-}
-
-EdgeFile parse_temporal_csv_stream(const std::string& path, StreamReader& in,
-                                   ThreadPool* pool, const EdgeSink& sink) {
-  return parse_text_stream<true>(path, in, pool, sink);
 }
 
 namespace {
@@ -828,13 +708,12 @@ struct SidecarPart {
 std::string_view sidecar_header(const std::string& content, std::size_t& pos,
                                 std::size_t& line) {
   while (pos < content.size()) {
-    std::size_t eol = content.find('\n', pos);
-    if (eol == std::string::npos) eol = content.size();
-    const std::string_view l =
-        trim(std::string_view(content).substr(pos, eol - pos));
-    pos = std::min(eol + 1, content.size());
+    const std::string_view l = next_line(content, pos);
     ++line;
-    if (!l.empty()) return l;
+    if (!l.empty()) {
+      pos = std::min(pos, content.size());
+      return l;
+    }
   }
   return {};
 }

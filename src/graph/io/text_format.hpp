@@ -18,15 +18,18 @@
 // the first data row's src token is quoted or does not parse as an integer
 // — arbitrary strings (string-id mode, EdgeFile::string_ids): every id in
 // the file is then a string, optionally "double-quoted", and the loader
-// remaps the sorted-unique name set to a dense range. Edge parsing is
-// chunk-parallel on the shared ComputePool: the input is split at newline
-// boundaries into bounded chunks parsed independently, and chunk results
-// are kept in file order — so the parsed stream is bit-identical for any
-// thread count. The streaming entry points below additionally window the
-// input (see stream_reader.hpp): windows are parsed one at a time and
-// their chunks handed to a sink, so the parser holds one window, not the
-// file, with byte-identical results for any window size. The sidecar
-// parsers are chunk-parallel too.
+// remaps the sorted-unique name set to a dense range.
+//
+// Both edge formats go through one entry point, parse_edge_stream, and one
+// row parser: a row layout says how a line splits and which field holds
+// src, dst, t and w. A CSV's layout comes from its header row; an edge list
+// has the fixed `src dst t [w]` layout. The input is pulled in windows (see
+// stream_reader.hpp), each window is split at newline boundaries into
+// bounded chunks parsed independently on the shared ComputePool, and the
+// chunk results are handed to a sink in file order — so the parser holds
+// one window, not the file, and the parsed stream is byte-identical for
+// any window size and thread count. The sidecar parsers are chunk-parallel
+// too.
 #pragma once
 
 #include <cstdint>
@@ -51,21 +54,18 @@ struct TemporalEdge {
                    ///< Snapshot::edge_w (duplicates sum; see graph/dtdg.hpp).
 };
 
-/// One parsed edge file, edges in file order (timestamp-sorted by contract).
+/// What parsing an edge file found besides its rows (which go to the sink).
 struct EdgeFile {
-  std::vector<TemporalEdge> edges;
   long long declared_nodes = -1;  ///< `nodes=N` directive (-1 = absent).
   int declared_snapshots = -1;    ///< `snapshots=S` directive (-1 = absent).
-  bool has_weights = false;       ///< Any row carried a 4th column.
+  bool has_weights = false;       ///< Any row carried a weight.
   std::size_t parse_chunks = 1;   ///< Chunks the parse fanned out to (max
-                                  ///< over windows in streaming mode).
+                                  ///< over windows).
   bool string_ids = false;        ///< String-id mode (see header comment).
   /// String-id mode: the distinct vertex names in first-appearance order;
   /// edges' src/dst index into this table. Empty in integer-id mode.
   std::vector<std::string> names;
-  /// Streaming mode: total edges handed to the sink (EdgeFile::edges stays
-  /// empty there). 0 in the in-memory entry points.
-  std::size_t streamed_edges = 0;
+  std::size_t streamed_edges = 0;  ///< Edge rows handed to the sink.
 };
 
 /// Read a whole file into memory with one sized read; throws Error when it
@@ -107,16 +107,10 @@ class ContentHash {
 /// so a malformed-token error never embeds raw binary garbage.
 std::string escape_token(std::string_view tok, std::size_t max_bytes = 32);
 
-/// Parse whitespace-separated `src dst t [w]` lines. `path` is used in
-/// error messages only; `content` is the file body. With a pool (and when
-/// not already on a pool worker) the parse is chunk-parallel.
-EdgeFile parse_edge_list(const std::string& path, const std::string& content,
-                         ThreadPool* pool = nullptr);
-
-/// Parse a temporal-graph CSV (header row with named columns).
-EdgeFile parse_temporal_csv(const std::string& path,
-                            const std::string& content,
-                            ThreadPool* pool = nullptr);
+/// Strip one layer of surrounding double quotes (string-id mode); quotes
+/// do not protect whitespace or commas — ids containing separators are
+/// unsupported.
+std::string_view strip_quotes(std::string_view t);
 
 /// One window's parsed edges: the parse chunks' edge vectors in file order
 /// (empty chunks omitted). Their concatenation is the window's edge stream;
@@ -131,16 +125,13 @@ using EdgeChunks = std::vector<std::vector<TemporalEdge>>;
 /// non-empty window). The chunks are moved in; the sink owns them.
 using EdgeSink = std::function<void(const EdgeFile& so_far, EdgeChunks&&)>;
 
-/// Windowed streaming variants: pull newline-aligned windows from `in`,
-/// parse each chunk-parallel, and hand each window's edges to `sink` —
-/// memory stays bounded by the window size. The returned EdgeFile carries
-/// directives/names/flags and streamed_edges but no edges. Byte-identical
-/// to the in-memory parse of the same content for any window size, pool
-/// width included.
-EdgeFile parse_edge_list_stream(const std::string& path, StreamReader& in,
-                                ThreadPool* pool, const EdgeSink& sink);
-EdgeFile parse_temporal_csv_stream(const std::string& path, StreamReader& in,
-                                   ThreadPool* pool, const EdgeSink& sink);
+/// Parse an edge file — a temporal CSV when `csv`, else an edge list —
+/// pulling newline-aligned windows from `in`, parsing each chunk-parallel,
+/// and handing each window's edges to `sink`: memory stays bounded by the
+/// window size. The returned EdgeFile carries directives, names, flags and
+/// streamed_edges. `path` is used in error messages only.
+EdgeFile parse_edge_stream(const std::string& path, bool csv, StreamReader& in,
+                           ThreadPool* pool, const EdgeSink& sink);
 
 /// A parsed node-feature file. Unlisted (t, id) slots stay 0; duplicate
 /// rows are rejected.

@@ -151,6 +151,35 @@ TEST(ContentHash, EveryByteReachesTheDigest) {
 
 // ---- text parsing ----
 
+/// An edge file's parse through the one streaming entry point, with the
+/// rows its sink received.
+struct Parsed {
+  EdgeFile file;
+  std::vector<TemporalEdge> edges;
+};
+
+/// Parse the file at `path` (a CSV when it ends in .csv) in windows of
+/// `window` bytes (0 = the reader's default).
+Parsed parse_path(const std::string& path, std::size_t window = 0) {
+  StreamReader reader(path, window);
+  Parsed out;
+  const bool csv = fs::path(path).extension() == ".csv";
+  out.file = parse_edge_stream(
+      path, csv, reader, nullptr, [&](const EdgeFile&, EdgeChunks&& chunks) {
+        for (const auto& c : chunks) {
+          EXPECT_FALSE(c.empty());
+          out.edges.insert(out.edges.end(), c.begin(), c.end());
+        }
+      });
+  EXPECT_EQ(out.file.streamed_edges, out.edges.size());
+  return out;
+}
+
+/// Write `content` to `name` in a fresh scratch directory and parse it.
+Parsed parse_text(const std::string& name, const std::string& content) {
+  return parse_path(write_file_at(temp_dir() / name, content));
+}
+
 TEST(EdgeListParse, TokensCommentsAndDirectives) {
   const std::string content =
       "# a comment\n"
@@ -160,11 +189,11 @@ TEST(EdgeListParse, TokensCommentsAndDirectives) {
       "1 2 0 0.5\n"
       "  2 3 1  \n"
       "3 4 2\n";
-  const EdgeFile ef = parse_edge_list("mem.el", content);
+  const Parsed ef = parse_text("mem.el", content);
   ASSERT_EQ(ef.edges.size(), 4u);
-  EXPECT_EQ(ef.declared_nodes, 10);
-  EXPECT_EQ(ef.declared_snapshots, 3);
-  EXPECT_TRUE(ef.has_weights);
+  EXPECT_EQ(ef.file.declared_nodes, 10);
+  EXPECT_EQ(ef.file.declared_snapshots, 3);
+  EXPECT_TRUE(ef.file.has_weights);
   EXPECT_EQ(ef.edges[1].src, 1);
   EXPECT_EQ(ef.edges[1].dst, 2);
   EXPECT_FLOAT_EQ(ef.edges[1].w, 0.5f);
@@ -172,13 +201,13 @@ TEST(EdgeListParse, TokensCommentsAndDirectives) {
 }
 
 TEST(EdgeListParse, RejectsMalformedRows) {
-  EXPECT_THROW(parse_edge_list("m.el", "0 1\n"), Error);          // 2 tokens
-  EXPECT_THROW(parse_edge_list("m.el", "0 1 2 3 4\n"), Error);    // 5 tokens
-  EXPECT_THROW(parse_edge_list("m.el", "0 x 2\n"), Error);        // bad int
-  EXPECT_THROW(parse_edge_list("m.el", "0 -1 2\n"), Error);       // negative
-  EXPECT_THROW(parse_edge_list("m.el", "0 1 0 nan\n"), Error);    // bad w
+  EXPECT_THROW(parse_text("m.el", "0 1\n"), Error);          // 2 tokens
+  EXPECT_THROW(parse_text("m.el", "0 1 2 3 4\n"), Error);    // 5 tokens
+  EXPECT_THROW(parse_text("m.el", "0 x 2\n"), Error);        // bad int
+  EXPECT_THROW(parse_text("m.el", "0 -1 2\n"), Error);       // negative
+  EXPECT_THROW(parse_text("m.el", "0 1 0 nan\n"), Error);    // bad w
   try {
-    parse_edge_list("m.el", "0 1 0\n0 2 1\n0 3 9\n0 4 5\n");
+    parse_text("m.el", "0 1 0\n0 2 1\n0 3 9\n0 4 5\n");
     FAIL() << "unsorted timestamps accepted";
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("m.el:4"), std::string::npos)
@@ -188,8 +217,7 @@ TEST(EdgeListParse, RejectsMalformedRows) {
 }
 
 TEST(EdgeListParse, ConflictingDirectivesRejected) {
-  EXPECT_THROW(parse_edge_list("m.el", "# nodes=4\n# nodes=5\n0 1 0\n"),
-               Error);
+  EXPECT_THROW(parse_text("m.el", "# nodes=4\n# nodes=5\n0 1 0\n"), Error);
 }
 
 TEST(CsvParse, HeaderAnyOrderExtraColumnsIgnored) {
@@ -197,7 +225,7 @@ TEST(CsvParse, HeaderAnyOrderExtraColumnsIgnored) {
       "t,label,dst,src\n"
       "0,a,1,0\n"
       "1,b,2,1\n";
-  const EdgeFile ef = parse_temporal_csv("mem.csv", content);
+  const Parsed ef = parse_text("mem.csv", content);
   ASSERT_EQ(ef.edges.size(), 2u);
   EXPECT_EQ(ef.edges[0].src, 0);
   EXPECT_EQ(ef.edges[0].dst, 1);
@@ -206,20 +234,20 @@ TEST(CsvParse, HeaderAnyOrderExtraColumnsIgnored) {
 
 TEST(CsvParse, MissingRequiredColumnIsBadHeader) {
   try {
-    parse_temporal_csv("m.csv", "src,dst\n0,1\n");
+    parse_text("m.csv", "src,dst\n0,1\n");
     FAIL() << "bad header accepted";
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("header"), std::string::npos)
         << e.what();
   }
   // A file that starts with data has no header either.
-  EXPECT_THROW(parse_temporal_csv("m.csv", "0,1,0\n1,2,0\n"), Error);
-  EXPECT_THROW(parse_temporal_csv("m.csv", ""), Error);
+  EXPECT_THROW(parse_text("m.csv", "0,1,0\n1,2,0\n"), Error);
+  EXPECT_THROW(parse_text("m.csv", ""), Error);
 }
 
 TEST(CsvParse, WrongCellCountRejected) {
-  EXPECT_THROW(parse_temporal_csv("m.csv", "src,dst,t\n0,1\n"), Error);
-  EXPECT_THROW(parse_temporal_csv("m.csv", "src,dst,t\n0,1,0,9\n"), Error);
+  EXPECT_THROW(parse_text("m.csv", "src,dst,t\n0,1\n"), Error);
+  EXPECT_THROW(parse_text("m.csv", "src,dst,t\n0,1,0,9\n"), Error);
 }
 
 // ---- loading: snapshotting, remapping, sidecar files ----
@@ -518,7 +546,7 @@ TEST(Loader, DeclaredIndexCsvMatchesEdgeList) {
 
 TEST(Loader, DeclaredIndexDirectRejectsOutOfRangeTimestamp) {
   // The direct path checks each row as it arrives, so it names the first
-  // timestamp past the range (the general path names the last).
+  // timestamp past the range.
   const auto dir = temp_dir();
   const auto p = write_file_at(
       dir / "s.el", "# nodes=4 snapshots=2\n0 1 0\n1 2 1\n2 3 5\n3 0 7\n");
@@ -534,6 +562,24 @@ TEST(Loader, DeclaredIndexDirectRejectsOutOfRangeTimestamp) {
   const auto neg =
       write_file_at(dir / "n.el", "# nodes=4 snapshots=2\n0 1 -1\n");
   EXPECT_THROW(load_dataset(neg), Error);
+}
+
+TEST(Loader, DeclaredIndexGeneralNamesTheFirstOutOfRangeTimestamp) {
+  // Without nodes= the rows are staged, but they feed the builder through
+  // the same per-row check, so the message names the same row as the
+  // direct path's.
+  const auto dir = temp_dir();
+  const auto p =
+      write_file_at(dir / "s.el", "# snapshots=2\n0 1 0\n1 2 5\n2 3 7\n");
+  try {
+    load_dataset(p);
+    FAIL() << "out-of-range timestamp accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "timestamp 5 out of range for declared snapshots=2"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Loader, StaticFeatureFileAppliesToEverySnapshot) {
@@ -1064,30 +1110,21 @@ TEST(Stream, StreamedParseMatchesInMemoryParse) {
       content += buf;
     }
   }
-  const EdgeFile mem = parse_edge_list("mem.el", content);
-
   const auto p = write_file_at(dir / "s.el", content);
-  StreamReader reader(p, 64);  // Dozens of tiny windows.
-  std::vector<TemporalEdge> streamed;
-  const EdgeFile ef = parse_edge_list_stream(
-      p, reader, nullptr,
-      [&](const EdgeFile&, EdgeChunks&& chunks) {
-        for (const auto& c : chunks) {
-          EXPECT_FALSE(c.empty());
-          streamed.insert(streamed.end(), c.begin(), c.end());
-        }
-      });
-  EXPECT_TRUE(ef.edges.empty());
-  EXPECT_EQ(ef.streamed_edges, mem.edges.size());
-  EXPECT_EQ(ef.declared_nodes, mem.declared_nodes);
-  EXPECT_EQ(ef.declared_snapshots, mem.declared_snapshots);
-  EXPECT_EQ(ef.has_weights, mem.has_weights);
-  ASSERT_EQ(streamed.size(), mem.edges.size());
-  for (std::size_t i = 0; i < streamed.size(); ++i) {
-    EXPECT_EQ(streamed[i].src, mem.edges[i].src) << i;
-    EXPECT_EQ(streamed[i].dst, mem.edges[i].dst) << i;
-    EXPECT_EQ(streamed[i].t, mem.edges[i].t) << i;
-    EXPECT_EQ(streamed[i].w, mem.edges[i].w) << i;
+  // A window larger than the file parses it as one region: the reference.
+  const Parsed mem = parse_path(p, content.size() + 1);
+  const Parsed ef = parse_path(p, 64);  // Dozens of tiny windows.
+  EXPECT_EQ(mem.edges.size(), 300u);
+  EXPECT_EQ(ef.file.streamed_edges, mem.edges.size());
+  EXPECT_EQ(ef.file.declared_nodes, mem.file.declared_nodes);
+  EXPECT_EQ(ef.file.declared_snapshots, mem.file.declared_snapshots);
+  EXPECT_EQ(ef.file.has_weights, mem.file.has_weights);
+  ASSERT_EQ(ef.edges.size(), mem.edges.size());
+  for (std::size_t i = 0; i < ef.edges.size(); ++i) {
+    EXPECT_EQ(ef.edges[i].src, mem.edges[i].src) << i;
+    EXPECT_EQ(ef.edges[i].dst, mem.edges[i].dst) << i;
+    EXPECT_EQ(ef.edges[i].t, mem.edges[i].t) << i;
+    EXPECT_EQ(ef.edges[i].w, mem.edges[i].w) << i;
   }
 }
 
