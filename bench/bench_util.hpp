@@ -8,10 +8,11 @@
 // --frames, --frame-size, --threads, --replicas, --allreduce,
 // --snapshot-window, --window-bytes and --cache-dir — through the same
 // api::apply_flag and validator as the `pipad` CLI and the serve daemon
-// (one set of error messages; see api/job_spec.hpp). Every other job flag
-// (--model, --seed, --dataset, ...) is rejected with an error naming it,
-// since a bench would otherwise run exactly as without it. On top of that,
-// benches add three flags of their own:
+// (one set of error messages; see api/job_spec.hpp). The last three need a
+// file:PATH entry in --datasets, the only data they apply to. Every other
+// job flag (--model, --seed, --dataset, ...) is rejected with an error
+// naming it, since a bench would otherwise run exactly as without it. On
+// top of that, benches add three flags of their own:
 //   --datasets=a,b    comma-separated subset of the Table-1 names and/or
 //                     file:PATH specs for on-disk datasets (edge list /
 //                     temporal CSV / .dtdg; docs/DATASET_FORMATS.md)
@@ -31,6 +32,7 @@
 // because it derives from the analytic cost model.
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -166,12 +168,18 @@ struct Flags {
     }
     // The file-oriented knobs (--snapshot-window, --window-bytes,
     // --cache-dir) apply to the file: entries of --datasets here, not to
-    // job.dataset — validate under a file: stand-in so the shared
-    // validator doesn't demand --dataset file:PATH, which benches don't
-    // take. With no file: entry the knobs are accepted-and-ignored, as
-    // they always were.
+    // job.dataset. Without such an entry they would change nothing, so
+    // they are an error; with one, validate under a file: stand-in so the
+    // shared validator doesn't demand --dataset file:PATH, which benches
+    // don't take.
     api::JobSpec v = f.job;
     if (v.snapshot_window > 0 || v.window_bytes > 0 || !v.cache_dir.empty()) {
+      if (std::none_of(f.datasets.begin(), f.datasets.end(),
+                       graph::io::is_file_dataset)) {
+        error = "--snapshot-window, --window-bytes and --cache-dir require "
+                "a file:PATH entry in --datasets";
+        return false;
+      }
       v.dataset = "file:-";
     }
     error = v.validate();

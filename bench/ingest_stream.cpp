@@ -17,14 +17,18 @@
 // even when timings stay inside the bench_diff threshold.
 //
 // Extra flags on top of the shared bench set (--threads / --epochs /
-// --json / --window-bytes are the meaningful shared ones):
-//   --dir=PATH      where the generated files live  [ingest_bench_data]
-//   --gen-edges=N   edge rows to generate           [1000000]
-//   --gen-nodes=N   vertex-id space (nodes=N directive)  [100000]
-//   --gen-only      generate the plain + gzip files, print them, exit
-//   --parse-only    load the plain file once (direct staging) and exit —
-//                   the CI large-file smoke runs this under `ulimit -v`
-//                   capped below the file size
+// --json are the meaningful shared ones):
+//   --dir=PATH        where the generated files live  [ingest_bench_data]
+//   --gen-edges=N     edge rows to generate           [1000000]
+//   --gen-nodes=N     vertex-id space (nodes=N directive)  [100000]
+//   --window-bytes=N  the loads' streaming window     [8 MiB]
+//   --gen-only        generate the plain + gzip edge files, plus a
+//                     temporal feature file and a target file with a row
+//                     for every (snapshot, vertex) slot, print them, exit
+//   --parse-only      load the --gen-only files once (direct staging, both
+//                     sidecars) and exit — the CI large-file smoke runs
+//                     this under a `ulimit -v` cap below the edge file's
+//                     size and below what reading the sidecars whole needs
 #include <zlib.h>
 
 #include <algorithm>
@@ -49,38 +53,26 @@ struct GenConfig {
   std::string dir = "ingest_bench_data";
   long long edges = 1000000;
   long long nodes = 100000;
+  long long window_bytes = 0;  ///< 0: the loader's default.
   bool gen_only = false;
   bool parse_only = false;
 };
 
-/// Rows are fixed-width (zero-padded ids and timestamp, fixed-precision
-/// weight): 64 bytes each, so --gen-edges maps directly to file size and
-/// the CI ulimit cap can be computed from it. Timestamps are monotone with
-/// 12 distinct values across the file; snapshot_window=1 then buckets them
-/// into 12 snapshots via the loader's bounded-memory direct staging.
-void generate(const GenConfig& g, const std::string& path) {
+/// Timestamps run over this many snapshots (see generate()).
+constexpr int kSnapshots = 12;
+/// Feature columns of the generated feature file.
+constexpr int kSidecarDim = 4;
+
+/// Writes `rows` rows of `row(i, buf)` bytes to `path` behind `header`.
+template <typename Row>
+void write_rows(const std::string& path, const std::string& header,
+                long long rows, const Row& row) {
   std::ofstream os(path, std::ios::binary | std::ios::trunc);
   if (!os) throw Error("cannot write " + path);
-  os << "# ingest_stream synthetic edge list\n";
-  os << "# nodes=" << g.nodes << "\n";
-  std::uint64_t state = 0x9e3779b97f4a7c15ull;
-  const auto next = [&state] {
-    state = state * 6364136223846793005ull + 1442695040888963407ull;
-    return state >> 16;
-  };
-  char row[80];
+  os << header << "\n";
   std::string buf;
-  buf.reserve(1u << 20);
-  for (long long i = 0; i < g.edges; ++i) {
-    const auto src = static_cast<long long>(
-        next() % static_cast<std::uint64_t>(g.nodes));
-    const auto dst = static_cast<long long>(
-        next() % static_cast<std::uint64_t>(g.nodes));
-    const long long t = (i * 12) / g.edges;
-    const double w = 0.5 + 0.25 * static_cast<double>(next() % 1024) / 1024.0;
-    std::snprintf(row, sizeof(row),
-                  "%012lld %012lld %019lld %016.14f\n", src, dst, t, w);
-    buf += row;
+  for (long long i = 0; i < rows; ++i) {
+    row(i, buf);
     if (buf.size() >= (1u << 20)) {
       os.write(buf.data(), static_cast<std::streamsize>(buf.size()));
       buf.clear();
@@ -89,6 +81,70 @@ void generate(const GenConfig& g, const std::string& path) {
   os.write(buf.data(), static_cast<std::streamsize>(buf.size()));
   os.flush();
   if (!os) throw Error("write failed: " + path);
+}
+
+/// Rows are fixed-width (zero-padded ids and timestamp, fixed-precision
+/// weight): 64 bytes each, so --gen-edges maps directly to file size and
+/// the CI ulimit cap can be computed from it. Timestamps are monotone with
+/// 12 distinct values across the file; snapshot_window=1 then buckets them
+/// into 12 snapshots via the loader's bounded-memory direct staging.
+void generate(const GenConfig& g, const std::string& path) {
+  std::uint64_t state = 0x9e3779b97f4a7c15ull;
+  const auto next = [&state] {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    return state >> 16;
+  };
+  char row[80];
+  write_rows(path,
+             "# ingest_stream synthetic edge list\n# nodes=" +
+                 std::to_string(g.nodes),
+             g.edges, [&](long long i, std::string& buf) {
+               const auto src = static_cast<long long>(
+                   next() % static_cast<std::uint64_t>(g.nodes));
+               const auto dst = static_cast<long long>(
+                   next() % static_cast<std::uint64_t>(g.nodes));
+               const long long t = (i * kSnapshots) / g.edges;
+               const double w =
+                   0.5 + 0.25 * static_cast<double>(next() % 1024) / 1024.0;
+               std::snprintf(row, sizeof(row),
+                             "%012lld %012lld %019lld %016.14f\n", src, dst,
+                             t, w);
+               buf += row;
+             });
+}
+
+/// A temporal feature file (kSidecarDim fixed-width values in [0, 1)) and a
+/// target file, each with one row per (snapshot, vertex) slot in snapshot
+/// order.
+void generate_sidecars(const GenConfig& g, const std::string& features,
+                       const std::string& targets) {
+  const long long rows = kSnapshots * g.nodes;
+  const auto value = [](long long i, int d) {
+    const auto h = static_cast<std::uint64_t>(i * (kSidecarDim + 1) + d) *
+                   0x9e3779b97f4a7c15ull;
+    return static_cast<double>(h >> 40) / static_cast<double>(1u << 24);
+  };
+  char cell[64];
+  write_rows(features,
+             "# pipad-features v1 dim=" + std::to_string(kSidecarDim) +
+                 " temporal",
+             rows,
+             [&](long long i, std::string& buf) {
+               std::snprintf(cell, sizeof(cell), "%lld %lld", i / g.nodes,
+                             i % g.nodes);
+               buf += cell;
+               for (int d = 0; d < kSidecarDim; ++d) {
+                 std::snprintf(cell, sizeof(cell), " %.9f", value(i, d));
+                 buf += cell;
+               }
+               buf += '\n';
+             });
+  write_rows(targets, "# pipad-targets v1", rows,
+             [&](long long i, std::string& buf) {
+               std::snprintf(cell, sizeof(cell), "%lld %lld %.9f\n",
+                             i / g.nodes, i % g.nodes, value(i, kSidecarDim));
+               buf += cell;
+             });
 }
 
 /// Gzip `src` to `dst` at Z_BEST_SPEED (CI generates a ~200 MB input; the
@@ -151,11 +207,15 @@ struct LoadRun {
 };
 
 LoadRun load_once(const std::string& path, std::size_t window_bytes,
-                  const std::string& cache_dir = {}) {
+                  const std::string& cache_dir = {},
+                  const std::string& features = {},
+                  const std::string& targets = {}) {
   pipad::graph::io::LoadOptions lo;
   lo.snapshot_window = 1;  // 12 distinct timestamps -> 12 snapshots.
   lo.window_bytes = window_bytes;
   lo.cache_dir = cache_dir;
+  lo.features_path = features;
+  lo.targets_path = targets;
   LoadRun r;
   pipad::Timer timer;
   const DTDG g = pipad::graph::io::load_dataset(
@@ -197,7 +257,8 @@ int run(int argc, char** argv) {
     if (arg.rfind("--dir=", 0) == 0) {
       gen.dir = arg.substr(6);
     } else if (ll_value(arg, "--gen-edges", gen.edges) ||
-               ll_value(arg, "--gen-nodes", gen.nodes)) {
+               ll_value(arg, "--gen-nodes", gen.nodes) ||
+               ll_value(arg, "--window-bytes", gen.window_bytes)) {
       // Parsed in the condition.
     } else if (arg == "--gen-only") {
       gen.gen_only = true;
@@ -215,36 +276,44 @@ int run(int argc, char** argv) {
   const std::string plain =
       (fs::path(gen.dir) / "ingest_edges.txt").string();
   const std::string gz = plain + ".gz";
+  const std::string features =
+      (fs::path(gen.dir) / "ingest_features.txt").string();
+  const std::string targets =
+      (fs::path(gen.dir) / "ingest_targets.txt").string();
+  const auto mb = [](const std::string& file) {
+    return static_cast<double>(fs::file_size(file)) / 1e6;
+  };
   if (!gen.parse_only) {
     fs::create_directories(gen.dir);
     generate(gen, plain);
     gzip_file(plain, gz);
     std::printf("ingest_stream: generated %s (%lld edges, %.1f MB) and "
                 "%s (%.1f MB)\n",
-                plain.c_str(), gen.edges,
-                static_cast<double>(fs::file_size(plain)) / 1e6, gz.c_str(),
-                static_cast<double>(fs::file_size(gz)) / 1e6);
-    if (gen.gen_only) return 0;
+                plain.c_str(), gen.edges, mb(plain), gz.c_str(), mb(gz));
+    if (gen.gen_only) {
+      generate_sidecars(gen, features, targets);
+      std::printf("ingest_stream: generated %s (%.1f MB) and %s (%.1f MB)\n",
+                  features.c_str(), mb(features), targets.c_str(),
+                  mb(targets));
+      return 0;
+    }
   }
 
+  const auto wb = static_cast<std::size_t>(gen.window_bytes);
   if (gen.parse_only) {
-    // The CI large-file smoke: one bounded-memory load of a file bigger
+    // The CI large-file smoke: one bounded-memory load of files bigger
     // than the address-space cap the harness set with ulimit -v.
-    const std::size_t wb =
-        static_cast<std::size_t>(std::max<long long>(0, flags.job.window_bytes));
-    const LoadRun r = load_once(plain, wb);
-    std::printf("ingest_stream: parsed %s under the bounded window: "
-                "%zu edge instances, %.1f ms "
+    const LoadRun r = load_once(plain, wb, {}, features, targets);
+    std::printf("ingest_stream: parsed %s, %s and %s under the bounded "
+                "window: %zu edge instances, %.1f ms "
                 "(read %.1f ms, parse %.1f ms, build %.1f ms)\n",
-                plain.c_str(), r.edges, r.total_us / 1e3,
+                plain.c_str(), features.c_str(), targets.c_str(), r.edges,
+                r.total_us / 1e3,
                 r.stats.read_us / 1e3, r.stats.parse_us / 1e3,
                 r.stats.build_us / 1e3);
     return r.edges > 0 ? 0 : 1;
   }
 
-  const std::size_t default_window =
-      flags.job.window_bytes > 0 ? static_cast<std::size_t>(flags.job.window_bytes)
-                             : 0;
   std::printf("\n%-14s %12s %10s %10s %10s %10s\n", "method", "total_us",
               "read_ms", "inflate_ms", "parse_ms", "build_ms");
   const auto show = [](const char* name, const LoadRun& r) {
@@ -252,11 +321,11 @@ int run(int argc, char** argv) {
                 r.total_us, r.stats.read_us / 1e3, r.stats.inflate_us / 1e3,
                 r.stats.parse_us / 1e3, r.stats.build_us / 1e3);
   };
-  const LoadRun stream = load_once(plain, default_window);
+  const LoadRun stream = load_once(plain, wb);
   show("stream", stream);
   const LoadRun tiny = load_once(plain, 1u << 20);
   show("stream-1MiB", tiny);
-  const LoadRun gzr = load_once(gz, default_window);
+  const LoadRun gzr = load_once(gz, wb);
   show("gzip", gzr);
 
   // The gate: window size and transparent gzip must never change a bit.
@@ -286,9 +355,9 @@ int run(int argc, char** argv) {
   // load always parses and writes the cache the warm one must hit.
   const std::string cache_dir = (fs::path(gen.dir) / "dtdg_cache").string();
   fs::remove_all(cache_dir);
-  const LoadRun cold = load_once(plain, default_window, cache_dir);
+  const LoadRun cold = load_once(plain, wb, cache_dir);
   show("cache-cold", cold);
-  const LoadRun warm = load_once(plain, default_window, cache_dir);
+  const LoadRun warm = load_once(plain, wb, cache_dir);
   show("cached", warm);
   std::printf("cached load: key %.1f ms, cache read %.1f ms\n",
               warm.stats.read_us / 1e3, warm.stats.cache_us / 1e3);

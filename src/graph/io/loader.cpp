@@ -53,8 +53,7 @@ bool plausible_nodes(unsigned long long declared,
 /// Streams `path` through a 1 MiB buffer into a ContentHash (the file is
 /// never held in memory whole).
 ContentHash hash_file(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) throw Error("cannot open " + path);
+  std::ifstream is = open_input(path);
   std::vector<char> buf(1u << 20);
   ContentHash h;
   for (;;) {
@@ -347,14 +346,12 @@ DTDG load_dataset(const std::string& path, const LoadOptions& opts,
     }
   }
 
-  // ---- Sidecars (read whole only without a cache hit; parsed below, once
-  // the vertex remap exists) ----
-  Timer rt;
-  const std::string feat_content =
-      opts.features_path.empty() ? std::string() : read_file(opts.features_path);
-  const std::string targ_content =
-      opts.targets_path.empty() ? std::string() : read_file(opts.targets_path);
-  st.read_us += rt.elapsed_us();
+  // ---- Sidecars: opened (and sniffed) now, so a missing or binary one
+  // fails before the edge parse; they are read once the vertex remap
+  // exists. Holding them open through the parse would cost more RSS. ----
+  for (const std::string* file : {&opts.features_path, &opts.targets_path}) {
+    if (!file->empty()) StreamReader probe(*file);
+  }
 
   // ---- Parse (windowed streaming, chunk-parallel per window) ----
   // Two staging strategies behind one sink, both feeding rows through one
@@ -552,10 +549,20 @@ DTDG load_dataset(const std::string& path, const LoadOptions& opts,
   feed.reset();  // Frees the live edge set.
   const int S = g.num_snapshots();
 
+  // ---- Sidecar parse; their reads count as read time, not build time ----
+  double sidecar_io_us = 0.0;
+  const auto parse_sidecar = [&](const std::string& file, const auto& parse) {
+    StreamReader in(file, opts.window_bytes);
+    auto parsed = parse(file, in, remap, n, S, p);
+    st.read_us += in.read_us();
+    st.inflate_us += in.inflate_us();
+    sidecar_io_us += in.read_us() + in.inflate_us();
+    return parsed;
+  };
+
   // ---- Features ----
   if (!opts.features_path.empty()) {
-    FeatureFile ff =
-        parse_features(opts.features_path, feat_content, remap, n, S, p);
+    FeatureFile ff = parse_sidecar(opts.features_path, parse_features);
     g.feat_dim = ff.dim;
     for (int t = 0; t < S; ++t) {
       g.snapshots[t].features =
@@ -569,15 +576,14 @@ DTDG load_dataset(const std::string& path, const LoadOptions& opts,
 
   // ---- Targets ----
   if (!opts.targets_path.empty()) {
-    g.targets =
-        parse_targets(opts.targets_path, targ_content, remap, n, S, p);
+    g.targets = parse_sidecar(opts.targets_path, parse_targets);
   }
   // Only after the sidecar files are parsed: `remap` binds sorted_names.
   g.vertex_names = std::move(sorted_names);
 
   // ---- Transposes and synthesized targets (pool-parallel) ----
   finish_snapshots(g, p);
-  st.build_us = bt.elapsed_us();
+  st.build_us = std::max(0.0, bt.elapsed_us() - sidecar_io_us);
   st.build_tasks = static_cast<std::size_t>(S);
   st.edges = g.total_edges();
 

@@ -8,11 +8,12 @@
 //   read      the file is pulled through a bounded StreamReader window
 //             (default 8 MiB; `.gz` inputs are inflated transparently) —
 //             the read buffer is bounded by the window, not the file size
-//             (whether parsed rows are kept is the build step's call); when
-//             a cache_dir is set, the raw bytes of the dataset and of each
-//             sidecar file are first XXH64-hashed in a separate streaming
-//             pass (the cache key), and the sidecars are read whole only
-//             on a cache miss;
+//             (whether parsed rows are kept is the build step's call); the
+//             sidecar files are opened before the edge parse and pulled
+//             through the same windows after it. When a cache_dir is set,
+//             the raw bytes of the dataset and of each sidecar file are
+//             first XXH64-hashed in a separate streaming pass (the cache
+//             key);
 //   parse     chunk-parallel on the shared ComputePool (text formats),
 //             window by window; results are bit-identical for any window
 //             size and thread count;
@@ -42,7 +43,8 @@
 //             at debug level).
 //
 // Features come from an optional sidecar file (static or temporal; see
-// text_format.hpp, parsed chunk-parallel on the pool) or are synthesized
+// text_format.hpp, windowed and parsed chunk-parallel on the pool, each
+// window's rows written straight into the tensors) or are synthesized
 // as a seeded AR(1) walk; targets come from a sidecar file or the
 // generator's degree/feature/season blend.
 // Every phase is wall-clock-measured into LoadStats for reporting

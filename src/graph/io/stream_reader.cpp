@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <initializer_list>
 
@@ -20,9 +21,7 @@ constexpr std::size_t kReadChunk = 256u << 10;  // Raw-read granularity.
 class FileSource final : public ByteSource {
  public:
   FileSource(const std::string& path, double* read_us)
-      : path_(path), read_us_(read_us), is_(path, std::ios::binary) {
-    if (!is_) throw Error("cannot open " + path);
-  }
+      : path_(path), read_us_(read_us), is_(open_input(path)) {}
 
   std::size_t read(char* buf, std::size_t n) override {
     Timer t;
@@ -113,14 +112,23 @@ class GzipSource final : public ByteSource {
 };
 
 std::string sniff_prefix(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) throw Error("cannot open " + path);
+  std::ifstream is = open_input(path);
   char buf[16];
   is.read(buf, sizeof(buf));
   return std::string(buf, static_cast<std::size_t>(is.gcount()));
 }
 
 }  // namespace
+
+std::ifstream open_input(const std::string& path, std::ios::openmode mode) {
+  std::error_code ec;
+  if (std::filesystem::is_directory(path, ec)) {
+    throw Error(path + ": is a directory");
+  }
+  std::ifstream is(path, mode);
+  if (!is) throw Error("cannot open " + path);
+  return is;
+}
 
 bool looks_gzip(std::string_view p) {
   return p.size() >= 2 && static_cast<unsigned char>(p[0]) == 0x1f &&

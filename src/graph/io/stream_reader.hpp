@@ -22,6 +22,7 @@
 #pragma once
 
 #include <cstddef>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -51,6 +52,12 @@ const char* binary_format_name(std::string_view prefix);
 
 /// True when `prefix` starts with the gzip magic bytes 1f 8b.
 bool looks_gzip(std::string_view prefix);
+
+/// Opens an input file for reading; throws Error "PATH: is a directory"
+/// (a directory opens like a file and fails only at the first read) or
+/// "cannot open PATH".
+std::ifstream open_input(const std::string& path,
+                         std::ios::openmode mode = std::ios::binary);
 
 class StreamReader {
  public:

@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <cstring>
 #include <exception>
-#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <string_view>
@@ -18,14 +17,9 @@
 namespace pipad::graph::io {
 
 std::string read_file(const std::string& path) {
-  // A directory opens like a file and reports a bogus size (LLONG_MAX on
-  // ext4), which the sized read below would try to allocate.
-  std::error_code ec;
-  if (std::filesystem::is_directory(path, ec)) {
-    throw Error(path + ": is a directory");
-  }
-  std::ifstream is(path, std::ios::binary | std::ios::ate);
-  if (!is) throw Error("cannot open " + path);
+  // open_input rejects a directory, whose bogus size (LLONG_MAX on ext4)
+  // the sized read below would try to allocate.
+  std::ifstream is = open_input(path, std::ios::binary | std::ios::ate);
   const std::streamoff size = is.tellg();
   if (size < 0 || !is.seekg(0)) throw Error(path + ": read error");
   std::string out(static_cast<std::size_t>(size), '\0');
@@ -211,11 +205,17 @@ std::string_view next_line(std::string_view text, std::size_t& pos) {
   return l;
 }
 
+/// True when `tok` is entirely one number literal of v's type (stored in v).
+template <typename T>
+bool whole_number(std::string_view tok, T& v) {
+  const auto [p, ec] = std::from_chars(tok.data(), tok.data() + tok.size(), v);
+  return ec == std::errc{} && p == tok.data() + tok.size();
+}
+
 long long parse_ll_tok(std::string_view tok, const std::string& path,
                        std::size_t line, const char* what) {
   long long v = 0;
-  const auto [p, ec] = std::from_chars(tok.data(), tok.data() + tok.size(), v);
-  if (ec != std::errc{} || p != tok.data() + tok.size()) {
+  if (!whole_number(tok, v)) {
     fail_at(path, line,
             std::string("malformed ") + what + " '" + escape_token(tok) + "'");
   }
@@ -225,19 +225,11 @@ long long parse_ll_tok(std::string_view tok, const std::string& path,
 float parse_f_tok(std::string_view tok, const std::string& path,
                   std::size_t line, const char* what) {
   float v = 0.0f;
-  const auto [p, ec] = std::from_chars(tok.data(), tok.data() + tok.size(), v);
-  if (ec != std::errc{} || p != tok.data() + tok.size() || !std::isfinite(v)) {
+  if (!whole_number(tok, v) || !std::isfinite(v)) {
     fail_at(path, line,
             std::string("malformed ") + what + " '" + escape_token(tok) + "'");
   }
   return v;
-}
-
-/// True when `tok` is entirely one (signed) 64-bit integer literal.
-bool is_integer_token(std::string_view tok) {
-  long long v = 0;
-  const auto [p, ec] = std::from_chars(tok.data(), tok.data() + tok.size(), v);
-  return ec == std::errc{} && p == tok.data() + tok.size();
 }
 
 /// A line's tokens. Each parse chunk keeps one buffer and refills it per
@@ -567,7 +559,8 @@ struct ParseState {
       if (l.empty() || l.front() == '#') continue;
       lay.split(l, toks);
       if (lay.src >= toks.size()) return 0;  // Column error surfaces later.
-      return is_integer_token(toks[lay.src]) ? 0 : 1;
+      long long id = 0;
+      return whole_number(toks[lay.src], id) ? 0 : 1;
     }
     return -1;
   }
@@ -682,7 +675,7 @@ struct SidecarLayout {
   std::size_t lead() const { return temporal ? 2 : 1; }
 };
 
-/// One parsed data row: where its line starts in the file and the
+/// One parsed data row: where its line starts in the window and the
 /// (snapshot, vertex) slot it fills. Its values follow in
 /// SidecarPart::values.
 struct SidecarRow {
@@ -703,19 +696,33 @@ struct SidecarPart {
   bool error_has_slot = false;
 };
 
-/// The first non-blank line of `content` (trimmed), with `pos` and `line`
-/// advanced past it; empty when there is none.
-std::string_view sidecar_header(const std::string& content, std::size_t& pos,
-                                std::size_t& line) {
-  while (pos < content.size()) {
-    const std::string_view l = next_line(content, pos);
-    ++line;
-    if (!l.empty()) {
-      pos = std::min(pos, content.size());
-      return l;
+/// Pulls windows from `in` up to the first non-blank line, the header, and
+/// splits it into `toks` (views into `window`), with `pos` and `line`
+/// advanced past it. Throws "bad header" naming `format` when the file has
+/// no header or its first tokens are not `magic` (a magic token ending in
+/// '=' is a key whose value follows).
+void sidecar_header(const std::string& path, StreamReader& in,
+                    const char* format, const Tokens& magic,
+                    std::string& window, std::size_t& pos, std::size_t& line,
+                    Tokens& toks) {
+  const std::string bad = std::string("bad header (expected `") + format + "`)";
+  while (in.next_window(window, line)) {
+    for (pos = 0; pos < window.size(); ++line) {
+      ws_tokens(next_line(window, pos), toks);
+      if (toks.empty()) continue;
+      pos = std::min(pos, window.size());
+      for (std::size_t i = 0; i < magic.size(); ++i) {
+        const std::string_view m = magic[i];
+        if (i >= toks.size() ||
+            (m.back() == '=' ? toks[i].substr(0, m.size()) : toks[i]) != m) {
+          fail_at(path, line, bad);
+        }
+      }
+      ++line;
+      return;
     }
   }
-  return {};
+  throw Error(path + ": " + bad);
 }
 
 void parse_sidecar_chunk(const std::string& path, const std::string& content,
@@ -775,87 +782,81 @@ void parse_sidecar_chunk(const std::string& path, const std::string& content,
   }
 }
 
-/// Parses the data rows of content[pos..] (whose first line is `line`) in
-/// newline-aligned chunks, on `pool` when there is more than one, then
-/// copies each row's values into row v of dest[snap] serially in file
-/// order, rejecting a second row for the same (snapshot, vertex) slot. A
-/// chunk holds its first error until every earlier row has passed that
-/// check, so the error thrown names the line a serial parse stops at, at
-/// any pool width.
-void parse_sidecar_rows(const std::string& path, const std::string& content,
-                        std::size_t pos, std::size_t line,
-                        const SidecarLayout& lay, const VertexRemap& remap,
-                        int num_nodes, ThreadPool* pool, Tensor* dest) {
-  const auto ranges =
-      chunk_lines(content, pos, line, want_chunks(content.size() - pos, pool));
-  std::vector<SidecarPart> parts(ranges.size());
-  const auto parse_one = [&](std::size_t i) {
-    parse_sidecar_chunk(path, content, ranges[i], lay, remap, parts[i]);
-  };
-  if (ranges.size() > 1) {  // want_chunks gave 1 unless `pool` is usable.
-    pool->parallel_for(ranges.size(), parse_one);
-  } else if (!ranges.empty()) {
-    parse_one(0);
-  }
+/// Parses a sidecar's data rows window by window: first `window`'s rows
+/// from `pos` on (whose first line is `line`), then each later window of
+/// `in`. A window's rows parse in newline-aligned chunks, on `pool` when
+/// there is more than one, and are then copied into row v of dest[snap]
+/// serially in file order. `seen` outlives the windows, so a second row for
+/// a (snapshot, vertex) slot is rejected wherever it falls. A chunk holds
+/// its first error until every earlier row has passed that check, so the
+/// error thrown names the line a serial parse stops at, at any pool width
+/// and window size.
+void parse_sidecar_rows(const std::string& path, StreamReader& in,
+                        std::string& window, std::size_t pos,
+                        std::size_t line, const SidecarLayout& lay,
+                        const VertexRemap& remap, int num_nodes,
+                        ThreadPool* pool, Tensor* dest) {
   std::vector<std::vector<bool>> seen(
       lay.temporal ? static_cast<std::size_t>(lay.num_snapshots) : 1,
       std::vector<bool>(static_cast<std::size_t>(num_nodes)));
   const auto width = static_cast<std::size_t>(lay.width);
   Tokens toks;
-  for (std::size_t c = 0; c < parts.size(); ++c) {
-    SidecarPart& part = parts[c];
-    for (std::size_t r = 0; r < part.rows.size(); ++r) {
-      const SidecarRow& row = part.rows[r];
-      auto slot = seen[static_cast<std::size_t>(row.snap)]
-                      [static_cast<std::size_t>(row.v)];
-      if (slot) {
-        const char* l = content.data() + row.offset;
-        ws_tokens(trim(std::string_view(
-                      l, std::min(content.find('\n', row.offset),
-                                  content.size()) -
-                             row.offset)),
-                  toks);
-        fail_at(path,
-                ranges[c].first_line +
-                    count_newlines(content.data() + ranges[c].begin, l),
-                std::string("duplicate ") +
-                    (lay.targets ? "target" : "feature") +
-                    " row for vertex " + escape_token(toks[lay.lead() - 1]));
-      }
-      if (part.error && part.error_has_slot && r + 1 == part.rows.size()) {
-        break;
-      }
-      slot = true;
-      std::copy_n(part.values.data() + r * width, width,
-                  dest[row.snap].row(row.v));
+  do {
+    const auto ranges =
+        chunk_lines(window, pos, line, want_chunks(window.size() - pos, pool));
+    std::vector<SidecarPart> parts(ranges.size());
+    const auto parse_one = [&](std::size_t i) {
+      parse_sidecar_chunk(path, window, ranges[i], lay, remap, parts[i]);
+    };
+    if (ranges.size() > 1) {  // want_chunks gave 1 unless `pool` is usable.
+      pool->parallel_for(ranges.size(), parse_one);
+    } else if (!ranges.empty()) {
+      parse_one(0);
     }
-    if (part.error) std::rethrow_exception(part.error);
-    part = SidecarPart();
-  }
+    for (std::size_t c = 0; c < parts.size(); ++c) {
+      SidecarPart& part = parts[c];
+      for (std::size_t r = 0; r < part.rows.size(); ++r) {
+        const SidecarRow& row = part.rows[r];
+        auto slot = seen[static_cast<std::size_t>(row.snap)]
+                        [static_cast<std::size_t>(row.v)];
+        if (slot) {
+          std::size_t at = row.offset;
+          ws_tokens(next_line(window, at), toks);
+          fail_at(path,
+                  ranges[c].first_line +
+                      count_newlines(window.data() + ranges[c].begin,
+                                     window.data() + row.offset),
+                  std::string("duplicate ") +
+                      (lay.targets ? "target" : "feature") +
+                      " row for vertex " + escape_token(toks[lay.lead() - 1]));
+        }
+        if (part.error && part.error_has_slot && r + 1 == part.rows.size()) {
+          break;
+        }
+        slot = true;
+        std::copy_n(part.values.data() + r * width, width,
+                    dest[row.snap].row(row.v));
+      }
+      if (part.error) std::rethrow_exception(part.error);
+      part = SidecarPart();
+    }
+    pos = 0;
+  } while (in.next_window(window, line));
 }
 
 }  // namespace
 
-FeatureFile parse_features(const std::string& path, const std::string& content,
+FeatureFile parse_features(const std::string& path, StreamReader& in,
                            const VertexRemap& remap, int num_nodes,
                            int num_snapshots, ThreadPool* pool) {
   FeatureFile ff;
-  // The first non-blank line must be the format header.
+  std::string window;
   std::size_t pos = 0, line = 1;
-  const std::string_view h = sidecar_header(content, pos, line);
-  if (h.empty()) {
-    throw Error(path + ": bad header (expected `# pipad-features v1 dim=D "
-                       "static|temporal`)");
-  }
-  const std::size_t hline = line - 1;
   Tokens toks;
-  ws_tokens(h, toks);
-  if (toks.size() < 4 || toks[0] != "#" || toks[1] != "pipad-features" ||
-      toks[2] != "v1" || toks[3].rfind("dim=", 0) != 0) {
-    fail_at(path, hline,
-            "bad header (expected `# pipad-features v1 dim=D "
-            "static|temporal`)");
-  }
+  sidecar_header(path, in, "# pipad-features v1 dim=D static|temporal",
+                 {"#", "pipad-features", "v1", "dim="}, window, pos, line,
+                 toks);
+  const std::size_t hline = line - 1;
   const long long d =
       parse_ll_tok(toks[3].substr(4), path, hline, "feature dim");
   if (d <= 0 || d > 1000000) fail_at(path, hline, "feature dim out of range");
@@ -869,36 +870,23 @@ FeatureFile parse_features(const std::string& path, const std::string& content,
   } else {
     ff.static_feat = Tensor(num_nodes, ff.dim);
   }
-  SidecarLayout lay;
-  lay.temporal = ff.temporal;
-  lay.width = ff.dim;
-  lay.num_snapshots = num_snapshots;
-  parse_sidecar_rows(path, content, pos, line, lay, remap, num_nodes, pool,
+  const SidecarLayout lay{false, ff.temporal, ff.dim, num_snapshots};
+  parse_sidecar_rows(path, in, window, pos, line, lay, remap, num_nodes, pool,
                      ff.temporal ? ff.per_snapshot.data() : &ff.static_feat);
   return ff;
 }
 
-std::vector<Tensor> parse_targets(const std::string& path,
-                                  const std::string& content,
+std::vector<Tensor> parse_targets(const std::string& path, StreamReader& in,
                                   const VertexRemap& remap, int num_nodes,
                                   int num_snapshots, ThreadPool* pool) {
+  std::string window;
   std::size_t pos = 0, line = 1;
-  const std::string_view h = sidecar_header(content, pos, line);
-  if (h.empty()) {
-    throw Error(path + ": bad header (expected `# pipad-targets v1`)");
-  }
   Tokens toks;
-  ws_tokens(h, toks);
-  if (toks.size() < 3 || toks[0] != "#" || toks[1] != "pipad-targets" ||
-      toks[2] != "v1") {
-    fail_at(path, line - 1, "bad header (expected `# pipad-targets v1`)");
-  }
+  sidecar_header(path, in, "# pipad-targets v1", {"#", "pipad-targets", "v1"},
+                 window, pos, line, toks);
   std::vector<Tensor> out(num_snapshots, Tensor(num_nodes, 1));
-  SidecarLayout lay;
-  lay.targets = true;
-  lay.temporal = true;
-  lay.num_snapshots = num_snapshots;
-  parse_sidecar_rows(path, content, pos, line, lay, remap, num_nodes, pool,
+  const SidecarLayout lay{true, true, 1, num_snapshots};
+  parse_sidecar_rows(path, in, window, pos, line, lay, remap, num_nodes, pool,
                      out.data());
   return out;
 }

@@ -28,8 +28,8 @@
 // bounded chunks parsed independently on the shared ComputePool, and the
 // chunk results are handed to a sink in file order — so the parser holds
 // one window, not the file, and the parsed stream is byte-identical for
-// any window size and thread count. The sidecar parsers are chunk-parallel
-// too.
+// any window size and thread count. The sidecar parsers pull their files
+// through the same windows and parse each one chunk-parallel too.
 #pragma once
 
 #include <cstdint>
@@ -147,20 +147,22 @@ struct FeatureFile {
 /// Error on unknown/malformed ids.
 using VertexRemap = std::function<int(std::string_view)>;
 
-/// Parse a feature file. `remap` converts raw vertex-id tokens to dense
-/// indices and throws on unknown ids (it is called from pool threads, so it
-/// must be safe to call concurrently); `num_snapshots` bounds temporal
-/// rows' `t`. With a pool (and when not already on a pool worker) the rows
-/// parse chunk-parallel and then fill the tensors serially in file order:
-/// the result, and the line any error names, are the same at every width.
-FeatureFile parse_features(const std::string& path, const std::string& content,
+/// Parse a feature file, pulling newline-aligned windows from `in` and
+/// writing each window's rows straight into the tensors. `remap` converts
+/// raw vertex-id tokens to dense indices and throws on unknown ids (it is
+/// called from pool threads, so it must be safe to call concurrently);
+/// `num_snapshots` bounds temporal rows' `t`. With a pool (and when not
+/// already on a pool worker) each window's rows parse chunk-parallel and
+/// then fill the tensors serially in file order: the result, and the line
+/// any error names, are the same at every width and window size. `path` is
+/// used in error messages only.
+FeatureFile parse_features(const std::string& path, StreamReader& in,
                            const VertexRemap& remap, int num_nodes,
                            int num_snapshots, ThreadPool* pool = nullptr);
 
-/// Parse a target file into one [num_nodes x 1] tensor per snapshot; the
-/// pool is used as in parse_features.
-std::vector<Tensor> parse_targets(const std::string& path,
-                                  const std::string& content,
+/// Parse a target file into one [num_nodes x 1] tensor per snapshot; `in`
+/// and the pool are used as in parse_features.
+std::vector<Tensor> parse_targets(const std::string& path, StreamReader& in,
                                   const VertexRemap& remap, int num_nodes,
                                   int num_snapshots,
                                   ThreadPool* pool = nullptr);

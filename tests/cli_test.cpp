@@ -491,6 +491,32 @@ TEST(CliBenchParity, BenchesRejectJobFlagsTheyDoNotRead) {
   }
 }
 
+TEST(CliBenchParity, FileKnobsRequireAFileDataset) {
+  // --snapshot-window, --window-bytes and --cache-dir apply only to file:
+  // entries of --datasets; without one a bench would run exactly as
+  // without them.
+  const std::string want =
+      "--snapshot-window, --window-bytes and --cache-dir require a "
+      "file:PATH entry in --datasets";
+  for (const char* arg :
+       {"--snapshot-window=4", "--window-bytes=64", "--cache-dir=D"}) {
+    EXPECT_EQ(bench_error({"--datasets=hepth", arg}), want) << arg;
+    EXPECT_EQ(bench_error({arg}), want) << arg;
+    bench::Flags f;
+    std::string error;
+    EXPECT_TRUE(bench::Flags::try_parse(
+        {arg, "--datasets=hepth,file:tests/data/sample_edges.csv"}, f, error))
+        << arg << ": " << error;
+  }
+  // Zero values are the defaults: nothing was asked of a file.
+  bench::Flags f;
+  std::string error;
+  EXPECT_TRUE(bench::Flags::try_parse(
+      {"--snapshot-window=0", "--window-bytes=0", "--datasets=hepth"}, f,
+      error))
+      << error;
+}
+
 api::Json read_json(const std::string& path) {
   std::ifstream is(path);
   EXPECT_TRUE(is.good()) << path;

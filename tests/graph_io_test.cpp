@@ -607,6 +607,78 @@ TEST(Loader, FeatureFileBadHeaderRejected) {
   }
 }
 
+TEST(Loader, EmptySidecarsFailWithBadHeader) {
+  const auto dir = temp_dir();
+  const auto empty = write_file_at(dir / "empty.tsv", "");
+  const auto blank = write_file_at(dir / "blank.tsv", std::string(300, '\n'));
+  for (const auto& file : {empty, blank}) {
+    for (const bool targets : {false, true}) {
+      LoadOptions o;
+      o.window_bytes = 64;
+      (targets ? o.targets_path : o.features_path) = file;
+      try {
+        load_dataset(fixture("sample_edges.csv"), o);
+        FAIL() << file << " accepted";
+      } catch (const Error& e) {
+        EXPECT_NE(std::string(e.what()).find(": bad header (expected `# pipad-" +
+                                             std::string(targets ? "targets"
+                                                                 : "features")),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+  }
+}
+
+TEST(Loader, DirectoryInputsNamedInError) {
+  const auto dir = temp_dir();
+  const auto sub = (dir / "sub").string();
+  fs::create_directories(sub);
+  // With a cache dir the cache key hashes every input first; it must name
+  // a directory the same way.
+  for (const std::string& cache : {std::string(), (dir / "cache").string()}) {
+    LoadOptions o, of, oy;
+    o.cache_dir = of.cache_dir = oy.cache_dir = cache;
+    of.features_path = sub;
+    oy.targets_path = sub;
+    for (const auto& [edges, opts] :
+         {std::pair{sub, o}, std::pair{fixture("sample_edges.csv"), of},
+          std::pair{fixture("sample_edges.csv"), oy}}) {
+      try {
+        load_dataset(edges, opts);
+        FAIL() << "directory accepted";
+      } catch (const Error& e) {
+        EXPECT_EQ(std::string(e.what()), sub + ": is a directory") << cache;
+      }
+    }
+  }
+}
+
+TEST(Loader, SidecarsAreOpenedBeforeTheEdgeParse) {
+  // The sidecars are parsed after the edge file, but a missing or binary
+  // one still fails first, before a long edge parse could.
+  const auto dir = temp_dir();
+  const auto edges = write_file_at(dir / "e.el", "0 1 0\n1 2 oops\n");
+  LoadOptions o;
+  o.targets_path = (dir / "missing.tsv").string();
+  try {
+    load_dataset(edges, o);
+    FAIL() << "missing targets accepted";
+  } catch (const Error& e) {
+    EXPECT_EQ(std::string(e.what()), "cannot open " + o.targets_path);
+  }
+  o.targets_path.clear();
+  o.features_path = write_file_at(dir / "f.tsv", "PIPADTDG\n");
+  try {
+    load_dataset(edges, o);
+    FAIL() << "binary features accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("f.tsv: not a text dataset"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Loader, FeatureDimMismatchAndDuplicateRowsRejected) {
   const auto dir = temp_dir();
   LoadOptions o;
@@ -649,19 +721,43 @@ std::string error_of(const Parse& parse, ThreadPool* pool) {
   return "";
 }
 
-TEST(Sidecar, FirstErrorIsTheSameAtEveryPoolWidth) {
-  // Enough rows for several chunks. A late row repeats a slot an early
-  // chunk filled, and a malformed row comes later still: every width must
-  // name the duplicate, as a serial parse does. A row that is both a
-  // duplicate and malformed is a duplicate too (the slot is checked
-  // before the values).
-  constexpr int kNodes = 400, kSnaps = 20;
-  const VertexRemap remap = [](std::string_view tok) {
+/// The window sizes every sidecar test runs at: rows split across windows,
+/// a few windows per file, and the default (one window).
+constexpr std::size_t kSidecarWindows[] = {64, 4096, 0};
+
+FeatureFile features_at(const std::string& path, std::size_t window,
+                        const VertexRemap& remap, int nodes, int snaps,
+                        ThreadPool* pool = nullptr) {
+  StreamReader in(path, window);
+  return parse_features(path, in, remap, nodes, snaps, pool);
+}
+
+std::vector<Tensor> targets_at(const std::string& path, std::size_t window,
+                               const VertexRemap& remap, int nodes, int snaps,
+                               ThreadPool* pool = nullptr) {
+  StreamReader in(path, window);
+  return parse_targets(path, in, remap, nodes, snaps, pool);
+}
+
+/// Integer ids in [0, nodes); anything else throws.
+VertexRemap int_remap(int nodes) {
+  return [nodes](std::string_view tok) {
     int v = -1;
     std::from_chars(tok.data(), tok.data() + tok.size(), v);
-    if (v < 0 || v >= kNodes) throw Error("bad vertex");
+    if (v < 0 || v >= nodes) throw Error("bad vertex");
     return v;
   };
+}
+
+TEST(Sidecar, FirstErrorIsTheSameAtEveryPoolWidth) {
+  // Enough rows for several chunks. A late row repeats a slot an early
+  // chunk filled, and a malformed row comes later still: every width and
+  // window size must name the duplicate, as a serial parse does. A row
+  // that is both a duplicate and malformed is a duplicate too (the slot is
+  // checked before the values).
+  constexpr int kNodes = 400, kSnaps = 20;
+  const VertexRemap remap = int_remap(kNodes);
+  const auto dir = temp_dir();
   ThreadPool p1(1), p4(4);
   for (const bool malformed_dup : {false, true}) {
     std::string feat = "# pipad-features v1 dim=2 temporal\n";
@@ -684,34 +780,34 @@ TEST(Sidecar, FirstErrorIsTheSameAtEveryPoolWidth) {
         }
       }
     }
+    const auto fp = write_file_at(dir / "f.tsv", feat);
+    const auto yp = write_file_at(dir / "y.tsv", targ);
     const std::string want = ":" + std::to_string(dup_line) +
                              ": duplicate feature row for vertex 3";
     const std::string want_t = ":" + std::to_string(dup_line) +
                                ": duplicate target row for vertex 3";
-    for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &p1, &p4}) {
-      const std::string fe = error_of(
-          [&](ThreadPool* pl) {
-            parse_features("f.tsv", feat, remap, kNodes, kSnaps, pl);
-          },
-          pool);
-      EXPECT_NE(fe.find(want), std::string::npos) << fe;
-      const std::string te = error_of(
-          [&](ThreadPool* pl) {
-            parse_targets("y.tsv", targ, remap, kNodes, kSnaps, pl);
-          },
-          pool);
-      EXPECT_NE(te.find(want_t), std::string::npos) << te;
+    for (const std::size_t window : kSidecarWindows) {
+      for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &p1, &p4}) {
+        const std::string fe = error_of(
+            [&](ThreadPool* pl) {
+              features_at(fp, window, remap, kNodes, kSnaps, pl);
+            },
+            pool);
+        EXPECT_NE(fe.find(want), std::string::npos) << window << ": " << fe;
+        const std::string te = error_of(
+            [&](ThreadPool* pl) {
+              targets_at(yp, window, remap, kNodes, kSnaps, pl);
+            },
+            pool);
+        EXPECT_NE(te.find(want_t), std::string::npos) << window << ": " << te;
+      }
     }
   }
 }
 
 TEST(Sidecar, ChunkParallelParseIsBitIdentical) {
   constexpr int kNodes = 300, kSnaps = 8;
-  const VertexRemap remap = [](std::string_view tok) {
-    int v = -1;
-    std::from_chars(tok.data(), tok.data() + tok.size(), v);
-    return v;
-  };
+  const VertexRemap remap = int_remap(kNodes);
   std::string feat = "\n# pipad-features v1 dim=3 temporal\n# comment\n";
   std::string targ = "# pipad-targets v1\n\n";
   for (int t = 0; t < kSnaps; ++t) {
@@ -722,22 +818,82 @@ TEST(Sidecar, ChunkParallelParseIsBitIdentical) {
       targ += tv + " " + std::to_string(0.01 * v - t) + "\n";
     }
   }
-  const FeatureFile base = parse_features("f", feat, remap, kNodes, kSnaps);
-  const auto base_y = parse_targets("y", targ, remap, kNodes, kSnaps);
+  const auto dir = temp_dir();
+  const auto fp = write_file_at(dir / "f", feat);
+  const auto yp = write_file_at(dir / "y", targ);
+  const auto ep = write_file_at(dir / "e", "# pipad-targets v1");
+  const FeatureFile base = features_at(fp, 0, remap, kNodes, kSnaps);
+  const auto base_y = targets_at(yp, 0, remap, kNodes, kSnaps);
   ASSERT_TRUE(base.temporal);
   EXPECT_FLOAT_EQ(base.per_snapshot[2].at(299, 1), 1.5f);
   EXPECT_EQ(base.per_snapshot[2].at(298, 1), 0.0f);
   ThreadPool p4(4);
-  const FeatureFile ff = parse_features("f", feat, remap, kNodes, kSnaps, &p4);
-  const auto y = parse_targets("y", targ, remap, kNodes, kSnaps, &p4);
-  for (int t = 0; t < kSnaps; ++t) {
-    EXPECT_EQ(ff.per_snapshot[t].storage(), base.per_snapshot[t].storage());
-    EXPECT_EQ(y[t].storage(), base_y[t].storage());
+  for (const std::size_t window : kSidecarWindows) {
+    const FeatureFile ff = features_at(fp, window, remap, kNodes, kSnaps, &p4);
+    const auto y = targets_at(yp, window, remap, kNodes, kSnaps, &p4);
+    for (int t = 0; t < kSnaps; ++t) {
+      EXPECT_EQ(ff.per_snapshot[t].storage(), base.per_snapshot[t].storage())
+          << window;
+      EXPECT_EQ(y[t].storage(), base_y[t].storage()) << window;
+    }
+    // A header with no rows and no trailing newline leaves every slot 0.
+    const auto empty = targets_at(ep, window, remap, 3, 2, &p4);
+    ASSERT_EQ(empty.size(), 2u);
+    EXPECT_EQ(empty[1].storage(), std::vector<float>(3, 0.0f)) << window;
   }
-  // A header with no rows and no trailing newline leaves every slot 0.
-  const auto empty = parse_targets("y", "# pipad-targets v1", remap, 3, 2, &p4);
-  ASSERT_EQ(empty.size(), 2u);
-  EXPECT_EQ(empty[1].storage(), std::vector<float>(3, 0.0f));
+}
+
+TEST(Sidecar, DuplicateInALaterWindowNamesItsLine) {
+  // The first row for (2, 5) sits in the first window and its repeat many
+  // windows later: the slot bits outlive the window that set them.
+  const auto dir = temp_dir();
+  std::string targ = "# pipad-targets v1\n2 5 1.0\n";
+  for (int v = 0; v < 40; ++v) targ += "3 " + std::to_string(v) + " 0.25\n";
+  targ += "2 5 2.0\n";  // Line 43.
+  const auto yp = write_file_at(dir / "y.tsv", targ);
+  ThreadPool p4(4);
+  for (const std::size_t window : kSidecarWindows) {
+    const std::string e = error_of(
+        [&](ThreadPool* pl) { targets_at(yp, window, int_remap(50), 50, 4, pl); },
+        &p4);
+    EXPECT_NE(e.find("y.tsv:43: duplicate target row for vertex 5"),
+              std::string::npos)
+        << window << ": " << e;
+  }
+}
+
+TEST(Sidecar, HeaderAfterBlankWindowsIsFound) {
+  // 200 blank lines fill several 64-byte windows before the header: it is
+  // read from the first window with a non-blank line, and line numbers
+  // count the blank lines.
+  const auto dir = temp_dir();
+  const std::string blanks(200, '\n');
+  const auto fp = write_file_at(
+      dir / "f.tsv", blanks + "# pipad-features v1 dim=2 static\n"
+                              "1 0.5 -1.5\n3 2.0 4.0\n");
+  const auto bad = write_file_at(
+      dir / "bad.tsv", blanks + "# pipad-features v1 dim=2 static\n"
+                                "1 0.5 -1.5\n3 2.0 x\n");
+  const auto bad_header =
+      write_file_at(dir / "h.tsv", blanks + "# pipad-features v2 dim=2\n");
+  for (const std::size_t window : kSidecarWindows) {
+    const FeatureFile ff = features_at(fp, window, int_remap(4), 4, 1);
+    ASSERT_FALSE(ff.temporal);
+    EXPECT_EQ(ff.static_feat.storage(),
+              (std::vector<float>{0, 0, 0.5f, -1.5f, 0, 0, 2.0f, 4.0f}))
+        << window;
+    const std::string e = error_of(
+        [&](ThreadPool*) { features_at(bad, window, int_remap(4), 4, 1); },
+        nullptr);
+    EXPECT_NE(e.find("bad.tsv:203: malformed feature value 'x'"),
+              std::string::npos)
+        << window << ": " << e;
+    const std::string h = error_of(
+        [&](ThreadPool*) { features_at(bad_header, window, int_remap(4), 4, 1); },
+        nullptr);
+    EXPECT_NE(h.find("h.tsv:201: bad header"), std::string::npos)
+        << window << ": " << h;
+  }
 }
 
 TEST(Loader, NoEdgesRejected) {
@@ -1153,6 +1309,29 @@ TEST(Gzip, EdgeListLoadsBitIdenticalToPlain) {
   EXPECT_GE(stz.inflate_us, 0.0);
 }
 
+TEST(Gzip, SidecarsLoadBitIdenticalToPlain) {
+  // Sidecars go through the same reader as the edge file, so a gzip'd
+  // feature or target file inflates transparently, whatever its name.
+  const auto dir = temp_dir();
+  const DTDG g0 = generate(small_cfg());
+  const auto edges = (dir / "g.el").string();
+  export_edge_list(g0, edges);
+  LoadOptions plain;
+  plain.features_path = (dir / "f.tsv").string();
+  plain.targets_path = (dir / "y.tsv").string();
+  export_features(g0, plain.features_path);
+  export_targets(g0, plain.targets_path);
+  LoadOptions gz = plain;
+  gz.features_path = gzip_file_at(dir / "f.tsv.gz", read_file(plain.features_path));
+  gz.targets_path = gzip_file_at(dir / "y", read_file(plain.targets_path));
+  const DTDG gp = load_dataset(edges, plain);
+  expect_same_dtdg(g0, gp);
+  for (const std::size_t window : {std::size_t{64}, std::size_t{0}}) {
+    gz.window_bytes = window;
+    expect_same_dtdg(gp, load_dataset(edges, gz));
+  }
+}
+
 TEST(Gzip, CsvDispatchesOnInnerExtension) {
   const auto dir = temp_dir();
   const std::string content = read_file(fixture("sample_edges.csv"));
@@ -1376,6 +1555,49 @@ TEST(AdversarialInput, NewlineFreeBlobRejected) {
     FAIL() << "newline-free blob accepted";
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("line"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(AdversarialInput, SidecarBinaryMagicNamedInError) {
+  const auto dir = temp_dir();
+  LoadOptions of;
+  of.features_path = write_file_at(dir / "f.tsv", "PIPADTDG payload\n");
+  LoadOptions oy;
+  oy.targets_path =
+      write_file_at(dir / "y.tsv", std::string("\x28\xb5\x2f\xfd", 4) + "x");
+  for (const auto& [o, needle] :
+       {std::pair{of, ".dtdg"}, std::pair{oy, "zstd"}}) {
+    try {
+      load_dataset(fixture("sample_edges.csv"), o);
+      FAIL() << needle << " sidecar accepted";
+    } catch (const Error& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("not a text dataset — detected"), std::string::npos)
+          << msg;
+      EXPECT_NE(msg.find(needle), std::string::npos) << msg;
+    }
+  }
+}
+
+TEST(AdversarialInput, OverlongSidecarRowHitsTheLineCap) {
+  // A row longer than both the window and the reader's line cap fails
+  // with the cap's error, naming the row's line.
+  const auto dir = temp_dir();
+  LoadOptions o;
+  o.window_bytes = 4096;
+  o.features_path = write_file_at(
+      dir / "f.tsv", "# pipad-features v1 dim=2 static\n0" +
+                         std::string(StreamReader::kMaxLineBytes + 4096, ' ') +
+                         "1.0 2.0\n");
+  try {
+    load_dataset(fixture("sample_edges.csv"), o);
+    FAIL() << "overlong feature row accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "f.tsv:2: line longer than " +
+                  std::to_string(StreamReader::kMaxLineBytes) + " bytes"),
+              std::string::npos)
         << e.what();
   }
 }
