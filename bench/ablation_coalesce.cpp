@@ -8,7 +8,7 @@
 
 int run(int argc, char** argv) {
   using namespace pipad;
-  const auto flags = bench::Flags::parse(argc, argv);
+  const auto flags = bench::Flags::parse(argc, argv, bench::Writes::Nothing);
   gpusim::CostModel cm((gpusim::SimConfig()));
 
   auto cfg = graph::dataset_by_name("epinions", flags.job.scale_large,

@@ -7,7 +7,7 @@
 
 int run(int argc, char** argv) {
   using namespace pipad;
-  auto flags = bench::Flags::parse(argc, argv);
+  auto flags = bench::Flags::parse(argc, argv, bench::Writes::Nothing);
   if (flags.datasets.empty()) flags.datasets = {"epinions", "hepth"};
   bench::DatasetCache cache(flags);
 
@@ -21,7 +21,7 @@ int run(int argc, char** argv) {
     for (int bound : {4, 8, 16, 32, 64, 128}) {
       const auto s = sliced::slice(adj, bound);
       const auto lb = sliced::sliced_load_balance(s, 64);
-      runtime::PipadOptions o;
+      auto o = api::pipad_options(flags.job);
       o.slice_bound = bound;
       const auto r = bench::run_method(
           g, models::Method::PiPAD,

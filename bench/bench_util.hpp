@@ -17,15 +17,15 @@
 //                     file:PATH specs for on-disk datasets (edge list /
 //                     temporal CSV / .dtdg; docs/DATASET_FORMATS.md)
 //                                                          (default all 7)
-//   --json=FILE       write per-run records to FILE as JSON (wired into
-//                     fig10_end2end, ablation_sper, contention_pool,
-//                     fig_replicas and ingest_stream; other binaries
-//                     accept but ignore it)
+//   --json=FILE       write per-run records to FILE as JSON
 //   --trace-dir=DIR   write one trace file per run into DIR (created if
 //                     missing), named <bench>-<dataset>-<model>-<method>.json
-//                     and labeled for `pipad analyze` (wired into
-//                     fig10_end2end and fig_replicas; other binaries
-//                     accept but ignore it)
+//                     and labeled for `pipad analyze`
+// Each bench names what it writes in its Flags::parse call (Writes): only
+// fig10_end2end and fig_replicas write records and traces; ablation_sper,
+// contention_pool and ingest_stream write records; the rest print their
+// tables only. A bench given --json or --trace-dir that it would not write
+// exits 2 with an error naming the flag.
 // Unknown flags and invalid values are rejected with a usage message
 // (exit code 2), mirroring the CLI driver. Defaults are sized for a
 // single-core CI run; the *shape* of each figure is stable across scales
@@ -54,6 +54,9 @@
 
 namespace pipad::bench {
 
+/// What a bench writes besides its stdout tables.
+enum class Writes { Nothing, Records, RecordsAndTraces };
+
 struct Flags {
   /// The shared job description (--scale-large, --epochs, --threads,
   /// --replicas, ... — everything api::apply_flag understands).
@@ -74,7 +77,7 @@ struct Flags {
     return false;
   }
 
-  static std::string usage(const char* prog) {
+  static std::string usage(const char* prog, Writes writes) {
     std::string p = prog != nullptr ? prog : "bench";
     // api::flags_help() cut down to the flags benches read: an entry is a
     // "  --name ..." line plus its indented continuation lines.
@@ -99,10 +102,14 @@ struct Flags {
            "\n"
            "bench flags:\n"
            "  --datasets=a,b     comma-separated subset of the Table-1\n"
-           "                     names and/or file:PATH specs  [all 7]\n"
-           "  --json=FILE        write per-run records as JSON\n"
-           "                     (bench_diff-compatible)\n"
-           "  --trace-dir=DIR    write one labeled trace file per run\n";
+           "                     names and/or file:PATH specs  [all 7]\n" +
+           (writes == Writes::Nothing
+                ? ""
+                : "  --json=FILE        write per-run records as JSON\n"
+                  "                     (bench_diff-compatible)\n") +
+           (writes == Writes::RecordsAndTraces
+                ? "  --trace-dir=DIR    write one labeled trace file per run\n"
+                : "");
   }
 
   /// Strict non-exiting parse of `--name=value` arguments (program name
@@ -110,8 +117,8 @@ struct Flags {
   /// api::apply_flag, then the shared validator. Returns false with the
   /// canonical error message — byte-identical to what `pipad train` prints
   /// for the same bad input (cli_test pins this).
-  static bool try_parse(const std::vector<std::string>& args, Flags& f,
-                        std::string& error) {
+  static bool try_parse(const std::vector<std::string>& args, Writes writes,
+                        Flags& f, std::string& error) {
     for (const std::string& arg : args) {
       const auto eq = arg.find('=');
       if (arg.rfind("--", 0) != 0 || eq == std::string::npos) {
@@ -120,6 +127,11 @@ struct Flags {
       }
       const std::string key = arg.substr(0, eq);
       const std::string value = arg.substr(eq + 1);
+      if ((key == "--json" && writes == Writes::Nothing) ||
+          (key == "--trace-dir" && writes != Writes::RecordsAndTraces)) {
+        error = key + " is an output this bench does not write";
+        return false;
+      }
       if (key == "--json") {
         if (value.empty()) {
           error = "--json expects a file path";
@@ -187,13 +199,13 @@ struct Flags {
   }
 
   /// try_parse + usage message + exit(2) on error, like the `pipad` CLI.
-  static Flags parse(int argc, char** argv) {
+  static Flags parse(int argc, char** argv, Writes writes) {
     Flags f;
     std::string error;
-    if (!try_parse(std::vector<std::string>(argv + 1, argv + argc), f,
+    if (!try_parse(std::vector<std::string>(argv + 1, argv + argc), writes, f,
                    error)) {
       std::fprintf(stderr, "%s: %s\n\n%s", argv[0], error.c_str(),
-                   usage(argv[0]).c_str());
+                   usage(argv[0], writes).c_str());
       std::exit(2);
     }
     return f;

@@ -107,7 +107,7 @@ double run_profile(const Profile& p, bool dynamic, int iters,
 
 int run(int argc, char** argv) {
   using namespace pipad;
-  const auto flags = bench::Flags::parse(argc, argv);
+  const auto flags = bench::Flags::parse(argc, argv, bench::Writes::Records);
   ComputePool::instance().configure(
       flags.job.threads > 0 ? static_cast<std::size_t>(flags.job.threads) : 0);
   const std::size_t threads = ComputePool::instance().threads();

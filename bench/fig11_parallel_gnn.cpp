@@ -89,7 +89,7 @@ GnnRun run_parallel(const graph::DTDG& g, int start, int count, int f,
 
 int run(int argc, char** argv) {
   using namespace pipad;
-  const auto flags = bench::Flags::parse(argc, argv);
+  const auto flags = bench::Flags::parse(argc, argv, bench::Writes::Nothing);
   bench::DatasetCache cache(flags);
   gpusim::CostModel cm((gpusim::SimConfig()));
 

@@ -11,7 +11,7 @@
 
 int run(int argc, char** argv) {
   using namespace pipad;
-  const auto flags = bench::Flags::parse(argc, argv);
+  const auto flags = bench::Flags::parse(argc, argv, bench::Writes::Nothing);
   bench::DatasetCache cache(flags);
 
   std::printf("Figure 12 (left axis): load balance, 64 thread blocks\n\n");
@@ -40,8 +40,8 @@ int run(int argc, char** argv) {
     for (auto model : {models::ModelType::EvolveGcn,
                        models::ModelType::MpnnLstm, models::ModelType::TGcn}) {
       const auto tcfg = bench::train_config(flags, model);
-      runtime::PipadOptions sliced_opts;
-      runtime::PipadOptions csr_opts;
+      const auto sliced_opts = api::pipad_options(flags.job);
+      auto csr_opts = sliced_opts;
       csr_opts.slice_bound = 1 << 28;  // One slice per row == CSR.
       const double sliced_us =
           bench::run_method(g, models::Method::PiPAD, tcfg, sliced_opts)

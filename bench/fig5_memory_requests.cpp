@@ -11,7 +11,7 @@
 
 int run(int argc, char** argv) {
   using namespace pipad;
-  const auto flags = bench::Flags::parse(argc, argv);
+  const auto flags = bench::Flags::parse(argc, argv, bench::Writes::Nothing);
 
   // Synthetic graph in the GNNAdvisor experiment's regime.
   auto cfg = graph::dataset_by_name("hepth", flags.job.scale_large,

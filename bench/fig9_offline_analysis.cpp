@@ -14,7 +14,7 @@
 
 int run(int argc, char** argv) {
   using namespace pipad;
-  const auto flags = bench::Flags::parse(argc, argv);
+  const auto flags = bench::Flags::parse(argc, argv, bench::Writes::Nothing);
   gpusim::CostModel cm((gpusim::SimConfig()));
 
   // Workload shaped like the paper's scaled evaluation graphs.

@@ -17,7 +17,8 @@
 
 int run(int argc, char** argv) {
   using namespace pipad;
-  const auto flags = bench::Flags::parse(argc, argv);
+  const auto flags =
+      bench::Flags::parse(argc, argv, bench::Writes::RecordsAndTraces);
   bench::DatasetCache cache(flags);
   bench::JsonReport report("fig_replicas", flags);
 

@@ -269,7 +269,8 @@ int run(int argc, char** argv) {
     }
   }
   const auto flags =
-      bench::Flags::parse(static_cast<int>(rest.size()), rest.data());
+      bench::Flags::parse(static_cast<int>(rest.size()), rest.data(),
+                          bench::Writes::Records);
   ComputePool::instance().configure(
       flags.job.threads > 0 ? static_cast<std::size_t>(flags.job.threads) : 0);
 

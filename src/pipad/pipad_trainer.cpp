@@ -29,6 +29,10 @@ namespace {
 /// the device launch latency (the CUDA-graph path skips it).
 constexpr double kFrameworkUsPerLaunch = 2.0;
 
+/// Max thread groups per warp of the sliced aggregation (§4.2), the value
+/// the tuner's WorkloadShape assumes too.
+constexpr int kCoalesceNum = 4;
+
 /// Per-snapshot sliced topology produced by the online graph analyzer (❶).
 struct SlicedSnapshot {
   sliced::SlicedCSR adj;
@@ -252,8 +256,7 @@ class PipadExecutor final : public models::FrameExecutor,
                                                d_direct));
         Tensor d_x(xs[i]->rows(), xs[i]->cols());
         record("agg:sliced:" + tag,
-               kernels::agg_sliced(a, d_agg, d_x, opts_.coalesce_num, false,
-                                   sw));
+               kernels::agg_sliced(a, d_agg, d_x, kCoalesceNum, false, sw));
         ops::add_inplace(d_x, d_direct);
         record("ew:" + tag + ".add",
                kernels::elementwise_stats(d_x.size(), 2, 1));
@@ -261,8 +264,7 @@ class PipadExecutor final : public models::FrameExecutor,
       } else {
         Tensor agg(xs[i]->rows(), xs[i]->cols());
         record("agg:sliced:" + tag,
-               kernels::agg_sliced(a, *xs[i], agg, opts_.coalesce_num, false,
-                                   sw));
+               kernels::agg_sliced(a, *xs[i], agg, kCoalesceNum, false, sw));
         Tensor h(agg.rows(), agg.cols());
         record("normalize:" + tag,
                kernels::gcn_normalize(ss.deg, *xs[i], agg, h));
@@ -321,8 +323,7 @@ class PipadExecutor final : public models::FrameExecutor,
       Tensor agg(in_coal.rows(), in_coal.cols());
       record("agg:sliced:" + tag + ".overlap",
              kernels::agg_sliced(transposed ? p.overlap_t : p.overlap,
-                                 in_coal, agg, opts_.coalesce_num, false,
-                                 ow));
+                                 in_coal, agg, kCoalesceNum, false, ow));
       // Exclusive remainders at native width, scattered into their stripe.
       for (int i = 0; i < s; ++i) {
         const auto& ex = transposed ? p.exclusive_t[i] : p.exclusive[i];
@@ -334,8 +335,7 @@ class PipadExecutor final : public models::FrameExecutor,
         Tensor in_i = ops::slice_cols(in_coal, i * f, f);
         Tensor e(in_i.rows(), f);
         record("agg:sliced:" + tag + ".excl",
-               kernels::agg_sliced(ex, in_i, e, opts_.coalesce_num, false,
-                                   ew));
+               kernels::agg_sliced(ex, in_i, e, kCoalesceNum, false, ew));
         ops::add_into_cols(agg, e, i * f);
         record("ew:" + tag + ".scatter",
                kernels::elementwise_stats(e.size(), 2, 1));
@@ -618,8 +618,6 @@ struct PipadTrainer::Impl {
     in.shape.feat_dim = data.feat_dim;
     in.shape.hidden_dim = hid;
     in.shape.slice_bound = opts.slice_bound;
-    in.shape.coalesce_num = opts.coalesce_num;
-    in.sper_options = opts.sper_options;
     in.frame_size = frame.size;
     in.enable_pipeline = opts.enable_pipeline;
     in.weight_reuse = opts.enable_weight_reuse && !model->weights_evolve();

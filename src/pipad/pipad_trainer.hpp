@@ -33,9 +33,7 @@
 namespace pipad::runtime {
 
 struct PipadOptions {
-  std::vector<int> sper_options = {2, 4, 8};  ///< Finite S_per set (§4.3).
   int slice_bound = 32;        ///< Max nnz per slice (§4.1).
-  int coalesce_num = 4;        ///< Max thread groups per warp (§4.2).
   int preparing_epochs = 1;
   bool enable_reuse = true;        ///< Inter-frame reuse (§4.4).
   bool enable_pipeline = true;     ///< Async partition transfers (§4.3).

@@ -418,7 +418,8 @@ std::string cli_error(std::initializer_list<const char*> args) {
 std::string bench_error(const std::vector<std::string>& args) {
   bench::Flags f;
   std::string error;
-  EXPECT_FALSE(bench::Flags::try_parse(args, f, error));
+  EXPECT_FALSE(bench::Flags::try_parse(
+      args, bench::Writes::RecordsAndTraces, f, error));
   return error;
 }
 
@@ -457,8 +458,8 @@ TEST(CliBenchParity, GoodSharedInputsLandIdentically) {
   bench::Flags f;
   std::string error;
   ASSERT_TRUE(bench::Flags::try_parse(
-      {"--epochs=3", "--threads=4", "--replicas=2", "--allreduce=tree"}, f,
-      error))
+      {"--epochs=3", "--threads=4", "--replicas=2", "--allreduce=tree"},
+      bench::Writes::Nothing, f, error))
       << error;
   EXPECT_EQ(r.options.job.epochs, f.job.epochs);
   EXPECT_EQ(r.options.job.threads, f.job.threads);
@@ -469,7 +470,8 @@ TEST(CliBenchParity, GoodSharedInputsLandIdentically) {
 TEST(CliBenchParity, BenchesRejectJobFlagsTheyDoNotRead) {
   // A bench would run exactly as without these, so each is an error that
   // names it, whatever its value — and the bench usage does not list it.
-  const std::string usage = bench::Flags::usage("fig");
+  const std::string usage =
+      bench::Flags::usage("fig", bench::Writes::RecordsAndTraces);
   for (const char* arg :
        {"--seed=99", "--model=gcn", "--runtime=pygt-g", "--dataset=hepth",
         "--nodes=77", "--events=100", "--feat-dim=4", "--snapshots=3",
@@ -505,16 +507,50 @@ TEST(CliBenchParity, FileKnobsRequireAFileDataset) {
     bench::Flags f;
     std::string error;
     EXPECT_TRUE(bench::Flags::try_parse(
-        {arg, "--datasets=hepth,file:tests/data/sample_edges.csv"}, f, error))
+        {arg, "--datasets=hepth,file:tests/data/sample_edges.csv"},
+        bench::Writes::Nothing, f, error))
         << arg << ": " << error;
   }
   // Zero values are the defaults: nothing was asked of a file.
   bench::Flags f;
   std::string error;
   EXPECT_TRUE(bench::Flags::try_parse(
-      {"--snapshot-window=0", "--window-bytes=0", "--datasets=hepth"}, f,
-      error))
+      {"--snapshot-window=0", "--window-bytes=0", "--datasets=hepth"},
+      bench::Writes::Nothing, f, error))
       << error;
+}
+
+TEST(CliBenchParity, OutputFlagsOnlyWhereTheBenchWritesThem) {
+  // A bench that prints its tables only would run exactly as without
+  // --json or --trace-dir, so either is an error naming it, and its usage
+  // does not list them.
+  const auto error_of = [](const std::string& arg, bench::Writes writes) {
+    bench::Flags f;
+    std::string error;
+    return bench::Flags::try_parse({"--epochs=1", arg}, writes, f, error)
+               ? std::string()
+               : error;
+  };
+  using W = bench::Writes;
+  EXPECT_EQ(error_of("--json=out.json", W::Nothing),
+            "--json is an output this bench does not write");
+  EXPECT_EQ(error_of("--trace-dir=traces", W::Nothing),
+            "--trace-dir is an output this bench does not write");
+  EXPECT_EQ(error_of("--trace-dir=traces", W::Records),
+            "--trace-dir is an output this bench does not write");
+  EXPECT_EQ(error_of("--json=out.json", W::Records), "");
+  EXPECT_EQ(error_of("--json=out.json", W::RecordsAndTraces), "");
+  EXPECT_EQ(error_of("--trace-dir=traces", W::RecordsAndTraces), "");
+  // An empty value is still a usage error where the flag is accepted.
+  EXPECT_EQ(error_of("--json=", W::Records), "--json expects a file path");
+
+  const std::string nothing = bench::Flags::usage("fig", W::Nothing);
+  const std::string records = bench::Flags::usage("fig", W::Records);
+  EXPECT_EQ(nothing.find("  --json"), std::string::npos);
+  EXPECT_EQ(nothing.find("  --trace-dir"), std::string::npos);
+  EXPECT_NE(records.find("  --json"), std::string::npos);
+  EXPECT_EQ(records.find("  --trace-dir"), std::string::npos);
+  EXPECT_NE(nothing.find("  --datasets"), std::string::npos);
 }
 
 api::Json read_json(const std::string& path) {
