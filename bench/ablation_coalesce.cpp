@@ -8,7 +8,9 @@
 
 int run(int argc, char** argv) {
   using namespace pipad;
-  const auto flags = bench::Flags::parse(argc, argv, bench::Writes::Nothing);
+  const auto flags =
+      bench::Flags::parse(argc, argv, bench::Writes::Nothing,
+                          bench::Reads::own_graph({"--scale-large"}));
   gpusim::CostModel cm((gpusim::SimConfig()));
 
   auto cfg = graph::dataset_by_name("epinions", flags.job.scale_large,

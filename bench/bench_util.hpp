@@ -25,7 +25,12 @@
 // fig10_end2end and fig_replicas write records and traces; ablation_sper,
 // contention_pool and ingest_stream write records; the rest print their
 // tables only. A bench given --json or --trace-dir that it would not write
-// exits 2 with an error naming the flag.
+// exits 2 with an error naming the flag. Likewise each names what it reads
+// (Reads): most read --datasets and every job flag above, but three build
+// their own graph and read no --datasets: fig5_memory_requests reads only
+// --scale-small, ablation_coalesce only --scale-large and
+// fig9_offline_analysis no flag at all. Any other flag given to them exits
+// 2 with an error naming it.
 // Unknown flags and invalid values are rejected with a usage message
 // (exit code 2), mirroring the CLI driver. Defaults are sized for a
 // single-core CI run; the *shape* of each figure is stable across scales
@@ -57,6 +62,25 @@ namespace pipad::bench {
 /// What a bench writes besides its stdout tables.
 enum class Writes { Nothing, Records, RecordsAndTraces };
 
+/// What a bench reads: --datasets and every job flag benches take (the
+/// default), or, for a bench that builds its own graph, only the job flags
+/// it names.
+struct Reads {
+  bool datasets = true;
+  std::vector<std::string> job_flags = {
+      "--scale-large",     "--scale-small",  "--epochs",   "--frames",
+      "--frame-size",      "--threads",      "--replicas", "--allreduce",
+      "--snapshot-window", "--window-bytes", "--cache-dir"};
+
+  static Reads own_graph(std::vector<std::string> job_flags) {
+    return Reads{false, std::move(job_flags)};
+  }
+  bool job_flag(const std::string& flag) const {
+    return std::find(job_flags.begin(), job_flags.end(), flag) !=
+           job_flags.end();
+  }
+};
+
 struct Flags {
   /// The shared job description (--scale-large, --epochs, --threads,
   /// --replicas, ... — everything api::apply_flag understands).
@@ -66,18 +90,8 @@ struct Flags {
   std::string json;  ///< Non-empty: write run records to this file.
   std::string trace_dir;  ///< Non-empty: write one trace file per run here.
 
-  /// The job flags benches read (see the header comment).
-  static bool reads(const std::string& flag) {
-    for (const char* f :
-         {"--scale-large", "--scale-small", "--epochs", "--frames",
-          "--frame-size", "--threads", "--replicas", "--allreduce",
-          "--snapshot-window", "--window-bytes", "--cache-dir"}) {
-      if (flag == f) return true;
-    }
-    return false;
-  }
-
-  static std::string usage(const char* prog, Writes writes) {
+  static std::string usage(const char* prog, Writes writes,
+                           const Reads& input = {}) {
     std::string p = prog != nullptr ? prog : "bench";
     // api::flags_help() cut down to the flags benches read: an entry is a
     // "  --name ..." line plus its indented continuation lines.
@@ -89,27 +103,34 @@ struct Flags {
       end = end == std::string::npos ? all.size() : end + 1;
       const std::string line = all.substr(pos, end - pos);
       if (line.rfind("  --", 0) == 0) {
-        keep = reads(line.substr(2, line.find(' ', 2) - 2));
+        keep = input.job_flag(line.substr(2, line.find(' ', 2) - 2));
       }
       if (keep) job += line;
       pos = end;
     }
-    return "usage: " + p + " [--name=value ...]\n"
-           "\n"
-           "job flags (shared with the pipad CLI, --name=value form; other\n"
-           "job flags are rejected):\n" +
-           job +
-           "\n"
-           "bench flags:\n"
-           "  --datasets=a,b     comma-separated subset of the Table-1\n"
-           "                     names and/or file:PATH specs  [all 7]\n" +
-           (writes == Writes::Nothing
-                ? ""
-                : "  --json=FILE        write per-run records as JSON\n"
-                  "                     (bench_diff-compatible)\n") +
-           (writes == Writes::RecordsAndTraces
-                ? "  --trace-dir=DIR    write one labeled trace file per run\n"
-                : "");
+    std::string own;
+    if (input.datasets) {
+      own += "  --datasets=a,b     comma-separated subset of the Table-1\n"
+             "                     names and/or file:PATH specs  [all 7]\n";
+    }
+    if (writes != Writes::Nothing) {
+      own += "  --json=FILE        write per-run records as JSON\n"
+             "                     (bench_diff-compatible)\n";
+    }
+    if (writes == Writes::RecordsAndTraces) {
+      own += "  --trace-dir=DIR    write one labeled trace file per run\n";
+    }
+    if (job.empty() && own.empty()) {
+      return "usage: " + p + "\n\nthis bench takes no flags\n";
+    }
+    std::string out = "usage: " + p + " [--name=value ...]\n";
+    if (!job.empty()) {
+      out += "\njob flags (shared with the pipad CLI, --name=value form; "
+             "other\njob flags are rejected):\n" +
+             job;
+    }
+    if (!own.empty()) out += "\nbench flags:\n" + own;
+    return out;
   }
 
   /// Strict non-exiting parse of `--name=value` arguments (program name
@@ -118,7 +139,8 @@ struct Flags {
   /// canonical error message — byte-identical to what `pipad train` prints
   /// for the same bad input (cli_test pins this).
   static bool try_parse(const std::vector<std::string>& args, Writes writes,
-                        Flags& f, std::string& error) {
+                        Flags& f, std::string& error,
+                        const Reads& input = {}) {
     for (const std::string& arg : args) {
       const auto eq = arg.find('=');
       if (arg.rfind("--", 0) != 0 || eq == std::string::npos) {
@@ -130,6 +152,14 @@ struct Flags {
       if ((key == "--json" && writes == Writes::Nothing) ||
           (key == "--trace-dir" && writes != Writes::RecordsAndTraces)) {
         error = key + " is an output this bench does not write";
+        return false;
+      }
+      if (key == "--datasets" && !input.datasets) {
+        error = "--datasets is an input this bench does not read";
+        return false;
+      }
+      if (Reads{}.job_flag(key) && !input.job_flag(key)) {
+        error = key + " is a job flag this bench does not read";
         return false;
       }
       if (key == "--json") {
@@ -165,7 +195,7 @@ struct Flags {
           f.datasets.push_back(name);
           pos = next == std::string::npos ? next : next + 1;
         }
-      } else if (!reads(key)) {
+      } else if (!input.job_flag(key)) {
         api::JobSpec unused;
         std::string ignored;
         const bool job_flag = api::apply_flag(key, value, unused, ignored) !=
@@ -199,13 +229,14 @@ struct Flags {
   }
 
   /// try_parse + usage message + exit(2) on error, like the `pipad` CLI.
-  static Flags parse(int argc, char** argv, Writes writes) {
+  static Flags parse(int argc, char** argv, Writes writes,
+                     const Reads& input = {}) {
     Flags f;
     std::string error;
     if (!try_parse(std::vector<std::string>(argv + 1, argv + argc), writes, f,
-                   error)) {
+                   error, input)) {
       std::fprintf(stderr, "%s: %s\n\n%s", argv[0], error.c_str(),
-                   usage(argv[0], writes).c_str());
+                   usage(argv[0], writes, input).c_str());
       std::exit(2);
     }
     return f;

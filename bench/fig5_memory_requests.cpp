@@ -11,7 +11,9 @@
 
 int run(int argc, char** argv) {
   using namespace pipad;
-  const auto flags = bench::Flags::parse(argc, argv, bench::Writes::Nothing);
+  const auto flags =
+      bench::Flags::parse(argc, argv, bench::Writes::Nothing,
+                          bench::Reads::own_graph({"--scale-small"}));
 
   // Synthetic graph in the GNNAdvisor experiment's regime.
   auto cfg = graph::dataset_by_name("hepth", flags.job.scale_large,

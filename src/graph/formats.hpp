@@ -90,7 +90,7 @@ CSR transpose(const CSR& csr);
 std::vector<float> transpose_weights(const CSR& csr,
                                      const std::vector<float>& w);
 
-/// Sorted edge-key list for set algebra (overlap extraction).
+/// Sorted edge-key list (row-major: the CSR's own order).
 std::vector<std::uint64_t> edge_keys(const CSR& csr);
 
 /// Equality of topology.

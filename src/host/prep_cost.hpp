@@ -34,12 +34,14 @@ namespace pipad::host {
 /// independent of `--threads`, which only sizes the real pool.
 constexpr std::size_t kModeledHostCores = 8;
 
-/// Modeled cost per CSR row a job walks (slicing or an edge-key scan).
+/// Modeled cost per CSR row a job walks (slicing or an overlap scan).
 constexpr double kUsPerRow = 0.0045;
 /// Modeled cost per edge a job walks while slicing or scanning.
 constexpr double kUsPerEdge = 0.0042;
 /// Modeled cost per partition-member edge split into overlap and
-/// exclusive parts (sort, intersect and re-slice, on top of the walks).
+/// exclusive parts and re-sliced, on top of the walks. Fitted when the
+/// split still went through sorted edge-key vectors; unchanged since, so
+/// modeled records stay put.
 constexpr double kUsPerMemberEdge = 0.041;
 /// Modeled cost per byte staged into pinned host memory.
 constexpr double kUsPerStagedByte = 0.00033;

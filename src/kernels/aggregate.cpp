@@ -471,45 +471,6 @@ std::vector<float> degrees(const graph::CSR& a, const std::vector<float>* w) {
   return deg;
 }
 
-std::vector<float> combined_degrees(const sliced::SlicedCSR& overlap,
-                                    const sliced::SlicedCSR& exclusive,
-                                    const std::vector<float>* overlap_w,
-                                    const std::vector<float>* exclusive_w) {
-  PIPAD_CHECK(overlap.rows == exclusive.rows);
-  if (overlap_w != nullptr && overlap_w->empty()) overlap_w = nullptr;
-  if (exclusive_w != nullptr && exclusive_w->empty()) exclusive_w = nullptr;
-  PIPAD_CHECK(overlap_w == nullptr || overlap_w->size() == overlap.nnz());
-  PIPAD_CHECK(exclusive_w == nullptr ||
-              exclusive_w->size() == exclusive.nnz());
-  std::vector<float> deg(overlap.rows, 0.0f);
-  // Unweighted parts contribute integer counts; summing ints as floats is
-  // exact below 2^24 and keeps parity with the weighted path's layout.
-  for (std::size_t s = 0; s < overlap.num_slices(); ++s) {
-    if (overlap_w == nullptr) {
-      deg[overlap.row_idx[s]] += static_cast<float>(overlap.slice_size(s));
-    } else {
-      float sum = 0.0f;
-      for (int i = overlap.slice_off[s]; i < overlap.slice_off[s + 1]; ++i) {
-        sum += (*overlap_w)[i];
-      }
-      deg[overlap.row_idx[s]] += sum;
-    }
-  }
-  for (std::size_t s = 0; s < exclusive.num_slices(); ++s) {
-    if (exclusive_w == nullptr) {
-      deg[exclusive.row_idx[s]] += static_cast<float>(exclusive.slice_size(s));
-    } else {
-      float sum = 0.0f;
-      for (int i = exclusive.slice_off[s]; i < exclusive.slice_off[s + 1];
-           ++i) {
-        sum += (*exclusive_w)[i];
-      }
-      deg[exclusive.row_idx[s]] += sum;
-    }
-  }
-  return deg;
-}
-
 }  // namespace pipad::kernels
 
 namespace pipad::simd::detail {

@@ -132,11 +132,4 @@ KernelStats gcn_normalize_backward(const std::vector<float>& deg,
 std::vector<float> degrees(const graph::CSR& a,
                            const std::vector<float>* w = nullptr);
 
-/// Combined degrees of an overlap + exclusive decomposition for one member.
-/// Weight arrays (nullable) align with the respective part's col_idx.
-std::vector<float> combined_degrees(const sliced::SlicedCSR& overlap,
-                                    const sliced::SlicedCSR& exclusive,
-                                    const std::vector<float>* overlap_w = nullptr,
-                                    const std::vector<float>* exclusive_w = nullptr);
-
 }  // namespace pipad::kernels

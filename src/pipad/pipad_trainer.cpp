@@ -381,6 +381,18 @@ class PipadExecutor final : public models::FrameExecutor,
 
 }  // namespace
 
+std::vector<std::pair<int, int>> frame_partitions(const graph::Frame& frame,
+                                                  int s_per,
+                                                  int num_snapshots) {
+  PIPAD_CHECK(s_per > 0);
+  std::vector<std::pair<int, int>> keys;
+  const int end = std::min(frame.end(), num_snapshots);
+  for (int pos = frame.start; pos < end; pos += s_per) {
+    keys.emplace_back(pos, std::min(s_per, end - pos));
+  }
+  return keys;
+}
+
 struct PipadTrainer::Impl {
   gpusim::Gpu& gpu;
   const graph::DTDG& data;
@@ -489,7 +501,7 @@ struct PipadTrainer::Impl {
     const int cnt = std::max(0, last - lo);
     std::vector<std::uint64_t> nnz(cnt, 0);
     std::vector<double> pair_or(cnt, -1.0);  ///< -1 = no successor pair.
-    // A job with a successor pair walks both snapshots for their edge keys.
+    // A job with a successor pair walks both snapshots' rows and edges.
     std::vector<host::PrepCounts> counts(cnt);
     for (int j = 0; j < cnt; ++j) {
       const int t = lo + j;
@@ -562,28 +574,23 @@ struct PipadTrainer::Impl {
     steady_prepared = true;
     std::vector<std::pair<int, int>> keys;
     for (const auto& frame : frames) {
-      const int s = decide_sper(frame);
-      int pos = frame.start;
-      const int end = std::min(frame.end(), data.num_snapshots());
-      while (pos < end) {
-        const int take = std::min(s, end - pos);
-        const auto key = std::make_pair(pos, take);
+      for (const auto& key : frame_partitions(frame, decide_sper(frame),
+                                              data.num_snapshots())) {
         // Sliding frames revisit partitions; extract each key once. Frame
         // order IS first-use order, which the stream preserves.
         if (partition_cache.count(key) == 0 &&
             std::find(keys.begin(), keys.end(), key) == keys.end()) {
           keys.push_back(key);
         }
-        pos += take;
       }
     }
     if (keys.empty()) return;
 
     stream_keys = keys;
     stream_parts.assign(keys.size(), {});
-    // An extraction walks each member twice for its edge keys and slices
-    // the overlap plus every member's exclusive part, forward and
-    // transposed: 2 + 4 * count row walks, plus the member edges it splits.
+    // An extraction is charged 2 + 4 * count walks over the graph's rows
+    // plus every member edge it splits (host/prep_cost.hpp); the counts,
+    // not the split's code, set its modeled duration.
     std::vector<host::PrepCounts> counts(keys.size());
     for (std::size_t j = 0; j < keys.size(); ++j) {
       stream_index[keys[j]] = j;
@@ -665,18 +672,12 @@ struct PipadTrainer::Impl {
   }
 
   float train_steady_frame(const graph::Frame& frame) {
-    const int s = decide_sper(frame);
+    const auto part_keys =
+        frame_partitions(frame, decide_sper(frame), data.num_snapshots());
     std::vector<const sliced::FramePartition*> parts;
-    std::vector<std::pair<int, int>> part_keys;
-    {
-      int pos = frame.start;
-      const int end = std::min(frame.end(), data.num_snapshots());
-      while (pos < end) {
-        const int take = std::min(s, end - pos);
-        parts.push_back(&partition(pos, take));
-        part_keys.emplace_back(pos, take);
-        pos += take;
-      }
+    parts.reserve(part_keys.size());
+    for (const auto& [start, count] : part_keys) {
+      parts.push_back(&partition(start, count));
     }
 
     // ---- Partition-grained transfers (§4.1) ----

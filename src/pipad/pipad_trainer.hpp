@@ -23,6 +23,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "gpusim/gpu.hpp"
@@ -69,6 +70,13 @@ struct PipadOptions {
   /// never change a single bit of the result.
   std::string allreduce = "ring";
 };
+
+/// (start, count) of the partitions a frame splits into at S_per = s_per:
+/// consecutive chunks of up to s_per snapshots (§4.4 distributes snapshots
+/// uniformly), clipped to the dataset's `num_snapshots`.
+std::vector<std::pair<int, int>> frame_partitions(const graph::Frame& frame,
+                                                  int s_per,
+                                                  int num_snapshots);
 
 /// The per-device PiPAD step engine (models::StepEngine, which documents
 /// the step API). replica::ReplicaTrainer drives it: that loop interleaves

@@ -1,9 +1,11 @@
 // Frame partitioning for multi-snapshot parallel processing (§4.1, §4.2).
 //
 // PiPAD divides each frame into partitions of S_per consecutive snapshots.
-// For one partition we extract the topology shared by *all* members (the
-// overlap part, transferred and aggregated once) plus a small exclusive part
-// per member. Feature matrices of the partition are coalesced row-wise into
+// For one partition, graph::decompose_group splits the members' rows into
+// the topology shared by *all* members (the overlap part, transferred and
+// aggregated once) plus a small exclusive part per member, with each part's
+// weights; build_partition slices every part and its transpose. Feature
+// matrices of the partition are coalesced row-wise into
 // one [N x (F * S_per)] matrix so a single aggregation pass serves every
 // snapshot with wide, coalescent memory accesses.
 #pragma once
@@ -32,7 +34,8 @@ struct FramePartition {
   // these small value arrays. overlap_w[i] aligns with overlap.col_idx
   // (slice() copies the part CSR's col_idx verbatim) and holds member i's
   // weights of the shared edges; unweighted members of a mixed group get
-  // 1.0 fills. The _t variants align with the transposed parts.
+  // 1.0 fills. The _t variants align with the transposed parts
+  // (graph::transpose_weights).
   std::vector<std::vector<float>> overlap_w;     ///< [count] x overlap.nnz().
   std::vector<std::vector<float>> overlap_w_t;   ///< [count] x overlap.nnz().
   std::vector<std::vector<float>> exclusive_w;   ///< [count], member i's nnz.
@@ -52,10 +55,6 @@ struct FramePartition {
     }
     return b;
   }
-
-  /// What the same snapshots cost when shipped individually as full sliced
-  /// CSRs (for reporting the reduction).
-  std::size_t unshared_topology_bytes() const;
 };
 
 /// Build one partition over snapshots [start, start+count). With a pool, the
@@ -66,13 +65,6 @@ struct FramePartition {
 FramePartition build_partition(const graph::DTDG& g, int start, int count,
                                int slice_bound = kDefaultSliceBound,
                                ThreadPool* pool = nullptr);
-
-/// Partition a frame into ceil(frame.size / s_per) chunks of (up to) s_per
-/// contiguous snapshots — §4.4 distributes snapshots uniformly.
-std::vector<FramePartition> partition_frame(const graph::DTDG& g,
-                                            const graph::Frame& frame,
-                                            int s_per,
-                                            int slice_bound = kDefaultSliceBound);
 
 /// Row-wise feature coalescing: out[v] = [f0[v] | f1[v] | ... ] giving an
 /// [N x (F * S)] matrix (❺ in Fig. 6).

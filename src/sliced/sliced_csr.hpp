@@ -58,8 +58,7 @@ SlicedCSR slice(const graph::CSR& csr, int bound = kDefaultSliceBound);
 /// Reassemble the CSR (exact inverse of slice()).
 graph::CSR unslice(const SlicedCSR& s);
 
-/// Slice directly from sorted edge keys (used on overlap-decomposed parts,
-/// skipping the intermediate CSR).
+/// Slice directly from sorted edge keys, skipping the intermediate CSR.
 SlicedCSR slice_from_sorted_keys(int rows, int cols,
                                  const std::vector<std::uint64_t>& keys,
                                  int bound = kDefaultSliceBound);

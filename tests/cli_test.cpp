@@ -553,6 +553,51 @@ TEST(CliBenchParity, OutputFlagsOnlyWhereTheBenchWritesThem) {
   EXPECT_NE(nothing.find("  --datasets"), std::string::npos);
 }
 
+TEST(CliBenchParity, InputFlagsOnlyWhereTheBenchReadsThem) {
+  // A bench that builds its own graph would run exactly as without
+  // --datasets or a job flag it never reads, so each is an error naming it.
+  const auto error_of = [](const std::string& arg,
+                           const bench::Reads& input) {
+    bench::Flags f;
+    std::string error;
+    return bench::Flags::try_parse({arg}, bench::Writes::Nothing, f, error,
+                                   input)
+               ? std::string()
+               : error;
+  };
+  const auto scale = bench::Reads::own_graph({"--scale-small"});
+  const auto none = bench::Reads::own_graph({});
+  for (const auto* input : {&scale, &none}) {
+    EXPECT_EQ(error_of("--datasets=pems08", *input),
+              "--datasets is an input this bench does not read");
+    for (const char* arg : {"--scale-large=2", "--epochs=2", "--frames=2",
+                            "--threads=2", "--replicas=2", "--cache-dir=D"}) {
+      const std::string flag(arg, std::strchr(arg, '=') - arg);
+      EXPECT_EQ(error_of(arg, *input),
+                flag + " is a job flag this bench does not read")
+          << arg;
+    }
+    // Flags no bench reads keep their own message.
+    EXPECT_EQ(error_of("--seed=3", *input),
+              "--seed is a job flag benches do not read");
+  }
+  EXPECT_EQ(error_of("--scale-small=2", scale), "");
+  EXPECT_EQ(error_of("--scale-small=2", none),
+            "--scale-small is a job flag this bench does not read");
+  EXPECT_EQ(error_of("--datasets=pems08", bench::Reads{}), "");
+
+  const std::string scale_usage =
+      bench::Flags::usage("fig", bench::Writes::Nothing, scale);
+  EXPECT_NE(scale_usage.find("  --scale-small"), std::string::npos);
+  EXPECT_EQ(scale_usage.find("  --scale-large"), std::string::npos);
+  EXPECT_EQ(scale_usage.find("  --epochs"), std::string::npos);
+  EXPECT_EQ(scale_usage.find("  --datasets"), std::string::npos);
+  EXPECT_EQ(scale_usage.find("bench flags"), std::string::npos);
+  EXPECT_EQ(bench::Flags::usage("fig", bench::Writes::Nothing, none)
+                .find("  --"),
+            std::string::npos);
+}
+
 api::Json read_json(const std::string& path) {
   std::ifstream is(path);
   EXPECT_TRUE(is.good()) << path;

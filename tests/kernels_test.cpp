@@ -208,9 +208,12 @@ TEST(ParallelAgg, CombinedDegreesMatchSnapshotDegrees) {
   cfg.edge_life = 3.0;
   const auto g = graph::generate(cfg);
   const auto part = sliced::build_partition(g, 0, 3);
+  const auto overlap = kernels::degrees(sliced::unslice(part.overlap));
   for (int i = 0; i < 3; ++i) {
-    const auto combined =
-        kernels::combined_degrees(part.overlap, part.exclusive[i]);
+    auto combined = kernels::degrees(sliced::unslice(part.exclusive[i]));
+    for (std::size_t v = 0; v < combined.size(); ++v) {
+      combined[v] += overlap[v];
+    }
     EXPECT_EQ(combined, kernels::degrees(g.snapshots[i].adj));
   }
 }
@@ -403,9 +406,13 @@ TEST(WeightedAgg, CombinedDegreesMatchWeightedSnapshotDegrees) {
   const auto g = weighted_dtdg(50, 600, 4, 2);
   const auto part = sliced::build_partition(g, 0, 3);
   for (int i = 0; i < 3; ++i) {
-    const auto combined = kernels::combined_degrees(
-        part.overlap, part.exclusive[i], &part.overlap_w[i],
-        &part.exclusive_w[i]);
+    auto combined = kernels::degrees(sliced::unslice(part.exclusive[i]),
+                                     &part.exclusive_w[i]);
+    const auto overlap =
+        kernels::degrees(sliced::unslice(part.overlap), &part.overlap_w[i]);
+    for (std::size_t v = 0; v < combined.size(); ++v) {
+      combined[v] += overlap[v];
+    }
     const auto full =
         kernels::degrees(g.snapshots[i].adj, &g.snapshots[i].edge_w);
     ASSERT_EQ(combined.size(), full.size());
