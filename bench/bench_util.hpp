@@ -5,8 +5,8 @@
 //
 // The job description lives in an api::JobSpec (Flags::job): benches parse
 // the job flags they read — --scale-large, --scale-small, --epochs,
-// --frames, --frame-size, --threads, --replicas, --allreduce,
-// --snapshot-window, --window-bytes and --cache-dir — through the same
+// --frames, --frame-size, --threads, --replicas, --snapshot-window,
+// --window-bytes and --cache-dir — through the same
 // api::apply_flag and validator as the `pipad` CLI and the serve daemon
 // (one set of error messages; see api/job_spec.hpp). The last three need a
 // file:PATH entry in --datasets, the only data they apply to. Every other
@@ -69,8 +69,8 @@ struct Reads {
   bool datasets = true;
   std::vector<std::string> job_flags = {
       "--scale-large",     "--scale-small",  "--epochs",   "--frames",
-      "--frame-size",      "--threads",      "--replicas", "--allreduce",
-      "--snapshot-window", "--window-bytes", "--cache-dir"};
+      "--frame-size",      "--threads",      "--replicas", "--snapshot-window",
+      "--window-bytes",    "--cache-dir"};
 
   static Reads own_graph(std::vector<std::string> job_flags) {
     return Reads{false, std::move(job_flags)};

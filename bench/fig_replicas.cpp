@@ -28,8 +28,7 @@ int run(int argc, char** argv) {
   std::vector<int> thread_counts = {1};
   if (flags.job.threads > 1) thread_counts.push_back(flags.job.threads);
 
-  std::printf("Replicated data-parallel scaling (allreduce=%s)\n",
-              flags.job.allreduce.c_str());
+  std::printf("Replicated data-parallel scaling\n");
   std::printf("(epochs=%d, frames/epoch=%d, frame size=%d)\n", flags.job.epochs,
               flags.job.frames, flags.job.frame_size);
 

@@ -1,11 +1,9 @@
-// Detection passes: pluggable diagnoses over an analyzed trace.
+// Detection passes: fixed diagnoses over an analyzed trace.
 //
 // Mirrors the PerFlow shape: the trace is abstracted once (TraceData +
 // TraceDag + CriticalPath), then independent passes inspect it and emit
-// ranked findings. `pipad analyze` runs the builtin registry; later PRs
-// (and tests) register additional passes without touching the plumbing.
-//
-// Builtin catalog (docs/ANALYZER.md documents each in detail):
+// ranked findings. run_passes runs this catalog, in this order
+// (docs/ANALYZER.md documents each in detail):
 //   transfer_bound      PCIe copies carry a large share of the critical
 //                       path and are not hidden under compute.
 //   prep_bound          host-side preparation (worker `prep:*` ops) runs
@@ -24,7 +22,6 @@
 //                       compute in flight to hide it.
 #pragma once
 
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -76,43 +73,15 @@ struct PassOptions {
   double allreduce_bound_frac = 0.02;  ///< Exposed-link share of makespan.
 };
 
-struct PassContext {
-  const TraceData& trace;
-  const TraceDag& dag;
-  const CriticalPath& path;
-  PassOptions opts;
-};
+/// Rank findings in place: severity desc, recoverable_us desc, pass name
+/// asc, window start asc.
+void rank_findings(std::vector<Finding>& findings);
 
-class Pass {
- public:
-  virtual ~Pass() = default;
-  virtual const char* name() const = 0;
-  virtual const char* description() const = 0;
-  virtual std::vector<Finding> run(const PassContext& ctx) const = 0;
-};
-
-/// An ordered collection of passes. Not a global: callers build one (tests
-/// add custom passes to a fresh registry; the CLI uses with_builtins()).
-class PassRegistry {
- public:
-  /// A registry pre-loaded with the builtin catalog above, in catalog
-  /// order.
-  static PassRegistry with_builtins();
-
-  /// Append a pass. Throws Error on a duplicate name.
-  void add(std::unique_ptr<Pass> pass);
-
-  const Pass* find(const std::string& name) const;
-  std::vector<std::string> names() const;
-
-  /// Run every pass and rank the findings: severity desc, recoverable_us
-  /// desc, pass name asc, window start asc. Deterministic for a given
-  /// trace regardless of thread count (passes run serially; only the DAG
-  /// build fans out).
-  std::vector<Finding> run_all(const PassContext& ctx) const;
-
- private:
-  std::vector<std::unique_ptr<Pass>> passes_;
-};
+/// Run every pass of the catalog above and rank the findings. Passes run
+/// serially, so the result is the same for a given trace whatever the
+/// thread count (only the DAG build fans out).
+std::vector<Finding> run_passes(const TraceData& trace,
+                                const CriticalPath& path,
+                                const PassOptions& opts);
 
 }  // namespace pipad::analyze

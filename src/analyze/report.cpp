@@ -9,18 +9,13 @@
 namespace pipad::analyze {
 
 Analysis analyze_trace(TraceData td, const PassOptions& opts,
-                       ThreadPool* pool, const PassRegistry* registry) {
+                       ThreadPool* pool) {
   Analysis a;
   a.trace = std::move(td);
   a.dag = build_dag(a.trace, pool);
   a.path = critical_path(a.trace, a.dag);
   a.slack = resource_slack(a.trace);
-  const PassContext ctx{a.trace, a.dag, a.path, opts};
-  if (registry != nullptr) {
-    a.findings = registry->run_all(ctx);
-  } else {
-    a.findings = PassRegistry::with_builtins().run_all(ctx);
-  }
+  a.findings = run_passes(a.trace, a.path, opts);
   return a;
 }
 

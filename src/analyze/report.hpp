@@ -29,15 +29,13 @@ struct Analysis {
   TraceDag dag;
   CriticalPath path;
   std::vector<double> slack;      ///< Per-resource idle headroom.
-  std::vector<Finding> findings;  ///< Ranked (see PassRegistry::run_all).
+  std::vector<Finding> findings;  ///< Ranked (see rank_findings).
 };
 
-/// DAG -> critical path -> slack -> passes. A null registry runs the
-/// builtin catalog. The pool only parallelizes the DAG build; results are
-/// bit-identical for any thread count.
+/// DAG -> critical path -> slack -> passes. The pool only parallelizes the
+/// DAG build; results are bit-identical for any thread count.
 Analysis analyze_trace(TraceData td, const PassOptions& opts = {},
-                       ThreadPool* pool = nullptr,
-                       const PassRegistry* registry = nullptr);
+                       ThreadPool* pool = nullptr);
 
 /// Human report: trace summary, critical-path breakdown, ranked findings
 /// table (top N), and an annotated gantt of the top finding's window.

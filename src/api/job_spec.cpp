@@ -7,7 +7,6 @@
 
 #include "graph/io/loader.hpp"
 #include "models/training.hpp"
-#include "replica/allreduce.hpp"
 
 namespace pipad::api {
 
@@ -76,13 +75,6 @@ FlagStatus apply_flag(const std::string& flag, const std::string& value,
       return FlagStatus::Error;
     }
     o.threads = static_cast<int>(n);
-  } else if (flag == "--allreduce") {
-    replica::AllReduceAlgo algo;
-    if (!replica::parse_allreduce(value, algo)) {
-      error = "unknown allreduce '" + value + "' (expected ring | tree)";
-      return FlagStatus::Error;
-    }
-    o.allreduce = value;
   } else if (flag == "--edge-life") {
     double x = 0.0;
     if (!parse_f(value, x) || x < 1.0) {
@@ -148,10 +140,6 @@ std::string JobSpec::validate() const {
   if (!models::parse_runtime(runtime)) {
     return "unknown runtime '" + runtime +
            "' (expected pipad | pygt | pygt-a | pygt-r | pygt-g)";
-  }
-  replica::AllReduceAlgo algo;
-  if (!replica::parse_allreduce(allreduce, algo)) {
-    return "unknown allreduce '" + allreduce + "' (expected ring | tree)";
   }
   if (nodes <= 0 || epochs <= 0 || frame_size <= 0 || feat_dim <= 0 ||
       events <= 0) {
@@ -260,7 +248,6 @@ Json JobSpec::to_json() const {
   j.set("frames", frames);
   j.set("threads", threads);
   j.set("replicas", replicas);
-  j.set("allreduce", allreduce);
   j.set("seed", seed);
   j.set("tenant", tenant);
   j.set("priority", priority);
@@ -318,7 +305,6 @@ bool JobSpec::from_json(const Json& j, JobSpec& spec, std::string& error) {
       } else if (key == "frames") out.frames = int_field(v, "frames");
       else if (key == "threads") out.threads = int_field(v, "threads");
       else if (key == "replicas") out.replicas = int_field(v, "replicas");
-      else if (key == "allreduce") out.allreduce = v.as_string();
       else if (key == "seed") {
         const long long s = v.as_int();
         if (s < 0) throw Error("json: expected integer");
@@ -384,8 +370,6 @@ std::string flags_help() {
       "                     and params are bit-identical for every K and\n"
       "                     --threads), 0 = one device stepping after\n"
       "                     every frame  [0]\n"
-      "  --allreduce ALGO   interconnect timing model for --replicas:\n"
-      "                     ring | tree (numerics are identical)  [ring]\n"
       "  --seed N           dataset + model RNG seed  [2023]\n"
       "  --tenant NAME      serve/submit: fair-share tenant bucket\n"
       "                     [default]\n"

@@ -7,10 +7,10 @@
 // not accept, validate or report a job without re-implementing all three.
 // Now there is exactly one flag vocabulary (apply_flag / parse_job_spec,
 // one help text in flags_help()), one strict validator (validate(), which
-// also owns the pipad-only --replicas/--allreduce rules so benches and the
-// daemon reject them on baseline runtimes identically to the CLI), and one
-// JSON wire form (to_json/from_json, strict: unknown or mistyped fields are
-// errors) that round-trips losslessly.
+// also owns the pipad-only --replicas rule so benches and the daemon reject
+// it on baseline runtimes identically to the CLI), and one JSON wire form
+// (to_json/from_json, strict: unknown or mistyped fields are errors) that
+// round-trips losslessly.
 #pragma once
 
 #include <cstdint>
@@ -56,7 +56,6 @@ struct JobSpec {
                             ///< the thread-invariance contract).
   int replicas = 0;         ///< >=1: replicated data-parallel training
                             ///< across K simulated devices (pipad only).
-  std::string allreduce = "ring";  ///< --replicas interconnect: ring | tree.
   std::uint64_t seed = 2023;
 
   // Multi-tenant scheduling (serve); inert for one-shot runs.
@@ -69,8 +68,8 @@ struct JobSpec {
   bool run_analyzer = false;   ///< JobResult carries an analyzer summary.
 
   /// Strict post-parse validation: every rule that used to live in the CLI
-  /// (including the pipad-only --replicas/--allreduce constraints) plus
-  /// range/vocabulary checks for specs built from JSON.
+  /// (including the pipad-only --replicas constraint) plus range/vocabulary
+  /// checks for specs built from JSON.
   /// Returns the error message, or "" when valid.
   std::string validate() const;
 

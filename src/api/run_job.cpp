@@ -99,7 +99,6 @@ runtime::PipadOptions pipad_options(const JobSpec& o) {
   runtime::PipadOptions popts;
   popts.host_threads = o.threads;  // 0 = ComputePool default.
   popts.replicas = o.replicas;
-  popts.allreduce = o.allreduce;
   return popts;
 }
 

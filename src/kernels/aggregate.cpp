@@ -14,11 +14,11 @@ namespace {
 
 /// Dimension-aware chunking for the sliced kernel: partition [0, num_slices)
 /// into at most ComputePool::kMaxBlocks contiguous ranges whose boundaries
-/// never split one destination row's run of slices (slice() and
-/// slice_from_sorted_keys() emit each row's slices contiguously). Blocks
-/// therefore write disjoint output rows — no atomics — and the layout
-/// depends only on the topology and the work size, so results stay
-/// bit-identical to the serial loop for every thread count.
+/// never split one destination row's run of slices (slice() emits each
+/// row's slices contiguously). Blocks therefore write disjoint output rows
+/// — no atomics — and the layout depends only on the topology and the work
+/// size, so results stay bit-identical to the serial loop for every thread
+/// count.
 ComputePool::Ranges slice_blocks(const sliced::SlicedCSR& a,
                                  std::size_t total_work) {
   const std::size_t n = a.num_slices();

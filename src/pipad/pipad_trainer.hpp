@@ -63,12 +63,6 @@ struct PipadOptions {
   /// --replicas 1 uses the round/all-reduce schedule and results are
   /// bit-identical across replica counts.
   int replicas = 0;
-  /// All-reduce schedule charged to the modeled interconnect: "ring"
-  /// (bandwidth-optimal, 2(K-1) chunked steps) or "tree" (latency-optimal,
-  /// 2*ceil(log2 K) full-size steps). Timing model only — the numeric
-  /// reduction is always the canonical fixed-order sum, so the choice can
-  /// never change a single bit of the result.
-  std::string allreduce = "ring";
 };
 
 /// (start, count) of the partitions a frame splits into at S_per = s_per:

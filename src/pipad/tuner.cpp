@@ -4,6 +4,13 @@
 
 namespace pipad::runtime {
 
+namespace {
+
+/// The S_per options the tuner weighs against one snapshot at a time.
+constexpr int kSperOptions[] = {2, 4, 8};
+
+}  // namespace
+
 double partition_transfer_us(const gpusim::CostModel& cm,
                              const TunerInputs& in, int s_per,
                              double group_or) {
@@ -21,15 +28,13 @@ double partition_transfer_us(const gpusim::CostModel& cm,
 }
 
 int decide_sper(const gpusim::CostModel& cm, const TunerInputs& in) {
-  if (in.forced_sper > 0) return std::min(in.forced_sper, in.frame_size);
-
   // The S=1 baseline every option must beat: one snapshot at a time with
   // its own transfer.
   int best_s = 1;
   double best_cost = std::max(one_snapshot_gnn_us(cm, in.shape),
                               partition_transfer_us(cm, in, 1, 1.0));
 
-  for (int s : in.sper_options) {
+  for (int s : kSperOptions) {
     if (s > in.frame_size) continue;
     // Factor 1: memory upper bound — never trigger OOM (20% headroom on
     // the estimate, 80% of what the device reports free).

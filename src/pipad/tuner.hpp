@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstddef>
-#include <vector>
 
 #include "gpusim/kernel_stats.hpp"
 #include "pipad/offline_analysis.hpp"
@@ -23,9 +22,7 @@ namespace pipad::runtime {
 /// Everything decide_sper needs, decoupled from the trainer's state.
 struct TunerInputs {
   WorkloadShape shape;  ///< num_nodes/nnz already sim_scale-adjusted.
-  std::vector<int> sper_options = {2, 4, 8};
   int frame_size = 0;
-  int forced_sper = 0;          ///< >0 bypasses the tuner.
   bool enable_pipeline = true;  ///< Off: transfers are synchronous and
                                 ///< cannot stall the pipeline.
   bool weight_reuse = true;

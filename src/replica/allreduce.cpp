@@ -4,78 +4,29 @@
 
 namespace pipad::replica {
 
-const char* allreduce_name(AllReduceAlgo a) {
-  switch (a) {
-    case AllReduceAlgo::Ring:
-      return "ring";
-    case AllReduceAlgo::Tree:
-      return "tree";
-  }
-  return "?";
-}
-
-bool parse_allreduce(const std::string& s, AllReduceAlgo& out) {
-  for (const AllReduceAlgo a : {AllReduceAlgo::Ring, AllReduceAlgo::Tree}) {
-    if (s == allreduce_name(a)) {
-      out = a;
-      return true;
-    }
-  }
-  return false;
-}
-
-namespace {
-
-int ceil_log2(int n) {
-  int bits = 0;
-  for (int v = 1; v < n; v <<= 1) ++bits;
-  return bits;
-}
-
-}  // namespace
-
-int allreduce_steps(AllReduceAlgo a, int replicas) {
+int allreduce_steps(int replicas) {
   PIPAD_CHECK_MSG(replicas >= 1, "need at least one replica");
-  if (replicas == 1) return 0;
-  switch (a) {
-    case AllReduceAlgo::Ring:
-      return 2 * (replicas - 1);
-    case AllReduceAlgo::Tree:
-      return 2 * ceil_log2(replicas);
-  }
-  return 0;
+  return 2 * (replicas - 1);
 }
 
-std::size_t allreduce_step_bytes(AllReduceAlgo a, int replicas,
-                                 std::size_t bytes) {
+std::size_t allreduce_step_bytes(int replicas, std::size_t bytes) {
   PIPAD_CHECK_MSG(replicas >= 1, "need at least one replica");
-  if (a == AllReduceAlgo::Ring) {
-    // Reduce-scatter/all-gather move one chunk of the payload per step.
-    return (bytes + static_cast<std::size_t>(replicas) - 1) /
-           static_cast<std::size_t>(replicas);
-  }
-  return bytes;
+  // Reduce-scatter/all-gather move one chunk of the payload per step.
+  return (bytes + static_cast<std::size_t>(replicas) - 1) /
+         static_cast<std::size_t>(replicas);
 }
 
-double allreduce_step_us(AllReduceAlgo a, int replicas, std::size_t bytes,
+double allreduce_step_us(int replicas, std::size_t bytes,
                          const LinkModel& link) {
   PIPAD_CHECK_MSG(link.gb_per_s > 0.0, "link bandwidth must be positive");
   // 1 GB/s = 1e9 B / 1e6 us = 1000 bytes per microsecond.
   const double bytes_per_us = link.gb_per_s * 1000.0;
   const double payload =
-      static_cast<double>(allreduce_step_bytes(a, replicas, bytes));
+      static_cast<double>(allreduce_step_bytes(replicas, bytes));
   return link.latency_us + payload / bytes_per_us;
 }
 
-double allreduce_total_us(AllReduceAlgo a, int replicas, std::size_t bytes,
-                          const LinkModel& link) {
-  return allreduce_steps(a, replicas) *
-         allreduce_step_us(a, replicas, bytes, link);
-}
-
-std::vector<float> reduce_mean(const std::vector<std::vector<float>>& parts,
-                               AllReduceAlgo algo) {
-  (void)algo;  // Timing-only; see the header's determinism argument.
+std::vector<float> reduce_mean(const std::vector<std::vector<float>>& parts) {
   PIPAD_CHECK_MSG(!parts.empty(), "reduce_mean over zero contributions");
   const std::size_t n = parts[0].size();
   for (const auto& p : parts) {

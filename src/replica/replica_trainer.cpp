@@ -54,7 +54,6 @@ struct ReplicaTrainer::Impl {
   const graph::DTDG& data;
   models::TrainConfig cfg;
   runtime::PipadOptions opts;
-  AllReduceAlgo algo = AllReduceAlgo::Ring;
   LinkModel link;
   int K;
   int round_size;
@@ -74,9 +73,6 @@ struct ReplicaTrainer::Impl {
     const bool classic = opts.replicas == 0;
     round_size = classic ? 1 : kReplicaRound;
     staged = !classic;
-    PIPAD_CHECK_MSG(parse_allreduce(opts.allreduce, algo),
-                    "unknown allreduce algorithm '" << opts.allreduce
-                                                    << "' (ring|tree)");
     const bool pipad = method == models::Method::PiPAD;
     if (!pipad && !classic) {
       throw Error(std::string("--replicas requires --runtime pipad (") +
@@ -147,11 +143,9 @@ struct ReplicaTrainer::Impl {
 
     const std::size_t grad_bytes =
         flatten_grads(trainers[0]->params()).size() * sizeof(float);
-    const int steps = allreduce_steps(algo, K);
-    const double step_us = allreduce_step_us(algo, K, grad_bytes, link);
-    const std::size_t step_bytes = allreduce_step_bytes(algo, K, grad_bytes);
-    const std::string link_op =
-        std::string("comm:allreduce:") + allreduce_name(algo);
+    const int steps = allreduce_steps(K);
+    const double step_us = allreduce_step_us(K, grad_bytes, link);
+    const std::size_t step_bytes = allreduce_step_bytes(K, grad_bytes);
 
     TrainResult result;
     double allreduce_total = 0.0;
@@ -187,14 +181,15 @@ struct ReplicaTrainer::Impl {
         }
         // ---- All-reduce: canonical numerics (global frame order), then
         // the modeled interconnect steps from the cross-replica barrier.
-        const std::vector<float> avg = reduce_mean(round_grads, algo);
-        if (K > 1 && steps > 0) {
+        const std::vector<float> avg = reduce_mean(round_grads);
+        if (steps > 0) {
           double barrier = 0.0;
           for (int k = 0; k < K; ++k) barrier = std::max(barrier, round_front(k));
           for (int k = 0; k < K; ++k) {
             double t = barrier;
             for (int s = 0; s < steps; ++s) {
-              t = gpus[k]->timeline().submit(0, Resource::Link, link_op,
+              t = gpus[k]->timeline().submit(0, Resource::Link,
+                                             "comm:allreduce:ring",
                                              step_us, t, step_bytes);
             }
             trainers[k]->barrier_at(t);

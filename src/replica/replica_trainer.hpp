@@ -22,9 +22,9 @@
 //     computed, never WHAT is computed.
 //   - The reduction sums the round's per-frame gradients in global frame
 //     order with one float accumulator per element and divides by the
-//     round size (allreduce.hpp) — canonical arithmetic whichever
-//     algorithm (ring/tree) models the interconnect time. A one-frame round
-//     is an exact copy divided by 1.
+//     round size (allreduce.hpp) — canonical arithmetic; the ring model
+//     only times the interconnect. A one-frame round is an exact copy
+//     divided by 1.
 //   - Every replica applies the identical averaged gradient to identical
 //     parameters with its own (position-keyed, therefore lockstep) Adam,
 //     so replicas never diverge and replica 0's model IS the result.
@@ -46,10 +46,9 @@ namespace pipad::replica {
 class ReplicaTrainer {
  public:
   /// Trains `method`. opts.replicas selects K = max(1, replicas) and the
-  /// round size (one frame when replicas == 0, else 4); opts.allreduce
-  /// picks the interconnect timing model; opts.cancel is checked at every
-  /// round boundary. The other options tune PiPAD only. Throws Error on an
-  /// unknown allreduce name and on replicas > 0 for a baseline.
+  /// round size (one frame when replicas == 0, else 4); opts.cancel is
+  /// checked at every round boundary. The other options tune PiPAD only.
+  /// Throws Error on replicas > 0 for a baseline.
   ReplicaTrainer(gpusim::Gpu& gpu, const graph::DTDG& data,
                  models::TrainConfig cfg,
                  models::Method method = models::Method::PiPAD,

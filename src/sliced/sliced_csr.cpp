@@ -7,11 +7,11 @@ namespace pipad::sliced {
 
 namespace {
 
-/// sliced_load_balance's model fed one slice at a time, so slice() and
-/// slice_from_sorted_keys() compute it inside their own loops: slice i adds
-/// its size to bin i % units. With fewer slices than units every slice has
-/// a bin to itself, which is the model's one-unit-per-slice case. Sizes are
-/// summed as integers, exactly, like the costs they become.
+/// sliced_load_balance's model fed one slice at a time, so slice() computes
+/// it inside its own loop: slice i adds its size to bin i % units. With
+/// fewer slices than units every slice has a bin to itself, which is the
+/// model's one-unit-per-slice case. Sizes are summed as integers, exactly,
+/// like the costs they become.
 class SliceBins {
  public:
   explicit SliceBins(int units) : bins_(static_cast<std::size_t>(units), 0) {}
@@ -106,43 +106,6 @@ graph::CSR unslice(const SlicedCSR& s) {
   }
   for (int r = 0; r < s.rows; ++r) csr.row_ptr[r + 1] += csr.row_ptr[r];
   return csr;
-}
-
-SlicedCSR slice_from_sorted_keys(int rows, int cols,
-                                 const std::vector<std::uint64_t>& keys,
-                                 int bound) {
-  // Keys are (dst, src)-ordered, i.e. row-major — a single pass suffices.
-  PIPAD_CHECK(bound > 0);
-  SlicedCSR s;
-  s.rows = rows;
-  s.cols = cols;
-  s.slice_bound = bound;
-  s.col_idx.reserve(keys.size());
-  s.slice_off.push_back(0);
-  SliceBins bins(kBalanceUnits);
-  int cur_row = -1;
-  int cur_fill = 0;
-  for (std::uint64_t k : keys) {
-    const graph::Edge e = graph::key_edge(k);
-    if (e.dst != cur_row || cur_fill == bound) {
-      // Close the previous slice (if any) and open a new one.
-      if (cur_fill > 0) {
-        s.slice_off.push_back(static_cast<int>(s.col_idx.size()));
-        bins.add(cur_fill);
-      }
-      s.row_idx.push_back(e.dst);
-      cur_row = e.dst;
-      cur_fill = 0;
-    }
-    s.col_idx.push_back(e.src);
-    ++cur_fill;
-  }
-  if (cur_fill > 0) {
-    s.slice_off.push_back(static_cast<int>(s.col_idx.size()));
-    bins.add(cur_fill);
-  }
-  s.imbalance = bins.result().imbalance();
-  return s;
 }
 
 LoadBalance csr_load_balance(const graph::CSR& csr, int parallel_units) {

@@ -33,8 +33,8 @@ struct SlicedCSR {
   std::vector<int> slice_off;  ///< Start of each slice in col_idx (#slices+1).
   std::vector<int> col_idx;    ///< Column indices, sorted within a slice.
   /// sliced_load_balance(*this, kBalanceUnits).imbalance(), computed once
-  /// by slice() and slice_from_sorted_keys() so every aggregation over the
-  /// topology reuses it; 1.0 (balanced) for a topology without slices.
+  /// by slice() so every aggregation over the topology reuses it; 1.0
+  /// (balanced) for a topology without slices.
   double imbalance = 1.0;
 
   std::size_t num_slices() const { return row_idx.size(); }
@@ -57,11 +57,6 @@ SlicedCSR slice(const graph::CSR& csr, int bound = kDefaultSliceBound);
 
 /// Reassemble the CSR (exact inverse of slice()).
 graph::CSR unslice(const SlicedCSR& s);
-
-/// Slice directly from sorted edge keys, skipping the intermediate CSR.
-SlicedCSR slice_from_sorted_keys(int rows, int cols,
-                                 const std::vector<std::uint64_t>& keys,
-                                 int bound = kDefaultSliceBound);
 
 /// Load-balance model (§5.4, methodology of [Huang et al. PPoPP'21]):
 /// distribute work units (slices here, rows for CSR) over `parallel_units`

@@ -122,61 +122,33 @@ TEST(AnalyzeCriticalPath, FollowsJoinsAcrossResources) {
       path.by_resource[static_cast<int>(Resource::Compute)], 30.0);
 }
 
-// ---- pass registry -------------------------------------------------------
-
-class FakePass final : public analyze::Pass {
- public:
-  explicit FakePass(std::vector<analyze::Finding> out)
-      : out_(std::move(out)) {}
-  const char* name() const override { return "fake"; }
-  const char* description() const override { return "test-only"; }
-  std::vector<analyze::Finding> run(
-      const analyze::PassContext&) const override {
-    return out_;
-  }
-
- private:
-  std::vector<analyze::Finding> out_;
-};
-
-TEST(AnalyzePasses, RegistryExposesBuiltinCatalogInOrder) {
-  const auto reg = analyze::PassRegistry::with_builtins();
-  const std::vector<std::string> expected = {
-      "transfer_bound", "prep_bound", "compute_imbalance",
-      "stream_backpressure", "serialization", "allreduce_bound"};
-  EXPECT_EQ(reg.names(), expected);
-  EXPECT_NE(reg.find("prep_bound"), nullptr);
-  EXPECT_EQ(reg.find("warp_divergence"), nullptr);
-}
-
-TEST(AnalyzePasses, DuplicatePassNameRejected) {
-  auto reg = analyze::PassRegistry::with_builtins();
-  reg.add(std::make_unique<FakePass>(std::vector<analyze::Finding>{}));
-  EXPECT_THROW(
-      reg.add(std::make_unique<FakePass>(std::vector<analyze::Finding>{})),
-      Error);
-}
+// ---- ranking ---------------------------------------------------------------
 
 TEST(AnalyzePasses, RunAllRanksBySeverityThenRecoverable) {
-  analyze::Finding low, high, big_info, small_info;
+  analyze::Finding low, high, big_info, small_info, b_early, a_late, a_early;
   low.pass = high.pass = big_info.pass = small_info.pass = "fake";
   high.severity = analyze::Severity::High;
   low.severity = analyze::Severity::Low;
   big_info.recoverable_us = 9.0;
   small_info.recoverable_us = 1.0;
-  analyze::PassRegistry reg;
-  reg.add(std::make_unique<FakePass>(
-      std::vector<analyze::Finding>{small_info, low, big_info, high}));
-
-  Timeline tl;
-  tl.submit(0, Resource::Compute, "kernel:k", 10.0);
-  const auto a = analyze::analyze_trace(analyze::from_timeline(tl), {},
-                                        nullptr, &reg);
-  ASSERT_EQ(a.findings.size(), 4u);
-  EXPECT_EQ(a.findings[0].severity, analyze::Severity::High);
-  EXPECT_EQ(a.findings[1].severity, analyze::Severity::Low);
-  EXPECT_DOUBLE_EQ(a.findings[2].recoverable_us, 9.0);
-  EXPECT_DOUBLE_EQ(a.findings[3].recoverable_us, 1.0);
+  // Equal severity and recoverable time: pass name, then window start.
+  b_early.pass = "fake_b";
+  a_late.pass = a_early.pass = "fake_a";
+  a_late.from_us = 50.0;
+  a_early.from_us = 10.0;
+  std::vector<analyze::Finding> fs = {small_info, b_early, low,   a_late,
+                                      big_info,   high,    a_early};
+  analyze::rank_findings(fs);
+  ASSERT_EQ(fs.size(), 7u);
+  EXPECT_EQ(fs[0].severity, analyze::Severity::High);
+  EXPECT_EQ(fs[1].severity, analyze::Severity::Low);
+  EXPECT_DOUBLE_EQ(fs[2].recoverable_us, 9.0);
+  EXPECT_DOUBLE_EQ(fs[3].recoverable_us, 1.0);
+  EXPECT_EQ(fs[4].pass, "fake_a");
+  EXPECT_DOUBLE_EQ(fs[4].from_us, 10.0);
+  EXPECT_EQ(fs[5].pass, "fake_a");
+  EXPECT_DOUBLE_EQ(fs[5].from_us, 50.0);
+  EXPECT_EQ(fs[6].pass, "fake_b");
 }
 
 // ---- builtin diagnoses on hand-built schedules ---------------------------

@@ -151,7 +151,6 @@ JobSpec full_spec() {
   s.frames = 2;
   s.threads = 2;
   s.replicas = 0;
-  s.allreduce = "tree";
   s.seed = 4294967300ull;
   s.tenant = "team-a";
   s.priority = 9;
@@ -188,7 +187,6 @@ TEST(JobSpec, JsonRoundTripIsLossless) {
   EXPECT_EQ(back.frames, s.frames);
   EXPECT_EQ(back.threads, s.threads);
   EXPECT_EQ(back.replicas, s.replicas);
-  EXPECT_EQ(back.allreduce, s.allreduce);
   EXPECT_EQ(back.seed, s.seed);
   EXPECT_EQ(back.tenant, s.tenant);
   EXPECT_EQ(back.priority, s.priority);
@@ -220,14 +218,17 @@ TEST(JobSpec, FromJsonIsStrict) {
   EXPECT_FALSE(JobSpec::from_json(Json::parse(R"({"seed":-1})"), out, error));
   EXPECT_FALSE(JobSpec::from_json(Json::parse(R"([1,2])"), out, error));
   EXPECT_EQ(error, "job spec must be a JSON object");
-  // "tuner" and "prep" are not spec fields: a client still sending them
-  // gets an error instead of a silently different job.
+  // "tuner", "prep" and "allreduce" are not spec fields: a client still
+  // sending them gets an error instead of a silently different job.
   EXPECT_FALSE(JobSpec::from_json(Json::parse(R"({"tuner":"analytic"})"),
                                   out, error));
   EXPECT_EQ(error, "unknown job spec field \"tuner\"");
   EXPECT_FALSE(JobSpec::from_json(Json::parse(R"({"prep":"stream"})"), out,
                                   error));
   EXPECT_EQ(error, "unknown job spec field \"prep\"");
+  EXPECT_FALSE(JobSpec::from_json(Json::parse(R"({"allreduce":"ring"})"),
+                                  out, error));
+  EXPECT_EQ(error, "unknown job spec field \"allreduce\"");
 }
 
 TEST(JobSpec, FromJsonRejectsIntOverflowLikeTheFlagPath) {
@@ -263,8 +264,8 @@ TEST(JobSpec, ParseJobSpecAcceptsBothFlagForms) {
 }
 
 TEST(JobSpec, ValidateOwnsTheReplicaRules) {
-  // The --replicas/--allreduce constraints moved out of the CLI into the
-  // shared validator, so the daemon enforces them on JSON-built specs too.
+  // The --replicas constraints moved out of the CLI into the shared
+  // validator, so the daemon enforces them on JSON-built specs too.
   JobSpec s;
   s.replicas = 2;
   s.runtime = "pygt";
@@ -273,9 +274,6 @@ TEST(JobSpec, ValidateOwnsTheReplicaRules) {
   EXPECT_EQ(s.validate(), "");
   s.replicas = 65;
   EXPECT_NE(s.validate().find("--replicas"), std::string::npos);
-  s.replicas = 0;
-  s.allreduce = "butterfly";
-  EXPECT_NE(s.validate().find("butterfly"), std::string::npos);
 }
 
 TEST(JobSpec, ValidateOwnsTheTenantRules) {

@@ -94,19 +94,14 @@ TEST(CliParse, UnknownRuntimeIsAnError) {
 }
 
 TEST(CliParse, ReplicaFlagsLandAndValidate) {
-  const auto r = parse({"train", "--replicas", "4", "--allreduce", "tree"});
+  const auto r = parse({"train", "--replicas", "4"});
   ASSERT_TRUE(r.ok) << r.error;
   EXPECT_EQ(r.options.job.replicas, 4);
-  EXPECT_EQ(r.options.job.allreduce, "tree");
   // Defaults: 0 replicas, one device stepping after every frame.
   EXPECT_EQ(parse({"train"}).options.job.replicas, 0);
-  EXPECT_EQ(parse({"train"}).options.job.allreduce, "ring");
   EXPECT_FALSE(parse({"train", "--replicas", "-1"}).ok);
   EXPECT_FALSE(parse({"train", "--replicas", "65"}).ok);
   EXPECT_FALSE(parse({"train", "--replicas", "two"}).ok);
-  const auto bad = parse({"train", "--allreduce", "butterfly"});
-  EXPECT_FALSE(bad.ok);
-  EXPECT_NE(bad.error.find("butterfly"), std::string::npos);
 }
 
 // Each pool thread reserves a stack, so an unbounded width could exhaust
@@ -142,9 +137,9 @@ TEST(CliParse, ReplicasRequirePipadRuntime) {
 
 TEST(CliUsage, MentionsReplicaFlags) {
   const std::string u = usage();
-  for (const char* s : {"--replicas", "--allreduce", "ring", "tree"}) {
-    EXPECT_NE(u.find(s), std::string::npos) << s;
-  }
+  EXPECT_NE(u.find("--replicas"), std::string::npos);
+  // Ring is the only all-reduce model, so there is no flag to pick one.
+  EXPECT_EQ(u.find("--allreduce"), std::string::npos);
 }
 
 TEST(CliParse, UnknownFlagIsAnError) {
@@ -432,8 +427,13 @@ TEST(CliBenchParity, BadSharedInputsRejectedWithIdenticalText) {
             bench_error({"--threads=300"}));
   EXPECT_EQ(cli_error({"train", "--replicas", "65"}),
             bench_error({"--replicas=65"}));
-  EXPECT_EQ(cli_error({"train", "--allreduce", "butterfly"}),
-            bench_error({"--allreduce=butterfly"}));
+  // Ring is the only all-reduce model: --allreduce is unknown to both
+  // surfaces whatever its value.
+  for (const char* value : {"ring", "tree"}) {
+    const std::string cli = cli_error({"train", "--allreduce", value});
+    EXPECT_EQ(cli, "unknown flag '--allreduce'");
+    EXPECT_EQ(cli, bench_error({std::string("--allreduce=") + value}));
+  }
   // Validation rules that fire post-parse (not per-flag) also agree: the
   // bench surface runs the same JobSpec::validate().
   EXPECT_EQ(cli_error({"train", "--scale-large", "0"}),
@@ -453,18 +453,17 @@ TEST(CliBenchParity, BadSharedInputsRejectedWithIdenticalText) {
 
 TEST(CliBenchParity, GoodSharedInputsLandIdentically) {
   const auto r = parse({"bench", "--epochs", "3", "--threads", "4",
-                        "--replicas", "2", "--allreduce", "tree"});
+                        "--replicas", "2"});
   ASSERT_TRUE(r.ok) << r.error;
   bench::Flags f;
   std::string error;
   ASSERT_TRUE(bench::Flags::try_parse(
-      {"--epochs=3", "--threads=4", "--replicas=2", "--allreduce=tree"},
-      bench::Writes::Nothing, f, error))
+      {"--epochs=3", "--threads=4", "--replicas=2"}, bench::Writes::Nothing,
+      f, error))
       << error;
   EXPECT_EQ(r.options.job.epochs, f.job.epochs);
   EXPECT_EQ(r.options.job.threads, f.job.threads);
   EXPECT_EQ(r.options.job.replicas, f.job.replicas);
-  EXPECT_EQ(r.options.job.allreduce, f.job.allreduce);
 }
 
 TEST(CliBenchParity, BenchesRejectJobFlagsTheyDoNotRead) {
@@ -485,12 +484,13 @@ TEST(CliBenchParity, BenchesRejectJobFlagsTheyDoNotRead) {
   }
   for (const char* flag :
        {"--scale-large", "--scale-small", "--epochs", "--frames",
-        "--frame-size", "--threads", "--replicas", "--allreduce",
-        "--snapshot-window", "--window-bytes", "--cache-dir", "--datasets",
-        "--json", "--trace-dir"}) {
+        "--frame-size", "--threads", "--replicas", "--snapshot-window",
+        "--window-bytes", "--cache-dir", "--datasets", "--json",
+        "--trace-dir"}) {
     EXPECT_NE(usage.find("  " + std::string(flag)), std::string::npos)
         << flag;
   }
+  EXPECT_EQ(usage.find("--allreduce"), std::string::npos);
 }
 
 TEST(CliBenchParity, FileKnobsRequireAFileDataset) {
@@ -845,7 +845,6 @@ TEST(CliRun, TrainReplicatedUnderPipad) {
   EXPECT_EQ(run(o), 0);
   o.job.replicas = 4;
   o.job.threads = 4;
-  o.job.allreduce = "tree";
   EXPECT_EQ(run(o), 0);
 }
 

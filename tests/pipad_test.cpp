@@ -2,6 +2,9 @@
 // speedup, tuner behaviour, reuse buffers, and the ablation toggles.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
 #include "common/compute_pool.hpp"
 #include "pipad/offline_analysis.hpp"
 #include "pipad/reuse.hpp"
@@ -255,6 +258,53 @@ TEST(Pipad, ForcedSperOverridesTuner) {
   ReplicaTrainer pip(gpu, g, cfg, Method::PiPAD, opts);
   pip.train();
   EXPECT_TRUE(pip.sper_decisions().empty());  // Tuner bypassed entirely.
+}
+
+TEST(DecideSper, ForcedSperBypassesEverythingButTheFrameSize) {
+  // The trainer clamps a forced S_per to the frame before the tuner is
+  // consulted, so asking for 32 at frame size 8 is asking for 8: same
+  // losses, params and schedule, bit for bit.
+  const auto g = graph::generate(testutil::tiny_config(64, 16, 2));
+  auto cfg = small_cfg();
+  cfg.frame_size = 8;
+  struct Run {
+    TrainResult result;
+    std::vector<float> params;
+    std::vector<gpusim::OpRecord> records;
+  };
+  const auto run = [&](int forced) {
+    gpusim::Gpu gpu;
+    PipadOptions opts;
+    opts.forced_sper = forced;
+    ReplicaTrainer pip(gpu, g, cfg, Method::PiPAD, opts);
+    Run r{pip.train(), testutil::flat_params(pip.model()),
+          gpu.timeline().records()};
+    EXPECT_TRUE(pip.sper_decisions().empty());
+    return r;
+  };
+  const Run at8 = run(8);
+  const Run at32 = run(32);
+  ASSERT_FALSE(at8.result.frame_loss.empty());
+  ASSERT_EQ(at32.result.frame_loss.size(), at8.result.frame_loss.size());
+  EXPECT_EQ(std::memcmp(at32.result.frame_loss.data(),
+                        at8.result.frame_loss.data(),
+                        at8.result.frame_loss.size() * sizeof(float)),
+            0);
+  ASSERT_EQ(at32.params.size(), at8.params.size());
+  EXPECT_EQ(std::memcmp(at32.params.data(), at8.params.data(),
+                        at8.params.size() * sizeof(float)),
+            0);
+  EXPECT_EQ(at32.result.total_us, at8.result.total_us);
+  ASSERT_EQ(at32.records.size(), at8.records.size());
+  for (std::size_t i = 0; i < at8.records.size(); ++i) {
+    const auto& a = at32.records[i];
+    const auto& b = at8.records[i];
+    EXPECT_EQ(a.name, b.name) << i;
+    EXPECT_EQ(a.resource, b.resource) << i;
+    EXPECT_EQ(a.start_us, b.start_us) << i;
+    EXPECT_EQ(a.end_us, b.end_us) << i;
+    EXPECT_EQ(a.bytes, b.bytes) << i;
+  }
 }
 
 TEST(Pipad, ReuseReducesTransferAndAggregation) {

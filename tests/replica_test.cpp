@@ -42,13 +42,11 @@ struct ReplicaRun {
 
 ReplicaRun train_replicated(
     const graph::DTDG& g, const models::TrainConfig& cfg, int threads,
-    int replicas, const std::string& allreduce = "ring",
-    models::Method method = models::Method::PiPAD) {
+    int replicas, models::Method method = models::Method::PiPAD) {
   gpusim::Gpu gpu;
   runtime::PipadOptions opts;
   opts.host_threads = threads;
   opts.replicas = replicas;
-  opts.allreduce = allreduce;
   replica::ReplicaTrainer trainer(gpu, g, cfg, method, opts);
   ReplicaRun run;
   run.result = trainer.train();
@@ -107,26 +105,6 @@ TEST(ReplicaDeterminism, EveryModelMatchesAcrossReplicaCounts) {
   }
 }
 
-TEST(ReplicaDeterminism, RingAndTreeProduceIdenticalNumerics) {
-  const auto g = graph::generate(tiny_config(40, 8, 3));
-  const auto cfg = small_cfg(models::ModelType::TGcn);
-  const ReplicaRun ring = train_replicated(g, cfg, 2, 2, "ring");
-  const ReplicaRun tree = train_replicated(g, cfg, 2, 2, "tree");
-  ASSERT_EQ(ring.result.frame_loss.size(), tree.result.frame_loss.size());
-  for (std::size_t i = 0; i < ring.result.frame_loss.size(); ++i) {
-    EXPECT_EQ(ring.result.frame_loss[i], tree.result.frame_loss[i]) << i;
-  }
-  EXPECT_EQ(std::memcmp(ring.params.data(), tree.params.data(),
-                        ring.params.size() * sizeof(float)),
-            0);
-  // The algorithm is a timing model only — and for K=2 the timings are
-  // provably distinct (ring moves half the payload per step, tree all of
-  // it), so equal allreduce_us would mean the knob is dead.
-  EXPECT_GT(ring.result.allreduce_us, 0.0);
-  EXPECT_GT(tree.result.allreduce_us, 0.0);
-  EXPECT_NE(ring.result.allreduce_us, tree.result.allreduce_us);
-}
-
 // ---------- --replicas 0: one device, one-frame rounds ----------
 
 /// A method's own per-frame loop, driven by hand through its step engine:
@@ -171,7 +149,7 @@ TEST(ReplicaDeterminism, ReplicasZeroStepsAfterEveryFrame) {
         ComputePool::instance().configure(static_cast<std::size_t>(threads));
         const auto cfg = small_cfg(model);
         const ReplicaRun looped =
-            train_replicated(g, cfg, threads, 0, "ring", method);
+            train_replicated(g, cfg, threads, 0, method);
         const ReplicaRun hand = train_by_hand(g, cfg, threads, method);
         EXPECT_EQ(looped.result.replicas, 0);
         ASSERT_FALSE(hand.result.frame_loss.empty());
@@ -250,7 +228,7 @@ TEST(ReplicaResult, PopulatesReplicaFieldsAndLinkOps) {
   // The reported makespan is the slowest replica's.
   EXPECT_DOUBLE_EQ(r.total_us, max_total);
 
-  // Every replica's timeline carries "comm:allreduce:<algo>" ops on the
+  // Every replica's timeline carries "comm:allreduce:ring" ops on the
   // Link lane; replica 0 runs on the caller's Gpu.
   EXPECT_EQ(&trainer.replica_timeline(0), &gpu.timeline());
   for (int k = 0; k < 3; ++k) {
@@ -259,7 +237,7 @@ TEST(ReplicaResult, PopulatesReplicaFieldsAndLinkOps) {
     for (const auto& rec : trainer.replica_timeline(k).records()) {
       if (rec.resource != Resource::Link) continue;
       ++link_ops;
-      EXPECT_EQ(rec.name.rfind("comm:allreduce:ring", 0), 0u) << rec.name;
+      EXPECT_EQ(rec.name, "comm:allreduce:ring");
     }
     EXPECT_GT(link_ops, 0);
   }
@@ -340,20 +318,6 @@ TEST(ReplicaResult, SingleReplicaNeverTouchesTheLink) {
   }
 }
 
-TEST(ReplicaTrainerCtor, RejectsUnknownAllreduceAlgorithms) {
-  const auto g = graph::generate(tiny_config(40, 8, 3));
-  gpusim::Gpu gpu;
-  runtime::PipadOptions opts;
-  opts.replicas = 2;
-  opts.allreduce = "butterfly";
-  EXPECT_THROW(
-      {
-        replica::ReplicaTrainer t(gpu, g, small_cfg(models::ModelType::TGcn),
-                                  models::Method::PiPAD, opts);
-      },
-      Error);
-}
-
 TEST(ReplicaTrainerCtor, BaselinesTrainOnOneDevice) {
   const auto g = graph::generate(tiny_config(40, 8, 3));
   for (const models::Method method :
@@ -371,23 +335,11 @@ TEST(ReplicaTrainerCtor, BaselinesTrainOnOneDevice) {
 
 // ---------- All-reduce unit wall ----------
 
-TEST(AllReduce, ParseAcceptsExactlyRingAndTree) {
-  replica::AllReduceAlgo a;
-  ASSERT_TRUE(replica::parse_allreduce("ring", a));
-  EXPECT_EQ(a, replica::AllReduceAlgo::Ring);
-  ASSERT_TRUE(replica::parse_allreduce("tree", a));
-  EXPECT_EQ(a, replica::AllReduceAlgo::Tree);
-  EXPECT_FALSE(replica::parse_allreduce("Ring", a));
-  EXPECT_FALSE(replica::parse_allreduce("butterfly", a));
-  EXPECT_FALSE(replica::parse_allreduce("", a));
-  EXPECT_STREQ(replica::allreduce_name(replica::AllReduceAlgo::Ring), "ring");
-  EXPECT_STREQ(replica::allreduce_name(replica::AllReduceAlgo::Tree), "tree");
-}
-
 TEST(AllReduce, ReductionIsBitExactAcrossAlgorithms) {
   // Adversarial float orderings: catastrophic cancellation and values whose
-  // sum depends on association order. Any algorithm-specific (chunked,
-  // rotated) arithmetic would change bits here.
+  // sum depends on association order. Whatever order a real all-reduce
+  // algorithm sums in (a ring's chunked, rotated order, say), the
+  // reduction must stay the serial index-order sum.
   const std::vector<std::vector<float>> parts = {
       {1e8f, 1.0f, -1.0f, 0.25f},
       {1.0f, -1e8f, 3.0f, 0.5f},
@@ -401,63 +353,43 @@ TEST(AllReduce, ReductionIsBitExactAcrossAlgorithms) {
     for (std::size_t j = 1; j < parts.size(); ++j) acc += parts[j][i];
     want[i] = acc / static_cast<float>(parts.size());
   }
-  const auto ring =
-      replica::reduce_mean(parts, replica::AllReduceAlgo::Ring);
-  const auto tree =
-      replica::reduce_mean(parts, replica::AllReduceAlgo::Tree);
-  ASSERT_EQ(ring.size(), want.size());
-  ASSERT_EQ(tree.size(), want.size());
-  EXPECT_EQ(std::memcmp(ring.data(), want.data(),
+  const auto got = replica::reduce_mean(parts);
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_EQ(std::memcmp(got.data(), want.data(),
                         want.size() * sizeof(float)),
             0);
-  EXPECT_EQ(std::memcmp(tree.data(), want.data(),
+  // The input has teeth: summing it in reverse order gives other bits.
+  std::vector<float> reversed(want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    float acc = parts.back()[i];
+    for (std::size_t j = parts.size() - 1; j-- > 0;) acc += parts[j][i];
+    reversed[i] = acc / static_cast<float>(parts.size());
+  }
+  EXPECT_NE(std::memcmp(reversed.data(), want.data(),
                         want.size() * sizeof(float)),
             0);
 }
 
 TEST(AllReduce, StepCountsMatchTheTimingModel) {
-  using replica::AllReduceAlgo;
   // A single replica never touches the link.
-  EXPECT_EQ(replica::allreduce_steps(AllReduceAlgo::Ring, 1), 0);
-  EXPECT_EQ(replica::allreduce_steps(AllReduceAlgo::Tree, 1), 0);
+  EXPECT_EQ(replica::allreduce_steps(1), 0);
   // Ring: 2(K-1) (reduce-scatter + all-gather).
-  EXPECT_EQ(replica::allreduce_steps(AllReduceAlgo::Ring, 2), 2);
-  EXPECT_EQ(replica::allreduce_steps(AllReduceAlgo::Ring, 4), 6);
-  EXPECT_EQ(replica::allreduce_steps(AllReduceAlgo::Ring, 8), 14);
-  // Tree: 2*ceil(log2 K) (reduce-to-root + broadcast).
-  EXPECT_EQ(replica::allreduce_steps(AllReduceAlgo::Tree, 2), 2);
-  EXPECT_EQ(replica::allreduce_steps(AllReduceAlgo::Tree, 3), 4);
-  EXPECT_EQ(replica::allreduce_steps(AllReduceAlgo::Tree, 4), 4);
-  EXPECT_EQ(replica::allreduce_steps(AllReduceAlgo::Tree, 5), 6);
-  EXPECT_EQ(replica::allreduce_steps(AllReduceAlgo::Tree, 8), 6);
+  EXPECT_EQ(replica::allreduce_steps(2), 2);
+  EXPECT_EQ(replica::allreduce_steps(4), 6);
+  EXPECT_EQ(replica::allreduce_steps(8), 14);
 }
 
 TEST(AllReduce, StepBytesAndTimesFollowTheLinkModel) {
-  using replica::AllReduceAlgo;
   replica::LinkModel link;
   link.latency_us = 5.0;
   link.gb_per_s = 50.0;  // 50,000 bytes per microsecond.
-  // Ring moves ceil(bytes/K) per step; tree the full payload.
-  EXPECT_EQ(replica::allreduce_step_bytes(AllReduceAlgo::Ring, 4, 1000001u),
-            250001u);
-  EXPECT_EQ(replica::allreduce_step_bytes(AllReduceAlgo::Tree, 4, 1000001u),
-            1000001u);
-  EXPECT_DOUBLE_EQ(
-      replica::allreduce_step_us(AllReduceAlgo::Tree, 4, 1000000u, link),
-      5.0 + 1000000.0 / 50000.0);
-  EXPECT_DOUBLE_EQ(
-      replica::allreduce_step_us(AllReduceAlgo::Ring, 4, 1000000u, link),
-      5.0 + 250000.0 / 50000.0);
-  EXPECT_DOUBLE_EQ(
-      replica::allreduce_total_us(AllReduceAlgo::Ring, 4, 1000000u, link),
-      6.0 * (5.0 + 250000.0 / 50000.0));
-  EXPECT_DOUBLE_EQ(
-      replica::allreduce_total_us(AllReduceAlgo::Tree, 4, 1000000u, link),
-      4.0 * (5.0 + 1000000.0 / 50000.0));
-  // K=1: zero steps, zero total.
-  EXPECT_DOUBLE_EQ(
-      replica::allreduce_total_us(AllReduceAlgo::Ring, 1, 1000000u, link),
-      0.0);
+  // Each step moves ceil(bytes/K).
+  EXPECT_EQ(replica::allreduce_step_bytes(4, 1000001u), 250001u);
+  EXPECT_EQ(replica::allreduce_step_bytes(1, 1000001u), 1000001u);
+  EXPECT_DOUBLE_EQ(replica::allreduce_step_us(4, 1000000u, link),
+                   5.0 + 250000.0 / 50000.0);
+  EXPECT_DOUBLE_EQ(replica::allreduce_step_us(2, 1000000u, link),
+                   5.0 + 500000.0 / 50000.0);
 }
 
 }  // namespace

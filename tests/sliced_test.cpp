@@ -50,18 +50,6 @@ TEST_P(SliceBounds, EverySliceRespectsBound) {
 INSTANTIATE_TEST_SUITE_P(Bounds, SliceBounds,
                          ::testing::Values(1, 2, 3, 8, 16, 32, 64));
 
-TEST(SlicedCsr, FromSortedKeysMatchesSliceOfCsr) {
-  Rng rng(7);
-  const auto csr = random_csr(40, 500, rng);
-  const auto keys = graph::edge_keys(csr);
-  const auto a = slice(csr, 8);
-  const auto b = slice_from_sorted_keys(40, 40, keys, 8);
-  b.validate();
-  EXPECT_EQ(a.row_idx, b.row_idx);
-  EXPECT_EQ(a.slice_off, b.slice_off);
-  EXPECT_EQ(a.col_idx, b.col_idx);
-}
-
 TEST(SlicedCsr, EmptyGraph) {
   const graph::CSR empty{5, 5, std::vector<int>(6, 0), {}};
   const auto s = slice(empty);
@@ -111,8 +99,8 @@ TEST(LoadBalance, SlicingImprovesSkewedGraphs) {
 
 TEST(LoadBalance, CachedImbalanceMatchesAFreshModel) {
   // agg_sliced reports SlicedCSR::imbalance instead of re-running the model
-  // on every call, so both constructors must store exactly what a fresh
-  // sliced_load_balance computes — for skewed, tiny and empty topologies.
+  // on every call, so slice() must store exactly what a fresh
+  // sliced_load_balance computes, for skewed, tiny and empty topologies.
   Rng rng(17);
   std::vector<graph::Edge> es;
   for (int i = 0; i < 3000; ++i) {
@@ -125,12 +113,9 @@ TEST(LoadBalance, CachedImbalanceMatchesAFreshModel) {
   for (const graph::CSR* csr : {&skewed, &tiny, &empty}) {
     for (const int bound : {1, 4, kDefaultSliceBound}) {
       const auto a = slice(*csr, bound);
-      const auto b = slice_from_sorted_keys(csr->rows, csr->cols,
-                                            graph::edge_keys(*csr), bound);
       const double fresh =
           sliced_load_balance(a, kBalanceUnits).imbalance();
       EXPECT_EQ(a.imbalance, fresh) << "bound " << bound;
-      EXPECT_EQ(b.imbalance, fresh) << "bound " << bound;
     }
   }
   EXPECT_GT(slice(skewed, 4).imbalance, 1.0);

@@ -1,5 +1,5 @@
 // Dynamic tuning tests: table-driven decide_sper cases (memory bound,
-// transfer-bound, forced S_per, pipeline off), the streaming HostStream
+// transfer-bound, pipeline off), the streaming HostStream
 // extractor (backpressure, charging, exceptions), and the long-timeline
 // streamed-prep determinism wall across thread counts.
 #include <gtest/gtest.h>
@@ -28,7 +28,6 @@ using runtime::TunerInputs;
 TunerInputs base_inputs() {
   TunerInputs in;
   in.shape = runtime::WorkloadShape{200000, 2000000, 2, 6, 32, 4};
-  in.sper_options = {2, 4, 8};
   in.frame_size = 8;
   in.mean_pair_or = 0.9;
   in.per_snapshot_mem = 8u << 20;
@@ -43,19 +42,6 @@ gpusim::CostModel cost_model() {
 TEST(DecideSper, PicksAParallelOptionOnHighOverlapWorkloads) {
   const auto cm = cost_model();
   EXPECT_GT(runtime::decide_sper(cm, base_inputs()), 1);
-}
-
-TEST(DecideSper, ForcedSperBypassesEverythingButTheFrameSize) {
-  const auto cm = cost_model();
-  auto in = base_inputs();
-  in.forced_sper = 4;
-  EXPECT_EQ(runtime::decide_sper(cm, in), 4);
-  in.forced_sper = 32;  // Clamped to the frame.
-  EXPECT_EQ(runtime::decide_sper(cm, in), 8);
-  // Forced wins even when the option would be memory-rejected.
-  in.forced_sper = 4;
-  in.device_available = 1;
-  EXPECT_EQ(runtime::decide_sper(cm, in), 4);
 }
 
 TEST(DecideSper, MemoryBoundRejectsOptionsThatWouldOom) {
