@@ -12,7 +12,8 @@
 // present in the baseline, the fresh value of --metric may exceed the
 // baseline by at most --threshold (fractional; 0.15 = +15%). Records missing
 // from the fresh file also fail; records new in the fresh file are reported
-// but pass (the trajectory can grow). Exit codes: 0 ok, 1 regression or
+// but pass (the trajectory can grow). Two records with one key in either
+// file are a parse error. Exit codes: 0 ok, 1 regression or
 // missing record, 2 usage/parse error — so CI can gate on it.
 //
 // Documents are parsed with api::Json, the codec that also builds and
@@ -102,6 +103,19 @@ std::string record_key(const Record& r) {
     return it == r.strings.end() ? std::string("?") : it->second;
   };
   return get("dataset") + " | " + get("model") + " | " + get("method");
+}
+
+/// The document's records by key. Two records with one key would leave one
+/// of them ungated, so that is a parse error naming the file and the key.
+std::map<std::string, const Record*> by_key(const std::string& path,
+                                            const Document& doc) {
+  std::map<std::string, const Record*> out;
+  for (const auto& r : doc.records) {
+    if (!out.emplace(record_key(r), &r).second) {
+      die(path + ": duplicate record '" + record_key(r) + "'");
+    }
+  }
+  return out;
 }
 
 void usage_and_exit(const char* prog) {
@@ -195,10 +209,8 @@ int run(int argc, char** argv) {
   const Document fresh = parse_document(fresh_path);
   if (base.records.empty()) die(baseline_path + ": no records");
 
-  std::map<std::string, const Record*> fresh_by_key;
-  for (const auto& r : fresh.records) fresh_by_key[record_key(r)] = &r;
-  std::map<std::string, const Record*> base_by_key;
-  for (const auto& r : base.records) base_by_key[record_key(r)] = &r;
+  const auto fresh_by_key = by_key(fresh_path, fresh);
+  const auto base_by_key = by_key(baseline_path, base);
 
   std::printf("%-44s %12s %12s %8s\n", "record", "baseline", "fresh",
               "delta");

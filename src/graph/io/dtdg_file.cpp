@@ -1,8 +1,10 @@
 #include "graph/io/dtdg_file.hpp"
 
 #include <cstring>
+#include <exception>
 #include <filesystem>
 #include <fstream>
+#include <vector>
 
 namespace pipad::graph::io {
 
@@ -122,7 +124,8 @@ struct Header {
   std::string name;
 };
 
-Header read_header(std::istream& is, const std::string& path) {
+/// Checks the magic and the version; leaves `is` at the config hash.
+void read_magic_version(std::istream& is, const std::string& path) {
   char magic[sizeof(kDtdgMagic)];
   is.read(magic, sizeof(magic));
   if (is.gcount() != static_cast<std::streamsize>(sizeof(magic)) ||
@@ -135,6 +138,10 @@ Header read_header(std::istream& is, const std::string& path) {
     throw Error(path + ": unsupported .dtdg version " +
                 std::to_string(version));
   }
+}
+
+Header read_header(std::istream& is, const std::string& path) {
+  read_magic_version(is, path);
   Header h;
   read_pod(is, h.config_hash, path);
   read_pod(is, h.num_nodes, path);
@@ -161,18 +168,7 @@ Header read_header(std::istream& is, const std::string& path) {
 std::uint64_t read_dtdg_hash(const std::string& path) {
   std::ifstream is(path, std::ios::binary);
   if (!is) throw Error("cannot open " + path);
-  char magic[sizeof(kDtdgMagic)];
-  is.read(magic, sizeof(magic));
-  if (is.gcount() != static_cast<std::streamsize>(sizeof(magic)) ||
-      std::memcmp(magic, kDtdgMagic, sizeof(magic)) != 0) {
-    throw Error(path + ": not a .dtdg file (bad magic)");
-  }
-  std::uint32_t version = 0;
-  read_pod(is, version, path);
-  if (version != kDtdgVersion) {
-    throw Error(path + ": unsupported .dtdg version " +
-                std::to_string(version));
-  }
+  read_magic_version(is, path);
   std::uint64_t hash = 0;
   read_pod(is, hash, path);
   return hash;
@@ -241,58 +237,78 @@ DTDG read_dtdg(const std::string& path, ThreadPool* pool,
   g.snapshots.resize(static_cast<std::size_t>(h.num_snapshots));
   g.targets.resize(static_cast<std::size_t>(h.num_snapshots));
 
+  // The walk (see the header); `offsets[t]` is where snapshot t's row_ptr
+  // starts. Its error waits for the tasks of the snapshots before it and of
+  // the one it stopped in, once that one's adjacency is allocated.
   const int n = h.num_nodes;
   const auto un = static_cast<std::uint64_t>(n);
-  for (int t = 0; t < h.num_snapshots; ++t) {
+  std::vector<std::streamoff> offsets;
+  std::exception_ptr walk_error;
+  const auto skip = [&](std::uint64_t count, std::size_t elem_size) {
+    is.seekg(static_cast<std::streamoff>(count * elem_size), std::ios::cur);
+  };
+  try {
+    for (int t = 0; t < h.num_snapshots; ++t) {
+      Snapshot& snap = g.snapshots[t];
+      std::uint64_t nnz = 0;
+      read_pod(is, nnz, path);
+      if (nnz > un * un) throw Error(path + ": implausible snapshot nnz");
+      check_fits(un + 1 + nnz, sizeof(int));
+      snap.adj.rows = n;
+      snap.adj.cols = n;
+      snap.adj.row_ptr.resize(static_cast<std::size_t>(n) + 1);
+      snap.adj.col_idx.resize(static_cast<std::size_t>(nnz));
+      offsets.push_back(is.tellg());
+      skip(un + 1 + nnz, sizeof(int));
+      std::uint8_t has_w = 0;
+      read_pod(is, has_w, path);
+      if (has_w > 1) throw Error(path + ": corrupt edge weight flag");
+      if (has_w != 0) {
+        check_fits(nnz, sizeof(float));
+        snap.edge_w.resize(static_cast<std::size_t>(nnz));
+        skip(nnz, sizeof(float));
+      }
+      const std::uint64_t floats =
+          un * static_cast<std::uint64_t>(h.feat_dim) + un;
+      check_fits(floats, sizeof(float));
+      snap.features = Tensor(n, h.feat_dim);
+      g.targets[t] = Tensor(n, 1);
+      skip(floats, sizeof(float));
+    }
+    if (is.peek() != std::ifstream::traits_type::eof()) {
+      throw Error(path + ": trailing bytes after last snapshot");
+    }
+  } catch (...) {
+    walk_error = std::current_exception();
+  }
+
+  // One task per snapshot; storage the walk did not allocate reads nothing.
+  const auto read_snapshot = [&](std::size_t t) {
+    std::ifstream in(path, std::ios::binary);
+    if (!in) throw Error("cannot open " + path);
+    in.seekg(offsets[t]);
     Snapshot& snap = g.snapshots[t];
-    std::uint64_t nnz = 0;
-    read_pod(is, nnz, path);
-    if (nnz > un * un) throw Error(path + ": implausible snapshot nnz");
-    check_fits(un + 1 + nnz, sizeof(int));
-    snap.adj.rows = n;
-    snap.adj.cols = n;
-    snap.adj.row_ptr.resize(static_cast<std::size_t>(n) + 1);
-    snap.adj.col_idx.resize(static_cast<std::size_t>(nnz));
-    read_array(is, snap.adj.row_ptr.data(), snap.adj.row_ptr.size(), path);
-    read_array(is, snap.adj.col_idx.data(), snap.adj.col_idx.size(), path);
+    read_array(in, snap.adj.row_ptr.data(), snap.adj.row_ptr.size(), path);
+    read_array(in, snap.adj.col_idx.data(), snap.adj.col_idx.size(), path);
     try {
       snap.adj.validate();
     } catch (const Error& e) {
       throw Error(path + ": corrupt snapshot " + std::to_string(t) + ": " +
                   e.what());
     }
-    std::uint8_t has_w = 0;
-    read_pod(is, has_w, path);
-    if (has_w > 1) throw Error(path + ": corrupt edge weight flag");
-    if (has_w != 0) {
-      check_fits(nnz, sizeof(float));
-      snap.edge_w.resize(static_cast<std::size_t>(nnz));
-      read_array(is, snap.edge_w.data(), snap.edge_w.size(), path);
-    }
-    check_fits(un * static_cast<std::uint64_t>(h.feat_dim) + un,
-               sizeof(float));
-    snap.features = Tensor(n, h.feat_dim);
-    read_array(is, snap.features.data(), snap.features.size(), path);
-    g.targets[t] = Tensor(n, 1);
-    read_array(is, g.targets[t].data(), g.targets[t].size(), path);
-  }
-  if (is.peek() != std::ifstream::traits_type::eof()) {
-    throw Error(path + ": trailing bytes after last snapshot");
-  }
-
-  // Rebuild the transposes — deterministic, so the cache read is bit-exact
-  // with the original parse for any pool width.
-  const auto rebuild = [&](std::size_t t) {
-    g.snapshots[t].adj_t = transpose(g.snapshots[t].adj);
+    in.ignore(1);  // has_w, checked by the walk.
+    read_array(in, snap.edge_w.data(), snap.edge_w.size(), path);
+    read_array(in, snap.features.data(), snap.features.size(), path);
+    read_array(in, g.targets[t].data(), g.targets[t].size(), path);
+    snap.adj_t = transpose(snap.adj);
   };
-  if (pool != nullptr && h.num_snapshots > 1 &&
+  if (pool != nullptr && offsets.size() > 1 &&
       ThreadPool::current_pool() == nullptr) {
-    pool->parallel_for(static_cast<std::size_t>(h.num_snapshots), rebuild);
+    pool->parallel_for(offsets.size(), read_snapshot);
   } else {
-    for (int t = 0; t < h.num_snapshots; ++t) {
-      rebuild(static_cast<std::size_t>(t));
-    }
+    for (std::size_t t = 0; t < offsets.size(); ++t) read_snapshot(t);
   }
+  if (walk_error) std::rethrow_exception(walk_error);
   return g;
 }
 

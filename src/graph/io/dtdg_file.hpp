@@ -30,11 +30,16 @@
 //     f32[num_nodes * feat_dim] features (row-major)
 //     f32[num_nodes]            targets
 //
-// The transpose (adj_t) is NOT stored: it is recomputed on read — pool-
-// parallel, one snapshot per task — which halves the file and keeps the
-// cache bit-exact (transpose() is deterministic). Readers validate every
-// CSR and reject trailing bytes, so a truncated or corrupt file fails
-// loudly instead of producing a bad dataset.
+// A read is a serial walk, then one pool task per snapshot. The walk reads
+// the length fields and makes every structural check (nnz plausibility,
+// each array fits in the file, the has_w flag, no trailing bytes); it also
+// allocates each snapshot's storage on the calling thread, which keeps a
+// load's peak RSS where a serial read has it. Each task reads its
+// snapshot's arrays into that storage through its own stream, validates
+// the CSR and recomputes the transpose (adj_t). adj_t is NOT stored, which
+// halves the file and keeps the cache bit-exact (transpose() is
+// deterministic). A truncated or corrupt file fails loudly, at every pool
+// width with the error a front-to-back read meets first.
 #pragma once
 
 #include <cstdint>
@@ -58,8 +63,8 @@ void write_dtdg(const DTDG& g, const std::string& path,
 /// magic / unsupported version / truncation.
 std::uint64_t read_dtdg_hash(const std::string& path);
 
-/// Full read; adj_t is recomputed (pool-parallel when a pool is given and
-/// the caller is not already on a pool worker). Throws Error on any
+/// Full read; the snapshot tasks run on `pool` when one is given and the
+/// caller is not already on a pool worker, else inline. Throws Error on any
 /// structural problem. `config_hash` receives the stored hash if non-null.
 DTDG read_dtdg(const std::string& path, ThreadPool* pool = nullptr,
                std::uint64_t* config_hash = nullptr);

@@ -302,15 +302,25 @@ DTDG load_dataset(const std::string& path, const LoadOptions& opts,
 
   // ---- Cache key + probe ----
   // Every input file is hashed in a streaming pass, and only when a cache
-  // could use the key; a hit never reads the sidecars beyond that.
+  // could use the key; a hit never reads the sidecars beyond that. The
+  // edge file and the two sidecars hash as three pool tasks; the lowest
+  // index's error wins, so errors name edges, features, targets in that
+  // order at every width. A hit reads the cache one snapshot per task.
   std::uint64_t key = 0;
   if (!opts.cache_dir.empty()) {
     Timer rt;
-    const auto digest = [](const std::string& file) {
-      return file.empty() ? ContentHash() : hash_file(file);
+    const std::string* inputs[] = {&path, &opts.features_path,
+                                   &opts.targets_path};
+    ContentHash digests[3];
+    const auto digest = [&](std::size_t i) {
+      if (i == 0 || !inputs[i]->empty()) digests[i] = hash_file(*inputs[i]);
     };
-    key = config_hash(hash_file(path), digest(opts.features_path),
-                      digest(opts.targets_path), opts);
+    if (p != nullptr) {
+      p->parallel_for(3, digest);
+    } else {
+      for (std::size_t i = 0; i < 3; ++i) digest(i);
+    }
+    key = config_hash(digests[0], digests[1], digests[2], opts);
     st.read_us = rt.elapsed_us();
     st.cache_path =
         (fs::path(opts.cache_dir) / (file_stem(path) + "-" + hex16(key) +

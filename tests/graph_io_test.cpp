@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <charconv>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -1059,6 +1060,154 @@ TEST(DtdgFile, MalformedFilesRejected) {
   huge[31] = 0x00;
   const auto snap_bomb = write_file_at(dir / "s.dtdg", huge);
   EXPECT_THROW(read_dtdg(snap_bomb), Error);
+}
+
+/// Byte offsets of one snapshot's fields in a `.dtdg` file without vertex
+/// names (docs/DATASET_FORMATS.md has the layout).
+struct SnapshotBytes {
+  std::size_t nnz, row_ptr, col_idx, has_w, end;
+};
+
+std::vector<SnapshotBytes> snapshot_bytes(const DTDG& g) {
+  const std::size_t n = static_cast<std::size_t>(g.num_nodes);
+  std::size_t pos = 8 + 4 + 8 + 4 * 4 + 4 + g.name.size() + 1;
+  std::vector<SnapshotBytes> out;
+  for (const Snapshot& s : g.snapshots) {
+    SnapshotBytes b;
+    b.nnz = pos;
+    b.row_ptr = b.nnz + 8;
+    b.col_idx = b.row_ptr + 4 * (n + 1);
+    b.has_w = b.col_idx + 4 * s.adj.nnz();
+    b.end = b.has_w + 1 + 4 * (s.edge_w.size() + n * g.feat_dim + n);
+    out.push_back(b);
+    pos = b.end;
+  }
+  return out;
+}
+
+void put_u32(std::string& bytes, std::size_t at, std::uint32_t v) {
+  std::memcpy(bytes.data() + at, &v, sizeof(v));
+}
+
+TEST(DtdgFile, EachFaultGivesOneErrorAtEveryPoolWidth) {
+  // The reader walks the length fields serially, then reads and validates
+  // the snapshots as pool tasks. One fault per case; every case must give
+  // the text a front-to-back read gives, with no pool and at widths 1
+  // and 4.
+  const auto dir = temp_dir();
+  const auto src = write_file_at(dir / "w.el",
+                                 "0 1 0 0.5\n1 2 0 1.5\n2 3 1 2.5\n"
+                                 "3 0 1 3.5\n0 2 2 4.5\n1 3 2 5.5\n");
+  const DTDG g = load_dataset(src);
+  ASSERT_EQ(g.num_snapshots(), 3);
+  const auto p = (dir / "g.dtdg").string();
+  write_dtdg(g, p, 1);
+  const std::string clean = read_file(p);
+  const std::vector<SnapshotBytes> at = snapshot_bytes(g);
+  ASSERT_EQ(at.back().end, clean.size());
+
+  ThreadPool p1(1), p4(4);
+  const auto expect_error = [&](const std::string& bytes,
+                                const std::string& want) {
+    const auto f = write_file_at(dir / "f.dtdg", bytes);
+    const auto read = [&](ThreadPool* pool) { read_dtdg(f, pool); };
+    const std::string serial = error_of(read, nullptr);
+    EXPECT_EQ(serial.substr(0, (f + want).size()), f + want);
+    EXPECT_EQ(error_of(read, &p1), serial);
+    EXPECT_EQ(error_of(read, &p4), serial);
+  };
+  const std::string truncated = ": truncated .dtdg file";
+  for (std::size_t t = 0; t < at.size(); ++t) {
+    const std::string corrupt = ": corrupt snapshot " + std::to_string(t);
+    std::string b = clean;
+    put_u32(b, at[t].nnz, static_cast<std::uint32_t>(
+                              g.snapshots[t].adj.nnz() + 1));
+    expect_error(b, corrupt);
+    b = clean;
+    b[at[t].has_w] = 2;
+    expect_error(b, ": corrupt edge weight flag");
+    b = clean;
+    put_u32(b, at[t].row_ptr + 4, 1000);
+    expect_error(b, corrupt);
+    b = clean;
+    put_u32(b, at[t].col_idx, static_cast<std::uint32_t>(g.num_nodes));
+    expect_error(b, corrupt);
+    for (const std::size_t cut :
+         {at[t].row_ptr + 2, at[t].col_idx + 4, at[t].has_w + 1,
+          at[t].end - 1}) {
+      expect_error(clean.substr(0, cut), truncated);
+    }
+  }
+  expect_error(clean + "z", ": trailing bytes after last snapshot");
+
+  // Two faults: the lower snapshot's is reported, whichever kind it is.
+  std::string b = clean;
+  put_u32(b, at[2].row_ptr + 4, 1000);
+  put_u32(b, at[1].col_idx, static_cast<std::uint32_t>(g.num_nodes));
+  expect_error(b, ": corrupt snapshot 1");
+  b[at[0].has_w] = 2;
+  expect_error(b, ": corrupt edge weight flag");
+  b = clean;
+  put_u32(b, at[0].col_idx, static_cast<std::uint32_t>(g.num_nodes));
+  expect_error(b.substr(0, at[2].has_w), ": corrupt snapshot 0");
+
+  // Called from a pool worker, the read runs inline (a nested
+  // parallel_for would throw) and is bit-exact.
+  const DTDG inline_read =
+      p4.submit([&] { return read_dtdg(p, &p4); }).get();
+  expect_same_dtdg(g, inline_read);
+  for (ThreadPool* pool : {&p1, &p4}) expect_same_dtdg(g, read_dtdg(p, pool));
+}
+
+TEST(Cache, KeyIsTheSameAtEveryPoolWidth) {
+  // The three inputs hash as pool tasks: every width keys the same cache
+  // file, and an input error names the same file (edges, then features,
+  // then targets) at every width.
+  const auto dir = temp_dir();
+  const auto targets = write_file_at(dir / "y.tsv",
+                                     "# pipad-targets v1\n0 3 1.5\n");
+  LoadOptions o;
+  o.cache_dir = (dir / "cache").string();
+  o.features_path = fixture("sample_features.tsv");
+  o.targets_path = targets;
+  ThreadPool p1(1), p4(4);
+  LoadStats first;
+  const DTDG g =
+      load_dataset(fixture("sample_edges.csv"), o, nullptr, &first);
+  EXPECT_FALSE(first.cache_hit);
+  for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &p1, &p4}) {
+    LoadStats st;
+    expect_same_dtdg(
+        g, load_dataset(fixture("sample_edges.csv"), o, pool, &st));
+    EXPECT_TRUE(st.cache_hit);
+    EXPECT_EQ(st.cache_path, first.cache_path);
+  }
+
+  const auto sub = (dir / "sub").string();
+  fs::create_directories(sub);
+  const auto missing = (dir / "missing.tsv").string();
+  const auto expect_error = [&](const std::string& edges,
+                                const LoadOptions& opts,
+                                const std::string& want) {
+    for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &p1, &p4}) {
+      EXPECT_EQ(error_of([&](ThreadPool* tp) { load_dataset(edges, opts, tp); },
+                         pool),
+                want);
+    }
+  };
+  LoadOptions bad = o;
+  bad.features_path = missing;
+  expect_error(fixture("sample_edges.csv"), bad, "cannot open " + missing);
+  bad = o;
+  bad.targets_path = sub;
+  expect_error(fixture("sample_edges.csv"), bad, sub + ": is a directory");
+  bad.features_path = missing;
+  expect_error(fixture("sample_edges.csv"), bad, "cannot open " + missing);
+  const auto no_edges = (dir / "missing.el").string();
+  expect_error(no_edges, bad, "cannot open " + no_edges);
+  bad.features_path = sub;
+  bad.targets_path = missing;
+  expect_error(fixture("sample_edges.csv"), bad, sub + ": is a directory");
 }
 
 TEST(Cache, CorruptCacheBodyIsAMissEvenWithValidHeader) {
