@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdint>
 
+#include "common/thread_pool.hpp"
 #include "graph/generator.hpp"
 #include "kernels/aggregate.hpp"
 #include "kernels/update.hpp"
@@ -28,6 +29,25 @@ const graph::DTDG& test_graph() {
     cfg.edge_life = 5.0;
     return graph::generate(cfg);
   }();
+  return g;
+}
+
+/// bench/e2e's graph-heavy dataset: 4000 nodes, 1.5M events over 32
+/// snapshots, edges living 8 snapshots.
+graph::DatasetConfig graph_heavy_config() {
+  graph::DatasetConfig cfg;
+  cfg.name = "graph-heavy";
+  cfg.num_nodes = 4000;
+  cfg.raw_events = 1500000;
+  cfg.num_snapshots = 32;
+  cfg.feat_dim = 2;
+  cfg.edge_life = 8.0;
+  cfg.seed = 1;
+  return cfg;
+}
+
+const graph::DTDG& heavy_graph() {
+  static const graph::DTDG g = graph::generate(graph_heavy_config());
   return g;
 }
 
@@ -211,15 +231,41 @@ void BM_SliceCsr(benchmark::State& state) {
 }
 BENCHMARK(BM_SliceCsr);
 
+// Groups from snapshot 8 on, where every edge-life window is full: about
+// 90 edges per row, graph-heavy's steady state (its mean over all 32
+// snapshots is about 80).
 void BM_OverlapExtraction(benchmark::State& state) {
-  const auto& g = test_graph();
+  const auto& g = heavy_graph();
+  constexpr int kStart = 8;
   const int count = static_cast<int>(state.range(0));
+  std::size_t edges = 0;
+  for (int t = kStart; t < kStart + count; ++t) edges += g.snapshots[t].nnz();
   for (auto _ : state) {
-    auto p = sliced::build_partition(g, 0, count);
+    auto p = sliced::build_partition(g, kStart, count);
     benchmark::DoNotOptimize(p.overlap.col_idx.data());
   }
+  state.counters["nnz_per_row"] = static_cast<double>(edges) /
+                                  (static_cast<double>(count) * g.num_nodes);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(edges));
 }
-BENCHMARK(BM_OverlapExtraction)->Arg(2)->Arg(4)->Arg(8);
+BENCHMARK(BM_OverlapExtraction)
+    ->Arg(2)
+    ->Arg(4)
+    ->Arg(8)
+    ->Unit(benchmark::kMicrosecond);
+
+// The whole dataset build at graph-heavy's shape (Arg: pool width).
+void BM_Generate(benchmark::State& state) {
+  const graph::DatasetConfig cfg = graph_heavy_config();
+  ThreadPool pool(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    const graph::DTDG g = graph::generate(cfg, &pool);
+    benchmark::DoNotOptimize(g.snapshots.data());
+  }
+  state.SetItemsProcessed(state.iterations() * cfg.raw_events);
+}
+BENCHMARK(BM_Generate)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond);
 
 void BM_CoalesceFeatures(benchmark::State& state) {
   const auto& g = test_graph();

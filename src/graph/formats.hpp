@@ -71,7 +71,7 @@ struct CSR {
 /// removed. No self-loops are added: GCN normalization adds the self term.
 CSR csr_from_edges(int rows, int cols, const std::vector<Edge>& edges);
 
-/// Build a CSR from sorted unique edge keys (fast path for generators).
+/// Build a CSR from sorted unique edge keys.
 CSR csr_from_sorted_keys(int rows, int cols,
                          const std::vector<std::uint64_t>& keys);
 

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <iterator>
-#include <numeric>
 
 #include "tensor/normal.hpp"
 
@@ -33,50 +31,57 @@ std::vector<Snapshot> SnapshotBuilder::finish(int num_snapshots) {
 
 void SnapshotBuilder::build_next() {
   const int t = static_cast<int>(out_.size());
-  live_.erase(std::remove_if(live_.begin(), live_.end(),
-                             [t](const Instance& e) { return e.death <= t; }),
-              live_.end());
   const auto by_key = [](const Instance& a, const Instance& b) {
     return a.key < b.key;
   };
-  // Exported files list each snapshot in key order already. Otherwise an
-  // LSD radix sort, one key byte per pass: it is stable, so equal keys keep
-  // their arrival order. A byte every key shares needs no pass.
+  // Generated batches and exported files come in key order already.
   if (!std::is_sorted(born_.begin(), born_.end(), by_key)) {
     merged_.resize(born_.size());
-    for (int shift = 0; shift < 64; shift += 8) {
-      std::size_t start[257] = {};
-      for (const Instance& e : born_) ++start[((e.key >> shift) & 0xFF) + 1];
-      if (std::find(start + 1, start + 257, born_.size()) != start + 257) {
-        continue;
-      }
-      std::partial_sum(start, start + 257, start);
-      for (const Instance& e : born_) {
-        merged_[start[(e.key >> shift) & 0xFF]++] = e;
-      }
-      born_.swap(merged_);
-    }
+    radix_sort_by_key<Instance>(born_, merged_);
   }
-  // Live entries come first on equal keys: they arrived earlier.
+  // One pass merges the newborn batch into the live run, drops expired
+  // instances and writes the CSR: the merged run is in key order, so each
+  // row's columns come sorted and the row counts only need a prefix sum.
+  // Live entries come first on equal keys: they arrived earlier. Newborns
+  // never expire here (death > birth == t). Columns and weights collect in
+  // reused scratch and are copied out at their exact size, so a snapshot
+  // keeps no spare capacity.
   merged_.clear();
   merged_.reserve(live_.size() + born_.size());
-  std::merge(live_.begin(), live_.end(), born_.begin(), born_.end(),
-             std::back_inserter(merged_), by_key);
-  live_.swap(merged_);
-  born_.clear();
-
+  cols_.clear();
+  w_.clear();
   Snapshot& s = out_.emplace_back();
-  if (weighted_) s.edge_w.reserve(live_.size());
-  keys_.clear();
-  for (std::size_t i = 0; i < live_.size(); ++i) {
-    if (i > 0 && live_[i].key == live_[i - 1].key) {
-      if (weighted_) s.edge_w.back() += live_[i].w;
+  s.adj.rows = s.adj.cols = n_;
+  std::vector<int>& row_ptr = s.adj.row_ptr;
+  row_ptr.assign(static_cast<std::size_t>(n_) + 1, 0);
+  const auto take = [&](const Instance& e) {
+    if (!merged_.empty() && merged_.back().key == e.key) {
+      if (weighted_) w_.back() += e.w;
     } else {
-      keys_.push_back(live_[i].key);
-      if (weighted_) s.edge_w.push_back(live_[i].w);
+      const Edge edge = key_edge(e.key);
+      ++row_ptr[edge.dst + 1];
+      cols_.push_back(edge.src);
+      if (weighted_) w_.push_back(e.w);
+    }
+    merged_.push_back(e);
+  };
+  auto live = live_.cbegin();
+  auto born = born_.cbegin();
+  while (live != live_.cend()) {
+    if (live->death <= t) {
+      ++live;
+    } else if (born == born_.cend() || !by_key(*born, *live)) {
+      take(*live++);
+    } else {
+      take(*born++);
     }
   }
-  s.adj = csr_from_sorted_keys(n_, n_, keys_);
+  while (born != born_.cend()) take(*born++);
+  for (int r = 0; r < n_; ++r) row_ptr[r + 1] += row_ptr[r];
+  s.adj.col_idx.assign(cols_.begin(), cols_.end());
+  if (weighted_) s.edge_w.assign(w_.begin(), w_.end());
+  live_.swap(merged_);
+  born_.clear();
 }
 
 void ar1_features(DTDG& g, Rng& rng) {

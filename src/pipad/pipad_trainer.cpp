@@ -613,9 +613,7 @@ struct PipadTrainer::Impl {
   /// decision logic; this builds its inputs from the profiling statistics
   /// and caches per frame start).
   int decide_sper(const graph::Frame& frame) {
-    if (opts.forced_sper > 0) {
-      return std::min(opts.forced_sper, frame.size);
-    }
+    if (opts.forced_sper > 0) return opts.forced_sper;
     auto it = decisions.find(frame.start);
     if (it != decisions.end()) return it->second;
 

@@ -7,9 +7,11 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <span>
 
 #include "graph/generator.hpp"
 #include "graph/io/loader.hpp"
+#include "graph/io/text_format.hpp"
 #include "graph/overlap.hpp"
 #include "graph/snapshot_builder.hpp"
 
@@ -260,9 +262,10 @@ TEST(Generator, ShortSequenceYieldsSingleTruncatedFrame) {
 }
 
 TEST(Generator, PoolParallelBuildIsBitIdenticalToSerial) {
-  // Every RNG draw and the snapshot sweep happen on the calling thread in
-  // a fixed order; only the per-snapshot transposes and targets
-  // parallelize, so the dataset must not depend on the pool size.
+  // Every RNG draw, the per-birth key sorts and the snapshot sweep happen
+  // on the calling thread in a fixed order; only the per-snapshot
+  // transposes and targets run as pool tasks, each writing its own
+  // snapshot, so the dataset must not depend on the pool size.
   const auto serial = generate(testutil_cfg());
   ThreadPool pool(4);
   const auto parallel = generate(testutil_cfg(), &pool);
@@ -282,6 +285,49 @@ TEST(Generator, PoolParallelBuildIsBitIdenticalToSerial) {
     for (std::size_t i = 0; i < serial.targets[t].size(); ++i) {
       EXPECT_EQ(serial.targets[t].data()[i], parallel.targets[t].data()[i]);
     }
+  }
+}
+
+/// One digest over a dataset's bits: every snapshot's adjacency and
+/// transpose, features and target.
+std::uint64_t dataset_hash(const DTDG& g) {
+  io::ContentHash h;
+  const auto put = [&h](const auto& v) {
+    const std::uint64_t n = v.size();
+    h.update(&n, sizeof(n));
+    h.update(v.data(), n * sizeof(v[0]));
+  };
+  for (int t = 0; t < g.num_snapshots(); ++t) {
+    const Snapshot& s = g.snapshots[t];
+    put(s.adj.row_ptr);
+    put(s.adj.col_idx);
+    put(s.adj_t.row_ptr);
+    put(s.adj_t.col_idx);
+    put(s.edge_w);
+    put(std::span(s.features.data(), s.features.size()));
+    put(std::span(g.targets[t].data(), g.targets[t].size()));
+  }
+  return h.digest();
+}
+
+TEST(Generator, DatasetBitsArePinnedAtEveryPoolWidth) {
+  // The digest was taken from the global-sort build that the per-birth
+  // bucket sort replaced. A fractional edge_life mixes lifetimes, and
+  // ~4,000 events per birth bucket over 2,000 nodes make every bucket's
+  // radix sort take two passes per packed vertex id, with duplicate keys.
+  DatasetConfig cfg;
+  cfg.name = std::string("pinned");
+  cfg.num_nodes = 2000;
+  cfg.raw_events = 100000;
+  cfg.num_snapshots = 24;
+  cfg.feat_dim = 3;
+  cfg.edge_life = 3.5;
+  cfg.seed = 36;
+  constexpr std::uint64_t kPinned = 0x5823e0035193bdabull;
+  EXPECT_EQ(dataset_hash(generate(cfg)), kPinned) << "no pool";
+  for (std::size_t width : {1u, 2u, 4u}) {
+    ThreadPool pool(width);
+    EXPECT_EQ(dataset_hash(generate(cfg, &pool)), kPinned) << width;
   }
 }
 
@@ -364,6 +410,40 @@ TEST(SnapshotBuilder, DuplicateKeysSumInArrivalOrderAndExpire) {
   for (const Snapshot& snap : s) snap.adj.validate();
 }
 
+TEST(SnapshotBuilder, OneSweepExpiresMergesAndSumsInArrivalOrder) {
+  // Snapshot 2 holds all three cases of the merged sweep:
+  //   - k3's live instance dies at 2 as a newborn k3 arrives at 2;
+  //   - k1 dies at 2 between the surviving k0 and k2;
+  //   - k4 sums 1e8 (live) + -1e8 + 1 + 1 (newborns) to 2 only in arrival
+  //     order: a newborn ahead of the live entry, or -1e8 after a 1, loses
+  //     the 1s against 1e8 (float spacing there is 8).
+  // Snapshot 2's batch comes out of key order, and k3 and k4 differ in one
+  // byte, so a single radix pass must keep k4's newborns in order.
+  const std::uint64_t k0 = edge_key(Edge{0, 1});
+  const std::uint64_t k1 = edge_key(Edge{1, 1});
+  const std::uint64_t k2 = edge_key(Edge{2, 1});
+  const std::uint64_t k3 = edge_key(Edge{3, 1});
+  const std::uint64_t k4 = edge_key(Edge{5, 1});
+  const std::vector<Instance> all = {
+      {0, 3, k0, 1.0f},  {0, 2, k1, 2.0f}, {0, 2, k3, 1e8f},
+      {1, 4, k2, 4.0f},  {1, 4, k4, 1e8f}, {2, 4, k4, -1e8f},
+      {2, 4, k3, 0.25f}, {2, 4, k4, 1.0f}, {2, 4, k4, 1.0f},
+  };
+  const int n = 8, S = 5;
+  SnapshotBuilder builder(n, /*weighted=*/true);
+  for (const Instance& e : all) builder.add(e.birth, e.death, e.key, e.w);
+  std::vector<Snapshot> got = builder.finish(S);
+  for (Snapshot& snap : got) {
+    snap.adj.validate();
+    snap.adj_t = transpose(snap.adj);
+  }
+  expect_same_snapshots(naive_snapshots(n, S, all, true), got);
+  EXPECT_EQ(got[2].adj.row_ptr, (std::vector<int>{0, 0, 4, 4, 4, 4, 4, 4, 4}));
+  EXPECT_EQ(got[2].adj.col_idx, (std::vector<int>{0, 2, 3, 5}));
+  EXPECT_EQ(got[2].edge_w, (std::vector<float>{1.0f, 4.0f, 0.25f, 2.0f}));
+  EXPECT_EQ(got[4].nnz(), 0u);
+}
+
 /// generate()'s topology events, drawn as the generator draws them
 /// (dynamic topology only).
 std::vector<Instance> generator_events(const DatasetConfig& cfg) {
@@ -393,7 +473,7 @@ TEST(SnapshotBuilder, GeneratorMatchesStageEverythingReference) {
   const DatasetConfig cfg = testutil_cfg();
   const auto want = naive_snapshots(cfg.num_nodes, cfg.num_snapshots,
                                     generator_events(cfg), false);
-  for (std::size_t width : {1u, 4u}) {
+  for (std::size_t width : {1u, 2u, 4u}) {
     ThreadPool pool(width);
     expect_same_snapshots(want, generate(cfg, &pool).snapshots);
   }

@@ -261,9 +261,9 @@ TEST(Pipad, ForcedSperOverridesTuner) {
 }
 
 TEST(DecideSper, ForcedSperBypassesEverythingButTheFrameSize) {
-  // The trainer clamps a forced S_per to the frame before the tuner is
-  // consulted, so asking for 32 at frame size 8 is asking for 8: same
-  // losses, params and schedule, bit for bit.
+  // A forced S_per skips the tuner, and frame_partitions clips every
+  // partition to the frame's end, so asking for 32 at frame size 8 is
+  // asking for 8: same losses, params and schedule, bit for bit.
   const auto g = graph::generate(testutil::tiny_config(64, 16, 2));
   auto cfg = small_cfg();
   cfg.frame_size = 8;
