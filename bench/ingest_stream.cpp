@@ -2,12 +2,12 @@
 //
 // Generates a deterministic timestamped edge list (fat fixed-width rows, so
 // bytes/edge is stable across seeds), gzips it, and loads it three ways —
-// plain with the default 8 MiB window, plain with a deliberately tiny
+// plain with the default 4 MiB window, plain with a deliberately tiny
 // window, and gzip'd — timing each load's phases (read / inflate / parse /
-// build, from graph::io::LoadStats). The plain file is then loaded twice
-// more through a fresh `.dtdg` cache directory: cold (parse + cache write)
-// and warm (cache key + cache read) — the `cached` record is the warm load,
-// whose read time is the cache key's content hash.
+// build / sidecars, from graph::io::LoadStats). The plain file is then
+// loaded twice more through a fresh `.dtdg` cache directory: cold (parse +
+// cache write) and warm (cache key + cache read) — the `cached` record is
+// the warm load, whose read time is the cache key's content hash.
 //
 // The binary is its own gate: all loads must produce bit-identical DTDGs
 // (adjacency, weights, features, targets and name table all folded into
@@ -21,7 +21,7 @@
 //   --dir=PATH        where the generated files live  [ingest_bench_data]
 //   --gen-edges=N     edge rows to generate           [1000000]
 //   --gen-nodes=N     vertex-id space (nodes=N directive)  [100000]
-//   --window-bytes=N  the loads' streaming window     [8 MiB]
+//   --window-bytes=N  the loads' streaming window     [4 MiB]
 //   --gen-only        generate the plain + gzip edge files, plus a
 //                     temporal feature file and a target file with a row
 //                     for every (snapshot, vertex) slot, print them, exit
@@ -307,20 +307,23 @@ int run(int argc, char** argv) {
     const LoadRun r = load_once(plain, wb, {}, features, targets);
     std::printf("ingest_stream: parsed %s, %s and %s under the bounded "
                 "window: %zu edge instances, %.1f ms "
-                "(read %.1f ms, parse %.1f ms, build %.1f ms)\n",
+                "(read %.1f ms, parse %.1f ms, build %.1f ms, sidecars "
+                "%.1f ms)\n",
                 plain.c_str(), features.c_str(), targets.c_str(), r.edges,
                 r.total_us / 1e3,
                 r.stats.read_us / 1e3, r.stats.parse_us / 1e3,
-                r.stats.build_us / 1e3);
+                r.stats.build_us / 1e3, r.stats.sidecar_us / 1e3);
     return r.edges > 0 ? 0 : 1;
   }
 
-  std::printf("\n%-14s %12s %10s %10s %10s %10s\n", "method", "total_us",
-              "read_ms", "inflate_ms", "parse_ms", "build_ms");
+  std::printf("\n%-14s %12s %10s %10s %10s %10s %10s\n", "method",
+              "total_us", "read_ms", "inflate_ms", "parse_ms", "build_ms",
+              "sidecar_ms");
   const auto show = [](const char* name, const LoadRun& r) {
-    std::printf("%-14s %12.1f %10.1f %10.1f %10.1f %10.1f\n", name,
+    std::printf("%-14s %12.1f %10.1f %10.1f %10.1f %10.1f %10.1f\n", name,
                 r.total_us, r.stats.read_us / 1e3, r.stats.inflate_us / 1e3,
-                r.stats.parse_us / 1e3, r.stats.build_us / 1e3);
+                r.stats.parse_us / 1e3, r.stats.build_us / 1e3,
+                r.stats.sidecar_us / 1e3);
   };
   const LoadRun stream = load_once(plain, wb);
   show("stream", stream);

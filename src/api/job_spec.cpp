@@ -351,7 +351,7 @@ std::string flags_help() {
       "                     runs with the same inputs skip the parse\n"
       "  --window-bytes N   file: streaming read window in bytes — bounds\n"
       "                     parse memory, never changes the result\n"
-      "                     [8388608]\n"
+      "                     [4194304]\n"
       "  --nodes N          synthetic: vertex count  [2000]\n"
       "  --events N         synthetic: distinct temporal edges  [40000]\n"
       "  --feat-dim N       synthetic: feature dimension  [2]\n"

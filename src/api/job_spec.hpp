@@ -33,7 +33,7 @@ struct JobSpec {
                             ///< (file: split the time range into N windows).
   long long snapshot_window = 0;  ///< file: fixed time-window width.
   long long window_bytes = 0;     ///< file: streaming read window in bytes
-                                  ///< (0 = the 8 MiB loader default).
+                                  ///< (0 = the 4 MiB loader default).
   std::string features;     ///< file: optional node-feature file.
   std::string cache_dir;    ///< file: .dtdg snapshot-cache directory.
   int nodes = 2000;         ///< Synthetic vertex count.

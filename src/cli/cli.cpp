@@ -41,11 +41,25 @@ void print_result(const std::string& method, const models::TrainResult& r) {
               100.0 * r.sm_utilization, r.final_loss());
 }
 
-void print_dataset(const graph::DTDG& data) {
+/// The dataset's shape and, for a file dataset, its measured load phases
+/// (wall clock; never part of the modeled timeline).
+void print_dataset(const api::BuiltDataset& built) {
+  const graph::DTDG& data = built.data;
   std::printf("dataset %s: %d vertices, %zu edge instances, %d snapshots, "
               "feat dim %d\n",
               data.name.c_str(), data.num_nodes, data.total_edges(),
               data.num_snapshots(), data.feat_dim);
+  if (!built.from_file) return;
+  const graph::io::LoadStats& l = built.load;
+  std::printf("load (wall clock): read %.1f ms, inflate %.1f ms, parse %.1f "
+              "ms, build %.1f ms, sidecars %.1f ms",
+              l.read_us / 1e3, l.inflate_us / 1e3, l.parse_us / 1e3,
+              l.build_us / 1e3, l.sidecar_us / 1e3);
+  if (!l.cache_path.empty()) {
+    std::printf(", cache %s %.1f ms", l.cache_hit ? "read" : "write",
+                l.cache_us / 1e3);
+  }
+  std::printf("\n");
 }
 
 /// Write the two bench records as a bench document, so `bench_diff` can
@@ -79,7 +93,7 @@ api::JobSpec baseline_job(api::JobSpec job) {
 
 int cmd_train(const Options& o) {
   const api::BuiltDataset data = api::build_dataset(o.job);
-  print_dataset(data.data);
+  print_dataset(data);
   std::printf("training %s under %s: %d epochs, frame size %d\n",
               models::model_type_name(api::train_config(o.job).model),
               o.job.runtime.c_str(), o.job.epochs, o.job.frame_size);
@@ -92,7 +106,7 @@ int cmd_train(const Options& o) {
 
 int cmd_bench(const Options& o) {
   const api::BuiltDataset data = api::build_dataset(o.job);
-  print_dataset(data.data);
+  print_dataset(data);
   const api::JobSpec base_job = baseline_job(o.job);
   const std::string& base = base_job.runtime;
   gpusim::Gpu gpu_base;
@@ -112,7 +126,7 @@ int cmd_bench(const Options& o) {
 
 int cmd_trace(const Options& o) {
   const api::BuiltDataset data = api::build_dataset(o.job);
-  print_dataset(data.data);
+  print_dataset(data);
   const api::JobSpec base_job = baseline_job(o.job);
   const std::string& base = base_job.runtime;
   gpusim::Gpu gpu_base;
@@ -165,7 +179,7 @@ int cmd_analyze(const Options& o) {
     // Live mode: run PiPAD on the requested dataset and analyze its
     // timeline in-process.
     const api::BuiltDataset data = api::build_dataset(o.job);
-    print_dataset(data.data);
+    print_dataset(data);
     gpusim::Gpu gpu;
     api::run_method(o.job, "pipad", gpu, data, nullptr);
     analyze::TraceData td = analyze::from_timeline(gpu.timeline());

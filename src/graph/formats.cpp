@@ -9,9 +9,13 @@ void CSR::validate() const {
                   "row_ptr size " << row_ptr.size() << " vs rows " << rows);
   PIPAD_CHECK(row_ptr.front() == 0);
   PIPAD_CHECK(row_ptr.back() == static_cast<int>(col_idx.size()));
+  // Every offset is checked before any col_idx read: a monotone row_ptr
+  // that starts at 0 and ends at nnz keeps each row inside col_idx.
   for (int r = 0; r < rows; ++r) {
     PIPAD_CHECK_MSG(row_ptr[r] <= row_ptr[r + 1], "row_ptr not monotone at "
                                                       << r);
+  }
+  for (int r = 0; r < rows; ++r) {
     for (int i = row_ptr[r]; i < row_ptr[r + 1]; ++i) {
       PIPAD_CHECK_MSG(col_idx[i] >= 0 && col_idx[i] < cols,
                       "col out of range at row " << r);

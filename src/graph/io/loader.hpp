@@ -6,7 +6,7 @@
 // graph::DTDG:
 //
 //   read      the file is pulled through a bounded StreamReader window
-//             (default 8 MiB; `.gz` inputs are inflated transparently) —
+//             (default 4 MiB; `.gz` inputs are inflated transparently) —
 //             the read buffer is bounded by the window, not the file size
 //             (whether parsed rows are kept is the build step's call); the
 //             sidecar files are opened before the edge parse and pulled
@@ -15,8 +15,10 @@
 //             first XXH64-hashed in a separate streaming pass (the cache
 //             key);
 //   parse     chunk-parallel on the shared ComputePool (text formats),
-//             window by window; results are bit-identical for any window
-//             size and thread count;
+//             window by window and pipelined: window k + 1 parses on the
+//             pool while the calling thread reads the next window and
+//             feeds window k to the build; results are bit-identical for
+//             any window size and thread count;
 //   remap     raw vertex ids are densified deterministically — ascending
 //             raw-id order — unless the file declares `nodes=N`, which
 //             pins an identity mapping and makes ids >= N an error;
@@ -72,7 +74,7 @@ struct LoadOptions {
   std::string cache_dir;      ///< Non-empty: `.dtdg` snapshot cache.
   std::uint64_t seed = 2023;    ///< Synthesized-feature RNG seed.
   /// Streaming window for text inputs, in bytes (0 = the StreamReader
-  /// default, 8 MiB). Never changes the loaded DTDG — only peak memory —
+  /// default, 4 MiB). Never changes the loaded DTDG — only peak memory —
   /// and is therefore excluded from the cache key.
   std::size_t window_bytes = 0;
 };
@@ -83,12 +85,15 @@ struct LoadStats {
   double read_us = 0.0;    ///< Cache-key hashing + file reads; on a
                            ///< cache hit, the key's hashing time only.
   double inflate_us = 0.0;  ///< Gzip decompression (0 for plain inputs).
-  double parse_us = 0.0;   ///< Chunk-parallel text parse (0 on cache hit);
-                           ///< with direct staging it includes the
-                           ///< snapshot sweep, which runs per window.
+  double parse_us = 0.0;   ///< The edge phase's wall time less its reads
+                           ///< and inflate (0 on cache hit): the text
+                           ///< parse and, with direct staging, the
+                           ///< snapshot sweep that overlaps it.
   double build_us = 0.0;  ///< Remap, snapshot sweep (general staging
-                          ///< only), sidecar parse, features, transposes
-                          ///< and targets.
+                          ///< only), synthesized features, transposes and
+                          ///< targets.
+  double sidecar_us = 0.0;  ///< Feature and target file parse, less their
+                            ///< reads and inflate.
   double cache_us = 0.0;  ///< Cache read (hit) or write (miss).
   bool cache_hit = false;
   std::size_t parse_chunks = 0;  ///< Parallel width of the parse phase.

@@ -189,11 +189,11 @@ StreamReader::StreamReader(std::string path, std::size_t window_bytes)
 StreamReader::~StreamReader() = default;
 
 bool StreamReader::next_window(std::string& out, std::size_t& first_line) {
-  out.clear();
+  // The caller's buffer keeps its capacity from window to window, and the
+  // source reads straight into it: a steady stream allocates nothing.
+  out.assign(carry_);
+  carry_.clear();
   first_line = next_line_;
-  if (eof_ && carry_.empty()) return false;
-  std::swap(out, carry_);
-  buf_.resize(std::min(kReadChunk, std::max<std::size_t>(window_bytes_, 1)));
   for (;;) {
     if (out.size() >= window_bytes_) {
       const std::size_t nl = out.rfind('\n');
@@ -212,12 +212,16 @@ bool StreamReader::next_window(std::string& out, std::size_t& first_line) {
       }
     }
     if (eof_) break;  // Final (possibly newline-less) window.
-    const std::size_t got = src_->read(buf_.data(), buf_.size());
-    if (got == 0) {
-      eof_ = true;
-      continue;
-    }
-    out.append(buf_.data(), got);
+    const std::size_t have = out.size();
+    // Bounded steps: the buffer is zero-filled only just ahead of the
+    // read that overwrites it, and a small file touches little of it.
+    const std::size_t want = std::min(
+        kReadChunk,
+        have < window_bytes_ ? window_bytes_ - have : window_bytes_);
+    out.resize(have + want);
+    const std::size_t got = src_->read(out.data() + have, want);
+    out.resize(have + got);
+    if (got == 0) eof_ = true;
   }
   if (out.empty()) return false;
   for (const char* b = out.data(), *e = out.data() + out.size(); b < e;) {

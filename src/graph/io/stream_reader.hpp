@@ -3,12 +3,15 @@
 // The loader used to slurp the whole file into one std::string before the
 // chunk-parallel parse — a file larger than RAM killed the process before a
 // single snapshot existed. StreamReader instead pulls fixed-size
-// newline-aligned windows (default 8 MiB): each next_window() call returns a
+// newline-aligned windows (default 4 MiB): each next_window() call returns a
 // run of *whole* lines, carrying any partial trailing line into the next
 // window, so the chunk parser sees exactly the byte stream the slurp path
-// saw, window by window. Memory is bounded by the window size plus one line
-// (lines are capped at kMaxLineBytes — a binary blob with no newlines fails
-// cleanly instead of buffering the whole file).
+// saw, window by window. The bytes are read (or inflated) straight into the
+// caller's buffer, which keeps its capacity across calls. Memory is bounded
+// by the window size plus one line (lines are capped at kMaxLineBytes — a
+// binary blob with no newlines fails cleanly instead of buffering the whole
+// file). The parsers hold two windows: one parsing on the pool while the
+// next is read.
 //
 // gzip is transparent: the constructor sniffs the two magic bytes (1f 8b)
 // and, when present, routes reads through a zlib inflate stream
@@ -61,7 +64,7 @@ std::ifstream open_input(const std::string& path,
 
 class StreamReader {
  public:
-  static constexpr std::size_t kDefaultWindowBytes = 8u << 20;  // 8 MiB.
+  static constexpr std::size_t kDefaultWindowBytes = 4u << 20;  // 4 MiB.
   /// A single line longer than this fails the parse: without some cap a
   /// newline-free input (binary data, or an adversarial one-line file)
   /// would buffer without bound and defeat the windowing.
@@ -77,9 +80,10 @@ class StreamReader {
   ~StreamReader();
 
   /// Fill `out` with the next window: whole lines, ~window_bytes long (the
-  /// final window may lack a trailing newline). `first_line` receives the
-  /// 1-based line number of the window's first line. Returns false at end
-  /// of stream (out is left empty).
+  /// final window may lack a trailing newline). `out` is overwritten; its
+  /// capacity is reused. `first_line` receives the 1-based line number of
+  /// the window's first line. Returns false at end of stream (out is left
+  /// empty).
   bool next_window(std::string& out, std::size_t& first_line);
 
   bool gzip() const { return gzip_; }
@@ -95,7 +99,6 @@ class StreamReader {
   bool gzip_ = false;
   std::unique_ptr<ByteSource> src_;
   std::string carry_;      ///< Partial trailing line of the previous window.
-  std::string buf_;        ///< Reused read buffer.
   bool eof_ = false;
   std::size_t next_line_ = 1;
   double read_us_ = 0.0;

@@ -1,12 +1,17 @@
 #include "graph/io/text_format.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <exception>
 #include <fstream>
+#include <functional>
+#include <future>
+#include <initializer_list>
+#include <iterator>
 #include <limits>
 #include <string_view>
 #include <unordered_map>
@@ -205,6 +210,45 @@ std::string_view next_line(std::string_view text, std::size_t& pos) {
   return l;
 }
 
+/// Reads the fields of one trimmed line in place, left to right: runs of
+/// non-space bytes, or — in a CSV — the comma-separated cells, each
+/// trimmed. Nothing is copied or allocated.
+class Fields {
+ public:
+  Fields(std::string_view line, bool csv) : line_(line), csv_(csv) {}
+
+  /// The next field into `f`; false once the line has none left.
+  bool next(std::string_view& f) {
+    if (csv_) {
+      if (pos_ > line_.size()) return false;
+      std::size_t end = line_.find(',', pos_);
+      if (end == std::string_view::npos) end = line_.size();
+      f = trim(line_.substr(pos_, end - pos_));
+      pos_ = end + 1;
+      return true;
+    }
+    while (pos_ < line_.size() && is_space(line_[pos_])) ++pos_;
+    if (pos_ == line_.size()) return false;
+    const std::size_t begin = pos_;
+    while (pos_ < line_.size() && !is_space(line_[pos_])) ++pos_;
+    f = line_.substr(begin, pos_ - begin);
+    return true;
+  }
+
+  /// The line's field count, for the field-count errors.
+  std::size_t count() const {
+    Fields all(line_, csv_);
+    std::size_t n = 0;
+    for (std::string_view f; all.next(f);) ++n;
+    return n;
+  }
+
+ private:
+  std::string_view line_;
+  bool csv_;
+  std::size_t pos_ = 0;
+};
+
 /// True when `tok` is entirely one number literal of v's type (stored in v).
 template <typename T>
 bool whole_number(std::string_view tok, T& v) {
@@ -212,48 +256,30 @@ bool whole_number(std::string_view tok, T& v) {
   return ec == std::errc{} && p == tok.data() + tok.size();
 }
 
+std::string malformed(const char* what, std::string_view tok) {
+  return std::string("malformed ") + what + " '" + escape_token(tok) + "'";
+}
+
 long long parse_ll_tok(std::string_view tok, const std::string& path,
                        std::size_t line, const char* what) {
   long long v = 0;
-  if (!whole_number(tok, v)) {
-    fail_at(path, line,
-            std::string("malformed ") + what + " '" + escape_token(tok) + "'");
-  }
+  if (!whole_number(tok, v)) fail_at(path, line, malformed(what, tok));
   return v;
 }
 
-float parse_f_tok(std::string_view tok, const std::string& path,
-                  std::size_t line, const char* what) {
-  float v = 0.0f;
-  if (!whole_number(tok, v) || !std::isfinite(v)) {
-    fail_at(path, line,
-            std::string("malformed ") + what + " '" + escape_token(tok) + "'");
-  }
-  return v;
+/// True when `tok` is one finite float (stored in v).
+bool finite_float(std::string_view tok, float& v) {
+  return whole_number(tok, v) && std::isfinite(v);
 }
 
-/// A line's tokens. Each parse chunk keeps one buffer and refills it per
-/// line, so a data line allocates nothing once the buffer has grown.
-using Tokens = std::vector<std::string_view>;
-
-/// Split a line into whitespace-separated tokens (`out` is cleared first).
-void ws_tokens(std::string_view line, Tokens& out) {
-  out.clear();
-  std::size_t i = 0;
-  while (i < line.size()) {
-    while (i < line.size() && is_space(line[i])) ++i;
-    std::size_t b = i;
-    while (i < line.size() && !is_space(line[i])) ++i;
-    if (i > b) out.push_back(line.substr(b, i - b));
-  }
-}
-
-/// A byte range of the input covering whole lines, plus the 1-based line
-/// number its first line has in the file.
+/// A byte range of the input covering whole lines, the 1-based line number
+/// its first line has in the file, and its newline count, which sizes the
+/// chunk's output.
 struct Chunk {
   std::size_t begin = 0;
   std::size_t end = 0;
   std::size_t first_line = 1;
+  std::size_t lines = 0;
 };
 
 std::size_t count_newlines(const char* b, const char* e) {
@@ -284,18 +310,73 @@ std::vector<Chunk> chunk_lines(const std::string& s, std::size_t start,
           std::memchr(s.data() + end, '\n', n - end));
       end = nl == nullptr ? n : static_cast<std::size_t>(nl - s.data()) + 1;
     }
-    out.push_back({pos, end, line});
-    line += count_newlines(s.data() + pos, s.data() + end);
+    const std::size_t lines = count_newlines(s.data() + pos, s.data() + end);
+    out.push_back({pos, end, line, lines});
+    line += lines;
     pos = end;
   }
   return out;
 }
 
-std::size_t want_chunks(std::size_t bytes, ThreadPool* pool) {
-  if (pool == nullptr || ThreadPool::current_pool() != nullptr) return 1;
+/// A pool this thread may submit to: none from inside a pool, where nested
+/// work runs inline.
+ThreadPool* usable(ThreadPool* pool) {
+  return ThreadPool::current_pool() == nullptr ? pool : nullptr;
+}
+
+std::size_t want_chunks(std::size_t bytes, const ThreadPool* pool) {
+  if (pool == nullptr) return 1;
   const std::size_t by_size = std::max<std::size_t>(1, bytes / kMinChunkBytes);
   return std::min(pool->size() * 2, by_size);
 }
+
+/// Reads the next window into `w`. A read error is held in `error`, and
+/// reads as the end of input, so that the windows before it finish parsing
+/// first and the error surfaces where a serial parse would meet it.
+bool read_window(StreamReader& in, std::string& w, std::size_t& first_line,
+                 std::exception_ptr& error) {
+  try {
+    return in.next_window(w, first_line);
+  } catch (...) {
+    error = std::current_exception();
+    return false;
+  }
+}
+
+/// The chunk parses of the window in flight. With a pool each chunk is a
+/// pool task, so the calling thread reads the next window (and feeds the
+/// last one) while they run; without one, start() runs them inline. The
+/// task body must not throw: each chunk keeps its own error.
+class ChunkTasks {
+ public:
+  explicit ChunkTasks(ThreadPool* pool) : pool_(pool) {}
+  ChunkTasks(const ChunkTasks&) = delete;
+  ChunkTasks& operator=(const ChunkTasks&) = delete;
+  ~ChunkTasks() { wait(); }
+
+  /// Runs fn(i) for i in [0, n), after the previous window's wait().
+  void start(std::size_t n, std::function<void(std::size_t)> fn) {
+    fn_ = std::move(fn);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (pool_ == nullptr) {
+        fn_(i);
+      } else {
+        pending_.push_back(pool_->submit([this, i] { fn_(i); }));
+      }
+    }
+  }
+
+  /// Blocks until every started task has finished.
+  void wait() {
+    for (std::future<void>& f : pending_) f.wait();
+    pending_.clear();
+  }
+
+ private:
+  ThreadPool* pool_;
+  std::function<void(std::size_t)> fn_;
+  std::vector<std::future<void>> pending_;
+};
 
 /// Per-chunk parse result, merged in chunk order.
 struct Partial {
@@ -308,13 +389,14 @@ struct Partial {
   /// String-id mode: chunk-local vertex names in first-appearance order
   /// (views into the chunk's window text); edges' src/dst index into it.
   std::vector<std::string_view> names;
+  std::exception_ptr error;  ///< The chunk's first bad row; it stopped there.
 };
 
 /// Recognize `nodes=N` / `snapshots=S` tokens in a comment line.
 void scan_directives(std::string_view comment, const std::string& path,
-                     std::size_t line, Tokens& toks, Partial& out) {
-  ws_tokens(comment, toks);
-  for (std::string_view tok : toks) {
+                     std::size_t line, Partial& out) {
+  Fields fields(comment, false);
+  for (std::string_view tok; fields.next(tok);) {
     long long* slot = nullptr;
     const char* what = nullptr;
     if (tok.rfind("nodes=", 0) == 0) {
@@ -381,23 +463,28 @@ struct RowLayout {
   std::size_t w = 3;  ///< A row has a weight when it has this field; a CSV
                       ///< without a `w` column: kNone.
 
-  /// Split a line into its fields (`out` is cleared first).
-  void split(std::string_view line, Tokens& out) const {
+  /// Reads a row's fields in one pass: f[0..3] receive its src, dst, t and
+  /// w fields (w only when the row has one). Returns the row's field count.
+  std::size_t read(std::string_view line, std::string_view (&f)[4]) const {
+    Fields fields(line, csv);
+    std::size_t n = 0;
     if (!csv) {
-      ws_tokens(line, out);
-      return;
+      while (n < 4 && fields.next(f[n])) ++n;
+      std::string_view extra;
+      return n == 4 && fields.next(extra) ? fields.count() : n;
     }
-    out.clear();
-    std::size_t pos = 0;
-    for (;;) {
-      const std::size_t comma = line.find(',', pos);
-      if (comma == std::string_view::npos) {
-        out.push_back(trim(line.substr(pos)));
-        return;
+    for (std::string_view cell; fields.next(cell); ++n) {
+      if (n == src) {
+        f[0] = cell;
+      } else if (n == dst) {
+        f[1] = cell;
+      } else if (n == t) {
+        f[2] = cell;
+      } else if (n == w) {
+        f[3] = cell;
       }
-      out.push_back(trim(line.substr(pos, comma - pos)));
-      pos = comma + 1;
     }
+    return n;
   }
 };
 
@@ -406,12 +493,10 @@ RowLayout csv_layout(const std::string& path, std::string_view header,
   RowLayout lay;
   lay.csv = true;
   lay.w = RowLayout::kNone;
-  Tokens cells;
-  lay.split(header, cells);
-  lay.columns = cells.size();
   bool have_src = false, have_dst = false, have_t = false, have_w = false;
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const std::string_view c = cells[i];
+  Fields cells(header, true);
+  std::size_t i = 0;
+  for (std::string_view c; cells.next(c); ++i) {
     const auto claim = [&](bool& have, std::size_t& slot, const char* name) {
       if (have) fail_at(path, line, std::string("duplicate column ") + name);
       have = true;
@@ -428,6 +513,7 @@ RowLayout csv_layout(const std::string& path, std::string_view header,
     }
     // Other columns are ignored (documented).
   }
+  lay.columns = i;
   if (!have_src || !have_dst || !have_t) {
     fail_at(path, line,
             "CSV header must name src, dst and t columns (got '" +
@@ -443,33 +529,35 @@ void parse_chunk(const std::string& path, std::string_view text,
   bool have_prev = false;
   long long prev_t = 0;
   NameScratch scratch;
-  Tokens toks;
+  std::string_view f[4];
   for (std::size_t pos = 0, line = first_line; pos < text.size(); ++line) {
     const std::string_view l = next_line(text, pos);
     if (l.empty()) continue;
     if (l.front() == '#') {
-      scan_directives(l.substr(1), path, line, toks, out);
+      scan_directives(l.substr(1), path, line, out);
       continue;
     }
-    lay.split(l, toks);
-    if (lay.csv && toks.size() != lay.columns) {
+    const std::size_t n = lay.read(l, f);
+    if (lay.csv && n != lay.columns) {
       fail_at(path, line,
               "expected " + std::to_string(lay.columns) + " columns, got " +
-                  std::to_string(toks.size()));
+                  std::to_string(n));
     }
-    if (!lay.csv && toks.size() != 3 && toks.size() != 4) {
+    if (!lay.csv && n != 3 && n != 4) {
       fail_at(path, line,
-              "expected `src dst t [w]`, got " + std::to_string(toks.size()) +
+              "expected `src dst t [w]`, got " + std::to_string(n) +
                   " token(s)");
     }
     TemporalEdge e;
-    e.src = vertex_tok(toks[lay.src], string_ids, scratch, out, path, line,
+    e.src = vertex_tok(f[0], string_ids, scratch, out, path, line,
                        "src vertex");
-    e.dst = vertex_tok(toks[lay.dst], string_ids, scratch, out, path, line,
+    e.dst = vertex_tok(f[1], string_ids, scratch, out, path, line,
                        "dst vertex");
-    e.t = parse_ll_tok(toks[lay.t], path, line, "timestamp");
-    if (lay.w < toks.size()) {
-      e.w = parse_f_tok(toks[lay.w], path, line, "weight");
+    e.t = parse_ll_tok(f[2], path, line, "timestamp");
+    if (lay.w < n) {
+      if (!finite_float(f[3], e.w)) {
+        fail_at(path, line, malformed("weight", f[3]));
+      }
       out.weights = true;
     }
     if (!string_ids && (e.src < 0 || e.dst < 0)) {
@@ -487,15 +575,13 @@ void parse_chunk(const std::string& path, std::string_view text,
 /// One parse over a file, window by window. Holds everything that must
 /// survive across windows so that the merged stream is byte-identical for
 /// any window size: directives, the row layout, string-id mode, the global
-/// name table, and the cross-chunk timestamp-ordering state.
+/// name table, and the cross-chunk timestamp-ordering state; and the
+/// window in flight, whose chunks parse on the pool until finish().
 struct ParseState {
   const std::string& path;
   ThreadPool* pool;
 
   EdgeFile out;
-  /// Edges parsed since the last hand-off, one vector per non-empty chunk,
-  /// in file order.
-  EdgeChunks chunks;
   bool first_region = true;
   bool mode_known = false;
   bool have_layout;  ///< False until a CSV's header row is seen.
@@ -506,8 +592,26 @@ struct ParseState {
   /// that `out.names` views would dangle on — out.names stores copies.
   std::unordered_map<std::string, long long> name_index;
 
+  /// The window in flight: its chunks, their results, and the error its
+  /// scan met before any chunk started.
+  std::vector<Chunk> ranges;
+  std::vector<Partial> parts;
+  std::exception_ptr scan_error;
+  /// The last finished window's edges, one vector per non-empty chunk, in
+  /// file order.
+  EdgeChunks ready;
+  /// Chunk buffers back from the sink, reused by later windows.
+  std::vector<std::vector<TemporalEdge>> spare;
+  /// Last, so that it is destroyed first: it waits for the chunk tasks
+  /// before anything they write goes away.
+  ChunkTasks tasks;
+
   ParseState(const std::string& p, ThreadPool* pl, bool csv)
-      : path(p), pool(pl), have_layout(!csv) {}
+      : path(p), pool(pl), have_layout(!csv), tasks(pl) {}
+
+  /// Once the layout and id mode are fixed, start() no longer changes
+  /// `out`, so a window may start before the sink sees the one before it.
+  bool settled() const { return have_layout && mode_known; }
 
   void merge_directives(long long nodes, long long snaps) {
     if (nodes >= 0) {
@@ -543,8 +647,7 @@ struct ParseState {
         return true;
       }
       Partial pre;
-      Tokens toks;
-      scan_directives(l.substr(1), path, at, toks, pre);
+      scan_directives(l.substr(1), path, at, pre);
       merge_directives(pre.nodes, pre.snapshots);
     }
     return false;
@@ -553,25 +656,95 @@ struct ParseState {
   /// The first data row's src token decides integer vs string ids. -1 =
   /// region has no data rows (mode stays undecided).
   int detect_mode(const std::string& text, std::size_t start) const {
-    Tokens toks;
     for (std::size_t pos = start; pos < text.size();) {
       const std::string_view l = next_line(text, pos);
       if (l.empty() || l.front() == '#') continue;
-      lay.split(l, toks);
-      if (lay.src >= toks.size()) return 0;  // Column error surfaces later.
+      Fields fields(l, lay.csv);
+      std::string_view src;
+      for (std::size_t i = 0; i <= lay.src; ++i) {
+        if (!fields.next(src)) return 0;  // Column error surfaces later.
+      }
       long long id = 0;
-      return whole_number(toks[lay.src], id) ? 0 : 1;
+      return whole_number(src, id) ? 0 : 1;
     }
     return -1;
   }
 
-  /// Folds the region's chunk results into the file state in chunk order
-  /// and moves each non-empty chunk's edges onto `chunks` — no copy.
-  void merge(std::vector<Partial>& parts) {
+  /// Scans window `text` (whole lines, the first numbered `start_line`)
+  /// and starts its chunk parses. Its errors wait for finish().
+  void start(const std::string& text, std::size_t start_line) {
+    ranges.clear();
+    parts.clear();
+    scan_error = nullptr;
+    try {
+      std::size_t pos = 0;
+      std::size_t line = start_line;
+      if (first_region) {
+        first_region = false;
+        if (const char* fmt = binary_format_name(text)) {
+          throw Error(path + ": not a text dataset — detected " +
+                      std::string(fmt));
+        }
+      }
+      if (const void* nul = std::memchr(text.data(), '\0', text.size())) {
+        const auto* p = static_cast<const char*>(nul);
+        fail_at(path, line + count_newlines(text.data(), p),
+                "NUL byte — binary data is not a text dataset");
+      }
+      if (!have_layout && !scan_to_csv_header(text, pos, line)) return;
+      if (!mode_known) {
+        const int m = detect_mode(text, pos);
+        if (m >= 0) {
+          out.string_ids = m == 1;
+          mode_known = true;
+        }
+      }
+      ranges =
+          chunk_lines(text, pos, line, want_chunks(text.size() - pos, pool));
+    } catch (...) {
+      scan_error = std::current_exception();
+      return;
+    }
+    // Every chunk's output is sized once, here, from its line count, in a
+    // buffer an earlier window used when there is one.
+    parts.resize(ranges.size());
+    for (std::size_t i = 0; i < ranges.size(); ++i) {
+      std::vector<TemporalEdge>& edges = parts[i].edges;
+      if (!spare.empty()) {
+        edges = std::move(spare.back());
+        spare.pop_back();
+      }
+      edges.reserve(ranges[i].lines + 1);
+    }
+    const std::string_view view(text);
+    const bool string_ids = out.string_ids;
+    tasks.start(ranges.size(), [this, view, string_ids](std::size_t i) {
+      const Chunk& c = ranges[i];
+      try {
+        parse_chunk(path, view.substr(c.begin, c.end - c.begin),
+                    c.first_line, lay, string_ids, parts[i]);
+      } catch (...) {
+        parts[i].error = std::current_exception();
+      }
+    });
+  }
+
+  /// Waits for the window's chunks and merges them onto `ready` in file
+  /// order. Throws the window's first error: its scan's, else the lowest
+  /// chunk's, else the merge's.
+  void finish() {
+    tasks.wait();
+    if (scan_error) std::rethrow_exception(scan_error);
+    for (const Partial& p : parts) {
+      if (p.error) std::rethrow_exception(p.error);
+    }
     for (Partial& p : parts) {
       merge_directives(p.nodes, p.snapshots);
       out.has_weights = out.has_weights || p.weights;
-      if (p.edges.empty()) continue;
+      if (p.edges.empty()) {
+        spare.push_back(std::move(p.edges));
+        continue;
+      }
       if (have_prev) {
         check_sorted(prev_t, p.edges.front(), path, p.first_edge_line);
       }
@@ -595,52 +768,20 @@ struct ParseState {
         }
       }
       out.streamed_edges += p.edges.size();
-      chunks.push_back(std::move(p.edges));
+      ready.push_back(std::move(p.edges));
     }
-  }
-
-  /// Parse one region (whole lines) whose first line is `start_line`,
-  /// appending its per-chunk edge vectors to `chunks`.
-  void parse_region(const std::string& text, std::size_t start_line) {
-    std::size_t pos = 0;
-    std::size_t line = start_line;
-    if (first_region) {
-      first_region = false;
-      if (const char* fmt = binary_format_name(text)) {
-        throw Error(path + ": not a text dataset — detected " +
-                    std::string(fmt));
-      }
-    }
-    if (const void* nul = std::memchr(text.data(), '\0', text.size())) {
-      const auto* p = static_cast<const char*>(nul);
-      fail_at(path, line + count_newlines(text.data(), p),
-              "NUL byte — binary data is not a text dataset");
-    }
-    if (!have_layout && !scan_to_csv_header(text, pos, line)) return;
-    if (!mode_known) {
-      const int m = detect_mode(text, pos);
-      if (m >= 0) {
-        out.string_ids = m == 1;
-        mode_known = true;
-      }
-    }
-    const auto ranges =
-        chunk_lines(text, pos, line, want_chunks(text.size() - pos, pool));
-    std::vector<Partial> parts(ranges.size());
-    const auto parse_one = [&](std::size_t i) {
-      const Chunk& c = ranges[i];
-      parse_chunk(path, std::string_view(text).substr(c.begin, c.end - c.begin),
-                  c.first_line, lay, out.string_ids, parts[i]);
-    };
-    if (pool != nullptr && ranges.size() > 1 &&
-        ThreadPool::current_pool() == nullptr) {
-      pool->parallel_for(ranges.size(), parse_one);
-    } else {
-      for (std::size_t i = 0; i < ranges.size(); ++i) parse_one(i);
-    }
-    merge(parts);
     out.parse_chunks =
         std::max(out.parse_chunks, std::max<std::size_t>(1, ranges.size()));
+  }
+
+  /// Takes back the chunk buffers the sink left in `ready`.
+  void recycle() {
+    for (std::vector<TemporalEdge>& c : ready) {
+      if (c.capacity() == 0) continue;
+      c.clear();
+      spare.push_back(std::move(c));
+    }
+    ready.clear();
   }
 };
 
@@ -648,13 +789,30 @@ struct ParseState {
 
 EdgeFile parse_edge_stream(const std::string& path, bool csv, StreamReader& in,
                            ThreadPool* pool, const EdgeSink& sink) {
-  ParseState st(path, pool, csv);
-  std::string window;
-  std::size_t first_line = 1;
-  while (in.next_window(window, first_line)) {
-    st.parse_region(window, first_line);
-    sink(st.out, std::exchange(st.chunks, EdgeChunks()));
+  // Two window buffers: window k parses in one while window k + 1 is read
+  // into the other. They are declared before the parse state, whose
+  // destructor waits for the chunk tasks that read them.
+  std::string windows[2];
+  std::size_t first_line[2] = {1, 1};
+  std::exception_ptr read_error;
+  ParseState st(path, usable(pool), csv);
+  bool have = read_window(in, windows[0], first_line[0], read_error);
+  if (have) st.start(windows[0], first_line[0]);
+  for (std::size_t k = 0; have; k ^= 1) {
+    const std::size_t n = k ^ 1;
+    const bool more = read_window(in, windows[n], first_line[n], read_error);
+    st.finish();
+    // Window k + 1's chunks start before window k reaches the sink, so the
+    // sink's work overlaps their parse — once the layout and id mode are
+    // settled; until then starting a window may change what the sink sees.
+    const bool early = more && st.settled();
+    if (early) st.start(windows[n], first_line[n]);
+    sink(st.out, std::move(st.ready));
+    st.recycle();
+    if (more && !early) st.start(windows[n], first_line[n]);
+    have = more;
   }
+  if (read_error) std::rethrow_exception(read_error);
   if (!st.have_layout) throw Error(path + ": empty CSV (no header row)");
   if (st.out.string_ids && st.out.declared_nodes >= 0) {
     throw Error(path +
@@ -675,48 +833,37 @@ struct SidecarLayout {
   std::size_t lead() const { return temporal ? 2 : 1; }
 };
 
-/// One parsed data row: where its line starts in the window and the
-/// (snapshot, vertex) slot it fills. Its values follow in
-/// SidecarPart::values.
-struct SidecarRow {
-  std::size_t offset;
-  int snap;
-  int v;
-};
-
-/// One chunk's rows, parsed independently of the others.
-struct SidecarPart {
-  std::vector<SidecarRow> rows;
-  std::vector<float> values;  ///< SidecarLayout::width per row.
-  /// The chunk's first bad row; parsing stopped there.
-  std::exception_ptr error;
-  /// The bad row resolved its slot before failing (a malformed value): it
-  /// is rows.back(), and its duplicate check comes first, as in a serial
-  /// parse.
-  bool error_has_slot = false;
+/// The first tokens of a sidecar's header line.
+struct HeaderTokens {
+  std::string_view tok[5];
+  std::size_t n = 0;  ///< Tokens read, at most 5.
 };
 
 /// Pulls windows from `in` up to the first non-blank line, the header, and
-/// splits it into `toks` (views into `window`), with `pos` and `line`
-/// advanced past it. Throws "bad header" naming `format` when the file has
-/// no header or its first tokens are not `magic` (a magic token ending in
-/// '=' is a key whose value follows).
+/// reads its first tokens into `h` (views into `window`), with `pos` and
+/// `line` advanced past it. Throws "bad header" naming `format` when the
+/// file has no header or its first tokens are not `magic` (a magic token
+/// ending in '=' is a key whose value follows).
 void sidecar_header(const std::string& path, StreamReader& in,
-                    const char* format, const Tokens& magic,
+                    const char* format,
+                    std::initializer_list<std::string_view> magic,
                     std::string& window, std::size_t& pos, std::size_t& line,
-                    Tokens& toks) {
+                    HeaderTokens& h) {
   const std::string bad = std::string("bad header (expected `") + format + "`)";
   while (in.next_window(window, line)) {
     for (pos = 0; pos < window.size(); ++line) {
-      ws_tokens(next_line(window, pos), toks);
-      if (toks.empty()) continue;
+      Fields fields(next_line(window, pos), false);
+      h.n = 0;
+      while (h.n < std::size(h.tok) && fields.next(h.tok[h.n])) ++h.n;
+      if (h.n == 0) continue;
       pos = std::min(pos, window.size());
-      for (std::size_t i = 0; i < magic.size(); ++i) {
-        const std::string_view m = magic[i];
-        if (i >= toks.size() ||
-            (m.back() == '=' ? toks[i].substr(0, m.size()) : toks[i]) != m) {
+      std::size_t i = 0;
+      for (const std::string_view m : magic) {
+        if (i >= h.n ||
+            (m.back() == '=' ? h.tok[i].substr(0, m.size()) : h.tok[i]) != m) {
           fail_at(path, line, bad);
         }
+        ++i;
       }
       ++line;
       return;
@@ -725,123 +872,171 @@ void sidecar_header(const std::string& path, StreamReader& in,
   throw Error(path + ": " + bad);
 }
 
-void parse_sidecar_chunk(const std::string& path, const std::string& content,
-                         const Chunk& c, const SidecarLayout& lay,
-                         const VertexRemap& remap, SidecarPart& out) {
-  const std::size_t lead = lay.lead();
-  const std::size_t want = lead + static_cast<std::size_t>(lay.width);
-  const char* value_what = lay.targets ? "target value" : "feature value";
-  Tokens toks;
-  std::size_t pos = c.begin, line = c.first_line;
-  try {
-    while (pos < c.end) {
-      const std::size_t eol = std::min(content.find('\n', pos), c.end);
-      const std::string_view l =
-          trim(std::string_view(content).substr(pos, eol - pos));
-      const std::size_t offset = pos;
+/// A sidecar's data rows, parsed window by window straight into their
+/// tensor rows: row v of dest[snap]. Each (snapshot, vertex) slot is
+/// claimed, with an atomic compare-and-swap, by the window whose row fills
+/// it, before that row's values are written: a second row for a slot is
+/// rejected wherever it falls, and no slot is written twice. Chunks stop
+/// at their first error, and chunks of one window may meet theirs out of
+/// file order, so a window with any error has its claims undone and is
+/// rescanned serially: the error thrown names the line a serial parse
+/// stops at, at every pool width and window size.
+class SidecarRows {
+ public:
+  SidecarRows(const std::string& path, const SidecarLayout& lay,
+              const VertexRemap& remap, int num_nodes, ThreadPool* pool,
+              Tensor* dest)
+      : path_(path), lay_(lay), remap_(remap), num_nodes_(num_nodes),
+        pool_(pool), dest_(dest),
+        claims_((lay.temporal ? static_cast<std::size_t>(lay.num_snapshots)
+                              : 1) *
+                static_cast<std::size_t>(num_nodes)),
+        tasks_(pool) {}
+
+  /// Starts parsing the rows of `text` from `pos` on, whose first line is
+  /// `line`. Its errors wait for finish().
+  void start(const std::string& text, std::size_t pos, std::size_t line) {
+    text_ = text;
+    ++window_;
+    PIPAD_CHECK_MSG(window_ != 0, path_ << ": too many windows");
+    ranges_ =
+        chunk_lines(text, pos, line, want_chunks(text.size() - pos, pool_));
+    errors_.assign(ranges_.size(), nullptr);
+    tasks_.start(ranges_.size(), [this](std::size_t i) {
+      try {
+        parse(ranges_[i]);
+      } catch (...) {
+        errors_[i] = std::current_exception();
+      }
+    });
+  }
+
+  /// Waits for the window's chunks; throws the error a serial parse of the
+  /// window would throw.
+  void finish() {
+    tasks_.wait();
+    const auto bad = std::find_if(
+        errors_.begin(), errors_.end(),
+        [](const std::exception_ptr& e) { return e != nullptr; });
+    if (bad == errors_.end()) return;
+    if (ranges_.size() > 1) {
+      for (std::uint32_t& c : claims_) {
+        if (c == window_) c = 0;
+      }
+      parse({ranges_.front().begin, ranges_.back().end,
+             ranges_.front().first_line, 0});
+    }
+    std::rethrow_exception(*bad);
+  }
+
+ private:
+  /// Parses chunk `c` of the window; throws at its first bad row.
+  void parse(const Chunk& c) {
+    const std::size_t lead = lay_.lead();
+    const std::size_t want = lead + static_cast<std::size_t>(lay_.width);
+    const char* what = lay_.targets ? "target" : "feature";
+    const char* value_what = lay_.targets ? "target value" : "feature value";
+    std::size_t pos = c.begin, line = c.first_line;
+    for (; pos < c.end; ++line) {
+      const std::size_t eol = std::min(text_.find('\n', pos), c.end);
+      const std::string_view l = trim(text_.substr(pos, eol - pos));
       pos = eol + 1;
-      if (l.empty() || l.front() == '#') {
-        ++line;
-        continue;
-      }
-      ws_tokens(l, toks);
-      if (toks.size() != want) {
-        fail_at(path, line,
-                lay.targets ? "expected `t id y`, got " +
-                                  std::to_string(toks.size()) + " token(s)"
-                            : "expected " + std::to_string(want) +
-                                  " tokens, got " +
-                                  std::to_string(toks.size()));
-      }
+      if (l.empty() || l.front() == '#') continue;
+      // A row is read in one pass. The field count is checked first, as
+      // a split-then-parse reader would, but taken only once a row fails.
+      const auto reject = [&](const std::string& msg) {
+        const std::size_t got = Fields(l, false).count();
+        if (got != want) {
+          fail_at(path_, line,
+                  lay_.targets ? "expected `t id y`, got " +
+                                     std::to_string(got) + " token(s)"
+                               : "expected " + std::to_string(want) +
+                                     " tokens, got " + std::to_string(got));
+        }
+        fail_at(path_, line, msg);
+      };
+      Fields fields(l, false);
+      std::string_view tok;
+      const auto field = [&] {
+        if (!fields.next(tok)) reject("");
+        return tok;
+      };
       int snap = 0;
-      if (lay.temporal) {
-        const long long t = parse_ll_tok(toks[0], path, line, "snapshot index");
-        if (t < 0 || t >= lay.num_snapshots) {
-          fail_at(path, line, "snapshot index " + std::to_string(t) +
-                                  " out of range [0, " +
-                                  std::to_string(lay.num_snapshots) + ")");
+      if (lay_.temporal) {
+        const std::string_view ts = field();
+        long long t = 0;
+        if (!whole_number(ts, t)) reject(malformed("snapshot index", ts));
+        if (t < 0 || t >= lay_.num_snapshots) {
+          reject("snapshot index " + std::to_string(t) + " out of range [0, " +
+                 std::to_string(lay_.num_snapshots) + ")");
         }
         snap = static_cast<int>(t);
       }
-      int v;
+      const std::string_view id = field();
+      int v = 0;
       try {
-        v = remap(toks[lead - 1]);
+        v = remap_(id);
       } catch (const Error& e) {
-        fail_at(path, line, e.what());
+        reject(e.what());
       }
-      out.rows.push_back({offset, snap, v});
-      out.error_has_slot = true;
-      for (std::size_t d = lead; d < want; ++d) {
-        out.values.push_back(parse_f_tok(toks[d], path, line, value_what));
+      std::uint32_t unclaimed = 0;
+      if (!std::atomic_ref<std::uint32_t>(
+               claims_[static_cast<std::size_t>(snap) *
+                           static_cast<std::size_t>(num_nodes_) +
+                       static_cast<std::size_t>(v)])
+               .compare_exchange_strong(unclaimed, window_,
+                                        std::memory_order_relaxed)) {
+        reject(std::string("duplicate ") + what + " row for vertex " +
+               escape_token(id));
       }
-      out.error_has_slot = false;
-      ++line;
+      float* row = dest_[snap].row(v);
+      for (int d = 0; d < lay_.width; ++d) {
+        const std::string_view vt = field();
+        if (!finite_float(vt, row[d])) reject(malformed(value_what, vt));
+      }
+      if (fields.next(tok)) reject("");
     }
-  } catch (...) {
-    out.error = std::current_exception();
   }
-}
 
-/// Parses a sidecar's data rows window by window: first `window`'s rows
-/// from `pos` on (whose first line is `line`), then each later window of
-/// `in`. A window's rows parse in newline-aligned chunks, on `pool` when
-/// there is more than one, and are then copied into row v of dest[snap]
-/// serially in file order. `seen` outlives the windows, so a second row for
-/// a (snapshot, vertex) slot is rejected wherever it falls. A chunk holds
-/// its first error until every earlier row has passed that check, so the
-/// error thrown names the line a serial parse stops at, at any pool width
-/// and window size.
+  const std::string& path_;
+  const SidecarLayout lay_;
+  const VertexRemap& remap_;
+  const int num_nodes_;
+  ThreadPool* const pool_;
+  Tensor* const dest_;
+  /// Per (snapshot, vertex) slot: the 1-based index of the window whose
+  /// row filled it, or 0.
+  std::vector<std::uint32_t> claims_;
+  std::uint32_t window_ = 0;
+  std::string_view text_;
+  std::vector<Chunk> ranges_;
+  std::vector<std::exception_ptr> errors_;
+  /// Last, so that it is destroyed first (see ParseState::tasks).
+  ChunkTasks tasks_;
+};
+
+/// Parses a sidecar's data rows: first `window`'s from `pos` on (whose
+/// first line is `line`), then each later window of `in`, reading window
+/// k + 1 while window k parses.
 void parse_sidecar_rows(const std::string& path, StreamReader& in,
                         std::string& window, std::size_t pos,
                         std::size_t line, const SidecarLayout& lay,
                         const VertexRemap& remap, int num_nodes,
                         ThreadPool* pool, Tensor* dest) {
-  std::vector<std::vector<bool>> seen(
-      lay.temporal ? static_cast<std::size_t>(lay.num_snapshots) : 1,
-      std::vector<bool>(static_cast<std::size_t>(num_nodes)));
-  const auto width = static_cast<std::size_t>(lay.width);
-  Tokens toks;
-  do {
-    const auto ranges =
-        chunk_lines(window, pos, line, want_chunks(window.size() - pos, pool));
-    std::vector<SidecarPart> parts(ranges.size());
-    const auto parse_one = [&](std::size_t i) {
-      parse_sidecar_chunk(path, window, ranges[i], lay, remap, parts[i]);
-    };
-    if (ranges.size() > 1) {  // want_chunks gave 1 unless `pool` is usable.
-      pool->parallel_for(ranges.size(), parse_one);
-    } else if (!ranges.empty()) {
-      parse_one(0);
-    }
-    for (std::size_t c = 0; c < parts.size(); ++c) {
-      SidecarPart& part = parts[c];
-      for (std::size_t r = 0; r < part.rows.size(); ++r) {
-        const SidecarRow& row = part.rows[r];
-        auto slot = seen[static_cast<std::size_t>(row.snap)]
-                        [static_cast<std::size_t>(row.v)];
-        if (slot) {
-          std::size_t at = row.offset;
-          ws_tokens(next_line(window, at), toks);
-          fail_at(path,
-                  ranges[c].first_line +
-                      count_newlines(window.data() + ranges[c].begin,
-                                     window.data() + row.offset),
-                  std::string("duplicate ") +
-                      (lay.targets ? "target" : "feature") +
-                      " row for vertex " + escape_token(toks[lay.lead() - 1]));
-        }
-        if (part.error && part.error_has_slot && r + 1 == part.rows.size()) {
-          break;
-        }
-        slot = true;
-        std::copy_n(part.values.data() + r * width, width,
-                    dest[row.snap].row(row.v));
-      }
-      if (part.error) std::rethrow_exception(part.error);
-      part = SidecarPart();
-    }
-    pos = 0;
-  } while (in.next_window(window, line));
+  std::string other;
+  std::string* windows[2] = {&window, &other};
+  std::size_t first_line[2] = {line, 1};
+  std::exception_ptr read_error;
+  SidecarRows rows(path, lay, remap, num_nodes, usable(pool), dest);
+  rows.start(window, pos, line);
+  for (std::size_t k = 0;; k ^= 1) {
+    const std::size_t n = k ^ 1;
+    const bool more = read_window(in, *windows[n], first_line[n], read_error);
+    rows.finish();
+    if (!more) break;
+    rows.start(*windows[n], 0, first_line[n]);
+  }
+  if (read_error) std::rethrow_exception(read_error);
 }
 
 }  // namespace
@@ -852,18 +1047,17 @@ FeatureFile parse_features(const std::string& path, StreamReader& in,
   FeatureFile ff;
   std::string window;
   std::size_t pos = 0, line = 1;
-  Tokens toks;
+  HeaderTokens h;
   sidecar_header(path, in, "# pipad-features v1 dim=D static|temporal",
-                 {"#", "pipad-features", "v1", "dim="}, window, pos, line,
-                 toks);
+                 {"#", "pipad-features", "v1", "dim="}, window, pos, line, h);
   const std::size_t hline = line - 1;
   const long long d =
-      parse_ll_tok(toks[3].substr(4), path, hline, "feature dim");
+      parse_ll_tok(h.tok[3].substr(4), path, hline, "feature dim");
   if (d <= 0 || d > 1000000) fail_at(path, hline, "feature dim out of range");
   ff.dim = static_cast<int>(d);
-  ff.temporal = toks.size() > 4 && toks[4] == "temporal";
-  if (toks.size() > 4 && toks[4] != "temporal" && toks[4] != "static") {
-    fail_at(path, hline, "bad header mode '" + escape_token(toks[4]) + "'");
+  ff.temporal = h.n > 4 && h.tok[4] == "temporal";
+  if (h.n > 4 && h.tok[4] != "temporal" && h.tok[4] != "static") {
+    fail_at(path, hline, "bad header mode '" + escape_token(h.tok[4]) + "'");
   }
   if (ff.temporal) {
     ff.per_snapshot.assign(num_snapshots, Tensor(num_nodes, ff.dim));
@@ -881,9 +1075,9 @@ std::vector<Tensor> parse_targets(const std::string& path, StreamReader& in,
                                   int num_snapshots, ThreadPool* pool) {
   std::string window;
   std::size_t pos = 0, line = 1;
-  Tokens toks;
+  HeaderTokens h;
   sidecar_header(path, in, "# pipad-targets v1", {"#", "pipad-targets", "v1"},
-                 window, pos, line, toks);
+                 window, pos, line, h);
   std::vector<Tensor> out(num_snapshots, Tensor(num_nodes, 1));
   const SidecarLayout lay{true, true, 1, num_snapshots};
   parse_sidecar_rows(path, in, window, pos, line, lay, remap, num_nodes, pool,

@@ -23,13 +23,30 @@
 // Both edge formats go through one entry point, parse_edge_stream, and one
 // row parser: a row layout says how a line splits and which field holds
 // src, dst, t and w. A CSV's layout comes from its header row; an edge list
-// has the fixed `src dst t [w]` layout. The input is pulled in windows (see
-// stream_reader.hpp), each window is split at newline boundaries into
-// bounded chunks parsed independently on the shared ComputePool, and the
-// chunk results are handed to a sink in file order — so the parser holds
-// one window, not the file, and the parsed stream is byte-identical for
-// any window size and thread count. The sidecar parsers pull their files
-// through the same windows and parse each one chunk-parallel too.
+// has the fixed `src dst t [w]` layout. A field cursor reads each row's
+// fields in place (no token vector), and numbers parse with from_chars.
+//
+// The input is pulled in windows (see stream_reader.hpp). Each window is
+// split at newline boundaries into bounded chunks, and each chunk's output
+// is sized once from its newline count, in a buffer an earlier window used
+// when there is one. The parse is pipelined over two window buffers:
+//
+//   caller    read k+1 | wait k, merge | start k+1 | sink(k)   | read k+2 ..
+//   pool                   parse k     |      parse k+1 ...
+//
+// With a pool, window k+1's chunks are pool tasks that run while the
+// calling thread hands window k to the sink (the loader's snapshot feed)
+// and reads window k+2; without one (or from inside a pool) the same loop
+// runs each step inline. Chunk results merge in file order, so the parser
+// holds two windows, not the file, and the parsed stream is byte-identical
+// for any window size and thread count. Errors keep serial order: a
+// window's scan error, then its lowest chunk's, then the merge's; a sink
+// error in window k wins over anything in window k+1, and a read error
+// surfaces only after every window before it was parsed and sunk.
+//
+// The sidecar parsers pull their files through the same two-buffer loop
+// (the next window is read while this one parses) and write each row's
+// values straight into its tensor row; see parse_features.
 #pragma once
 
 #include <cstdint>
@@ -122,14 +139,17 @@ using EdgeChunks = std::vector<std::vector<TemporalEdge>>;
 /// accumulating summary — directives, string_ids/names, has_weights and
 /// streamed_edges reflect everything parsed up to and including this
 /// window (so a sink may commit to a staging strategy on its first
-/// non-empty window). The chunks are moved in; the sink owns them.
+/// non-empty window). The next window may be parsing on the pool while
+/// the sink runs. A sink keeps a chunk by moving it out; the chunks it
+/// leaves are cleared and their buffers reused for later windows.
 using EdgeSink = std::function<void(const EdgeFile& so_far, EdgeChunks&&)>;
 
 /// Parse an edge file — a temporal CSV when `csv`, else an edge list —
-/// pulling newline-aligned windows from `in`, parsing each chunk-parallel,
-/// and handing each window's edges to `sink`: memory stays bounded by the
-/// window size. The returned EdgeFile carries directives, names, flags and
-/// streamed_edges. `path` is used in error messages only.
+/// pulling newline-aligned windows from `in`, parsing each chunk-parallel
+/// and pipelined (see the header comment), and handing each window's edges
+/// to `sink`: memory stays bounded by two windows. The returned EdgeFile
+/// carries directives, names, flags and streamed_edges. `path` is used in
+/// error messages only.
 EdgeFile parse_edge_stream(const std::string& path, bool csv, StreamReader& in,
                            ThreadPool* pool, const EdgeSink& sink);
 
@@ -148,14 +168,16 @@ struct FeatureFile {
 using VertexRemap = std::function<int(std::string_view)>;
 
 /// Parse a feature file, pulling newline-aligned windows from `in` and
-/// writing each window's rows straight into the tensors. `remap` converts
-/// raw vertex-id tokens to dense indices and throws on unknown ids (it is
-/// called from pool threads, so it must be safe to call concurrently);
-/// `num_snapshots` bounds temporal rows' `t`. With a pool (and when not
-/// already on a pool worker) each window's rows parse chunk-parallel and
-/// then fill the tensors serially in file order: the result, and the line
-/// any error names, are the same at every width and window size. `path` is
-/// used in error messages only.
+/// writing each row's values straight into its tensor row. `remap`
+/// converts raw vertex-id tokens to dense indices and throws on unknown ids
+/// (it is called from pool threads, so it must be safe to call
+/// concurrently); `num_snapshots` bounds temporal rows' `t`. With a pool
+/// (and when not already on a pool worker) each window's rows parse as
+/// chunk tasks while the next window is read. A row claims its
+/// (snapshot, vertex) slot before writing it, so a slot is written at most
+/// once; a window with any error or duplicate is rescanned serially, so the
+/// result, and the line any error names, are the same at every width and
+/// window size. `path` is used in error messages only.
 FeatureFile parse_features(const std::string& path, StreamReader& in,
                            const VertexRemap& remap, int num_nodes,
                            int num_snapshots, ThreadPool* pool = nullptr);

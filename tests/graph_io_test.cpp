@@ -15,6 +15,8 @@
 #include <fstream>
 #include <string>
 #include <string_view>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "graph/generator.hpp"
@@ -897,6 +899,141 @@ TEST(Sidecar, HeaderAfterBlankWindowsIsFound) {
   }
 }
 
+/// A target file of fixed-width (14-byte) rows: `fillers` rows whose
+/// slots are all distinct (vertex 8 and up), with each special row inserted
+/// before the filler row its index names, in order. special i's line is
+/// returned in lines[i].
+std::string target_file(
+    int fillers, int snaps,
+    const std::vector<std::pair<int, std::string>>& specials,
+    std::vector<std::size_t>& lines) {
+  std::string out = "# pipad-targets v1\n";
+  std::size_t line = 1;
+  std::size_t next = 0;
+  lines.clear();
+  char row[32];
+  for (int i = 0; i <= fillers; ++i) {
+    for (; next < specials.size() && specials[next].first <= i; ++next) {
+      out += specials[next].second + "\n";
+      lines.push_back(++line);
+    }
+    if (i == fillers) break;
+    std::snprintf(row, sizeof(row), "%d %06d 0.25\n", i % snaps, 8 + i / snaps);
+    out += row;
+    ++line;
+  }
+  return out;
+}
+
+TEST(Sidecar, DuplicatesAcrossChunksAndWindowsNameTheSerialLine) {
+  // Every case names the line a serial parse stops at, with no pool and at
+  // widths 1, 2 and 4, at a tiny window and the default one. At the
+  // default window a pool of width W splits the 15,000 rows into 2W equal
+  // chunks. The first copy of a slot sits just before the end of chunk 0
+  // and a later copy just after the start of chunk 1 or 2, which run at
+  // the same time as chunk 0 and so usually claim the slot first: chunk
+  // 0 then fails at the first copy, and only the serial rescan names the
+  // right line. The tiny window puts the copies in different windows.
+  constexpr int kSnaps = 4, kNodes = 100000, kRows = 15000;
+  const VertexRemap remap = int_remap(kNodes);
+  const auto dir = temp_dir();
+  ThreadPool p1(1), p2(2), p4(4);
+  struct Case {
+    const char* name;
+    /// Special rows, placed by the chunk boundary they straddle (in
+    /// units of 1/(2W) of the file) and a row offset from it.
+    std::vector<std::tuple<int, int, std::string>> specials;
+    std::size_t want;  ///< Index of the special row the error names.
+    const char* error;
+  };
+  const std::vector<Case> cases = {
+      {"two chunks", {{1, -4, "1 000003 1.00"}, {1, 4, "1 000003 2.00"}}, 1,
+       "duplicate target row for vertex 000003"},
+      {"three copies",
+       {{1, -4, "2 000005 1.00"}, {1, 4, "2 000005 2.00"},
+        {2, 4, "2 000005 3.00"}},
+       1, "duplicate target row for vertex 000005"},
+      {"malformed value first",
+       {{1, -4, "0 000004 1.00"}, {1, 40, "3 000006 xxxx"},
+        {2, 4, "0 000004 2.00"}},
+       1, "malformed target value 'xxxx'"},
+  };
+  for (ThreadPool* pool :
+       {static_cast<ThreadPool*>(nullptr), &p1, &p2, &p4}) {
+    const int chunks = 2 * static_cast<int>(pool != nullptr ? pool->size() : 1);
+    for (const Case& c : cases) {
+      std::vector<std::pair<int, std::string>> at;
+      for (const auto& [boundary, offset, row] : c.specials) {
+        at.emplace_back(kRows * boundary / chunks + offset, row);
+      }
+      std::vector<std::size_t> lines;
+      const auto yp =
+          write_file_at(dir / "y.tsv", target_file(kRows, kSnaps, at, lines));
+      const std::string want = "y.tsv:" + std::to_string(lines[c.want]) +
+                               ": " + c.error;
+      for (const std::size_t window : {std::size_t{64}, std::size_t{0}}) {
+        const std::string e = error_of(
+            [&](ThreadPool* pl) {
+              targets_at(yp, window, remap, kNodes, kSnaps, pl);
+            },
+            pool);
+        EXPECT_NE(e.find(want), std::string::npos)
+            << c.name << ", window " << window << ", " << chunks
+            << " chunks: " << e;
+      }
+    }
+  }
+
+  // Copies in two windows at the default size need a file larger than
+  // one window.
+  for (const std::size_t window : {std::size_t{64}, std::size_t{0}}) {
+    const int rows = window == 0 ? 340000 : kRows;
+    std::vector<std::size_t> lines;
+    const auto yp = write_file_at(
+        dir / "w.tsv",
+        target_file(rows, kSnaps,
+                    {{rows / 10, "1 000003 1.00"},
+                     {rows - 10, "1 000003 2.00"}},
+                    lines));
+    if (window == 0) {
+      ASSERT_GT(fs::file_size(yp), StreamReader::kDefaultWindowBytes);
+    }
+    const std::string want = "w.tsv:" + std::to_string(lines[1]) +
+                             ": duplicate target row for vertex 000003";
+    for (ThreadPool* pool :
+         {static_cast<ThreadPool*>(nullptr), &p1, &p2, &p4}) {
+      const std::string e = error_of(
+          [&](ThreadPool* pl) {
+            targets_at(yp, window, remap, kNodes, kSnaps, pl);
+          },
+          pool);
+      EXPECT_NE(e.find(want), std::string::npos) << window << ": " << e;
+    }
+  }
+
+  // The feature parser shares the row reader: a malformed value before a
+  // duplicate names the value's line there too.
+  std::string feat = "# pipad-features v1 dim=2 static\n";
+  for (int v = 8; v < 8008; ++v) feat += std::to_string(v) + " 0.5 1.5\n";
+  feat.insert(feat.find("\n2008 ") + 1, "3 0.5 1.5\n");   // Line 2002.
+  feat.insert(feat.find("\n5008 ") + 1, "6 0.5 oops\n");  // Line 5003.
+  feat.insert(feat.find("\n7008 ") + 1, "3 0.5 1.5\n");   // Line 7004.
+  const auto fp = write_file_at(dir / "f.tsv", feat);
+  for (const std::size_t window : {std::size_t{64}, std::size_t{0}}) {
+    for (ThreadPool* pool :
+         {static_cast<ThreadPool*>(nullptr), &p1, &p2, &p4}) {
+      const std::string e = error_of(
+          [&](ThreadPool* pl) {
+            features_at(fp, window, remap, kNodes, 1, pl);
+          },
+          pool);
+      EXPECT_NE(e.find("f.tsv:5003: malformed feature value 'oops'"),
+                std::string::npos)
+          << window << ": " << e;
+    }
+  }
+}
+
 TEST(Loader, NoEdgesRejected) {
   const auto dir = temp_dir();
   EXPECT_THROW(load_dataset(write_file_at(dir / "e.el", "")), Error);
@@ -1438,6 +1575,55 @@ TEST(Stream, NoTrailingNewlineStillLoads) {
   const auto a = write_file_at(dir / "a.el", "0 1 0\n1 2 1\n");
   const auto b = write_file_at(dir / "b.el", "0 1 0\n1 2 1");
   expect_same_dtdg(load_dataset(a), load_dataset(b));
+}
+
+TEST(Stream, FeedErrorInAWindowWinsOverAParseErrorInTheNext) {
+  // The last row of the first window names a vertex past nodes=100 (an
+  // error of the snapshot feed, which runs on the calling thread) and the
+  // first row of the second window is malformed. The second window parses
+  // on the pool while the first is fed, but the feed's error is the one a
+  // serial load meets first, so it is reported — with no pool and at
+  // widths 1, 2 and 4, at a tiny window and the default one.
+  const auto dir = temp_dir();
+  ThreadPool p1(1), p2(2), p4(4);
+  for (const std::size_t window : {std::size_t{64}, std::size_t{0}}) {
+    const std::size_t w =
+        window != 0 ? window : StreamReader::kDefaultWindowBytes;
+    const std::string feed_row = "100 2 0\n";
+    std::string head = "# nodes=100 snapshots=2\n";
+    while (head.size() + 6 + feed_row.size() <= w) head += "1 2 0\n";
+    // Pad with a comment (or a blank line) so the feed row ends the window.
+    const std::size_t gap = w - head.size() - feed_row.size();
+    if (gap > 1) head += "#" + std::string(gap - 2, ' ') + "\n";
+    if (gap == 1) head += "\n";
+    ASSERT_EQ(head.size() + feed_row.size(), w);
+    const std::size_t bad_line =
+        static_cast<std::size_t>(std::count(head.begin(), head.end(), '\n')) +
+        2;
+    const std::string tail = "1 x 1\n1 2 1\n3 4 1\n";
+    const auto both = write_file_at(dir / "b.el", head + feed_row + tail);
+    const auto parse_only =
+        write_file_at(dir / "p.el", head + "3 2 0\n" + tail);
+    for (ThreadPool* pool :
+         {static_cast<ThreadPool*>(nullptr), &p1, &p2, &p4}) {
+      LoadOptions o;
+      o.window_bytes = window;
+      const auto load = [&](const std::string& p) {
+        return [&o, p](ThreadPool* pl) { load_dataset(p, o, pl); };
+      };
+      const std::string e = error_of(load(both), pool);
+      EXPECT_NE(e.find("b.el: vertex id 100 out of range for declared "
+                       "nodes=100"),
+                std::string::npos)
+          << window << ": " << e;
+      // Without the feed error, the parse error is what the load meets.
+      const std::string pe = error_of(load(parse_only), pool);
+      EXPECT_NE(pe.find("p.el:" + std::to_string(bad_line) +
+                        ": malformed dst vertex 'x'"),
+                std::string::npos)
+          << window << ": " << pe;
+    }
+  }
 }
 
 // ---- gzip inputs ----
